@@ -267,7 +267,7 @@ let table1_measured pool () =
       (fun pool ->
         Pool.map_list ~chunk:1 pool
           (fun inst ->
-            Schedule.makespan (Instances.run_online inst).Engine.schedule)
+            Schedule.makespan (Instances.run_online inst).Sim_core.schedule)
           instances)
   in
   let remaining = ref makespans in
@@ -321,7 +321,7 @@ let convergence_plots pool () =
       (fun pool ->
         Pool.map_list ~chunk:1 pool
           (fun (_, inst) ->
-            Schedule.makespan (Instances.run_online inst).Engine.schedule
+            Schedule.makespan (Instances.run_online inst).Sim_core.schedule
             /. inst.Instances.alternative_makespan)
           specs)
   in
@@ -420,15 +420,15 @@ let figure2 () =
   let online = Instances.run_online inst in
   let label i = (Dag.task inst.Instances.dag i).Task.label in
   Printf.printf "(a) Algorithm 1 (makespan %.2f):\n%s\n"
-    (Schedule.makespan online.Engine.schedule)
+    (Schedule.makespan online.Sim_core.schedule)
     (Moldable_viz.Gantt.render ~width:72 ~max_rows:16 ~legend:false ~label
-       online.Engine.schedule);
+       online.Sim_core.schedule);
   Printf.printf "(b) clairvoyant alternative (makespan %.2f):\n%s\n"
     inst.Instances.alternative_makespan
     (Moldable_viz.Gantt.render ~width:72 ~max_rows:16 ~legend:false ~label
        inst.Instances.alternative);
   write_artifact "figure2a_online.svg"
-    (Moldable_viz.Svg.of_schedule ~label online.Engine.schedule);
+    (Moldable_viz.Svg.of_schedule ~label online.Sim_core.schedule);
   write_artifact "figure2b_offline.svg"
     (Moldable_viz.Svg.of_schedule ~label inst.Instances.alternative)
 
@@ -653,7 +653,7 @@ let independent_section () =
           let alg1 = Online_scheduler.makespan ~p dag in
           let ye =
             Schedule.makespan
-              (Moldable_indep.Ye.run ~p dag).Engine.schedule
+              (Moldable_indep.Ye.run ~p dag).Sim_core.schedule
           in
           let turek = Moldable_indep.Turek.schedule ~p dag in
           Texttab.add_row tab
@@ -803,11 +803,11 @@ let failures_section pool () =
   in
   let p = 64 in
   let base =
-    (Failure_engine.run ~seed:1 ~failures:Failure_engine.never ~p
+    (Sim_core.run ~seed:1 ~p
        (Online_scheduler.policy ~allocator:Allocator.algorithm2_per_model ~p
           ())
        dag)
-      .Failure_engine.makespan
+      .Sim_core.makespan
   in
   let qs = [ 0.0; 0.1; 0.2; 0.3; 0.5 ] in
   (* Every q-cell owns its failure stream through the explicit per-run seed,
@@ -824,19 +824,19 @@ let failures_section pool () =
         Pool.map_list ~chunk:1 pool
           (fun q ->
             let r =
-              Failure_engine.run ~seed:1
-                ~failures:(Failure_engine.bernoulli ~q)
+              Sim_core.run ~seed:1
+                ~failures:(Sim_core.bernoulli ~q)
                 ~p
                 (Online_scheduler.policy
                    ~allocator:Allocator.algorithm2_per_model ~p ())
                 dag
             in
-            (match Failure_engine.validate ~dag ~p r with
+            (match Validate.check_attempts ~dag ~p r.Sim_core.attempts with
             | Ok () -> ()
             | Error es -> failwith (String.concat "; " es));
-            ( r.Failure_engine.n_attempts,
-              r.Failure_engine.n_failures,
-              r.Failure_engine.makespan ))
+            ( r.Sim_core.n_attempts,
+              r.Sim_core.n_failures,
+              r.Sim_core.makespan ))
           qs)
   in
   let tab =
@@ -862,22 +862,20 @@ let failures_section pool () =
      for offline analysis: counters + utilization timeline + queue depth +
      per-task waits.  Schema documented in EXPERIMENTS.md. *)
   let r =
-    Failure_engine.run ~seed:1
-      ~failures:(Failure_engine.bernoulli ~q:0.3)
+    Sim_core.run ~seed:1
+      ~failures:(Sim_core.bernoulli ~q:0.3)
       ~p
       (Online_scheduler.policy ~allocator:Allocator.algorithm2_per_model ~p
          ())
       dag
   in
-  let m = r.Failure_engine.metrics in
+  let m = r.Sim_core.metrics in
   Printf.printf "\ninstrumented run (q=0.30): %s\n"
-    (Format.asprintf "%a" Moldable_sim.Metrics.pp m);
-  write_artifact "failures_metrics.json" (Moldable_sim.Metrics.to_json m);
-  write_artifact "failures_utilization.csv"
-    (Moldable_sim.Metrics.utilization_csv m);
-  write_artifact "failures_queue_depth.csv"
-    (Moldable_sim.Metrics.queue_depth_csv m);
-  write_artifact "failures_tasks.csv" (Moldable_sim.Metrics.tasks_csv m)
+    (Format.asprintf "%a" Metrics.pp m);
+  write_artifact "failures_metrics.json" (Metrics.to_json m);
+  write_artifact "failures_utilization.csv" (Metrics.utilization_csv m);
+  write_artifact "failures_queue_depth.csv" (Metrics.queue_depth_csv m);
+  write_artifact "failures_tasks.csv" (Metrics.tasks_csv m)
 
 (* --------------------------------------- Extension: tasks released over time *)
 
@@ -904,16 +902,16 @@ let release_times_section () =
   in
   List.iter
     (fun (name, policy) ->
-      let result = Engine.run ~release_times:releases ~p (policy ~p) dag in
-      Validate.check_exn ~dag result.Engine.schedule;
-      let m = Metrics.of_result result in
+      let result = Sim_core.run ~release_times:releases ~p (policy ~p) dag in
+      Validate.check_exn ~dag result.Sim_core.schedule;
+      let m = result.Sim_core.metrics in
       Texttab.add_row tab
         [
           name;
-          Printf.sprintf "%.2f" m.Metrics.makespan;
-          Printf.sprintf "%.3f" m.Metrics.mean_wait;
-          Printf.sprintf "%.3f" m.Metrics.max_wait;
-          Printf.sprintf "%.1f%%" (100. *. m.Metrics.average_utilization);
+          Printf.sprintf "%.2f" (Schedule.makespan result.Sim_core.schedule);
+          Printf.sprintf "%.3f" (Metrics.mean_wait m);
+          Printf.sprintf "%.3f" (Metrics.max_wait m);
+          Printf.sprintf "%.1f%%" (100. *. Metrics.average_utilization m);
         ])
     [
       ( "Algorithm 1",
@@ -945,7 +943,7 @@ let regimes_section () =
       let rigid =
         Schedule.makespan
           (Online_scheduler.run ~allocator:Allocator.min_time ~p dag)
-            .Engine.schedule
+            .Sim_core.schedule
       in
       let moldable = Online_scheduler.makespan ~p dag in
       let malleable =
@@ -999,10 +997,10 @@ let offline_section () =
       let p = 64 in
       let online = Online_scheduler.makespan ~p dag in
       let _, off = Offline.best_of ~p ~schedulers:Offline.named dag in
-      let cpa = Schedule.makespan (Cpa.schedule ~p dag).Engine.schedule in
+      let cpa = Schedule.makespan (Cpa.schedule ~p dag).Sim_core.schedule in
       let search =
         Schedule.makespan
-          (Offline.randomized_search ~restarts:48 ~rng ~p dag).Engine.schedule
+          (Offline.randomized_search ~restarts:48 ~rng ~p dag).Sim_core.schedule
       in
       let best_off = Float.min (Float.min off search) cpa in
       let lb = (Bounds.compute ~p dag).Bounds.lower_bound in
@@ -1055,7 +1053,7 @@ let lemmas_section () =
         let p = Rng.int_range rng 8 128 in
         let sched =
           (Online_scheduler.run ~allocator:(Allocator.algorithm2 ~mu) ~p dag)
-            .Engine.schedule
+            .Sim_core.schedule
         in
         let report = Lemmas.verify ~mu ~dag sched in
         incr total;
@@ -1081,8 +1079,8 @@ let tracing_section pool () =
   in
   let label i = (Dag.task dag i).Task.label in
   let tracer = Moldable_sim.Tracer.create () in
-  let traced = Online_scheduler.run_instrumented ~tracer ~p dag in
-  let untraced = Online_scheduler.run_instrumented ~p dag in
+  let traced = Online_scheduler.run ~tracer ~p dag in
+  let untraced = Online_scheduler.run ~p dag in
   (* Tracing must be observation-only. *)
   assert (
     Float.equal
@@ -1164,12 +1162,12 @@ let tracing_section pool () =
   let t_default = time_reps (fun () -> Online_scheduler.run ~p dag) in
   let t_null =
     time_reps (fun () ->
-        Online_scheduler.run_instrumented ~tracer:Moldable_sim.Tracer.null ~p
+        Online_scheduler.run ~tracer:Moldable_sim.Tracer.null ~p
           dag)
   in
   let t_traced =
     time_reps (fun () ->
-        Online_scheduler.run_instrumented
+        Online_scheduler.run
           ~tracer:(Moldable_sim.Tracer.create ())
           ~p dag)
   in
@@ -1198,7 +1196,7 @@ let scalability () =
       (* Repeat until the measurement is long enough for Sys.time's
          resolution, then report the per-run average. *)
       let result = Online_scheduler.run ~p dag in
-      Validate.check_exn ~dag result.Engine.schedule;
+      Validate.check_exn ~dag result.Sim_core.schedule;
       let reps = ref 0 in
       let t0 = Sys.time () in
       while Sys.time () -. t0 < 0.2 do
@@ -1244,12 +1242,12 @@ let scalability_hot_path pool () =
     let n = Dag.n dag in
     let heap, t_heap =
       time_run (fun () ->
-          Engine.run ~p
+          Sim_core.run ~p
             (Online_scheduler.policy ~allocator:Allocator.algorithm2_per_model
                ~p ())
             dag)
     in
-    if n <= 10_000 then Validate.check_exn ~pool ~dag heap.Engine.schedule;
+    if n <= 10_000 then Validate.check_exn ~pool ~dag heap.Sim_core.schedule;
     let record_row reference_s =
       scaling_rows :=
         { sc_workload = name; sc_tasks = n; sc_p = p; sc_heap_s = t_heap;
@@ -1260,8 +1258,8 @@ let scalability_hot_path pool () =
       if with_reference then begin
         let r, t_ref =
           time_run (fun () ->
-              Engine.run ~p
-                (Online_scheduler.policy_reference
+              Sim_core.run ~p
+                (Moldable_oracle.Reference.policy
                    ~allocator:Allocator.algorithm2_per_model ~p ())
                 dag)
         in
@@ -1269,8 +1267,8 @@ let scalability_hot_path pool () =
            otherwise. *)
         assert (
           Float.equal
-            (Schedule.makespan heap.Engine.schedule)
-            (Schedule.makespan r.Engine.schedule));
+            (Schedule.makespan heap.Sim_core.schedule)
+            (Schedule.makespan r.Sim_core.schedule));
         Some t_ref
       end
       else None
@@ -1422,7 +1420,7 @@ let alloc_lean_section () =
   in
   let r_ref, t_ref, w_ref =
     measure "reference" (fun () ->
-        Sim_core.run_reference ~p (fresh_policy ()) dag)
+        Moldable_oracle.Reference.run ~p (fresh_policy ()) dag)
   in
   let r_full, t_full, w_full =
     measure "full" (fun () -> Sim_core.run ~p (fresh_policy ()) dag)
@@ -1684,7 +1682,7 @@ let service_section () =
       ~edges:[]
   in
   let local = Online_scheduler.run ~p dag in
-  if not (Float.equal (Schedule.makespan local.Engine.schedule) server_mk)
+  if not (Float.equal (Schedule.makespan local.Sim_core.schedule) server_mk)
   then failwith "service: drained makespan diverged from the local run";
   (* --- server-side truth: decision latency histogram, protocol errors *)
   let snap = R.snapshot registry in
@@ -1910,7 +1908,7 @@ let exact_oracle pool () =
       else None
     in
     let result =
-      Online_scheduler.run_instrumented
+      Online_scheduler.run
         ~allocator:(Allocator.algorithm2 ~mu)
         ?release_times ~seed
         ~failures:
@@ -1926,7 +1924,7 @@ let exact_oracle pool () =
   let adversarial_cells () =
     let of_instance (inst : Instances.t) =
       let result =
-        Online_scheduler.run_instrumented
+        Online_scheduler.run
           ~allocator:(Allocator.algorithm2 ~mu:inst.Instances.mu)
           ~p:inst.Instances.p inst.Instances.dag
       in
@@ -1937,7 +1935,7 @@ let exact_oracle pool () =
       let inst = Chains.build ~ell in
       let mu = Mu.default Speedup.Kind_arbitrary in
       let result =
-        Online_scheduler.run_instrumented
+        Online_scheduler.run
           ~allocator:(Allocator.algorithm2 ~mu)
           ~p:inst.Chains.p inst.Chains.dag
       in
@@ -2076,7 +2074,9 @@ let improved_ratio pool () =
             let m_orig = Online_scheduler.makespan ~p dag in
             let m_impr =
               Schedule.makespan
-                (Online_scheduler.run_improved ~p dag).Engine.schedule
+                (Online_scheduler.run ~allocator:Improved_alloc.per_model ~p
+                   dag)
+                  .Sim_core.schedule
             in
             let eo =
               Ratio_report.of_run ~model:kind ~workload ~p ~makespan:m_orig
@@ -2213,16 +2213,16 @@ let telemetry_section () =
       ~edge_prob:0.2 ~kind:Speedup.Kind_amdahl ()
   in
   let run ?registry () =
-    Engine.run ?registry ~p
+    Sim_core.run ?registry ~p
       (Online_scheduler.policy ?registry
          ~allocator:Allocator.algorithm2_per_model ~p ())
       dag
   in
   (* Attaching a registry — null or live — must be observation-only. *)
   let live = R.create () in
-  let m_default = Schedule.makespan (run ()).Engine.schedule in
-  let m_null = Schedule.makespan (run ~registry:R.null ()).Engine.schedule in
-  let m_live = Schedule.makespan (run ~registry:live ()).Engine.schedule in
+  let m_default = Schedule.makespan (run ()).Sim_core.schedule in
+  let m_null = Schedule.makespan (run ~registry:R.null ()).Sim_core.schedule in
+  let m_live = Schedule.makespan (run ~registry:live ()).Sim_core.schedule in
   assert (Float.equal m_default m_null);
   assert (Float.equal m_default m_live);
   let time_reps reps f =

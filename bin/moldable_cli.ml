@@ -218,7 +218,7 @@ let figure_cmd =
       let label i = (Dag.task inst.Instances.dag i).Task.label in
       Printf.printf "(a) Algorithm 1:\n%s\n"
         (Moldable_viz.Gantt.render ~width:72 ~legend:false ~label
-           online.Engine.schedule);
+           online.Sim_core.schedule);
       Printf.printf "(b) clairvoyant alternative:\n%s"
         (Moldable_viz.Gantt.render ~width:72 ~legend:false ~label
            inst.Instances.alternative)
@@ -319,34 +319,34 @@ let simulate_cmd =
         Printf.eprintf "cannot save %s: %s\n" path e;
         exit 1));
     let result =
-      Engine.run ?release_times:releases ~registry ~p
+      Sim_core.run ?release_times:releases ~registry ~p
         (Online_scheduler.policy ~registry ~allocator:(allocator_of algo) ~p
            ())
         dag
     in
-    Validate.check_exn ~pool ~dag result.Engine.schedule;
+    Validate.check_exn ~pool ~dag result.Sim_core.schedule;
     let bounds = Bounds.compute ~p dag in
-    let makespan = Schedule.makespan result.Engine.schedule in
+    let makespan = Schedule.makespan result.Sim_core.schedule in
     Printf.printf "%s\n" (Format.asprintf "%a" Dag.pp_stats dag);
     Printf.printf "%s\n" (Format.asprintf "%a" Bounds.pp bounds);
     Printf.printf "makespan %.4f  ratio-vs-LB %.4f  avg-utilization %.1f%%\n"
       makespan
       (makespan /. bounds.Bounds.lower_bound)
-      (100. *. Schedule.average_utilization result.Engine.schedule);
+      (100. *. Schedule.average_utilization result.Sim_core.schedule);
     Printf.printf "%s\n"
-      (Format.asprintf "%a" Moldable_sim.Metrics.pp result.Engine.metrics);
+      (Format.asprintf "%a" Metrics.pp result.Sim_core.metrics);
     (match metrics_out with
     | None -> ()
     | Some path ->
       let oc = open_out path in
-      output_string oc (Moldable_sim.Metrics.to_json result.Engine.metrics);
+      output_string oc (Metrics.to_json result.Sim_core.metrics);
       close_out oc;
       Printf.printf "wrote %s\n" path);
     if gantt then
       print_string
         (Moldable_viz.Gantt.render ~width:100
            ~label:(fun i -> (Dag.task dag i).Task.label)
-           result.Engine.schedule);
+           result.Sim_core.schedule);
     (match svg with
     | None -> ()
     | Some path ->
@@ -354,7 +354,7 @@ let simulate_cmd =
       output_string oc
         (Moldable_viz.Svg.of_schedule
            ~label:(fun i -> (Dag.task dag i).Task.label)
-           result.Engine.schedule);
+           result.Sim_core.schedule);
       close_out oc;
       Printf.printf "wrote %s\n" path);
     write_telemetry ~registry ~gc_before telemetry
@@ -438,14 +438,14 @@ let trace_cmd =
     let label i = (Dag.task dag i).Task.label in
     let tracer = Moldable_sim.Tracer.create () in
     let result =
-      Online_scheduler.run_instrumented ~allocator:(allocator_of algo) ~tracer
+      Online_scheduler.run ~allocator:(allocator_of algo) ~tracer
         ~p dag
     in
     Validate.check_exn ~pool ~dag result.Sim_core.schedule;
     let makespan = Schedule.makespan result.Sim_core.schedule in
     Printf.printf "%s\n" (Format.asprintf "%a" Dag.pp_stats dag);
     Printf.printf "%s\n"
-      (Format.asprintf "%a" Moldable_sim.Metrics.pp result.Sim_core.metrics);
+      (Format.asprintf "%a" Metrics.pp result.Sim_core.metrics);
     let entry =
       Ratio_report.of_run
         ~proven_bound:(proven_bound_of algo (Ratio_report.kind_of_dag dag))
@@ -547,7 +547,7 @@ let verify_cmd =
     let mu = Mu.default kind in
     let sched =
       (Online_scheduler.run ~allocator:(Allocator.algorithm2 ~mu) ~p dag)
-        .Engine.schedule
+        .Sim_core.schedule
     in
     Validate.check_exn ~dag sched;
     let report = Lemmas.verify ~mu ~dag sched in

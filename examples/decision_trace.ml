@@ -24,8 +24,8 @@ let () =
   (* Attach a tracer.  A traced run records everything; passing Tracer.null
      (the default) records nothing and costs one branch per hook. *)
   let tracer = Tracer.create () in
-  let traced = Online_scheduler.run_instrumented ~tracer ~p dag in
-  let plain = Online_scheduler.run_instrumented ~p dag in
+  let traced = Online_scheduler.run ~tracer ~p dag in
+  let plain = Online_scheduler.run ~p dag in
   Validate.check_exn ~dag traced.Sim_core.schedule;
 
   (* Tracing is observation-only: the schedule must be identical. *)

@@ -38,7 +38,7 @@ let () =
   let mu = Mu.default Speedup.Kind_amdahl in
   let sched =
     (Online_scheduler.run ~allocator:(Allocator.algorithm2 ~mu) ~p chol)
-      .Moldable_sim.Engine.schedule
+      .Moldable_sim.Sim_core.schedule
   in
   let report = Lemmas.verify ~mu ~dag:chol sched in
   Printf.printf "\nProof-framework instrumentation (Cholesky, mu = %.3f):\n%s\n"

@@ -37,9 +37,9 @@ let () =
      scheduling). The scheduler discovers tasks online: a task's parameters
      become visible only when its predecessors complete. *)
   let result = Online_scheduler.run ~p dag in
-  Validate.check_exn ~dag result.Engine.schedule;
+  Validate.check_exn ~dag result.Sim_core.schedule;
 
-  let makespan = Schedule.makespan result.Engine.schedule in
+  let makespan = Schedule.makespan result.Sim_core.schedule in
   let bounds = Bounds.compute ~p dag in
   Printf.printf "makespan        : %.3f\n" makespan;
   Printf.printf "lower bound     : %.3f  (max of A_min/P = %.3f, C_min = %.3f)\n"
@@ -49,7 +49,7 @@ let () =
   Printf.printf "ratio vs LB     : %.3f  (proven bound for the general model: 5.72)\n"
     (makespan /. bounds.Bounds.lower_bound);
   Printf.printf "avg utilization : %.1f%%\n\n"
-    (100. *. Schedule.average_utilization result.Engine.schedule);
+    (100. *. Schedule.average_utilization result.Sim_core.schedule);
 
   (* Per-task allocations chosen by Algorithm 2. *)
   Printf.printf "allocations:\n";
@@ -58,9 +58,9 @@ let () =
       let t = Dag.task dag pl.Schedule.task_id in
       Printf.printf "  %-8s %2d procs  [%6.2f, %6.2f]\n" t.Task.label
         pl.Schedule.nprocs pl.Schedule.start pl.Schedule.finish)
-    (Schedule.placements result.Engine.schedule);
+    (Schedule.placements result.Sim_core.schedule);
 
   Printf.printf "\nGantt chart:\n%s\n"
     (Moldable_viz.Gantt.render ~width:72
        ~label:(fun i -> (Dag.task dag i).Task.label)
-       result.Engine.schedule)
+       result.Sim_core.schedule)

@@ -24,14 +24,13 @@ let () =
     "max wait" "util";
   List.iter
     (fun (name, make) ->
-      let result = Engine.run ~release_times:releases ~p (make ~p) dag in
-      Validate.check_exn ~dag result.Engine.schedule;
-      let m = Moldable_analysis.Metrics.of_result result in
+      let result = Sim_core.run ~release_times:releases ~p (make ~p) dag in
+      Validate.check_exn ~dag result.Sim_core.schedule;
+      let m = result.Sim_core.metrics in
       Printf.printf "  %-18s %12.1f %12.2f %12.2f %7.1f%%\n" name
-        m.Moldable_analysis.Metrics.makespan
-        m.Moldable_analysis.Metrics.mean_wait
-        m.Moldable_analysis.Metrics.max_wait
-        (100. *. m.Moldable_analysis.Metrics.average_utilization))
+        (Schedule.makespan result.Sim_core.schedule)
+        (Metrics.mean_wait m) (Metrics.max_wait m)
+        (100. *. Metrics.average_utilization m))
     [
       ( "Algorithm 1",
         fun ~p ->

@@ -198,9 +198,9 @@ let general ~k =
 let run_online t =
   let allocator = Allocator.algorithm2 ~mu:t.mu in
   let result = Online_scheduler.run ~allocator ~p:t.p t.dag in
-  Validate.check_exn ~dag:t.dag result.Engine.schedule;
+  Validate.check_exn ~dag:t.dag result.Sim_core.schedule;
   result
 
 let measured_ratio t =
   let result = run_online t in
-  Schedule.makespan result.Engine.schedule /. t.alternative_makespan
+  Schedule.makespan result.Sim_core.schedule /. t.alternative_makespan

@@ -49,5 +49,5 @@ val measured_ratio : t -> float
 (** Runs Algorithm 1 on the instance (validating the produced schedule) and
     returns makespan / alternative makespan. *)
 
-val run_online : t -> Moldable_sim.Engine.result
+val run_online : t -> Moldable_sim.Sim_core.result
 (** The Algorithm 1 run used by {!measured_ratio}, for inspection. *)

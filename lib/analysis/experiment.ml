@@ -3,7 +3,7 @@ open Moldable_sim
 open Moldable_util
 open Moldable_core
 
-type policy_spec = { label : string; make : p:int -> Engine.policy }
+type policy_spec = { label : string; make : p:int -> Sim_core.policy }
 
 type outcome = {
   workload : string;
@@ -50,12 +50,12 @@ let run_one ?(validate = true) ~p spec dag =
      steady state allocates no per-run simulator storage.  The schedule —
      and hence every reported number — is identical to a full run. *)
   let result =
-    Engine.run ~arena:(Sim_core.Arena.for_current_domain ()) ~lean:true ~p
+    Sim_core.run ~arena:(Sim_core.Arena.for_current_domain ()) ~lean:true ~p
       (spec.make ~p) dag
   in
-  if validate then Validate.check_exn ~dag result.Engine.schedule;
+  if validate then Validate.check_exn ~dag result.Sim_core.schedule;
   let lb = (Bounds.compute ~p dag).Bounds.lower_bound in
-  let makespan = Schedule.makespan result.Engine.schedule in
+  let makespan = Schedule.makespan result.Sim_core.schedule in
   (makespan, makespan /. lb)
 
 let evaluate ?(validate = true) ?(pool = Pool.sequential)

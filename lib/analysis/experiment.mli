@@ -9,7 +9,7 @@ open Moldable_graph
 open Moldable_sim
 open Moldable_util
 
-type policy_spec = { label : string; make : p:int -> Engine.policy }
+type policy_spec = { label : string; make : p:int -> Sim_core.policy }
 
 type outcome = {
   workload : string;

@@ -58,24 +58,24 @@ let verify ~mu ~dag sched =
     all_hold = lemma3.holds && lemma4.holds && lemma5.holds;
   }
 
-let no_wait_below_high_utilization ~mu (result : Engine.result) =
-  let sched = result.Engine.schedule in
+let no_wait_below_high_utilization ~mu (result : Sim_core.result) =
+  let sched = result.Sim_core.schedule in
+  let tasks = result.Sim_core.metrics.Metrics.tasks in
+  let n = Schedule.n sched in
+  (* A lean run records no per-task ready times; without them the check
+     would pass vacuously. *)
+  if Array.length tasks <> n then
+    invalid_arg
+      "Lemmas.no_wait_below_high_utilization: lean result (no ready times)";
   let p = Schedule.p sched in
   (* Guarded ceil, matching Intervals.classify's utilization bands. *)
   let hi = Moldable_util.Numerics.iceil_guarded ((1. -. mu) *. float_of_int p) in
-  (* Waiting windows: Ready -> Start per task. *)
-  let n = Schedule.n sched in
-  let ready = Array.make n nan in
-  List.iter
-    (fun (time, ev) ->
-      match ev with
-      | Engine.Ready i -> if Float.is_nan ready.(i) then ready.(i) <- time
-      | Engine.Start _ | Engine.Finish _ -> ())
-    result.Engine.trace;
+  (* Waiting windows: first reveal -> start per task. *)
+  let ready i = tasks.(i).Metrics.ready in
   let windows = ref [] in
   for i = 0 to n - 1 do
     let start = (Schedule.placement sched i).Schedule.start in
-    if start -. ready.(i) > 1e-9 then windows := (ready.(i), start) :: !windows
+    if start -. ready i > 1e-9 then windows := (ready i, start) :: !windows
   done;
   let low_steps =
     List.filter

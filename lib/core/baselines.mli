@@ -11,19 +11,19 @@
 open Moldable_graph
 open Moldable_sim
 
-val min_time_list : p:int -> Engine.policy
+val min_time_list : p:int -> Sim_core.policy
 (** List scheduling with [p_max] allocations. *)
 
-val sequential_list : p:int -> Engine.policy
+val sequential_list : p:int -> Sim_core.policy
 (** List scheduling with single-processor allocations. *)
 
-val all_p_list : p:int -> Engine.policy
+val all_p_list : p:int -> Sim_core.policy
 (** Every task on all [P] processors, i.e. strictly serial execution. *)
 
-val ect : p:int -> Engine.policy
+val ect : p:int -> Sim_core.policy
 (** Greedy earliest-completion-time (dynamic allocations). *)
 
-val named : (string * (p:int -> Engine.policy)) list
+val named : (string * (p:int -> Sim_core.policy)) list
 (** All baselines with their display names, for sweep experiments. *)
 
-val run : (p:int -> Engine.policy) -> p:int -> Dag.t -> Engine.result
+val run : (p:int -> Sim_core.policy) -> p:int -> Dag.t -> Sim_core.result

@@ -16,5 +16,5 @@ open Moldable_sim
 val allotment : p:int -> Dag.t -> int array
 (** The CPA allotment (terminates after at most [n (P-1)] increments). *)
 
-val schedule : p:int -> Dag.t -> Engine.result
+val schedule : p:int -> Dag.t -> Sim_core.result
 (** CPA allotment + clairvoyant bottom-level list scheduling. *)

@@ -104,94 +104,25 @@ let policy ?(priority = Priority.fifo) ?(tracer = Tracer.null)
     | Some x -> Some (x.Priority.task.Task.id, x.Priority.alloc)
   in
   {
-    Engine.name =
+    Sim_core.name =
       Printf.sprintf "online[%s, %s]" allocator.Allocator.name
         priority.Priority.name;
     on_ready;
     next_launch;
   }
 
-(* The seed's sorted-list implementation, kept verbatim as the differential
-   oracle: O(n) insert, O(n) scan, and a fresh Task.analyze both in on_ready
-   and inside the allocator.  The trace-equivalence property test and the
-   scalability benchmark run it against the heap-backed policy above. *)
-let policy_reference ?(priority = Priority.fifo) ~allocator ~p () =
-  let queue : Priority.item list ref = ref [] in
-  let next_seq = ref 0 in
-  let insert item =
-    let rec go = function
-      | [] -> [ item ]
-      | x :: rest ->
-        if priority.Priority.compare item x < 0 then item :: x :: rest
-        else x :: go rest
-    in
-    queue := go !queue
-  in
-  let on_ready ~now:_ task =
-    let a = Task.analyze ~p task in
-    let alloc = allocator.Allocator.allocate ~p task in
-    insert
-      {
-        Priority.task;
-        alloc;
-        t_min = a.Task.t_min;
-        seq =
-          (let s = !next_seq in
-           incr next_seq;
-           s);
-      }
-  in
-  let next_launch ~now:_ ~free =
-    (* List scheduling: first task in priority order that fits. *)
-    let rec extract acc = function
-      | [] -> None
-      | (x : Priority.item) :: rest ->
-        if x.Priority.alloc <= free then begin
-          queue := List.rev_append acc rest;
-          Some (x.Priority.task.Task.id, x.Priority.alloc)
-        end
-        else extract (x :: acc) rest
-    in
-    extract [] !queue
-  in
-  {
-    Engine.name =
-      Printf.sprintf "online-ref[%s, %s]" allocator.Allocator.name
-        priority.Priority.name;
-    on_ready;
-    next_launch;
-  }
-
+(* Algorithm 1 in one call.  The improved algorithm (arXiv:2304.14127) is
+   the same list scheduler over a different allocator
+   ([~allocator:Improved_alloc.per_model]). *)
 let run ?priority ?(allocator = Allocator.algorithm2_per_model) ?release_times
-    ?registry ?arena ?lean ~p dag =
-  Engine.run ?release_times ?registry ?arena ?lean ~p
-    (policy ?priority ?registry ~allocator ~p ())
-    dag
-
-(* Full access to the unified core: release times, failure injection,
-   decision-level tracing and the instrumented result in one call. *)
-let run_instrumented ?priority ?(allocator = Allocator.algorithm2_per_model)
-    ?release_times ?seed ?max_attempts ?failures ?tracer ?registry ~p dag =
+    ?seed ?max_attempts ?failures ?tracer ?registry ?arena ?lean ~p dag =
   Sim_core.run ?release_times ?seed ?max_attempts ?failures ?tracer ?registry
-    ~p
+    ?arena ?lean ~p
     (policy ?priority ?tracer ?registry ~allocator ~p ())
     dag
 
-(* The improved algorithm (arXiv:2304.14127) as a first-class policy: the
-   same list scheduler over the refined two-phase allocator, so every
-   engine, tracer and report that accepts a policy or an allocator runs it
-   transparently. *)
-let run_improved ?priority ?release_times ?registry ~p dag =
-  run ?priority ~allocator:Improved_alloc.per_model ?release_times ?registry
-    ~p dag
-
-let run_improved_instrumented ?priority ?release_times ?seed ?max_attempts
-    ?failures ?tracer ?registry ~p dag =
-  run_instrumented ?priority ~allocator:Improved_alloc.per_model
-    ?release_times ?seed ?max_attempts ?failures ?tracer ?registry ~p dag
-
 let makespan ?priority ?allocator ~p dag =
-  Schedule.makespan (run ?priority ?allocator ~p dag).Engine.schedule
+  Schedule.makespan (run ?priority ?allocator ~p dag).Sim_core.schedule
 
 let allocation_of ?(allocator = Allocator.algorithm2_per_model) ~p task =
   allocator.Allocator.allocate ~p task

@@ -6,7 +6,7 @@
     scanned in priority order and every task whose allocation fits in the
     currently free processors is started immediately.
 
-    The policy produced here is driven by {!Moldable_sim.Engine.run}; it
+    The policy produced here is driven by {!Moldable_sim.Sim_core.run}; it
     never inspects the task graph, only the tasks revealed to it. *)
 
 open Moldable_model
@@ -16,7 +16,7 @@ open Moldable_sim
 val policy :
   ?priority:Priority.t -> ?tracer:Tracer.t ->
   ?registry:Moldable_obs.Registry.t -> allocator:Allocator.t ->
-  p:int -> unit -> Engine.policy
+  p:int -> unit -> Sim_core.policy
 (** Fresh, stateful policy for one run.  Default priority is {!Priority.fifo}
     (the paper's algorithm).
 
@@ -43,51 +43,18 @@ val policy :
     sorted-list formulation exactly.  Each revealed task is analyzed once
     through a {!Moldable_model.Task.Cache} shared with the allocator. *)
 
-val policy_reference :
-  ?priority:Priority.t -> allocator:Allocator.t -> p:int -> unit ->
-  Engine.policy
-(** The original sorted-list implementation (O(n) insert and scan, no
-    analysis cache), retained as the differential-testing oracle and the
-    baseline of the scalability benchmark.  Produces the same launch order
-    as {!policy} on every input. *)
-
 val run :
-  ?priority:Priority.t -> ?allocator:Allocator.t ->
-  ?release_times:float array -> ?registry:Moldable_obs.Registry.t ->
-  ?arena:Sim_core.Arena.t -> ?lean:bool ->
-  p:int -> Dag.t -> Engine.result
-(** One-shot: build the policy (allocator defaults to
-    {!Allocator.algorithm2_per_model}) and simulate it.  [arena] and
-    [lean] are forwarded to {!Engine.run} (storage reuse / skip trace
-    recording; the schedule is unaffected). *)
-
-val run_instrumented :
   ?priority:Priority.t -> ?allocator:Allocator.t ->
   ?release_times:float array -> ?seed:int -> ?max_attempts:int ->
   ?failures:Sim_core.failure_model -> ?tracer:Tracer.t ->
-  ?registry:Moldable_obs.Registry.t -> p:int -> Dag.t ->
-  Sim_core.result
-(** Algorithm 1 on the unified core with every knob exposed: release times,
-    failure injection (default {!Sim_core.never}), decision-level tracing
-    (default {!Tracer.null}; the same tracer collects allocator provenance,
-    execution spans and the self-profile) and the full instrumented
-    {!Sim_core.result} (schedule, trace, attempts and {!Metrics.t}). *)
-
-val run_improved :
-  ?priority:Priority.t -> ?release_times:float array ->
-  ?registry:Moldable_obs.Registry.t -> p:int -> Dag.t ->
-  Engine.result
-(** {!run} with the improved allocator {!Improved_alloc.per_model} — the
-    refined algorithm of arXiv:2304.14127 as a first-class policy. *)
-
-val run_improved_instrumented :
-  ?priority:Priority.t -> ?release_times:float array -> ?seed:int ->
-  ?max_attempts:int -> ?failures:Sim_core.failure_model ->
-  ?tracer:Tracer.t -> ?registry:Moldable_obs.Registry.t -> p:int -> Dag.t ->
-  Sim_core.result
-(** {!run_instrumented} with {!Improved_alloc.per_model}: the improved
-    policy under the unified core with tracer provenance, failure
-    injection and the instrumented result. *)
+  ?registry:Moldable_obs.Registry.t -> ?arena:Sim_core.Arena.t ->
+  ?lean:bool -> p:int -> Dag.t -> Sim_core.result
+(** One-shot: build the policy (allocator defaults to
+    {!Allocator.algorithm2_per_model}; pass {!Improved_alloc.per_model} for
+    the refined algorithm of arXiv:2304.14127) and simulate it with
+    {!Sim_core.run}.  The same [tracer] and [registry] feed the policy
+    (allocation provenance, Step-1 probes) and the core (execution spans,
+    run counters); every other option is {!Sim_core.run}'s. *)
 
 val makespan :
   ?priority:Priority.t -> ?allocator:Allocator.t -> p:int -> Dag.t -> float

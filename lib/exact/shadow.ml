@@ -64,28 +64,14 @@ let pp ppf r =
   List.iter (fun d -> Format.fprintf ppf "@,  %a" pp_divergence d) r.divergences;
   Format.fprintf ppf "@]"
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let divergence_to_json d =
   Printf.sprintf
     "{\"site\": \"%s\", \"float\": %.17g, \"exact\": \"%s\", \
      \"rel_excess\": %.17g, \"explained\": %b, \"detail\": \"%s\"}"
-    (json_escape (site_to_string d.site))
+    (Moldable_obs.Json.escape (site_to_string d.site))
     d.float_value
-    (json_escape d.exact_value)
-    d.error d.explained (json_escape d.detail)
+    (Moldable_obs.Json.escape d.exact_value)
+    d.error d.explained (Moldable_obs.Json.escape d.detail)
 
 let report_to_json r =
   Printf.sprintf

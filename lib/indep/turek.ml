@@ -103,7 +103,7 @@ let schedule ~p dag =
     | None -> assert false
   in
   let jobs = Rigid.of_dag ~alloc:(fun i -> allocations.(i)) ~p dag in
-  let by_list = (Rigid.list_schedule ~p ~jobs dag).Engine.schedule in
+  let by_list = (Rigid.list_schedule ~p ~jobs dag).Sim_core.schedule in
   let by_shelf = Rigid.shelf_pack ~p ~jobs in
   let sched =
     if Schedule.makespan by_list <= Schedule.makespan by_shelf then by_list

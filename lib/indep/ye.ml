@@ -54,4 +54,4 @@ let policy ~p = Online_scheduler.policy ~allocator ~p ()
 let run ?release_times ~p dag =
   if Dag.n_edges dag <> 0 then
     invalid_arg "Ye.run: the task set must be independent";
-  Engine.run ?release_times ~p (policy ~p) dag
+  Sim_core.run ?release_times ~p (policy ~p) dag

@@ -18,11 +18,11 @@ val canonical_allotment : p:int -> Task.t -> int
 (** Minimizer of [max(t(q), a(q)/P)] over [q in \[1, p_max\]] (smallest in
     case of ties). *)
 
-val policy : p:int -> Engine.policy
+val policy : p:int -> Sim_core.policy
 (** Online list scheduling with canonical allotments (FIFO queue). *)
 
-val run : ?release_times:float array -> p:int -> Dag.t -> Engine.result
-(** Convenience wrapper around {!Moldable_sim.Engine.run}.
+val run : ?release_times:float array -> p:int -> Dag.t -> Sim_core.result
+(** Convenience wrapper around {!Moldable_sim.Sim_core.run}.
     @raise Invalid_argument if the graph has edges (the guarantee is for
     independent tasks; precedence-constrained graphs should use
     {!Moldable_core.Online_scheduler}). *)

@@ -249,7 +249,7 @@ let replay ?release_times ?(algorithm = `Original) ?(priority = "fifo") ~p c
         ~allocator:(Protocol.allocator_of_algorithm algorithm)
         ~p dag
     in
-    let local_sched = local.Engine.schedule in
+    let local_sched = local.Sim_core.schedule in
     let local_makespan = Schedule.makespan local_sched in
     let* mismatch =
       compare_schedules ~dag ~server_placements local_sched

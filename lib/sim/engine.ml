@@ -1,3 +1,7 @@
+(* Aliases of [Sim_core], kept only because the frozen
+   perfbench/sweep_mixed.ml calls [Engine.run ~arena ~lean] and reads
+   [res.Engine.schedule]; everything else uses [Sim_core] directly. *)
+
 type policy = Sim_core.policy = {
   name : string;
   on_ready : now:float -> Moldable_model.Task.t -> unit;
@@ -6,34 +10,14 @@ type policy = Sim_core.policy = {
 
 exception Policy_error = Sim_core.Policy_error
 
-type event = Ready of int | Start of int * int | Finish of int
-
-type result = {
+type result = Sim_core.result = {
   schedule : Schedule.t;
-  trace : (float * event) list;
+  trace : (float * Sim_core.event) list;
+  attempts : Sim_core.attempt list;
+  makespan : float;
+  n_attempts : int;
+  n_failures : int;
   metrics : Metrics.t;
 }
 
-(* The failure-free engine is the unified core instantiated with the [never]
-   failure model; only the trace needs mapping, because a failure-free run
-   cannot contain [Failed] events. *)
-let run ?release_times ?registry ?arena ?lean ~p policy dag =
-  let r =
-    Sim_core.run ?release_times ?registry ?arena ?lean
-      ~failures:Sim_core.never ~p policy dag
-  in
-  let trace =
-    List.map
-      (fun (time, ev) ->
-        ( time,
-          match ev with
-          | Sim_core.Ready i -> Ready i
-          | Sim_core.Start (i, q) -> Start (i, q)
-          | Sim_core.Finish i -> Finish i
-          | Sim_core.Failed _ -> assert false ))
-      r.Sim_core.trace
-  in
-  { schedule = r.Sim_core.schedule; trace; metrics = r.Sim_core.metrics }
-
-let makespan ~p policy dag =
-  Schedule.makespan (run ~lean:true ~p policy dag).schedule
+let run = Sim_core.run

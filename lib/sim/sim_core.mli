@@ -5,10 +5,7 @@
     release times, batched simultaneous completions (ulp-tolerant, see
     {!Event_queue.pop_simultaneous}), greedy launch rounds against the
     policy, and per-attempt fault injection with retry accounting.
-    {!Engine} ([never] failures) and {!Failure_engine} are thin
-    instantiations — the three hand-copied loops they used to carry had
-    already drifted apart (release times, [Schedule.t] and traces existed
-    only in one of them).
+    Failure-free runs are the [never] failure model.
 
     The loop processes each scheduling instant in three phases so the
     policy always sees the full free count and ready set of the instant:
@@ -266,21 +263,3 @@ val run :
     @raise Policy_error on policy misbehaviour.
     @raise Invalid_argument on ill-formed release times or [max_attempts].
     @raise Failure when a task would exceed [max_attempts]. *)
-
-val run_reference :
-  ?release_times:float array ->
-  ?seed:int ->
-  ?max_attempts:int ->
-  ?failures:failure_model ->
-  ?tracer:Tracer.t ->
-  ?registry:Moldable_obs.Registry.t ->
-  p:int ->
-  policy ->
-  Dag.t ->
-  result
-(** The pre-arena event loop, kept verbatim as the differential oracle for
-    {!run}: boxed event records on a closure-compared priority queue,
-    cons-list recording, fresh storage per run.  Produces bit-identical
-    schedules, traces, attempts and metrics to a full-mode {!run}; the
-    qcheck properties in the test suite and the [alloc_lean] bench section
-    pin the two against each other. *)

@@ -26,6 +26,20 @@ val check :
 val check_exn : ?pool:Moldable_util.Pool.t -> dag:Dag.t -> Schedule.t -> unit
 (** @raise Failure with the concatenated violations. *)
 
+val check_attempts :
+  dag:Dag.t -> p:int -> Sim_core.attempt list -> (unit, string list) result
+(** The same checks over every attempt of a failure-prone run (the
+    [attempts] of a full-mode {!Sim_core.result}): a placement is a single
+    successful attempt, so on a run without failures this agrees with
+    {!check}.  Additionally, each task's attempts are numbered
+    1, 2, ..., every attempt but the last failed and the last succeeded,
+    and allocations lie in [\[1, p\]].  Precedence holds against the
+    {e successful} completion of predecessors; a predecessor that never
+    succeeded is itself a violation for every downstream attempt. *)
+
+val check_attempts_exn : dag:Dag.t -> p:int -> Sim_core.attempt list -> unit
+(** @raise Failure with the concatenated violations. *)
+
 val respects_allocation_bound : dag:Dag.t -> Schedule.t -> bool
 (** True when every allocation is at most the task's [p_max] (Equation (5)) —
     a property of reasonable algorithms (Section 3.2), not of feasibility. *)

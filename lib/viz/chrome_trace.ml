@@ -1,19 +1,5 @@
 open Moldable_sim
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* Simulation time is unitless; export it as microseconds so traces of
    typical makespans (1..1e3) land in a comfortable zoom range. *)
 let us t = Printf.sprintf "%.12g" (t *. 1e6)
@@ -89,7 +75,7 @@ let of_run ?label ?registry tracer (metrics : Metrics.t) =
       event
         [
           Printf.sprintf "\"name\": \"%s#%d\""
-            (json_escape (label s.Tracer.task_id))
+            (Moldable_obs.Json.escape (label s.Tracer.task_id))
             s.Tracer.attempt;
           "\"cat\": \"attempt\""; "\"ph\": \"X\""; "\"pid\": 0";
           Printf.sprintf "\"tid\": %d" s.Tracer.procs.(0);
@@ -116,7 +102,7 @@ let of_run ?label ?registry tracer (metrics : Metrics.t) =
       in
       event
         [
-          Printf.sprintf "\"name\": \"%s\"" (json_escape name);
+          Printf.sprintf "\"name\": \"%s\"" (Moldable_obs.Json.escape name);
           "\"cat\": \"scheduler\""; "\"ph\": \"i\""; "\"pid\": 0";
           "\"tid\": 0"; "\"s\": \"p\"";
           Printf.sprintf "\"ts\": %s" (us i.Tracer.time);
@@ -167,7 +153,7 @@ let of_run ?label ?registry tracer (metrics : Metrics.t) =
           event
             [
               Printf.sprintf "\"name\": \"%s\""
-                (json_escape ms.Moldable_obs.Registry.ms_name);
+                (Moldable_obs.Json.escape ms.Moldable_obs.Registry.ms_name);
               "\"ph\": \"C\""; "\"pid\": 0";
               Printf.sprintf "\"ts\": %s" (us (Metrics.span metrics));
               Printf.sprintf "\"args\": {\"value\": %.12g}" v;

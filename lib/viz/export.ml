@@ -20,20 +20,6 @@ let schedule_to_csv ?label sched =
     (Schedule.placements sched);
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let schedule_to_json ?label sched =
   let label = match label with Some f -> f | None -> Printf.sprintf "t%d" in
   let buf = Buffer.create 2048 in
@@ -54,23 +40,25 @@ let schedule_to_json ?label sched =
            "{\"task\": %d, \"label\": \"%s\", \"start\": %.9g, \"finish\": \
             %.9g, \"procs\": [%s]}"
            pl.Schedule.task_id
-           (json_escape (label pl.Schedule.task_id))
+           (Moldable_obs.Json.escape (label pl.Schedule.task_id))
            pl.Schedule.start pl.Schedule.finish procs))
     (Schedule.placements sched);
   Buffer.add_string buf "]}";
   Buffer.contents buf
 
-let trace_to_csv (result : Engine.result) =
+let trace_to_csv (result : Sim_core.result) =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "time,event,task,procs\n";
   List.iter
     (fun (time, ev) ->
       match ev with
-      | Engine.Ready i ->
+      | Sim_core.Ready i ->
         Buffer.add_string buf (Printf.sprintf "%.9g,ready,%d,\n" time i)
-      | Engine.Start (i, p) ->
+      | Sim_core.Start (i, p) ->
         Buffer.add_string buf (Printf.sprintf "%.9g,start,%d,%d\n" time i p)
-      | Engine.Finish i ->
-        Buffer.add_string buf (Printf.sprintf "%.9g,finish,%d,\n" time i))
-    result.Engine.trace;
+      | Sim_core.Finish i ->
+        Buffer.add_string buf (Printf.sprintf "%.9g,finish,%d,\n" time i)
+      | Sim_core.Failed (i, _) ->
+        Buffer.add_string buf (Printf.sprintf "%.9g,failed,%d,\n" time i))
+    result.Sim_core.trace;
   Buffer.contents buf

@@ -12,6 +12,7 @@ val schedule_to_json : ?label:(int -> string) -> Schedule.t -> string
 (** A JSON object [{"p": ..., "makespan": ..., "tasks": [...]}] with one
     record per placement (explicit processor list included). *)
 
-val trace_to_csv : Engine.result -> string
+val trace_to_csv : Sim_core.result -> string
 (** Header [time,event,task,procs]; events are [ready], [start] (with the
-    allocation) and [finish], chronological. *)
+    allocation), [finish] and [failed] (an attempt to re-execute),
+    chronological. *)

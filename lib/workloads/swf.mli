@@ -58,5 +58,5 @@ val to_workload :
   ?model:[ `Roofline | `Amdahl of float * float ] -> rng:Rng.t ->
   job list -> Dag.t * float array
 (** The independent task set and its release-time vector (for
-    {!Moldable_sim.Engine.run}).  Default model [`Roofline].
+    {!Moldable_sim.Sim_core.run}).  Default model [`Roofline].
     @raise Invalid_argument on an empty job list. *)

@@ -59,7 +59,7 @@ let test_partition_sums_to_makespan () =
         ~edge_prob:0.3 ~kind:Speedup.Kind_amdahl ()
     in
     let r = Online_scheduler.run ~p:16 dag in
-    let s = Intervals.classify ~mu:0.271 r.Engine.schedule in
+    let s = Intervals.classify ~mu:0.271 r.Sim_core.schedule in
     check_float 1e-6 "T1+T2+T3+idle = T" s.Intervals.makespan
       (s.Intervals.t1 +. s.Intervals.t2 +. s.Intervals.t3 +. s.Intervals.idle)
   done
@@ -68,7 +68,7 @@ let test_partition_sums_to_makespan () =
 
 let run_alg1 ~mu ~p dag =
   (Online_scheduler.run ~allocator:(Allocator.algorithm2 ~mu) ~p dag)
-    .Engine.schedule
+    .Sim_core.schedule
 
 let test_lemmas_hold_on_random_graphs () =
   let rng = Rng.create 4242 in
@@ -97,7 +97,7 @@ let test_lemmas_hold_on_adversarial_instances () =
       let report =
         Lemmas.verify ~mu:inst.Moldable_adversary.Instances.mu
           ~dag:inst.Moldable_adversary.Instances.dag
-          result.Engine.schedule
+          result.Sim_core.schedule
       in
       if not report.Lemmas.all_hold then
         Alcotest.failf "lemma violated on %s"

@@ -270,8 +270,8 @@ let test_online_respects_fifo () =
   let r =
     Online_scheduler.run ~allocator:Allocator.sequential ~p:2 dag
   in
-  Validate.check_exn ~dag r.Engine.schedule;
-  let pl = Schedule.placement r.Engine.schedule 2 in
+  Validate.check_exn ~dag r.Sim_core.schedule;
+  let pl = Schedule.placement r.Sim_core.schedule 2 in
   check_float "task 2 starts second wave" 2. pl.Schedule.start
 
 let test_online_list_scheduling_skips () =
@@ -283,12 +283,12 @@ let test_online_list_scheduling_skips () =
   (* Blocker occupies 3 of 4 procs; ids order the queue as wide then narrow. *)
   let dag = simple_dag [ wide; narrow; blocker ] [] in
   let r = Online_scheduler.run ~allocator:Allocator.min_time ~p:4 dag in
-  Validate.check_exn ~dag r.Engine.schedule;
+  Validate.check_exn ~dag r.Sim_core.schedule;
   (* blocker (id 2) is third in FIFO yet starts at 0 because wide (4 procs)
      fits first; verify narrow also starts at 0 by skipping. *)
-  let s0 = (Schedule.placement r.Engine.schedule 0).Schedule.start in
-  let s1 = (Schedule.placement r.Engine.schedule 1).Schedule.start in
-  let s2 = (Schedule.placement r.Engine.schedule 2).Schedule.start in
+  let s0 = (Schedule.placement r.Sim_core.schedule 0).Schedule.start in
+  let s1 = (Schedule.placement r.Sim_core.schedule 1).Schedule.start in
+  let s2 = (Schedule.placement r.Sim_core.schedule 2).Schedule.start in
   check_float "wide starts immediately" 0. s0;
   Alcotest.(check bool) "narrow or blocker fills the gap" true
     (s1 = 1. || s2 = 1. || s1 = 0. || s2 = 0.)
@@ -302,7 +302,7 @@ let test_online_priority_changes_order () =
     Online_scheduler.run ~priority:Priority.longest_first
       ~allocator:Allocator.sequential ~p:1 dag
   in
-  let s_long = (Schedule.placement r.Engine.schedule 1).Schedule.start in
+  let s_long = (Schedule.placement r.Sim_core.schedule 1).Schedule.start in
   check_float "long first" 0. s_long
 
 let test_online_makespan_helper () =
@@ -311,7 +311,7 @@ let test_online_makespan_helper () =
   check_float "helper agrees"
     (Schedule.makespan
        (Online_scheduler.run ~allocator:Allocator.min_time ~p:2 dag)
-         .Engine.schedule)
+         .Sim_core.schedule)
     (Online_scheduler.makespan ~allocator:Allocator.min_time ~p:2 dag)
 
 (* ------------------------------------------------------------- Baselines *)
@@ -320,21 +320,21 @@ let test_all_p_serializes () =
   let tasks = List.init 3 (fun id -> Task.make ~id (amdahl ~w:4. ~d:1.)) in
   let dag = simple_dag tasks [] in
   let r = Baselines.run (fun ~p -> Baselines.all_p_list ~p) ~p:4 dag in
-  Validate.check_exn ~dag r.Engine.schedule;
-  check_float "3 * (4/4 + 1)" 6. (Schedule.makespan r.Engine.schedule)
+  Validate.check_exn ~dag r.Sim_core.schedule;
+  check_float "3 * (4/4 + 1)" 6. (Schedule.makespan r.Sim_core.schedule)
 
 let test_sequential_baseline () =
   let tasks = List.init 4 (fun id -> Task.make ~id (roofline ~w:2. ~ptilde:8)) in
   let dag = simple_dag tasks [] in
   let r = Baselines.run (fun ~p -> Baselines.sequential_list ~p) ~p:4 dag in
   check_float "all parallel on 1 proc each" 2.
-    (Schedule.makespan r.Engine.schedule)
+    (Schedule.makespan r.Sim_core.schedule)
 
 let test_ect_uses_free_processors () =
   (* One task, plenty of processors: ECT gives it min(p_max, free) = p_max. *)
   let dag = simple_dag [ Task.make ~id:0 (roofline ~w:8. ~ptilde:4) ] [] in
   let r = Baselines.run (fun ~p -> Baselines.ect ~p) ~p:16 dag in
-  let pl = Schedule.placement r.Engine.schedule 0 in
+  let pl = Schedule.placement r.Sim_core.schedule 0 in
   Alcotest.(check int) "p_max procs" 4 pl.Schedule.nprocs
 
 let test_ect_shrinks_to_fit () =
@@ -343,9 +343,9 @@ let test_ect_shrinks_to_fit () =
   let tasks = List.init 2 (fun id -> Task.make ~id (amdahl ~w:4. ~d:1.)) in
   let dag = simple_dag tasks [] in
   let r = Baselines.run (fun ~p -> Baselines.ect ~p) ~p:4 dag in
-  Validate.check_exn ~dag r.Engine.schedule;
-  let p0 = (Schedule.placement r.Engine.schedule 0).Schedule.nprocs in
-  let p1 = (Schedule.placement r.Engine.schedule 1).Schedule.nprocs in
+  Validate.check_exn ~dag r.Sim_core.schedule;
+  let p0 = (Schedule.placement r.Sim_core.schedule 0).Schedule.nprocs in
+  let p1 = (Schedule.placement r.Sim_core.schedule 1).Schedule.nprocs in
   Alcotest.(check int) "first takes all" 4 p0;
   Alcotest.(check bool) "second waited or shrank" true (p1 >= 1 && p1 <= 4)
 
@@ -363,7 +363,7 @@ let prop_all_policies_valid =
       List.for_all
         (fun (_, make) ->
           let r = Baselines.run make ~p dag in
-          Result.is_ok (Validate.check ~dag r.Engine.schedule))
+          Result.is_ok (Validate.check ~dag r.Sim_core.schedule))
         Baselines.named)
 
 let () =

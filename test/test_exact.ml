@@ -373,7 +373,7 @@ let prop_shadow_clean_on_random_runs =
       let p = Rng.int_range rng 2 64 in
       let mu = Mu.default kind in
       let result =
-        Online_scheduler.run_instrumented
+        Online_scheduler.run
           ~allocator:(Allocator.algorithm2 ~mu) ~p dag
       in
       let report = Shadow.check ~mu ~dag ~p result in
@@ -397,7 +397,7 @@ let prop_shadow_clean_with_failures =
         Array.init n (fun _ -> Rng.float_range rng 0. 5.)
       in
       let result =
-        Online_scheduler.run_instrumented
+        Online_scheduler.run
           ~allocator:(Allocator.algorithm2 ~mu) ~release_times ~seed
           ~failures:(Moldable_sim.Sim_core.bernoulli ~q:0.2)
           ~max_attempts:64 ~p dag
@@ -416,7 +416,7 @@ let test_shadow_flags_corrupt_stamp () =
   let p = 4 in
   let mu = Mu.default Speedup.Kind_amdahl in
   let result =
-    Online_scheduler.run_instrumented ~allocator:(Allocator.algorithm2 ~mu) ~p
+    Online_scheduler.run ~allocator:(Allocator.algorithm2 ~mu) ~p
       dag
   in
   let corrupt =
@@ -439,7 +439,7 @@ let test_shadow_report_json () =
   let dag = Dag.create ~tasks:[ task ] ~edges:[] in
   let mu = Mu.default Speedup.Kind_roofline in
   let result =
-    Online_scheduler.run_instrumented ~allocator:(Allocator.algorithm2 ~mu)
+    Online_scheduler.run ~allocator:(Allocator.algorithm2 ~mu)
       ~p:4 dag
   in
   let report = Shadow.check ~mu ~dag ~p:4 result in

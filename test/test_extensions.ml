@@ -21,45 +21,45 @@ let fifo_fixed ~p alloc =
 let test_release_delays_source () =
   let dag = Dag.create ~tasks:(unit_tasks 1 2.) ~edges:[] in
   let r =
-    Engine.run ~release_times:[| 5. |] ~p:2 (fifo_fixed ~p:2 1) dag
+    Sim_core.run ~release_times:[| 5. |] ~p:2 (fifo_fixed ~p:2 1) dag
   in
-  let pl = Schedule.placement r.Engine.schedule 0 in
+  let pl = Schedule.placement r.Sim_core.schedule 0 in
   check_float 1e-9 "starts at release" 5. pl.Schedule.start;
-  check_float 1e-9 "makespan" 7. (Schedule.makespan r.Engine.schedule)
+  check_float 1e-9 "makespan" 7. (Schedule.makespan r.Sim_core.schedule)
 
 let test_release_zero_is_default () =
   let dag = Dag.create ~tasks:(unit_tasks 3 1.) ~edges:[] in
-  let a = Engine.run ~p:4 (fifo_fixed ~p:4 1) dag in
+  let a = Sim_core.run ~p:4 (fifo_fixed ~p:4 1) dag in
   let b =
-    Engine.run ~release_times:[| 0.; 0.; 0. |] ~p:4 (fifo_fixed ~p:4 1) dag
+    Sim_core.run ~release_times:[| 0.; 0.; 0. |] ~p:4 (fifo_fixed ~p:4 1) dag
   in
   check_float 1e-9 "same makespan"
-    (Schedule.makespan a.Engine.schedule)
-    (Schedule.makespan b.Engine.schedule)
+    (Schedule.makespan a.Sim_core.schedule)
+    (Schedule.makespan b.Sim_core.schedule)
 
 let test_release_independent_over_time () =
   (* Three unit tasks released at 0, 1, 2 on one processor: each starts on
      release (no queueing) -> makespan 3. *)
   let dag = Dag.create ~tasks:(unit_tasks 3 1.) ~edges:[] in
   let r =
-    Engine.run ~release_times:[| 0.; 1.; 2. |] ~p:1 (fifo_fixed ~p:1 1) dag
+    Sim_core.run ~release_times:[| 0.; 1.; 2. |] ~p:1 (fifo_fixed ~p:1 1) dag
   in
   List.iteri
     (fun i expected ->
       check_float 1e-9
         (Printf.sprintf "task %d start" i)
         expected
-        (Schedule.placement r.Engine.schedule i).Schedule.start)
+        (Schedule.placement r.Sim_core.schedule i).Schedule.start)
     [ 0.; 1.; 2. ]
 
 let test_release_applies_to_interior_task () =
   (* 0 -> 1 with task 1 released only at t = 10: it must wait for both. *)
   let dag = Dag.create ~tasks:(unit_tasks 2 1.) ~edges:[ (0, 1) ] in
   let r =
-    Engine.run ~release_times:[| 0.; 10. |] ~p:2 (fifo_fixed ~p:2 1) dag
+    Sim_core.run ~release_times:[| 0.; 10. |] ~p:2 (fifo_fixed ~p:2 1) dag
   in
   check_float 1e-9 "waits for release" 10.
-    (Schedule.placement r.Engine.schedule 1).Schedule.start
+    (Schedule.placement r.Sim_core.schedule 1).Schedule.start
 
 let test_release_precedence_still_binds () =
   (* Released early but predecessor finishes later. *)
@@ -71,22 +71,22 @@ let test_release_precedence_still_binds () =
   in
   let dag = Dag.create ~tasks ~edges:[ (0, 1) ] in
   let r =
-    Engine.run ~release_times:[| 0.; 1. |] ~p:2 (fifo_fixed ~p:2 1) dag
+    Sim_core.run ~release_times:[| 0.; 1. |] ~p:2 (fifo_fixed ~p:2 1) dag
   in
   check_float 1e-9 "waits for predecessor" 5.
-    (Schedule.placement r.Engine.schedule 1).Schedule.start
+    (Schedule.placement r.Sim_core.schedule 1).Schedule.start
 
 let test_release_rejects_bad_input () =
   let dag = Dag.create ~tasks:(unit_tasks 2 1.) ~edges:[] in
   Alcotest.(check bool) "wrong length" true
     (try
-       ignore (Engine.run ~release_times:[| 0. |] ~p:1 (fifo_fixed ~p:1 1) dag);
+       ignore (Sim_core.run ~release_times:[| 0. |] ~p:1 (fifo_fixed ~p:1 1) dag);
        false
      with Invalid_argument _ -> true);
   Alcotest.(check bool) "negative" true
     (try
        ignore
-         (Engine.run ~release_times:[| 0.; -1. |] ~p:1 (fifo_fixed ~p:1 1) dag);
+         (Sim_core.run ~release_times:[| 0.; -1. |] ~p:1 (fifo_fixed ~p:1 1) dag);
        false
      with Invalid_argument _ -> true)
 
@@ -104,15 +104,15 @@ let prop_release_times_never_violated =
       in
       let p = 8 in
       let r =
-        Engine.run ~release_times:releases ~p
+        Sim_core.run ~release_times:releases ~p
           (Online_scheduler.policy
              ~allocator:Allocator.algorithm2_per_model ~p ())
           dag
       in
-      Validate.check_exn ~dag r.Engine.schedule;
+      Validate.check_exn ~dag r.Sim_core.schedule;
       Array.for_all
         (fun (i : int) ->
-          (Schedule.placement r.Engine.schedule i).Schedule.start
+          (Schedule.placement r.Sim_core.schedule i).Schedule.start
           >= releases.(i) -. 1e-9)
         (Array.init (Dag.n dag) (fun i -> i)))
 
@@ -121,30 +121,30 @@ let prop_release_times_never_violated =
 let test_failures_never_matches_plain_run () =
   let dag = Dag.create ~tasks:(unit_tasks 4 2.) ~edges:[ (0, 1); (0, 2) ] in
   let p = 2 in
-  let plain = Engine.run ~p (fifo_fixed ~p 1) dag in
+  let plain = Sim_core.run ~p (fifo_fixed ~p 1) dag in
   let resilient =
-    Failure_engine.run ~failures:Failure_engine.never ~p (fifo_fixed ~p 1) dag
+    Sim_core.run ~failures:Sim_core.never ~p (fifo_fixed ~p 1) dag
   in
-  Failure_engine.validate_exn ~dag ~p resilient;
+  Validate.check_attempts_exn ~dag ~p resilient.Sim_core.attempts;
   check_float 1e-9 "same makespan"
-    (Schedule.makespan plain.Engine.schedule)
-    resilient.Failure_engine.makespan;
+    (Schedule.makespan plain.Sim_core.schedule)
+    resilient.Sim_core.makespan;
   Alcotest.(check int) "one attempt per task" 4
-    resilient.Failure_engine.n_attempts;
-  Alcotest.(check int) "no failures" 0 resilient.Failure_engine.n_failures
+    resilient.Sim_core.n_attempts;
+  Alcotest.(check int) "no failures" 0 resilient.Sim_core.n_failures
 
 let test_failures_at_most_k_exact_makespan () =
   (* One task of duration 2, failing exactly twice: 3 attempts, makespan 6. *)
   let dag = Dag.create ~tasks:(unit_tasks 1 2.) ~edges:[] in
   let r =
-    Failure_engine.run
-      ~failures:(Failure_engine.at_most ~k:2)
+    Sim_core.run
+      ~failures:(Sim_core.at_most ~k:2)
       ~p:1 (fifo_fixed ~p:1 1) dag
   in
-  Failure_engine.validate_exn ~dag ~p:1 r;
-  Alcotest.(check int) "attempts" 3 r.Failure_engine.n_attempts;
-  Alcotest.(check int) "failures" 2 r.Failure_engine.n_failures;
-  check_float 1e-9 "makespan" 6. r.Failure_engine.makespan
+  Validate.check_attempts_exn ~dag ~p:1 r.Sim_core.attempts;
+  Alcotest.(check int) "attempts" 3 r.Sim_core.n_attempts;
+  Alcotest.(check int) "failures" 2 r.Sim_core.n_failures;
+  check_float 1e-9 "makespan" 6. r.Sim_core.makespan
 
 let test_failures_block_successors () =
   (* 0 -> 1; task 0 fails once: task 1 must start only after the successful
@@ -152,31 +152,31 @@ let test_failures_block_successors () =
   let dag = Dag.create ~tasks:(unit_tasks 2 2.) ~edges:[ (0, 1) ] in
   let failures =
     {
-      Failure_engine.model_name = "first-attempt-of-0";
+      Sim_core.model_name = "first-attempt-of-0";
       fails = (fun _ ~task_id ~attempt -> task_id = 0 && attempt = 1);
     }
   in
-  let r = Failure_engine.run ~failures ~p:2 (fifo_fixed ~p:2 1) dag in
-  Failure_engine.validate_exn ~dag ~p:2 r;
+  let r = Sim_core.run ~failures ~p:2 (fifo_fixed ~p:2 1) dag in
+  Validate.check_attempts_exn ~dag ~p:2 r.Sim_core.attempts;
   let t1_start =
     List.find
-      (fun (a : Failure_engine.attempt) -> a.Failure_engine.task_id = 1)
-      r.Failure_engine.attempts
+      (fun (a : Sim_core.attempt) -> a.Sim_core.task_id = 1)
+      r.Sim_core.attempts
   in
-  check_float 1e-9 "successor delayed" 4. t1_start.Failure_engine.start
+  check_float 1e-9 "successor delayed" 4. t1_start.Sim_core.start
 
 let test_failures_max_attempts_guard () =
   let dag = Dag.create ~tasks:(unit_tasks 1 1.) ~edges:[] in
   let always =
     {
-      Failure_engine.model_name = "always";
+      Sim_core.model_name = "always";
       fails = (fun _ ~task_id:_ ~attempt:_ -> true);
     }
   in
   Alcotest.(check bool) "raises" true
     (try
        ignore
-         (Failure_engine.run ~max_attempts:10 ~failures:always ~p:1
+         (Sim_core.run ~max_attempts:10 ~failures:always ~p:1
             (fifo_fixed ~p:1 1) dag);
        false
      with Failure _ -> true)
@@ -184,15 +184,15 @@ let test_failures_max_attempts_guard () =
 let test_failures_bernoulli_reproducible () =
   let dag = Dag.create ~tasks:(unit_tasks 10 1.) ~edges:[] in
   let run () =
-    Failure_engine.run ~seed:7
-      ~failures:(Failure_engine.bernoulli ~q:0.4)
+    Sim_core.run ~seed:7
+      ~failures:(Sim_core.bernoulli ~q:0.4)
       ~p:4 (fifo_fixed ~p:4 1) dag
   in
   let a = run () and b = run () in
-  Alcotest.(check int) "same attempts" a.Failure_engine.n_attempts
-    b.Failure_engine.n_attempts;
-  check_float 1e-9 "same makespan" a.Failure_engine.makespan
-    b.Failure_engine.makespan
+  Alcotest.(check int) "same attempts" a.Sim_core.n_attempts
+    b.Sim_core.n_attempts;
+  check_float 1e-9 "same makespan" a.Sim_core.makespan
+    b.Sim_core.makespan
 
 let test_failures_rate_slows_schedule () =
   let rng = Rng.create 3 in
@@ -202,12 +202,12 @@ let test_failures_rate_slows_schedule () =
   in
   let p = 16 in
   let mk q =
-    (Failure_engine.run ~seed:11
-       ~failures:(Failure_engine.bernoulli ~q)
+    (Sim_core.run ~seed:11
+       ~failures:(Sim_core.bernoulli ~q)
        ~p
        (Online_scheduler.policy ~allocator:Allocator.algorithm2_per_model ~p ())
        dag)
-      .Failure_engine.makespan
+      .Sim_core.makespan
   in
   let m0 = mk 0.0 and m3 = mk 0.3 and m6 = mk 0.6 in
   Alcotest.(check bool) "monotone in failure rate" true (m0 < m3 && m3 < m6)
@@ -223,14 +223,14 @@ let prop_failure_runs_validate =
       in
       let p = 8 in
       let r =
-        Failure_engine.run ~seed
-          ~failures:(Failure_engine.bernoulli ~q:(float_of_int tenths /. 10.))
+        Sim_core.run ~seed
+          ~failures:(Sim_core.bernoulli ~q:(float_of_int tenths /. 10.))
           ~p
           (Online_scheduler.policy ~allocator:Allocator.algorithm2_per_model
              ~p ())
           dag
       in
-      Result.is_ok (Failure_engine.validate ~dag ~p r))
+      Result.is_ok (Validate.check_attempts ~dag ~p r.Sim_core.attempts))
 
 (* --------------------------------------------------------------- Malleable *)
 
@@ -336,11 +336,11 @@ let test_offline_cp_list_valid_and_competitive () =
     in
     let p = 32 in
     let off = Offline.critical_path_list ~p dag in
-    Validate.check_exn ~dag off.Engine.schedule;
+    Validate.check_exn ~dag off.Sim_core.schedule;
     (* Clairvoyant list scheduling is itself within the Lemma 5 bound. *)
     let lb = (Bounds.compute ~p dag).Bounds.lower_bound in
     Alcotest.(check bool) "reasonable" true
-      (Schedule.makespan off.Engine.schedule <= 4.74 *. lb +. 1e-9)
+      (Schedule.makespan off.Sim_core.schedule <= 4.74 *. lb +. 1e-9)
   done
 
 let test_offline_prioritizes_critical_path () =
@@ -357,13 +357,13 @@ let test_offline_prioritizes_critical_path () =
   let dag = Dag.create ~tasks ~edges:[ (1, 2) ] in
   let r = Offline.critical_path_list ~allocator:Allocator.sequential ~p:1 dag in
   check_float 1e-9 "chain head first" 0.
-    (Schedule.placement r.Engine.schedule 1).Schedule.start;
+    (Schedule.placement r.Sim_core.schedule 1).Schedule.start;
   (* When the head finishes, the revealed chain tail (bottom level 50) again
      outranks the short independent task, which therefore runs last. *)
   check_float 1e-9 "chain tail second" 1.
-    (Schedule.placement r.Engine.schedule 2).Schedule.start;
+    (Schedule.placement r.Sim_core.schedule 2).Schedule.start;
   check_float 1e-9 "short task last" 51.
-    (Schedule.placement r.Engine.schedule 0).Schedule.start
+    (Schedule.placement r.Sim_core.schedule 0).Schedule.start
 
 let test_offline_beats_or_matches_online_often () =
   (* Not a theorem, but on wide Amdahl graphs CP priority should help more
@@ -378,7 +378,7 @@ let test_offline_beats_or_matches_online_often () =
     let p = 32 in
     let online = Online_scheduler.makespan ~p dag in
     let off =
-      Schedule.makespan (Offline.critical_path_list ~p dag).Engine.schedule
+      Schedule.makespan (Offline.critical_path_list ~p dag).Sim_core.schedule
     in
     worst := Float.max !worst (off /. online)
   done;
@@ -398,7 +398,7 @@ let test_best_of () =
   (* best_of is at most each individual scheduler. *)
   List.iter
     (fun (_, run) ->
-      let m = Schedule.makespan (run ~p:32 dag).Engine.schedule in
+      let m = Schedule.makespan (run ~p:32 dag).Sim_core.schedule in
       Alcotest.(check bool) "minimal" true (makespan <= m +. 1e-9))
     Offline.named
 
@@ -549,25 +549,23 @@ let test_io_file_roundtrip () =
 let test_metrics_simple () =
   (* Two unit tasks on one processor: the second waits 1. *)
   let dag = Dag.create ~tasks:(unit_tasks 2 1.) ~edges:[] in
-  let r = Engine.run ~p:1 (fifo_fixed ~p:1 1) dag in
-  let m = Moldable_analysis.Metrics.of_result r in
-  let open Moldable_analysis in
-  check_float 1e-9 "makespan" 2. m.Metrics.makespan;
-  check_float 1e-9 "task 0 wait" 0. m.Metrics.per_task.(0).Metrics.wait;
-  check_float 1e-9 "task 1 wait" 1. m.Metrics.per_task.(1).Metrics.wait;
-  check_float 1e-9 "mean wait" 0.5 m.Metrics.mean_wait;
-  check_float 1e-9 "max wait" 1. m.Metrics.max_wait;
-  check_float 1e-9 "utilization" 1. m.Metrics.average_utilization
+  let r = Sim_core.run ~p:1 (fifo_fixed ~p:1 1) dag in
+  let m = r.Sim_core.metrics in
+  check_float 1e-9 "makespan" 2. r.Sim_core.makespan;
+  check_float 1e-9 "task 0 wait" 0. m.Metrics.tasks.(0).Metrics.wait;
+  check_float 1e-9 "task 1 wait" 1. m.Metrics.tasks.(1).Metrics.wait;
+  check_float 1e-9 "mean wait" 0.5 (Metrics.mean_wait m);
+  check_float 1e-9 "max wait" 1. (Metrics.max_wait m);
+  check_float 1e-9 "utilization" 1. (Metrics.average_utilization m)
 
 let test_metrics_chain_response () =
   let dag = Dag.create ~tasks:(unit_tasks 2 1.) ~edges:[ (0, 1) ] in
-  let r = Engine.run ~p:1 (fifo_fixed ~p:1 1) dag in
-  let m = Moldable_analysis.Metrics.of_result r in
-  let open Moldable_analysis in
+  let r = Sim_core.run ~p:1 (fifo_fixed ~p:1 1) dag in
+  let t1 = r.Sim_core.metrics.Metrics.tasks.(1) in
   (* Task 1 becomes ready at t=1 and runs immediately. *)
-  check_float 1e-9 "ready" 1. m.Metrics.per_task.(1).Metrics.ready;
-  check_float 1e-9 "wait" 0. m.Metrics.per_task.(1).Metrics.wait;
-  check_float 1e-9 "response" 1. m.Metrics.per_task.(1).Metrics.response
+  check_float 1e-9 "ready" 1. t1.Metrics.ready;
+  check_float 1e-9 "wait" 0. t1.Metrics.wait;
+  check_float 1e-9 "response" 1. (t1.Metrics.finish -. t1.Metrics.ready)
 
 let prop_metrics_waits_nonnegative =
   QCheck.Test.make ~name:"waits and responses are non-negative" ~count:50
@@ -579,13 +577,11 @@ let prop_metrics_waits_nonnegative =
           ~edge_prob:0.3 ~kind:Speedup.Kind_general ()
       in
       let r = Online_scheduler.run ~p:16 dag in
-      let m = Moldable_analysis.Metrics.of_result r in
       Array.for_all
-        (fun (tm : Moldable_analysis.Metrics.task_metrics) ->
-          tm.Moldable_analysis.Metrics.wait >= -1e-9
-          && tm.Moldable_analysis.Metrics.response
-             >= tm.Moldable_analysis.Metrics.wait -. 1e-9)
-        m.Moldable_analysis.Metrics.per_task)
+        (fun (tm : Metrics.task_stat) ->
+          tm.Metrics.wait >= -1e-9
+          && tm.Metrics.finish -. tm.Metrics.ready >= tm.Metrics.wait -. 1e-9)
+        r.Sim_core.metrics.Metrics.tasks)
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in

@@ -85,9 +85,9 @@ let test_params_guarded () =
 (* ------------------------------------------------- adversarial families *)
 
 let improved_makespan ~p dag =
-  let r = Online_scheduler.run_improved ~p dag in
-  Validate.check_exn ~dag r.Engine.schedule;
-  Schedule.makespan r.Engine.schedule
+  let r = Online_scheduler.run ~allocator:Improved_alloc.per_model ~p dag in
+  Validate.check_exn ~dag r.Sim_core.schedule;
+  Schedule.makespan r.Sim_core.schedule
 
 (* The alternative schedule's makespan upper-bounds T_opt, so the measured
    ratio here over-estimates the true competitive ratio: staying under the
@@ -122,7 +122,7 @@ let test_figure3_chains_differential () =
       let orig =
         Schedule.makespan
           (Online_scheduler.run ~p:inst.Chains.p inst.Chains.dag)
-            .Engine.schedule
+            .Sim_core.schedule
       in
       Alcotest.(check bool)
         (Printf.sprintf "ell=%d improved %.4f <= original %.4f" ell impr orig)
@@ -138,7 +138,7 @@ let test_pinned_makespans () =
     let orig =
       Schedule.makespan
         (Online_scheduler.run ~p:inst.Instances.p inst.Instances.dag)
-          .Engine.schedule
+          .Sim_core.schedule
     in
     let impr = improved_makespan ~p:inst.Instances.p inst.Instances.dag in
     Alcotest.(check (float 1e-6)) (name ^ " original") expected_orig orig;
@@ -196,7 +196,9 @@ let test_tracer_provenance () =
   in
   let p = 48 in
   let tracer = Tracer.create () in
-  let result = Online_scheduler.run_improved_instrumented ~tracer ~p dag in
+  let result =
+    Online_scheduler.run ~allocator:Improved_alloc.per_model ~tracer ~p dag
+  in
   Validate.check_exn ~dag result.Sim_core.schedule;
   Alcotest.(check int) "one decision per task" (Dag.n dag)
     (Tracer.n_decisions tracer);
@@ -275,8 +277,8 @@ let test_shadow_500_cells () =
       if seed mod 5 = 0 then Sim_core.bernoulli ~q:0.15 else Sim_core.never
     in
     let result =
-      Online_scheduler.run_improved_instrumented ?release_times ~seed
-        ~failures ~max_attempts:64 ~p dag
+      Online_scheduler.run ~allocator:Improved_alloc.per_model ?release_times
+        ~seed ~failures ~max_attempts:64 ~p dag
     in
     let report = Shadow.check ~improved:improved_params_of ~dag ~p result in
     checks := !checks + report.Shadow.checks;
@@ -294,7 +296,9 @@ let test_shadow_rejects_mu_and_improved () =
       ~tasks:[ Task.make ~id:0 (Speedup.Amdahl { w = 4.; d = 0.5 }) ]
       ~edges:[]
   in
-  let result = Online_scheduler.run_improved_instrumented ~p:4 dag in
+  let result =
+    Online_scheduler.run ~allocator:Improved_alloc.per_model ~p:4 dag
+  in
   Alcotest.check_raises "mutually exclusive"
     (Invalid_argument "Shadow.check: mu and improved are mutually exclusive")
     (fun () ->
@@ -339,7 +343,7 @@ let test_comparison_report () =
       (fun dag ->
         let r = Online_scheduler.run ~allocator ~p:32 dag in
         R.of_run ?proven_bound:bound ~workload:"layered" ~p:32
-          ~makespan:(Schedule.makespan r.Engine.schedule)
+          ~makespan:(Schedule.makespan r.Sim_core.schedule)
           dag)
       dags
   in

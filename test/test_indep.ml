@@ -107,7 +107,7 @@ let test_rigid_list_garey_graham_bound () =
         ~p dag
     in
     let result = Rigid.list_schedule ~p ~jobs dag in
-    Validate.check_exn ~dag result.Engine.schedule;
+    Validate.check_exn ~dag result.Sim_core.schedule;
     let w_max =
       List.fold_left (fun acc j -> max acc j.Rigid.procs) 1 jobs
     in
@@ -115,10 +115,10 @@ let test_rigid_list_garey_graham_bound () =
       Rigid.max_time jobs
       +. (Rigid.total_area jobs /. float_of_int (p - w_max + 1))
     in
-    if not (Fcmp.leq ~eps:1e-6 (Schedule.makespan result.Engine.schedule) bound)
+    if not (Fcmp.leq ~eps:1e-6 (Schedule.makespan result.Sim_core.schedule) bound)
     then
       Alcotest.failf "rigid list bound violated: %.4f > %.4f"
-        (Schedule.makespan result.Engine.schedule)
+        (Schedule.makespan result.Sim_core.schedule)
         bound
   done
 
@@ -249,13 +249,13 @@ let test_ye_run_validates_and_bounded () =
     let p = Rng.int_range rng 2 64 in
     let dag = random_indep rng (Rng.int_range rng 1 40) in
     let r = Ye.run ~p dag in
-    Validate.check_exn ~dag r.Engine.schedule;
+    Validate.check_exn ~dag r.Sim_core.schedule;
     let lb = (Bounds.compute ~p dag).Bounds.lower_bound in
     (* Canonical allotment + list scheduling stays within a small constant
        of the lower bound on independent tasks; 6x is a loose sanity rail
        (Ye et al. prove 16.74 for their full construction). *)
     Alcotest.(check bool) "bounded" true
-      (Schedule.makespan r.Engine.schedule <= (6. *. lb) +. 1e-9)
+      (Schedule.makespan r.Sim_core.schedule <= (6. *. lb) +. 1e-9)
   done
 
 let test_ye_with_releases () =
@@ -263,11 +263,11 @@ let test_ye_with_releases () =
   let dag = random_indep rng 20 in
   let releases = Array.init 20 (fun i -> float_of_int i *. 0.5) in
   let r = Ye.run ~release_times:releases ~p:16 dag in
-  Validate.check_exn ~dag r.Engine.schedule;
+  Validate.check_exn ~dag r.Sim_core.schedule;
   Array.iteri
     (fun i rel ->
       Alcotest.(check bool) "after release" true
-        ((Schedule.placement r.Engine.schedule i).Schedule.start >= rel -. 1e-9))
+        ((Schedule.placement r.Sim_core.schedule i).Schedule.start >= rel -. 1e-9))
     releases
 
 let test_ye_rejects_edges () =
@@ -301,7 +301,7 @@ let test_turek_not_worse_than_naive () =
   let turek = (Turek.schedule ~p dag).Turek.makespan in
   let jobs = Rigid.of_dag ~alloc:(fun _ -> 1) ~p dag in
   let seq =
-    Schedule.makespan (Rigid.list_schedule ~p ~jobs dag).Engine.schedule
+    Schedule.makespan (Rigid.list_schedule ~p ~jobs dag).Sim_core.schedule
   in
   Alcotest.(check bool)
     (Printf.sprintf "turek %.2f <= 2x sequential %.2f" turek seq)

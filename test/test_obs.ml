@@ -207,7 +207,7 @@ let prop_null_registry_equivalent =
       let p = Rng.int_range rng 2 32 in
       let failures = failure_model rng model_idx in
       let run ?registry () =
-        Online_scheduler.run_instrumented ~seed ~failures ?registry ~p dag
+        Online_scheduler.run ~seed ~failures ?registry ~p dag
       in
       let default = run () in
       let null = run ~registry:R.null () in
@@ -237,7 +237,7 @@ let test_sim_counters_published () =
   let rng = Rng.create 7 in
   let dag = random_dag rng in
   let r = R.create () in
-  let result = Online_scheduler.run_instrumented ~registry:r ~p:16 dag in
+  let result = Online_scheduler.run ~registry:r ~p:16 dag in
   let v name =
     match counter_value r name with
     | Some v -> v

@@ -28,12 +28,12 @@ let sample_run () =
 
 let test_csv_shape () =
   let _, r = sample_run () in
-  let csv = Moldable_viz.Export.schedule_to_csv r.Engine.schedule in
+  let csv = Moldable_viz.Export.schedule_to_csv r.Sim_core.schedule in
   let lines =
     List.filter (fun l -> l <> "") (String.split_on_char '\n' csv)
   in
   Alcotest.(check int) "header + one row per task"
-    (Schedule.n r.Engine.schedule + 1)
+    (Schedule.n r.Sim_core.schedule + 1)
     (List.length lines);
   Alcotest.(check bool) "header" true
     (contains (List.hd lines) "task,label,start,finish")
@@ -50,7 +50,7 @@ let test_csv_quoting () =
 
 let test_json_well_formed () =
   let _, r = sample_run () in
-  let json = Moldable_viz.Export.schedule_to_json r.Engine.schedule in
+  let json = Moldable_viz.Export.schedule_to_json r.Sim_core.schedule in
   Alcotest.(check bool) "object" true
     (String.length json > 2 && json.[0] = '{'
     && json.[String.length json - 1] = '}');
@@ -78,14 +78,14 @@ let test_search_validates_and_improves () =
     in
     let p = 24 in
     let search = Offline.randomized_search ~restarts:32 ~rng ~p dag in
-    Validate.check_exn ~dag search.Engine.schedule;
+    Validate.check_exn ~dag search.Sim_core.schedule;
     (* Never worse than the deterministic first candidate (Algorithm 2
        allotment with bottom-level priority), which is itself included. *)
     let cp =
-      Schedule.makespan (Offline.critical_path_list ~p dag).Engine.schedule
+      Schedule.makespan (Offline.critical_path_list ~p dag).Sim_core.schedule
     in
     let lb = (Bounds.compute ~p dag).Bounds.lower_bound in
-    let found = Schedule.makespan search.Engine.schedule in
+    let found = Schedule.makespan search.Sim_core.schedule in
     Alcotest.(check bool) "at least LB" true (found >= lb -. 1e-9);
     Alcotest.(check bool)
       (Printf.sprintf "search %.3f <= cp-list %.3f (+tolerance)" found cp)
@@ -101,7 +101,7 @@ let test_search_single_task_optimal () =
   in
   let rng = Rng.create 1 in
   let r = Offline.randomized_search ~restarts:8 ~rng ~p:10 dag in
-  Alcotest.(check (float 1e-9)) "t_min" 2. (Schedule.makespan r.Engine.schedule)
+  Alcotest.(check (float 1e-9)) "t_min" 2. (Schedule.makespan r.Sim_core.schedule)
 
 (* ------------------------------------------------------------ Determinism *)
 
@@ -113,7 +113,7 @@ let test_pipeline_deterministic () =
         ~kind:Speedup.Kind_communication ()
     in
     let r = Online_scheduler.run ~p:32 dag in
-    Moldable_viz.Export.schedule_to_csv r.Engine.schedule
+    Moldable_viz.Export.schedule_to_csv r.Sim_core.schedule
   in
   Alcotest.(check string) "identical CSV across runs" (build ()) (build ())
 
@@ -123,7 +123,7 @@ let test_engine_trace_deterministic () =
     Moldable_workloads.Random_dag.erdos_renyi ~rng ~n:25 ~edge_prob:0.15
       ~kind:Speedup.Kind_general ()
   in
-  let run () = (Online_scheduler.run ~p:16 dag).Engine.trace in
+  let run () = (Online_scheduler.run ~p:16 dag).Sim_core.trace in
   Alcotest.(check bool) "same trace" true (run () = run ())
 
 (* --------------------------------------- Feldmann et al. (1998) equivalence *)
@@ -162,7 +162,7 @@ let test_lemmas_hold_under_all_priorities () =
         let sched =
           (Online_scheduler.run ~priority
              ~allocator:(Allocator.algorithm2 ~mu) ~p dag)
-            .Engine.schedule
+            .Sim_core.schedule
         in
         let report = Moldable_analysis.Lemmas.verify ~mu ~dag sched in
         if not report.Moldable_analysis.Lemmas.all_hold then
@@ -188,18 +188,18 @@ let test_failure_competitiveness_degrades_gracefully () =
   List.iter
     (fun k ->
       let r =
-        Failure_engine.run
-          ~failures:(Failure_engine.at_most ~k)
+        Sim_core.run
+          ~failures:(Sim_core.at_most ~k)
           ~p
           (Online_scheduler.policy ~allocator:(Allocator.algorithm2 ~mu) ~p ())
           dag
       in
-      Failure_engine.validate_exn ~dag ~p r;
+      Validate.check_attempts_exn ~dag ~p r.Sim_core.attempts;
       let bound = float_of_int (k + 1) *. 4.74 *. lb in
       Alcotest.(check bool)
         (Printf.sprintf "k=%d within (k+1) * bound" k)
         true
-        (r.Failure_engine.makespan <= bound +. 1e-9))
+        (r.Sim_core.makespan <= bound +. 1e-9))
     [ 0; 1; 2; 3 ]
 
 (* ------------------------------------------------------- Power-law model *)
@@ -251,7 +251,7 @@ let test_power_scheduling_validates () =
       ~edge_prob:0.3 ~kind:Speedup.Kind_power ()
   in
   let r = Online_scheduler.run ~p:32 dag in
-  Validate.check_exn ~dag r.Engine.schedule
+  Validate.check_exn ~dag r.Sim_core.schedule
 
 (* -------------------------------------------------------------------- CPA *)
 
@@ -303,7 +303,7 @@ let test_cpa_schedule_validates () =
         ~edge_prob:0.3 ~kind:Speedup.Kind_general ()
     in
     let r = Cpa.schedule ~p:32 dag in
-    Validate.check_exn ~dag r.Engine.schedule
+    Validate.check_exn ~dag r.Sim_core.schedule
   done
 
 let test_cpa_single_chain_stays_sequentialish () =
@@ -313,7 +313,7 @@ let test_cpa_single_chain_stays_sequentialish () =
   let rng = Rng.create 225 in
   let dag = Moldable_workloads.Structured.chain ~rng ~n:5 ~kind:Speedup.Kind_amdahl () in
   let r = Cpa.schedule ~p:16 dag in
-  Validate.check_exn ~dag r.Engine.schedule;
+  Validate.check_exn ~dag r.Sim_core.schedule;
   (* Serial chain: makespan equals the sum of chosen execution times. *)
   let alloc = Cpa.allotment ~p:16 dag in
   let expected =
@@ -322,7 +322,7 @@ let test_cpa_single_chain_stays_sequentialish () =
     |> List.fold_left ( +. ) 0.
   in
   Alcotest.(check (float 1e-6)) "serial sum" expected
-    (Schedule.makespan r.Engine.schedule)
+    (Schedule.makespan r.Sim_core.schedule)
 
 (* --------------------------------------- List-scheduling queue invariant *)
 
@@ -370,6 +370,33 @@ let test_wait_invariant_fails_for_uncapped () =
   done;
   Alcotest.(check bool) "violation found for min-time" true !violated
 
+let test_wait_invariant_rejects_lean () =
+  (* A lean run records no ready times, so the check cannot judge it: it
+     must refuse the lean result of an instance whose full run it flags
+     rather than pass it vacuously. *)
+  let rng = Rng.create 334 in
+  let mu = Mu.default Speedup.Kind_roofline in
+  let violations = ref 0 in
+  for _ = 1 to 40 do
+    let dag =
+      Moldable_workloads.Random_dag.independent ~rng ~n:12
+        ~kind:Speedup.Kind_roofline ()
+    in
+    let run ~lean =
+      Online_scheduler.run ~lean ~allocator:Allocator.min_time ~p:64 dag
+    in
+    if not (Moldable_analysis.Lemmas.no_wait_below_high_utilization ~mu
+              (run ~lean:false))
+    then incr violations;
+    match
+      Moldable_analysis.Lemmas.no_wait_below_high_utilization ~mu
+        (run ~lean:true)
+    with
+    | _ -> Alcotest.fail "lean result accepted"
+    | exception Invalid_argument _ -> ()
+  done;
+  Alcotest.(check bool) "full runs still flag min-time" true (!violations > 0)
+
 let () =
   Alcotest.run "quality"
     [
@@ -416,6 +443,8 @@ let () =
         [
           Alcotest.test_case "no wait below high utilization" `Quick
             test_no_wait_below_high_utilization;
+          Alcotest.test_case "wait invariant rejects lean runs" `Quick
+            test_wait_invariant_rejects_lean;
           Alcotest.test_case "check has teeth (min-time violates)" `Quick
             test_wait_invariant_fails_for_uncapped;
         ] );

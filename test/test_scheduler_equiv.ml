@@ -1,8 +1,8 @@
 (* Differential tests for the heap-backed online scheduler: the
    priority-indexed queue plus analysis cache of Online_scheduler.policy
-   must reproduce the seed's sorted-list policy (Online_scheduler.
-   policy_reference) event for event, for every priority rule, on any
-   graph.  Also covers the Task.Cache memoization contract. *)
+   must reproduce the seed's sorted-list policy (the test oracle
+   [Moldable_oracle.Reference.policy]) event for event, for every priority
+   rule, on any graph.  Also covers the Task.Cache memoization contract. *)
 
 open Moldable_model
 open Moldable_graph
@@ -10,11 +10,13 @@ open Moldable_sim
 open Moldable_core
 open Moldable_util
 
-let event_pp ppf (t, (e : Engine.event)) =
+let event_pp ppf (t, (e : Sim_core.event)) =
   match e with
-  | Engine.Ready i -> Format.fprintf ppf "%.17g:ready %d" t i
-  | Engine.Start (i, q) -> Format.fprintf ppf "%.17g:start %d on %d" t i q
-  | Engine.Finish i -> Format.fprintf ppf "%.17g:finish %d" t i
+  | Sim_core.Ready i -> Format.fprintf ppf "%.17g:ready %d" t i
+  | Sim_core.Start (i, q) -> Format.fprintf ppf "%.17g:start %d on %d" t i q
+  | Sim_core.Finish i -> Format.fprintf ppf "%.17g:finish %d" t i
+  | Sim_core.Failed (i, k) ->
+    Format.fprintf ppf "%.17g:failed %d attempt %d" t i k
 
 let trace_equal a b =
   List.length a = List.length b
@@ -80,19 +82,19 @@ let arbitrary_dag rng =
 
 let policies_agree ~dag ~p ~priority ~allocator =
   let heap =
-    Engine.run ~p (Online_scheduler.policy ~priority ~allocator ~p ()) dag
+    Sim_core.run ~p (Online_scheduler.policy ~priority ~allocator ~p ()) dag
   in
   let list_ =
-    Engine.run ~p
-      (Online_scheduler.policy_reference ~priority ~allocator ~p ())
+    Sim_core.run ~p
+      (Moldable_oracle.Reference.policy ~priority ~allocator ~p ())
       dag
   in
-  if trace_equal heap.Engine.trace list_.Engine.trace then true
+  if trace_equal heap.Sim_core.trace list_.Sim_core.trace then true
   else
     QCheck.Test.fail_report
       (Printf.sprintf "trace mismatch [%s, P=%d]\n%s"
          priority.Priority.name p
-         (show_traces heap.Engine.trace list_.Engine.trace))
+         (show_traces heap.Sim_core.trace list_.Sim_core.trace))
 
 let prop_trace_equivalence =
   QCheck.Test.make ~name:"heap queue reproduces sorted-list traces (all rules)"
@@ -205,8 +207,8 @@ let test_cache_saves_model_evaluations () =
   let cached_calls = !calls in
   calls := 0;
   let reference =
-    Engine.run ~p
-      (Online_scheduler.policy_reference
+    Sim_core.run ~p
+      (Moldable_oracle.Reference.policy
          ~allocator:Allocator.algorithm2_per_model ~p ())
       dag
   in
@@ -216,7 +218,7 @@ let test_cache_saves_model_evaluations () =
     true
     (cached_calls < reference_calls);
   Alcotest.(check bool) "same trace" true
-    (trace_equal cached.Engine.trace reference.Engine.trace)
+    (trace_equal cached.Sim_core.trace reference.Sim_core.trace)
 
 let test_cache_rejects_bad_p () =
   Alcotest.check_raises "p >= 1"

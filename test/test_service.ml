@@ -308,7 +308,7 @@ let test_stepper_growth_from_zero_capacity () =
   in
   let batch = Online_scheduler.run ~p chain in
   Alcotest.(check bool) "chain matches batch run" true
-    (same_schedule r.Sim_core.schedule batch.Engine.schedule)
+    (same_schedule r.Sim_core.schedule batch.Sim_core.schedule)
 
 let test_stepper_admit_after_drain_raises () =
   let p = 4 in
@@ -701,7 +701,7 @@ let test_end_to_end_incremental_session () =
   in
   let local = Online_scheduler.run ~p:4 dag in
   Alcotest.(check (float 0.)) "makespan matches local batch run"
-    (Schedule.makespan local.Engine.schedule)
+    (Schedule.makespan local.Sim_core.schedule)
     server_mk;
   let status = rpc_exn Protocol.Status in
   Alcotest.(check string) "drained phase" "drained"

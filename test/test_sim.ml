@@ -89,7 +89,7 @@ let test_engine_batches_ulp_completions () =
   let policy =
     (* Run the narrow tasks on 1 proc each, the wide one on 2. *)
     {
-      Engine.name = "test";
+      Sim_core.name = "test";
       on_ready = (fun ~now:_ _ -> ());
       next_launch =
         (let started = ref [] in
@@ -106,23 +106,23 @@ let test_engine_batches_ulp_completions () =
            | None -> None);
     }
   in
-  let r = Engine.run ~p:2 policy dag in
+  let r = Sim_core.run ~p:2 policy dag in
   let finishes =
     List.filter_map
-      (function t, Engine.Finish _ -> Some t | _ -> None)
-      r.Engine.trace
+      (function t, Sim_core.Finish _ -> Some t | _ -> None)
+      r.Sim_core.trace
   in
   (match finishes with
   | ta :: tb :: _ ->
     Alcotest.(check bool) "both finishes recorded at one instant" true
       (Float.equal ta tb)
   | _ -> Alcotest.fail "expected the two narrow finishes first");
-  let wide_start = (Schedule.placement r.Engine.schedule 2).Schedule.start in
+  let wide_start = (Schedule.placement r.Sim_core.schedule 2).Schedule.start in
   (* The batch instant is its latest stamp (d1 > d2 by one ulp), so the wide
      start cannot precede either recorded finish. *)
   Alcotest.(check bool) "wide task starts at the batch instant" true
     (Float.equal wide_start (Float.max d1 d2));
-  Validate.check_exn ~dag r.Engine.schedule
+  Validate.check_exn ~dag r.Sim_core.schedule
 
 (* -------------------------------------------------------------- Platform *)
 
@@ -345,42 +345,43 @@ let fifo_policy ~p alloc =
 
 let test_engine_single_task () =
   let dag = dag_of [ Task.make ~id:0 (roofline ~w:6. ~ptilde:3) ] [] in
-  let r = Engine.run ~p:4 (fifo_policy ~p:4 3) dag in
-  Validate.check_exn ~dag r.Engine.schedule;
-  check_float "makespan" 2. (Schedule.makespan r.Engine.schedule)
+  let r = Sim_core.run ~p:4 (fifo_policy ~p:4 3) dag in
+  Validate.check_exn ~dag r.Sim_core.schedule;
+  check_float "makespan" 2. (Schedule.makespan r.Sim_core.schedule)
 
 let test_engine_chain_sequential () =
   let tasks =
     List.init 3 (fun id -> Task.make ~id (roofline ~w:2. ~ptilde:2))
   in
   let dag = dag_of tasks [ (0, 1); (1, 2) ] in
-  let r = Engine.run ~p:4 (fifo_policy ~p:4 2) dag in
-  Validate.check_exn ~dag r.Engine.schedule;
-  check_float "chain runs serially" 3. (Schedule.makespan r.Engine.schedule)
+  let r = Sim_core.run ~p:4 (fifo_policy ~p:4 2) dag in
+  Validate.check_exn ~dag r.Sim_core.schedule;
+  check_float "chain runs serially" 3. (Schedule.makespan r.Sim_core.schedule)
 
 let test_engine_parallel_when_fits () =
   let tasks =
     List.init 4 (fun id -> Task.make ~id (roofline ~w:2. ~ptilde:1))
   in
   let dag = dag_of tasks [] in
-  let r = Engine.run ~p:4 (fifo_policy ~p:4 1) dag in
-  check_float "all in parallel" 2. (Schedule.makespan r.Engine.schedule)
+  let r = Sim_core.run ~p:4 (fifo_policy ~p:4 1) dag in
+  check_float "all in parallel" 2. (Schedule.makespan r.Sim_core.schedule)
 
 let test_engine_waits_when_full () =
   let tasks =
     List.init 3 (fun id -> Task.make ~id (roofline ~w:2. ~ptilde:2))
   in
   let dag = dag_of tasks [] in
-  let r = Engine.run ~p:4 (fifo_policy ~p:4 2) dag in
+  let r = Sim_core.run ~p:4 (fifo_policy ~p:4 2) dag in
   (* Each task runs 2/2 = 1 time unit; only two fit at once: two waves. *)
-  check_float "two waves" 2. (Schedule.makespan r.Engine.schedule)
+  check_float "two waves" 2. (Schedule.makespan r.Sim_core.schedule)
 
 let test_engine_trace_structure () =
   let dag = dag_of [ Task.make ~id:0 (roofline ~w:1. ~ptilde:1) ] [] in
-  let r = Engine.run ~p:1 (fifo_policy ~p:1 1) dag in
-  match r.Engine.trace with
-  | [ (t0, Engine.Ready 0); (t1, Engine.Start (0, 1)); (t2, Engine.Finish 0) ]
-    ->
+  let r = Sim_core.run ~p:1 (fifo_policy ~p:1 1) dag in
+  match r.Sim_core.trace with
+  | [ (t0, Sim_core.Ready 0);
+      (t1, Sim_core.Start (0, 1));
+      (t2, Sim_core.Finish 0) ] ->
     check_float "ready at 0" 0. t0;
     check_float "start at 0" 0. t1;
     check_float "finish at 1" 1. t2
@@ -392,11 +393,11 @@ let test_engine_reveals_only_when_ready () =
     List.init 2 (fun id -> Task.make ~id (roofline ~w:1. ~ptilde:1))
   in
   let dag = dag_of tasks [ (0, 1) ] in
-  let r = Engine.run ~p:2 (fifo_policy ~p:2 1) dag in
+  let r = Sim_core.run ~p:2 (fifo_policy ~p:2 1) dag in
   let ready_1 =
     List.find_map
-      (function t, Engine.Ready 1 -> Some t | _ -> None)
-      r.Engine.trace
+      (function t, Sim_core.Ready 1 -> Some t | _ -> None)
+      r.Sim_core.trace
   in
   Alcotest.(check (option (float 1e-9))) "revealed at t=1" (Some 1.) ready_1
 
@@ -404,31 +405,31 @@ let test_engine_policy_error_overallocate () =
   let dag = dag_of [ Task.make ~id:0 (roofline ~w:1. ~ptilde:1) ] [] in
   let policy =
     {
-      Engine.name = "bad";
+      Sim_core.name = "bad";
       on_ready = (fun ~now:_ _ -> ());
       next_launch = (fun ~now:_ ~free:_ -> Some (0, 99));
     }
   in
   Alcotest.(check bool) "raises Policy_error" true
     (try
-       ignore (Engine.run ~p:2 policy dag);
+       ignore (Sim_core.run ~p:2 policy dag);
        false
-     with Engine.Policy_error _ -> true)
+     with Sim_core.Policy_error _ -> true)
 
 let test_engine_policy_error_stall () =
   let dag = dag_of [ Task.make ~id:0 (roofline ~w:1. ~ptilde:1) ] [] in
   let policy =
     {
-      Engine.name = "lazy";
+      Sim_core.name = "lazy";
       on_ready = (fun ~now:_ _ -> ());
       next_launch = (fun ~now:_ ~free:_ -> None);
     }
   in
   Alcotest.(check bool) "raises Policy_error" true
     (try
-       ignore (Engine.run ~p:2 policy dag);
+       ignore (Sim_core.run ~p:2 policy dag);
        false
-     with Engine.Policy_error _ -> true)
+     with Sim_core.Policy_error _ -> true)
 
 let test_engine_policy_error_double_launch () =
   let dag =
@@ -442,7 +443,7 @@ let test_engine_policy_error_double_launch () =
   let fired = ref false in
   let policy =
     {
-      Engine.name = "repeat";
+      Sim_core.name = "repeat";
       on_ready = (fun ~now:_ _ -> ());
       next_launch =
         (fun ~now:_ ~free:_ ->
@@ -455,9 +456,9 @@ let test_engine_policy_error_double_launch () =
   in
   Alcotest.(check bool) "raises Policy_error" true
     (try
-       ignore (Engine.run ~p:2 policy dag);
+       ignore (Sim_core.run ~p:2 policy dag);
        false
-     with Engine.Policy_error _ -> true)
+     with Sim_core.Policy_error _ -> true)
 
 let prop_engine_schedules_valid =
   QCheck.Test.make ~name:"engine schedules always validate (random DAGs)"
@@ -476,12 +477,12 @@ let prop_engine_schedules_valid =
       in
       let p = Rng.int_range rng 2 64 in
       let r =
-        Engine.run ~p
+        Sim_core.run ~p
           (Moldable_core.Online_scheduler.policy
              ~allocator:Moldable_core.Allocator.algorithm2_per_model ~p ())
           dag
       in
-      Result.is_ok (Validate.check ~dag r.Engine.schedule))
+      Result.is_ok (Validate.check ~dag r.Sim_core.schedule))
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in

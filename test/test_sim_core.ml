@@ -88,13 +88,13 @@ module Seed_engine = struct
     let record now ev = trace := (now, ev) :: !trace in
     let fail fmt =
       Printf.ksprintf
-        (fun s -> raise (Engine.Policy_error (policy.Engine.name ^ ": " ^ s)))
+        (fun s -> raise (Sim_core.Policy_error (policy.Sim_core.name ^ ": " ^ s)))
         fmt
     in
     let reveal now i =
       state.(i) <- Available;
-      record now (Engine.Ready i);
-      policy.Engine.on_ready ~now (Dag.task dag i)
+      record now (Sim_core.Ready i);
+      policy.Sim_core.on_ready ~now (Dag.task dag i)
     in
     let reveal_or_defer now i =
       if release i <= now then reveal now i
@@ -104,7 +104,7 @@ module Seed_engine = struct
       let rec loop () =
         let free = Platform.free_count platform in
         if free > 0 then
-          match policy.Engine.next_launch ~now ~free with
+          match policy.Sim_core.next_launch ~now ~free with
           | None -> ()
           | Some (tid, nprocs) ->
             if tid < 0 || tid >= n then fail "launched unknown task %d" tid;
@@ -119,7 +119,7 @@ module Seed_engine = struct
             let procs = Platform.acquire platform nprocs in
             let duration = Task.time (Dag.task dag tid) nprocs in
             state.(tid) <- Running;
-            record now (Engine.Start (tid, nprocs));
+            record now (Sim_core.Start (tid, nprocs));
             Schedule.add builder
               {
                 Schedule.task_id = tid;
@@ -150,7 +150,7 @@ module Seed_engine = struct
                 Platform.release platform procs;
                 state.(tid) <- Done;
                 incr completed;
-                record now (Engine.Finish tid);
+                record now (Sim_core.Finish tid);
                 Some tid
               | Reveal _ -> None)
             batch
@@ -190,18 +190,18 @@ module Seed_failure_engine = struct
     let attempts = ref [] in
     let fail fmt =
       Printf.ksprintf
-        (fun s -> raise (Engine.Policy_error (policy.Engine.name ^ ": " ^ s)))
+        (fun s -> raise (Sim_core.Policy_error (policy.Sim_core.name ^ ": " ^ s)))
         fmt
     in
     let reveal now i =
       state.(i) <- Available;
-      policy.Engine.on_ready ~now (Dag.task dag i)
+      policy.Sim_core.on_ready ~now (Dag.task dag i)
     in
     let launch_round now =
       let rec loop () =
         let free = Platform.free_count platform in
         if free > 0 then
-          match policy.Engine.next_launch ~now ~free with
+          match policy.Sim_core.next_launch ~now ~free with
           | None -> ()
           | Some (tid, nprocs) ->
             if tid < 0 || tid >= n then fail "launched unknown task %d" tid;
@@ -241,11 +241,11 @@ module Seed_failure_engine = struct
           (fun (tid, attempt, start, procs) ->
             Platform.release platform procs;
             let failed =
-              failures.Failure_engine.fails rng ~task_id:tid ~attempt
+              failures.Sim_core.fails rng ~task_id:tid ~attempt
             in
             attempts :=
               {
-                Failure_engine.task_id = tid;
+                Sim_core.task_id = tid;
                 attempt;
                 start;
                 finish = now;
@@ -273,12 +273,12 @@ module Seed_failure_engine = struct
     done;
     let attempts =
       List.sort
-        (fun (a : Failure_engine.attempt) (b : Failure_engine.attempt) ->
-          match compare a.Failure_engine.start b.Failure_engine.start with
+        (fun (a : Sim_core.attempt) (b : Sim_core.attempt) ->
+          match compare a.Sim_core.start b.Sim_core.start with
           | 0 ->
             compare
-              (a.Failure_engine.task_id, a.Failure_engine.attempt)
-              (b.Failure_engine.task_id, b.Failure_engine.attempt)
+              (a.Sim_core.task_id, a.Sim_core.attempt)
+              (b.Sim_core.task_id, b.Sim_core.attempt)
           | c -> c)
         !attempts
     in
@@ -336,10 +336,10 @@ let prop_core_trace_equivalent_to_seed_engine =
               dag
           in
           let actual =
-            Engine.run ?release_times ~p (fresh_policy ~priority ~p ()) dag
+            Sim_core.run ?release_times ~p (fresh_policy ~priority ~p ()) dag
           in
-          actual.Engine.trace = expected_trace
-          && same_schedule actual.Engine.schedule expected_sched)
+          actual.Sim_core.trace = expected_trace
+          && same_schedule actual.Sim_core.schedule expected_sched)
         Priority.all)
 
 (* ---------------------------------- core vs seed failure engine (attempts) *)
@@ -356,9 +356,9 @@ let prop_core_attempt_equivalent_to_seed_failure_engine =
       let p = Rng.int_range rng 2 32 in
       let failures =
         match model_idx with
-        | 0 -> Failure_engine.never
-        | 1 -> Failure_engine.bernoulli ~q:(Rng.float rng 0.6)
-        | _ -> Failure_engine.at_most ~k:(Rng.int_range rng 0 3)
+        | 0 -> Sim_core.never
+        | 1 -> Sim_core.bernoulli ~q:(Rng.float rng 0.6)
+        | _ -> Sim_core.at_most ~k:(Rng.int_range rng 0 3)
       in
       List.for_all
         (fun priority ->
@@ -368,11 +368,11 @@ let prop_core_attempt_equivalent_to_seed_failure_engine =
               dag
           in
           let actual =
-            Failure_engine.run ~seed ~failures ~p
+            Sim_core.run ~seed ~failures ~p
               (fresh_policy ~priority ~p ())
               dag
           in
-          actual.Failure_engine.attempts = expected)
+          actual.Sim_core.attempts = expected)
         Priority.all)
 
 (* ------------------------------------- failure runs regained the extras *)
@@ -382,29 +382,29 @@ let test_failure_run_returns_schedule_and_trace () =
   let dag = random_dag rng in
   let p = 8 in
   let r =
-    Failure_engine.run ~seed:3
-      ~failures:(Failure_engine.bernoulli ~q:0.3)
+    Sim_core.run ~seed:3
+      ~failures:(Sim_core.bernoulli ~q:0.3)
       ~p
       (fresh_policy ~priority:Priority.fifo ~p ())
       dag
   in
-  Failure_engine.validate_exn ~dag ~p r;
+  Validate.check_attempts_exn ~dag ~p r.Sim_core.attempts;
   (* The schedule holds exactly the successful attempt of every task. *)
   Alcotest.(check int) "one placement per task" (Dag.n dag)
-    (Schedule.n r.Failure_engine.schedule);
+    (Schedule.n r.Sim_core.schedule);
   List.iter
-    (fun (a : Failure_engine.attempt) ->
-      if not a.Failure_engine.failed then
+    (fun (a : Sim_core.attempt) ->
+      if not a.Sim_core.failed then
         check_float "schedule start = successful attempt start"
-          a.Failure_engine.start
-          (Schedule.placement r.Failure_engine.schedule a.Failure_engine.task_id)
+          a.Sim_core.start
+          (Schedule.placement r.Sim_core.schedule a.Sim_core.task_id)
             .Schedule.start)
-    r.Failure_engine.attempts;
+    r.Sim_core.attempts;
   (* The trace records a Failed event per failed attempt and a Finish per
      task. *)
-  let count f = List.length (List.filter f r.Failure_engine.trace) in
+  let count f = List.length (List.filter f r.Sim_core.trace) in
   Alcotest.(check int) "Failed events"
-    r.Failure_engine.n_failures
+    r.Sim_core.n_failures
     (count (function _, Sim_core.Failed _ -> true | _ -> false));
   Alcotest.(check int) "Finish events" (Dag.n dag)
     (count (function _, Sim_core.Finish _ -> true | _ -> false))
@@ -418,24 +418,24 @@ let test_failure_run_accepts_release_times () =
   let releases = [| 0.; 2.; 4.; 6. |] in
   let p = 4 in
   let r =
-    Failure_engine.run ~release_times:releases
-      ~failures:(Failure_engine.at_most ~k:1)
+    Sim_core.run ~release_times:releases
+      ~failures:(Sim_core.at_most ~k:1)
       ~p
       (fresh_policy ~priority:Priority.fifo ~p ())
       dag
   in
-  Failure_engine.validate_exn ~dag ~p r;
+  Validate.check_attempts_exn ~dag ~p r.Sim_core.attempts;
   for i = 0 to n - 1 do
     Alcotest.(check bool)
       (Printf.sprintf "task %d starts at/after release" i)
       true
-      ((Schedule.placement r.Failure_engine.schedule i).Schedule.start
+      ((Schedule.placement r.Sim_core.schedule i).Schedule.start
       >= releases.(i) -. 1e-9)
   done;
   (* Each task fails once, so its successful attempt starts one duration
      after its release. *)
   check_float "first task retried" 1.
-    (Schedule.placement r.Failure_engine.schedule 0).Schedule.start
+    (Schedule.placement r.Sim_core.schedule 0).Schedule.start
 
 (* -------------------------------------------------------- metrics invariants *)
 
@@ -444,7 +444,7 @@ let metrics_fixture () =
   let dag = random_dag rng in
   let p = 8 in
   let r =
-    Online_scheduler.run_instrumented ~seed:5
+    Online_scheduler.run ~seed:5
       ~failures:(Sim_core.bernoulli ~q:0.25) ~p dag
   in
   (dag, r)
@@ -530,8 +530,8 @@ let test_max_attempts_error_is_descriptive () =
   in
   let p = 1 in
   match
-    Failure_engine.run ~max_attempts:3
-      ~failures:(Failure_engine.at_most ~k:10)
+    Sim_core.run ~max_attempts:3
+      ~failures:(Sim_core.at_most ~k:10)
       ~p
       (fresh_policy ~priority:Priority.fifo ~p ())
       dag
@@ -560,7 +560,7 @@ let test_validate_flags_never_succeeded_predecessor () =
   let p = 2 in
   let attempt ~task_id ~attempt ~start ~procs ~failed =
     {
-      Failure_engine.task_id;
+      Sim_core.task_id;
       attempt;
       start;
       finish = start +. 1.;
@@ -575,27 +575,7 @@ let test_validate_flags_never_succeeded_predecessor () =
       attempt ~task_id:1 ~attempt:1 ~start:1. ~procs:[| 1 |] ~failed:false;
     ]
   in
-  let builder = Schedule.builder ~p ~n:2 in
-  List.iteri
-    (fun i start ->
-      Schedule.add builder
-        { Schedule.task_id = i; start; finish = start +. 1.; nprocs = 1;
-          procs = [| i |] })
-    [ 0.; 1. ];
-  let result =
-    {
-      Failure_engine.attempts;
-      schedule = Schedule.finalize builder;
-      trace = [];
-      metrics =
-        Metrics.build ~p ~counters:(Metrics.make_counters ()) ~queue_depth:[]
-          ~tasks:[||] ~spans:[];
-      makespan = 2.;
-      n_attempts = 2;
-      n_failures = 1;
-    }
-  in
-  match Failure_engine.validate ~dag ~p result with
+  match Validate.check_attempts ~dag ~p attempts with
   | Ok () -> Alcotest.fail "validator accepted a never-succeeded predecessor"
   | Error es ->
     Alcotest.(check bool) "reports the phantom precedence" true
@@ -608,6 +588,99 @@ let test_validate_flags_never_succeeded_predecessor () =
            in
            has "predecessor 0 never succeeded")
          es)
+
+(* ------------------------------- validate: attempt lists vs schedules *)
+
+let test_check_attempts_flags_malformed_runs () =
+  (* 0 -> 1, unit durations on 2 processors.  The clean run: task 0 fails
+     once, succeeds on its second attempt, then task 1 runs. *)
+  let tasks =
+    List.init 2 (fun id -> Task.make ~id (Speedup.Roofline { w = 1.; ptilde = 1 }))
+  in
+  let dag = Dag.create ~tasks ~edges:[ (0, 1) ] in
+  let p = 2 in
+  let at task_id attempt start ?(procs = [| 0 |]) failed =
+    { Sim_core.task_id; attempt; start; finish = start +. 1.;
+      nprocs = Array.length procs; procs; failed }
+  in
+  let clean = [ at 0 1 0. true; at 0 2 1. false; at 1 1 2. false ] in
+  Alcotest.(check bool) "clean run accepted" true
+    (Result.is_ok (Validate.check_attempts ~dag ~p clean));
+  let flags what attempts sub =
+    match Validate.check_attempts ~dag ~p attempts with
+    | Ok () -> Alcotest.failf "%s accepted" what
+    | Error es ->
+      let has e =
+        let n = String.length e and m = String.length sub in
+        let rec go i = i + m <= n && (String.sub e i m = sub || go (i + 1)) in
+        go 0
+      in
+      Alcotest.(check bool) what true (List.exists has es)
+  in
+  flags "missing task" [ at 0 1 0. false ] "task 1 never executed";
+  flags "failed last attempt" [ at 0 1 0. false; at 1 1 1. true ]
+    "task 1's last attempt failed";
+  flags "re-executed success"
+    [ at 0 1 0. false; at 0 2 1. false; at 1 1 2. false ]
+    "task 0 attempt 1 succeeded but was re-executed";
+  flags "numbering gap" [ at 0 1 0. true; at 0 3 1. false; at 1 1 2. false ]
+    "task 0 attempt numbering broken at 3";
+  flags "wrong duration"
+    [ at 0 1 0. true; { (at 0 2 1. false) with finish = 3. };
+      at 1 1 3. false ]
+    "task 0 attempt 2 on 1 procs should run 1";
+  flags "start before the successful predecessor"
+    [ at 0 1 0. true; at 0 2 1. false; at 1 1 1.5 ~procs:[| 1 |] false ]
+    "task 1 attempt 1 starts at 1.5 before 0 finishes at 2";
+  flags "double-booked processor"
+    [ at 0 1 0. true; at 0 2 1. false; at 1 1 2. false;
+      at 1 1 2. false ]
+    "processor 0 used by task 1 attempt 1 and task 1 attempt 1";
+  flags "allocation above p"
+    [ at 0 1 0. false; { (at 1 1 1. false) with nprocs = 3 } ]
+    "task 1 attempt 1 has bad allocation 3"
+
+let prop_check_attempts_agrees_with_check =
+  QCheck.Test.make
+    ~name:"check_attempts agrees with check on failure-free runs (clean and \
+           one corrupted start stamp)"
+    ~count:100
+    QCheck.(pair (int_range 0 1_000_000) bool)
+    (fun (seed, tiny) ->
+      let rng = Rng.create seed in
+      let dag = random_dag rng in
+      let p = Rng.int_range rng 2 32 in
+      let r =
+        Sim_core.run ~p (fresh_policy ~priority:Priority.fifo ~p ()) dag
+      in
+      let verdicts sched attempts =
+        let count = function Ok () -> 0 | Error es -> List.length es in
+        ( count (Validate.check ~dag sched),
+          count (Validate.check_attempts ~dag ~p attempts) )
+      in
+      let clean_s, clean_a = verdicts r.Sim_core.schedule r.Sim_core.attempts in
+      (* Corrupt one task's start stamp in both views: either within the
+         validators' tolerance or anywhere before its finish. *)
+      let k = Rng.int rng (Dag.n dag) in
+      let pl = Schedule.placement r.Sim_core.schedule k in
+      let start =
+        if tiny then pl.Schedule.start +. 1e-12
+        else Rng.float rng pl.Schedule.finish
+      in
+      let builder = Schedule.builder ~p ~n:(Dag.n dag) in
+      List.iter
+        (fun (q : Schedule.placement) ->
+          Schedule.add builder
+            (if q.Schedule.task_id = k then { q with Schedule.start } else q))
+        (Schedule.placements r.Sim_core.schedule);
+      let attempts =
+        List.map
+          (fun (a : Sim_core.attempt) ->
+            if a.Sim_core.task_id = k then { a with Sim_core.start } else a)
+          r.Sim_core.attempts
+      in
+      let bad_s, bad_a = verdicts (Schedule.finalize builder) attempts in
+      clean_s = 0 && clean_a = 0 && bad_s = bad_a && (tiny || bad_s > 0))
 
 (* ------------------------------------- malleable engine: FIFO refactor *)
 
@@ -780,7 +853,7 @@ let prop_arena_core_matches_reference =
           List.for_all
             (fun allocator ->
               let reference =
-                Sim_core.run_reference ?release_times ~seed ~failures ~p
+                Moldable_oracle.Reference.run ?release_times ~seed ~failures ~p
                   (Online_scheduler.policy ~priority ~allocator ~p ())
                   dag
               in
@@ -862,7 +935,7 @@ let test_domain_arena_run_one_unchanged () =
   let spec = Moldable_analysis.Experiment.algorithm1 in
   let mk1, ratio1 = Moldable_analysis.Experiment.run_one ~p spec dag in
   let full = Online_scheduler.run ~p dag in
-  let mk2 = Schedule.makespan full.Engine.schedule in
+  let mk2 = Schedule.makespan full.Sim_core.schedule in
   check_float "makespan matches full run" mk2 mk1;
   Alcotest.(check bool) "ratio >= 1" true (ratio1 >= 1. -. 1e-9)
 
@@ -909,6 +982,9 @@ let () =
         [
           Alcotest.test_case "NaN predecessor flagged" `Quick
             test_validate_flags_never_succeeded_predecessor;
+          Alcotest.test_case "malformed attempt lists flagged" `Quick
+            test_check_attempts_flags_malformed_runs;
+          qt prop_check_attempts_agrees_with_check;
         ] );
       ( "malleable",
         [ qt prop_malleable_phases_unchanged ] );

@@ -35,7 +35,7 @@ let traced_run ~seed ~model_idx =
   let p = Rng.int_range rng 2 32 in
   let failures = failure_model rng model_idx in
   let tracer = Tracer.create () in
-  let result = Online_scheduler.run_instrumented ~seed ~failures ~tracer ~p dag in
+  let result = Online_scheduler.run ~seed ~failures ~tracer ~p dag in
   (dag, p, tracer, result)
 
 (* ------------------------------------- spans never overlap on a processor *)
@@ -134,7 +134,7 @@ let prop_null_tracer_equivalent =
       let p = Rng.int_range rng 2 32 in
       let model = failure_model rng model_idx in
       let run tracer =
-        Online_scheduler.run_instrumented ~seed ~failures:model ~tracer ~p dag
+        Online_scheduler.run ~seed ~failures:model ~tracer ~p dag
       in
       let null = run Tracer.null in
       let traced = run (Tracer.create ()) in
@@ -276,7 +276,7 @@ let golden_expected =
 let golden_export () =
   let dag = golden_dag () in
   let tracer = Tracer.create () in
-  let r = Online_scheduler.run_instrumented ~tracer ~p:4 dag in
+  let r = Online_scheduler.run ~tracer ~p:4 dag in
   Moldable_viz.Chrome_trace.of_run
     ~label:(fun i -> (Dag.task dag i).Task.label)
     tracer r.Sim_core.metrics
@@ -295,7 +295,7 @@ let test_chrome_escapes_labels () =
   in
   let dag = Dag.create ~tasks ~edges:[] in
   let tracer = Tracer.create () in
-  let r = Online_scheduler.run_instrumented ~tracer ~p:2 dag in
+  let r = Online_scheduler.run ~tracer ~p:2 dag in
   let json =
     Moldable_viz.Chrome_trace.of_run
       ~label:(fun i -> (Dag.task dag i).Task.label)
@@ -315,7 +315,7 @@ let test_chrome_escapes_labels () =
 
 let test_empty_dag_metrics_finite () =
   let dag = Dag.create ~tasks:[] ~edges:[] in
-  let r = Online_scheduler.run_instrumented ~p:8 dag in
+  let r = Online_scheduler.run ~p:8 dag in
   let m = r.Sim_core.metrics in
   Alcotest.(check (float 0.)) "mean wait 0" 0. (Metrics.mean_wait m);
   Alcotest.(check (float 0.)) "max wait 0" 0. (Metrics.max_wait m);
