@@ -1193,17 +1193,15 @@ let scalability () =
         Moldable_workloads.Random_dag.layered ~rng ~n_layers:layers ~width
           ~edge_prob:0.08 ~kind:Speedup.Kind_amdahl ()
       in
-      (* Repeat until the measurement is long enough for Sys.time's
-         resolution, then report the per-run average. *)
       let result = Online_scheduler.run ~p dag in
       Validate.check_exn ~dag result.Sim_core.schedule;
       let reps = ref 0 in
-      let t0 = Sys.time () in
-      while Sys.time () -. t0 < 0.2 do
+      let t0 = Clock.now () in
+      while Clock.now () -. t0 < 0.2 do
         ignore (Online_scheduler.run ~p dag);
         incr reps
       done;
-      let dt = (Sys.time () -. t0) /. float_of_int (max 1 !reps) in
+      let dt = (Clock.now () -. t0) /. float_of_int (max 1 !reps) in
       Texttab.add_row tab
         [
           string_of_int (Dag.n dag);
@@ -1227,9 +1225,9 @@ let scalability_hot_path pool () =
      would corrupt the per-row wall clocks; the pool only accelerates the
      feasibility validation of the large schedules. *)
   let time_run f =
-    let t0 = Sys.time () in
+    let t0 = Clock.now () in
     let r = f () in
-    (r, Sys.time () -. t0)
+    (r, Clock.now () -. t0)
   in
   let tab =
     Texttab.create

@@ -59,12 +59,12 @@ let policy ?(priority = Priority.fifo) ?(tracer = Tracer.null)
   let on_ready ~now:_ task =
     let a =
       if traced then
-        Tracer.timed tracer "analyze" (fun () -> Task.Cache.analyze cache task)
+        Tracer.timed tracer Analyze (fun () -> Task.Cache.analyze cache task)
       else Task.Cache.analyze cache task
     in
     let alloc =
       if traced then
-        Tracer.timed tracer "allocator" (fun () ->
+        Tracer.timed tracer Allocator (fun () ->
             allocator.Allocator.allocate_analyzed a)
       else allocator.Allocator.allocate_analyzed a
     in
@@ -89,14 +89,14 @@ let policy ?(priority = Priority.fifo) ?(tracer = Tracer.null)
       }
     in
     if traced then
-      Tracer.timed tracer "ready-queue" (fun () ->
+      Tracer.timed tracer Ready_queue (fun () ->
           Prefix_min.push ready ~key:alloc item)
     else Prefix_min.push ready ~key:alloc item
   in
   let next_launch ~now:_ ~free =
     match
       if traced then
-        Tracer.timed tracer "ready-queue" (fun () ->
+        Tracer.timed tracer Ready_queue (fun () ->
             Prefix_min.pop_prefix ready ~key:free)
       else Prefix_min.pop_prefix ready ~key:free
     with

@@ -547,7 +547,7 @@ module Stepper = struct
 
   let launch_round st now =
     if st.traced then
-      Tracer.timed st.tracer "launch-round" (fun () ->
+      Tracer.timed st.tracer Launch_round (fun () ->
           launch_round_untimed st now)
     else launch_round_untimed st now
 
@@ -856,7 +856,7 @@ module Stepper = struct
             else process_batch st blen
           done
         in
-        if st.traced then Tracer.timed st.tracer "event-loop" event_loop
+        if st.traced then Tracer.timed st.tracer Event_loop event_loop
         else event_loop ();
         finalize st)
 

@@ -1,4 +1,5 @@
 open Moldable_util
+module Registry = Moldable_obs.Registry
 
 type decision = {
   task_id : int;
@@ -36,13 +37,38 @@ type instant_kind = Ready | Deferred | Stall
 
 type instant = { time : float; kind : instant_kind; subject : int }
 
+type phase = Event_loop | Launch_round | Analyze | Allocator | Ready_queue
+
+let phase_index = function
+  | Event_loop -> 0
+  | Launch_round -> 1
+  | Analyze -> 2
+  | Allocator -> 3
+  | Ready_queue -> 4
+
+let phase_names =
+  [| "event-loop"; "launch-round"; "analyze"; "allocator"; "ready-queue" |]
+
+(* One histogram per phase, indexed by [phase_index]. *)
+let register_timers registry =
+  Array.map
+    (fun name ->
+      Registry.histogram registry
+        ~name:
+          ("moldable_tracer_"
+          ^ String.map (function '-' -> '_' | c -> c) name
+          ^ "_seconds")
+        ~help:("Self-profile: seconds spent in " ^ name))
+    phase_names
+
 type t = {
   enabled : bool;
   decisions : (int, decision) Hashtbl.t;
   mutable spans : span list;      (* reverse recording order *)
   mutable instants : instant list;
   mutable n_spans : int;
-  clock : Clock.t;
+  registry : Registry.t;
+  timers : Registry.histogram array;
 }
 
 (* [null] is shared, but its mutable state can never change: every recording
@@ -54,22 +80,35 @@ let null =
     spans = [];
     instants = [];
     n_spans = 0;
-    clock = Clock.create ();
+    registry = Registry.null;
+    timers = register_timers Registry.null;
   }
 
 let create () =
+  let registry = Registry.create () in
   {
     enabled = true;
     decisions = Hashtbl.create 64;
     spans = [];
     instants = [];
     n_spans = 0;
-    clock = Clock.create ();
+    registry;
+    timers = register_timers registry;
   }
 
 let enabled t = t.enabled
-let clock t = t.clock
-let timed t name f = if t.enabled then Clock.time t.clock name f else f ()
+
+let timed t phase f =
+  if t.enabled then begin
+    let t0 = Clock.now () in
+    Fun.protect
+      ~finally:(fun () ->
+        Registry.observe t.timers.(phase_index phase) (Clock.now () -. t0))
+      f
+  end
+  else f ()
+
+let profile t = Registry.snapshot t.registry
 
 let record_decision t (d : decision) =
   if t.enabled && not (Hashtbl.mem t.decisions d.task_id) then
@@ -134,4 +173,22 @@ let pp_decision ppf (d : decision) =
     "  final:    %d processors  alpha=%.4f  beta=%.4f@." d.final_alloc
     d.alpha_final d.beta_final
 
-let pp_profile ppf t = Clock.pp ppf t.clock
+let pp_profile ppf t =
+  (* The snapshot lists the histograms in registration order, which is
+     [phase_names] order. *)
+  profile t
+  |> List.mapi (fun i (m : Registry.metric_snap) -> (phase_names.(i), m))
+  |> List.filter_map (function
+       | name, { Registry.ms_value = Hist_v h; _ } when h.count > 0 ->
+         Some (name, h)
+       | _ -> None)
+  |> List.sort (fun (na, (a : Registry.hist_snap)) (nb, b) ->
+         match Float.compare b.sum a.sum with
+         | 0 -> String.compare na nb
+         | c -> c)
+  |> List.iter (fun (name, (h : Registry.hist_snap)) ->
+         Format.fprintf ppf
+           "%-24s %10.6f s  (%d calls, mean %.3g us, max %.3g us)@." name
+           h.sum h.count
+           (1e6 *. h.sum /. float_of_int (max 1 h.count))
+           (1e6 *. h.hmax))

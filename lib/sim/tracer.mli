@@ -14,18 +14,17 @@
       set, completed/failed), plus {!instant} markers for reveals, deferred
       releases and stalls.  {!Moldable_viz.Chrome_trace} renders these as a
       Chrome trace-event JSON for [chrome://tracing] / Perfetto.
-    - {e self-profile} — named wall-clock timers ({!Moldable_util.Clock})
-      charged by the event loop and the policy (event loop, launch rounds,
-      task analysis, allocator, ready queue), so hot-path regressions are
-      visible without an external profiler.
+    - {e self-profile} — one {!Moldable_obs.Registry} histogram per
+      {!phase} (event loop, launch rounds, task analysis, allocator, ready
+      queue), charged by the event loop and the policy with
+      {!Moldable_util.Clock.now} (CLOCK_MONOTONIC) intervals, so hot-path
+      regressions are visible without an external profiler.
 
     Tracing is zero-cost when off: {!null} is permanently disabled, every
     recording entry point checks {!enabled} before allocating anything, and
     hot-path callers guard with [if Tracer.enabled t then ...] so a
     [Tracer.null] run performs no tracing work beyond one branch per
     hook. *)
-
-open Moldable_util
 
 type decision = {
   task_id : int;
@@ -75,23 +74,31 @@ type instant = {
   subject : int;  (** Task id; [-1] for {!Stall}. *)
 }
 
+(** The self-profiled phases of a run, printed by {!pp_profile} as
+    [event-loop], [launch-round], [analyze], [allocator] and [ready-queue]. *)
+type phase = Event_loop | Launch_round | Analyze | Allocator | Ready_queue
+
 type t
 
 val null : t
 (** The permanently disabled tracer (the default everywhere): recording is
-    a no-op and allocates nothing. *)
+    a no-op and allocates nothing; its timers are
+    {!Moldable_obs.Registry.null} handles. *)
 
 val create : unit -> t
-(** A fresh, enabled tracer with an empty {!Clock.t}. *)
+(** A fresh, enabled tracer.  Its private registry holds the five
+    [moldable_tracer_<phase>_seconds] histograms, registered here once. *)
 
 val enabled : t -> bool
 
-val clock : t -> Clock.t
-(** The tracer's self-profile timer registry. *)
+val timed : t -> phase -> (unit -> 'a) -> 'a
+(** [timed t phase f] charges [f]'s elapsed time to [phase]'s histogram
+    when enabled (also when [f] raises), and is exactly [f ()] otherwise.
+    Safe from several domains at once. *)
 
-val timed : t -> string -> (unit -> 'a) -> 'a
-(** [timed t name f] charges [f]'s wall-clock time to [name] when enabled,
-    and is exactly [f ()] otherwise. *)
+val profile : t -> Moldable_obs.Registry.snapshot
+(** The five self-profile histograms, in {!phase} declaration order; empty
+    for {!null}. *)
 
 (** {1 Recording (no-ops on {!null})} *)
 
@@ -125,4 +132,5 @@ val pp_decision : Format.formatter -> decision -> unit
 (** Multi-line provenance dump of one decision (the [--explain] output). *)
 
 val pp_profile : Format.formatter -> t -> unit
-(** The self-profile section: one line per named timer. *)
+(** The self-profile section: one line per charged phase (name, total
+    seconds, calls, mean and max), by decreasing total, ties by name. *)

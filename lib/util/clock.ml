@@ -1,124 +1,3 @@
-(* The guard makes interval arithmetic safe under clock steps: a reading is
-   never smaller than the previous one.  The guard is a CAS-max loop on an
-   atomic so concurrent readers on different domains cannot lose the
-   high-water mark (the previous plain ref raced). *)
-let last = Atomic.make 0.
-
-let now () =
-  let t = Unix.gettimeofday () in
-  let rec bump () =
-    let prev = Atomic.get last in
-    if t > prev then
-      if Atomic.compare_and_set last prev t then t else bump ()
-    else prev
-  in
-  bump ()
-
-type timing = { calls : int; total : float; max : float }
-
-(* Named timers are sharded per domain: a shard's hashtable and its mutable
-   accumulators are only ever written by the owning domain, so concurrent
-   sections charging the same timer from different Pool workers cannot lose
-   updates (the previous single-Hashtbl read-modify-write raced).  Reads
-   merge the shards; the shard table is grown under the mutex and published
-   after the copy, so an owner domain always finds its shard in whichever
-   table it observes. *)
-type acc = { mutable a_calls : int; mutable a_total : float; mutable a_max : float }
-
-type shard = (string, acc) Hashtbl.t
-
-type t = { cmu : Mutex.t; mutable shards : shard option array }
-
-let create () : t = { cmu = Mutex.create (); shards = [||] }
-
-let shard_for t =
-  let d = (Domain.self () :> int) in
-  let shards = t.shards in
-  if d < Array.length shards && Option.is_some shards.(d) then
-    Option.get shards.(d)
-  else begin
-    Mutex.lock t.cmu;
-    let shards =
-      if d < Array.length t.shards then t.shards
-      else begin
-        let bigger = Array.make (d + 1) None in
-        Array.blit t.shards 0 bigger 0 (Array.length t.shards);
-        t.shards <- bigger;
-        bigger
-      end
-    in
-    let s =
-      match shards.(d) with
-      | Some s -> s
-      | None ->
-        let s = Hashtbl.create 16 in
-        shards.(d) <- Some s;
-        s
-    in
-    Mutex.unlock t.cmu;
-    s
-  end
-
-let add t name seconds =
-  let s = shard_for t in
-  match Hashtbl.find_opt s name with
-  | Some a ->
-    a.a_calls <- a.a_calls + 1;
-    a.a_total <- a.a_total +. seconds;
-    if seconds > a.a_max then a.a_max <- seconds
-  | None ->
-    Hashtbl.add s name { a_calls = 1; a_total = seconds; a_max = seconds }
-
-let time t name f =
-  let t0 = now () in
-  Fun.protect ~finally:(fun () -> add t name (now () -. t0)) f
-
-let merged t =
-  Mutex.lock t.cmu;
-  let shards = Array.to_list t.shards in
-  Mutex.unlock t.cmu;
-  let out : (string, timing) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (function
-      | None -> ()
-      | Some s ->
-        Hashtbl.iter
-          (fun name a ->
-            let x =
-              match Hashtbl.find_opt out name with
-              | None ->
-                { calls = a.a_calls; total = a.a_total; max = a.a_max }
-              | Some x ->
-                {
-                  calls = x.calls + a.a_calls;
-                  total = x.total +. a.a_total;
-                  max = Float.max x.max a.a_max;
-                }
-            in
-            Hashtbl.replace out name x)
-          s)
-    shards;
-  out
-
-let timing t name = Hashtbl.find_opt (merged t) name
-
-let timings t =
-  Hashtbl.fold (fun name x acc -> (name, x) :: acc) (merged t) []
-  |> List.sort (fun (na, a) (nb, b) ->
-         match Float.compare b.total a.total with
-         | 0 -> String.compare na nb
-         | c -> c)
-
-let reset t =
-  Mutex.lock t.cmu;
-  t.shards <- [||];
-  Mutex.unlock t.cmu
-
-let pp ppf t =
-  List.iter
-    (fun (name, x) ->
-      Format.fprintf ppf "%-24s %10.6f s  (%d calls, mean %.3g us, max %.3g us)@."
-        name x.total x.calls
-        (1e6 *. x.total /. float_of_int (Stdlib.max 1 x.calls))
-        (1e6 *. x.max))
-    (timings t)
+external now : unit -> (float[@unboxed])
+  = "moldable_clock_now" "moldable_clock_now_unboxed"
+[@@noalloc]

@@ -1,50 +1,15 @@
-(** Monotonic wall-clock readings and named accumulating timers.
+(** The one time source for every measured interval in the project.
 
-    {!now} wraps the system wall clock behind a non-decreasing guard, so
-    interval measurements never come out negative even if the underlying
-    clock is stepped backwards.  A {!t} is a registry of named timers: each
-    {!time} call accumulates the elapsed wall-clock seconds, the call count
-    and the longest single call under its name.  The simulation tracer
-    ({!Moldable_sim.Tracer}) threads one of these through the event loop and
-    the allocator so hot-path regressions show up in the run's self-profile
-    without an external profiler.
+    {!now} reads [CLOCK_MONOTONIC] through a C stub: it never goes
+    backwards and is unaffected by wall-clock steps (NTP, [settimeofday]),
+    with nanosecond granularity at the cost of one call and no allocation.
+    Its origin is arbitrary (typically boot time), so only differences
+    between two readings are meaningful.  The tracer's self-profile, the
+    registry latency histograms, the daemon's deadlines and the bench all
+    measure through it. *)
 
-    Timers are safe under {!Moldable_util.Pool}: accumulation is sharded per
-    domain (each domain writes only its own shard) and {!timing} /
-    {!timings} merge the shards on read, so concurrent sections charging the
-    same name from different workers cannot lose updates. *)
-
-val now : unit -> float
-(** Wall-clock seconds, guaranteed non-decreasing across calls within the
-    process (the high-water mark is maintained atomically, so the guarantee
-    holds across domains). *)
-
-type timing = {
-  calls : int;    (** Number of intervals recorded under the name. *)
-  total : float;  (** Accumulated seconds. *)
-  max : float;    (** Longest single interval, seconds. *)
-}
-
-type t
-
-val create : unit -> t
-(** Fresh registry with no timers. *)
-
-val time : t -> string -> (unit -> 'a) -> 'a
-(** [time t name f] runs [f ()] and charges its wall-clock duration to
-    [name] (also on exception). *)
-
-val add : t -> string -> float -> unit
-(** Record an externally measured interval of [seconds] under [name]. *)
-
-val timing : t -> string -> timing option
-(** The accumulated timing of one name, if it was ever charged. *)
-
-val timings : t -> (string * timing) list
-(** All timers, sorted by decreasing total (ties by name). *)
-
-val reset : t -> unit
-(** Drop every timer. *)
-
-val pp : Format.formatter -> t -> unit
-(** One line per timer: name, total, calls, mean and max. *)
+external now : unit -> (float[@unboxed])
+  = "moldable_clock_now" "moldable_clock_now_unboxed"
+[@@noalloc]
+(** Seconds since an arbitrary fixed origin, non-decreasing across calls
+    and domains.  Subtract two readings to time an interval. *)

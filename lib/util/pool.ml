@@ -66,9 +66,9 @@ let exec_chunks t job =
            let module R = Moldable_obs.Registry in
            R.set o.o_depth (float_of_int (max 0 (job.n_chunks - c - 1)));
            R.add o.o_busy 1.;
-           let t0 = Unix.gettimeofday () in
+           let t0 = Clock.now () in
            run ();
-           R.observe o.o_latency (Unix.gettimeofday () -. t0);
+           R.observe o.o_latency (Clock.now () -. t0);
            R.add o.o_busy (-1.)
        end);
       Mutex.lock t.mutex;

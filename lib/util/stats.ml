@@ -8,7 +8,7 @@ type summary = {
   p95 : float;
 }
 
-(* A single NaN used to scramble [percentile]'s polymorphic sort and
+(* A single NaN used to scramble the quantiles' polymorphic sort and
    propagate silently through every aggregate; non-finite samples are
    rejected up front so corrupt inputs fail loudly. *)
 let check_finite name xs =
@@ -34,6 +34,15 @@ let stddev xs =
     let sq = List.fold_left (fun acc x -> acc +. ((x -. m) ** 2.)) 0. xs in
     sqrt (sq /. float_of_int (List.length xs - 1))
 
+(* Linear interpolation at quantile [q] of an already-sorted array. *)
+let interpolate_sorted arr q =
+  let n = Array.length arr in
+  let pos = q *. float_of_int (n - 1) in
+  let i = int_of_float pos in
+  let frac = pos -. float_of_int i in
+  if i + 1 >= n then arr.(n - 1)
+  else arr.(i) +. (frac *. (arr.(i + 1) -. arr.(i)))
+
 let quantile q xs =
   match xs with
   | [] -> invalid_arg "Stats.quantile: empty sample"
@@ -43,20 +52,7 @@ let quantile q xs =
     check_finite "Stats.quantile" xs;
     let arr = Array.of_list xs in
     Array.sort Float.compare arr;
-    let n = Array.length arr in
-    let pos = q *. float_of_int (n - 1) in
-    let i = int_of_float pos in
-    let frac = pos -. float_of_int i in
-    if i + 1 >= n then arr.(n - 1)
-    else arr.(i) +. (frac *. (arr.(i + 1) -. arr.(i)))
-
-let percentile q xs =
-  match xs with
-  | [] -> invalid_arg "Stats.percentile: empty sample"
-  | _ ->
-    if q < 0. || q > 1. then invalid_arg "Stats.percentile: q out of [0,1]";
-    check_finite "Stats.percentile" xs;
-    quantile q xs
+    interpolate_sorted arr q
 
 let median xs = quantile 0.5 xs
 
@@ -67,15 +63,6 @@ let median_absolute_deviation xs =
     check_finite "Stats.median_absolute_deviation" xs;
     let m = median xs in
     median (List.map (fun x -> Float.abs (x -. m)) xs)
-
-(* Linear interpolation at quantile [q] of an already-sorted array. *)
-let interpolate_sorted arr q =
-  let n = Array.length arr in
-  let pos = q *. float_of_int (n - 1) in
-  let i = int_of_float pos in
-  let frac = pos -. float_of_int i in
-  if i + 1 >= n then arr.(n - 1)
-  else arr.(i) +. (frac *. (arr.(i + 1) -. arr.(i)))
 
 let summarize xs =
   match xs with

@@ -20,16 +20,10 @@ val mean : float list -> float
 (** @raise Invalid_argument on an empty list or a non-finite sample. *)
 
 val stddev : float list -> float
-val percentile : float -> float list -> float
-(** [percentile q xs] with [q] in [\[0, 1\]], linear interpolation.  Sorts
-    with [Float.compare].
-    @raise Invalid_argument on an empty list, [q] outside [\[0, 1\]], or a
-    non-finite sample. *)
-
 val quantile : float -> float list -> float
 (** Interpolated quantile at fractional rank [q *. (n - 1)] of the sorted
-    sample — the primitive behind {!percentile} and {!median}, used by the
-    bench-regression tracker.
+    sample (sorted with [Float.compare]) — the primitive behind {!median},
+    used by the bench-regression tracker.
     @raise Invalid_argument on an empty list, [q] outside [\[0, 1\]] (or
     NaN), or a non-finite sample. *)
 

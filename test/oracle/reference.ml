@@ -171,7 +171,7 @@ let run ?release_times ?(seed = 0) ?(max_attempts = max_int)
   in
   let launch_round now =
     if traced then
-      Tracer.timed tracer "launch-round" (fun () -> launch_round_untimed now)
+      Tracer.timed tracer Launch_round (fun () -> launch_round_untimed now)
     else launch_round_untimed now
   in
   let sample_depth now =
@@ -241,7 +241,7 @@ let run ?release_times ?(seed = 0) ?(max_attempts = max_int)
         sample_depth now
     done
   in
-  if traced then Tracer.timed tracer "event-loop" event_loop
+  if traced then Tracer.timed tracer Event_loop event_loop
   else event_loop ();
   let attempts =
     List.sort

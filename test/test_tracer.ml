@@ -2,7 +2,8 @@
    over traced runs (span disjointness per processor, platform bounds, one
    decision per task, Tracer.null trace-equivalence), allocator provenance
    consistency, the Chrome trace-event golden export, the empty-run metrics
-   guards, the ratio report and the monotonic clock. *)
+   guards, the ratio report, the monotonic clock and the Registry-backed
+   self-profile. *)
 
 open Moldable_model
 open Moldable_graph
@@ -215,7 +216,7 @@ let test_null_tracer_records_nothing () =
   Alcotest.(check (list unit)) "no instants" []
     (List.map ignore (Tracer.instants t));
   Alcotest.(check int) "timed is transparent" 42
-    (Tracer.timed t "phase" (fun () -> 42))
+    (Tracer.timed t Tracer.Analyze (fun () -> 42))
 
 let test_decision_dedup_keeps_first () =
   let t = Tracer.create () in
@@ -391,23 +392,76 @@ let test_clock_monotonic () =
     prev := t
   done
 
-let test_clock_timers_accumulate () =
-  let c = Clock.create () in
-  let r = Clock.time c "work" (fun () -> 41 + 1) in
+(* ------------------------------------------------------------ self-profile *)
+
+let phase_hist t name =
+  List.find_map
+    (fun (m : Moldable_obs.Registry.metric_snap) ->
+      match m.ms_value with
+      | Moldable_obs.Registry.Hist_v h when m.ms_name = name -> Some h
+      | _ -> None)
+    (Tracer.profile t)
+
+let test_profile_timers_accumulate () =
+  let t = Tracer.create () in
+  let r = Tracer.timed t Tracer.Analyze (fun () -> 41 + 1) in
   Alcotest.(check int) "result passes through" 42 r;
-  ignore (Clock.time c "work" (fun () -> ()));
-  (match Clock.timing c "work" with
-  | Some t ->
-    Alcotest.(check int) "two calls" 2 t.Clock.calls;
-    Alcotest.(check bool) "total >= max" true (t.Clock.total >= t.Clock.max)
+  ignore (Tracer.timed t Tracer.Analyze (fun () -> ()));
+  (match phase_hist t "moldable_tracer_analyze_seconds" with
+  | Some h ->
+    Alcotest.(check int) "two calls" 2 h.count;
+    Alcotest.(check bool) "total >= max" true (h.sum >= h.hmax)
   | None -> Alcotest.fail "timer lost");
   (* Exceptions still charge the timer. *)
-  (try Clock.time c "boom" (fun () -> failwith "x") with Failure _ -> ());
-  (match Clock.timing c "boom" with
-  | Some t -> Alcotest.(check int) "charged on raise" 1 t.Clock.calls
+  (try Tracer.timed t Tracer.Allocator (fun () -> failwith "x")
+   with Failure _ -> ());
+  (match phase_hist t "moldable_tracer_allocator_seconds" with
+  | Some h -> Alcotest.(check int) "charged on raise" 1 h.count
   | None -> Alcotest.fail "exception path not charged");
-  Clock.reset c;
-  Alcotest.(check int) "reset clears" 0 (List.length (Clock.timings c))
+  (* Only charged phases are printed. *)
+  let lines =
+    String.split_on_char '\n' (Format.asprintf "%a" Tracer.pp_profile t)
+    |> List.filter (( <> ) "")
+  in
+  Alcotest.(check int) "two profile lines" 2 (List.length lines)
+
+(* Regression for the per-domain sharding: concurrent [timed] calls charging
+   one phase from several domains must not lose updates. *)
+let test_profile_cross_domain () =
+  let t = Tracer.create () in
+  let domains = 4 and per_domain = 250 in
+  let workers =
+    List.init domains (fun _ ->
+        Domain.spawn (fun () ->
+            for _ = 1 to per_domain do
+              Tracer.timed t Tracer.Ready_queue (fun () ->
+                  Sys.opaque_identity ())
+            done))
+  in
+  List.iter Domain.join workers;
+  match phase_hist t "moldable_tracer_ready_queue_seconds" with
+  | None -> Alcotest.fail "timer lost"
+  | Some h ->
+    Alcotest.(check int) "no update lost" (domains * per_domain) h.count;
+    Alcotest.(check bool) "total bounds max" true
+      (h.sum >= h.hmax && h.hmax >= 0.)
+
+let test_profile_all_phases () =
+  let rng = Rng.create 5 in
+  let dag =
+    Moldable_workloads.Linalg.cholesky ~rng ~tiles:4 ~kind:Speedup.Kind_amdahl
+      ()
+  in
+  let tracer = Tracer.create () in
+  ignore (Online_scheduler.run ~tracer ~p:8 dag);
+  let out = Format.asprintf "%a" Tracer.pp_profile tracer in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " printed") true
+        (List.exists
+           (String.starts_with ~prefix:(name ^ " "))
+           (String.split_on_char '\n' out)))
+    [ "event-loop"; "launch-round"; "analyze"; "allocator"; "ready-queue" ]
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -449,6 +503,12 @@ let () =
       ( "clock",
         [
           Alcotest.test_case "monotonic" `Quick test_clock_monotonic;
-          Alcotest.test_case "timers" `Quick test_clock_timers_accumulate;
+        ] );
+      ( "profile",
+        [
+          Alcotest.test_case "timers" `Quick test_profile_timers_accumulate;
+          Alcotest.test_case "cross-domain timers" `Quick
+            test_profile_cross_domain;
+          Alcotest.test_case "all five phases" `Quick test_profile_all_phases;
         ] );
     ]

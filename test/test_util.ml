@@ -453,10 +453,10 @@ let test_stats_stddev () =
     (Stats.stddev [ 1.; 2.; 3. ])
 
 let test_stats_percentile () =
-  check_float "median" 2. (Stats.percentile 0.5 [ 3.; 1.; 2. ]);
-  check_float "min" 1. (Stats.percentile 0. [ 3.; 1.; 2. ]);
-  check_float "max" 3. (Stats.percentile 1. [ 3.; 1.; 2. ]);
-  check_float "interpolated" 1.5 (Stats.percentile 0.25 [ 1.; 2.; 3. ])
+  check_float "median" 2. (Stats.quantile 0.5 [ 3.; 1.; 2. ]);
+  check_float "min" 1. (Stats.quantile 0. [ 3.; 1.; 2. ]);
+  check_float "max" 3. (Stats.quantile 1. [ 3.; 1.; 2. ]);
+  check_float "interpolated" 1.5 (Stats.quantile 0.25 [ 1.; 2.; 3. ])
 
 let test_stats_summary () =
   let s = Stats.summarize [ 4.; 1.; 3.; 2. ] in
@@ -470,7 +470,7 @@ let test_stats_empty () =
     (Invalid_argument "Stats.summarize: empty sample") (fun () ->
       ignore (Stats.summarize []))
 
-(* A single NaN used to scramble [percentile]'s sort (polymorphic [compare]
+(* A single NaN used to scramble [quantile]'s sort (polymorphic [compare]
    on floats) and flow silently through every aggregate; non-finite samples
    must now be rejected up front. *)
 let test_stats_rejects_non_finite () =
@@ -481,16 +481,16 @@ let test_stats_rejects_non_finite () =
   in
   expect_invalid "mean nan" (fun () -> Stats.mean [ 1.; nan; 3. ]);
   expect_invalid "mean inf" (fun () -> Stats.mean [ 1.; infinity ]);
-  expect_invalid "percentile nan" (fun () ->
-      Stats.percentile 0.5 [ nan; 1.; 2. ]);
+  expect_invalid "quantile nan" (fun () ->
+      Stats.quantile 0.5 [ nan; 1.; 2. ]);
   expect_invalid "summarize nan" (fun () ->
       (Stats.summarize [ 2.; nan; 1. ]).Stats.median)
 
 let test_stats_percentile_order_robust () =
   (* Regression for the polymorphic-compare sort: negative and denormal
      values must order numerically. *)
-  check_float "negative median" (-1.) (Stats.percentile 0.5 [ 3.; -1.; -5. ]);
-  check_float "p0 negative" (-5.) (Stats.percentile 0. [ 3.; -1.; -5. ])
+  check_float "negative median" (-1.) (Stats.quantile 0.5 [ 3.; -1.; -5. ]);
+  check_float "p0 negative" (-5.) (Stats.quantile 0. [ 3.; -1.; -5. ])
 
 (* --------------------------------------------------------------- Texttab *)
 
@@ -619,9 +619,9 @@ let test_stats_one_pass_regression () =
   in
   check_float "mean = naive mean" naive_mean s.Stats.mean;
   check_float "stddev = naive stddev" naive_sd s.Stats.stddev;
-  check_float "median = percentile 0.5" (Stats.percentile 0.5 xs)
+  check_float "median = quantile 0.5" (Stats.quantile 0.5 xs)
     s.Stats.median;
-  check_float "p95 = percentile 0.95" (Stats.percentile 0.95 xs) s.Stats.p95
+  check_float "p95 = quantile 0.95" (Stats.quantile 0.95 xs) s.Stats.p95
 
 let test_stats_one_pass_singleton () =
   let s = Stats.summarize [ 2.5 ] in
@@ -639,8 +639,8 @@ let prop_stats_summarize_matches_two_pass =
       let close a b = Float.abs (a -. b) <= 1e-9 *. (1. +. Float.abs a) in
       close s.Stats.mean (Stats.mean xs)
       && close s.Stats.stddev (Stats.stddev xs)
-      && close s.Stats.median (Stats.percentile 0.5 xs)
-      && close s.Stats.p95 (Stats.percentile 0.95 xs)
+      && close s.Stats.median (Stats.quantile 0.5 xs)
+      && close s.Stats.p95 (Stats.quantile 0.95 xs)
       && Float.equal s.Stats.min (List.fold_left Float.min Float.infinity xs)
       && Float.equal s.Stats.max
            (List.fold_left Float.max Float.neg_infinity xs))
@@ -808,40 +808,23 @@ let test_quantile_contract () =
 
 (* ------------------------------------------------------------------ clock *)
 
-(* Regression for the per-domain sharding: concurrent [time] calls charging
-   one name from several domains must not lose updates. *)
-let test_clock_cross_domain () =
-  let c = Clock.create () in
-  let domains = 4 and per_domain = 250 in
-  let workers =
-    List.init domains (fun _ ->
-        Domain.spawn (fun () ->
-            for _ = 1 to per_domain do
-              Clock.time c "shared" (fun () -> Sys.opaque_identity ())
-            done))
-  in
-  List.iter Domain.join workers;
-  match Clock.timing c "shared" with
-  | None -> Alcotest.fail "timer lost"
-  | Some t ->
-    Alcotest.(check int) "no update lost" (domains * per_domain)
-      t.Clock.calls;
-    Alcotest.(check bool) "total bounds max" true
-      (t.Clock.total >= t.Clock.max && t.Clock.max >= 0.);
-    (* [add] merges into the same shard machinery. *)
-    Clock.add c "shared" 1.0;
-    (match Clock.timing c "shared" with
-    | Some t' ->
-      Alcotest.(check int) "add counts a call" ((domains * per_domain) + 1)
-        t'.Clock.calls;
-      Alcotest.(check bool) "add accumulates" true
-        (t'.Clock.total >= t.Clock.total +. 1.0)
-    | None -> Alcotest.fail "timer lost after add")
-
 let test_clock_now_monotone () =
   let a = Clock.now () in
   let b = Clock.now () in
   Alcotest.(check bool) "non-decreasing" true (b >= a)
+
+(* CLOCK_MONOTONIC resolves well below a microsecond; the gettimeofday
+   clock it replaced only ever stepped by whole microseconds. *)
+let test_clock_sub_microsecond () =
+  let rec find tries =
+    tries > 0
+    &&
+    let a = Clock.now () in
+    let b = Clock.now () in
+    let d = b -. a in
+    (d > 0. && d < 5e-7) || find (tries - 1)
+  in
+  Alcotest.(check bool) "nonzero step under 0.5 us" true (find 10_000)
 
 (* The typed-comparator sweep replaced every polymorphic [compare] on
    floats with [Float.compare].  Pin the property the sorts rely on:
@@ -1126,9 +1109,9 @@ let () =
         ] );
       ( "clock",
         [
-          Alcotest.test_case "cross-domain timers" `Quick
-            test_clock_cross_domain;
           Alcotest.test_case "now monotone" `Quick test_clock_now_monotone;
+          Alcotest.test_case "sub-microsecond step" `Quick
+            test_clock_sub_microsecond;
         ] );
       ( "pool",
         [
