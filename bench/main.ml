@@ -14,6 +14,7 @@ open Moldable_core
 open Moldable_theory
 open Moldable_adversary
 open Moldable_analysis
+module Json = Moldable_obs.Json
 
 let section title =
   let bar = String.make 72 '=' in
@@ -104,37 +105,19 @@ let section_timings : (string * float) list ref = ref []
    against --baseline at the end of the run. *)
 let bench_rows : Moldable_obs.Bench_track.row list ref = ref []
 
-(* Null-registry overhead probe of the telemetry section, recorded into
-   BENCH_scaling.json: (default_s, null_s, live_s). *)
-let telemetry_probe : (float * float * float) option ref = ref None
+(* Rows and probes recorded into BENCH_scaling.json, newest first.  The key
+   names the document field a value lands in: "parallel", "alloc_lean" and
+   "scaling" collect every row in order, "telemetry" and "service" keep the
+   latest probe. *)
+let scaling_records : (string * Json.t) list ref = ref []
 
-type scaling_row = {
-  sc_workload : string;
-  sc_tasks : int;
-  sc_p : int;
-  sc_heap_s : float;
-  sc_reference_s : float option;
-}
-
-let scaling_rows : scaling_row list ref = ref []
-
-(* Sequential-vs-parallel wall-clock of every fanned-out section, recorded
-   into BENCH_scaling.json so speedups are diffable across PRs. *)
-type parallel_row = {
-  pl_section : string;
-  pl_jobs : int;
-  pl_cells : int;
-  pl_seq_s : float;
-  pl_par_s : float;
-}
-
-let parallel_rows : parallel_row list ref = ref []
+let record key v = scaling_records := (key, v) :: !scaling_records
 
 (* Runs [compute] once with the sequential pool and — when [pool] is
    parallel — once more with [pool], wall-clocks both, and checks with
    [equal] that the two results are identical (the determinism guarantee of
-   the seed-splitting scheme; a mismatch aborts the bench).  Returns the
-   result and the recorded timing row. *)
+   the seed-splitting scheme; a mismatch aborts the bench).  Records the
+   sequential-vs-parallel row and returns the result and both timings. *)
 let compare_seq_par ~name ~cells ~equal pool compute =
   let t0 = Clock.now () in
   let seq = compute Pool.sequential in
@@ -153,16 +136,18 @@ let compare_seq_par ~name ~cells ~equal pool compute =
       (par, par_s)
     end
   in
-  let row =
-    { pl_section = name; pl_jobs = Pool.jobs pool; pl_cells = cells;
-      pl_seq_s = seq_s; pl_par_s = par_s }
-  in
-  parallel_rows := row :: !parallel_rows;
+  let speedup = seq_s /. Float.max 1e-9 par_s in
+  record "parallel"
+    (Json.Obj
+       [
+         ("section", Json.Str name); ("jobs", Json.int (Pool.jobs pool));
+         ("cells", Json.int cells); ("seq_s", Json.Num seq_s);
+         ("par_s", Json.Num par_s); ("speedup", Json.Num speedup);
+       ]);
   Printf.printf
     "  [%s] %d cells: sequential %.3f s, jobs=%d %.3f s (%.2fx)\n" name cells
-    seq_s (Pool.jobs pool) par_s
-    (seq_s /. Float.max 1e-9 par_s);
-  (result, row)
+    seq_s (Pool.jobs pool) par_s speedup;
+  (result, seq_s, par_s)
 
 let write_artifact name content =
   let dir = !artifacts_flag in
@@ -180,6 +165,8 @@ let write_artifact name content =
     raise e);
   Sys.rename tmp path;
   Printf.printf "  [artifact] %s/%s\n" dir name
+
+let write_json name json = write_artifact name (Json.to_string json ^ "\n")
 
 (* ------------------------------------------------- Table 1: upper bounds *)
 
@@ -259,7 +246,7 @@ let table1_measured pool () =
     ]
   in
   let instances = List.concat groups in
-  let makespans, _ =
+  let makespans, _, _ =
     compare_seq_par ~name:"adversarial_families"
       ~cells:(List.length instances)
       ~equal:(fun a b -> List.for_all2 Float.equal a b)
@@ -314,7 +301,7 @@ let convergence_plots pool () =
         (fun k -> (float_of_int (k * k), Instances.general ~k))
         [ 7; 10; 15; 22; 33; 50; 70 ]
   in
-  let ratios, _ =
+  let ratios, _, _ =
     compare_seq_par ~name:"convergence_plots" ~cells:(List.length specs)
       ~equal:(fun a b -> List.for_all2 Float.equal a b)
       pool
@@ -605,7 +592,7 @@ let empirical pool () =
           * List.fold_left (fun a (_, dags) -> a + List.length dags) 0 families)
       0 campaigns
   in
-  let results, _ =
+  let results, _, _ =
     compare_seq_par ~name:"empirical" ~cells
       ~equal:(fun a b ->
         List.for_all2 (List.for_all2 Experiment.equal_outcome) a b)
@@ -711,7 +698,7 @@ let mu_sensitivity pool () =
   in
   (* One cell per (model, mu, instance); the worst-ratio fold happens after
      the fan-out so the reduction order is fixed. *)
-  let measured, _ =
+  let measured, _, _ =
     compare_seq_par ~name:"mu_sensitivity"
       ~cells:(List.length batches * List.length mus * 10)
       ~equal:(fun a b -> List.for_all2 (List.for_all2 Float.equal) a b)
@@ -812,7 +799,7 @@ let failures_section pool () =
   let qs = [ 0.0; 0.1; 0.2; 0.3; 0.5 ] in
   (* Every q-cell owns its failure stream through the explicit per-run seed,
      so the sweep fans out without reordering any random draw. *)
-  let rows, _ =
+  let rows, _, _ =
     compare_seq_par ~name:"failure_sweep" ~cells:(List.length qs)
       ~equal:(fun a b ->
         List.for_all2
@@ -872,7 +859,7 @@ let failures_section pool () =
   let m = r.Sim_core.metrics in
   Printf.printf "\ninstrumented run (q=0.30): %s\n"
     (Format.asprintf "%a" Metrics.pp m);
-  write_artifact "failures_metrics.json" (Metrics.to_json m);
+  write_json "failures_metrics.json" (Metrics.to_json m);
   write_artifact "failures_utilization.csv" (Metrics.utilization_csv m);
   write_artifact "failures_queue_depth.csv" (Metrics.queue_depth_csv m);
   write_artifact "failures_tasks.csv" (Metrics.tasks_csv m)
@@ -1124,7 +1111,7 @@ let tracing_section pool () =
       [ Speedup.Kind_roofline; Speedup.Kind_communication;
         Speedup.Kind_amdahl; Speedup.Kind_general ]
   in
-  let entries, _ =
+  let entries, _, _ =
     compare_seq_par ~name:"ratio_report" ~cells:(List.length ratio_specs)
       ~equal:(fun a b ->
         List.for_all2
@@ -1148,7 +1135,7 @@ let tracing_section pool () =
   print_newline ();
   print_string (Ratio_report.table entries);
   assert (List.for_all (fun e -> e.Ratio_report.within_bound) entries);
-  write_artifact "ratio_report.json" (Ratio_report.to_json entries);
+  write_json "ratio_report.json" (Ratio_report.to_json entries);
   (* Null-tracer overhead probe: the same run with and without the tracer
      argument (both untraced) should cost the same. *)
   let time_reps f =
@@ -1246,12 +1233,6 @@ let scalability_hot_path pool () =
             dag)
     in
     if n <= 10_000 then Validate.check_exn ~pool ~dag heap.Sim_core.schedule;
-    let record_row reference_s =
-      scaling_rows :=
-        { sc_workload = name; sc_tasks = n; sc_p = p; sc_heap_s = t_heap;
-          sc_reference_s = reference_s }
-        :: !scaling_rows
-    in
     let reference =
       if with_reference then begin
         let r, t_ref =
@@ -1271,7 +1252,15 @@ let scalability_hot_path pool () =
       end
       else None
     in
-    record_row reference;
+    let opt f = Option.fold ~none:Json.Null ~some:(fun t -> Json.Num (f t)) in
+    record "scaling"
+      (Json.Obj
+         [
+           ("workload", Json.Str name); ("tasks", Json.int n);
+           ("p", Json.int p); ("heap_s", Json.Num t_heap);
+           ("reference_s", opt Fun.id reference);
+           ("speedup", opt (fun t -> t /. Float.max 1e-9 t_heap) reference);
+         ]);
     Texttab.add_row tab
       [
         name;
@@ -1352,20 +1341,6 @@ let scalability_hot_path pool () =
 
 (* ------------------------------------------------- Allocation-lean core *)
 
-(* Before/after rows of the alloc_lean section, recorded into
-   BENCH_scaling.json: per-run wall clock and minor-heap words for the
-   reference event loop, the new core with full recording, and the new core
-   in lean mode on a reused arena. *)
-type alloc_lean_row = {
-  al_mode : string;
-  al_tasks : int;
-  al_p : int;
-  al_wall_s : float;
-  al_minor_words : float;
-}
-
-let alloc_lean_rows : alloc_lean_row list ref = ref []
-
 let alloc_lean_section () =
   section
     "Allocation-lean core — flat float-keyed event heap, int-encoded \
@@ -1410,10 +1385,15 @@ let alloc_lean_section () =
       end;
       if words < !best_words then best_words := words
     done;
-    alloc_lean_rows :=
-      { al_mode = mode; al_tasks = n; al_p = p; al_wall_s = !best_wall;
-        al_minor_words = !best_words }
-      :: !alloc_lean_rows;
+    (* Before/after row for BENCH_scaling.json: per-run wall clock and
+       minor-heap words of this mode. *)
+    record "alloc_lean"
+      (Json.Obj
+         [
+           ("mode", Json.Str mode); ("tasks", Json.int n); ("p", Json.int p);
+           ("wall_s", Json.Num !best_wall);
+           ("minor_words", Json.Num !best_words);
+         ]);
     (Option.get !result, !best_wall, !best_words)
   in
   let r_ref, t_ref, w_ref =
@@ -1471,13 +1451,16 @@ let alloc_lean_section () =
   Texttab.print tab;
   (* Timing-free artifact (byte-identical at any --jobs), so CI can cmp it
      across job counts like the sweep outcomes. *)
-  write_artifact "alloc_lean_check.json"
-    (Printf.sprintf
-       "{\n  \"schema\": \"moldable/alloc_lean_check/v1\",\n  \"workload\": \
-        \"wide independent roofline (ptilde <= 4)\",\n  \"tasks\": %d,\n  \"p\": \
-        %d,\n  \"makespan\": %.17g,\n  \"n_attempts\": %d,\n  \
-        \"modes_agree\": true\n}\n"
-       n p r_lean.Sim_core.makespan r_lean.Sim_core.n_attempts);
+  write_json "alloc_lean_check.json"
+    (Json.Obj
+       [
+         ("schema", Json.Str "moldable/alloc_lean_check/v1");
+         ("workload", Json.Str "wide independent roofline (ptilde <= 4)");
+         ("tasks", Json.int n); ("p", Json.int p);
+         ("makespan", Json.Num r_lean.Sim_core.makespan);
+         ("n_attempts", Json.int r_lean.Sim_core.n_attempts);
+         ("modes_agree", Json.Bool true);
+       ]);
   let words_ratio = w_ref /. Float.max 1. w_lean in
   let wall_ratio = t_ref /. Float.max 1e-9 t_lean in
   if words_ratio >= 5. && wall_ratio >= 1.5 then
@@ -1496,22 +1479,6 @@ let alloc_lean_section () =
 
 (* ------------------------------------------------------- Service daemon *)
 
-(* Loopback probe of the scheduler daemon, recorded into
-   BENCH_scaling.json: pipelined submission throughput, client round-trip
-   and server-side decision-latency percentiles, protocol error count. *)
-type service_probe = {
-  sv_tasks : int;
-  sv_p : int;
-  sv_submits_per_s : float;
-  sv_rtt_p50_s : float;
-  sv_rtt_p99_s : float;
-  sv_decision_p50_s : float;
-  sv_decision_p99_s : float;
-  sv_protocol_errors : float;
-}
-
-let service_probe : service_probe option ref = ref None
-
 let service_section () =
   section
     "Service daemon — the wire protocol end to end over loopback TCP: \
@@ -1521,7 +1488,6 @@ let service_section () =
   let module Server = Moldable_service.Server in
   let module Client = Moldable_service.Client in
   let module Protocol = Moldable_service.Protocol in
-  let module Json = Moldable_obs.Json in
   let module R = Moldable_obs.Registry in
   let p = 64 in
   let speedup = Speedup.Roofline { w = 1.; ptilde = 4 } in
@@ -1697,14 +1663,19 @@ let service_section () =
     | Some { R.ms_value = R.Counter_v v; _ } -> v
     | _ -> Float.nan
   in
-  service_probe :=
-    Some
-      {
-        sv_tasks = n_pipe; sv_p = p; sv_submits_per_s = submits_per_s;
-        sv_rtt_p50_s = rtt_p50; sv_rtt_p99_s = rtt_p99;
-        sv_decision_p50_s = decision_p50; sv_decision_p99_s = decision_p99;
-        sv_protocol_errors = protocol_errors;
-      };
+  (* Probe for BENCH_scaling.json: pipelined submission throughput,
+     client round-trip and server-side decision-latency percentiles,
+     protocol error count. *)
+  record "service"
+    (Json.Obj
+       [
+         ("tasks", Json.int n_pipe); ("p", Json.int p);
+         ("submits_per_s", Json.Num submits_per_s);
+         ("rtt_p50_s", Json.Num rtt_p50); ("rtt_p99_s", Json.Num rtt_p99);
+         ("decision_p50_s", Json.Num decision_p50);
+         ("decision_p99_s", Json.Num decision_p99);
+         ("protocol_errors", Json.Num protocol_errors);
+       ]);
   let tab = Texttab.create ~headers:[ "probe"; "value" ] in
   List.iter
     (fun (k, v) -> Texttab.add_row tab [ k; v ])
@@ -1744,28 +1715,30 @@ let service_section () =
    count — CI diffs a --jobs 1 run against a --jobs 2 run. *)
 
 let outcomes_json ~cells outcomes =
-  let jf = Printf.sprintf "%.17g" in
-  let jlist xs = String.concat ", " (List.map jf xs) in
-  let buf = Buffer.create 8192 in
-  Buffer.add_string buf (Printf.sprintf "{\n  \"cells\": %d,\n" cells);
-  Buffer.add_string buf "  \"outcomes\": [";
-  List.iteri
-    (fun i (o : Experiment.outcome) ->
-      if i > 0 then Buffer.add_string buf ",";
-      let s = o.Experiment.summary in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\n    {\"workload\": %S, \"policy\": %S, \"p\": %d, \"n\": %d, \
-            \"mean\": %s, \"stddev\": %s, \"min\": %s, \"median\": %s, \
-            \"p95\": %s, \"max\": %s, \"ratios\": [%s], \"makespans\": [%s]}"
-           o.Experiment.workload o.Experiment.policy o.Experiment.p
-           s.Stats.n (jf s.Stats.mean) (jf s.Stats.stddev) (jf s.Stats.min)
-           (jf s.Stats.median) (jf s.Stats.p95) (jf s.Stats.max)
-           (jlist o.Experiment.ratios)
-           (jlist o.Experiment.makespans)))
-    outcomes;
-  Buffer.add_string buf "\n  ]\n}\n";
-  Buffer.contents buf
+  let nums xs = Json.List (List.map (fun x -> Json.Num x) xs) in
+  Json.Obj
+    [
+      ("cells", Json.int cells);
+      ( "outcomes",
+        Json.List
+          (List.map
+             (fun (o : Experiment.outcome) ->
+               let s = o.Experiment.summary in
+               Json.Obj
+                 [
+                   ("workload", Json.Str o.Experiment.workload);
+                   ("policy", Json.Str o.Experiment.policy);
+                   ("p", Json.int o.Experiment.p); ("n", Json.int s.Stats.n);
+                   ("mean", Json.Num s.Stats.mean);
+                   ("stddev", Json.Num s.Stats.stddev);
+                   ("min", Json.Num s.Stats.min);
+                   ("median", Json.Num s.Stats.median);
+                   ("p95", Json.Num s.Stats.p95); ("max", Json.Num s.Stats.max);
+                   ("ratios", nums o.Experiment.ratios);
+                   ("makespans", nums o.Experiment.makespans);
+                 ])
+             outcomes) );
+    ]
 
 let parallel_sweep pool () =
   section
@@ -1808,7 +1781,7 @@ let parallel_sweep pool () =
     List.length policies
     * List.fold_left (fun a (_, dags) -> a + List.length dags) 0 campaign
   in
-  let outcomes, row =
+  let outcomes, seq_s, par_s =
     compare_seq_par ~name:"parallel_sweep" ~cells
       ~equal:(List.for_all2 Experiment.equal_outcome)
       pool
@@ -1819,8 +1792,8 @@ let parallel_sweep pool () =
           campaign)
   in
   print_string (Report.table outcomes);
-  write_artifact "parallel_sweep_results.json" (outcomes_json ~cells outcomes);
-  let speedup = row.pl_seq_s /. Float.max 1e-9 row.pl_par_s in
+  write_json "parallel_sweep_results.json" (outcomes_json ~cells outcomes);
+  let speedup = seq_s /. Float.max 1e-9 par_s in
   if Pool.jobs pool < 2 then
     print_string
       "\nAcceptance: skipped (sequential run; pass --jobs 2 or more).\n"
@@ -1866,7 +1839,8 @@ let exact_oracle pool () =
       r.Shadow.checks,
       r.Shadow.n_explained,
       r.Shadow.n_unexplained,
-      (if r.Shadow.divergences = [] then "" else Shadow.report_to_json r) )
+      if r.Shadow.divergences = [] then None
+      else Some (Shadow.report_to_json r) )
   in
   let random_cell seed =
     let rng = Rng.create (0x0AC1E + seed) in
@@ -1950,10 +1924,11 @@ let exact_oracle pool () =
   in
   let n_random = 1000 in
   let seeds = List.init n_random (fun i -> i) in
-  let cells, _ =
+  let cells, _, _ =
     compare_seq_par ~name:"exact_oracle"
       ~cells:(n_random + 10)
-      ~equal:(fun a b -> a = b)
+      (* [compare], not [=]: a NaN inside a report equals itself. *)
+      ~equal:(fun a b -> compare a b = 0)
       pool
       (fun pool ->
         Pool.map_list ~chunk:8 pool random_cell seeds @ adversarial_cells ())
@@ -1962,7 +1937,9 @@ let exact_oracle pool () =
   let explained = List.fold_left (fun a (_, _, e, _, _) -> a + e) 0 cells in
   let unexplained = List.fold_left (fun a (_, _, _, u, _) -> a + u) 0 cells in
   let flagged =
-    List.filter (fun (_, _, _, _, json) -> json <> "") cells
+    List.filter_map
+      (fun (name, _, e, u, json) -> Option.map (fun j -> (name, e, u, j)) json)
+      cells
   in
   Printf.printf
     "%d cells (%d random + %d adversarial), %d exact checks: %d explained \
@@ -1971,24 +1948,23 @@ let exact_oracle pool () =
     (List.length cells - n_random)
     checks explained unexplained;
   List.iter
-    (fun (name, _, e, u, _) ->
+    (fun (name, e, u, _) ->
       Printf.printf "  flagged cell %s: %d explained, %d unexplained\n" name e
         u)
     flagged;
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\n  \"cells\": %d,\n  \"checks\": %d,\n  \"n_explained\": %d,\n  \
-        \"n_unexplained\": %d,\n  \"flagged\": ["
-       (List.length cells) checks explained unexplained);
-  List.iteri
-    (fun i (name, _, _, _, json) ->
-      if i > 0 then Buffer.add_string buf ",";
-      Buffer.add_string buf
-        (Printf.sprintf "\n    {\"cell\": %S, \"report\": %s}" name json))
-    flagged;
-  Buffer.add_string buf "\n  ]\n}\n";
-  write_artifact "exact_oracle_divergences.json" (Buffer.contents buf);
+  write_json "exact_oracle_divergences.json"
+    (Json.Obj
+       [
+         ("cells", Json.int (List.length cells)); ("checks", Json.int checks);
+         ("n_explained", Json.int explained);
+         ("n_unexplained", Json.int unexplained);
+         ( "flagged",
+           Json.List
+             (List.map
+                (fun (name, _, _, report) ->
+                  Json.Obj [ ("cell", Json.Str name); ("report", report) ])
+                flagged) );
+       ]);
   if unexplained > 0 then begin
     Printf.printf
       "\nACCEPTANCE FAILED: %d unexplained float-vs-exact divergence(s) — \
@@ -2060,7 +2036,7 @@ let improved_ratio pool () =
         Instances.amdahl ~k:12; Instances.general ~k:12 ]
   in
   let specs = adversarial_specs @ random_specs in
-  let cells, _ =
+  let cells, _, _ =
     compare_seq_par ~name:"improved_ratio"
       ~cells:(List.length specs)
       ~equal:(fun a b -> a = b)
@@ -2092,7 +2068,7 @@ let improved_ratio pool () =
   let original = List.map fst cells and improved = List.map snd cells in
   let comparisons = Ratio_report.compare_runs ~original ~improved in
   print_string (Ratio_report.comparison_table comparisons);
-  write_artifact "improved_ratio.json"
+  write_json "improved_ratio.json"
     (Ratio_report.comparison_to_json comparisons);
   if
     not
@@ -2236,8 +2212,13 @@ let telemetry_section () =
   let t_default = time_reps reps (fun () -> run ()) in
   let t_null = time_reps reps (fun () -> run ~registry:R.null ()) in
   let t_live = time_reps reps (fun () -> run ~registry:(R.create ()) ()) in
-  telemetry_probe := Some (t_default, t_null, t_live);
   let pct = 100. *. (t_null -. t_default) /. Float.max 1e-9 t_default in
+  record "telemetry"
+    (Json.Obj
+       [
+         ("default_s", Json.Num t_default); ("null_s", Json.Num t_null);
+         ("live_s", Json.Num t_live); ("null_overhead_pct", Json.Num pct);
+       ]);
   Printf.printf
     "per-run cost (%d-task DAG, P=%d, %d reps): default %.6f s, explicit \
      null registry %.6f s (%+.2f%%), live registry %.6f s\n"
@@ -2255,8 +2236,7 @@ let telemetry_section () =
   let snap = R.snapshot live in
   Printf.printf "\nlive registry captured %d metrics from one run\n"
     (List.length snap);
-  write_artifact "telemetry_snapshot.json"
-    (Moldable_obs.Json.to_string (R.snapshot_to_json snap) ^ "\n");
+  write_json "telemetry_snapshot.json" (R.snapshot_to_json snap);
   write_artifact "telemetry_openmetrics.txt"
     (Moldable_obs.Openmetrics.of_snapshot snap);
   (* Tracker self-test.  The verdict rule is
@@ -2290,76 +2270,31 @@ let telemetry_section () =
 (* ------------------------------------------- BENCH_scaling.json emission *)
 
 let scaling_json () =
-  let jf x = if Float.is_finite x then Printf.sprintf "%.6g" x else "null" in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf (Printf.sprintf "{\n  \"jobs\": %d,\n" !jobs_flag);
-  Buffer.add_string buf "  \"parallel\": [";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"section\": \"%s\", \"jobs\": %d, \"cells\": %d, \"seq_s\": \
-            %s, \"par_s\": %s, \"speedup\": %s}"
-           r.pl_section r.pl_jobs r.pl_cells (jf r.pl_seq_s) (jf r.pl_par_s)
-           (jf (r.pl_seq_s /. Float.max 1e-9 r.pl_par_s))))
-    (List.rev !parallel_rows);
-  Buffer.add_string buf "],\n  \"telemetry\": ";
-  (match !telemetry_probe with
-  | None -> Buffer.add_string buf "null"
-  | Some (d, n, l) ->
-    Buffer.add_string buf
-      (Printf.sprintf
-         "{\"default_s\": %s, \"null_s\": %s, \"live_s\": %s, \
-          \"null_overhead_pct\": %s}"
-         (jf d) (jf n) (jf l)
-         (jf (100. *. (n -. d) /. Float.max 1e-9 d))));
-  Buffer.add_string buf ",\n  \"sections\": [";
-  List.iteri
-    (fun i (name, dt) ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf
-        (Printf.sprintf "{\"name\": \"%s\", \"wall_s\": %s}" name (jf dt)))
-    (List.rev !section_timings);
-  Buffer.add_string buf "],\n  \"alloc_lean\": [";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"mode\": \"%s\", \"tasks\": %d, \"p\": %d, \"wall_s\": %s, \
-            \"minor_words\": %s}"
-           r.al_mode r.al_tasks r.al_p (jf r.al_wall_s)
-           (jf r.al_minor_words)))
-    (List.rev !alloc_lean_rows);
-  Buffer.add_string buf "],\n  \"service\": ";
-  (match !service_probe with
-  | None -> Buffer.add_string buf "null"
-  | Some pr ->
-    Buffer.add_string buf
-      (Printf.sprintf
-         "{\"tasks\": %d, \"p\": %d, \"submits_per_s\": %s, \"rtt_p50_s\": \
-          %s, \"rtt_p99_s\": %s, \"decision_p50_s\": %s, \"decision_p99_s\": \
-          %s, \"protocol_errors\": %s}"
-         pr.sv_tasks pr.sv_p (jf pr.sv_submits_per_s) (jf pr.sv_rtt_p50_s)
-         (jf pr.sv_rtt_p99_s) (jf pr.sv_decision_p50_s)
-         (jf pr.sv_decision_p99_s) (jf pr.sv_protocol_errors)));
-  Buffer.add_string buf ",\n  \"scaling\": [";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"workload\": \"%s\", \"tasks\": %d, \"p\": %d, \"heap_s\": %s, \
-            \"reference_s\": %s, \"speedup\": %s}"
-           r.sc_workload r.sc_tasks r.sc_p (jf r.sc_heap_s)
-           (match r.sc_reference_s with Some t -> jf t | None -> "null")
-           (match r.sc_reference_s with
-           | Some t -> jf (t /. Float.max 1e-9 r.sc_heap_s)
-           | None -> "null")))
-    (List.rev !scaling_rows);
-  Buffer.add_string buf "]\n}\n";
-  Buffer.contents buf
+  let rows key =
+    Json.List
+      (List.rev
+         (List.filter_map
+            (fun (k, v) -> if k = key then Some v else None)
+            !scaling_records))
+  in
+  let probe key =
+    Option.value ~default:Json.Null (List.assoc_opt key !scaling_records)
+  in
+  Json.Obj
+    [
+      ("jobs", Json.int !jobs_flag);
+      ("parallel", rows "parallel");
+      ("telemetry", probe "telemetry");
+      ( "sections",
+        Json.List
+          (List.rev_map
+             (fun (name, dt) ->
+               Json.Obj [ ("name", Json.Str name); ("wall_s", Json.Num dt) ])
+             !section_timings) );
+      ("alloc_lean", rows "alloc_lean");
+      ("service", probe "service");
+      ("scaling", rows "scaling");
+    ]
 
 let () =
   parse_args ();
@@ -2376,25 +2311,15 @@ let () =
       let timed name f =
         if selected name then begin
           let reps = !reps_flag in
-          (* Sections append to the accumulating row refs; on repetitions
-             past the first, roll those refs back so the emitted artifacts
-             hold exactly one copy of every row (runs are deterministic, so
-             the rows themselves are identical across repetitions). *)
-          let saved_parallel = !parallel_rows
-          and saved_scaling = !scaling_rows
-          and saved_alloc_lean = !alloc_lean_rows
-          and saved_probe = !telemetry_probe
-          and saved_service = !service_probe in
+          (* Sections append to [scaling_records]; on repetitions past the
+             first, roll it back so the emitted artifact holds exactly one
+             copy of every row (runs are deterministic, so the rows
+             themselves are identical across repetitions). *)
+          let saved = !scaling_records in
           let samples = ref [] in
           let gc0 = Moldable_obs.Gc_sample.read () in
           for k = 1 to reps do
-            if k > 1 then begin
-              parallel_rows := saved_parallel;
-              scaling_rows := saved_scaling;
-              alloc_lean_rows := saved_alloc_lean;
-              telemetry_probe := saved_probe;
-              service_probe := saved_service
-            end;
+            if k > 1 then scaling_records := saved;
             let t0 = Clock.now () in
             f ();
             samples := (Clock.now () -. t0) :: !samples
@@ -2453,7 +2378,7 @@ let () =
       timed "improved_ratio" (improved_ratio pool);
       timed "telemetry" telemetry_section;
       timed "micro_benchmarks" micro_benchmarks);
-  write_artifact "BENCH_scaling.json" (scaling_json ());
+  write_json "BENCH_scaling.json" (scaling_json ());
   let rows = List.rev !bench_rows in
   if (not !no_history_flag) && rows <> [] then begin
     let dir = !artifacts_flag in

@@ -339,7 +339,9 @@ let simulate_cmd =
     | None -> ()
     | Some path ->
       let oc = open_out path in
-      output_string oc (Metrics.to_json result.Sim_core.metrics);
+      output_string oc
+        (Moldable_obs.Json.to_string (Metrics.to_json result.Sim_core.metrics)
+        ^ "\n");
       close_out oc;
       Printf.printf "wrote %s\n" path);
     if gantt then

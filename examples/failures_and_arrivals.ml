@@ -45,7 +45,8 @@ let () =
     (Format.asprintf "%a" Metrics.pp metrics);
   let metrics_file = "failures_and_arrivals_metrics.json" in
   let oc = open_out metrics_file in
-  output_string oc (Metrics.to_json metrics);
+  output_string oc
+    (Moldable_obs.Json.to_string (Metrics.to_json metrics) ^ "\n");
   close_out oc;
   Printf.printf "  wrote %s\n\n" metrics_file;
 

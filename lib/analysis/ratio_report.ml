@@ -115,40 +115,44 @@ let summarize entries =
            Int.compare (rank a.s_model) (rank b.s_model)
          | c -> c)
 
-let jf x = if Float.is_finite x then Printf.sprintf "%.12g" x else "null"
+module J = Moldable_obs.Json
 
 let to_json entries =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"runs\": [";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"workload\": \"%s\", \"model\": \"%s\", \"n\": %d, \"p\": %d, \
-            \"makespan\": %s, \"area_bound\": %s, \"cp_bound\": %s, \
-            \"lower_bound\": %s, \"ratio\": %s, \"proven_bound\": %s, \
-            \"within_bound\": %b}"
-           e.workload
-           (Speedup.kind_name e.model)
-           e.n e.p (jf e.makespan) (jf e.area_bound) (jf e.cp_bound)
-           (jf e.lower_bound) (jf e.ratio) (jf e.proven_bound) e.within_bound))
-    entries;
-  Buffer.add_string buf "],\n  \"summary\": [";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"workload\": \"%s\", \"model\": \"%s\", \"runs\": %d, \
-            \"worst\": %s, \"mean\": %s, \"proven_bound\": %s, \
-            \"all_within\": %b}"
-           s.s_workload
-           (Speedup.kind_name s.s_model)
-           s.runs (jf s.worst) (jf s.mean) (jf s.s_proven_bound) s.all_within))
-    (summarize entries);
-  Buffer.add_string buf "]\n}\n";
-  Buffer.contents buf
+  J.Obj
+    [
+      ( "runs",
+        J.List
+          (List.map
+             (fun e ->
+               J.Obj
+                 [
+                   ("workload", J.Str e.workload);
+                   ("model", J.Str (Speedup.kind_name e.model));
+                   ("n", J.int e.n); ("p", J.int e.p);
+                   ("makespan", J.Num e.makespan);
+                   ("area_bound", J.Num e.area_bound);
+                   ("cp_bound", J.Num e.cp_bound);
+                   ("lower_bound", J.Num e.lower_bound);
+                   ("ratio", J.Num e.ratio);
+                   ("proven_bound", J.Num e.proven_bound);
+                   ("within_bound", J.Bool e.within_bound);
+                 ])
+             entries) );
+      ( "summary",
+        J.List
+          (List.map
+             (fun s ->
+               J.Obj
+                 [
+                   ("workload", J.Str s.s_workload);
+                   ("model", J.Str (Speedup.kind_name s.s_model));
+                   ("runs", J.int s.runs);
+                   ("worst", J.Num s.worst); ("mean", J.Num s.mean);
+                   ("proven_bound", J.Num s.s_proven_bound);
+                   ("all_within", J.Bool s.all_within);
+                 ])
+             (summarize entries)) );
+    ]
 
 let table entries =
   let tab =
@@ -246,26 +250,27 @@ let comparison_table comparisons =
   Moldable_util.Texttab.render tab
 
 let comparison_to_json comparisons =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n  \"comparison\": [";
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"workload\": \"%s\", \"model\": \"%s\", \"runs\": %d, \
-            \"original_worst\": %s, \"original_mean\": %s, \
-            \"improved_worst\": %s, \"improved_mean\": %s, \
-            \"original_bound\": %s, \"improved_bound\": %s, \
-            \"all_within\": %b}"
-           c.c_workload
-           (Speedup.kind_name c.c_model)
-           c.c_runs (jf c.original_worst) (jf c.original_mean)
-           (jf c.improved_worst) (jf c.improved_mean) (jf c.original_bound)
-           (jf c.improved_bound) c.c_all_within))
-    comparisons;
-  Buffer.add_string buf "]\n}\n";
-  Buffer.contents buf
+  J.Obj
+    [
+      ( "comparison",
+        J.List
+          (List.map
+             (fun c ->
+               J.Obj
+                 [
+                   ("workload", J.Str c.c_workload);
+                   ("model", J.Str (Speedup.kind_name c.c_model));
+                   ("runs", J.int c.c_runs);
+                   ("original_worst", J.Num c.original_worst);
+                   ("original_mean", J.Num c.original_mean);
+                   ("improved_worst", J.Num c.improved_worst);
+                   ("improved_mean", J.Num c.improved_mean);
+                   ("original_bound", J.Num c.original_bound);
+                   ("improved_bound", J.Num c.improved_bound);
+                   ("all_within", J.Bool c.c_all_within);
+                 ])
+             comparisons) );
+    ]
 
 let pp_entry ppf e =
   Format.fprintf ppf

@@ -66,8 +66,9 @@ type summary = {
 val summarize : entry list -> summary list
 (** Groups entries by (workload, model), sorted by workload then model. *)
 
-val to_json : entry list -> string
-(** Self-contained JSON document: [{"runs": [...], "summary": [...]}]. *)
+val to_json : entry list -> Moldable_obs.Json.t
+(** JSON document [{"runs": [...], "summary": [...]}]; an infinite
+    [proven_bound] (no Table 1 bound applies) renders as [null]. *)
 
 type comparison = {
   c_workload : string;
@@ -91,7 +92,7 @@ val compare_runs :
 val comparison_table : comparison list -> string
 (** Rendered text table, one row per (workload, model) group. *)
 
-val comparison_to_json : comparison list -> string
+val comparison_to_json : comparison list -> Moldable_obs.Json.t
 (** Stable JSON document [{"comparison": [...]}] — the schema of
     [paper_artifacts/improved_ratio.json] (documented in EXPERIMENTS.md). *)
 

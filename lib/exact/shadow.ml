@@ -65,20 +65,26 @@ let pp ppf r =
   Format.fprintf ppf "@]"
 
 let divergence_to_json d =
-  Printf.sprintf
-    "{\"site\": \"%s\", \"float\": %.17g, \"exact\": \"%s\", \
-     \"rel_excess\": %.17g, \"explained\": %b, \"detail\": \"%s\"}"
-    (Moldable_obs.Json.escape (site_to_string d.site))
-    d.float_value
-    (Moldable_obs.Json.escape d.exact_value)
-    d.error d.explained (Moldable_obs.Json.escape d.detail)
+  let module J = Moldable_obs.Json in
+  J.Obj
+    [
+      ("site", J.Str (site_to_string d.site));
+      ("float", J.Num d.float_value);
+      ("exact", J.Str d.exact_value);
+      ("rel_excess", J.Num d.error);
+      ("explained", J.Bool d.explained);
+      ("detail", J.Str d.detail);
+    ]
 
 let report_to_json r =
-  Printf.sprintf
-    "{\"checks\": %d, \"n_explained\": %d, \"n_unexplained\": %d, \
-     \"divergences\": [%s]}"
-    r.checks r.n_explained r.n_unexplained
-    (String.concat ", " (List.map divergence_to_json r.divergences))
+  let module J = Moldable_obs.Json in
+  J.Obj
+    [
+      ("checks", J.int r.checks);
+      ("n_explained", J.int r.n_explained);
+      ("n_unexplained", J.int r.n_unexplained);
+      ("divergences", J.List (List.map divergence_to_json r.divergences));
+    ]
 
 let check ?mu ?improved ?(eps = Moldable_util.Fcmp.default_eps) ?(tol = 1e-12)
     ?(band = 1e-13) ~dag ~p (r : Sim_core.result) =

@@ -91,7 +91,8 @@ val site_to_string : site -> string
 val pp_divergence : Format.formatter -> divergence -> unit
 val pp : Format.formatter -> report -> unit
 
-val divergence_to_json : divergence -> string
-val report_to_json : report -> string
+val divergence_to_json : divergence -> Moldable_obs.Json.t
+val report_to_json : report -> Moldable_obs.Json.t
 (** Stable JSON for bench artifacts and CI uploads (schema documented in
-    EXPERIMENTS.md). *)
+    EXPERIMENTS.md).  An infinite [rel_excess] (a processor-set or ratio
+    positivity divergence) renders as [null]. *)

@@ -8,8 +8,7 @@ type t =
 
 (* ----------------------------------------------------------- rendering *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
+let add_escaped buf s =
   String.iter
     (fun c ->
       match c with
@@ -21,57 +20,60 @@ let escape s =
       | c when Char.code c < 0x20 ->
         Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+    s
+
+let add_quoted buf s =
+  Buffer.add_char buf '"';
+  add_escaped buf s;
+  Buffer.add_char buf '"'
 
 let number_to_string x =
   if Float.is_integer x && Float.abs x < 1e15 then
     Printf.sprintf "%.0f" x
   else Printf.sprintf "%.17g" x
 
+let newline buf indent =
+  if indent >= 0 then begin
+    Buffer.add_char buf '\n';
+    for _ = 1 to indent do Buffer.add_char buf ' ' done
+  end
+
+(* The one renderer behind both layouts.  [indent >= 0] is the pretty
+   layout: one item per line, indented two spaces per level.  [indent < 0]
+   is the compact layout: one line, items separated by [", "].  Non-finite
+   floats are not JSON and render as [null], so every document parses. *)
 let rec render buf indent v =
-  let pad n = String.make n ' ' in
   match v with
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Num x ->
-    (* Non-finite floats are not JSON; degrade to null so the document
-       always parses (mirrors Metrics.to_json). *)
-    if Float.is_finite x then Buffer.add_string buf (number_to_string x)
-    else Buffer.add_string buf "null"
-  | Str s ->
-    Buffer.add_char buf '"';
-    Buffer.add_string buf (escape s);
-    Buffer.add_char buf '"'
-  | List [] -> Buffer.add_string buf "[]"
-  | List xs ->
-    Buffer.add_string buf "[";
-    List.iteri
-      (fun i x ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_char buf '\n';
-        Buffer.add_string buf (pad (indent + 2));
-        render buf (indent + 2) x)
-      xs;
-    Buffer.add_char buf '\n';
-    Buffer.add_string buf (pad indent);
-    Buffer.add_string buf "]"
-  | Obj [] -> Buffer.add_string buf "{}"
+    Buffer.add_string buf
+      (if Float.is_finite x then number_to_string x else "null")
+  | Str s -> add_quoted buf s
+  | List xs -> container buf indent '[' ']' render xs
   | Obj fields ->
-    Buffer.add_string buf "{";
-    List.iteri
-      (fun i (k, x) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_char buf '\n';
-        Buffer.add_string buf (pad (indent + 2));
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (escape k);
-        Buffer.add_string buf "\": ";
-        render buf (indent + 2) x)
-      fields;
-    Buffer.add_char buf '\n';
-    Buffer.add_string buf (pad indent);
-    Buffer.add_string buf "}"
+    container buf indent '{' '}'
+      (fun buf indent (k, x) ->
+        add_quoted buf k;
+        Buffer.add_string buf ": ";
+        render buf indent x)
+      fields
+
+and container : 'a. Buffer.t -> int -> char -> char ->
+    (Buffer.t -> int -> 'a -> unit) -> 'a list -> unit =
+ fun buf indent opening closing item xs ->
+  let inner = if indent >= 0 then indent + 2 else indent in
+  Buffer.add_char buf opening;
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_string buf (if indent >= 0 then "," else ", ");
+      newline buf inner;
+      item buf inner x)
+    xs;
+  (match xs with [] -> () | _ -> newline buf indent);
+  Buffer.add_char buf closing
+
+let int i = Num (float_of_int i)
 
 let to_string v =
   let buf = Buffer.create 1024 in
@@ -79,38 +81,8 @@ let to_string v =
   Buffer.contents buf
 
 let to_string_compact v =
-  let rec go buf = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Num x ->
-      if Float.is_finite x then Buffer.add_string buf (number_to_string x)
-      else Buffer.add_string buf "null"
-    | Str s ->
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
-      Buffer.add_char buf '"'
-    | List xs ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i x ->
-          if i > 0 then Buffer.add_string buf ", ";
-          go buf x)
-        xs;
-      Buffer.add_char buf ']'
-    | Obj fields ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, x) ->
-          if i > 0 then Buffer.add_string buf ", ";
-          Buffer.add_char buf '"';
-          Buffer.add_string buf (escape k);
-          Buffer.add_string buf "\": ";
-          go buf x)
-        fields;
-      Buffer.add_char buf '}'
-  in
   let buf = Buffer.create 256 in
-  go buf v;
+  render buf (-1) v;
   Buffer.contents buf
 
 (* ------------------------------------------------------------- parsing *)
@@ -241,16 +213,39 @@ let parse_string cur =
   go ();
   Buffer.contents buf
 
+(* RFC 8259 number grammar, checked in place before [float_of_string_opt]
+   (which also accepts [+1], [01], [.5], [1.], hex and underscores): an
+   optional [-]; then [0] or a nonzero digit followed by digits; then an
+   optional fraction [.digits]; then an optional exponent [e] or [E], an
+   optional sign, and digits.  The scan helpers are top-level so the scan
+   allocates nothing. *)
+let char_at src i =
+  if i < String.length src then String.unsafe_get src i else '\000'
+
+let rec digit_run src i =
+  match char_at src i with '0' .. '9' -> digit_run src (i + 1) | _ -> i
+
+(* The end of the nonempty digit run starting at [i]. *)
+let digits cur i =
+  match char_at cur.src i with
+  | '0' .. '9' -> digit_run cur.src (i + 1)
+  | _ -> error cur "bad number"
+
 let parse_number cur =
-  let start = cur.pos in
-  let is_num_char = function
-    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-    | _ -> false
+  let src = cur.src and start = cur.pos in
+  let i = if char_at src start = '-' then start + 1 else start in
+  let i = if char_at src i = '0' then i + 1 else digits cur i in
+  let i = if char_at src i = '.' then digits cur (i + 1) else i in
+  let i =
+    match char_at src i with
+    | 'e' | 'E' -> (
+      match char_at src (i + 1) with
+      | '+' | '-' -> digits cur (i + 2)
+      | _ -> digits cur (i + 1))
+    | _ -> i
   in
-  while (match peek cur with Some c -> is_num_char c | None -> false) do
-    advance cur
-  done;
-  let s = String.sub cur.src start (cur.pos - start) in
+  cur.pos <- i;
+  let s = String.sub src start (i - start) in
   match float_of_string_opt s with
   | Some x -> Num x
   | None -> error cur "bad number %S" s
@@ -344,8 +339,13 @@ let member key = function
   | _ -> None
 
 let to_float = function Num x -> Some x | _ -> None
+
+(* OCaml ints are 63-bit: an integral float outside [-2^62, 2^62) would
+   wrap silently in [int_of_float]. *)
 let to_int = function
-  | Num x when Float.is_integer x -> Some (int_of_float x)
+  | Num x when Float.is_integer x && x >= -0x1p62 && x < 0x1p62 ->
+    Some (int_of_float x)
   | _ -> None
+
 let to_str = function Str s -> Some s | _ -> None
 let to_list = function List xs -> Some xs | _ -> None

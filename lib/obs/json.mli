@@ -2,10 +2,12 @@
 
     The telemetry subsystem must stay dependency-free (the registry sits
     below every other library in the stack), so this is a small hand-rolled
-    JSON implementation covering exactly what snapshots, baselines and the
-    bench-history rows need: finite numbers, strings with the standard
-    escapes, arrays and objects.  Non-finite floats render as [null],
-    matching the convention of [Moldable_sim.Metrics.to_json]. *)
+    JSON implementation: finite numbers, strings with the standard escapes,
+    arrays and objects.  It is the only JSON printer of the libraries, the
+    CLI and the bench: every document they write is built as a {!t} and
+    rendered here, so every document shares one number format (integers
+    below [1e15] exactly, other floats at round-trip precision, [%.17g]) and
+    one non-finite policy (NaN and infinities render as [null]). *)
 
 type t =
   | Null
@@ -15,14 +17,16 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-val escape : string -> string
-(** JSON string-escape the argument (no surrounding quotes). *)
+val int : int -> t
+(** [int i] is [Num (float_of_int i)]. *)
 
 val to_string : t -> string
 (** Pretty-print with two-space indentation and a deterministic layout. *)
 
 val to_string_compact : t -> string
-(** Single-line rendering, used for JSONL rows. *)
+(** Single-line rendering with [", "] and [": "] separators, used for JSONL
+    rows and the service wire format.  Scalars render exactly as in
+    {!to_string}. *)
 
 val of_string : ?max_bytes:int -> ?max_depth:int -> string -> (t, string) result
 (** Parse a complete JSON document; the error carries a byte offset.
@@ -48,6 +52,11 @@ val default_max_depth : int
 
 val member : string -> t -> t option
 val to_float : t -> float option
+
 val to_int : t -> int option
+(** [Some n] for an integral number in [[-2^62, 2^62)], the range of a
+    63-bit OCaml int; [None] otherwise, so an out-of-range value never
+    wraps. *)
+
 val to_str : t -> string option
 val to_list : t -> t list option

@@ -87,52 +87,53 @@ let max_wait t =
 
 (* ------------------------------------------------------------------ export *)
 
-(* JSON has no literal for NaN or infinity; non-finite values export as
-   [null] so the documents always parse. *)
-let f x = if Float.is_finite x then Printf.sprintf "%.12g" x else "null"
-
 let to_json t =
-  let buf = Buffer.create 4096 in
-  let add = Buffer.add_string buf in
-  add "{\n";
-  add
-    (Printf.sprintf
-       "  \"counters\": {\"events\": %d, \"batches\": %d, \"launches\": %d, \
-        \"retries\": %d, \"stall_checks\": %d},\n"
-       t.counters.events t.counters.batches t.counters.launches
-       t.counters.retries t.counters.stall_checks);
-  add (Printf.sprintf "  \"p\": %d,\n" t.p);
-  add (Printf.sprintf "  \"busy_area\": %s,\n" (f (busy_area t)));
-  add
-    (Printf.sprintf "  \"average_utilization\": %s,\n"
-       (f (average_utilization t)));
-  add "  \"utilization\": [";
-  List.iteri
-    (fun i s ->
-      if i > 0 then add ", ";
-      add
-        (Printf.sprintf "{\"t0\": %s, \"t1\": %s, \"busy\": %d}" (f s.t0)
-           (f s.t1) s.busy))
-    t.utilization;
-  add "],\n  \"queue_depth\": [";
-  List.iteri
-    (fun i (time, depth) ->
-      if i > 0 then add ", ";
-      add (Printf.sprintf "{\"time\": %s, \"depth\": %d}" (f time) depth))
-    t.queue_depth;
-  add "],\n  \"tasks\": [";
-  Array.iteri
-    (fun i ts ->
-      if i > 0 then add ", ";
-      add
-        (Printf.sprintf
-           "{\"task\": %d, \"ready\": %s, \"start\": %s, \"finish\": %s, \
-            \"wait\": %s, \"service\": %s, \"attempts\": %d}"
-           ts.task_id (f ts.ready) (f ts.start) (f ts.finish) (f ts.wait)
-           (f ts.service) ts.attempts))
-    t.tasks;
-  add "]\n}\n";
-  Buffer.contents buf
+  let module J = Moldable_obs.Json in
+  let c = t.counters in
+  J.Obj
+    [
+      ( "counters",
+        J.Obj
+          [
+            ("events", J.int c.events); ("batches", J.int c.batches);
+            ("launches", J.int c.launches); ("retries", J.int c.retries);
+            ("stall_checks", J.int c.stall_checks);
+          ] );
+      ("p", J.int t.p);
+      ("busy_area", J.Num (busy_area t));
+      ("average_utilization", J.Num (average_utilization t));
+      ( "utilization",
+        J.List
+          (List.map
+             (fun s ->
+               J.Obj
+                 [ ("t0", J.Num s.t0); ("t1", J.Num s.t1);
+                   ("busy", J.int s.busy) ])
+             t.utilization) );
+      ( "queue_depth",
+        J.List
+          (List.map
+             (fun (time, depth) ->
+               J.Obj [ ("time", J.Num time); ("depth", J.int depth) ])
+             t.queue_depth) );
+      ( "tasks",
+        J.List
+          (Array.to_list
+             (Array.map
+                (fun ts ->
+                  J.Obj
+                    [
+                      ("task", J.int ts.task_id); ("ready", J.Num ts.ready);
+                      ("start", J.Num ts.start); ("finish", J.Num ts.finish);
+                      ("wait", J.Num ts.wait); ("service", J.Num ts.service);
+                      ("attempts", J.int ts.attempts);
+                    ])
+                t.tasks)) );
+    ]
+
+(* CSV cells print non-finite values as [null], as the JSON document
+   does. *)
+let f x = if Float.is_finite x then Printf.sprintf "%.12g" x else "null"
 
 let utilization_csv t =
   let buf = Buffer.create 1024 in

@@ -75,10 +75,10 @@ val mean_wait : t -> float
 val max_wait : t -> float
 (** Maximum finite per-task wait; [0.] when the run is empty. *)
 
-val to_json : t -> string
-(** The whole report as a self-contained JSON document (schema documented in
-    EXPERIMENTS.md).  Non-finite floats are exported as [null], so the
-    document always parses. *)
+val to_json : t -> Moldable_obs.Json.t
+(** The whole report as a JSON document (schema documented in
+    EXPERIMENTS.md); render it with {!Moldable_obs.Json.to_string}, which
+    prints non-finite floats as [null]. *)
 
 val utilization_csv : t -> string
 (** [t0,t1,busy] rows. *)

@@ -1,8 +1,9 @@
 open Moldable_sim
+module J = Moldable_obs.Json
 
 (* Simulation time is unitless; export it as microseconds so traces of
    typical makespans (1..1e3) land in a comfortable zoom range. *)
-let us t = Printf.sprintf "%.12g" (t *. 1e6)
+let us t = J.Num (t *. 1e6)
 
 (* "0-3,7": ascending processor ids compressed into contiguous runs. *)
 let procs_range procs =
@@ -31,18 +32,25 @@ let of_run ?label ?registry tracer (metrics : Metrics.t) =
   let spans = Tracer.spans tracer in
   let buf = Buffer.create 8192 in
   let first = ref true in
+  (* One compact event object per line, so the file diffs line by line. *)
   let event fields =
     if !first then first := false else Buffer.add_string buf ",\n";
-    Buffer.add_string buf "  {";
-    Buffer.add_string buf (String.concat ", " fields);
-    Buffer.add_string buf "}"
+    Buffer.add_string buf "  ";
+    Buffer.add_string buf (J.to_string_compact (J.Obj fields))
+  in
+  let metadata ~tid name args =
+    event
+      ([ ("ph", J.Str "M"); ("pid", J.int 0) ]
+      @ (match tid with Some t -> [ ("tid", J.int t) ] | None -> [])
+      @ [ ("name", J.Str name); ("args", J.Obj args) ])
+  in
+  let counter name ts args =
+    event
+      [ ("name", J.Str name); ("ph", J.Str "C"); ("pid", J.int 0); ("ts", ts);
+        ("args", J.Obj args) ]
   in
   Buffer.add_string buf "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
-  event
-    [
-      "\"ph\": \"M\""; "\"pid\": 0"; "\"name\": \"process_name\"";
-      "\"args\": {\"name\": \"moldable-sim\"}";
-    ];
+  metadata ~tid:None "process_name" [ ("name", J.Str "moldable-sim") ];
   (* One lane per processor block: an attempt renders on the lane of its
      lowest processor id, which two simultaneous attempts can never share. *)
   let lanes =
@@ -55,40 +63,36 @@ let of_run ?label ?registry tracer (metrics : Metrics.t) =
   in
   List.iter
     (fun lane ->
-      event
-        [
-          "\"ph\": \"M\""; "\"pid\": 0";
-          Printf.sprintf "\"tid\": %d" lane;
-          "\"name\": \"thread_name\"";
-          Printf.sprintf "\"args\": {\"name\": \"procs %d..\"}" lane;
-        ];
-      event
-        [
-          "\"ph\": \"M\""; "\"pid\": 0";
-          Printf.sprintf "\"tid\": %d" lane;
-          "\"name\": \"thread_sort_index\"";
-          Printf.sprintf "\"args\": {\"sort_index\": %d}" lane;
-        ])
+      metadata ~tid:(Some lane) "thread_name"
+        [ ("name", J.Str (Printf.sprintf "procs %d.." lane)) ];
+      metadata ~tid:(Some lane) "thread_sort_index"
+        [ ("sort_index", J.int lane) ])
     lanes;
   List.iter
     (fun (s : Tracer.span) ->
       event
         [
-          Printf.sprintf "\"name\": \"%s#%d\""
-            (Moldable_obs.Json.escape (label s.Tracer.task_id))
-            s.Tracer.attempt;
-          "\"cat\": \"attempt\""; "\"ph\": \"X\""; "\"pid\": 0";
-          Printf.sprintf "\"tid\": %d" s.Tracer.procs.(0);
-          Printf.sprintf "\"ts\": %s" (us s.Tracer.t0);
-          Printf.sprintf "\"dur\": %s" (us (s.Tracer.t1 -. s.Tracer.t0));
-          Printf.sprintf
-            "\"args\": {\"task\": %d, \"attempt\": %d, \"nprocs\": %d, \
-             \"procs\": \"%s\", \"outcome\": \"%s\"}"
-            s.Tracer.task_id s.Tracer.attempt s.Tracer.nprocs
-            (procs_range s.Tracer.procs)
-            (match s.Tracer.outcome with
-            | Tracer.Completed -> "completed"
-            | Tracer.Failed -> "failed");
+          ( "name",
+            J.Str
+              (Printf.sprintf "%s#%d" (label s.Tracer.task_id)
+                 s.Tracer.attempt) );
+          ("cat", J.Str "attempt"); ("ph", J.Str "X"); ("pid", J.int 0);
+          ("tid", J.int s.Tracer.procs.(0));
+          ("ts", us s.Tracer.t0);
+          ("dur", us (s.Tracer.t1 -. s.Tracer.t0));
+          ( "args",
+            J.Obj
+              [
+                ("task", J.int s.Tracer.task_id);
+                ("attempt", J.int s.Tracer.attempt);
+                ("nprocs", J.int s.Tracer.nprocs);
+                ("procs", J.Str (procs_range s.Tracer.procs));
+                ( "outcome",
+                  J.Str
+                    (match s.Tracer.outcome with
+                    | Tracer.Completed -> "completed"
+                    | Tracer.Failed -> "failed") );
+              ] );
         ])
     spans;
   List.iter
@@ -102,41 +106,26 @@ let of_run ?label ?registry tracer (metrics : Metrics.t) =
       in
       event
         [
-          Printf.sprintf "\"name\": \"%s\"" (Moldable_obs.Json.escape name);
-          "\"cat\": \"scheduler\""; "\"ph\": \"i\""; "\"pid\": 0";
-          "\"tid\": 0"; "\"s\": \"p\"";
-          Printf.sprintf "\"ts\": %s" (us i.Tracer.time);
+          ("name", J.Str name); ("cat", J.Str "scheduler"); ("ph", J.Str "i");
+          ("pid", J.int 0); ("tid", J.int 0); ("s", J.Str "p");
+          ("ts", us i.Tracer.time);
         ])
     (Tracer.instants tracer);
   (* Counter tracks: free processors from the busy timeline, and the
      ready-queue depth sampled at every scheduling instant. *)
   List.iter
     (fun (s : Metrics.segment) ->
-      event
-        [
-          "\"name\": \"free processors\""; "\"ph\": \"C\""; "\"pid\": 0";
-          Printf.sprintf "\"ts\": %s" (us s.Metrics.t0);
-          Printf.sprintf "\"args\": {\"free\": %d}"
-            (metrics.Metrics.p - s.Metrics.busy);
-        ])
+      counter "free processors" (us s.Metrics.t0)
+        [ ("free", J.int (metrics.Metrics.p - s.Metrics.busy)) ])
     metrics.Metrics.utilization;
   (match List.rev metrics.Metrics.utilization with
   | last :: _ ->
-    event
-      [
-        "\"name\": \"free processors\""; "\"ph\": \"C\""; "\"pid\": 0";
-        Printf.sprintf "\"ts\": %s" (us last.Metrics.t1);
-        Printf.sprintf "\"args\": {\"free\": %d}" metrics.Metrics.p;
-      ]
+    counter "free processors" (us last.Metrics.t1)
+      [ ("free", J.int metrics.Metrics.p) ]
   | [] -> ());
   List.iter
     (fun (time, depth) ->
-      event
-        [
-          "\"name\": \"ready queue\""; "\"ph\": \"C\""; "\"pid\": 0";
-          Printf.sprintf "\"ts\": %s" (us time);
-          Printf.sprintf "\"args\": {\"depth\": %d}" depth;
-        ])
+      counter "ready queue" (us time) [ ("depth", J.int depth) ])
     metrics.Metrics.queue_depth;
   (* Registry gauges (domains busy, GC heap words, ...) become additional
      counter tracks when a snapshot is supplied.  A snapshot is a
@@ -150,14 +139,9 @@ let of_run ?label ?registry tracer (metrics : Metrics.t) =
       (fun (ms : Moldable_obs.Registry.metric_snap) ->
         match ms.Moldable_obs.Registry.ms_value with
         | Moldable_obs.Registry.Gauge_v v ->
-          event
-            [
-              Printf.sprintf "\"name\": \"%s\""
-                (Moldable_obs.Json.escape ms.Moldable_obs.Registry.ms_name);
-              "\"ph\": \"C\""; "\"pid\": 0";
-              Printf.sprintf "\"ts\": %s" (us (Metrics.span metrics));
-              Printf.sprintf "\"args\": {\"value\": %.12g}" v;
-            ]
+          counter ms.Moldable_obs.Registry.ms_name
+            (us (Metrics.span metrics))
+            [ ("value", J.Num v) ]
         | Moldable_obs.Registry.Counter_v _
         | Moldable_obs.Registry.Hist_v _ -> ())
       snap);

@@ -21,30 +21,28 @@ let schedule_to_csv ?label sched =
   Buffer.contents buf
 
 let schedule_to_json ?label sched =
+  let module J = Moldable_obs.Json in
   let label = match label with Some f -> f | None -> Printf.sprintf "t%d" in
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"p\": %d, \"makespan\": %.9g, \"tasks\": ["
-       (Schedule.p sched) (Schedule.makespan sched));
-  let first = ref true in
-  List.iter
-    (fun (pl : Schedule.placement) ->
-      if not !first then Buffer.add_string buf ", ";
-      first := false;
-      let procs =
-        String.concat ", "
-          (Array.to_list (Array.map string_of_int pl.Schedule.procs))
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"task\": %d, \"label\": \"%s\", \"start\": %.9g, \"finish\": \
-            %.9g, \"procs\": [%s]}"
-           pl.Schedule.task_id
-           (Moldable_obs.Json.escape (label pl.Schedule.task_id))
-           pl.Schedule.start pl.Schedule.finish procs))
-    (Schedule.placements sched);
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  J.Obj
+    [
+      ("p", J.int (Schedule.p sched));
+      ("makespan", J.Num (Schedule.makespan sched));
+      ( "tasks",
+        J.List
+          (List.map
+             (fun (pl : Schedule.placement) ->
+               J.Obj
+                 [
+                   ("task", J.int pl.Schedule.task_id);
+                   ("label", J.Str (label pl.Schedule.task_id));
+                   ("start", J.Num pl.Schedule.start);
+                   ("finish", J.Num pl.Schedule.finish);
+                   ( "procs",
+                     J.List
+                       (Array.to_list (Array.map J.int pl.Schedule.procs)) );
+                 ])
+             (Schedule.placements sched)) );
+    ]
 
 let trace_to_csv (result : Sim_core.result) =
   let buf = Buffer.create 1024 in

@@ -435,6 +435,7 @@ let test_shadow_flags_corrupt_stamp () =
   Alcotest.(check bool) "corrupted stamp is flagged" false (Shadow.ok report)
 
 let test_shadow_report_json () =
+  let module Json = Moldable_obs.Json in
   let task = Task.make ~id:0 (Speedup.Roofline { w = 4.; ptilde = 2 }) in
   let dag = Dag.create ~tasks:[ task ] ~edges:[] in
   let mu = Mu.default Speedup.Kind_roofline in
@@ -443,11 +444,48 @@ let test_shadow_report_json () =
       ~p:4 dag
   in
   let report = Shadow.check ~mu ~dag ~p:4 result in
-  let json = Shadow.report_to_json report in
+  let json = Json.to_string_compact (Shadow.report_to_json report) in
   Alcotest.(check bool) "json has checks field" true
     (String.length json > 0
     && String.sub json 0 10 = "{\"checks\":");
-  Alcotest.(check bool) "no divergences on trivial run" true (Shadow.ok report)
+  Alcotest.(check bool) "no divergences on trivial run" true (Shadow.ok report);
+  (* A corrupted processor set is flagged with an infinite relative excess;
+     the report must still be strict JSON, with that excess as null. *)
+  let corrupt =
+    {
+      result with
+      Moldable_sim.Sim_core.attempts =
+        List.map
+          (fun (a : Moldable_sim.Sim_core.attempt) ->
+            { a with Moldable_sim.Sim_core.procs = [| 3; 1 |] })
+          result.Moldable_sim.Sim_core.attempts;
+    }
+  in
+  let report = Shadow.check ~mu ~dag ~p:4 corrupt in
+  Alcotest.(check bool) "corrupted processor set is flagged" false
+    (Shadow.ok report);
+  List.iter
+    (fun render ->
+      match Json.of_string (render (Shadow.report_to_json report)) with
+      | Error e -> Alcotest.fail ("report does not parse: " ^ e)
+      | Ok j ->
+        let proc_set =
+          List.filter
+            (fun d ->
+              match Option.bind (Json.member "site" d) Json.to_str with
+              | Some site -> String.starts_with ~prefix:"proc_set" site
+              | None -> false)
+            (Option.value ~default:[]
+               (Option.bind (Json.member "divergences" j) Json.to_list))
+        in
+        Alcotest.(check bool) "proc_set divergence reported" true
+          (proc_set <> []);
+        List.iter
+          (fun d ->
+            Alcotest.(check bool) "infinite rel_excess renders null" true
+              (Json.member "rel_excess" d = Some Json.Null))
+          proc_set)
+    [ Json.to_string; Json.to_string_compact ]
 
 (* ------------------------------------- adversarial instance floor audit *)
 

@@ -359,10 +359,23 @@ let test_comparison_report () =
   Alcotest.(check (float 1e-9)) "original bound" 4.74 c.R.original_bound;
   Alcotest.(check (float 1e-9)) "improved bound" 4.55 c.R.improved_bound;
   Alcotest.(check bool) "within" true c.R.c_all_within;
-  let json = R.comparison_to_json cs in
+  let module Json = Moldable_obs.Json in
+  let json = Json.to_string (R.comparison_to_json cs) in
   Alcotest.(check bool) "json has schema key" true
     (String.length json > 0
-    && String.sub json 0 (String.index json '[' + 1) <> "")
+    && String.sub json 0 (String.index json '[' + 1) <> "");
+  match Json.of_string json with
+  | Error e -> Alcotest.fail ("comparison JSON does not parse: " ^ e)
+  | Ok j ->
+    let rows =
+      Option.value ~default:[]
+        (Option.bind (Json.member "comparison" j) Json.to_list)
+    in
+    Alcotest.(check int) "one row per group" (List.length cs)
+      (List.length rows);
+    Alcotest.(check (option (float 0.))) "worst ratio round-trips"
+      (Some c.R.improved_worst)
+      (Option.bind (Json.member "improved_worst" (List.hd rows)) Json.to_float)
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in

@@ -332,9 +332,36 @@ let test_json_parse_details () =
   (match Json.of_string "{\"a\" 1}" with
   | Ok _ -> Alcotest.fail "accepted missing colon"
   | Error _ -> ());
+  (* RFC 8259 numbers only: float_of_string alone would take all of these. *)
+  List.iter
+    (fun s ->
+      match Json.of_string s with
+      | Ok _ -> Alcotest.fail (Printf.sprintf "accepted number %S" s)
+      | Error _ -> ())
+    [ "+1"; "01"; "00"; ".5"; "1."; "-"; "1e"; "1e+"; "-01"; "0x10"; "1_000";
+      "[1.]"; "{\"a\": 01}" ];
+  List.iter
+    (fun (s, x) ->
+      match Json.of_string s with
+      | Ok (Json.Num y) -> Alcotest.(check (float 0.)) s x y
+      | Ok _ -> Alcotest.fail (Printf.sprintf "%S is not a number" s)
+      | Error e -> Alcotest.fail (Printf.sprintf "rejected %S: %s" s e))
+    [ ("0", 0.); ("-0", -0.); ("1.5e-3", 1.5e-3); ("1E+2", 100.);
+      ("-12.25", -12.25); ("10", 10.) ];
   (* Non-finite numbers serialize as null (JSON has no NaN). *)
   Alcotest.(check string) "nan -> null" "null"
     (Json.to_string_compact (Json.Num Float.nan))
+
+let test_json_to_int_range () =
+  let to_int x = Json.to_int (Json.Num x) in
+  Alcotest.(check (option int)) "1e19 is out of range" None (to_int 1e19);
+  Alcotest.(check (option int)) "-1e19 is out of range" None (to_int (-1e19));
+  Alcotest.(check (option int)) "2^62 is out of range" None (to_int 0x1p62);
+  Alcotest.(check (option int)) "1e300 is out of range" None (to_int 1e300);
+  Alcotest.(check (option int)) "-2^62 is min_int" (Some min_int)
+    (to_int (-0x1p62));
+  Alcotest.(check (option int)) "42" (Some 42) (to_int 42.);
+  Alcotest.(check (option int)) "fractional" None (to_int 0.5)
 
 (* ------------------------------------------------------------ Json fuzzing *)
 
@@ -675,6 +702,7 @@ let () =
         [
           Alcotest.test_case "round trip" `Quick test_json_round_trip;
           Alcotest.test_case "parse details" `Quick test_json_parse_details;
+          Alcotest.test_case "to_int range" `Quick test_json_to_int_range;
         ] );
       ( "json fuzz",
         [

@@ -48,9 +48,17 @@ let test_csv_quoting () =
   in
   Alcotest.(check bool) "quoted" true (contains csv "\"a,b\"\"c\"")
 
+(* Labels carry a quote, a backslash, a newline and a raw control byte:
+   they must come back intact through the strict parser, and the times must
+   read back bit-identical. *)
 let test_json_well_formed () =
+  let module Json = Moldable_obs.Json in
   let _, r = sample_run () in
-  let json = Moldable_viz.Export.schedule_to_json r.Sim_core.schedule in
+  let sched = r.Sim_core.schedule in
+  let label i = Printf.sprintf "t%d \"q\" \\b\nl\001" i in
+  let json =
+    Json.to_string (Moldable_viz.Export.schedule_to_json ~label sched)
+  in
   Alcotest.(check bool) "object" true
     (String.length json > 2 && json.[0] = '{'
     && json.[String.length json - 1] = '}');
@@ -58,7 +66,31 @@ let test_json_well_formed () =
   (* Balanced braces and brackets (no strings contain them here). *)
   let count c = String.fold_left (fun n x -> if x = c then n + 1 else n) 0 json in
   Alcotest.(check int) "braces balanced" (count '{') (count '}');
-  Alcotest.(check int) "brackets balanced" (count '[') (count ']')
+  Alcotest.(check int) "brackets balanced" (count '[') (count ']');
+  let doc =
+    match Json.of_string json with
+    | Ok j -> j
+    | Error e -> Alcotest.fail ("export does not parse: " ^ e)
+  in
+  Alcotest.(check (option (float 0.))) "makespan round-trips"
+    (Some (Schedule.makespan sched))
+    (Option.bind (Json.member "makespan" doc) Json.to_float);
+  let tasks =
+    Option.value ~default:[]
+      (Option.bind (Json.member "tasks" doc) Json.to_list)
+  in
+  Alcotest.(check int) "one record per placement" (Schedule.n sched)
+    (List.length tasks);
+  List.iter
+    (fun t ->
+      let id = Option.get (Option.bind (Json.member "task" t) Json.to_int) in
+      let pl = Schedule.placement sched id in
+      Alcotest.(check (option string)) "label round-trips" (Some (label id))
+        (Option.bind (Json.member "label" t) Json.to_str);
+      Alcotest.(check (option (float 0.))) "finish round-trips"
+        (Some pl.Schedule.finish)
+        (Option.bind (Json.member "finish" t) Json.to_float))
+    tasks
 
 let test_trace_csv () =
   let _, r = sample_run () in

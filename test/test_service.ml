@@ -455,7 +455,24 @@ let test_protocol_rejects () =
   reject {|{"op":"submit","model":"roofline","w":-1,"ptilde":4}|};
   reject {|{"op":"submit","model":"warp","w":1}|};
   reject {|{"op":"submit","model":"amdahl","w":1,"d":0.5,"release":-2}|};
-  reject {|{"op":"events","since":-1}|}
+  reject {|{"op":"events","since":-1}|};
+  (* Integral floats outside the 63-bit int range are valid JSON, so the
+     decoder itself must refuse them: 1e19 would otherwise wrap into a
+     silent dependency on task 0. *)
+  List.iter
+    (fun s ->
+      match Json.of_string s with
+      | Error e -> Alcotest.fail (Printf.sprintf "%s does not parse: %s" s e)
+      | Ok j -> (
+        match Protocol.request_of_json j with
+        | Ok _ -> Alcotest.fail (Printf.sprintf "accepted %s" s)
+        | Error _ -> ()))
+    [
+      {|{"op":"submit","model":"roofline","w":1,"ptilde":4,"deps":[1e19]}|};
+      {|{"op":"submit","model":"roofline","w":1,"ptilde":4,|}
+      ^ {|"deps":[4611686018427387904]}|};
+      {|{"op":"events","since":1e300}|};
+    ]
 
 let test_protocol_speedups_roundtrip () =
   List.iter

@@ -505,13 +505,34 @@ let test_metrics_queue_depth_samples () =
     (List.for_all (fun (_, d) -> d >= 0) m.Metrics.queue_depth)
 
 let test_metrics_exports_well_formed () =
-  let _, r = metrics_fixture () in
+  let dag, r = metrics_fixture () in
   let m = r.Sim_core.metrics in
-  let json = Metrics.to_json m in
-  Alcotest.(check bool) "json mentions counters" true
-    (String.length json > 0
-    && String.sub json 0 1 = "{"
-    && json.[String.length json - 1] = '\n');
+  let module Json = Moldable_obs.Json in
+  let json =
+    match Json.of_string (Json.to_string (Metrics.to_json m)) with
+    | Ok j -> j
+    | Error e -> Alcotest.fail ("metrics JSON does not parse: " ^ e)
+  in
+  Alcotest.(check (option int)) "counters.events"
+    (Some m.Metrics.counters.Metrics.events)
+    (Option.bind
+       (Option.bind (Json.member "counters" json) (Json.member "events"))
+       Json.to_int);
+  let tasks =
+    Option.value ~default:[]
+      (Option.bind (Json.member "tasks" json) Json.to_list)
+  in
+  Alcotest.(check int) "one tasks entry per task" (Dag.n dag)
+    (List.length tasks);
+  (* Floats print at round-trip precision: every finish stamp reads back
+     bit-identical. *)
+  List.iteri
+    (fun i t ->
+      Alcotest.(check (option (float 0.)))
+        (Printf.sprintf "task %d finish round-trips" i)
+        (Some m.Metrics.tasks.(i).Metrics.finish)
+        (Option.bind (Json.member "finish" t) Json.to_float))
+    tasks;
   let csv = Metrics.utilization_csv m in
   Alcotest.(check bool) "csv has header and rows" true
     (String.length csv > String.length "t0,t1,busy\n");

@@ -290,9 +290,12 @@ let test_chrome_deterministic () =
     "two runs, identical bytes" (golden_export ()) (golden_export ())
 
 let test_chrome_escapes_labels () =
+  let hostile = "quo\"te\\back\nline\001" in
   let tasks =
     [ Task.make ~label:{|quo"te\back|} ~id:0
-        (Speedup.Roofline { w = 1.; ptilde = 1 }) ]
+        (Speedup.Roofline { w = 1.; ptilde = 1 });
+      Task.make ~label:hostile ~id:1
+        (Speedup.Amdahl { w = 3.; d = 0.5 }) ]
   in
   let dag = Dag.create ~tasks ~edges:[] in
   let tracer = Tracer.create () in
@@ -310,7 +313,22 @@ let test_chrome_escapes_labels () =
     in
     go 0
   in
-  Alcotest.(check bool) "quote escaped" true (contains json {|quo\"te\\back|})
+  Alcotest.(check bool) "quote escaped" true (contains json {|quo\"te\\back|});
+  (* Every event, hostile names included, survives the strict parser. *)
+  let module Json = Moldable_obs.Json in
+  match Json.of_string json with
+  | Error e -> Alcotest.fail ("chrome trace does not parse: " ^ e)
+  | Ok j ->
+    let names =
+      List.filter_map
+        (fun ev -> Option.bind (Json.member "name" ev) Json.to_str)
+        (Option.value ~default:[]
+           (Option.bind (Json.member "traceEvents" j) Json.to_list))
+    in
+    Alcotest.(check bool) "hostile span name round-trips" true
+      (List.mem (hostile ^ "#1") names);
+    Alcotest.(check bool) "hostile ready marker round-trips" true
+      (List.mem ("ready " ^ hostile) names)
 
 (* -------------------------------------------------- empty-run metrics guard *)
 
@@ -322,7 +340,7 @@ let test_empty_dag_metrics_finite () =
   Alcotest.(check (float 0.)) "max wait 0" 0. (Metrics.max_wait m);
   Alcotest.(check (float 0.)) "utilization 0" 0.
     (Metrics.average_utilization m);
-  let json = Metrics.to_json m in
+  let json = Moldable_obs.Json.to_string (Metrics.to_json m) in
   let lowered = String.lowercase_ascii json in
   let contains hay needle =
     let n = String.length needle in
@@ -334,6 +352,11 @@ let test_empty_dag_metrics_finite () =
   in
   Alcotest.(check bool) "no nan in JSON" false (contains lowered "nan");
   Alcotest.(check bool) "no inf in JSON" false (contains lowered "inf");
+  (match Moldable_obs.Json.of_string json with
+  | Ok j ->
+    Alcotest.(check bool) "no tasks" true
+      (Moldable_obs.Json.member "tasks" j = Some (Moldable_obs.Json.List []))
+  | Error e -> Alcotest.fail ("empty-run metrics do not parse: " ^ e));
   (* pp must not raise on the degenerate record either. *)
   ignore (Format.asprintf "%a" Metrics.pp m)
 
@@ -370,7 +393,7 @@ let test_ratio_report_empty_dag () =
   Alcotest.(check (float 0.)) "ratio defined as 1" 1. e.Ratio_report.ratio;
   Alcotest.(check bool) "mixed/empty has no proven bound" true
     (e.Ratio_report.proven_bound = infinity);
-  let json = Ratio_report.to_json [ e ] in
+  let json = Moldable_obs.Json.to_string (Ratio_report.to_json [ e ]) in
   let contains hay needle =
     let n = String.length needle in
     let rec go i =
@@ -380,7 +403,10 @@ let test_ratio_report_empty_dag () =
     go 0
   in
   Alcotest.(check bool) "infinite bound printed as null" true
-    (contains json {|"proven_bound": null|})
+    (contains json {|"proven_bound": null|});
+  match Moldable_obs.Json.of_string json with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail ("ratio report does not parse: " ^ e)
 
 (* ------------------------------------------------------------------- clock *)
 
