@@ -56,14 +56,6 @@ let quantile q xs =
 
 let median xs = quantile 0.5 xs
 
-let median_absolute_deviation xs =
-  match xs with
-  | [] -> invalid_arg "Stats.median_absolute_deviation: empty sample"
-  | _ ->
-    check_finite "Stats.median_absolute_deviation" xs;
-    let m = median xs in
-    median (List.map (fun x -> Float.abs (x -. m)) xs)
-
 let summarize xs =
   match xs with
   | [] -> invalid_arg "Stats.summarize: empty sample"

@@ -22,18 +22,12 @@ val mean : float list -> float
 val stddev : float list -> float
 val quantile : float -> float list -> float
 (** Interpolated quantile at fractional rank [q *. (n - 1)] of the sorted
-    sample (sorted with [Float.compare]) — the primitive behind {!median},
-    used by the bench-regression tracker.
+    sample (sorted with [Float.compare]) — the primitive behind {!median}.
     @raise Invalid_argument on an empty list, [q] outside [\[0, 1\]] (or
     NaN), or a non-finite sample. *)
 
 val median : float list -> float
 (** [quantile 0.5]. *)
-
-val median_absolute_deviation : float list -> float
-(** [median (|x - median xs|)] — the robust dispersion estimate the
-    bench-regression tracker's noise band is built on.
-    @raise Invalid_argument on an empty list or a non-finite sample. *)
 
 val pp_summary : Format.formatter -> summary -> unit
 (** Renders ["mean=… sd=… min=… med=… p95=… max=… (n=…)"]. *)

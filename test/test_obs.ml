@@ -3,8 +3,7 @@
    merge associativity), counter monotonicity, the null-registry
    schedule-equivalence contract (mirroring Tracer.null), cross-domain
    sharding, JSON parse/print round trips, snapshot (de)serialization,
-   OpenMetrics exposition grammar, GC sampling and the noise-aware
-   bench-regression tracker. *)
+   OpenMetrics exposition grammar and GC sampling. *)
 
 open Moldable_model
 open Moldable_sim
@@ -13,7 +12,6 @@ open Moldable_core
 module R = Moldable_obs.Registry
 module Hist = Moldable_obs.Registry.Hist
 module Json = Moldable_obs.Json
-module BT = Moldable_obs.Bench_track
 
 (* ----------------------------------------------- histogram vs sorted oracle *)
 
@@ -581,93 +579,6 @@ let test_gc_sample () =
       d.Moldable_obs.Gc_sample.minor_words v
   | _ -> Alcotest.fail "gc gauge missing"
 
-(* ------------------------------------------------- bench-regression tracker *)
-
-let row ?(section = "s") ?(median = 1.0) ?(mad = 0.004) () =
-  {
-    BT.section; reps = 5; median_s = median; mad_s = mad; jobs = 1; at = 0.;
-    minor_words = 0.; major_words = 0.;
-  }
-
-let test_threshold () =
-  (* 10% floor dominates small MADs; 3 x MAD dominates noisy sections. *)
-  Alcotest.(check (float 1e-12)) "floor" 0.1
-    (BT.threshold ~base:1.0 ~mad:0.01);
-  Alcotest.(check (float 1e-12)) "band" 0.6 (BT.threshold ~base:1.0 ~mad:0.2)
-
-let test_verdicts () =
-  let baseline = [ row () ] in
-  let regressions ~cur =
-    BT.regressions (BT.compare_rows ~baseline ~current:[ cur ])
-  in
-  Alcotest.(check int) "identical timings pass" 0
-    (List.length (regressions ~cur:(row ())));
-  Alcotest.(check int) "5% drift below the floor" 0
-    (List.length (regressions ~cur:(row ~median:1.05 ())));
-  Alcotest.(check int) "speedups never flag" 0
-    (List.length (regressions ~cur:(row ~median:0.2 ())));
-  Alcotest.(check int) "2x slowdown flags" 1
-    (List.length (regressions ~cur:(row ~median:2.0 ())));
-  (* A noisy baseline widens the band: 30% < 3 x 0.2/1.0 = 60%. *)
-  let wide =
-    BT.compare_rows
-      ~baseline:[ row ~mad:0.2 () ]
-      ~current:[ row ~median:1.3 () ]
-  in
-  Alcotest.(check int) "wide noise band absorbs 30%" 0
-    (List.length (BT.regressions wide));
-  (* Current-side noise counts too (max of the two MADs). *)
-  let cur_noisy =
-    BT.compare_rows ~baseline:[ row () ]
-      ~current:[ row ~median:1.3 ~mad:0.2 () ]
-  in
-  Alcotest.(check int) "current MAD widens the band" 0
-    (List.length (BT.regressions cur_noisy));
-  (* Sections absent from the baseline are new, not regressions. *)
-  let skipped =
-    BT.compare_rows ~baseline ~current:[ row ~section:"brand_new" () ]
-  in
-  Alcotest.(check int) "unknown sections skipped" 0 (List.length skipped);
-  (* The report renders every verdict. *)
-  let vs = BT.compare_rows ~baseline ~current:[ row ~median:2.0 () ] in
-  Alcotest.(check bool) "report mentions REGRESSED" true
-    (contains (BT.report vs) "REGRESSED")
-
-let test_row_json_round_trip () =
-  let r =
-    {
-      BT.section = "exact_oracle"; reps = 3; median_s = 12.5; mad_s = 0.25;
-      jobs = 2; at = 1754000000.; minor_words = 1e9; major_words = 2e6;
-    }
-  in
-  match BT.row_of_json (BT.row_to_json r) with
-  | Some r' -> Alcotest.(check bool) "row round trip" true (r = r')
-  | None -> Alcotest.fail "row lost in round trip"
-
-let test_history_and_baseline_files () =
-  let path = Filename.temp_file "bench_history" ".jsonl" in
-  BT.append_history ~path [ row ~section:"a" (); row ~section:"b" () ];
-  BT.append_history ~path [ row ~section:"a" ~median:1.1 () ];
-  (match BT.read_history ~path with
-  | Ok rows ->
-    Alcotest.(check int) "append accumulates" 3 (List.length rows);
-    Alcotest.(check string) "order preserved" "a"
-      (List.hd rows).BT.section
-  | Error e -> Alcotest.fail e);
-  Sys.remove path;
-  let bpath = Filename.temp_file "bench_baseline" ".json" in
-  let oc = open_out bpath in
-  output_string oc (Json.to_string (BT.baseline_to_json [ row () ]));
-  close_out oc;
-  (match BT.read_baseline ~path:bpath with
-  | Ok [ r ] -> Alcotest.(check string) "baseline row" "s" r.BT.section
-  | Ok _ -> Alcotest.fail "wrong row count"
-  | Error e -> Alcotest.fail e);
-  Sys.remove bpath;
-  match BT.read_baseline ~path:"/nonexistent/baseline.json" with
-  | Ok _ -> Alcotest.fail "missing file accepted"
-  | Error _ -> ()
-
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "obs"
@@ -723,12 +634,4 @@ let () =
         [ Alcotest.test_case "grammar" `Quick test_openmetrics_grammar ] );
       ( "gc sample",
         [ Alcotest.test_case "delta and gauges" `Quick test_gc_sample ] );
-      ( "bench tracker",
-        [
-          Alcotest.test_case "threshold" `Quick test_threshold;
-          Alcotest.test_case "verdicts" `Quick test_verdicts;
-          Alcotest.test_case "row round trip" `Quick test_row_json_round_trip;
-          Alcotest.test_case "history files" `Quick
-            test_history_and_baseline_files;
-        ] );
     ]
