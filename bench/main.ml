@@ -739,7 +739,7 @@ let failures_section pool () =
                    ~allocator:Allocator.algorithm2_per_model ~p ())
                 dag
             in
-            (match Validate.check_attempts ~dag ~p r.Sim_core.attempts with
+            (match Validate.check_attempts ~dag ~p (Sim_core.attempts r) with
             | Ok () -> ()
             | Error es -> failwith (String.concat "; " es));
             ( r.Sim_core.n_attempts,
@@ -1299,8 +1299,9 @@ let alloc_lean_section () =
   in
   if
     not
-      (same_placements r_ref.Sim_core.schedule r_full.Sim_core.schedule
-      && same_placements r_ref.Sim_core.schedule r_lean.Sim_core.schedule)
+      (same_placements r_ref.Moldable_oracle.Reference.schedule
+           r_full.Sim_core.schedule
+      && same_placements r_ref.Moldable_oracle.Reference.schedule r_lean.Sim_core.schedule)
   then failwith "alloc_lean: schedules diverged between core variants";
   let tab =
     Texttab.create

@@ -68,7 +68,7 @@ let () =
              ~p ())
           wf
       in
-      Validate.check_attempts_exn ~dag:wf ~p r.Sim_core.attempts;
+      Validate.check_attempts_exn ~dag:wf ~p (Sim_core.attempts r);
       Printf.printf
         "  q=%.1f: %3d attempts (%2d failed), makespan %8.2f\n" q
         r.Sim_core.n_attempts r.Sim_core.n_failures r.Sim_core.makespan)

@@ -60,7 +60,7 @@ let verify ~mu ~dag sched =
 
 let no_wait_below_high_utilization ~mu (result : Sim_core.result) =
   let sched = result.Sim_core.schedule in
-  let tasks = result.Sim_core.metrics.Metrics.tasks in
+  let tasks = Metrics.tasks result.Sim_core.metrics in
   let n = Schedule.n sched in
   (* A lean run records no per-task ready times; without them the check
      would pass vacuously. *)

@@ -40,7 +40,7 @@ val no_wait_below_high_utilization : mu:float -> Sim_core.result -> bool
     available task (allocated at most [ceil(mu P)] by Algorithm 2) starts
     immediately — the waiting queue is empty throughout [T1] and [T2].
     Checked on the actual run: no task's waiting window (from its first
-    reveal, [metrics.tasks.(i).ready], to its start) may overlap an
+    reveal, [(Metrics.tasks metrics).(i).ready], to its start) may overlap an
     interval of low utilization.
     @raise Invalid_argument on a lean result, which records no ready
     times. *)

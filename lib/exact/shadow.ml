@@ -96,6 +96,7 @@ let check ?mu ?improved ?(eps = Moldable_util.Fcmp.default_eps) ?(tol = 1e-12)
   let tol_r = Rat.of_float tol in
   let batch_r = Rat.of_float Event_queue.batch_eps in
   let n = Dag.n dag in
+  let attempts = Sim_core.attempts r in
   let checks = ref 0 in
   let divs = ref [] in
   let flag site ~float_value ~exact_value ~error ~explained detail =
@@ -136,7 +137,7 @@ let check ?mu ?improved ?(eps = Moldable_util.Fcmp.default_eps) ?(tol = 1e-12)
       trace_order (i + 1) rest
     | _ -> ()
   in
-  trace_order 0 r.Sim_core.trace;
+  trace_order 0 (Sim_core.trace r);
 
   (* --- processor sets ------------------------------------------------- *)
   List.iter
@@ -160,7 +161,7 @@ let check ?mu ?improved ?(eps = Moldable_util.Fcmp.default_eps) ?(tol = 1e-12)
           ~float_value:(float_of_int a.Sim_core.nprocs)
           ~exact_value:(string_of_int (Array.length procs))
           ~error:infinity ~explained:false msg)
-    r.Sim_core.attempts;
+    attempts;
 
   (* --- completion stamps (schedule carries each task's own stamp) ----- *)
   for i = 0 to n - 1 do
@@ -194,14 +195,14 @@ let check ?mu ?improved ?(eps = Moldable_util.Fcmp.default_eps) ?(tol = 1e-12)
           ~explained:false
           "batch instant strayed beyond the batching tolerance from the \
            exact completion")
-    r.Sim_core.attempts;
+    attempts;
 
   (* --- precedence ------------------------------------------------------ *)
   let attempts_of = Array.make n [] in
   List.iter
     (fun (a : Sim_core.attempt) ->
       attempts_of.(a.Sim_core.task_id) <- a :: attempts_of.(a.Sim_core.task_id))
-    r.Sim_core.attempts;
+    attempts;
   List.iter
     (fun (i, j) ->
       let pl = Schedule.placement r.Sim_core.schedule i in
@@ -238,7 +239,7 @@ let check ?mu ?improved ?(eps = Moldable_util.Fcmp.default_eps) ?(tol = 1e-12)
         (fun q ->
           if q >= 0 && q < p then per_proc.(q) <- (s, e, a.Sim_core.task_id) :: per_proc.(q))
         a.Sim_core.procs)
-    r.Sim_core.attempts;
+    attempts;
   Array.iteri
     (fun q ivs ->
       let ivs =
@@ -323,7 +324,7 @@ let check ?mu ?improved ?(eps = Moldable_util.Fcmp.default_eps) ?(tol = 1e-12)
      let ex_makespan =
        List.fold_left
          (fun acc a -> Rat.max acc (exact_finish a))
-         Rat.zero r.Sim_core.attempts
+         Rat.zero attempts
      in
      let fl = Rat.of_float r.Sim_core.makespan in
      if not (within ~allow:batch_allow fl ex_makespan) then

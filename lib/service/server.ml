@@ -223,13 +223,8 @@ let subscription_fields sess =
       sess.ev_cursor <- Sim_core.Stepper.n_events st;
       [ ("events", events_json evs); ("next", num sess.ev_cursor) ]
     | Drained r ->
-      let rec drop k = function
-        | rest when k = 0 -> rest
-        | [] -> []
-        | _ :: rest -> drop (k - 1) rest
-      in
-      let evs = drop sess.ev_cursor r.Sim_core.trace in
-      sess.ev_cursor <- List.length r.Sim_core.trace;
+      let evs = Sim_core.events_from r sess.ev_cursor in
+      sess.ev_cursor <- Sim_core.n_events r;
       [ ("events", events_json evs); ("next", num sess.ev_cursor) ]
     | Idle -> []
 
@@ -392,16 +387,10 @@ let handle_events sess since =
         ],
       `Continue )
   | Drained r ->
-    let rec drop k = function
-      | rest when k = 0 -> rest
-      | [] -> []
-      | _ :: rest -> drop (k - 1) rest
-    in
-    let total = List.length r.Sim_core.trace in
     ( Protocol.ok
         [
-          ("next", num (max since total));
-          ("events", events_json (drop since r.Sim_core.trace));
+          ("next", num (max since (Sim_core.n_events r)));
+          ("events", events_json (Sim_core.events_from r since));
         ],
       `Continue )
 

@@ -12,8 +12,7 @@ exception Policy_error = Sim_core.Policy_error
 
 type result = Sim_core.result = {
   schedule : Schedule.t;
-  trace : (float * Sim_core.event) list;
-  attempts : Sim_core.attempt list;
+  recording : Recording.t;
   makespan : float;
   n_attempts : int;
   n_failures : int;

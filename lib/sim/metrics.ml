@@ -21,50 +21,88 @@ type task_stat = {
   attempts : int;
 }
 
-type t = {
-  p : int;
-  counters : counters;
-  utilization : segment list;
-  queue_depth : (float * int) list;
-  tasks : task_stat array;
-}
+type t = { p : int; counters : counters; recording : Recording.t }
 
-(* Sweep over the execution spans (attempt start/finish/nprocs) to recover
-   the busy-processor timeline; simultaneous endpoints collapse into one
-   breakpoint so segments are maximal. *)
-let timeline_of_spans spans =
-  let deltas =
-    List.concat_map
-      (fun (start, finish, nprocs) -> [ (start, nprocs); (finish, -nprocs) ])
-      spans
-    |> List.sort (fun (ta, _) (tb, _) -> Float.compare ta tb)
-  in
-  let rec sweep acc busy cursor = function
-    | [] -> List.rev acc
-    | (time, delta) :: rest ->
-      let acc = if time > cursor then { t0 = cursor; t1 = time; busy } :: acc else acc in
-      sweep acc (busy + delta) time rest
-  in
-  match deltas with [] -> [] | (t0, _) :: _ -> sweep [] 0 t0 deltas
+let make ~p ~counters recording = { p; counters; recording }
 
-let build ~p ~counters ~queue_depth ~tasks ~spans =
-  { p; counters; utilization = timeline_of_spans spans; queue_depth; tasks }
+(* Folds [f] over the maximal busy segments, in time order.  The trace is
+   chronological, so its attempt endpoints ([Start]: +nprocs, [Finish] and
+   [Failed]: -nprocs of the task's running attempt) arrive already sorted;
+   simultaneous endpoints collapse into one breakpoint. *)
+let fold_segments t f init =
+  let r = t.recording in
+  let nprocs = Array.make (Recording.n_tasks r) 0 in
+  let acc = ref init and busy = ref 0 and cursor = ref infinity in
+  for k = 0 to Recording.n_events r - 1 do
+    let code = r.Recording.codes.(k) in
+    let kind = code land 3 in
+    if kind <> Recording.kind_ready then begin
+      let tid = code lsr 2 and time = r.Recording.times.(k) in
+      if time > !cursor then
+        acc := f !acc { t0 = !cursor; t1 = time; busy = !busy };
+      if kind = Recording.kind_start then begin
+        nprocs.(tid) <- r.Recording.args.(k);
+        busy := !busy + nprocs.(tid)
+      end
+      else busy := !busy - nprocs.(tid);
+      cursor := time
+    end
+  done;
+  !acc
+
+let utilization t = List.rev (fold_segments t (fun acc s -> s :: acc) [])
+
+let queue_depth t =
+  let r = t.recording in
+  List.init (Array.length r.Recording.depths) (fun k ->
+      (r.Recording.depth_times.(k), r.Recording.depths.(k)))
+
+(* First reveal, first start, attempt count and summed attempt durations
+   per task, replayed from the trace in the order the run recorded them. *)
+let tasks t =
+  let r = t.recording in
+  let n = Recording.n_tasks r in
+  let ready = Array.make n nan and start = Array.make n nan in
+  let run_start = Array.make n 0. and service = Array.make n 0. in
+  let attempts = Array.make n 0 in
+  for k = 0 to Recording.n_events r - 1 do
+    let code = r.Recording.codes.(k) in
+    let kind = code land 3 in
+    let tid = code lsr 2 and now = r.Recording.times.(k) in
+    if kind = Recording.kind_ready then begin
+      if Float.is_nan ready.(tid) then ready.(tid) <- now
+    end
+    else if kind = Recording.kind_start then begin
+      if Float.is_nan start.(tid) then start.(tid) <- now;
+      run_start.(tid) <- now;
+      attempts.(tid) <- attempts.(tid) + 1
+    end
+    else service.(tid) <- service.(tid) +. (now -. run_start.(tid))
+  done;
+  Array.init n (fun i ->
+      {
+        task_id = i;
+        ready = ready.(i);
+        start = start.(i);
+        finish = (Schedule.placement r.Recording.schedule i).Schedule.finish;
+        wait = start.(i) -. ready.(i);
+        service = service.(i);
+        attempts = attempts.(i);
+      })
 
 let busy_area t =
-  List.fold_left
+  fold_segments t
     (fun acc s -> acc +. (float_of_int s.busy *. (s.t1 -. s.t0)))
-    0. t.utilization
+    0.
 
-let span t =
-  List.fold_left (fun acc s -> Float.max acc s.t1) 0. t.utilization
+let span t = fold_segments t (fun acc s -> Float.max acc s.t1) 0.
 
 let average_utilization t =
   let horizon = span t in
   if (not (Float.is_finite horizon)) || horizon <= 0. then 0.
   else busy_area t /. (float_of_int t.p *. horizon)
 
-let max_queue_depth t =
-  List.fold_left (fun acc (_, d) -> max acc d) 0 t.queue_depth
+let max_queue_depth t = Array.fold_left max 0 t.recording.Recording.depths
 
 (* Wait statistics skip non-finite samples (a wait is NaN when a task never
    started, e.g. in a partially-built report) and return 0 on an empty run,
@@ -77,13 +115,13 @@ let mean_wait t =
         incr n;
         sum := !sum +. ts.wait
       end)
-    t.tasks;
+    (tasks t);
   if !n = 0 then 0. else !sum /. float_of_int !n
 
 let max_wait t =
   Array.fold_left
     (fun acc ts -> if Float.is_finite ts.wait then Float.max acc ts.wait else acc)
-    0. t.tasks
+    0. (tasks t)
 
 (* ------------------------------------------------------------------ export *)
 
@@ -109,13 +147,13 @@ let to_json t =
                J.Obj
                  [ ("t0", J.Num s.t0); ("t1", J.Num s.t1);
                    ("busy", J.int s.busy) ])
-             t.utilization) );
+             (utilization t)) );
       ( "queue_depth",
         J.List
           (List.map
              (fun (time, depth) ->
                J.Obj [ ("time", J.Num time); ("depth", J.int depth) ])
-             t.queue_depth) );
+             (queue_depth t)) );
       ( "tasks",
         J.List
           (Array.to_list
@@ -128,7 +166,7 @@ let to_json t =
                       ("wait", J.Num ts.wait); ("service", J.Num ts.service);
                       ("attempts", J.int ts.attempts);
                     ])
-                t.tasks)) );
+                (tasks t))) );
     ]
 
 (* CSV cells print non-finite values as [null], as the JSON document
@@ -142,7 +180,7 @@ let utilization_csv t =
     (fun s ->
       Buffer.add_string buf
         (Printf.sprintf "%s,%s,%d\n" (f s.t0) (f s.t1) s.busy))
-    t.utilization;
+    (utilization t);
   Buffer.contents buf
 
 let queue_depth_csv t =
@@ -151,7 +189,7 @@ let queue_depth_csv t =
   List.iter
     (fun (time, depth) ->
       Buffer.add_string buf (Printf.sprintf "%s,%d\n" (f time) depth))
-    t.queue_depth;
+    (queue_depth t);
   Buffer.contents buf
 
 let tasks_csv t =
@@ -162,7 +200,7 @@ let tasks_csv t =
       Buffer.add_string buf
         (Printf.sprintf "%d,%s,%s,%s,%s,%s,%d\n" ts.task_id (f ts.ready)
            (f ts.start) (f ts.finish) (f ts.wait) (f ts.service) ts.attempts))
-    t.tasks;
+    (tasks t);
   Buffer.contents buf
 
 let pp ppf t =

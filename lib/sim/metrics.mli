@@ -1,11 +1,13 @@
 (** Run observability for the simulation core.
 
     Every {!Sim_core} run produces a [Metrics.t] alongside its schedule:
-    per-run counters, the busy-processor timeline, the ready-queue depth at
-    every scheduling instant, and per-task wait/service statistics.  The
-    record is cheap to collect (a few counters and one sample per event
-    batch) and exports to JSON or CSV for offline analysis next to the
-    [paper_artifacts/] outputs.
+    per-run counters plus three views of the run's {!Recording} — the
+    busy-processor timeline, the ready-queue depth at every scheduling
+    instant, and per-task wait/service statistics.  The run itself only
+    bumps the counters and records one depth sample per event batch; the
+    views replay the recorded trace when called.  Everything exports to
+    JSON or CSV for offline analysis next to the [paper_artifacts/]
+    outputs.
 
     Invariants (asserted by the test suite):
     - the integral of the utilization timeline equals the total busy area
@@ -42,20 +44,25 @@ type task_stat = {
 type t = {
   p : int;
   counters : counters;
-  utilization : segment list;        (** Chronological busy timeline. *)
-  queue_depth : (float * int) list;  (** Ready-set size after each instant. *)
-  tasks : task_stat array;           (** Indexed by task id. *)
+  recording : Recording.t;
+      (** The run's recording, which the views below replay. *)
 }
 
-val build :
-  p:int ->
-  counters:counters ->
-  queue_depth:(float * int) list ->
-  tasks:task_stat array ->
-  spans:(float * float * int) list ->
-  t
-(** Assembles a report; [spans] lists every attempt as
-    [(start, finish, nprocs)] and is swept into the utilization timeline. *)
+val make : p:int -> counters:counters -> Recording.t -> t
+
+(** {1 Views}
+
+    Built from the recording's arrays on every call: O(events) each, with
+    no cache.  A lean run's views are empty. *)
+
+val utilization : t -> segment list
+(** Chronological busy timeline. *)
+
+val queue_depth : t -> (float * int) list
+(** Ready-set size after each scheduling instant. *)
+
+val tasks : t -> task_stat array
+(** Indexed by task id. *)
 
 val busy_area : t -> float
 (** Integral of the utilization timeline ([sum busy * (t1 - t0)]). *)

@@ -33,13 +33,13 @@ let at_most ~k =
     fails = (fun _ ~task_id:_ ~attempt -> attempt <= k);
   }
 
-type event =
+type event = Recording.event =
   | Ready of int
   | Start of int * int
   | Finish of int
   | Failed of int * int
 
-type attempt = {
+type attempt = Recording.attempt = {
   task_id : int;
   attempt : int;
   start : float;
@@ -51,8 +51,7 @@ type attempt = {
 
 type result = {
   schedule : Schedule.t;
-  trace : (float * event) list;
-  attempts : attempt list;
+  recording : Recording.t;
   makespan : float;
   n_attempts : int;
   n_failures : int;
@@ -86,9 +85,6 @@ module Arena = struct
     mutable state : int array;
     mutable indeg : int array;
     mutable attempt_no : int array;
-    mutable first_ready : float array;
-    mutable first_start : float array;
-    mutable service : float array;
     mutable run_start : float array; (* start stamp of the running attempt *)
     mutable run_procs : int array array; (* procs of the running attempt *)
     mutable outcomes : int array; (* per-batch classification buffer *)
@@ -111,14 +107,14 @@ module Arena = struct
     pl_ints : Growbuf.I.t;
     pl_floats : Growbuf.F.t;
     pl_procs : int array Growbuf.A.t;
-    (* Full-mode recording buffers; converted to the public list-shaped
-       result fields once at the end of a run. *)
+    (* Full-mode recording buffers, copied into the result's
+       [Recording.t] at drain: the event trace (packed as
+       [Recording.decode] reads it), the processor block of every failed
+       attempt, and one ready-depth sample per scheduling instant. *)
     tr_times : Growbuf.F.t;
-    tr_a : Growbuf.I.t; (* event kind (2 bits) lor (first arg lsl 2) *)
+    tr_a : Growbuf.I.t; (* event kind (2 bits) lor (task id lsl 2) *)
     tr_b : Growbuf.I.t; (* second arg, 0 when absent *)
-    at_ints : Growbuf.I.t; (* stride 3: task_id, attempt, nprocs*2+failed *)
-    at_floats : Growbuf.F.t; (* stride 2: start, finish *)
-    at_procs : int array Growbuf.A.t;
+    fail_procs : int array Growbuf.A.t;
     qd_times : Growbuf.F.t;
     qd_depths : Growbuf.I.t;
     mutable in_use : bool;
@@ -135,9 +131,6 @@ module Arena = struct
       state = [||];
       indeg = [||];
       attempt_no = [||];
-      first_ready = [||];
-      first_start = [||];
-      service = [||];
       run_start = [||];
       run_procs = [||];
       outcomes = [||];
@@ -154,9 +147,7 @@ module Arena = struct
       tr_times = Growbuf.F.create ();
       tr_a = Growbuf.I.create ();
       tr_b = Growbuf.I.create ();
-      at_ints = Growbuf.I.create ();
-      at_floats = Growbuf.F.create ();
-      at_procs = Growbuf.A.create ~dummy:[||] ();
+      fail_procs = Growbuf.A.create ~dummy:[||] ();
       qd_times = Growbuf.F.create ();
       qd_depths = Growbuf.I.create ();
       in_use = false;
@@ -168,9 +159,6 @@ module Arena = struct
       t.state <- Array.make cap st_unrevealed;
       t.indeg <- Array.make cap 0;
       t.attempt_no <- Array.make cap 0;
-      t.first_ready <- Array.make cap nan;
-      t.first_start <- Array.make cap nan;
-      t.service <- Array.make cap 0.;
       t.run_start <- Array.make cap 0.;
       t.run_procs <- Array.make cap [||];
       t.tasks <- Array.make cap dummy_task;
@@ -197,9 +185,6 @@ module Arena = struct
       t.state <- gi st_unrevealed t.state;
       t.indeg <- gi 0 t.indeg;
       t.attempt_no <- gi 0 t.attempt_no;
-      t.first_ready <- gi nan t.first_ready;
-      t.first_start <- gi nan t.first_start;
-      t.service <- gi 0. t.service;
       t.run_start <- gi 0. t.run_start;
       t.run_procs <- gi [||] t.run_procs;
       t.tasks <- gi dummy_task t.tasks;
@@ -230,13 +215,6 @@ end
 let[@inline] enc_reveal i = i lsl 1
 let[@inline] enc_complete tid = (tid lsl 1) lor 1
 
-(* Trace event encoding for the recording buffers: kind in the low 2 bits
-   of [tr_a], first argument above them, second argument in [tr_b]. *)
-let ev_ready = 0
-let ev_start = 1
-let ev_finish = 2
-let ev_failed = 3
-
 let validate_inputs ?release_times ~max_attempts ~n () =
   (match release_times with
   | None -> ()
@@ -264,7 +242,6 @@ module Stepper = struct
     policy : policy;
     p : int;
     lean : bool;
-    recording : bool;
     traced : bool;
     tracer : Tracer.t;
     registry : Moldable_obs.Registry.t;
@@ -276,9 +253,8 @@ module Stepper = struct
     events : Event_queue.t;
     recycle_ok : bool;
         (* A failed attempt's processor block can return to the platform's
-           segment pool only when nothing retains it: lean mode keeps no
-           attempt records, and a live tracer would capture the block in
-           its spans. *)
+           segment pool only when nothing retains it: a full run records
+           the block, and a live tracer would capture it in its spans. *)
     counters : Metrics.counters;
     (* One-cell float arrays, not mutable float fields: in a mixed record a
        float-field store allocates a box, a float-array store does not, and
@@ -324,16 +300,13 @@ module Stepper = struct
     Growbuf.F.clear a.Arena.tr_times;
     Growbuf.I.clear a.Arena.tr_a;
     Growbuf.I.clear a.Arena.tr_b;
-    Growbuf.I.clear a.Arena.at_ints;
-    Growbuf.F.clear a.Arena.at_floats;
-    Growbuf.A.clear a.Arena.at_procs;
+    Growbuf.A.clear a.Arena.fail_procs;
     Growbuf.F.clear a.Arena.qd_times;
     Growbuf.I.clear a.Arena.qd_depths;
     {
       policy;
       p;
       lean;
-      recording = not lean;
       traced;
       tracer;
       registry;
@@ -379,16 +352,6 @@ module Stepper = struct
         succ_last.(k) <- -1;
         rel.(k) <- 0.
       done;
-      if st.recording then begin
-        let first_ready = a.Arena.first_ready
-        and first_start = a.Arena.first_start
-        and service = a.Arena.service in
-        for k = st.init_hi to j do
-          first_ready.(k) <- nan;
-          first_start.(k) <- nan;
-          service.(k) <- 0.
-        done
-      end;
       st.init_hi <- j + 1
     end
 
@@ -475,11 +438,7 @@ module Stepper = struct
     let a = st.arena in
     a.Arena.state.(i) <- st_available;
     st.ready_count <- st.ready_count + 1;
-    if st.recording then begin
-      if Float.is_nan a.Arena.first_ready.(i) then
-        a.Arena.first_ready.(i) <- now;
-      record_ev st now ev_ready i 0
-    end;
+    if not st.lean then record_ev st now Recording.kind_ready i 0;
     if st.traced then
       Tracer.record_instant st.tracer ~time:now ~kind:Tracer.Ready ~subject:i;
     st.policy.on_ready ~now a.Arena.tasks.(i)
@@ -535,11 +494,7 @@ module Stepper = struct
         st.n_running <- st.n_running + 1;
         a.Arena.attempt_no.(tid) <- a.Arena.attempt_no.(tid) + 1;
         st.counters.Metrics.launches <- st.counters.Metrics.launches + 1;
-        if st.recording then begin
-          if Float.is_nan a.Arena.first_start.(tid) then
-            a.Arena.first_start.(tid) <- now;
-          record_ev st now ev_start tid nprocs
-        end;
+        if not st.lean then record_ev st now Recording.kind_start tid nprocs;
         a.Arena.run_start.(tid) <- now;
         a.Arena.run_procs.(tid) <- procs;
         Event_queue.add st.events ~time:(now +. duration) (enc_complete tid);
@@ -552,7 +507,7 @@ module Stepper = struct
     else launch_round_untimed st now
 
   let sample_depth st now =
-    if st.recording then begin
+    if not st.lean then begin
       Growbuf.F.push st.arena.Arena.qd_times now;
       Growbuf.I.push st.arena.Arena.qd_depths st.ready_count
     end
@@ -579,8 +534,7 @@ module Stepper = struct
     let attempt_no = a.Arena.attempt_no
     and state = a.Arena.state
     and run_start = a.Arena.run_start
-    and run_procs = a.Arena.run_procs
-    and service = a.Arena.service in
+    and run_procs = a.Arena.run_procs in
     (* Phase 1 — completions: release the processors of every attempt in
        the batch and classify it (consuming the failure RNG in batch
        order), so the policy later sees the full free count of this
@@ -595,19 +549,6 @@ module Stepper = struct
         let procs = run_procs.(tid) in
         let failed = st.failures.fails st.rng ~task_id:tid ~attempt in
         st.n_running <- st.n_running - 1;
-        if st.recording then begin
-          (* Attempt records report the batch instant as their finish (the
-             instant the attempt's outcome became known); the schedule
-             keeps the exact stamp. *)
-          Growbuf.I.push a.Arena.at_ints tid;
-          Growbuf.I.push a.Arena.at_ints attempt;
-          Growbuf.I.push a.Arena.at_ints
-            ((Array.length procs lsl 1) lor Bool.to_int failed);
-          Growbuf.F.push a.Arena.at_floats start;
-          Growbuf.F.push a.Arena.at_floats now;
-          Growbuf.A.push a.Arena.at_procs procs;
-          service.(tid) <- service.(tid) +. (now -. start)
-        end;
         if st.traced then
           Tracer.record_span st.tracer ~task_id:tid ~attempt ~t0:start
             ~t1:now ~procs ~failed;
@@ -617,14 +558,20 @@ module Stepper = struct
           else Platform.release st.platform procs;
           st.n_failures <- st.n_failures + 1;
           st.counters.Metrics.retries <- st.counters.Metrics.retries + 1;
-          if st.recording then record_ev st now ev_failed tid attempt;
+          (* The trace records the batch instant as the attempt's end (the
+             instant its outcome became known); the schedule keeps the
+             exact stamp. *)
+          if not st.lean then begin
+            record_ev st now Recording.kind_failed tid attempt;
+            Growbuf.A.push a.Arena.fail_procs procs
+          end;
           outcomes.(k) <- 1
         end
         else begin
           Platform.release st.platform procs;
           state.(tid) <- st_done;
           st.completed <- st.completed + 1;
-          if st.recording then record_ev st now ev_finish tid 0;
+          if not st.lean then record_ev st now Recording.kind_finish tid 0;
           Growbuf.I.push a.Arena.pl_ints tid;
           Growbuf.F.push a.Arena.pl_floats start;
           Growbuf.F.push a.Arena.pl_floats stamp;
@@ -703,40 +650,11 @@ module Stepper = struct
     if until > st.now_cell.(0) then st.now_cell.(0) <- until;
     !batches
 
+  (* The result owns copies of the recording buffers, never the arena's
+     storage, so later runs on the arena leave it untouched. *)
   let finalize st =
     let a = st.arena in
-    let n = st.n in
-    let attempts =
-      if st.lean then []
-      else begin
-        let m = Growbuf.A.length a.Arena.at_procs in
-        let lst = ref [] in
-        for k = m - 1 downto 0 do
-          let packed = Growbuf.I.get a.Arena.at_ints ((3 * k) + 2) in
-          lst :=
-            {
-              task_id = Growbuf.I.get a.Arena.at_ints (3 * k);
-              attempt = Growbuf.I.get a.Arena.at_ints ((3 * k) + 1);
-              start = Growbuf.F.get a.Arena.at_floats (2 * k);
-              finish = Growbuf.F.get a.Arena.at_floats ((2 * k) + 1);
-              nprocs = packed lsr 1;
-              procs = Growbuf.A.get a.Arena.at_procs k;
-              failed = packed land 1 = 1;
-            }
-            :: !lst
-        done;
-        List.sort
-          (fun x y ->
-            match Float.compare x.start y.start with
-            | 0 -> (
-              match Int.compare x.task_id y.task_id with
-              | 0 -> Int.compare x.attempt y.attempt
-              | c -> c)
-            | c -> c)
-          !lst
-      end
-    in
-    let builder = Schedule.builder ~p:st.p ~n in
+    let builder = Schedule.builder ~p:st.p ~n:st.n in
     let m = Growbuf.A.length a.Arena.pl_procs in
     for k = 0 to m - 1 do
       let procs = Growbuf.A.get a.Arena.pl_procs k in
@@ -750,58 +668,16 @@ module Stepper = struct
         }
     done;
     let schedule = Schedule.finalize builder in
-    let trace =
-      if st.lean then []
-      else begin
-        let m = Growbuf.F.length a.Arena.tr_times in
-        let lst = ref [] in
-        for k = m - 1 downto 0 do
-          let packed = Growbuf.I.get a.Arena.tr_a k in
-          let arg1 = packed lsr 2 and b = Growbuf.I.get a.Arena.tr_b k in
-          let ev =
-            match packed land 3 with
-            | 0 -> Ready arg1
-            | 1 -> Start (arg1, b)
-            | 2 -> Finish arg1
-            | _ -> Failed (arg1, b)
-          in
-          lst := (Growbuf.F.get a.Arena.tr_times k, ev) :: !lst
-        done;
-        !lst
-      end
-    in
-    let metrics =
-      if st.lean then
-        Metrics.build ~p:st.p ~counters:st.counters ~queue_depth:[]
-          ~tasks:[||] ~spans:[]
-      else begin
-        let first_ready = a.Arena.first_ready
-        and first_start = a.Arena.first_start
-        and service = a.Arena.service
-        and attempt_no = a.Arena.attempt_no in
-        let tasks =
-          Array.init n (fun i ->
-              {
-                Metrics.task_id = i;
-                ready = first_ready.(i);
-                start = first_start.(i);
-                finish = (Schedule.placement schedule i).Schedule.finish;
-                wait = first_start.(i) -. first_ready.(i);
-                service = service.(i);
-                attempts = attempt_no.(i);
-              })
-        in
-        let queue_depth =
-          List.init (Growbuf.F.length a.Arena.qd_times) (fun k ->
-              ( Growbuf.F.get a.Arena.qd_times k,
-                Growbuf.I.get a.Arena.qd_depths k ))
-        in
-        let spans =
-          List.map (fun at -> (at.start, at.finish, at.nprocs)) attempts
-        in
-        Metrics.build ~p:st.p ~counters:st.counters ~queue_depth ~tasks
-          ~spans
-      end
+    let recording =
+      if st.lean then Recording.lean schedule
+      else
+        Recording.make ~schedule
+          ~times:(Growbuf.F.to_array a.Arena.tr_times)
+          ~codes:(Growbuf.I.to_array a.Arena.tr_a)
+          ~args:(Growbuf.I.to_array a.Arena.tr_b)
+          ~failed_procs:(Growbuf.A.to_array a.Arena.fail_procs)
+          ~depth_times:(Growbuf.F.to_array a.Arena.qd_times)
+          ~depths:(Growbuf.I.to_array a.Arena.qd_depths)
     in
     (* Publish the run counters to an attached telemetry registry in one
        shot: the totals are identical to incrementing per event, and the
@@ -827,12 +703,11 @@ module Stepper = struct
      end);
     {
       schedule;
-      trace;
-      attempts;
+      recording;
       makespan = st.ms.(0);
       n_attempts = st.counters.Metrics.launches;
       n_failures = st.n_failures;
-      metrics;
+      metrics = Metrics.make ~p:st.p ~counters:st.counters recording;
     }
 
   let drain st =
@@ -882,22 +757,21 @@ module Stepper = struct
 
   let events_from st k0 =
     let a = st.arena in
-    let m = Growbuf.F.length a.Arena.tr_times in
     let lst = ref [] in
-    for k = m - 1 downto max 0 k0 do
-      let packed = Growbuf.I.get a.Arena.tr_a k in
-      let arg1 = packed lsr 2 and b = Growbuf.I.get a.Arena.tr_b k in
-      let ev =
-        match packed land 3 with
-        | 0 -> Ready arg1
-        | 1 -> Start (arg1, b)
-        | 2 -> Finish arg1
-        | _ -> Failed (arg1, b)
-      in
-      lst := (Growbuf.F.get a.Arena.tr_times k, ev) :: !lst
+    for k = Growbuf.F.length a.Arena.tr_times - 1 downto max 0 k0 do
+      lst :=
+        ( Growbuf.F.get a.Arena.tr_times k,
+          Recording.decode (Growbuf.I.get a.Arena.tr_a k)
+            (Growbuf.I.get a.Arena.tr_b k) )
+        :: !lst
     done;
     !lst
 end
+
+let trace r = Recording.trace r.recording
+let attempts r = Recording.attempts r.recording
+let n_events r = Recording.n_events r.recording
+let events_from r k = Recording.events_from r.recording k
 
 let run ?release_times ?(seed = 0) ?(max_attempts = max_int)
     ?(failures = never) ?(tracer = Tracer.null)

@@ -54,13 +54,13 @@ val at_most : k:int -> failure_model
 (** Deterministic: the first [k] attempts of every task fail, the next
     succeeds — handy for exact makespan assertions in tests. *)
 
-type event =
+type event = Recording.event =
   | Ready of int        (** Task revealed (or re-revealed after a failure). *)
   | Start of int * int  (** Task id, allocation. *)
   | Finish of int       (** Successful completion. *)
   | Failed of int * int (** Task id, 1-based attempt that failed. *)
 
-type attempt = {
+type attempt = Recording.attempt = {
   task_id : int;
   attempt : int;      (** 1-based attempt number. *)
   start : float;
@@ -73,15 +73,33 @@ type attempt = {
 type result = {
   schedule : Schedule.t;
       (** One placement per task: its successful attempt. *)
-  trace : (float * event) list;  (** Chronological.  Empty in lean mode. *)
-  attempts : attempt list;
-      (** Chronological (by start, then task id and attempt).  Empty in
-          lean mode. *)
+  recording : Recording.t;
+      (** The run's trace and depth samples as flat arrays the result owns
+          (never the arena's); read it through the views below and
+          {!Metrics}. *)
   makespan : float;
   n_attempts : int;
   n_failures : int;
-  metrics : Metrics.t;
+  metrics : Metrics.t;  (** Its views replay the same [recording]. *)
 }
+
+(** {1 Result views}
+
+    Built from the result's {!Recording} on every call; empty for a lean
+    run. *)
+
+val trace : result -> (float * event) list
+(** Chronological. *)
+
+val attempts : result -> attempt list
+(** Chronological (by start, then task id and attempt). *)
+
+val n_events : result -> int
+
+val events_from : result -> int -> (float * event) list
+(** [events_from r k] is the trace suffix from event index [k], in
+    O(events returned) — the drained-session form of
+    {!Stepper.events_from}. *)
 
 (** Reusable per-run storage: the event heap, per-task bookkeeping arrays,
     recording buffers and the platform (with its recycled segment pool),
@@ -236,11 +254,14 @@ val run :
     delays the reveal of each task to the maximum of its release time and
     the completion of its last predecessor.  [seed] (default 0) seeds the
     failure RNG.  [arena] supplies reusable per-run storage (see {!Arena});
-    by default every run allocates fresh storage.  [lean:true] (default
-    [false]) skips all trace/attempt/metric recording for makespan-only
-    consumers: the result's [trace] and [attempts] are [[]] and [metrics]
-    carries only the run counters, while [schedule], [makespan],
-    [n_attempts] and [n_failures] are exactly those of the full run.
+    by default every run allocates fresh storage.  A full run records its
+    event trace, the processor blocks of failed attempts and one
+    ready-depth sample per scheduling instant into the arena, and the
+    result owns flat copies of them (see {!Recording}); the list views are
+    built only when called.  [lean:true] (default [false]) records nothing
+    beyond the schedule and the run counters: every view of the result is
+    empty, while [schedule], [makespan], [n_attempts] and [n_failures] are
+    exactly those of the full run.
     [max_attempts] (default unlimited) bounds the attempts
     per task; the bound is checked {e before} any processor is acquired or
     event queued, and the error names the task, its attempt count and the

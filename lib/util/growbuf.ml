@@ -20,6 +20,8 @@ module F = struct
   let get t i =
     if i < 0 || i >= t.len then invalid_arg "Growbuf.F.get: index out of range";
     t.data.(i)
+
+  let to_array t = Array.sub t.data 0 t.len
 end
 
 module I = struct
@@ -44,6 +46,8 @@ module I = struct
   let get t i =
     if i < 0 || i >= t.len then invalid_arg "Growbuf.I.get: index out of range";
     t.data.(i)
+
+  let to_array t = Array.sub t.data 0 t.len
 
   let set t i x =
     if i < 0 || i >= t.len then invalid_arg "Growbuf.I.set: index out of range";
@@ -75,4 +79,6 @@ module A = struct
   let get t i =
     if i < 0 || i >= t.len then invalid_arg "Growbuf.A.get: index out of range";
     t.data.(i)
+
+  let to_array t = Array.sub t.data 0 t.len
 end

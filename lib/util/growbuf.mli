@@ -1,10 +1,11 @@
 (** Growable typed buffers: append-only arrays that double in place.
 
-    The simulation core records its trace, attempt and queue-depth streams
-    into these instead of cons lists — a push is an array store (amortized;
-    no per-element boxing for the float and int variants), and the buffers
-    are [clear]ed and reused across runs by the arena.  The recorded
-    prefix converts to the public list shapes once, at the end of a run. *)
+    The simulation core records its event trace, failed processor blocks
+    and queue-depth samples into these instead of cons lists — a push is an
+    array store (amortized; no per-element boxing for the float and int
+    variants), and the buffers are [clear]ed and reused across runs by the
+    arena.  At the end of a run, [to_array] copies each pushed prefix into
+    an exact-size array that the run's result owns; no list is built. *)
 
 module F : sig
   (** Unboxed float buffer. *)
@@ -16,6 +17,9 @@ module F : sig
   val length : t -> int
   val push : t -> float -> unit
   val get : t -> int -> float
+
+  val to_array : t -> float array
+  (** A fresh array of the pushed elements; the buffer keeps its storage. *)
 end
 
 module I : sig
@@ -28,6 +32,9 @@ module I : sig
   val length : t -> int
   val push : t -> int -> unit
   val get : t -> int -> int
+
+  val to_array : t -> int array
+  (** A fresh array of the pushed elements; the buffer keeps its storage. *)
 
   val set : t -> int -> int -> unit
   (** Overwrite an already-pushed slot (index [< length]); the simulation
@@ -49,4 +56,7 @@ module A : sig
   val length : 'a t -> int
   val push : 'a t -> 'a -> unit
   val get : 'a t -> int -> 'a
+
+  val to_array : 'a t -> 'a array
+  (** A fresh array of the pushed elements; the buffer keeps its storage. *)
 end

@@ -113,12 +113,13 @@ let of_run ?label ?registry tracer (metrics : Metrics.t) =
     (Tracer.instants tracer);
   (* Counter tracks: free processors from the busy timeline, and the
      ready-queue depth sampled at every scheduling instant. *)
+  let utilization = Metrics.utilization metrics in
   List.iter
     (fun (s : Metrics.segment) ->
       counter "free processors" (us s.Metrics.t0)
         [ ("free", J.int (metrics.Metrics.p - s.Metrics.busy)) ])
-    metrics.Metrics.utilization;
-  (match List.rev metrics.Metrics.utilization with
+    utilization;
+  (match List.rev utilization with
   | last :: _ ->
     counter "free processors" (us last.Metrics.t1)
       [ ("free", J.int metrics.Metrics.p) ]
@@ -126,7 +127,7 @@ let of_run ?label ?registry tracer (metrics : Metrics.t) =
   List.iter
     (fun (time, depth) ->
       counter "ready queue" (us time) [ ("depth", J.int depth) ])
-    metrics.Metrics.queue_depth;
+    (Metrics.queue_depth metrics);
   (* Registry gauges (domains busy, GC heap words, ...) become additional
      counter tracks when a snapshot is supplied.  A snapshot is a
      point-in-time merge, so each gauge renders as a single sample at the

@@ -58,5 +58,5 @@ let trace_to_csv (result : Sim_core.result) =
         Buffer.add_string buf (Printf.sprintf "%.9g,finish,%d,\n" time i)
       | Sim_core.Failed (i, _) ->
         Buffer.add_string buf (Printf.sprintf "%.9g,failed,%d,\n" time i))
-    result.Sim_core.trace;
+    (Sim_core.trace result);
   Buffer.contents buf

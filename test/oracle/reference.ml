@@ -1,5 +1,6 @@
 (* Differential oracles for the production scheduler, linked only by the
-   tests and the bench: the pre-arena event loop ([run]) and the seed's
+   tests and the bench: the pre-arena event loop ([run]), which records
+   every view of a run as eager lists, and the seed's
    sorted-list Algorithm 1 policy ([policy]).  Both are kept verbatim so
    the qcheck properties and the [alloc_lean] / [scalability_hot_path]
    bench gates pin [Sim_core.run] and [Online_scheduler.policy] against
@@ -70,6 +71,60 @@ module Ref_queue = struct
 end
 
 type ref_state = Unrevealed | Available | Running | Done
+
+(* Every view of a run, forced into the list and record shapes the
+   pre-arena loop built eagerly.  [run] returns one; [of_sim] forces a
+   [Sim_core.result]'s views into one, so the differential compares the
+   two element for element. *)
+type result = {
+  schedule : Schedule.t;
+  trace : (float * event) list;
+  attempts : attempt list;
+  makespan : float;
+  n_attempts : int;
+  n_failures : int;
+  p : int;
+  counters : Metrics.counters;
+  utilization : Metrics.segment list;
+  queue_depth : (float * int) list;
+  tasks : Metrics.task_stat array;
+}
+
+let of_sim (r : Sim_core.result) =
+  let m = r.Sim_core.metrics in
+  {
+    schedule = r.Sim_core.schedule;
+    trace = Sim_core.trace r;
+    attempts = Sim_core.attempts r;
+    makespan = r.Sim_core.makespan;
+    n_attempts = r.Sim_core.n_attempts;
+    n_failures = r.Sim_core.n_failures;
+    p = m.Metrics.p;
+    counters = m.Metrics.counters;
+    utilization = Metrics.utilization m;
+    queue_depth = Metrics.queue_depth m;
+    tasks = Metrics.tasks m;
+  }
+
+(* The pre-arena busy timeline: sort every attempt endpoint by time, then
+   sweep; simultaneous endpoints collapse into one breakpoint. *)
+let timeline_of_spans spans =
+  let deltas =
+    List.concat_map
+      (fun (start, finish, nprocs) -> [ (start, nprocs); (finish, -nprocs) ])
+      spans
+    |> List.sort (fun (ta, _) (tb, _) -> Float.compare ta tb)
+  in
+  let rec sweep acc busy cursor = function
+    | [] -> List.rev acc
+    | (time, delta) :: rest ->
+      let acc =
+        if time > cursor then { Metrics.t0 = cursor; t1 = time; busy } :: acc
+        else acc
+      in
+      sweep acc (busy + delta) time rest
+  in
+  match deltas with [] -> [] | (t0, _) :: _ -> sweep [] 0 t0 deltas
 
 type ref_event =
   | RComplete of { tid : int; attempt : int; start : float; finish : float;
@@ -270,10 +325,10 @@ let run ?release_times ?(seed = 0) ?(max_attempts = max_int)
           attempts = attempt_no.(i);
         })
   in
-  let spans = List.map (fun at -> (at.start, at.finish, at.nprocs)) attempts in
-  let metrics =
-    Metrics.build ~p ~counters ~queue_depth:(List.rev !depth_samples) ~tasks
-      ~spans
+  let spans =
+    List.map
+      (fun (at : attempt) -> (at.start, at.finish, at.nprocs))
+      attempts
   in
   (let module R = Moldable_obs.Registry in
    if R.enabled registry then begin
@@ -300,7 +355,11 @@ let run ?release_times ?(seed = 0) ?(max_attempts = max_int)
     makespan;
     n_attempts = List.length attempts;
     n_failures = !n_failures;
-    metrics;
+    p;
+    counters;
+    utilization = timeline_of_spans spans;
+    queue_depth = List.rev !depth_samples;
+    tasks;
   }
 
 (* The seed's sorted-list Algorithm 1 policy: O(n) insert, O(n) scan, and

@@ -408,6 +408,20 @@ let prop_shadow_clean_with_failures =
         QCheck.Test.fail_report
           (Format.asprintf "seed %d (P=%d):@.%a" seed p Shadow.pp report))
 
+(* [r] with its recording rebuilt from edited event instants and failed
+   processor blocks (the recording is private to its constructor). *)
+let with_recording ?(times = Fun.id) ?(failed_procs = Fun.id)
+    (r : Moldable_sim.Sim_core.result) =
+  let module R = Moldable_sim.Recording in
+  let rc = r.Moldable_sim.Sim_core.recording in
+  let recording =
+    R.make ~schedule:rc.R.schedule ~times:(times rc.R.times)
+      ~codes:rc.R.codes ~args:rc.R.args
+      ~failed_procs:(failed_procs rc.R.failed_procs)
+      ~depth_times:rc.R.depth_times ~depths:rc.R.depths
+  in
+  { r with Moldable_sim.Sim_core.recording }
+
 let test_shadow_flags_corrupt_stamp () =
   (* The oracle must actually fire: corrupt one finish stamp well past every
      tolerance and check the replay reports an unexplained divergence. *)
@@ -419,15 +433,15 @@ let test_shadow_flags_corrupt_stamp () =
     Online_scheduler.run ~allocator:(Allocator.algorithm2 ~mu) ~p
       dag
   in
+  (* The last event is the task's [Finish]: its instant is the attempt's
+     finish. *)
   let corrupt =
-    {
-      result with
-      Moldable_sim.Sim_core.attempts =
-        List.map
-          (fun (a : Moldable_sim.Sim_core.attempt) ->
-            { a with Moldable_sim.Sim_core.finish = a.Moldable_sim.Sim_core.finish *. 1.5 })
-          result.Moldable_sim.Sim_core.attempts;
-    }
+    with_recording result
+      ~times:(fun ts ->
+        let ts = Array.copy ts in
+        let k = Array.length ts - 1 in
+        ts.(k) <- ts.(k) *. 1.5;
+        ts)
   in
   let report = Shadow.check ~mu ~dag ~p corrupt in
   Alcotest.(check bool) "clean run passes" true
@@ -439,9 +453,11 @@ let test_shadow_report_json () =
   let task = Task.make ~id:0 (Speedup.Roofline { w = 4.; ptilde = 2 }) in
   let dag = Dag.create ~tasks:[ task ] ~edges:[] in
   let mu = Mu.default Speedup.Kind_roofline in
+  (* One failed attempt, so the recording holds a processor block of its
+     own to corrupt. *)
   let result =
     Online_scheduler.run ~allocator:(Allocator.algorithm2 ~mu)
-      ~p:4 dag
+      ~failures:(Moldable_sim.Sim_core.at_most ~k:1) ~p:4 dag
   in
   let report = Shadow.check ~mu ~dag ~p:4 result in
   let json = Json.to_string_compact (Shadow.report_to_json report) in
@@ -452,14 +468,7 @@ let test_shadow_report_json () =
   (* A corrupted processor set is flagged with an infinite relative excess;
      the report must still be strict JSON, with that excess as null. *)
   let corrupt =
-    {
-      result with
-      Moldable_sim.Sim_core.attempts =
-        List.map
-          (fun (a : Moldable_sim.Sim_core.attempt) ->
-            { a with Moldable_sim.Sim_core.procs = [| 3; 1 |] })
-          result.Moldable_sim.Sim_core.attempts;
-    }
+    with_recording result ~failed_procs:(Array.map (fun _ -> [| 3; 1 |]))
   in
   let report = Shadow.check ~mu ~dag ~p:4 corrupt in
   Alcotest.(check bool) "corrupted processor set is flagged" false

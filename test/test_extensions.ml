@@ -125,7 +125,7 @@ let test_failures_never_matches_plain_run () =
   let resilient =
     Sim_core.run ~failures:Sim_core.never ~p (fifo_fixed ~p 1) dag
   in
-  Validate.check_attempts_exn ~dag ~p resilient.Sim_core.attempts;
+  Validate.check_attempts_exn ~dag ~p (Sim_core.attempts resilient);
   check_float 1e-9 "same makespan"
     (Schedule.makespan plain.Sim_core.schedule)
     resilient.Sim_core.makespan;
@@ -141,7 +141,7 @@ let test_failures_at_most_k_exact_makespan () =
       ~failures:(Sim_core.at_most ~k:2)
       ~p:1 (fifo_fixed ~p:1 1) dag
   in
-  Validate.check_attempts_exn ~dag ~p:1 r.Sim_core.attempts;
+  Validate.check_attempts_exn ~dag ~p:1 (Sim_core.attempts r);
   Alcotest.(check int) "attempts" 3 r.Sim_core.n_attempts;
   Alcotest.(check int) "failures" 2 r.Sim_core.n_failures;
   check_float 1e-9 "makespan" 6. r.Sim_core.makespan
@@ -157,11 +157,11 @@ let test_failures_block_successors () =
     }
   in
   let r = Sim_core.run ~failures ~p:2 (fifo_fixed ~p:2 1) dag in
-  Validate.check_attempts_exn ~dag ~p:2 r.Sim_core.attempts;
+  Validate.check_attempts_exn ~dag ~p:2 (Sim_core.attempts r);
   let t1_start =
     List.find
       (fun (a : Sim_core.attempt) -> a.Sim_core.task_id = 1)
-      r.Sim_core.attempts
+      (Sim_core.attempts r)
   in
   check_float 1e-9 "successor delayed" 4. t1_start.Sim_core.start
 
@@ -230,7 +230,7 @@ let prop_failure_runs_validate =
              ~p ())
           dag
       in
-      Result.is_ok (Validate.check_attempts ~dag ~p r.Sim_core.attempts))
+      Result.is_ok (Validate.check_attempts ~dag ~p (Sim_core.attempts r)))
 
 (* --------------------------------------------------------------- Malleable *)
 
@@ -552,8 +552,8 @@ let test_metrics_simple () =
   let r = Sim_core.run ~p:1 (fifo_fixed ~p:1 1) dag in
   let m = r.Sim_core.metrics in
   check_float 1e-9 "makespan" 2. r.Sim_core.makespan;
-  check_float 1e-9 "task 0 wait" 0. m.Metrics.tasks.(0).Metrics.wait;
-  check_float 1e-9 "task 1 wait" 1. m.Metrics.tasks.(1).Metrics.wait;
+  check_float 1e-9 "task 0 wait" 0. (Metrics.tasks m).(0).Metrics.wait;
+  check_float 1e-9 "task 1 wait" 1. (Metrics.tasks m).(1).Metrics.wait;
   check_float 1e-9 "mean wait" 0.5 (Metrics.mean_wait m);
   check_float 1e-9 "max wait" 1. (Metrics.max_wait m);
   check_float 1e-9 "utilization" 1. (Metrics.average_utilization m)
@@ -561,7 +561,7 @@ let test_metrics_simple () =
 let test_metrics_chain_response () =
   let dag = Dag.create ~tasks:(unit_tasks 2 1.) ~edges:[ (0, 1) ] in
   let r = Sim_core.run ~p:1 (fifo_fixed ~p:1 1) dag in
-  let t1 = r.Sim_core.metrics.Metrics.tasks.(1) in
+  let t1 = (Metrics.tasks r.Sim_core.metrics).(1) in
   (* Task 1 becomes ready at t=1 and runs immediately. *)
   check_float 1e-9 "ready" 1. t1.Metrics.ready;
   check_float 1e-9 "wait" 0. t1.Metrics.wait;
@@ -581,7 +581,7 @@ let prop_metrics_waits_nonnegative =
         (fun (tm : Metrics.task_stat) ->
           tm.Metrics.wait >= -1e-9
           && tm.Metrics.finish -. tm.Metrics.ready >= tm.Metrics.wait -. 1e-9)
-        r.Sim_core.metrics.Metrics.tasks)
+        (Metrics.tasks r.Sim_core.metrics))
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in

@@ -214,8 +214,8 @@ let prop_null_registry_equivalent =
       && same_schedule default.Sim_core.schedule live.Sim_core.schedule
       && Float.equal default.Sim_core.makespan null.Sim_core.makespan
       && Float.equal default.Sim_core.makespan live.Sim_core.makespan
-      && default.Sim_core.attempts = null.Sim_core.attempts
-      && default.Sim_core.attempts = live.Sim_core.attempts)
+      && Sim_core.attempts default = Sim_core.attempts null
+      && Sim_core.attempts default = Sim_core.attempts live)
 
 let test_null_registry_records_nothing () =
   Alcotest.(check bool) "disabled" false (R.enabled R.null);

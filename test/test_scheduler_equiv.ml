@@ -89,12 +89,12 @@ let policies_agree ~dag ~p ~priority ~allocator =
       (Moldable_oracle.Reference.policy ~priority ~allocator ~p ())
       dag
   in
-  if trace_equal heap.Sim_core.trace list_.Sim_core.trace then true
+  if trace_equal (Sim_core.trace heap) (Sim_core.trace list_) then true
   else
     QCheck.Test.fail_report
       (Printf.sprintf "trace mismatch [%s, P=%d]\n%s"
          priority.Priority.name p
-         (show_traces heap.Sim_core.trace list_.Sim_core.trace))
+         (show_traces (Sim_core.trace heap) (Sim_core.trace list_)))
 
 let prop_trace_equivalence =
   QCheck.Test.make ~name:"heap queue reproduces sorted-list traces (all rules)"
@@ -218,7 +218,7 @@ let test_cache_saves_model_evaluations () =
     true
     (cached_calls < reference_calls);
   Alcotest.(check bool) "same trace" true
-    (trace_equal cached.Sim_core.trace reference.Sim_core.trace)
+    (trace_equal (Sim_core.trace cached) (Sim_core.trace reference))
 
 let test_cache_rejects_bad_p () =
   Alcotest.check_raises "p >= 1"

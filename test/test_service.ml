@@ -43,14 +43,11 @@ let same_schedule a b =
          && pa.Schedule.procs = pb.Schedule.procs)
        (List.init (Schedule.n a) (fun i -> i))
 
+(* Schedule, makespan, counts and every view of the two runs
+   ([Reference.of_sim] forces them all). *)
 let same_result (a : Sim_core.result) (b : Sim_core.result) =
   same_schedule a.Sim_core.schedule b.Sim_core.schedule
-  && a.Sim_core.trace = b.Sim_core.trace
-  && a.Sim_core.attempts = b.Sim_core.attempts
-  && Float.equal a.Sim_core.makespan b.Sim_core.makespan
-  && a.Sim_core.n_attempts = b.Sim_core.n_attempts
-  && a.Sim_core.n_failures = b.Sim_core.n_failures
-  && a.Sim_core.metrics = b.Sim_core.metrics
+  && Moldable_oracle.Reference.of_sim a = Moldable_oracle.Reference.of_sim b
 
 (* --------------------------------------- late-admission stepper driver *)
 
@@ -66,7 +63,7 @@ let admission_caps ~dag (reference : Sim_core.result) =
            match acc with
            | t' :: _ when Float.equal t' t -> acc
            | _ -> t :: acc)
-         [] reference.Sim_core.trace)
+         [] (Sim_core.trace reference))
   in
   (* The time-0 source flush is step 0 whether or not it recorded events. *)
   let offset =
@@ -85,7 +82,7 @@ let admission_caps ~dag (reference : Sim_core.result) =
       match ev with
       | Sim_core.Finish i -> finish_step.(i) <- step_of_time t
       | Sim_core.Ready _ | Sim_core.Start _ | Sim_core.Failed _ -> ())
-    reference.Sim_core.trace;
+    (Sim_core.trace reference);
   (* A task must be admitted strictly before the batch that completes its
      last dependency (so the normal unlock path reveals it); sources must
      be in place before the time-0 flush. *)
@@ -383,7 +380,7 @@ let test_stepper_events_windows_concatenate () =
   let r = Sim_core.Stepper.drain st in
   let streamed = List.concat (List.rev !windows) in
   Alcotest.(check bool) "windows concatenate to the full trace" true
-    (streamed = r.Sim_core.trace)
+    (streamed = (Sim_core.trace r))
 
 (* ------------------------------------------------------------- protocol *)
 
@@ -722,7 +719,28 @@ let test_end_to_end_incremental_session () =
     server_mk;
   let status = rpc_exn Protocol.Status in
   Alcotest.(check string) "drained phase" "drained"
-    (field "phase" Json.to_str status)
+    (field "phase" Json.to_str status);
+  (* A drained session serves any window of its trace: [events since k] is
+     the local run's trace from event [k] on, and [next] is the trace
+     length (or [k] past the end). *)
+  let trace = Sim_core.trace local in
+  let n_events = List.length trace in
+  List.iter
+    (fun since ->
+      let resp = rpc_exn (Protocol.Events since) in
+      Alcotest.(check int)
+        (Printf.sprintf "next after since=%d" since)
+        (max since n_events)
+        (field "next" Json.to_int resp);
+      let expected =
+        List.filteri (fun k _ -> k >= since) trace
+        |> List.map (fun (t, e) -> Protocol.event_to_json t e)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "events since=%d" since)
+        true
+        (field "events" Json.to_list resp = expected))
+    [ 0; 3; n_events - 1; n_events; n_events + 5 ]
 
 let test_end_to_end_concurrent_sessions () =
   with_daemon ~sessions:3 @@ fun path ->

@@ -110,7 +110,7 @@ let test_engine_batches_ulp_completions () =
   let finishes =
     List.filter_map
       (function t, Sim_core.Finish _ -> Some t | _ -> None)
-      r.Sim_core.trace
+      (Sim_core.trace r)
   in
   (match finishes with
   | ta :: tb :: _ ->
@@ -378,7 +378,7 @@ let test_engine_waits_when_full () =
 let test_engine_trace_structure () =
   let dag = dag_of [ Task.make ~id:0 (roofline ~w:1. ~ptilde:1) ] [] in
   let r = Sim_core.run ~p:1 (fifo_policy ~p:1 1) dag in
-  match r.Sim_core.trace with
+  match Sim_core.trace r with
   | [ (t0, Sim_core.Ready 0);
       (t1, Sim_core.Start (0, 1));
       (t2, Sim_core.Finish 0) ] ->
@@ -397,7 +397,7 @@ let test_engine_reveals_only_when_ready () =
   let ready_1 =
     List.find_map
       (function t, Sim_core.Ready 1 -> Some t | _ -> None)
-      r.Sim_core.trace
+      (Sim_core.trace r)
   in
   Alcotest.(check (option (float 1e-9))) "revealed at t=1" (Some 1.) ready_1
 

@@ -14,6 +14,7 @@ open Moldable_graph
 open Moldable_sim
 open Moldable_util
 open Moldable_core
+module Reference = Moldable_oracle.Reference
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -338,7 +339,7 @@ let prop_core_trace_equivalent_to_seed_engine =
           let actual =
             Sim_core.run ?release_times ~p (fresh_policy ~priority ~p ()) dag
           in
-          actual.Sim_core.trace = expected_trace
+          Sim_core.trace actual = expected_trace
           && same_schedule actual.Sim_core.schedule expected_sched)
         Priority.all)
 
@@ -372,7 +373,7 @@ let prop_core_attempt_equivalent_to_seed_failure_engine =
               (fresh_policy ~priority ~p ())
               dag
           in
-          actual.Sim_core.attempts = expected)
+          Sim_core.attempts actual = expected)
         Priority.all)
 
 (* ------------------------------------- failure runs regained the extras *)
@@ -388,7 +389,7 @@ let test_failure_run_returns_schedule_and_trace () =
       (fresh_policy ~priority:Priority.fifo ~p ())
       dag
   in
-  Validate.check_attempts_exn ~dag ~p r.Sim_core.attempts;
+  Validate.check_attempts_exn ~dag ~p (Sim_core.attempts r);
   (* The schedule holds exactly the successful attempt of every task. *)
   Alcotest.(check int) "one placement per task" (Dag.n dag)
     (Schedule.n r.Sim_core.schedule);
@@ -399,10 +400,10 @@ let test_failure_run_returns_schedule_and_trace () =
           a.Sim_core.start
           (Schedule.placement r.Sim_core.schedule a.Sim_core.task_id)
             .Schedule.start)
-    r.Sim_core.attempts;
+    (Sim_core.attempts r);
   (* The trace records a Failed event per failed attempt and a Finish per
      task. *)
-  let count f = List.length (List.filter f r.Sim_core.trace) in
+  let count f = List.length (List.filter f (Sim_core.trace r)) in
   Alcotest.(check int) "Failed events"
     r.Sim_core.n_failures
     (count (function _, Sim_core.Failed _ -> true | _ -> false));
@@ -424,7 +425,7 @@ let test_failure_run_accepts_release_times () =
       (fresh_policy ~priority:Priority.fifo ~p ())
       dag
   in
-  Validate.check_attempts_exn ~dag ~p r.Sim_core.attempts;
+  Validate.check_attempts_exn ~dag ~p (Sim_core.attempts r);
   for i = 0 to n - 1 do
     Alcotest.(check bool)
       (Printf.sprintf "task %d starts at/after release" i)
@@ -469,7 +470,7 @@ let test_metrics_utilization_integral () =
         acc
         +. (float_of_int a.Sim_core.nprocs
            *. (a.Sim_core.finish -. a.Sim_core.start)))
-      0. r.Sim_core.attempts
+      0. (Sim_core.attempts r)
   in
   Alcotest.(check bool) "utilization integral = total attempt area" true
     (Fcmp.approx ~eps:1e-6 (Metrics.busy_area m) area_of_attempts);
@@ -492,7 +493,7 @@ let test_metrics_waits_nonnegative () =
       Alcotest.(check bool)
         (Printf.sprintf "task %d attempts >= 1" ts.Metrics.task_id)
         true (ts.Metrics.attempts >= 1))
-    m.Metrics.tasks
+    (Metrics.tasks m)
 
 let test_metrics_queue_depth_samples () =
   let _, r = metrics_fixture () in
@@ -500,9 +501,9 @@ let test_metrics_queue_depth_samples () =
   (* One sample at time 0 plus one per processed batch, all non-negative. *)
   Alcotest.(check int) "sample count"
     (m.Metrics.counters.Metrics.batches + 1)
-    (List.length m.Metrics.queue_depth);
+    (List.length (Metrics.queue_depth m));
   Alcotest.(check bool) "depths non-negative" true
-    (List.for_all (fun (_, d) -> d >= 0) m.Metrics.queue_depth)
+    (List.for_all (fun (_, d) -> d >= 0) (Metrics.queue_depth m))
 
 let test_metrics_exports_well_formed () =
   let dag, r = metrics_fixture () in
@@ -530,7 +531,7 @@ let test_metrics_exports_well_formed () =
     (fun i t ->
       Alcotest.(check (option (float 0.)))
         (Printf.sprintf "task %d finish round-trips" i)
-        (Some m.Metrics.tasks.(i).Metrics.finish)
+        (Some (Metrics.tasks m).(i).Metrics.finish)
         (Option.bind (Json.member "finish" t) Json.to_float))
     tasks;
   let csv = Metrics.utilization_csv m in
@@ -538,7 +539,7 @@ let test_metrics_exports_well_formed () =
     (String.length csv > String.length "t0,t1,busy\n");
   let lines = String.split_on_char '\n' (String.trim csv) in
   Alcotest.(check int) "one row per segment"
-    (List.length m.Metrics.utilization)
+    (List.length (Metrics.utilization m))
     (List.length lines - 1)
 
 (* ----------------------------------------------- max_attempts guard report *)
@@ -679,7 +680,7 @@ let prop_check_attempts_agrees_with_check =
         ( count (Validate.check ~dag sched),
           count (Validate.check_attempts ~dag ~p attempts) )
       in
-      let clean_s, clean_a = verdicts r.Sim_core.schedule r.Sim_core.attempts in
+      let clean_s, clean_a = verdicts r.Sim_core.schedule (Sim_core.attempts r) in
       (* Corrupt one task's start stamp in both views: either within the
          validators' tolerance or anywhere before its finish. *)
       let k = Rng.int rng (Dag.n dag) in
@@ -698,7 +699,7 @@ let prop_check_attempts_agrees_with_check =
         List.map
           (fun (a : Sim_core.attempt) ->
             if a.Sim_core.task_id = k then { a with Sim_core.start } else a)
-          r.Sim_core.attempts
+          (Sim_core.attempts r)
       in
       let bad_s, bad_a = verdicts (Schedule.finalize builder) attempts in
       clean_s = 0 && clean_a = 0 && bad_s = bad_a && (tiny || bad_s > 0))
@@ -833,14 +834,23 @@ let prop_malleable_phases_unchanged =
 
 (* ----------------------- allocation-lean core vs the reference event loop *)
 
-let same_result (a : Sim_core.result) (b : Sim_core.result) =
-  same_schedule a.Sim_core.schedule b.Sim_core.schedule
-  && a.Sim_core.trace = b.Sim_core.trace
-  && a.Sim_core.attempts = b.Sim_core.attempts
-  && Float.equal a.Sim_core.makespan b.Sim_core.makespan
-  && a.Sim_core.n_attempts = b.Sim_core.n_attempts
-  && a.Sim_core.n_failures = b.Sim_core.n_failures
-  && a.Sim_core.metrics = b.Sim_core.metrics
+(* Schedule, trace, attempts, makespan, counts and every metrics view,
+   element for element.  [Reference.of_sim] forces a [Sim_core.result]'s
+   views into the list shapes [Reference.run] builds eagerly. *)
+let same_views (a : Reference.result) (b : Reference.result) =
+  same_schedule a.Reference.schedule b.Reference.schedule
+  && a.Reference.trace = b.Reference.trace
+  && a.Reference.attempts = b.Reference.attempts
+  && Float.equal a.Reference.makespan b.Reference.makespan
+  && a.Reference.n_attempts = b.Reference.n_attempts
+  && a.Reference.n_failures = b.Reference.n_failures
+  && a.Reference.p = b.Reference.p
+  && a.Reference.counters = b.Reference.counters
+  && a.Reference.utilization = b.Reference.utilization
+  && a.Reference.queue_depth = b.Reference.queue_depth
+  && a.Reference.tasks = b.Reference.tasks
+
+let same_result a b = same_views (Reference.of_sim a) (Reference.of_sim b)
 
 let gen_scenario rng =
   let dag = random_dag rng in
@@ -874,7 +884,7 @@ let prop_arena_core_matches_reference =
           List.for_all
             (fun allocator ->
               let reference =
-                Moldable_oracle.Reference.run ?release_times ~seed ~failures ~p
+                Reference.run ?release_times ~seed ~failures ~p
                   (Online_scheduler.policy ~priority ~allocator ~p ())
                   dag
               in
@@ -883,7 +893,7 @@ let prop_arena_core_matches_reference =
                   (Online_scheduler.policy ~priority ~allocator ~p ())
                   dag
               in
-              same_result actual reference)
+              same_views (Reference.of_sim actual) reference)
             allocators)
         Priority.all)
 
@@ -911,8 +921,8 @@ let prop_lean_mode_matches_full =
           && Float.equal lean.Sim_core.makespan full.Sim_core.makespan
           && lean.Sim_core.n_attempts = full.Sim_core.n_attempts
           && lean.Sim_core.n_failures = full.Sim_core.n_failures
-          && lean.Sim_core.trace = []
-          && lean.Sim_core.attempts = []
+          && Sim_core.trace lean = []
+          && Sim_core.attempts lean = []
           && lean.Sim_core.metrics.Metrics.counters
              = full.Sim_core.metrics.Metrics.counters)
         Priority.all)
@@ -947,6 +957,76 @@ let prop_arena_reuse_changes_nothing =
           same_result reused fresh)
         [ 1; 2; 3; 4; 5; 6 ])
 
+let test_result_does_not_alias_arena () =
+  (* Keep run A's result, then put its arena through full and lean runs of
+     larger and smaller (p, n) and a stepper abandoned mid-run.  A result
+     owns its recording, so every view of A, forced only now, must equal
+     that of a fresh-storage run of A. *)
+  let rng = Rng.create 4242 in
+  let dag_of n =
+    Moldable_workloads.Random_dag.erdos_renyi ~rng ~n ~edge_prob:0.1
+      ~kind:Speedup.Kind_amdahl ()
+  in
+  let failures = Sim_core.at_most ~k:1 in
+  let run ?arena ?(lean = false) ~p dag =
+    Sim_core.run ?arena ~lean ~seed:3 ~failures ~p
+      (fresh_policy ~priority:Priority.fifo ~p ())
+      dag
+  in
+  let arena = Sim_core.Arena.create () in
+  let p_a = 16 and dag_a = dag_of 30 in
+  let a = run ~arena ~p:p_a dag_a in
+  ignore (run ~arena ~p:64 (dag_of 120) : Sim_core.result);
+  ignore (run ~arena ~lean:true ~p:64 (dag_of 150) : Sim_core.result);
+  ignore (run ~arena ~p:4 (dag_of 8) : Sim_core.result);
+  ignore (run ~arena ~lean:true ~p:2 (dag_of 5) : Sim_core.result);
+  (let dag = dag_of 60 in
+   let st =
+     Sim_core.Stepper.create ~arena ~failures ~p:32
+       (fresh_policy ~priority:Priority.fifo ~p:32 ())
+   in
+   for i = 0 to Dag.n dag - 1 do
+     ignore
+       (Sim_core.Stepper.admit_task st ~deps:(Dag.predecessors dag i)
+          (Dag.task dag i)
+         : int)
+   done;
+   ignore (Sim_core.Stepper.advance st ~until:5. : int);
+   Alcotest.(check bool) "the stepper recorded events" true
+     (Sim_core.Stepper.n_events st > 0);
+   Sim_core.Stepper.abandon st);
+  ignore (run ~arena ~p:p_a (dag_of 40) : Sim_core.result);
+  Alcotest.(check bool) "A recorded failed attempts" true
+    (a.Sim_core.n_failures > 0);
+  Alcotest.(check bool) "every view of A equals a fresh run's" true
+    (same_result a (run ~p:p_a dag_a))
+
+let test_full_recording_allocation_budget () =
+  (* Recording lands in flat arrays, not lists: on 10^4 independent tasks a
+     full run may allocate at most 16 minor words per task more than a lean
+     run (the recording's arrays are too large for the minor heap). *)
+  let n = 10_000 and p = 64 in
+  let rng = Rng.create 99 in
+  let dag =
+    Moldable_workloads.Random_dag.independent ~rng ~n
+      ~kind:Speedup.Kind_roofline ()
+  in
+  let measured ~lean =
+    let policy = fresh_policy ~priority:Priority.fifo ~p () in
+    let w0 = Gc.minor_words () in
+    let r = Sim_core.run ~lean ~p policy dag in
+    (Gc.minor_words () -. w0, r)
+  in
+  let lean_words, _ = measured ~lean:true in
+  let full_words, full = measured ~lean:false in
+  let extra = (full_words -. lean_words) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "full run: %.1f extra minor words per task (budget 16)"
+       extra)
+    true (extra <= 16.);
+  Alcotest.(check bool) "every view equals a fresh run's" true
+    (same_result full (snd (measured ~lean:false)))
+
 let test_domain_arena_run_one_unchanged () =
   (* Experiment.run_one now runs lean on the domain's arena; its numbers
      must match a plain full run. *)
@@ -974,6 +1054,10 @@ let () =
           qt prop_arena_core_matches_reference;
           qt prop_lean_mode_matches_full;
           qt prop_arena_reuse_changes_nothing;
+          Alcotest.test_case "result does not alias the arena" `Quick
+            test_result_does_not_alias_arena;
+          Alcotest.test_case "full recording allocation budget" `Quick
+            test_full_recording_allocation_budget;
           Alcotest.test_case "run_one on domain arena" `Quick
             test_domain_arena_run_one_unchanged;
         ] );

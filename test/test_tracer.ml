@@ -140,11 +140,11 @@ let prop_null_tracer_equivalent =
       let null = run Tracer.null in
       let traced = run (Tracer.create ()) in
       same_schedule null.Sim_core.schedule traced.Sim_core.schedule
-      && null.Sim_core.trace = traced.Sim_core.trace
-      && null.Sim_core.attempts = traced.Sim_core.attempts
+      && Sim_core.trace null = (Sim_core.trace traced)
+      && Sim_core.attempts null = (Sim_core.attempts traced)
       && Float.equal null.Sim_core.makespan traced.Sim_core.makespan
-      && null.Sim_core.metrics.Metrics.queue_depth
-         = traced.Sim_core.metrics.Metrics.queue_depth)
+      && (Metrics.queue_depth null.Sim_core.metrics)
+         = (Metrics.queue_depth traced.Sim_core.metrics))
 
 (* -------------------------------------------- allocator explain provenance *)
 
