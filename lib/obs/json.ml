@@ -27,9 +27,13 @@ let add_quoted buf s =
   add_escaped buf s;
   Buffer.add_char buf '"'
 
+(* An integral [x] below [1e15] prints as [%.0f] would: its exact decimal
+   digits, which [string_of_int] produces without the format interpreter.
+   [%.0f] keeps the sign of negative zero, so [-0.] is the one case
+   [string_of_int] cannot render. *)
 let number_to_string x =
   if Float.is_integer x && Float.abs x < 1e15 then
-    Printf.sprintf "%.0f" x
+    if x = 0. && Float.sign_bit x then "-0" else string_of_int (int_of_float x)
   else Printf.sprintf "%.17g" x
 
 let newline buf indent =
@@ -80,9 +84,11 @@ let to_string v =
   render buf 0 v;
   Buffer.contents buf
 
+let to_buffer buf v = render buf (-1) v
+
 let to_string_compact v =
   let buf = Buffer.create 256 in
-  render buf (-1) v;
+  to_buffer buf v;
   Buffer.contents buf
 
 (* ------------------------------------------------------------- parsing *)
@@ -97,28 +103,42 @@ let error cur fmt =
       raise (Parse_error (Printf.sprintf "at byte %d: %s" cur.pos s)))
     fmt
 
-let peek cur = if cur.pos < String.length cur.src then Some cur.src.[cur.pos] else None
+(* The byte under the cursor, or ['\000'] past the end.  A NUL byte can
+   also occur in the input, so wherever end of input matters the caller
+   tells the two apart with [at_end].  Returning a bare [char] instead of
+   a [char option] keeps the scan allocation-free. *)
+let peek cur =
+  if cur.pos < String.length cur.src then String.unsafe_get cur.src cur.pos
+  else '\000'
+
+let at_end cur = cur.pos >= String.length cur.src
 
 let advance cur = cur.pos <- cur.pos + 1
 
 let rec skip_ws cur =
   match peek cur with
-  | Some (' ' | '\t' | '\n' | '\r') ->
+  | ' ' | '\t' | '\n' | '\r' ->
     advance cur;
     skip_ws cur
   | _ -> ()
 
 let expect cur c =
-  match peek cur with
-  | Some c' when c' = c -> advance cur
-  | Some c' -> error cur "expected %C, found %C" c c'
-  | None -> error cur "expected %C, found end of input" c
+  let c' = peek cur in
+  if c' = c then advance cur
+  else if at_end cur then error cur "expected %C, found end of input" c
+  else error cur "expected %C, found %C" c c'
 
+(* Whether [word] occurs in [src] at [pos], from its byte [k] on; the
+   caller has checked that it fits. *)
+let rec word_at src pos word k =
+  k >= String.length word
+  || String.unsafe_get src (pos + k) = String.unsafe_get word k
+     && word_at src pos word (k + 1)
+
+(* [word] compared in place, without a [String.sub] of the input. *)
 let literal cur word value =
   let n = String.length word in
-  if
-    cur.pos + n <= String.length cur.src
-    && String.sub cur.src cur.pos n = word
+  if cur.pos + n <= String.length cur.src && word_at cur.src cur.pos word 0
   then begin
     cur.pos <- cur.pos + n;
     value
@@ -159,59 +179,84 @@ let add_utf8 buf code =
     Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
   end
 
+(* The byte-at-a-time string loop behind [parse_string]'s fast path: it
+   decodes escapes into [buf] up to and past the closing quote. *)
+let rec string_tail cur buf =
+  match peek cur with
+  | '"' -> advance cur
+  | '\\' ->
+    advance cur;
+    (match peek cur with
+    | '"' -> Buffer.add_char buf '"'; advance cur
+    | '\\' -> Buffer.add_char buf '\\'; advance cur
+    | '/' -> Buffer.add_char buf '/'; advance cur
+    | 'n' -> Buffer.add_char buf '\n'; advance cur
+    | 't' -> Buffer.add_char buf '\t'; advance cur
+    | 'r' -> Buffer.add_char buf '\r'; advance cur
+    | 'b' -> Buffer.add_char buf '\b'; advance cur
+    | 'f' -> Buffer.add_char buf '\012'; advance cur
+    | 'u' ->
+      advance cur;
+      let code = hex_quad cur in
+      (* Escaped code points decode to UTF-8.  Surrogate pairs combine
+         into one supplementary-plane code point; an unpaired surrogate
+         encodes no code point and is rejected — network input must not
+         smuggle ill-formed UTF-8 through the escape syntax. *)
+      if code >= 0xD800 && code <= 0xDBFF then begin
+        if
+          not
+            (cur.pos + 2 <= String.length cur.src
+            && cur.src.[cur.pos] = '\\'
+            && cur.src.[cur.pos + 1] = 'u')
+        then error cur "unpaired surrogate \\u%04x" code;
+        cur.pos <- cur.pos + 2;
+        let low = hex_quad cur in
+        if low < 0xDC00 || low > 0xDFFF then
+          error cur "unpaired surrogate \\u%04x" code;
+        add_utf8 buf
+          (0x10000 + (((code - 0xD800) lsl 10) lor (low - 0xDC00)))
+      end
+      else if code >= 0xDC00 && code <= 0xDFFF then
+        error cur "unpaired surrogate \\u%04x" code
+      else add_utf8 buf code
+    | _ -> error cur "bad escape");
+    string_tail cur buf
+  | '\000' .. '\031' as c ->
+    if at_end cur then error cur "unterminated string"
+    else
+      error cur "unescaped control character 0x%02x in string" (Char.code c)
+  | c ->
+    Buffer.add_char buf c;
+    advance cur;
+    string_tail cur buf
+
+(* The end of the run of bytes from [i] that need no decoding. *)
+let rec plain_run src i =
+  if i >= String.length src then i
+  else
+    match String.unsafe_get src i with
+    | '"' | '\\' | '\000' .. '\031' -> i
+    | _ -> plain_run src (i + 1)
+
+(* Fast path: a run of plain bytes closed by ['"'] is one [String.sub].
+   At the first escape or control byte (or at the end of input) the run so
+   far seeds a [Buffer] and [string_tail] takes over from that byte. *)
 let parse_string cur =
   expect cur '"';
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek cur with
-    | None -> error cur "unterminated string"
-    | Some '"' -> advance cur
-    | Some '\\' ->
-      advance cur;
-      (match peek cur with
-      | Some '"' -> Buffer.add_char buf '"'; advance cur
-      | Some '\\' -> Buffer.add_char buf '\\'; advance cur
-      | Some '/' -> Buffer.add_char buf '/'; advance cur
-      | Some 'n' -> Buffer.add_char buf '\n'; advance cur
-      | Some 't' -> Buffer.add_char buf '\t'; advance cur
-      | Some 'r' -> Buffer.add_char buf '\r'; advance cur
-      | Some 'b' -> Buffer.add_char buf '\b'; advance cur
-      | Some 'f' -> Buffer.add_char buf '\012'; advance cur
-      | Some 'u' ->
-        advance cur;
-        let code = hex_quad cur in
-        (* Escaped code points decode to UTF-8.  Surrogate pairs combine
-           into one supplementary-plane code point; an unpaired surrogate
-           encodes no code point and is rejected — network input must not
-           smuggle ill-formed UTF-8 through the escape syntax. *)
-        if code >= 0xD800 && code <= 0xDBFF then begin
-          if
-            not
-              (cur.pos + 2 <= String.length cur.src
-              && cur.src.[cur.pos] = '\\'
-              && cur.src.[cur.pos + 1] = 'u')
-          then error cur "unpaired surrogate \\u%04x" code;
-          cur.pos <- cur.pos + 2;
-          let low = hex_quad cur in
-          if low < 0xDC00 || low > 0xDFFF then
-            error cur "unpaired surrogate \\u%04x" code;
-          add_utf8 buf
-            (0x10000 + (((code - 0xD800) lsl 10) lor (low - 0xDC00)))
-        end
-        else if code >= 0xDC00 && code <= 0xDFFF then
-          error cur "unpaired surrogate \\u%04x" code
-        else add_utf8 buf code
-      | _ -> error cur "bad escape");
-      go ()
-    | Some c when Char.code c < 0x20 ->
-      error cur "unescaped control character 0x%02x in string" (Char.code c)
-    | Some c ->
-      Buffer.add_char buf c;
-      advance cur;
-      go ()
-  in
-  go ();
-  Buffer.contents buf
+  let src = cur.src and start = cur.pos in
+  let len = String.length src in
+  let stop = plain_run src start in
+  if stop < len && String.unsafe_get src stop = '"' then begin
+    cur.pos <- stop + 1;
+    String.sub src start (stop - start)
+  end
+  else begin
+    let buf = Buffer.create (max 16 (2 * (stop - start))) in
+    Buffer.add_substring buf src start (stop - start);
+    cur.pos <- stop;
+    string_tail cur buf;
+    Buffer.contents buf
+  end
 
 (* RFC 8259 number grammar, checked in place before [float_of_string_opt]
    (which also accepts [+1], [01], [.5], [1.], hex and underscores): an
@@ -231,11 +276,24 @@ let digits cur i =
   | '0' .. '9' -> digit_run cur.src (i + 1)
   | _ -> error cur "bad number"
 
+(* The value of the decimal digits [src.[i .. stop - 1]]. *)
+let rec decimal src acc i stop =
+  if i >= stop then acc
+  else
+    decimal src
+      ((acc * 10) + Char.code (String.unsafe_get src i) - Char.code '0')
+      (i + 1) stop
+
 let parse_number cur =
   let src = cur.src and start = cur.pos in
-  let i = if char_at src start = '-' then start + 1 else start in
-  let i = if char_at src i = '0' then i + 1 else digits cur i in
-  let i = if char_at src i = '.' then digits cur (i + 1) else i in
+  let negative = char_at src start = '-' in
+  let int_start = if negative then start + 1 else start in
+  let int_stop =
+    if char_at src int_start = '0' then int_start + 1 else digits cur int_start
+  in
+  let i =
+    if char_at src int_stop = '.' then digits cur (int_stop + 1) else int_stop
+  in
   let i =
     match char_at src i with
     | 'e' | 'E' -> (
@@ -245,27 +303,35 @@ let parse_number cur =
     | _ -> i
   in
   cur.pos <- i;
-  let s = String.sub src start (i - start) in
-  match float_of_string_opt s with
-  | Some x -> Num x
-  | None -> error cur "bad number %S" s
+  if i = int_stop && int_stop - int_start <= 15 then begin
+    (* Ids, counts and deps are integers.  One of at most 15 digits is
+       below 2^53, so [float_of_int] of its value is exact: the float
+       [float_of_string] would return (negative zero included), without
+       the [String.sub] and the C call. *)
+    let x = float_of_int (decimal src 0 int_start int_stop) in
+    Num (if negative then -.x else x)
+  end
+  else
+    let s = String.sub src start (i - start) in
+    match float_of_string_opt s with
+    | Some x -> Num x
+    | None -> error cur "bad number %S" s
 
 (* [depth] counts open containers; the bound turns adversarial
    ["[[[[..."] inputs into a parse error instead of a stack overflow. *)
 let rec parse_value cur depth =
   skip_ws cur;
   match peek cur with
-  | None -> error cur "unexpected end of input"
-  | Some 'n' -> literal cur "null" Null
-  | Some 't' -> literal cur "true" (Bool true)
-  | Some 'f' -> literal cur "false" (Bool false)
-  | Some '"' -> Str (parse_string cur)
-  | Some '[' ->
+  | 'n' -> literal cur "null" Null
+  | 't' -> literal cur "true" (Bool true)
+  | 'f' -> literal cur "false" (Bool false)
+  | '"' -> Str (parse_string cur)
+  | '[' ->
     if depth >= cur.max_depth then
       error cur "nesting deeper than %d levels" cur.max_depth;
     advance cur;
     skip_ws cur;
-    if peek cur = Some ']' then begin
+    if peek cur = ']' then begin
       advance cur;
       List []
     end
@@ -274,22 +340,22 @@ let rec parse_value cur depth =
         let v = parse_value cur (depth + 1) in
         skip_ws cur;
         match peek cur with
-        | Some ',' ->
+        | ',' ->
           advance cur;
           items (v :: acc)
-        | Some ']' ->
+        | ']' ->
           advance cur;
           List.rev (v :: acc)
         | _ -> error cur "expected ',' or ']'"
       in
       List (items [])
     end
-  | Some '{' ->
+  | '{' ->
     if depth >= cur.max_depth then
       error cur "nesting deeper than %d levels" cur.max_depth;
     advance cur;
     skip_ws cur;
-    if peek cur = Some '}' then begin
+    if peek cur = '}' then begin
       advance cur;
       Obj []
     end
@@ -302,17 +368,19 @@ let rec parse_value cur depth =
         let v = parse_value cur (depth + 1) in
         skip_ws cur;
         match peek cur with
-        | Some ',' ->
+        | ',' ->
           advance cur;
           fields ((k, v) :: acc)
-        | Some '}' ->
+        | '}' ->
           advance cur;
           List.rev ((k, v) :: acc)
         | _ -> error cur "expected ',' or '}'"
       in
       Obj (fields [])
     end
-  | Some _ -> parse_number cur
+  | _ ->
+    if at_end cur then error cur "unexpected end of input"
+    else parse_number cur
 
 let default_max_depth = 512
 

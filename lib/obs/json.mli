@@ -23,10 +23,17 @@ val int : int -> t
 val to_string : t -> string
 (** Pretty-print with two-space indentation and a deterministic layout. *)
 
+val to_buffer : Buffer.t -> t -> unit
+(** [to_buffer buf v] appends the compact (single-line) rendering of [v] to
+    [buf], with [", "] and [": "] separators and no trailing newline.  It is
+    the service wire format: the daemon renders each response straight into
+    its session's output buffer, so a batch of responses goes out in one
+    write without an intermediate string per response.  Scalars render
+    exactly as in {!to_string}. *)
+
 val to_string_compact : t -> string
-(** Single-line rendering with [", "] and [": "] separators, used for JSONL
-    rows and the service wire format.  Scalars render exactly as in
-    {!to_string}. *)
+(** [to_buffer] on a fresh buffer: the compact layout as a string, used for
+    JSONL rows and client requests. *)
 
 val of_string : ?max_bytes:int -> ?max_depth:int -> string -> (t, string) result
 (** Parse a complete JSON document; the error carries a byte offset.

@@ -4,12 +4,7 @@ open Moldable_sim
 open Moldable_core
 module Json = Moldable_obs.Json
 
-type t = {
-  fd : Unix.file_descr;
-  acc : Buffer.t;
-  chunk : bytes;
-  mutable live : bool;
-}
+type t = { fd : Unix.file_descr; input : Linebuf.t; mutable live : bool }
 
 let wrap_unix f =
   match f () with
@@ -23,7 +18,7 @@ let make_conn ?(timeout = 10.) fd =
    with Invalid_argument _ -> ());
   Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
   Unix.setsockopt_float fd Unix.SO_SNDTIMEO timeout;
-  { fd; acc = Buffer.create 4096; chunk = Bytes.create 65536; live = true }
+  { fd; input = Linebuf.create 65536; live = true }
 
 let connect_tcp ?timeout ~host ~port () =
   wrap_unix @@ fun () ->
@@ -72,25 +67,16 @@ let write_all c s =
   in
   go 0
 
-let read_line c =
-  let rec extract () =
-    let data = Buffer.contents c.acc in
-    match String.index_opt data '\n' with
-    | Some nl ->
-      Buffer.clear c.acc;
-      Buffer.add_substring c.acc data (nl + 1) (String.length data - nl - 1);
-      String.sub data 0 nl
-    | None -> (
-      match Unix.read c.fd c.chunk 0 (Bytes.length c.chunk) with
-      | 0 -> failwith "connection closed by server"
-      | r ->
-        Buffer.add_subbytes c.acc c.chunk 0 r;
-        extract ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> extract ()
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        failwith "timed out waiting for the server's response")
-  in
-  extract ()
+let rec read_line c =
+  let nl = Linebuf.newline c.input in
+  if nl >= 0 then Linebuf.take_line c.input nl
+  else
+    match Linebuf.read c.input c.fd with
+    | 0 -> failwith "connection closed by server"
+    | _ -> read_line c
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_line c
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      failwith "timed out waiting for the server's response"
 
 let request c json =
   if not c.live then Error "connection is closed"

@@ -168,6 +168,8 @@ type session = {
   stop : bool Atomic.t;
   h : handles;
   registry : Registry.t;
+  input : Linebuf.t;
+  out : Buffer.t;  (** Responses rendered but not yet written. *)
   mutable phase : phase;
   mutable subscribed : bool;
   mutable ev_cursor : int;
@@ -177,14 +179,23 @@ type session = {
 
 let num i = Json.Num (float_of_int i)
 
-let send sess json =
-  let s = Json.to_string_compact json ^ "\n" in
-  let b = Bytes.unsafe_of_string s in
-  let len = Bytes.length b in
+(* The output buffer is written out once per read batch, and sooner when
+   it holds this many bytes, so a client that pipelines without reading
+   cannot grow the server's memory by more than this plus one response. *)
+let flush_bytes = 65536
+
+(* Write every buffered response.  One deadline of [write_timeout] bounds
+   the whole flush: a peer that stops reading is evicted once a write has
+   stayed blocked past it. *)
+let flush sess =
+  let s = Buffer.contents sess.out in
+  let len = String.length s in
+  (* A huge response (a long [schedule]) does not pin its buffer. *)
+  if len > flush_bytes then Buffer.reset sess.out else Buffer.clear sess.out;
   let deadline = Clock.now () +. sess.limits.write_timeout in
   let rec go off =
     if off < len then
-      match Unix.write sess.fd b off (len - off) with
+      match Unix.write_substring sess.fd s off (len - off) with
       | w -> go (off + w)
       | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
         raise Session_end
@@ -202,6 +213,16 @@ let send sess json =
         go off
   in
   go 0
+
+let send sess json =
+  Json.to_buffer sess.out json;
+  Buffer.add_char sess.out '\n';
+  if Buffer.length sess.out >= flush_bytes then flush sess
+
+(* Answer what is buffered, then end the session. *)
+let finish sess =
+  flush sess;
+  raise Session_end
 
 let abandon_phase sess =
   match sess.phase with
@@ -441,31 +462,47 @@ let handle_request sess req =
   | Protocol.Close -> (Protocol.ok [ ("closing", Json.Bool true) ], `End)
 
 let handle_line sess line =
-  let line =
-    let n = String.length line in
-    if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
-  in
-  if line <> "" then begin
-    sess.n_requests <- sess.n_requests + 1;
-    Registry.incr sess.h.requests_total;
-    if sess.n_requests > sess.limits.max_requests then begin
-      send sess (Protocol.(error Limit) "session request budget exhausted");
-      raise Session_end
-    end;
-    match Json.of_string ~max_bytes:sess.limits.max_line_bytes line with
+  sess.n_requests <- sess.n_requests + 1;
+  Registry.incr sess.h.requests_total;
+  if sess.n_requests > sess.limits.max_requests then begin
+    send sess (Protocol.(error Limit) "session request budget exhausted");
+    finish sess
+  end;
+  match Json.of_string ~max_bytes:sess.limits.max_line_bytes line with
+  | Error e ->
+    Registry.incr sess.h.protocol_errors;
+    send sess (Protocol.(error Parse_error) e)
+  | Ok j -> (
+    match Protocol.request_of_json j with
     | Error e ->
       Registry.incr sess.h.protocol_errors;
-      send sess (Protocol.(error Parse_error) e)
-    | Ok j -> (
-      match Protocol.request_of_json j with
-      | Error e ->
-        Registry.incr sess.h.protocol_errors;
-        send sess (Protocol.(error Bad_request) e)
-      | Ok req ->
-        let resp, action = handle_request sess req in
-        send sess resp;
-        (match action with `End -> raise Session_end | `Continue -> ()))
-  end
+      send sess (Protocol.(error Bad_request) e)
+    | Ok req -> (
+      let resp, action = handle_request sess req in
+      send sess resp;
+      match action with `End -> finish sess | `Continue -> ()))
+
+(* Serve every complete line read so far, then write all their responses
+   at once. *)
+let handle_batch sess =
+  let rec lines () =
+    let nl = Linebuf.newline sess.input in
+    if nl >= 0 then begin
+      if Atomic.get sess.stop then finish sess;
+      let line = Linebuf.take_line sess.input nl in
+      if line <> "" then handle_line sess line;
+      lines ()
+    end
+  in
+  lines ();
+  if Linebuf.pending sess.input > sess.limits.max_line_bytes then begin
+    send sess
+      (Protocol.(error Limit)
+         (Printf.sprintf "request line exceeds the %d-byte limit"
+            sess.limits.max_line_bytes));
+    finish sess
+  end;
+  if Buffer.length sess.out > 0 then flush sess
 
 let run_session ~limits ~stop ~h ~registry fd =
   Unix.set_nonblock fd;
@@ -478,6 +515,8 @@ let run_session ~limits ~stop ~h ~registry fd =
       stop;
       h;
       registry;
+      input = Linebuf.create 65536;
+      out = Buffer.create 4096;
       phase = Idle;
       subscribed = false;
       ev_cursor = 0;
@@ -485,9 +524,6 @@ let run_session ~limits ~stop ~h ~registry fd =
       n_tasks = 0;
     }
   in
-  let acc = Buffer.create 4096 in
-  let chunk_len = 65536 in
-  let chunk = Bytes.create chunk_len in
   let rec wait_readable deadline =
     if Atomic.get stop then raise Session_end;
     let timeout = Float.min 0.25 (deadline -. Clock.now ()) in
@@ -497,42 +533,17 @@ let run_session ~limits ~stop ~h ~registry fd =
     | [], _, _ -> wait_readable deadline
     | _ -> ()
   in
-  let process_buffered () =
-    let data = Buffer.contents acc in
-    Buffer.clear acc;
-    let n = String.length data in
-    let pos = ref 0 in
-    let scanning = ref true in
-    while !scanning && !pos < n do
-      if Atomic.get stop then raise Session_end;
-      match String.index_from_opt data !pos '\n' with
-      | Some nl ->
-        let line = String.sub data !pos (nl - !pos) in
-        pos := nl + 1;
-        handle_line sess line
-      | None ->
-        Buffer.add_substring acc data !pos (n - !pos);
-        scanning := false
-    done;
-    if Buffer.length acc > limits.max_line_bytes then begin
-      send sess
-        (Protocol.(error Limit)
-           (Printf.sprintf "request line exceeds the %d-byte limit"
-              limits.max_line_bytes));
-      raise Session_end
-    end
-  in
+  (* Read first; [select] only when the socket has nothing to read. *)
   let rec loop deadline =
-    process_buffered ();
-    wait_readable deadline;
-    match Unix.read fd chunk 0 chunk_len with
+    match Linebuf.read sess.input fd with
     | 0 -> () (* EOF *)
-    | r ->
-      Buffer.add_subbytes acc chunk 0 r;
+    | _ ->
+      handle_batch sess;
       loop (Clock.now () +. limits.idle_timeout)
     | exception
         Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
       ->
+      wait_readable deadline;
       loop deadline
     | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> ()
   in

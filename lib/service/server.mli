@@ -9,14 +9,27 @@
     {!Moldable_sim.Sim_core.Stepper} on the worker domain's arena, so a
     long-running daemon reaches an allocation-steady state.
 
+    Wire path: a session reads whatever the socket holds (it waits in
+    [select] only when a read would block), frames the request lines in
+    place in one input buffer, and serves them in order.  Each response is
+    rendered with {!Moldable_obs.Json.to_buffer} into the session's one
+    output buffer, which is written out ("flushed") once after every line
+    of a read batch has been served, so a client that pipelines k requests
+    costs one write, not k.  The buffer is also flushed whenever it reaches
+    64 KiB (a pipelining client cannot grow server memory past that plus
+    one response), and before the session ends: after the [close] response,
+    after a [limit] error (request budget or over-long line) and when the
+    [stop] flag is seen between two lines of a batch.  Responses go out in
+    request order and are byte-identical to rendering each one separately.
+
     Robustness against untrusted peers: request lines are bounded
     ([max_line_bytes], parsed with the hardened
     {!Moldable_obs.Json.of_string}), per-session request and task counts are
     bounded, idle connections time out, and a peer that stops reading its
-    responses is evicted once a write blocks longer than [write_timeout]
-    (bounded write buffering — the slow-consumer policy).  A malformed line
-    gets a [parse_error] response and the session continues at the next
-    newline.
+    responses is evicted once a flush stays blocked longer than
+    [write_timeout] (bounded write buffering — the slow-consumer policy).
+    A malformed line gets a [parse_error] response and the session
+    continues at the next newline.
 
     Shutdown is cooperative: set the [stop] flag (the CLI does so from its
     SIGTERM handler) and {!serve} stops accepting, lets every in-flight
@@ -29,7 +42,8 @@ type limits = {
   max_tasks : int;  (** Per-run admitted-task budget. *)
   idle_timeout : float;  (** Seconds without a request before close. *)
   write_timeout : float;
-      (** Seconds a response write may block before the peer is evicted. *)
+      (** Seconds one flush of the session's buffered responses may take
+          while the peer is not reading before the peer is evicted. *)
 }
 
 val default_limits : limits

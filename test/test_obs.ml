@@ -462,6 +462,124 @@ let test_json_duplicate_keys () =
     | _ -> Alcotest.fail "missing k")
   | Error e -> Alcotest.fail e
 
+(* ------------------------------------------- Json against its old rules *)
+
+(* The number rule before the integer fast path: every integral value
+   below 1e15 went through [%.0f]. *)
+let printf_number x =
+  if not (Float.is_finite x) then "null"
+  else if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
+  else Printf.sprintf "%.17g" x
+
+let number_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun k -> 1e15 -. float_of_int k) (int_bound 2000);
+        map (fun k -> -1e15 +. float_of_int k) (int_bound 2000);
+        map (fun k -> 1e15 +. float_of_int k) (int_bound 2000);
+        map float_of_int int;
+        oneofl
+          [ 0.; -0.; 1.; -1.; 1e15; -1e15; 999999999999999.; 5e-324;
+            Float.min_float; -.Float.min_float /. 3.; 0.5; -0.5;
+            Float.max_float; Float.infinity; Float.nan ];
+        map (fun e -> Float.ldexp 1. e) (int_range (-1074) (-1022));
+        map Int64.float_of_bits ui64;
+      ])
+
+let prop_number_matches_printf =
+  QCheck.Test.make
+    ~name:"numbers render as the %.0f / %.17g rule (ints near 1e15, -0, \
+           subnormals, random doubles)"
+    ~count:5000
+    (QCheck.make ~print:(Printf.sprintf "%h") number_gen)
+    (fun x -> Json.to_string_compact (Json.Num x) = printf_number x)
+
+(* Structural equality, except that floats compare by bit pattern so
+   [-0.] and [0.] stay apart. *)
+let rec json_identical a b =
+  match (a, b) with
+  | Json.Num x, Json.Num y -> Int64.bits_of_float x = Int64.bits_of_float y
+  | Json.List xs, Json.List ys ->
+    List.length xs = List.length ys && List.for_all2 json_identical xs ys
+  | Json.Obj xs, Json.Obj ys ->
+    List.length xs = List.length ys
+    && List.for_all2
+         (fun (k, x) (k', y) -> String.equal k k' && json_identical x y)
+         xs ys
+  | _ -> a = b
+
+let same_parse a b =
+  match (a, b) with
+  | Ok x, Ok y -> json_identical x y
+  | Error e, Error e' -> String.equal e e'
+  | _ -> false
+
+(* Fragments spliced into printed documents: truncated and misspelt
+   literals, raw NUL and control bytes, stray backslashes and quotes, bad
+   and truncated \u escapes, lone and paired surrogates, and numbers on
+   both sides of the decoder's 15-digit integer fast path. *)
+let fragments =
+  [ "\000"; "\001"; "\031"; "\n"; "\\"; "\""; "\\u12G4"; "\\u00"; "\\u";
+    "\\ud800"; "\\udc00"; "\\ud800\\u0041"; "\\ud83d\\ude00"; "\\x"; "tru";
+    "nul"; "fals"; "true"; "null"; "-0"; "-"; "0"; "01"; "123456789012345";
+    "-123456789012345"; "1234567890123456"; "1e5"; "1.5"; "2E-3"; "[";
+    "]"; "{"; "}"; ","; ":"; " " ]
+
+let mutated_gen =
+  QCheck.Gen.(
+    let* v = json_gen in
+    let* pretty = bool in
+    let* doc =
+      frequency
+        [
+          (9, return (if pretty then Json.to_string v else Json.to_string_compact v));
+          (1, string_size ~gen:char (int_bound 40));
+        ]
+    in
+    let rec mutate s k =
+      if k = 0 then return s
+      else
+        let* pos = int_bound (String.length s) in
+        let* s' =
+          frequency
+            [
+              (1, return (String.sub s 0 pos));
+              ( 4,
+                map
+                  (fun f ->
+                    String.sub s 0 pos ^ f
+                    ^ String.sub s pos (String.length s - pos))
+                  (oneofl fragments) );
+              ( 1,
+                return
+                  (if pos < String.length s then
+                     String.sub s 0 pos
+                     ^ String.sub s (pos + 1) (String.length s - pos - 1)
+                   else s) );
+            ]
+        in
+        mutate s' (k - 1)
+    in
+    let* k = frequency [ (1, return 0); (3, int_range 1 3) ] in
+    let* max_depth = oneofl [ None; Some 1; Some 2; Some 3 ] in
+    map (fun s -> (s, max_depth)) (mutate doc k))
+
+let prop_parser_matches_reference =
+  QCheck.Test.make
+    ~name:"of_string = the old Option-peek decoder (tree, or error and byte \
+           offset) on printed and mutated documents and arbitrary bytes"
+    ~count:5000
+    (QCheck.make
+       ~print:(fun (s, d) ->
+         Printf.sprintf "%S (max_depth %s)" s
+           (match d with None -> "default" | Some d -> string_of_int d))
+       mutated_gen)
+    (fun (s, max_depth) ->
+      same_parse
+        (Json.of_string ?max_depth s)
+        (Moldable_oracle.Json_reference.of_string ?max_depth s))
+
 (* ----------------------------------------------------- snapshot round trip *)
 
 let populated_registry () =
@@ -623,6 +741,11 @@ let () =
             test_json_depth_and_size_limits;
           Alcotest.test_case "surrogates" `Quick test_json_surrogates;
           Alcotest.test_case "duplicate keys" `Quick test_json_duplicate_keys;
+        ] );
+      ( "json oracle",
+        [
+          qt prop_number_matches_printf;
+          qt prop_parser_matches_reference;
         ] );
       ( "snapshot",
         [

@@ -513,15 +513,15 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
-let with_daemon ?(sessions = 2) f =
+let with_daemon ?(sessions = 2) ?(limits = Server.default_limits)
+    ?(registry = Moldable_obs.Registry.create ()) f =
   let path =
     Filename.concat
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "moldable_test_%d.sock" (Unix.getpid ()))
   in
-  let registry = Moldable_obs.Registry.create () in
   let config =
-    { (Server.default_config ~registry ()) with Server.sessions }
+    { (Server.default_config ~registry ()) with Server.sessions; limits }
   in
   match Server.listen_unix ~path with
   | Error e -> Alcotest.fail e
@@ -761,6 +761,189 @@ let test_end_to_end_concurrent_sessions () =
       Alcotest.(check bool) "concurrent replay identical" true (Domain.join d))
     domains
 
+(* ------------------------------------------- pipelining and limits *)
+
+(* These drive a raw socket: each test writes a whole batch of request
+   lines at once, so the daemon reads them in one go and answers them with
+   one buffered write, and then reads everything the daemon sends until it
+   closes the connection. *)
+
+let raw_connect path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  fd
+
+let with_raw path f =
+  let fd = raw_connect path in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () -> f fd)
+
+let send_all fd s =
+  let rec go off =
+    if off < String.length s then
+      go (off + Unix.write_substring fd s off (String.length s - off))
+  in
+  go 0
+
+let parse_response line =
+  match Json.of_string line with
+  | Ok j -> j
+  | Error e -> Alcotest.fail (Printf.sprintf "%s: %S" e line)
+
+(* The response lines up to the daemon's close.  A daemon that closes with
+   request bytes still unread makes a Unix-socket peer see ECONNRESET after
+   the delivered data; that ends the stream too. *)
+let read_to_eof fd =
+  let buf = Buffer.create 4096 and chunk = Bytes.create 65536 in
+  let rec go () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> ()
+    | r ->
+      Buffer.add_subbytes buf chunk 0 r;
+      go ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      Alcotest.fail "the daemon neither answered nor closed within 10 s"
+  in
+  go ();
+  match List.rev (String.split_on_char '\n' (Buffer.contents buf)) with
+  | "" :: rev_lines -> List.rev_map parse_response rev_lines
+  | _ -> Alcotest.fail "the response stream does not end with a newline"
+
+let request_line req =
+  match Protocol.request_to_json req with
+  | Ok j -> Json.to_string_compact j ^ "\n"
+  | Error e -> Alcotest.fail e
+
+let open_line =
+  request_line
+    (Protocol.Open
+       {
+         Protocol.o_p = 4;
+         o_algorithm = `Original;
+         o_priority = "fifo";
+         o_seed = 0;
+         o_max_attempts = None;
+         o_failures = `Never;
+       })
+
+let submit_line i =
+  request_line
+    (Protocol.Submit
+       {
+         Protocol.s_label = Printf.sprintf "t%d" i;
+         s_speedup = Speedup.Amdahl { w = 4.; d = 0.5 };
+         s_deps = [];
+         s_release = 0.;
+       })
+
+let repeat k line = String.concat "" (List.init k (fun _ -> line))
+
+let check_ok what resp =
+  match Json.member "ok" resp with
+  | Some (Json.Bool true) -> ()
+  | _ -> Alcotest.fail (what ^ ": " ^ Json.to_string_compact resp)
+
+let check_limit resp =
+  match Json.member "error" resp with
+  | Some (Json.Str "limit") -> ()
+  | _ -> Alcotest.fail ("expected a limit error: " ^ Json.to_string_compact resp)
+
+let test_pipelined_submits_then_close () =
+  with_daemon @@ fun path ->
+  with_raw path @@ fun fd ->
+  let k = 50 in
+  send_all fd
+    (open_line
+    ^ String.concat "" (List.init k submit_line)
+    ^ request_line Protocol.Close);
+  match read_to_eof fd with
+  | opened :: rest ->
+    check_ok "open" opened;
+    Alcotest.(check int) "k submits and the close answered" (k + 1)
+      (List.length rest);
+    List.iteri
+      (fun i resp ->
+        if i < k then
+          Alcotest.(check (option int))
+            "ids in submission order" (Some i)
+            (Option.bind (Json.member "id" resp) Json.to_int)
+        else
+          Alcotest.(check bool) "close answered last" true
+            (Json.member "closing" resp = Some (Json.Bool true)))
+      rest
+  | [] -> Alcotest.fail "no response"
+
+let test_pipelined_then_overlong_line () =
+  let max_line_bytes = 256 in
+  with_daemon ~limits:{ Server.default_limits with max_line_bytes }
+  @@ fun path ->
+  with_raw path @@ fun fd ->
+  let k = 7 in
+  send_all fd
+    (repeat k (request_line Protocol.Ping)
+    ^ String.make (max_line_bytes + 100) 'x');
+  let resps = read_to_eof fd in
+  Alcotest.(check int) "k answers and one limit error" (k + 1)
+    (List.length resps);
+  List.iteri
+    (fun i resp -> if i < k then check_ok "ping" resp else check_limit resp)
+    resps
+
+let test_request_budget_mid_batch () =
+  let k = 5 in
+  with_daemon ~limits:{ Server.default_limits with max_requests = k }
+  @@ fun path ->
+  with_raw path @@ fun fd ->
+  send_all fd (repeat (k + 3) (request_line Protocol.Ping));
+  let resps = read_to_eof fd in
+  Alcotest.(check int) "k answers and one limit error" (k + 1)
+    (List.length resps);
+  List.iteri
+    (fun i resp -> if i < k then check_ok "ping" resp else check_limit resp)
+    resps
+
+let evictions registry =
+  List.fold_left
+    (fun acc ms ->
+      match ms with
+      | {
+       Moldable_obs.Registry.ms_name = "moldable_service_evictions";
+       ms_value = Moldable_obs.Registry.Counter_v v;
+       _;
+      } ->
+        v
+      | _ -> acc)
+    0.
+    (Moldable_obs.Registry.snapshot registry)
+
+let test_non_reading_client_evicted () =
+  let registry = Moldable_obs.Registry.create () in
+  with_daemon ~sessions:1 ~registry
+    ~limits:{ Server.default_limits with write_timeout = 0.2 }
+  @@ fun path ->
+  with_raw path @@ fun fd ->
+  (* 200 schedules of a 300-task run are megabytes of responses, far more
+     than the socket buffers hold for a peer that never reads. *)
+  send_all fd
+    (open_line
+    ^ String.concat "" (List.init 300 submit_line)
+    ^ request_line Protocol.Drain
+    ^ repeat 200 (request_line Protocol.Schedule));
+  let deadline = Unix.gettimeofday () +. 10. in
+  while evictions registry < 1. && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.02
+  done;
+  Alcotest.(check (float 0.)) "the non-reading session was evicted" 1.
+    (evictions registry);
+  (* The only session worker is free again. *)
+  let c = connect_exn path in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  match Client.ping c with Ok () -> () | Error e -> Alcotest.fail e
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "service"
@@ -811,5 +994,16 @@ let () =
             test_end_to_end_incremental_session;
           Alcotest.test_case "concurrent sessions" `Quick
             test_end_to_end_concurrent_sessions;
+        ] );
+      ( "pipelining",
+        [
+          Alcotest.test_case "k submits and close in one write" `Quick
+            test_pipelined_submits_then_close;
+          Alcotest.test_case "k requests then an overlong line" `Quick
+            test_pipelined_then_overlong_line;
+          Alcotest.test_case "request budget ends a batch" `Quick
+            test_request_budget_mid_batch;
+          Alcotest.test_case "non-reading client evicted" `Quick
+            test_non_reading_client_evicted;
         ] );
     ]
