@@ -976,7 +976,7 @@ let tracing_section pool () =
       (Schedule.makespan untraced.Sim_core.schedule));
   Printf.printf "traced run: %d decisions, %d spans, %d instants\n"
     (Moldable_sim.Tracer.n_decisions tracer)
-    (Moldable_sim.Tracer.n_spans tracer)
+    traced.Sim_core.n_attempts
     (List.length (Moldable_sim.Tracer.instants tracer));
   (* The capped decisions are the interesting provenance: print one. *)
   (match

@@ -33,13 +33,14 @@ let () =
     Float.equal
       (Schedule.makespan traced.Sim_core.schedule)
       (Schedule.makespan plain.Sim_core.schedule));
-  (* Every task gets exactly one decision record and at least one span. *)
+  (* Every task gets exactly one decision record and at least one
+     execution attempt. *)
   assert (Tracer.n_decisions tracer = Dag.n dag);
-  assert (Tracer.n_spans tracer = Dag.n dag);
+  assert (traced.Sim_core.n_attempts = Dag.n dag);
   Printf.printf
     "traced = untraced (makespan %.4f); %d decisions, %d spans, %d instants\n\n"
     (Schedule.makespan traced.Sim_core.schedule)
-    (Tracer.n_decisions tracer) (Tracer.n_spans tracer)
+    (Tracer.n_decisions tracer) traced.Sim_core.n_attempts
     (List.length (Tracer.instants tracer));
 
   (* Provenance of a single allocation: Algorithm 2's two steps. *)
@@ -57,15 +58,16 @@ let () =
   Printf.printf "\n%d of %d allocations were capped at ceil(mu P)\n"
     (List.length capped) (Dag.n dag);
 
-  (* The execution timeline as spans — the data behind the Chrome export. *)
+  (* The execution timeline as the run's attempts — the spans behind the
+     Chrome export. *)
   Printf.printf "\nfirst three execution spans:\n";
   List.iteri
-    (fun i (s : Tracer.span) ->
+    (fun i (a : Sim_core.attempt) ->
       if i < 3 then
         Printf.printf "  task %2d attempt %d: [%7.3f, %7.3f] on %d procs\n"
-          s.Tracer.task_id s.Tracer.attempt s.Tracer.t0 s.Tracer.t1
-          s.Tracer.nprocs)
-    (Tracer.spans tracer);
+          a.Sim_core.task_id a.Sim_core.attempt a.Sim_core.start
+          a.Sim_core.finish a.Sim_core.nprocs)
+    (Sim_core.attempts traced);
 
   (* Chrome trace-event export: open in https://ui.perfetto.dev *)
   let json = Moldable_viz.Chrome_trace.of_run tracer traced.Sim_core.metrics in

@@ -2,48 +2,34 @@ open Moldable_model
 open Moldable_graph
 open Moldable_sim
 
-(* The bottom-level priority needs the whole graph, so this policy is built
-   per-DAG (clairvoyant) and then driven by the same online engine: the
+(* Clairvoyant list scheduling on Algorithm 1's ready queue: [rank] is
+   indexed by task id, higher ranks launch first, ties by task id.
+   Float.compare keeps the order total on NaN ranks, and a task sits in the
+   queue at most once, so distinct items never tie. *)
+let run_ranked ~name ~rank ~allocator ~p dag =
+  let priority =
+    {
+      Priority.name = "ranked";
+      compare =
+        (fun a b ->
+          let i = a.Priority.task.Task.id and j = b.Priority.task.Task.id in
+          match Float.compare rank.(j) rank.(i) with
+          | 0 -> Int.compare i j
+          | c -> c);
+    }
+  in
+  Sim_core.run ~p
+    { (Online_scheduler.policy ~priority ~allocator ~p ()) with Sim_core.name }
+    dag
+
+(* The bottom-level rank needs the whole graph (clairvoyant), but the
    engine still only launches ready tasks, so the result is feasible. *)
-let critical_path_policy ~allocator ~p dag =
+let critical_path_list ?(allocator = Allocator.algorithm2_per_model) ~p dag =
   let bounds = Bounds.compute ~p dag in
   let weight i = bounds.Bounds.analyzed.(i).Task.t_min in
-  let bl = Paths.bottom_level ~weight dag in
-  let queue : (int * int) list ref = ref [] in
-  (* (task id, alloc), sorted by decreasing bottom level, ties by id. *)
-  let insert (id, alloc) =
-    let higher (a, _) (b, _) =
-      match Float.compare bl.(b) bl.(a) with 0 -> Int.compare a b | c -> c
-    in
-    let rec go = function
-      | [] -> [ (id, alloc) ]
-      | x :: rest ->
-        if higher (id, alloc) x < 0 then (id, alloc) :: x :: rest
-        else x :: go rest
-    in
-    queue := go !queue
-  in
-  let on_ready ~now:_ (task : Task.t) =
-    insert (task.Task.id, allocator.Allocator.allocate ~p task)
-  in
-  let next_launch ~now:_ ~free =
-    let rec extract acc = function
-      | [] -> None
-      | ((_, alloc) as x) :: rest when alloc <= free ->
-        queue := List.rev_append acc rest;
-        Some x
-      | x :: rest -> extract (x :: acc) rest
-    in
-    extract [] !queue
-  in
-  {
-    Sim_core.name = "offline-critical-path[" ^ allocator.Allocator.name ^ "]";
-    on_ready;
-    next_launch;
-  }
-
-let critical_path_list ?(allocator = Allocator.algorithm2_per_model) ~p dag =
-  Sim_core.run ~p (critical_path_policy ~allocator ~p dag) dag
+  run_ranked
+    ~name:("offline-critical-path[" ^ allocator.Allocator.name ^ "]")
+    ~rank:(Paths.bottom_level ~weight dag) ~allocator ~p dag
 
 let named =
   [
@@ -64,32 +50,10 @@ let list_with ~allocations ~priority ~p dag =
       if q < 1 || q > p then
         invalid_arg "Offline.list_with: allocation out of [1, P]")
     allocations;
-  let queue : int list ref = ref [] in
-  let before a b =
-    match Float.compare priority.(b) priority.(a) with
-    | 0 -> Int.compare a b
-    | c -> c
-  in
-  let insert id =
-    let rec go = function
-      | [] -> [ id ]
-      | x :: rest -> if before id x < 0 then id :: x :: rest else x :: go rest
-    in
-    queue := go !queue
-  in
-  let on_ready ~now:_ (task : Task.t) = insert task.Task.id in
-  let next_launch ~now:_ ~free =
-    let rec extract acc = function
-      | [] -> None
-      | id :: rest when allocations.(id) <= free ->
-        queue := List.rev_append acc rest;
-        Some (id, allocations.(id))
-      | id :: rest -> extract (id :: acc) rest
-    in
-    extract [] !queue
-  in
-  Sim_core.run ~p { Sim_core.name = "offline-list-with"; on_ready; next_launch }
-    dag
+  let name = "offline-list-with" in
+  run_ranked ~name ~rank:priority ~p dag
+    ~allocator:
+      (Allocator.make ~name (fun a -> allocations.(a.Task.task.Task.id)))
 
 let randomized_search ?(restarts = 64) ~rng ~p dag =
   let open Moldable_util in

@@ -9,7 +9,13 @@
     [critical_path_list] is classic list scheduling with the bottom-level
     (critical-path) priority computed from minimum execution times — the
     offline analogue of HEFT specialized to moldable tasks — combined with
-    any allocator. *)
+    any allocator.
+
+    Every list scheduler here runs {!Online_scheduler.policy} with a
+    clairvoyant rank as its priority: ready tasks wait in Algorithm 1's
+    {!Moldable_util.Prefix_min} queue, ordered by decreasing rank with
+    ties by task id, and each launch takes the first one that fits the
+    free processors — O(log P + log n) per insert and per launch. *)
 
 open Moldable_graph
 open Moldable_sim
@@ -37,8 +43,8 @@ val list_with :
   allocations:int array -> priority:float array -> p:int -> Dag.t ->
   Sim_core.result
 (** Clairvoyant list scheduling with an explicit per-task allotment and an
-    explicit priority (higher runs first; ties by id) — the building block
-    for search-based offline scheduling.
+    explicit priority (higher runs first; ties by id, NaN ranks last) —
+    the building block for search-based offline scheduling.
     @raise Invalid_argument on length mismatches or out-of-range
     allocations. *)
 

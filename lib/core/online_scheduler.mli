@@ -53,8 +53,8 @@ val run :
     {!Allocator.algorithm2_per_model}; pass {!Improved_alloc.per_model} for
     the refined algorithm of arXiv:2304.14127) and simulate it with
     {!Sim_core.run}.  The same [tracer] and [registry] feed the policy
-    (allocation provenance, Step-1 probes) and the core (execution spans,
-    run counters); every other option is {!Sim_core.run}'s. *)
+    (allocation provenance, Step-1 probes) and the core (instants, run
+    counters); every other option is {!Sim_core.run}'s. *)
 
 val makespan :
   ?priority:Priority.t -> ?allocator:Allocator.t -> p:int -> Dag.t -> float

@@ -2,8 +2,10 @@
 
     The paper inserts available tasks without priority consideration (FIFO)
     and notes that "in practice certain priority rules may work better".
-    Only information visible online may be used: the task's own parameters
-    and its chosen allocation — never the graph. *)
+    The rules listed here use only information visible online: the task's
+    own parameters and its chosen allocation — never the graph.  The
+    clairvoyant list schedulers of {!Offline} build their graph-derived
+    ranks as a [t] of their own and run them on the same ready queue. *)
 
 open Moldable_model
 

@@ -19,29 +19,31 @@ let max_time jobs = List.fold_left (fun acc j -> Float.max acc j.time) 0. jobs
 let total_area jobs =
   List.fold_left (fun acc j -> acc +. (float_of_int j.procs *. j.time)) 0. jobs
 
+(* Equal ranks make the queue FIFO by task id, which is the reveal order:
+   Sim_core reveals an edgeless, release-free task set at time 0 in id
+   order.  Duplicate job ids: the last one wins. *)
 let list_schedule ~p ~jobs dag =
-  let queue = ref [] in
-  let alloc = Hashtbl.create (List.length jobs) in
-  List.iter (fun j -> Hashtbl.replace alloc j.id j.procs) jobs;
-  let on_ready ~now:_ (task : Task.t) =
-    match Hashtbl.find_opt alloc task.Task.id with
-    | Some procs -> queue := !queue @ [ (task.Task.id, procs) ]
-    | None ->
-      invalid_arg
-        (Printf.sprintf "Rigid.list_schedule: no job for task %d" task.Task.id)
+  let n = Dag.n dag in
+  let fail fmt =
+    Printf.ksprintf (fun s -> invalid_arg ("Rigid.list_schedule: " ^ s)) fmt
   in
-  (* FIFO list scheduling with skipping, like Algorithm 1's queue scan. *)
-  let next_launch ~now:_ ~free =
-    let rec extract acc = function
-      | [] -> None
-      | ((_, procs) as x) :: rest when procs <= free ->
-        queue := List.rev_append acc rest;
-        Some x
-      | x :: rest -> extract (x :: acc) rest
-    in
-    extract [] !queue
+  if Dag.n_edges dag <> 0 then fail "the task set must be independent";
+  let procs = Array.make n None in
+  List.iter
+    (fun j ->
+      if j.id < 0 || j.id >= n then fail "job id %d out of [0, %d)" j.id n;
+      if j.procs < 1 || j.procs > p then
+        fail "job %d requirement %d out of [1, %d]" j.id j.procs p;
+      procs.(j.id) <- Some j.procs)
+    jobs;
+  let allocations =
+    Array.mapi
+      (fun id q ->
+        match q with Some q -> q | None -> fail "no job for task %d" id)
+      procs
   in
-  Sim_core.run ~p { Sim_core.name = "rigid-list"; on_ready; next_launch } dag
+  Moldable_core.Offline.list_with ~allocations ~priority:(Array.make n 0.) ~p
+    dag
 
 let shelf_pack ~p ~jobs =
   let sorted = List.sort (fun a b -> Float.compare b.time a.time) jobs in

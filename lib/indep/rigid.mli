@@ -27,10 +27,15 @@ val of_dag : alloc:(int -> int) -> p:int -> Dag.t -> job list
 
 val list_schedule : p:int -> jobs:job list -> Dag.t -> Sim_core.result
 (** FIFO list scheduling of the rigid jobs (the graph supplies execution
-    times for validation; it must be edgeless and consistent with [jobs]).
+    times for validation).  Runs {!Moldable_core.Offline.list_with} with
+    equal ranks, so the queue is Algorithm 1's, FIFO by task id:
+    O(log P + log n) per insert and per launch.  If two jobs share an id,
+    the last one wins.
     Guarantees makespan [<= t_max + A / (P - w_max + 1)] where [w_max] is
     the widest requirement (while the widest waiting job cannot start, more
-    than [P - w_max] processors are busy). *)
+    than [P - w_max] processors are busy).
+    @raise Invalid_argument if the graph has edges, a job id lies outside
+    [\[0, n)], a task has no job, or a requirement is outside [\[1, P\]]. *)
 
 val shelf_pack : p:int -> jobs:job list -> Schedule.t
 (** Next-Fit-Decreasing-Height shelves: jobs sorted by decreasing time; each

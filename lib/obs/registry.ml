@@ -220,89 +220,61 @@ let histogram r ~name ~help =
   if not r.active then H None
   else H (Some (register r ~name ~help Histogram))
 
+let new_shard m =
+  {
+    acc = 0.;
+    set_v = 0.;
+    set_stamp = 0;
+    hs =
+      (match m.kind with
+      | Histogram ->
+        Some
+          {
+            buckets = Array.make Hist.nbuckets 0;
+            h_count = 0;
+            h_sum = 0.;
+            h_min = Float.infinity;
+            h_max = Float.neg_infinity;
+          }
+      | Counter | Gauge -> None);
+  }
+
+(* Slow path, under the metric's lock: grow the table when this domain's
+   slot lies past its end, then install the domain's shard if it has none. *)
+let install_shard m d =
+  Mutex.lock m.mmu;
+  let shards = m.shards in
+  let shards =
+    if d < Array.length shards then shards
+    else begin
+      let bigger = Array.make (d + 1) None in
+      Array.blit shards 0 bigger 0 (Array.length shards);
+      (* publish after the copy so racy readers only ever see tables
+         containing every previously installed shard *)
+      m.shards <- bigger;
+      bigger
+    end
+  in
+  let s =
+    match shards.(d) with
+    | Some s -> s
+    | None ->
+      let s = new_shard m in
+      shards.(d) <- Some s;
+      s
+  in
+  Mutex.unlock m.mmu;
+  s
+
 (* Fast path: fetch (installing on first use) this domain's shard. *)
 let shard_for m =
   let d = (Domain.self () :> int) in
   let shards = m.shards in
-  if d < Array.length shards then begin
+  if d < Array.length shards then
     match Array.unsafe_get shards d with
     | Some s -> s
-    | None -> begin
-      (* slot exists but this domain has no shard yet *)
-      Mutex.lock m.mmu;
-      let s =
-        match m.shards.(d) with
-        | Some s -> s
-        | None ->
-          let s =
-            {
-              acc = 0.;
-              set_v = 0.;
-              set_stamp = 0;
-              hs =
-                (match m.kind with
-                | Histogram ->
-                  Some
-                    {
-                      buckets = Array.make Hist.nbuckets 0;
-                      h_count = 0;
-                      h_sum = 0.;
-                      h_min = Float.infinity;
-                      h_max = Float.neg_infinity;
-                    }
-                | Counter | Gauge -> None);
-            }
-          in
-          m.shards.(d) <- Some s;
-          s
-      in
-      Mutex.unlock m.mmu;
-      s
-    end
-  end
-  else begin
-    Mutex.lock m.mmu;
-    let shards = m.shards in
-    let shards =
-      if d < Array.length shards then shards
-      else begin
-        let bigger = Array.make (d + 1) None in
-        Array.blit shards 0 bigger 0 (Array.length shards);
-        (* publish after the copy so racy readers only ever see tables
-           containing every previously installed shard *)
-        m.shards <- bigger;
-        bigger
-      end
-    in
-    let s =
-      match shards.(d) with
-      | Some s -> s
-      | None ->
-        let s =
-          {
-            acc = 0.;
-            set_v = 0.;
-            set_stamp = 0;
-            hs =
-              (match m.kind with
-              | Histogram ->
-                Some
-                  {
-                    buckets = Array.make Hist.nbuckets 0;
-                    h_count = 0;
-                    h_sum = 0.;
-                    h_min = Float.infinity;
-                    h_max = Float.neg_infinity;
-                  }
-              | Counter | Gauge -> None);
-          }
-        in
-        shards.(d) <- Some s;
-        s
-    in
-    Mutex.unlock m.mmu;
-    s
-  end
+    | None -> install_shard m d
+  else install_shard m d
 
 let incr_by (C c) n =
   match c with

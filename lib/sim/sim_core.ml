@@ -242,6 +242,8 @@ module Stepper = struct
     policy : policy;
     p : int;
     lean : bool;
+        (* The effective flag: a live tracer forces full recording, since
+           its spans are the recording's attempts. *)
     traced : bool;
     tracer : Tracer.t;
     registry : Moldable_obs.Registry.t;
@@ -251,10 +253,6 @@ module Stepper = struct
     arena : Arena.t;
     platform : Platform.t;
     events : Event_queue.t;
-    recycle_ok : bool;
-        (* A failed attempt's processor block can return to the platform's
-           segment pool only when nothing retains it: a full run records
-           the block, and a live tracer would capture it in its spans. *)
     counters : Metrics.counters;
     (* One-cell float arrays, not mutable float fields: in a mixed record a
        float-field store allocates a box, a float-array store does not, and
@@ -264,7 +262,6 @@ module Stepper = struct
     mutable n : int; (* admitted tasks; the next admission index *)
     mutable init_hi : int; (* arena slots [0, init_hi) are initialized *)
     mutable completed : int;
-    mutable n_failures : int;
     mutable ready_count : int;
     mutable n_running : int;
     mutable pending_lo : int; (* consumed prefix of [arena.pending] *)
@@ -306,7 +303,7 @@ module Stepper = struct
     {
       policy;
       p;
-      lean;
+      lean = lean && not traced;
       traced;
       tracer;
       registry;
@@ -316,14 +313,12 @@ module Stepper = struct
       arena = a;
       platform = Option.get a.Arena.platform;
       events = a.Arena.events;
-      recycle_ok = lean && not traced;
       counters = Metrics.make_counters ();
       ms = Array.make 1 0.;
       now_cell = Array.make 1 0.;
       n = 0;
       init_hi = 0;
       completed = 0;
-      n_failures = 0;
       ready_count = 0;
       n_running = 0;
       pending_lo = 0;
@@ -549,14 +544,13 @@ module Stepper = struct
         let procs = run_procs.(tid) in
         let failed = st.failures.fails st.rng ~task_id:tid ~attempt in
         st.n_running <- st.n_running - 1;
-        if st.traced then
-          Tracer.record_span st.tracer ~task_id:tid ~attempt ~t0:start
-            ~t1:now ~procs ~failed;
         if now > st.ms.(0) then st.ms.(0) <- now;
         if failed then begin
-          if st.recycle_ok then Platform.recycle st.platform procs
+          (* A failed attempt's block can return to the platform's
+             segment pool only when nothing retains it: a full run records
+             it. *)
+          if st.lean then Platform.recycle st.platform procs
           else Platform.release st.platform procs;
-          st.n_failures <- st.n_failures + 1;
           st.counters.Metrics.retries <- st.counters.Metrics.retries + 1;
           (* The trace records the batch instant as the attempt's end (the
              instant its outcome became known); the schedule keeps the
@@ -706,7 +700,7 @@ module Stepper = struct
       recording;
       makespan = st.ms.(0);
       n_attempts = st.counters.Metrics.launches;
-      n_failures = st.n_failures;
+      n_failures = st.counters.Metrics.retries;
       metrics = Metrics.make ~p:st.p ~counters:st.counters recording;
     }
 

@@ -261,17 +261,19 @@ val run :
     built only when called.  [lean:true] (default [false]) records nothing
     beyond the schedule and the run counters: every view of the result is
     empty, while [schedule], [makespan], [n_attempts] and [n_failures] are
-    exactly those of the full run.
+    exactly those of the full run.  A live [tracer] turns [lean] off.
     [max_attempts] (default unlimited) bounds the attempts
     per task; the bound is checked {e before} any processor is acquired or
     event queued, and the error names the task, its attempt count and the
     failure model.  [failures] defaults to {!never}.
 
-    [tracer] (default {!Tracer.null}, i.e. off) records execution spans for
-    every attempt, instant markers for reveals/deferred releases/stalls and
-    self-profile timers ([event-loop], [launch-round]); tracing never
-    affects the schedule, and a [Tracer.null] run performs no tracing work
-    beyond one branch per hook.
+    [tracer] (default {!Tracer.null}, i.e. off) records instant markers for
+    reveals/deferred releases/stalls and self-profile timers
+    ([event-loop], [launch-round]).  Its execution spans are the result's
+    {!attempts}, so a run with a live tracer always records in full, even
+    under [lean:true].  Tracing never affects the schedule, and a
+    [Tracer.null] run performs no tracing work beyond one branch per
+    hook.
 
     [registry] (default {!Moldable_obs.Registry.null}, i.e. off) receives
     the run's counters as process-wide telemetry — [moldable_sim_events],

@@ -21,18 +21,6 @@ type decision = {
   candidates_scanned : int;
 }
 
-type outcome = Completed | Failed
-
-type span = {
-  task_id : int;
-  attempt : int;
-  t0 : float;
-  t1 : float;
-  nprocs : int;
-  procs : int array;
-  outcome : outcome;
-}
-
 type instant_kind = Ready | Deferred | Stall
 
 type instant = { time : float; kind : instant_kind; subject : int }
@@ -64,9 +52,7 @@ let register_timers registry =
 type t = {
   enabled : bool;
   decisions : (int, decision) Hashtbl.t;
-  mutable spans : span list;      (* reverse recording order *)
   mutable instants : instant list;
-  mutable n_spans : int;
   registry : Registry.t;
   timers : Registry.histogram array;
 }
@@ -77,9 +63,7 @@ let null =
   {
     enabled = false;
     decisions = Hashtbl.create 1;
-    spans = [];
     instants = [];
-    n_spans = 0;
     registry = Registry.null;
     timers = register_timers Registry.null;
   }
@@ -89,9 +73,7 @@ let create () =
   {
     enabled = true;
     decisions = Hashtbl.create 64;
-    spans = [];
     instants = [];
-    n_spans = 0;
     registry;
     timers = register_timers registry;
   }
@@ -114,22 +96,6 @@ let record_decision t (d : decision) =
   if t.enabled && not (Hashtbl.mem t.decisions d.task_id) then
     Hashtbl.add t.decisions d.task_id d
 
-let record_span t ~task_id ~attempt ~t0 ~t1 ~procs ~failed =
-  if t.enabled then begin
-    t.spans <-
-      {
-        task_id;
-        attempt;
-        t0;
-        t1;
-        nprocs = Array.length procs;
-        procs;
-        outcome = (if failed then Failed else Completed);
-      }
-      :: t.spans;
-    t.n_spans <- t.n_spans + 1
-  end
-
 let record_instant t ~time ~kind ~subject =
   if t.enabled then t.instants <- { time; kind; subject } :: t.instants
 
@@ -140,19 +106,7 @@ let decisions t =
 
 let decision_for t task_id = Hashtbl.find_opt t.decisions task_id
 
-let spans t =
-  List.sort
-    (fun a b ->
-      match Float.compare a.t0 b.t0 with
-      | 0 -> (
-        match Int.compare a.task_id b.task_id with
-        | 0 -> Int.compare a.attempt b.attempt
-        | c -> c)
-      | c -> c)
-    t.spans
-
 let instants t = List.rev t.instants
-let n_spans t = t.n_spans
 let n_decisions t = Hashtbl.length t.decisions
 
 let pp_decision ppf (d : decision) =

@@ -1,7 +1,8 @@
 (** Decision-level structured tracing of a simulation run.
 
-    A tracer records three event families alongside the aggregate
-    {!Metrics}:
+    A tracer records what the run's own recording does not hold: why the
+    policy decided, when the scheduler waited, and where the wall-clock
+    time went.  It holds three families:
 
     - {e decision provenance} — one {!decision} per task, emitted by the
       scheduling policy when the allocator fixes the task's allocation:
@@ -10,15 +11,19 @@
       and whether it bit, the final allocation, and how many feasibility
       candidates Step 1 probed.  Re-reveals after failed attempts do not
       duplicate the record: provenance is per task, not per attempt.
-    - {e execution spans} — one {!span} per attempt (start, end, processor
-      set, completed/failed), plus {!instant} markers for reveals, deferred
-      releases and stalls.  {!Moldable_viz.Chrome_trace} renders these as a
-      Chrome trace-event JSON for [chrome://tracing] / Perfetto.
+    - {e scheduler instants} — {!instant} markers for reveals, deferred
+      releases and stalls.
     - {e self-profile} — one {!Moldable_obs.Registry} histogram per
       {!phase} (event loop, launch rounds, task analysis, allocator, ready
       queue), charged by the event loop and the policy with
       {!Moldable_util.Clock.now} (CLOCK_MONOTONIC) intervals, so hot-path
       regressions are visible without an external profiler.
+
+    Execution spans are not recorded here: they are the run's attempts,
+    {!Sim_core.attempts}, replayed from its recording.  A run with a live
+    tracer therefore always records in full ([?lean] is ignored).
+    {!Moldable_viz.Chrome_trace} renders the attempts with these instants
+    as a Chrome trace-event JSON for [chrome://tracing] / Perfetto.
 
     Tracing is zero-cost when off: {!null} is permanently disabled, every
     recording entry point checks {!enabled} before allocating anything, and
@@ -49,18 +54,6 @@ type decision = {
       (** Feasibility probes Step 1 evaluated (binary-search probes for
           monotonic models, [p_max] for the exhaustive Arbitrary scan; 0 for
           trivial rules). *)
-}
-
-type outcome = Completed | Failed
-
-type span = {
-  task_id : int;
-  attempt : int;        (** 1-based. *)
-  t0 : float;
-  t1 : float;
-  nprocs : int;
-  procs : int array;    (** Ascending processor ids. *)
-  outcome : outcome;
 }
 
 type instant_kind =
@@ -106,11 +99,6 @@ val record_decision : t -> decision -> unit
 (** Keeps the {e first} decision per task id; later records (re-reveals
     after failures) are ignored. *)
 
-val record_span :
-  t ->
-  task_id:int -> attempt:int -> t0:float -> t1:float -> procs:int array ->
-  failed:bool -> unit
-
 val record_instant : t -> time:float -> kind:instant_kind -> subject:int -> unit
 
 (** {1 Querying} *)
@@ -119,13 +107,9 @@ val decisions : t -> decision list
 (** Sorted by task id. *)
 
 val decision_for : t -> int -> decision option
-val spans : t -> span list
-(** Sorted by [(t0, task_id, attempt)]. *)
-
 val instants : t -> instant list
 (** Chronological (recording order). *)
 
-val n_spans : t -> int
 val n_decisions : t -> int
 
 val pp_decision : Format.formatter -> decision -> unit

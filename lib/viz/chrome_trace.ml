@@ -29,7 +29,7 @@ let procs_range procs =
 
 let of_run ?label ?registry tracer (metrics : Metrics.t) =
   let label = match label with Some f -> f | None -> Printf.sprintf "t%d" in
-  let spans = Tracer.spans tracer in
+  let attempts = Recording.attempts metrics.Metrics.recording in
   let buf = Buffer.create 8192 in
   let first = ref true in
   (* One compact event object per line, so the file diffs line by line. *)
@@ -55,10 +55,10 @@ let of_run ?label ?registry tracer (metrics : Metrics.t) =
      lowest processor id, which two simultaneous attempts can never share. *)
   let lanes =
     List.fold_left
-      (fun acc (s : Tracer.span) ->
-        let lane = s.Tracer.procs.(0) in
+      (fun acc (a : Recording.attempt) ->
+        let lane = a.Recording.procs.(0) in
         if List.mem lane acc then acc else lane :: acc)
-      [] spans
+      [] attempts
     |> List.sort Int.compare
   in
   List.iter
@@ -69,32 +69,30 @@ let of_run ?label ?registry tracer (metrics : Metrics.t) =
         [ ("sort_index", J.int lane) ])
     lanes;
   List.iter
-    (fun (s : Tracer.span) ->
+    (fun (a : Recording.attempt) ->
       event
         [
           ( "name",
             J.Str
-              (Printf.sprintf "%s#%d" (label s.Tracer.task_id)
-                 s.Tracer.attempt) );
+              (Printf.sprintf "%s#%d" (label a.Recording.task_id)
+                 a.Recording.attempt) );
           ("cat", J.Str "attempt"); ("ph", J.Str "X"); ("pid", J.int 0);
-          ("tid", J.int s.Tracer.procs.(0));
-          ("ts", us s.Tracer.t0);
-          ("dur", us (s.Tracer.t1 -. s.Tracer.t0));
+          ("tid", J.int a.Recording.procs.(0));
+          ("ts", us a.Recording.start);
+          ("dur", us (a.Recording.finish -. a.Recording.start));
           ( "args",
             J.Obj
               [
-                ("task", J.int s.Tracer.task_id);
-                ("attempt", J.int s.Tracer.attempt);
-                ("nprocs", J.int s.Tracer.nprocs);
-                ("procs", J.Str (procs_range s.Tracer.procs));
+                ("task", J.int a.Recording.task_id);
+                ("attempt", J.int a.Recording.attempt);
+                ("nprocs", J.int a.Recording.nprocs);
+                ("procs", J.Str (procs_range a.Recording.procs));
                 ( "outcome",
-                  J.Str
-                    (match s.Tracer.outcome with
-                    | Tracer.Completed -> "completed"
-                    | Tracer.Failed -> "failed") );
+                  J.Str (if a.Recording.failed then "failed" else "completed")
+                );
               ] );
         ])
-    spans;
+    attempts;
   List.iter
     (fun (i : Tracer.instant) ->
       let name =

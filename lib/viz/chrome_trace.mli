@@ -24,9 +24,10 @@ val of_run :
   Tracer.t ->
   Metrics.t ->
   string
-(** [of_run tracer metrics] renders the tracer's spans and instants plus the
-    metrics' counter timelines.  [label] names tasks in span names (default
-    ["t<id>"]).
+(** [of_run tracer metrics] renders the run's attempts (replayed from
+    [metrics]' recording, see {!Moldable_sim.Recording.attempts}), the
+    tracer's instants and the metrics' counter timelines.  [label] names
+    tasks in span names (default ["t<id>"]).
 
     [registry], when given, renders every gauge of the snapshot (e.g.
     [moldable_pool_domains_busy], [moldable_gc_heap_words]) as an extra

@@ -4,7 +4,8 @@
    sorted-list Algorithm 1 policy ([policy]).  Both are kept verbatim so
    the qcheck properties and the [alloc_lean] / [scalability_hot_path]
    bench gates pin [Sim_core.run] and [Online_scheduler.policy] against
-   them. *)
+   them.  The clairvoyant and rigid list schedulers' old sorted-list
+   queues close the file. *)
 
 open Moldable_util
 open Moldable_model
@@ -254,9 +255,6 @@ let run ?release_times ?(seed = 0) ?(max_attempts = max_int)
                   { task_id = tid; attempt; start; finish = now;
                     nprocs = Array.length procs; procs; failed }
                   :: !attempts;
-                if traced then
-                  Tracer.record_span tracer ~task_id:tid ~attempt ~t0:start
-                    ~t1:now ~procs ~failed;
                 service.(tid) <- service.(tid) +. (now -. start);
                 if failed then begin
                   incr n_failures;
@@ -412,3 +410,112 @@ let policy ?(priority = Priority.fifo) ~allocator ~p () =
     on_ready;
     next_launch;
   }
+
+(* The sorted-list ready queues that [Offline.critical_path_list],
+   [Offline.list_with] and [Rigid.list_schedule] kept before they moved
+   onto [Online_scheduler.policy]'s queue, verbatim and over the
+   production engine.  The list-scheduler differential in
+   test_scheduler_equiv.ml pins the production versions to them. *)
+
+let critical_path_policy ~allocator ~p dag =
+  let bounds = Bounds.compute ~p dag in
+  let weight i = bounds.Bounds.analyzed.(i).Task.t_min in
+  let bl = Paths.bottom_level ~weight dag in
+  let queue : (int * int) list ref = ref [] in
+  (* (task id, alloc), sorted by decreasing bottom level, ties by id. *)
+  let insert (id, alloc) =
+    let higher (a, _) (b, _) =
+      match Float.compare bl.(b) bl.(a) with 0 -> Int.compare a b | c -> c
+    in
+    let rec go = function
+      | [] -> [ (id, alloc) ]
+      | x :: rest ->
+        if higher (id, alloc) x < 0 then (id, alloc) :: x :: rest
+        else x :: go rest
+    in
+    queue := go !queue
+  in
+  let on_ready ~now:_ (task : Task.t) =
+    insert (task.Task.id, allocator.Allocator.allocate ~p task)
+  in
+  let next_launch ~now:_ ~free =
+    let rec extract acc = function
+      | [] -> None
+      | ((_, alloc) as x) :: rest when alloc <= free ->
+        queue := List.rev_append acc rest;
+        Some x
+      | x :: rest -> extract (x :: acc) rest
+    in
+    extract [] !queue
+  in
+  {
+    Sim_core.name = "offline-critical-path[" ^ allocator.Allocator.name ^ "]";
+    on_ready;
+    next_launch;
+  }
+
+let critical_path_list ?(allocator = Allocator.algorithm2_per_model) ~p dag =
+  Sim_core.run ~p (critical_path_policy ~allocator ~p dag) dag
+
+let list_with ~allocations ~priority ~p dag =
+  let n = Dag.n dag in
+  if Array.length allocations <> n || Array.length priority <> n then
+    invalid_arg "Offline.list_with: array lengths must match the task count";
+  Array.iter
+    (fun q ->
+      if q < 1 || q > p then
+        invalid_arg "Offline.list_with: allocation out of [1, P]")
+    allocations;
+  let queue : int list ref = ref [] in
+  let before a b =
+    match Float.compare priority.(b) priority.(a) with
+    | 0 -> Int.compare a b
+    | c -> c
+  in
+  let insert id =
+    let rec go = function
+      | [] -> [ id ]
+      | x :: rest -> if before id x < 0 then id :: x :: rest else x :: go rest
+    in
+    queue := go !queue
+  in
+  let on_ready ~now:_ (task : Task.t) = insert task.Task.id in
+  let next_launch ~now:_ ~free =
+    let rec extract acc = function
+      | [] -> None
+      | id :: rest when allocations.(id) <= free ->
+        queue := List.rev_append acc rest;
+        Some (id, allocations.(id))
+      | id :: rest -> extract (id :: acc) rest
+    in
+    extract [] !queue
+  in
+  Sim_core.run ~p { Sim_core.name = "offline-list-with"; on_ready; next_launch }
+    dag
+
+let rigid_list_schedule ~p ~jobs dag =
+  let queue = ref [] in
+  let alloc = Hashtbl.create (List.length jobs) in
+  List.iter
+    (fun (j : Moldable_indep.Rigid.job) ->
+      Hashtbl.replace alloc j.id j.procs)
+    jobs;
+  let on_ready ~now:_ (task : Task.t) =
+    match Hashtbl.find_opt alloc task.Task.id with
+    | Some procs -> queue := !queue @ [ (task.Task.id, procs) ]
+    | None ->
+      invalid_arg
+        (Printf.sprintf "Rigid.list_schedule: no job for task %d" task.Task.id)
+  in
+  (* FIFO list scheduling with skipping, like Algorithm 1's queue scan. *)
+  let next_launch ~now:_ ~free =
+    let rec extract acc = function
+      | [] -> None
+      | ((_, procs) as x) :: rest when procs <= free ->
+        queue := List.rev_append acc rest;
+        Some x
+      | x :: rest -> extract (x :: acc) rest
+    in
+    extract [] !queue
+  in
+  Sim_core.run ~p { Sim_core.name = "rigid-list"; on_ready; next_launch } dag

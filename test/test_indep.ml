@@ -55,6 +55,29 @@ let test_of_dag_rejects_edges () =
        false
      with Invalid_argument _ -> true)
 
+let test_list_schedule_rejects_bad_input () =
+  let tasks =
+    [
+      Task.make ~id:0 (Speedup.Roofline { w = 1.; ptilde = 1 });
+      Task.make ~id:1 (Speedup.Roofline { w = 1.; ptilde = 1 });
+    ]
+  in
+  let job id = { Rigid.id; procs = 1; time = 1. } in
+  let rejected name ~jobs dag =
+    Alcotest.(check bool) name true
+      (try
+         ignore (Rigid.list_schedule ~p:2 ~jobs dag);
+         false
+       with Invalid_argument _ -> true)
+  in
+  rejected "graph with edges" ~jobs:[ job 0; job 1 ]
+    (Dag.create ~tasks ~edges:[ (0, 1) ]);
+  let indep = Dag.create ~tasks ~edges:[] in
+  rejected "job id >= n" ~jobs:[ job 0; job 1; job 2 ] indep;
+  rejected "task without a job" ~jobs:[ job 1 ] indep;
+  rejected "requirement > P" ~jobs:[ job 0; { (job 1) with procs = 3 } ]
+    indep
+
 let test_shelf_pack_small () =
   (* Three jobs on P=4: (2 procs, t=4), (2 procs, t=4), (4 procs, t=2).
      NFDH: shelf 1 holds both t=4 jobs; shelf 2 holds the wide one.
@@ -316,6 +339,8 @@ let () =
           Alcotest.test_case "of_dag" `Quick test_of_dag;
           Alcotest.test_case "of_dag rejects edges" `Quick
             test_of_dag_rejects_edges;
+          Alcotest.test_case "list_schedule rejects bad input" `Quick
+            test_list_schedule_rejects_bad_input;
           Alcotest.test_case "shelf pack small" `Quick test_shelf_pack_small;
           Alcotest.test_case "NFDH height bound" `Quick test_shelf_height_bound;
           Alcotest.test_case "Garey-Graham bound" `Quick

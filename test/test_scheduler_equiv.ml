@@ -2,7 +2,9 @@
    priority-indexed queue plus analysis cache of Online_scheduler.policy
    must reproduce the seed's sorted-list policy (the test oracle
    [Moldable_oracle.Reference.policy]) event for event, for every priority
-   rule, on any graph.  Also covers the Task.Cache memoization contract. *)
+   rule, on any graph.  The clairvoyant and rigid list schedulers, which
+   share that queue, must reproduce their old sorted lists the same way.
+   Also covers the Task.Cache memoization contract. *)
 
 open Moldable_model
 open Moldable_graph
@@ -144,6 +146,70 @@ let prop_trace_equivalence_allocators =
           Allocator.no_cap ~mu:0.2;
         ])
 
+(* The clairvoyant and rigid list schedulers run on Algorithm 1's queue;
+   their old sorted lists ([Reference.list_with], ...) are the oracle.
+   Ranks come in three flavours: distinct, heavily tied and 20% NaN. *)
+let same_run (a : Sim_core.result) (b : Sim_core.result) =
+  let sa = a.Sim_core.schedule and sb = b.Sim_core.schedule in
+  Schedule.n sa = Schedule.n sb
+  && List.for_all
+       (fun i -> Schedule.placement sa i = Schedule.placement sb i)
+       (List.init (Schedule.n sa) Fun.id)
+  && trace_equal (Sim_core.trace a) (Sim_core.trace b)
+
+let prop_list_schedulers_match_reference =
+  QCheck.Test.make
+    ~name:"Offline and Rigid list schedulers reproduce their sorted lists"
+    ~count:150
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let module Ref = Moldable_oracle.Reference in
+      let module Rigid = Moldable_indep.Rigid in
+      let rng = Rng.create seed in
+      let dag = random_dag rng in
+      let n = Dag.n dag in
+      let p = Rng.int_range rng 1 40 in
+      let allocations = Array.init n (fun _ -> Rng.int_range rng 1 p) in
+      let priority =
+        match Rng.int rng 3 with
+        | 0 -> Array.init n (fun _ -> Rng.float rng 100.)
+        | 1 -> Array.init n (fun _ -> float_of_int (Rng.int rng 3))
+        | _ ->
+          Array.init n (fun _ ->
+              if Rng.float rng 1. < 0.2 then Float.nan else Rng.float rng 10.)
+      in
+      let fail what =
+        QCheck.Test.fail_reportf "%s differs from its reference (P=%d)" what p
+      in
+      (same_run
+         (Offline.list_with ~allocations ~priority ~p dag)
+         (Ref.list_with ~allocations ~priority ~p dag)
+      || fail "Offline.list_with")
+      && List.for_all
+           (fun allocator ->
+             same_run
+               (Offline.critical_path_list ~allocator ~p dag)
+               (Ref.critical_path_list ~allocator ~p dag)
+             || fail ("Offline.critical_path_list " ^ allocator.Allocator.name))
+           [ Allocator.algorithm2_per_model; Allocator.min_time;
+             Allocator.sequential ]
+      &&
+      (* Rigid needs an independent set; a trailing duplicate job checks
+         that the last job for an id wins in both. *)
+      (Dag.n_edges dag <> 0
+      || n = 0
+      ||
+      let jobs =
+        List.init n (fun id ->
+            { Rigid.id; procs = allocations.(id); time = 1. })
+        @ [ { Rigid.id = Rng.int rng n; procs = Rng.int_range rng 1 p;
+              time = 1. } ]
+      in
+      same_run
+        (Rigid.list_schedule ~p ~jobs dag)
+        (Ref.rigid_list_schedule ~p ~jobs dag)
+      || fail "Rigid.list_schedule"))
+
 let prop_cache_pointer_equal =
   QCheck.Test.make
     ~name:"analysis cache returns pointer-equal results on repeat lookups"
@@ -234,6 +300,7 @@ let () =
           qt prop_trace_equivalence;
           qt prop_trace_equivalence_arbitrary;
           qt prop_trace_equivalence_allocators;
+          qt prop_list_schedulers_match_reference;
         ] );
       ( "analysis cache",
         [

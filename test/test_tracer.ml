@@ -47,15 +47,16 @@ let prop_spans_disjoint_per_processor =
     ~count:60
     QCheck.(pair (int_range 0 1_000_000) (int_range 0 2))
     (fun (seed, model_idx) ->
-      let _, p, tracer, _ = traced_run ~seed ~model_idx in
+      let _, p, _, result = traced_run ~seed ~model_idx in
       let per_proc = Array.make p [] in
       List.iter
-        (fun (s : Tracer.span) ->
+        (fun (a : Sim_core.attempt) ->
           Array.iter
             (fun proc ->
-              per_proc.(proc) <- (s.Tracer.t0, s.Tracer.t1) :: per_proc.(proc))
-            s.Tracer.procs)
-        (Tracer.spans tracer);
+              per_proc.(proc) <-
+                (a.Sim_core.start, a.Sim_core.finish) :: per_proc.(proc))
+            a.Sim_core.procs)
+        (Sim_core.attempts result);
       Array.for_all
         (fun intervals ->
           let sorted = List.sort compare intervals in
@@ -75,19 +76,19 @@ let prop_spans_within_platform =
     ~count:60
     QCheck.(pair (int_range 0 1_000_000) (int_range 0 2))
     (fun (seed, model_idx) ->
-      let _, p, tracer, _ = traced_run ~seed ~model_idx in
+      let _, p, _, result = traced_run ~seed ~model_idx in
       List.for_all
-        (fun (s : Tracer.span) ->
-          let procs = s.Tracer.procs in
-          s.Tracer.nprocs = Array.length procs
-          && s.Tracer.nprocs >= 1
-          && s.Tracer.nprocs <= p
-          && s.Tracer.t0 <= s.Tracer.t1
+        (fun (a : Sim_core.attempt) ->
+          let procs = a.Sim_core.procs in
+          a.Sim_core.nprocs = Array.length procs
+          && a.Sim_core.nprocs >= 1
+          && a.Sim_core.nprocs <= p
+          && a.Sim_core.start <= a.Sim_core.finish
           && Array.for_all (fun q -> q >= 0 && q < p) procs
           && Array.for_all
                (fun i -> procs.(i) < procs.(i + 1))
                (Array.init (Array.length procs - 1) Fun.id))
-        (Tracer.spans tracer))
+        (Sim_core.attempts result))
 
 (* --------------------------------------------- exactly one decision / task *)
 
@@ -104,11 +105,11 @@ let prop_one_decision_per_task =
            (fun i -> Tracer.decision_for tracer i <> None)
            (List.init n Fun.id)
       (* Spans cover every attempt, successful or not. *)
-      && Tracer.n_spans tracer = result.Sim_core.n_attempts
+      && List.length (Sim_core.attempts result) = result.Sim_core.n_attempts
       && List.length
            (List.filter
-              (fun (s : Tracer.span) -> s.Tracer.outcome = Tracer.Failed)
-              (Tracer.spans tracer))
+              (fun (a : Sim_core.attempt) -> a.Sim_core.failed)
+              (Sim_core.attempts result))
          = result.Sim_core.n_failures)
 
 (* ------------------------------------ Tracer.null is observation-equivalent *)
@@ -208,10 +209,7 @@ let test_explain_cap_fields () =
 let test_null_tracer_records_nothing () =
   let t = Tracer.null in
   Alcotest.(check bool) "disabled" false (Tracer.enabled t);
-  Tracer.record_span t ~task_id:0 ~attempt:1 ~t0:0. ~t1:1. ~procs:[| 0 |]
-    ~failed:false;
   Tracer.record_instant t ~time:0. ~kind:Tracer.Ready ~subject:0;
-  Alcotest.(check int) "no spans" 0 (Tracer.n_spans t);
   Alcotest.(check int) "no decisions" 0 (Tracer.n_decisions t);
   Alcotest.(check (list unit)) "no instants" []
     (List.map ignore (Tracer.instants t));
@@ -288,6 +286,99 @@ let test_chrome_golden () =
 let test_chrome_deterministic () =
   Alcotest.(check string)
     "two runs, identical bytes" (golden_export ()) (golden_export ())
+
+(* Failures, a deferred release and stalls: the first attempt of every
+   task fails ([at_most ~k:1]), task d is released at 1.5, and on P = 3
+   the two-processor tasks a and d each wait once with one processor
+   free. *)
+let golden_faulty_expected =
+  String.concat "\n"
+    [
+      {|{"displayTimeUnit": "ms", "traceEvents": [|};
+      {|  {"ph": "M", "pid": 0, "name": "process_name", "args": {"name": "moldable-sim"}},|};
+      {|  {"ph": "M", "pid": 0, "tid": 0, "name": "thread_name", "args": {"name": "procs 0.."}},|};
+      {|  {"ph": "M", "pid": 0, "tid": 0, "name": "thread_sort_index", "args": {"sort_index": 0}},|};
+      {|  {"ph": "M", "pid": 0, "tid": 2, "name": "thread_name", "args": {"name": "procs 2.."}},|};
+      {|  {"ph": "M", "pid": 0, "tid": 2, "name": "thread_sort_index", "args": {"sort_index": 2}},|};
+      {|  {"name": "a#1", "cat": "attempt", "ph": "X", "pid": 0, "tid": 0, "ts": 0, "dur": 2000000, "args": {"task": 0, "attempt": 1, "nprocs": 2, "procs": "0-1", "outcome": "failed"}},|};
+      {|  {"name": "c#1", "cat": "attempt", "ph": "X", "pid": 0, "tid": 2, "ts": 0, "dur": 2000000, "args": {"task": 2, "attempt": 1, "nprocs": 1, "procs": "2", "outcome": "failed"}},|};
+      {|  {"name": "c#2", "cat": "attempt", "ph": "X", "pid": 0, "tid": 2, "ts": 2000000, "dur": 2000000, "args": {"task": 2, "attempt": 2, "nprocs": 1, "procs": "2", "outcome": "completed"}},|};
+      {|  {"name": "d#1", "cat": "attempt", "ph": "X", "pid": 0, "tid": 0, "ts": 2000000, "dur": 3000000, "args": {"task": 3, "attempt": 1, "nprocs": 2, "procs": "0-1", "outcome": "failed"}},|};
+      {|  {"name": "a#2", "cat": "attempt", "ph": "X", "pid": 0, "tid": 0, "ts": 5000000, "dur": 2000000, "args": {"task": 0, "attempt": 2, "nprocs": 2, "procs": "0-1", "outcome": "completed"}},|};
+      {|  {"name": "b#1", "cat": "attempt", "ph": "X", "pid": 0, "tid": 2, "ts": 7000000, "dur": 8000000, "args": {"task": 1, "attempt": 1, "nprocs": 1, "procs": "2", "outcome": "failed"}},|};
+      {|  {"name": "d#2", "cat": "attempt", "ph": "X", "pid": 0, "tid": 0, "ts": 7000000, "dur": 3000000, "args": {"task": 3, "attempt": 2, "nprocs": 2, "procs": "0-1", "outcome": "completed"}},|};
+      {|  {"name": "b#2", "cat": "attempt", "ph": "X", "pid": 0, "tid": 0, "ts": 15000000, "dur": 8000000, "args": {"task": 1, "attempt": 2, "nprocs": 1, "procs": "0", "outcome": "completed"}},|};
+      {|  {"name": "ready a", "cat": "scheduler", "ph": "i", "pid": 0, "tid": 0, "s": "p", "ts": 0},|};
+      {|  {"name": "ready c", "cat": "scheduler", "ph": "i", "pid": 0, "tid": 0, "s": "p", "ts": 0},|};
+      {|  {"name": "deferred d", "cat": "scheduler", "ph": "i", "pid": 0, "tid": 0, "s": "p", "ts": 0},|};
+      {|  {"name": "ready d", "cat": "scheduler", "ph": "i", "pid": 0, "tid": 0, "s": "p", "ts": 1500000},|};
+      {|  {"name": "ready a", "cat": "scheduler", "ph": "i", "pid": 0, "tid": 0, "s": "p", "ts": 2000000},|};
+      {|  {"name": "ready c", "cat": "scheduler", "ph": "i", "pid": 0, "tid": 0, "s": "p", "ts": 2000000},|};
+      {|  {"name": "stall", "cat": "scheduler", "ph": "i", "pid": 0, "tid": 0, "s": "p", "ts": 4000000},|};
+      {|  {"name": "ready d", "cat": "scheduler", "ph": "i", "pid": 0, "tid": 0, "s": "p", "ts": 5000000},|};
+      {|  {"name": "stall", "cat": "scheduler", "ph": "i", "pid": 0, "tid": 0, "s": "p", "ts": 5000000},|};
+      {|  {"name": "ready b", "cat": "scheduler", "ph": "i", "pid": 0, "tid": 0, "s": "p", "ts": 7000000},|};
+      {|  {"name": "ready b", "cat": "scheduler", "ph": "i", "pid": 0, "tid": 0, "s": "p", "ts": 15000000},|};
+      {|  {"name": "free processors", "ph": "C", "pid": 0, "ts": 0, "args": {"free": 0}},|};
+      {|  {"name": "free processors", "ph": "C", "pid": 0, "ts": 2000000, "args": {"free": 0}},|};
+      {|  {"name": "free processors", "ph": "C", "pid": 0, "ts": 4000000, "args": {"free": 1}},|};
+      {|  {"name": "free processors", "ph": "C", "pid": 0, "ts": 5000000, "args": {"free": 1}},|};
+      {|  {"name": "free processors", "ph": "C", "pid": 0, "ts": 7000000, "args": {"free": 0}},|};
+      {|  {"name": "free processors", "ph": "C", "pid": 0, "ts": 10000000, "args": {"free": 2}},|};
+      {|  {"name": "free processors", "ph": "C", "pid": 0, "ts": 15000000, "args": {"free": 2}},|};
+      {|  {"name": "free processors", "ph": "C", "pid": 0, "ts": 23000000, "args": {"free": 3}},|};
+      {|  {"name": "ready queue", "ph": "C", "pid": 0, "ts": 0, "args": {"depth": 0}},|};
+      {|  {"name": "ready queue", "ph": "C", "pid": 0, "ts": 1500000, "args": {"depth": 1}},|};
+      {|  {"name": "ready queue", "ph": "C", "pid": 0, "ts": 2000000, "args": {"depth": 1}},|};
+      {|  {"name": "ready queue", "ph": "C", "pid": 0, "ts": 4000000, "args": {"depth": 1}},|};
+      {|  {"name": "ready queue", "ph": "C", "pid": 0, "ts": 5000000, "args": {"depth": 1}},|};
+      {|  {"name": "ready queue", "ph": "C", "pid": 0, "ts": 7000000, "args": {"depth": 0}},|};
+      {|  {"name": "ready queue", "ph": "C", "pid": 0, "ts": 10000000, "args": {"depth": 0}},|};
+      {|  {"name": "ready queue", "ph": "C", "pid": 0, "ts": 15000000, "args": {"depth": 0}},|};
+      {|  {"name": "ready queue", "ph": "C", "pid": 0, "ts": 23000000, "args": {"depth": 0}}|};
+      {|]}|};
+      "";
+    ]
+
+let golden_faulty_export () =
+  let tasks =
+    [
+      Task.make ~label:"a" ~id:0 (Speedup.Roofline { w = 4.; ptilde = 2 });
+      Task.make ~label:"b" ~id:1 (Speedup.Amdahl { w = 6.; d = 2. });
+      Task.make ~label:"c" ~id:2 (Speedup.Roofline { w = 2.; ptilde = 1 });
+      Task.make ~label:"d" ~id:3 (Speedup.Roofline { w = 6.; ptilde = 3 });
+    ]
+  in
+  let dag = Dag.create ~tasks ~edges:[ (0, 1) ] in
+  let tracer = Tracer.create () in
+  let r =
+    Online_scheduler.run ~tracer ~failures:(Sim_core.at_most ~k:1)
+      ~release_times:[| 0.; 0.; 0.; 1.5 |] ~p:3 dag
+  in
+  Moldable_viz.Chrome_trace.of_run
+    ~label:(fun i -> (Dag.task dag i).Task.label)
+    tracer r.Sim_core.metrics
+
+let test_chrome_golden_faulty () =
+  Alcotest.(check string)
+    "failed spans, deferred reveal, stalls" golden_faulty_expected
+    (golden_faulty_export ())
+
+(* The Chrome export reads the run's attempts, so a live tracer must turn
+   lean mode off: the lean, traced run records the same attempts as the
+   full one. *)
+let test_traced_lean_records_in_full () =
+  let rng = Rng.create 3 in
+  let dag = random_dag rng in
+  let run ~lean =
+    Online_scheduler.run ~lean ~tracer:(Tracer.create ()) ~seed:3
+      ~failures:(Sim_core.bernoulli ~q:0.3) ~p:6 dag
+  in
+  let lean = run ~lean:true and full = run ~lean:false in
+  Alcotest.(check bool) "attempts recorded" true
+    (Sim_core.attempts full <> []);
+  Alcotest.(check bool) "same attempts" true
+    (Sim_core.attempts lean = Sim_core.attempts full)
 
 let test_chrome_escapes_labels () =
   let hostile = "quo\"te\\back\nline\001" in
@@ -513,6 +604,10 @@ let () =
       ( "chrome export",
         [
           Alcotest.test_case "golden bytes" `Quick test_chrome_golden;
+          Alcotest.test_case "golden bytes with failures and stalls" `Quick
+            test_chrome_golden_faulty;
+          Alcotest.test_case "traced lean run records in full" `Quick
+            test_traced_lean_records_in_full;
           Alcotest.test_case "deterministic" `Quick test_chrome_deterministic;
           Alcotest.test_case "label escaping" `Quick test_chrome_escapes_labels;
         ] );
