@@ -15,19 +15,15 @@ type entry = {
   within_bound : bool;
 }
 
-let table1_upper_bound = function
-  | Speedup.Kind_roofline -> 2.62
-  | Speedup.Kind_communication -> 3.61
-  | Speedup.Kind_amdahl -> 4.74
-  | Speedup.Kind_general -> 5.72
-  | Speedup.Kind_power | Speedup.Kind_arbitrary -> infinity
+(* Both published tables live in the theory library, keyed by family. *)
+let published paper_upper kind =
+  match Moldable_theory.Model_bounds.family_of_kind kind with
+  | Some family -> paper_upper family
+  | None -> infinity
 
-let improved_upper_bound = function
-  | Speedup.Kind_roofline -> 2.62
-  | Speedup.Kind_communication -> 3.39
-  | Speedup.Kind_amdahl -> 4.55
-  | Speedup.Kind_general -> 4.63
-  | Speedup.Kind_power | Speedup.Kind_arbitrary -> infinity
+let table1_upper_bound = published Moldable_theory.Model_bounds.paper_upper
+let improved_upper_bound =
+  published Moldable_theory.Improved_bounds.paper_upper
 
 let kind_of_dag dag =
   let n = Dag.n dag in

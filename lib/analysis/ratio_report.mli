@@ -28,17 +28,17 @@ type entry = {
 }
 
 val table1_upper_bound : Speedup.kind -> float
-(** The paper's proven competitive ratios (Table 1): roofline 2.62,
+(** The paper's proven competitive ratios (Table 1,
+    [Moldable_theory.Model_bounds.paper_upper]): roofline 2.62,
     communication 3.61, Amdahl 4.74, general 5.72; [infinity] for power-law
     and arbitrary speedups (no guarantee). *)
 
 val improved_upper_bound : Speedup.kind -> float
 (** The improved algorithm's proven competitive ratios (Perotin & Sun,
-    arXiv:2304.14127, as reported): roofline 2.62, communication 3.39,
-    Amdahl 4.55, general 4.63; [infinity] for power-law and arbitrary
-    speedups.  The four-decimal forms and the recomputed originals live in
-    [Moldable_theory.Improved_bounds]; this module carries the reported
-    two-decimal values, matching {!table1_upper_bound}'s convention. *)
+    arXiv:2304.14127, as reported in
+    [Moldable_theory.Improved_bounds.paper_upper]): roofline 2.62,
+    communication 3.39, Amdahl 4.55, general 4.63; [infinity] for
+    power-law and arbitrary speedups. *)
 
 val kind_of_dag : Dag.t -> Speedup.kind
 (** The common speedup family of the graph's tasks; [Kind_arbitrary] when

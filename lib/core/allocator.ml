@@ -13,82 +13,53 @@ type decision = {
 type t = {
   name : string;
   allocate : p:int -> Task.t -> int;
-  allocate_analyzed : Task.analyzed -> int;
   explain : Task.analyzed -> decision;
 }
 
-(* Trivial rules have no Step-1 search and no cap: the provenance is just
-   the final allocation. *)
-let default_explain rule (a : Task.analyzed) =
-  let q = rule a in
-  {
-    p_star = q;
-    beta_budget = Float.nan;
-    step1_bound = Float.nan;
-    cap = a.Task.p;
-    cap_applied = false;
-    final_alloc = q;
-    candidates_scanned = 0;
-  }
-
-(* Both entry points share one rule over the per-platform analysis; the
-   [~p] form re-analyzes, the [analyzed] form is the cache-friendly one. *)
-let make ?explain ~name allocate_analyzed =
+(* [explain] is the rule; [allocate ~p] analyzes the task and keeps the
+   final allocation of the same decision. *)
+let of_explain ~name explain =
   {
     name;
-    allocate = (fun ~p task -> allocate_analyzed (Task.analyze ~p task));
-    allocate_analyzed;
-    explain =
-      (match explain with
-      | Some e -> e
-      | None -> default_explain allocate_analyzed);
+    allocate = (fun ~p task -> (explain (Task.analyze ~p task)).final_alloc);
+    explain;
   }
 
+(* Trivial rules have no Step-1 search and no cap: the provenance is just
+   the final allocation. *)
+let make ~name rule =
+  of_explain ~name (fun (a : Task.analyzed) ->
+      let q = rule a in
+      {
+        p_star = q;
+        beta_budget = Float.nan;
+        step1_bound = Float.nan;
+        cap = a.Task.p;
+        cap_applied = false;
+        final_alloc = q;
+        candidates_scanned = 0;
+      })
+
 (* Smallest q in [1, p_max] with t(q) <= bound, assuming t non-increasing
-   there (Lemma 1).  This uncounted form is the scheduler's hot path: a
-   tail-recursive bisection with no probe counter, so one allocation
-   decision allocates nothing (the counted variant below costs a closure,
-   two refs and a result pair — provenance the tracer wants but the
-   online run does not). *)
+   there (Lemma 1).  Invariant of the bisection:
+   not (feasible lo) && feasible hi. *)
+let rec bisect task bound lo hi =
+  if hi - lo <= 1 then hi
+  else begin
+    let mid = (lo + hi) / 2 in
+    if Moldable_util.Fcmp.leq (Task.time task mid) bound then
+      bisect task bound lo mid
+    else bisect task bound mid hi
+  end
+
 let smallest_feasible (a : Task.analyzed) bound =
   let task = a.Task.task in
   if Moldable_util.Fcmp.leq (Task.time task 1) bound then 1
-  else begin
-    (* Invariant: not (feasible lo) && feasible hi. *)
-    let rec bisect lo hi =
-      if hi - lo <= 1 then hi
-      else begin
-        let mid = (lo + hi) / 2 in
-        if Moldable_util.Fcmp.leq (Task.time task mid) bound then
-          bisect lo mid
-        else bisect mid hi
-      end
-    in
-    bisect 1 a.Task.p_max
-  end
-
-(* Same search, plus how many feasibility candidates were probed (the
-   decision-trace provenance). *)
-let smallest_feasible_counted (a : Task.analyzed) bound =
-  let probes = ref 0 in
-  let feasible q =
-    incr probes;
-    Moldable_util.Fcmp.leq (Task.time a.Task.task q) bound
-  in
-  if feasible 1 then (1, !probes)
-  else begin
-    let lo = ref 1 and hi = ref a.Task.p_max in
-    (* Invariant: not (feasible lo) && feasible hi. *)
-    while !hi - !lo > 1 do
-      let mid = (!lo + !hi) / 2 in
-      if feasible mid then hi := mid else lo := mid
-    done;
-    (!hi, !probes)
-  end
+  else bisect task bound 1 a.Task.p_max
 
 (* Exhaustive Step 1 for arbitrary speedups: minimize area among feasible
    allocations, ties to the smallest allocation. *)
-let scan_feasible_linear_counted (a : Task.analyzed) bound =
+let scan_feasible_linear (a : Task.analyzed) bound =
   let best = ref None in
   for q = 1 to a.Task.p_max do
     if Moldable_util.Fcmp.leq (Task.time a.Task.task q) bound then begin
@@ -99,107 +70,113 @@ let scan_feasible_linear_counted (a : Task.analyzed) bound =
     end
   done;
   match !best with
-  | Some (q, _) -> (q, a.Task.p_max)
-  | None -> (a.Task.p_max, a.Task.p_max)
+  | Some (q, _) -> q
+  | None -> a.Task.p_max
   (* beta(p_max) = 1 <= delta, so the None case is unreachable *)
 
 (* Arbitrary speedups whose sampled time/area happen to satisfy Lemma 1's
    monotonic property get the same O(log p_max) binary search as the closed
-   forms (smallest feasible = smallest area among feasible); the linear scan
-   remains the fallback for genuinely non-monotonic models. *)
-let scan_feasible_counted (a : Task.analyzed) bound =
-  if Task.monotonic a then smallest_feasible_counted a bound
-  else scan_feasible_linear_counted a bound
+   forms (smallest feasible = smallest area among feasible); the linear
+   scan remains the fallback for genuinely non-monotonic models. *)
+let exhaustive (a : Task.analyzed) =
+  match Speedup.kind a.Task.task.Task.speedup with
+  | Speedup.Kind_arbitrary -> not (Task.monotonic a)
+  | Speedup.Kind_roofline | Speedup.Kind_communication | Speedup.Kind_amdahl
+  | Speedup.Kind_general | Speedup.Kind_power ->
+    false
 
-(* Uncounted arbitrary-model Step 1; the non-monotonic linear scan keeps
-   its counted form (it is the rare path and its probe count is its
-   length). *)
-let scan_feasible (a : Task.analyzed) bound =
-  if Task.monotonic a then smallest_feasible a bound
-  else fst (scan_feasible_linear_counted a bound)
+let search (a : Task.analyzed) bound =
+  if exhaustive a then scan_feasible_linear a bound
+  else smallest_feasible a bound
 
-(* Step 1 against an explicit absolute time bound: the shared engine under
+(* The candidates Step 1 probed to find [q]: all p_max for the scan, and
+   for the bisection a replay of its path, since a probe at [mid] found
+   [mid] feasible exactly when [mid >= q] (hi only falls to feasible
+   probes and ends at [q]; lo only rises to infeasible ones and ends below
+   [q]).  Recounting costs a few integer steps and spares every decision a
+   result pair. *)
+let rec replay q lo hi n =
+  if hi - lo <= 1 then n
+  else begin
+    let mid = (lo + hi) / 2 in
+    if mid >= q then replay q lo mid (n + 1) else replay q mid hi (n + 1)
+  end
+
+let probes (a : Task.analyzed) q =
+  if exhaustive a then a.Task.p_max
+  else if q = 1 then 1
+  else replay q 1 a.Task.p_max 1
+
+(* Step 1 against an explicit absolute time bound: the one engine under
    both Algorithm 2 (bound = delta(mu) t_min) and the improved algorithm of
    Perotin–Sun (bound = rho t_min with a decoupled budget rho). *)
 let step1_counted (a : Task.analyzed) ~bound =
-  match Speedup.kind a.Task.task.Task.speedup with
-  | Speedup.Kind_arbitrary -> scan_feasible_counted a bound
-  | Speedup.Kind_roofline | Speedup.Kind_communication | Speedup.Kind_amdahl
-  | Speedup.Kind_general | Speedup.Kind_power ->
-    smallest_feasible_counted a bound
+  let q = search a bound in
+  (q, probes a q)
 
-let initial_analyzed_counted ~mu (a : Task.analyzed) =
-  step1_counted a ~bound:(Mu.delta mu *. a.Task.t_min)
+let initial ~mu ~p task =
+  let a = Task.analyze ~p task in
+  search a (Mu.delta mu *. a.Task.t_min)
 
-let step1 (a : Task.analyzed) ~bound =
-  match Speedup.kind a.Task.task.Task.speedup with
-  | Speedup.Kind_arbitrary -> scan_feasible a bound
-  | Speedup.Kind_roofline | Speedup.Kind_communication | Speedup.Kind_amdahl
-  | Speedup.Kind_general | Speedup.Kind_power ->
-    smallest_feasible a bound
+let kind_index = function
+  | Speedup.Kind_roofline -> 0
+  | Speedup.Kind_communication -> 1
+  | Speedup.Kind_amdahl -> 2
+  | Speedup.Kind_general -> 3
+  | Speedup.Kind_power -> 4
+  | Speedup.Kind_arbitrary -> 5
 
-let initial_analyzed ~mu (a : Task.analyzed) =
-  step1 a ~bound:(Mu.delta mu *. a.Task.t_min)
-let initial ~mu ~p task = initial_analyzed ~mu (Task.analyze ~p task)
+let kinds =
+  Speedup.
+    [|
+      Kind_roofline; Kind_communication; Kind_amdahl; Kind_general;
+      Kind_power; Kind_arbitrary;
+    |]
 
-(* The cap is always >= 1, so a one-processor Step-1 result can skip
-   deriving it (a ceil of a float product per decision). *)
-let apply_cap ~mu ~p q = if q <= 1 then q else min q (Mu.cap ~mu ~p)
+(* Never inlined, so the bound is boxed once and that one box is shared by
+   the search and the decision record; an inlined product is re-boxed at
+   each use, several minor words per decision. *)
+let[@inline never] budget_bound budget (a : Task.analyzed) =
+  budget *. a.Task.t_min
 
-(* Full Algorithm 2 provenance: Step 1's initial allocation and probe count,
-   the beta budget delta(mu), and whether the Step-2 ceil(mu P) cap bit. *)
-let explain_algorithm2 ~mu (a : Task.analyzed) =
-  let p_star, scanned = initial_analyzed_counted ~mu a in
-  let cap = Mu.cap ~mu ~p:a.Task.p in
-  let final_alloc = min p_star cap in
-  {
-    p_star;
-    beta_budget = Mu.delta mu;
-    step1_bound = Mu.delta mu *. a.Task.t_min;
-    cap;
-    cap_applied = final_alloc < p_star;
-    final_alloc;
-    candidates_scanned = scanned;
-  }
-
-let explain_no_cap ~mu (a : Task.analyzed) =
-  let p_star, scanned = initial_analyzed_counted ~mu a in
-  {
-    p_star;
-    beta_budget = Mu.delta mu;
-    step1_bound = Mu.delta mu *. a.Task.t_min;
-    cap = a.Task.p;
-    cap_applied = false;
-    final_alloc = p_star;
-    candidates_scanned = scanned;
-  }
+(* Step 1 within [budget * t_min], then Step 2's ceil(mu P) cap.  [step] is
+   tabulated per family here, so a decision reads one array cell. *)
+let two_step ~name step =
+  let steps = Array.map step kinds in
+  of_explain ~name (fun (a : Task.analyzed) ->
+      let beta_budget, cap_mu =
+        steps.(kind_index (Speedup.kind a.Task.task.Task.speedup))
+      in
+      let step1_bound = budget_bound beta_budget a in
+      let p_star = search a step1_bound in
+      let cap =
+        match cap_mu with Some mu -> Mu.cap ~mu ~p:a.Task.p | None -> a.Task.p
+      in
+      let final_alloc = min p_star cap in
+      {
+        p_star;
+        beta_budget;
+        step1_bound;
+        cap;
+        cap_applied = final_alloc < p_star;
+        final_alloc;
+        candidates_scanned = probes a p_star;
+      })
 
 let algorithm2 ~mu =
-  (* delta(mu) hoisted to construction: it is constant across decisions
-     (and an invalid mu is rejected here instead of at the first task). *)
+  (* delta(mu) is evaluated at construction, so an invalid mu is rejected
+     here instead of at the first task. *)
   let d = Mu.delta mu in
-  make
-    ~name:(Printf.sprintf "algorithm2(mu=%.4f)" mu)
-    ~explain:(explain_algorithm2 ~mu)
-    (fun a -> apply_cap ~mu ~p:a.Task.p (step1 a ~bound:(d *. a.Task.t_min)))
+  two_step ~name:(Printf.sprintf "algorithm2(mu=%.4f)" mu) (fun _ ->
+      (d, Some mu))
 
 let algorithm2_per_model =
-  make ~name:"algorithm2(per-model mu)"
-    ~explain:(fun a ->
-      let mu = Mu.default (Speedup.kind a.Task.task.Task.speedup) in
-      explain_algorithm2 ~mu a)
-    (fun a ->
-      let kind = Speedup.kind a.Task.task.Task.speedup in
-      let q = step1 a ~bound:(Mu.default_delta kind *. a.Task.t_min) in
-      if q <= 1 then q
-      else min q (Mu.cap ~mu:(Mu.default kind) ~p:a.Task.p))
+  two_step ~name:"algorithm2(per-model mu)" (fun k ->
+      (Mu.default_delta k, Some (Mu.default k)))
 
 let no_cap ~mu =
   let d = Mu.delta mu in
-  make
-    ~name:(Printf.sprintf "no-cap(mu=%.4f)" mu)
-    ~explain:(explain_no_cap ~mu)
-    (fun a -> step1 a ~bound:(d *. a.Task.t_min))
+  two_step ~name:(Printf.sprintf "no-cap(mu=%.4f)" mu) (fun _ -> (d, None))
 
 let min_time = make ~name:"min-time" (fun a -> a.Task.p_max)
 let sequential = make ~name:"sequential" (fun _ -> 1)

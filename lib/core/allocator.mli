@@ -44,40 +44,37 @@ type decision = {
 type t = {
   name : string;
   allocate : p:int -> Task.t -> int;
-      (** Final allocation, in [\[1, P\]]; analyzes the task internally. *)
-  allocate_analyzed : Task.analyzed -> int;
-      (** Same rule from a precomputed {!Task.analyzed} — the hot-path entry
-          used with {!Task.Cache} so each task is analyzed exactly once. *)
+      (** Final allocation, in [\[1, P\]]: analyzes the task and keeps
+          [final_alloc] of its {!explain} decision. *)
   explain : Task.analyzed -> decision;
-      (** The same decision with full provenance; [explain a] and
-          [allocate_analyzed a] always agree on the final allocation. *)
+      (** The rule: one decision per analyzed task, with full provenance.
+          The online scheduler calls it once per revealed task. *)
 }
 
-val make :
-  ?explain:(Task.analyzed -> decision) -> name:string ->
-  (Task.analyzed -> int) -> t
-(** Build both entry points from the analyzed-based rule.  Without
-    [explain], the provenance degenerates to the final allocation (no
-    budget, no cap, no scan count). *)
+val make : name:string -> (Task.analyzed -> int) -> t
+(** A trivial rule from its final allocation: no budget, no cap, no scan
+    count in the provenance. *)
+
+val two_step :
+  name:string -> (Speedup.kind -> float * float option) -> t
+(** [two_step ~name step] is the two-step rule of Algorithm 2 with the
+    knobs of each speedup family [k] given by [step k = (budget, cap)]:
+    Step 1 ({!step1_counted}) searches within [budget * t_min], and Step 2
+    caps the result at [ceil(mu P)] when [cap = Some mu] (no cap for
+    [None]).  {!algorithm2} has [budget = delta(mu)]; the improved
+    allocator of {!Improved_alloc} has a decoupled budget [rho].  [step]
+    is evaluated once per family, at construction. *)
 
 val initial : mu:float -> p:int -> Task.t -> int
 (** Step 1 of Algorithm 2 only. *)
 
-val step1 : Task.analyzed -> bound:float -> int
-(** The Step-1 search against an explicit absolute execution-time bound:
+val step1_counted : Task.analyzed -> bound:float -> int * int
+(** The Step-1 search against an explicit absolute execution-time bound —
     smallest feasible allocation for monotonic models (binary search),
     minimum-area feasible allocation for non-monotonic [Arbitrary] models
-    (exhaustive scan).  This allocation-free form is the hot-path engine
-    shared by {!algorithm2} ([bound = delta(mu) * t_min]) and the improved
-    allocator of {!Improved_alloc} ([bound = rho * t_min]). *)
-
-val step1_counted : Task.analyzed -> bound:float -> int * int
-(** {!step1} plus the number of feasibility candidates probed
-    (binary-search probes for monotonic models, [p_max] for the exhaustive
-    scan) — the provenance recorded in {!decision}. *)
-
-val initial_analyzed : mu:float -> Task.analyzed -> int
-(** {!initial} from a precomputed analysis. *)
+    (exhaustive scan) — and the number of feasibility candidates probed
+    (binary-search probes, or [p_max] for the scan), the provenance
+    recorded in {!decision}. *)
 
 val algorithm2 : mu:float -> t
 (** The paper's allocator with a fixed [mu]. *)

@@ -11,13 +11,12 @@ let all_p_list ~p = Online_scheduler.policy ~allocator:Allocator.all_p ~p ()
 
 let ect ~p =
   let queue : Task.t Queue.t = Queue.create () in
-  let cache = Task.Cache.create ~p in
   let on_ready ~now:_ task = Queue.add task queue in
   let next_launch ~now:_ ~free =
     if Queue.is_empty queue || free < 1 then None
     else begin
       let task = Queue.pop queue in
-      let a = Task.Cache.analyze cache task in
+      let a = Task.analyze ~p task in
       (* On monotonic tasks t(.) is non-increasing up to p_max, so the
          completion time now is minimized by the largest usable count. *)
       let alloc = min a.Task.p_max free in

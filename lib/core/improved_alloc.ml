@@ -31,12 +31,16 @@ let params = function
   | Speedup.Kind_power -> params_general
   | Speedup.Kind_arbitrary -> params_general
 
-let check_params { mu; rho } =
+(* Step-1 budget and cap fraction for {!Allocator.two_step}, once the
+   parameters pass the admissibility conditions the refined analysis
+   needs. *)
+let step { mu; rho } =
   if not (mu > 0. && mu <= 0.5) then
     invalid_arg
       (Printf.sprintf "Improved_alloc: mu=%g outside (0, 1/2]" mu);
   if not (rho >= 1.) then
-    invalid_arg (Printf.sprintf "Improved_alloc: rho=%g must be >= 1" rho)
+    invalid_arg (Printf.sprintf "Improved_alloc: rho=%g must be >= 1" rho);
+  (rho, Some mu)
 
 (* Two-phase allocation.  Phase 1: smallest allocation whose execution
    time is within rho * t_min (minimum area under the decoupled budget;
@@ -44,55 +48,16 @@ let check_params { mu; rho } =
    Phase 2: cap at ceil(mu P) — same guarded rounding as Algorithm 2's
    cap, but with the improved analysis' larger mu, so low-utilization
    instants still always fit some ready task while wide tasks keep more
-   of their parallelism. *)
-let decide_counted p { mu; rho } (a : Task.analyzed) =
-  let bound = rho *. a.Task.t_min in
-  let p_star, scanned = Allocator.step1_counted a ~bound in
-  let cap = Mu.cap ~mu ~p in
-  (p_star, bound, cap, min p_star cap, scanned)
-
-let explain_with params (a : Task.analyzed) =
-  let p_star, bound, cap, final_alloc, scanned =
-    decide_counted a.Task.p params a
-  in
-  {
-    Allocator.p_star;
-    beta_budget = params.rho;
-    step1_bound = bound;
-    cap;
-    cap_applied = final_alloc < p_star;
-    final_alloc;
-    candidates_scanned = scanned;
-  }
-
-(* Hot-path form: the uncounted Step-1 search and no provenance tuple, so
-   an allocation decision allocates nothing. *)
-let allocate_with { mu; rho } (a : Task.analyzed) =
-  let p_star = Allocator.step1 a ~bound:(rho *. a.Task.t_min) in
-  min p_star (Mu.cap ~mu ~p:a.Task.p)
-
+   of their parallelism.  Both phases are Algorithm 2's two steps with
+   [rho] as the Step-1 budget. *)
 let allocator ~mu ~rho =
-  let params = { mu; rho } in
-  check_params params;
-  Allocator.make
+  let step = step { mu; rho } in
+  Allocator.two_step
     ~name:(Printf.sprintf "improved(mu=%.4f, rho=%.4f)" mu rho)
-    ~explain:(explain_with params) (allocate_with params)
+    (fun _ -> step)
 
-let params_of_task (a : Task.analyzed) =
-  params (Speedup.kind a.Task.task.Task.speedup)
-
+(* [two_step] evaluates [step] for every family at construction, so a bad
+   edit of the per-model table fails at module init, not deep in a
+   sweep. *)
 let per_model =
-  Allocator.make ~name:"improved(per-model)"
-    ~explain:(fun a -> explain_with (params_of_task a) a)
-    (fun a -> allocate_with (params_of_task a) a)
-
-let () =
-  (* The per-model table must satisfy the admissibility conditions the
-     refined analysis needs; catching a bad edit at module init beats a
-     silent misconfiguration deep in a sweep. *)
-  List.iter
-    (fun k -> check_params (params k))
-    [
-      Speedup.Kind_roofline; Speedup.Kind_communication; Speedup.Kind_amdahl;
-      Speedup.Kind_general; Speedup.Kind_power; Speedup.Kind_arbitrary;
-    ]
+  Allocator.two_step ~name:"improved(per-model)" (fun k -> step (params k))

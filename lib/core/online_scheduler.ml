@@ -12,7 +12,6 @@ module Prefix_min = Moldable_util.Prefix_min
    the seed's sorted-list scan exactly. *)
 let policy ?(priority = Priority.fifo) ?(tracer = Tracer.null)
     ?(registry = Moldable_obs.Registry.null) ~allocator ~p () =
-  let cache = Task.Cache.create ~p in
   let ready : Priority.item Prefix_min.t =
     Prefix_min.create ~k:p ~cmp:priority.Priority.compare
   in
@@ -56,27 +55,26 @@ let policy ?(priority = Priority.fifo) ?(tracer = Tracer.null)
         candidates_scanned = d.Allocator.candidates_scanned;
       }
   in
+  (* One allocator decision per reveal feeds the allocation, the tracer's
+     provenance record and the probe histogram alike. *)
   let on_ready ~now:_ task =
     let a =
       if traced then
-        Tracer.timed tracer Analyze (fun () -> Task.Cache.analyze cache task)
-      else Task.Cache.analyze cache task
+        Tracer.timed tracer Analyze (fun () -> Task.analyze ~p task)
+      else Task.analyze ~p task
     in
-    let alloc =
+    let d =
       if traced then
-        Tracer.timed tracer Allocator (fun () ->
-            allocator.Allocator.allocate_analyzed a)
-      else allocator.Allocator.allocate_analyzed a
+        Tracer.timed tracer Allocator (fun () -> allocator.Allocator.explain a)
+      else allocator.Allocator.explain a
     in
-    (if traced || Option.is_some probes then begin
-       let d = allocator.Allocator.explain a in
-       if traced then record_decision task a d;
-       match probes with
-       | Some h ->
-         Moldable_obs.Registry.observe h
-           (float_of_int d.Allocator.candidates_scanned)
-       | None -> ()
-     end);
+    if traced then record_decision task a d;
+    (match probes with
+    | Some h ->
+      Moldable_obs.Registry.observe h
+        (float_of_int d.Allocator.candidates_scanned)
+    | None -> ());
+    let alloc = d.Allocator.final_alloc in
     let item =
       {
         Priority.task;

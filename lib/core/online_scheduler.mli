@@ -31,8 +31,8 @@ val policy :
     [moldable_alloc_step1_probes] histogram — the candidate allotments
     scanned by the allocator's Step-1 search, one sample per allocation
     decision (both the original and the improved allocator go through the
-    shared counted Step-1 engine).  Attaching a registry never changes the
-    schedule.
+    one Step-1 engine, {!Allocator.step1_counted}).  Attaching a registry
+    never changes the schedule.
 
     The waiting queue is a {!Moldable_util.Prefix_min} — per-allocation
     heap buckets under a segment tree caching priority minima — so "first
@@ -40,8 +40,9 @@ val policy :
     over allocations [1, free]: O(log P + log n) per insert and launch,
     O(log P) for the "nothing fits" probe.  Every rule carries a seq
     tie-break, so the order is total and the launch sequence matches the
-    sorted-list formulation exactly.  Each revealed task is analyzed once
-    through a {!Moldable_model.Task.Cache} shared with the allocator. *)
+    sorted-list formulation exactly.  Each reveal analyzes the task once
+    and asks the allocator's {!Allocator.explain} once; that one decision
+    gives the allocation, the tracer's provenance and the probe sample. *)
 
 val run :
   ?priority:Priority.t -> ?allocator:Allocator.t ->

@@ -111,33 +111,4 @@ let monotonic a =
     a.mono <- (if ok then Mono_yes else Mono_no);
     ok
 
-module Cache = struct
-  type nonrec t = {
-    p : int;
-    tbl : (int, analyzed) Hashtbl.t;
-    mutable hits : int;
-    mutable misses : int;
-  }
-
-  let create ~p =
-    if p < 1 then invalid_arg "Task.Cache.create: platform size must be >= 1";
-    { p; tbl = Hashtbl.create 64; hits = 0; misses = 0 }
-
-  let p c = c.p
-
-  let analyze c task =
-    match Hashtbl.find_opt c.tbl task.id with
-    | Some a when a.task == task ->
-      c.hits <- c.hits + 1;
-      a
-    | _ ->
-      c.misses <- c.misses + 1;
-      let a = analyze ~p:c.p task in
-      Hashtbl.replace c.tbl task.id a;
-      a
-
-  let hits c = c.hits
-  let misses c = c.misses
-end
-
 let pp ppf t = Format.fprintf ppf "%s#%d:%a" t.label t.id Speedup.pp t.speedup

@@ -64,30 +64,4 @@ val monotonic : analyzed -> bool
     non-decreasing (the monotonic property of Lemma 1).  Memoized on the
     [analyzed] value: repeated queries cost O(1). *)
 
-(** {1 Analysis cache}
-
-    Memoizes {!analyze} per task for a fixed platform size.  The online
-    scheduler's hot path analyzes every revealed task (once for queue
-    metadata, once inside the allocator); a shared cache makes that a single
-    [analyze] per task per run.  Lookups are keyed by task id with a
-    physical-equality guard, so a cache must not be shared across graphs
-    that reuse ids. *)
-module Cache : sig
-  type task := t
-
-  type t
-
-  val create : p:int -> t
-  (** Fresh, empty cache for platform size [p].  Requires [p >= 1]. *)
-
-  val p : t -> int
-
-  val analyze : t -> task -> analyzed
-  (** Memoized {!Task.analyze}: repeated lookups of the same task return the
-      physically identical [analyzed] record. *)
-
-  val hits : t -> int
-  val misses : t -> int
-end
-
 val pp : Format.formatter -> t -> unit

@@ -259,9 +259,14 @@ let failures_of_json j =
     if k >= 0 then Ok (`At_most k) else Error "at_most k must be >= 0"
   | other -> Error (Printf.sprintf "unknown failure model %S" other)
 
+(* A session allocates O(p) state at open (ready queue, platform), so a
+   platform size is bounded before anything is built. *)
+let max_p = 1 lsl 20
+
 let open_of_json j =
   let* o_p = req_field "p" Json.to_int j in
   if o_p < 1 then Error "p must be >= 1"
+  else if o_p > max_p then Error (Printf.sprintf "p must be <= %d" max_p)
   else
     let* algo_name = opt_field "algorithm" Json.to_str "original" j in
     let* o_algorithm =

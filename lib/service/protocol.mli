@@ -23,7 +23,7 @@ open Moldable_core
 type algorithm = [ `Original | `Improved ]
 
 type open_spec = {
-  o_p : int;  (** Processor count, [>= 1]. *)
+  o_p : int;  (** Processor count, in [\[1, max_p\]]. *)
   o_algorithm : algorithm;  (** Default [`Original]. *)
   o_priority : string;  (** A {!Moldable_core.Priority} name; default fifo. *)
   o_seed : int;  (** Failure-RNG seed, default 0. *)
@@ -80,6 +80,10 @@ val event_to_json : float -> Sim_core.event -> Moldable_obs.Json.t
 val placement_to_json : Schedule.placement -> Moldable_obs.Json.t
 
 (** {1 Parsing} *)
+
+val max_p : int
+(** Largest platform size an [open] accepts, [2^20]: a session allocates
+    O(p) state when it opens, so a larger [p] is a [bad_request]. *)
 
 val request_of_json : Moldable_obs.Json.t -> (request, string) result
 val speedup_of_json : Moldable_obs.Json.t -> (Speedup.t, string) result

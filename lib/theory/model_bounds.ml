@@ -8,6 +8,15 @@ let family_name = function
 
 let all_families = [ Roofline; Communication; Amdahl; General ]
 
+let family_of_kind = function
+  | Moldable_model.Speedup.Kind_roofline -> Some Roofline
+  | Moldable_model.Speedup.Kind_communication -> Some Communication
+  | Moldable_model.Speedup.Kind_amdahl -> Some Amdahl
+  | Moldable_model.Speedup.Kind_general -> Some General
+  | Moldable_model.Speedup.Kind_power | Moldable_model.Speedup.Kind_arbitrary
+    ->
+    None
+
 let alpha_of_x family x =
   match family with
   | Roofline -> 1.

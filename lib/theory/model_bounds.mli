@@ -13,6 +13,10 @@ type family = Roofline | Communication | Amdahl | General
 val family_name : family -> string
 val all_families : family list
 
+val family_of_kind : Moldable_model.Speedup.kind -> family option
+(** The Table 1 family of a speedup model; [None] for power-law and
+    arbitrary speedups, which have no proven ratio. *)
+
 val alpha_of_x : family -> float -> float
 (** [alpha_x] of Lemmas 6–9 ([x] is ignored for roofline, where alpha = 1). *)
 
@@ -44,6 +48,9 @@ type row = {
   ratio : float;
   paper_ratio : float;  (** The Table 1 entry. *)
 }
+
+val paper_upper : family -> float
+(** The published Table 1 ratio: 2.62, 3.61, 4.74, 5.72. *)
 
 val table1_upper : unit -> row list
 (** One row per family, recomputed from scratch. *)

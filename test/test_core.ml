@@ -189,6 +189,87 @@ let prop_algorithm2_within_bounds =
       let a = Task.analyze ~p t in
       q >= 1 && q <= Mu.cap ~mu ~p && q <= a.Task.p_max)
 
+(* The rules built by [Allocator.two_step] and [Allocator.make] against the
+   per-rule decision code they replaced ([Moldable_oracle.Alloc_reference]):
+   every field of every decision, floats bit for bit, on all six models
+   (non-monotonic arbitrary speedups included) with P in 1..2048. *)
+let random_model rng =
+  match Rng.int rng 6 with
+  | 0 -> Moldable_workloads.Params.random rng Speedup.Kind_roofline
+  | 1 -> Moldable_workloads.Params.random rng Speedup.Kind_communication
+  | 2 -> Moldable_workloads.Params.random rng Speedup.Kind_amdahl
+  | 3 -> Moldable_workloads.Params.random rng Speedup.Kind_general
+  | 4 -> Moldable_workloads.Params.random rng Speedup.Kind_power
+  | _ ->
+    let w = Rng.log_uniform rng 1. 1000. in
+    let knee = Rng.int_range rng 1 64 in
+    let time =
+      match Rng.int rng 3 with
+      | 0 -> fun q -> w /. float_of_int (min q knee)
+      | 1 -> fun q -> (w /. float_of_int q) +. (0.05 *. w)
+      | _ ->
+        (* non-monotonic: a bump at every third allocation *)
+        fun q ->
+          (w /. float_of_int q) +. if q mod 3 = 0 then 0.5 *. w else 0.
+    in
+    Speedup.Arbitrary { name = "rand"; time }
+
+let same_decision (d : Allocator.decision) (e : Allocator.decision) =
+  let bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  d.Allocator.p_star = e.Allocator.p_star
+  && bits d.Allocator.beta_budget e.Allocator.beta_budget
+  && bits d.Allocator.step1_bound e.Allocator.step1_bound
+  && d.Allocator.cap = e.Allocator.cap
+  && d.Allocator.cap_applied = e.Allocator.cap_applied
+  && d.Allocator.final_alloc = e.Allocator.final_alloc
+  && d.Allocator.candidates_scanned = e.Allocator.candidates_scanned
+
+let prop_rules_match_reference =
+  QCheck.Test.make
+    ~name:"every rule decides as the per-rule reference code did" ~count:400
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let module Old = Moldable_oracle.Alloc_reference in
+      let rng = Rng.create seed in
+      let t = task (random_model rng) in
+      let p = Rng.int_range rng 1 2048 in
+      let a = Task.analyze ~p t in
+      let mus =
+        [ 0.05; 0.1; 0.15; 0.2; 0.25; 0.3; 0.35; Mu.mu_max ]
+        @ List.map Mu.default
+            [ Speedup.Kind_communication; Speedup.Kind_amdahl;
+              Speedup.Kind_general ]
+      in
+      let rho = Rng.float_range rng 1. 3. in
+      let pairs =
+        (Allocator.algorithm2_per_model, Old.algorithm2_per_model)
+        :: (Improved_alloc.per_model, Old.per_model)
+        :: (Allocator.min_time, Old.min_time)
+        :: (Allocator.sequential, Old.sequential)
+        :: (Allocator.all_p, Old.all_p)
+        :: (let q = Rng.int_range rng 1 (2 * p) in
+            (Allocator.fixed q, Old.fixed q))
+        :: List.concat_map
+             (fun mu ->
+               [ (Allocator.algorithm2 ~mu, Old.algorithm2 ~mu);
+                 (Allocator.no_cap ~mu, Old.no_cap ~mu);
+                 (Improved_alloc.allocator ~mu ~rho, Old.allocator ~mu ~rho);
+                 (let mu = mu +. 0.1 in
+                  (Improved_alloc.allocator ~mu ~rho, Old.allocator ~mu ~rho))
+               ])
+             mus
+      in
+      List.for_all
+        (fun ((rule : Allocator.t), (old : Old.t)) ->
+          let final = old.Old.allocate_analyzed a in
+          (rule.Allocator.name = old.Old.name
+          && same_decision (rule.Allocator.explain a) (old.Old.explain a)
+          && rule.Allocator.allocate ~p t = old.Old.allocate ~p t
+          && rule.Allocator.allocate ~p t = final)
+          || QCheck.Test.fail_reportf "%s differs from its reference (P=%d)"
+               rule.Allocator.name p)
+        pairs)
+
 (* -------------------------------------------------------------- Priority *)
 
 let item ~id ~alloc ~t_min ~seq =
@@ -398,6 +479,7 @@ let () =
           Alcotest.test_case "per-model mu" `Quick
             test_per_model_allocator_uses_model_mu;
           qt prop_algorithm2_within_bounds;
+          qt prop_rules_match_reference;
         ] );
       ( "priority",
         [

@@ -230,7 +230,7 @@ let test_explain_agrees_with_allocation () =
     let alloc = Improved_alloc.per_model in
     let d = alloc.Allocator.explain a in
     Alcotest.(check int) "explain = allocate"
-      (alloc.Allocator.allocate_analyzed a)
+      (alloc.Allocator.allocate ~p task)
       d.Allocator.final_alloc
   done
 

@@ -1,10 +1,10 @@
 (* Differential tests for the heap-backed online scheduler: the
-   priority-indexed queue plus analysis cache of Online_scheduler.policy
-   must reproduce the seed's sorted-list policy (the test oracle
+   priority-indexed queue of Online_scheduler.policy must reproduce the
+   seed's sorted-list policy (the test oracle
    [Moldable_oracle.Reference.policy]) event for event, for every priority
-   rule, on any graph.  The clairvoyant and rigid list schedulers, which
-   share that queue, must reproduce their old sorted lists the same way.
-   Also covers the Task.Cache memoization contract. *)
+   rule, on any graph and under every failure model.  The clairvoyant and
+   rigid list schedulers, which share that queue, must reproduce their old
+   sorted lists the same way. *)
 
 open Moldable_model
 open Moldable_graph
@@ -82,20 +82,30 @@ let arbitrary_dag rng =
   in
   Dag.create ~tasks ~edges:[]
 
-let policies_agree ~dag ~p ~priority ~allocator =
-  let heap =
-    Sim_core.run ~p (Online_scheduler.policy ~priority ~allocator ~p ()) dag
-  in
+(* Failed attempts re-reveal their task, so under failures the policy
+   analyzes and allocates some tasks more than once. *)
+let random_failures rng =
+  match Rng.int rng 3 with
+  | 0 -> ("never", Sim_core.never)
+  | 1 ->
+    let q = Rng.float rng 0.6 in
+    (Printf.sprintf "bernoulli %g" q, Sim_core.bernoulli ~q)
+  | _ ->
+    let k = Rng.int_range rng 0 3 in
+    (Printf.sprintf "at_most %d" k, Sim_core.at_most ~k)
+
+let policies_agree ~dag ~p ~failures:(failures_name, failures) ~seed ~priority
+    ~allocator =
+  let run policy = Sim_core.run ~seed ~failures ~p policy dag in
+  let heap = run (Online_scheduler.policy ~priority ~allocator ~p ()) in
   let list_ =
-    Sim_core.run ~p
-      (Moldable_oracle.Reference.policy ~priority ~allocator ~p ())
-      dag
+    run (Moldable_oracle.Reference.policy ~priority ~allocator ~p ())
   in
   if trace_equal (Sim_core.trace heap) (Sim_core.trace list_) then true
   else
     QCheck.Test.fail_report
-      (Printf.sprintf "trace mismatch [%s, P=%d]\n%s"
-         priority.Priority.name p
+      (Printf.sprintf "trace mismatch [%s, %s, %s, P=%d]\n%s"
+         priority.Priority.name allocator.Allocator.name failures_name p
          (show_traces (Sim_core.trace heap) (Sim_core.trace list_)))
 
 let prop_trace_equivalence =
@@ -106,9 +116,10 @@ let prop_trace_equivalence =
       let rng = Rng.create seed in
       let dag = random_dag rng in
       let p = Rng.int_range rng 1 64 in
+      let failures = random_failures rng in
       List.for_all
         (fun priority ->
-          policies_agree ~dag ~p ~priority
+          policies_agree ~dag ~p ~failures ~seed ~priority
             ~allocator:Allocator.algorithm2_per_model)
         Priority.all)
 
@@ -121,9 +132,10 @@ let prop_trace_equivalence_arbitrary =
       let rng = Rng.create seed in
       let dag = arbitrary_dag rng in
       let p = Rng.int_range rng 1 48 in
+      let failures = random_failures rng in
       List.for_all
         (fun priority ->
-          policies_agree ~dag ~p ~priority
+          policies_agree ~dag ~p ~failures ~seed ~priority
             ~allocator:Allocator.algorithm2_per_model)
         Priority.all)
 
@@ -136,9 +148,11 @@ let prop_trace_equivalence_allocators =
       let rng = Rng.create seed in
       let dag = random_dag rng in
       let p = Rng.int_range rng 1 64 in
+      let failures = random_failures rng in
       List.for_all
         (fun allocator ->
-          policies_agree ~dag ~p ~priority:Priority.fifo ~allocator)
+          policies_agree ~dag ~p ~failures ~seed ~priority:Priority.fifo
+            ~allocator)
         [
           Allocator.min_time;
           Allocator.sequential;
@@ -210,34 +224,6 @@ let prop_list_schedulers_match_reference =
         (Ref.rigid_list_schedule ~p ~jobs dag)
       || fail "Rigid.list_schedule"))
 
-let prop_cache_pointer_equal =
-  QCheck.Test.make
-    ~name:"analysis cache returns pointer-equal results on repeat lookups"
-    ~count:100
-    QCheck.(int_range 0 1_000_000)
-    (fun seed ->
-      let rng = Rng.create seed in
-      let dag = random_dag rng in
-      let p = Rng.int_range rng 1 64 in
-      let cache = Task.Cache.create ~p in
-      let ok = ref true in
-      Array.iter
-        (fun t ->
-          let a1 = Task.Cache.analyze cache t in
-          let a2 = Task.Cache.analyze cache t in
-          if not (a1 == a2) then ok := false;
-          (* The cached analysis must equal a fresh one field for field. *)
-          let fresh = Task.analyze ~p t in
-          if
-            a1.Task.p_max <> fresh.Task.p_max
-            || not (Float.equal a1.Task.t_min fresh.Task.t_min)
-            || not (Float.equal a1.Task.a_min fresh.Task.a_min)
-          then ok := false)
-        (Dag.tasks dag);
-      if Task.Cache.misses cache <> Dag.n dag then ok := false;
-      if Task.Cache.hits cache < Dag.n dag then ok := false;
-      !ok)
-
 let test_cache_saves_model_evaluations () =
   (* The cached hot path must evaluate the (instrumented) time functions
      strictly fewer times than the seed's double-analyze path, while
@@ -286,11 +272,6 @@ let test_cache_saves_model_evaluations () =
   Alcotest.(check bool) "same trace" true
     (trace_equal (Sim_core.trace cached) (Sim_core.trace reference))
 
-let test_cache_rejects_bad_p () =
-  Alcotest.check_raises "p >= 1"
-    (Invalid_argument "Task.Cache.create: platform size must be >= 1")
-    (fun () -> ignore (Task.Cache.create ~p:0))
-
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "scheduler_equiv"
@@ -304,9 +285,7 @@ let () =
         ] );
       ( "analysis cache",
         [
-          qt prop_cache_pointer_equal;
           Alcotest.test_case "cache saves model evaluations" `Quick
             test_cache_saves_model_evaluations;
-          Alcotest.test_case "rejects p < 1" `Quick test_cache_rejects_bad_p;
         ] );
     ]

@@ -471,6 +471,25 @@ let test_protocol_rejects () =
       {|{"op":"events","since":1e300}|};
     ]
 
+(* A session allocates O(p) state when it opens, so the decoder bounds p
+   before the server builds anything: one line must not be able to ask for
+   a 2^40-processor platform. *)
+let test_protocol_bounds_p () =
+  let open_p p =
+    Protocol.request_of_json
+      (Json.Obj [ ("op", Json.Str "open"); ("p", Json.Num (float_of_int p)) ])
+  in
+  List.iter
+    (fun p ->
+      match open_p p with
+      | Ok _ -> Alcotest.fail (Printf.sprintf "accepted p = %d" p)
+      | Error _ -> ())
+    [ 1 lsl 40; Protocol.max_p + 1 ];
+  match open_p Protocol.max_p with
+  | Ok (Protocol.Open o) ->
+    Alcotest.(check int) "p = max_p accepted" Protocol.max_p o.Protocol.o_p
+  | Ok _ | Error _ -> Alcotest.fail "p = max_p rejected"
+
 let test_protocol_speedups_roundtrip () =
   List.iter
     (fun sp ->
@@ -977,6 +996,7 @@ let () =
             test_protocol_roundtrip;
           Alcotest.test_case "malformed requests rejected" `Quick
             test_protocol_rejects;
+          Alcotest.test_case "open bounds p" `Quick test_protocol_bounds_p;
           Alcotest.test_case "speedups round-trip" `Quick
             test_protocol_speedups_roundtrip;
           Alcotest.test_case "error codes round-trip" `Quick

@@ -151,7 +151,7 @@ let prop_null_tracer_equivalent =
 
 let prop_explain_agrees_with_allocate =
   QCheck.Test.make
-    ~name:"Allocator.explain agrees with allocate_analyzed on every rule"
+    ~name:"Allocator.explain agrees with allocate on every rule"
     ~count:100
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
@@ -167,9 +167,9 @@ let prop_explain_agrees_with_allocate =
         (fun (alloc : Allocator.t) ->
           List.for_all
             (fun i ->
-              let a = Task.analyze ~p (Dag.task dag i) in
-              let d = alloc.Allocator.explain a in
-              let final = alloc.Allocator.allocate_analyzed a in
+              let task = Dag.task dag i in
+              let d = alloc.Allocator.explain (Task.analyze ~p task) in
+              let final = alloc.Allocator.allocate ~p task in
               d.Allocator.final_alloc = final
               && d.Allocator.cap_applied
                  = (d.Allocator.final_alloc < d.Allocator.p_star)
