@@ -1670,8 +1670,8 @@ let parallel_sweep pool () =
 (* Differential acceptance gate: every float comparison the online scheduler
    made — completion stamps, batch merges, precedence, occupancy, Algorithm
    2 allocations, the Lemma 2 bound and the ratio denominator — is replayed
-   in exact rational arithmetic (lib/exact).  Cells cover random (model,
-   DAG, P) triples for all five speedup families plus the Figure 1 and
+   in exact rational arithmetic (test/oracle/exact).  Cells cover random
+   (model, DAG, P) triples for all five speedup families plus the Figure 1 and
    Figure 3 adversarial constructions; each cell is a pure function of its
    seed, so the sweep fans out deterministically.  One unexplained
    divergence fails the bench. *)

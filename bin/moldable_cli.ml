@@ -42,9 +42,25 @@ let kind_arg =
     & info [ "m"; "model" ] ~docv:"MODEL"
         ~doc:"Speedup model: roofline, communication, amdahl, general or power.")
 
+(* An integer in [lo, hi]; anything else is a usage error (exit 2). *)
+let int_in ~lo ~hi =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok v when v < lo || v > hi ->
+      let range =
+        if hi = max_int then Printf.sprintf ">= %d" lo
+        else Printf.sprintf "in %d-%d" lo hi
+      in
+      Error (`Msg (Printf.sprintf "value must be %s (got %d)" range v))
+    | r -> r
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let pos_int = int_in ~lo:1 ~hi:max_int
+
 let p_arg default =
   Arg.(
-    value & opt int default
+    value & opt pos_int default
     & info [ "p"; "procs" ] ~docv:"P" ~doc:"Number of processors.")
 
 let seed_arg =
@@ -54,7 +70,7 @@ let seed_arg =
 
 let jobs_arg =
   Arg.(
-    value & opt int 1
+    value & opt pos_int 1
     & info [ "j"; "jobs" ] ~docv:"JOBS"
         ~doc:
           "Worker domains for the parallel parts (policy sweeps fan out per \
@@ -62,15 +78,20 @@ let jobs_arg =
            Results are bit-identical at any job count; 1 (the default) is \
            fully sequential.")
 
-let with_jobs ?registry jobs f =
-  if jobs < 1 then begin
-    Printf.eprintf
-      "moldable: option '--jobs': value must be >= 1 (got %d)\nUsage: pass a \
-       positive worker-domain count, e.g. --jobs 2\n"
-      jobs;
-    exit 2
-  end;
-  Pool.with_pool ~jobs ?registry f
+(* Exit-code contract: usage errors exit 2 (cmdliner's, see the bottom of
+   this file), runtime failures 125 through [fail], failed checks 1. *)
+let fail fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 125) fmt
+
+(* Every file the CLI writes goes through here.  The explicit flush
+   surfaces a failed write, which [with_open_text]'s close would drop. *)
+let write_output ?(note = "") path contents =
+  match
+    Out_channel.with_open_text path (fun oc ->
+        Out_channel.output_string oc contents;
+        Out_channel.flush oc)
+  with
+  | () -> Printf.printf "wrote %s%s\n" path note
+  | exception Sys_error e -> fail "cannot write %s: %s" path e
 
 (* ----------------------------------------------------------- telemetry *)
 
@@ -99,13 +120,9 @@ let write_telemetry ~registry ~gc_before = function
     Moldable_obs.Gc_sample.observe registry
       (Moldable_obs.Gc_sample.diff ~before:gc_before ~after:gc_after);
     let snap = Moldable_obs.Registry.snapshot registry in
-    let oc = open_out path in
-    output_string oc
-      (Moldable_obs.Json.to_string
-         (Moldable_obs.Registry.snapshot_to_json snap));
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "wrote %s\n" path
+    write_output path
+      (Moldable_obs.Json.to_string (Moldable_obs.Registry.snapshot_to_json snap)
+      ^ "\n")
 
 let algorithm_conv =
   Arg.enum [ ("original", `Original); ("improved", `Improved) ]
@@ -129,22 +146,19 @@ let proven_bound_of algo kind =
   | `Original -> Ratio_report.table1_upper_bound kind
   | `Improved -> Ratio_report.improved_upper_bound kind
 
-let workload_conv =
-  Arg.enum
-    [
-      ("layered", `Layered); ("erdos", `Erdos); ("independent", `Independent);
-      ("chain", `Chain); ("fork-join", `Fork_join); ("cholesky", `Cholesky);
-      ("lu", `Lu); ("montage", `Montage); ("epigenomics", `Epigenomics);
-      ("cybershake", `Cybershake); ("ligo", `Ligo);
-    ]
+let workloads =
+  [
+    ("layered", `Layered); ("erdos", `Erdos); ("independent", `Independent);
+    ("chain", `Chain); ("fork-join", `Fork_join); ("cholesky", `Cholesky);
+    ("lu", `Lu); ("montage", `Montage); ("epigenomics", `Epigenomics);
+    ("cybershake", `Cybershake); ("ligo", `Ligo);
+  ]
 
 let workload_arg =
   Arg.(
-    value & opt workload_conv `Layered
+    value & opt (enum workloads) `Layered
     & info [ "w"; "workload" ] ~docv:"WORKLOAD"
-        ~doc:
-          "Workload family: layered, erdos, independent, chain, fork-join, \
-           cholesky, lu, montage, epigenomics, cybershake or ligo.")
+        ~doc:("Workload family: " ^ doc_alts_enum workloads ^ "."))
 
 let size_arg =
   Arg.(
@@ -177,6 +191,59 @@ let make_workload which ~rng ~n ~kind =
   | `Ligo ->
     Moldable_workloads.Scientific.ligo ~rng ~blocks:(max 1 (n / 12))
       ~per_block:10 ~kind ()
+
+let load_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "load" ] ~docv:"FILE"
+        ~doc:
+          "Load the task graph from $(docv) (Dag_io format) instead of \
+           generating one.")
+
+let swf_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "swf" ] ~docv:"TRACE"
+        ~doc:
+          "Replay a Standard Workload Format trace: jobs become independent \
+           moldable tasks released at their submit times.")
+
+type input = { dag : Dag.t; releases : float array option; name : string }
+
+(* The one way a subcommand gets its graph: generated, [--load]ed or
+   replayed from an SWF trace ([--swf], with release times); [name], the
+   workload or the file's base name, labels ratio reports.  Giving both
+   files is a usage error (exit 2); a file that cannot be read or holds no
+   usable job is a runtime failure (exit 125). *)
+let read_input ~kind ~seed ~workload ~n ~load ~swf =
+  let rng = Rng.create seed in
+  match (load, swf) with
+  | Some _, Some _ ->
+    prerr_endline "--load and --swf are mutually exclusive";
+    exit 2
+  | Some path, None -> (
+    match Dag_io.of_file path with
+    | Ok dag -> { dag; releases = None; name = Filename.basename path }
+    | Error e -> fail "cannot load %s: %s" path e)
+  | None, Some path -> (
+    match Moldable_workloads.Swf.parse_file path with
+    | Ok { Moldable_workloads.Swf.jobs = []; _ } ->
+      fail "trace %s contains no usable jobs" path
+    | Ok { Moldable_workloads.Swf.jobs; skipped_lines } ->
+      if skipped_lines > 0 then
+        Printf.printf "note: skipped %d unusable record(s) in %s\n"
+          skipped_lines path;
+      let dag, releases = Moldable_workloads.Swf.to_workload ~rng jobs in
+      { dag; releases = Some releases; name = Filename.basename path }
+    | Error e -> fail "cannot parse %s: %s" path e)
+  | None, None ->
+    {
+      dag = make_workload workload ~rng ~n ~kind;
+      releases = None;
+      name = fst (List.find (fun (_, w) -> w = workload) workloads);
+    }
 
 (* ---------------------------------------------------------------- table1 *)
 
@@ -225,7 +292,8 @@ let figure_cmd =
     | 3 ->
       let inst = Chains.build ~ell:2 in
       print_string (Moldable_viz.Dot.of_dag ~name:"figure3" inst.Chains.dag)
-    | 4 ->
+    | _ ->
+      (* 4: the converter admits 1-4 only. *)
       let inst = Chains.build ~ell:2 in
       let off = Chain_adversary.offline_schedule inst in
       let eq = Chain_adversary.equal_split_schedule inst in
@@ -234,12 +302,11 @@ let figure_cmd =
       Printf.printf "(b) online equal-allocation, makespan %.4f:\n%s"
         (Schedule.makespan eq)
         (Moldable_viz.Gantt.render ~width:72 ~max_rows:16 ~legend:false eq)
-    | other -> Printf.eprintf "no figure %d (the paper has figures 1-4)\n" other
   in
   let n_arg =
     Arg.(
       required
-      & pos 0 (some int) None
+      & pos 0 (some (int_in ~lo:1 ~hi:4)) None
       & info [] ~docv:"N" ~doc:"Figure number (1-4).")
   in
   Cmd.v
@@ -280,44 +347,14 @@ let simulate_cmd =
       telemetry =
     let registry = registry_of_telemetry telemetry in
     let gc_before = Moldable_obs.Gc_sample.read () in
-    with_jobs ~registry jobs @@ fun pool ->
-    let rng = Rng.create seed in
-    let dag, releases =
-      match (load, swf) with
-      | Some _, Some _ ->
-        Printf.eprintf "--load and --swf are mutually exclusive\n";
-        exit 1
-      | Some path, None -> (
-        match Dag_io.of_file path with
-        | Ok dag -> (dag, None)
-        | Error e ->
-          Printf.eprintf "cannot load %s: %s\n" path e;
-          exit 1)
-      | None, Some path -> (
-        match Moldable_workloads.Swf.parse_file path with
-        | Ok { Moldable_workloads.Swf.jobs; skipped_lines }
-          when jobs <> [] ->
-          if skipped_lines > 0 then
-            Printf.printf "note: skipped %d unusable record(s) in %s\n"
-              skipped_lines path;
-          let dag, rel = Moldable_workloads.Swf.to_workload ~rng jobs in
-          (dag, Some rel)
-        | Ok _ ->
-          Printf.eprintf "trace %s contains no usable jobs\n" path;
-          exit 1
-        | Error e ->
-          Printf.eprintf "cannot parse %s: %s\n" path e;
-          exit 1)
-      | None, None -> (make_workload workload ~rng ~n ~kind, None)
-    in
-    (match save with
-    | None -> ()
-    | Some path -> (
-      match Dag_io.to_file path dag with
-      | Ok () -> Printf.printf "saved graph to %s\n" path
-      | Error e ->
-        Printf.eprintf "cannot save %s: %s\n" path e;
-        exit 1));
+    Pool.with_pool ~jobs ~registry @@ fun pool ->
+    let { dag; releases; _ } = read_input ~kind ~seed ~workload ~n ~load ~swf in
+    Option.iter
+      (fun path ->
+        match Dag_io.to_file path dag with
+        | Ok () -> Printf.printf "saved graph to %s\n" path
+        | Error e -> fail "cannot save %s: %s" path e)
+      save;
     let result =
       Sim_core.run ?release_times:releases ~registry ~p
         (Online_scheduler.policy ~registry ~allocator:(allocator_of algo) ~p
@@ -335,30 +372,21 @@ let simulate_cmd =
       (100. *. Schedule.average_utilization result.Sim_core.schedule);
     Printf.printf "%s\n"
       (Format.asprintf "%a" Metrics.pp result.Sim_core.metrics);
-    (match metrics_out with
-    | None -> ()
-    | Some path ->
-      let oc = open_out path in
-      output_string oc
-        (Moldable_obs.Json.to_string (Metrics.to_json result.Sim_core.metrics)
-        ^ "\n");
-      close_out oc;
-      Printf.printf "wrote %s\n" path);
+    Option.iter
+      (fun path ->
+        write_output path
+          (Moldable_obs.Json.to_string (Metrics.to_json result.Sim_core.metrics)
+          ^ "\n"))
+      metrics_out;
+    let label i = (Dag.task dag i).Task.label in
     if gantt then
       print_string
-        (Moldable_viz.Gantt.render ~width:100
-           ~label:(fun i -> (Dag.task dag i).Task.label)
-           result.Sim_core.schedule);
-    (match svg with
-    | None -> ()
-    | Some path ->
-      let oc = open_out path in
-      output_string oc
-        (Moldable_viz.Svg.of_schedule
-           ~label:(fun i -> (Dag.task dag i).Task.label)
-           result.Sim_core.schedule);
-      close_out oc;
-      Printf.printf "wrote %s\n" path);
+        (Moldable_viz.Gantt.render ~width:100 ~label result.Sim_core.schedule);
+    Option.iter
+      (fun path ->
+        write_output path
+          (Moldable_viz.Svg.of_schedule ~label result.Sim_core.schedule))
+      svg;
     write_telemetry ~registry ~gc_before telemetry
   in
   let gantt_arg =
@@ -370,27 +398,11 @@ let simulate_cmd =
       & opt (some string) None
       & info [ "svg" ] ~docv:"FILE" ~doc:"Write the schedule as SVG to $(docv).")
   in
-  let load_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "load" ] ~docv:"FILE"
-          ~doc:"Load the task graph from $(docv) instead of generating one.")
-  in
   let save_arg =
     Arg.(
       value
       & opt (some string) None
       & info [ "save" ] ~docv:"FILE" ~doc:"Write the task graph to $(docv).")
-  in
-  let swf_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "swf" ] ~docv:"TRACE"
-          ~doc:
-            "Replay a Standard Workload Format trace: jobs become \
-             independent moldable tasks released at their submit times.")
   in
   let metrics_arg =
     Arg.(
@@ -415,27 +427,9 @@ let simulate_cmd =
 
 let trace_cmd =
   let run kind p seed workload n load chrome gantt explain algo jobs =
-    with_jobs jobs @@ fun pool ->
-    let rng = Rng.create seed in
-    let dag, workload_name =
-      match load with
-      | Some path -> (
-        match Dag_io.of_file path with
-        | Ok dag -> (dag, Filename.basename path)
-        | Error e ->
-          Printf.eprintf "cannot load %s: %s\n" path e;
-          exit 1)
-      | None ->
-        let name =
-          match workload with
-          | `Layered -> "layered" | `Erdos -> "erdos"
-          | `Independent -> "independent" | `Chain -> "chain"
-          | `Fork_join -> "fork-join" | `Cholesky -> "cholesky"
-          | `Lu -> "lu" | `Montage -> "montage"
-          | `Epigenomics -> "epigenomics" | `Cybershake -> "cybershake"
-          | `Ligo -> "ligo"
-        in
-        (make_workload workload ~rng ~n ~kind, name)
+    Pool.with_pool ~jobs @@ fun pool ->
+    let { dag; name; _ } =
+      read_input ~kind ~seed ~workload ~n ~load ~swf:None
     in
     let label i = (Dag.task dag i).Task.label in
     let tracer = Moldable_sim.Tracer.create () in
@@ -451,7 +445,7 @@ let trace_cmd =
     let entry =
       Ratio_report.of_run
         ~proven_bound:(proven_bound_of algo (Ratio_report.kind_of_dag dag))
-        ~workload:workload_name ~p ~makespan dag
+        ~workload:name ~p ~makespan dag
     in
     Printf.printf "%s\n" (Format.asprintf "%a" Ratio_report.pp_entry entry);
     Printf.printf
@@ -461,25 +455,18 @@ let trace_cmd =
       (List.length (Moldable_sim.Tracer.instants tracer));
     Printf.printf "self-profile:\n%s"
       (Format.asprintf "%a" Moldable_sim.Tracer.pp_profile tracer);
-    (match chrome with
-    | None -> ()
-    | Some path ->
-      let oc = open_out path in
-      output_string oc
-        (Moldable_viz.Chrome_trace.of_run ~label tracer
-           result.Sim_core.metrics);
-      close_out oc;
-      Printf.printf
-        "wrote %s (open in chrome://tracing or https://ui.perfetto.dev)\n"
-        path);
-    (match gantt with
-    | None -> ()
-    | Some path ->
-      let oc = open_out path in
-      output_string oc
-        (Moldable_viz.Svg.of_schedule ~label result.Sim_core.schedule);
-      close_out oc;
-      Printf.printf "wrote %s\n" path);
+    Option.iter
+      (fun path ->
+        write_output path
+          ~note:" (open in chrome://tracing or https://ui.perfetto.dev)"
+          (Moldable_viz.Chrome_trace.of_run ~label tracer
+             result.Sim_core.metrics))
+      chrome;
+    Option.iter
+      (fun path ->
+        write_output path
+          (Moldable_viz.Svg.of_schedule ~label result.Sim_core.schedule))
+      gantt;
     match explain with
     | None -> ()
     | Some tid -> (
@@ -490,14 +477,7 @@ let trace_cmd =
       | None ->
         Printf.eprintf "no decision record for task %d (graph has %d tasks)\n"
           tid (Dag.n dag);
-        exit 1)
-  in
-  let load_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "load" ] ~docv:"FILE"
-          ~doc:"Load the task graph from $(docv) instead of generating one.")
+        exit 2)
   in
   let chrome_arg =
     Arg.(
@@ -569,7 +549,7 @@ let sweep_cmd =
   let run kind p seed reps algo jobs telemetry =
     let registry = registry_of_telemetry telemetry in
     let gc_before = Moldable_obs.Gc_sample.read () in
-    with_jobs ~registry jobs @@ fun pool ->
+    Pool.with_pool ~jobs ~registry @@ fun pool ->
     (* All instances are generated before the fan-out, so the sweep result
        is independent of the job count. *)
     let rng = Rng.create seed in
@@ -601,7 +581,7 @@ let sweep_cmd =
   in
   let reps_arg =
     Arg.(
-      value & opt int 20
+      value & opt pos_int 20
       & info [ "r"; "reps" ] ~docv:"R" ~doc:"Number of random instances.")
   in
   Cmd.v
@@ -620,20 +600,14 @@ let metrics_cmd =
     let contents =
       match In_channel.with_open_text file In_channel.input_all with
       | s -> s
-      | exception Sys_error e ->
-        Printf.eprintf "cannot read %s: %s\n" file e;
-        exit 1
+      | exception Sys_error e -> fail "cannot read %s: %s" file e
     in
     let snap =
       match Moldable_obs.Json.of_string contents with
-      | Error e ->
-        Printf.eprintf "%s: invalid JSON: %s\n" file e;
-        exit 1
+      | Error e -> fail "%s: invalid JSON: %s" file e
       | Ok j -> (
         match Moldable_obs.Registry.snapshot_of_json j with
-        | Error e ->
-          Printf.eprintf "%s: %s\n" file e;
-          exit 1
+        | Error e -> fail "%s: %s" file e
         | Ok snap -> snap)
     in
     if openmetrics then
@@ -690,11 +664,6 @@ let socket_arg =
 
 let serve_cmd =
   let run host port socket sessions idle_timeout max_line =
-    if sessions < 1 then begin
-      Printf.eprintf "moldable serve: --sessions must be >= 1 (got %d)\n"
-        sessions;
-      exit 2
-    end;
     let registry = Moldable_obs.Registry.create () in
     let config =
       {
@@ -714,9 +683,7 @@ let serve_cmd =
       | None -> Moldable_service.Server.listen_tcp ~host ~port
     in
     match listener with
-    | Error e ->
-      Printf.eprintf "moldable serve: cannot listen: %s\n" e;
-      exit 125
+    | Error e -> fail "moldable serve: cannot listen: %s" e
     | Ok listener ->
       let stop = Atomic.make false in
       let on_signal = Sys.Signal_handle (fun _ -> Atomic.set stop true) in
@@ -729,7 +696,7 @@ let serve_cmd =
   in
   let sessions_arg =
     Arg.(
-      value & opt int 2
+      value & opt pos_int 2
       & info [ "sessions" ] ~docv:"N"
           ~doc:"Concurrent session workers (also worker domains).")
   in
@@ -761,43 +728,14 @@ let serve_cmd =
 let client_cmd =
   let run host port socket kind p seed workload n load swf algo priority
       openmetrics =
-    let rng = Rng.create seed in
-    let dag, releases =
-      match (load, swf) with
-      | Some _, Some _ ->
-        Printf.eprintf "--load and --swf are mutually exclusive\n";
-        exit 2
-      | Some path, None -> (
-        match Dag_io.of_file path with
-        | Ok dag -> (dag, None)
-        | Error e ->
-          Printf.eprintf "cannot load %s: %s\n" path e;
-          exit 125)
-      | None, Some path -> (
-        match Moldable_workloads.Swf.parse_file path with
-        | Ok { Moldable_workloads.Swf.jobs; skipped_lines } when jobs <> [] ->
-          if skipped_lines > 0 then
-            Printf.printf "note: skipped %d unusable record(s) in %s\n"
-              skipped_lines path;
-          let dag, rel = Moldable_workloads.Swf.to_workload ~rng jobs in
-          (dag, Some rel)
-        | Ok _ ->
-          Printf.eprintf "trace %s contains no usable jobs\n" path;
-          exit 125
-        | Error e ->
-          Printf.eprintf "cannot parse %s: %s\n" path e;
-          exit 125)
-      | None, None -> (make_workload workload ~rng ~n ~kind, None)
-    in
+    let { dag; releases; _ } = read_input ~kind ~seed ~workload ~n ~load ~swf in
     let conn =
       match socket with
       | Some path -> Moldable_service.Client.connect_unix ~path ()
       | None -> Moldable_service.Client.connect_tcp ~host ~port ()
     in
     match conn with
-    | Error e ->
-      Printf.eprintf "moldable client: cannot connect: %s\n" e;
-      exit 125
+    | Error e -> fail "moldable client: cannot connect: %s" e
     | Ok conn -> (
       let finish code =
         ignore
@@ -811,9 +749,8 @@ let client_cmd =
           ~algorithm:algo ~priority ~p conn dag
       with
       | Error e ->
-        Printf.eprintf "moldable client: %s\n" e;
         Moldable_service.Client.close conn;
-        exit 125
+        fail "moldable client: %s" e
       | Ok report ->
         Printf.printf "server makespan %.4f\n"
           report.Moldable_service.Client.server_makespan;
@@ -837,20 +774,6 @@ let client_cmd =
                report.Moldable_service.Client.mismatch);
           finish 1
         end)
-  in
-  let load_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "load" ] ~docv:"FILE"
-          ~doc:"Replay the task graph in $(docv) (Dag_io format).")
-  in
-  let swf_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "swf" ] ~docv:"TRACE"
-          ~doc:
-            "Replay a Standard Workload Format trace as independent \
-             moldable tasks with release times.")
   in
   let priority_arg =
     Arg.(

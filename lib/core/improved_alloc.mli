@@ -18,8 +18,8 @@
     tight): see {!Moldable_theory.Improved_bounds} for the proven
     constants.  The allocators here are ordinary {!Allocator.t} values, so
     every harness (engines, tracer provenance, experiments, ratio reports,
-    CLI) runs them transparently; {!Moldable_exact} shadows their float
-    decisions exactly. *)
+    CLI) runs them transparently, and the exact-rational test oracle
+    shadows their float decisions exactly. *)
 
 open Moldable_model
 

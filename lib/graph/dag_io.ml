@@ -218,11 +218,16 @@ let of_string text =
 let to_file path dag =
   match to_string dag with
   | Error _ as e -> e
-  | Ok s ->
-    let oc = open_out path in
-    output_string oc s;
-    close_out oc;
-    Ok ()
+  | Ok s -> (
+    (* The explicit flush surfaces a failed write; [with_open_text] closes
+       the channel on every path. *)
+    match
+      Out_channel.with_open_text path (fun oc ->
+          Out_channel.output_string oc s;
+          Out_channel.flush oc)
+    with
+    | () -> Ok ()
+    | exception Sys_error msg -> Error msg)
 
 let of_file path =
   match In_channel.with_open_text path In_channel.input_all with

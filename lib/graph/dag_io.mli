@@ -29,4 +29,7 @@ val of_string : string -> (Dag.t, string) result
     order. *)
 
 val to_file : string -> Dag.t -> (unit, string) result
+(** [Error] when the graph does not serialize or the file cannot be opened
+    or written; the channel is closed either way. *)
+
 val of_file : string -> (Dag.t, string) result

@@ -41,8 +41,8 @@ let pop t = Float_heap.pop t.heap
    stale free count.  The tolerance is relative and keyed off the batch's
    first (earliest) timestamp — far below any genuine event separation, far
    above accumulated rounding noise. *)
-(* Exposed so the exact shadow oracle (lib/exact) can replay the batching
-   decision with the very same tolerance. *)
+(* Exposed so the exact shadow oracle (test/oracle/exact) can replay the
+   batching decision with the very same tolerance. *)
 let batch_eps = 1e-12
 
 let batch_grow t =

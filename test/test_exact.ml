@@ -1,4 +1,4 @@
-(* Differential tests for the exact rational shadow oracle (lib/exact):
+(* Differential tests for the exact rational shadow oracle (test/oracle/exact):
    Bigint/Rat arithmetic against native ints and IEEE round-trips, the
    exact speedup models and Algorithm 2 against the float pipeline, the
    shadow replayer on random simulations across every speedup family, and

@@ -210,6 +210,24 @@ let prop_lb_positive =
       b.Bounds.lower_bound > 0.
       && b.Bounds.c_min <= b.Bounds.lower_bound +. 1e-9)
 
+(* ---------------------------------------------------------------- Dag_io *)
+
+(* A path under a regular file cannot be opened, and /dev/full accepts the
+   open but fails the write: both are [Error], not an exception. *)
+let test_to_file_unwritable () =
+  let g = simple_dag [ (0, 1) ] 2 in
+  let file = Filename.temp_file "moldable" ".dag" in
+  let expect_error path =
+    match Dag_io.to_file path g with
+    | Error _ -> ()
+    | Ok () -> Alcotest.failf "writing %s succeeded" path
+    | exception e ->
+      Alcotest.failf "writing %s raised %s" path (Printexc.to_string e)
+  in
+  expect_error (Filename.concat file "t.dag");
+  Sys.remove file;
+  if Sys.file_exists "/dev/full" then expect_error "/dev/full"
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "graph"
@@ -248,6 +266,11 @@ let () =
             test_longest_path_picks_heavier;
           Alcotest.test_case "empty graph" `Quick test_longest_path_empty;
           Alcotest.test_case "bottom/top levels" `Quick test_bottom_top_levels;
+        ] );
+      ( "dag_io",
+        [
+          Alcotest.test_case "to_file unwritable path is an error" `Quick
+            test_to_file_unwritable;
         ] );
       ( "bounds",
         [
