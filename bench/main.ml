@@ -1268,8 +1268,12 @@ let alloc_lean_section () =
     measure "reference" (fun () ->
         Moldable_oracle.Reference.run ~p (fresh_policy ()) dag)
   in
+  (* A run without [~arena] reuses the domain's arena; the full row
+     measures fresh storage, so it passes a new arena every rep. *)
   let r_full, t_full, w_full =
-    measure "full" (fun () -> Sim_core.run ~p (fresh_policy ()) dag)
+    measure "full" (fun () ->
+        Sim_core.run ~arena:(Sim_core.Arena.create ()) ~p (fresh_policy ())
+          dag)
   in
   let arena = Sim_core.Arena.create () in
   (* One warm-up run grows the arena to its (p, n) high-water mark; the

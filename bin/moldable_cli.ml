@@ -58,6 +58,16 @@ let int_in ~lo ~hi =
 
 let pos_int = int_in ~lo:1 ~hi:max_int
 
+(* A finite float > 0; anything else is a usage error (exit 2). *)
+let pos_float =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok v when not (Float.is_finite v && v > 0.) ->
+      Error (`Msg (Printf.sprintf "value must be finite and > 0 (got %s)" s))
+    | r -> r
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let p_arg default =
   Arg.(
     value & opt pos_int default
@@ -164,9 +174,22 @@ let size_arg =
   Arg.(
     value & opt int 40
     & info [ "n"; "size" ] ~docv:"N"
-        ~doc:"Workload size (task count target / tiles / width).")
+        ~doc:
+          "Workload size (task count target / tiles / width); at least 1 \
+           for chain and erdos, 2 for montage, 0 otherwise.")
 
+let workload_name w = fst (List.find (fun (_, w') -> w' = w) workloads)
+
+(* A size the generator cannot build is a usage error (exit 2): chain and
+   erdos need a task, montage a width of two; the other families derive
+   their shape parameters with a floor and build any size >= 0. *)
 let make_workload which ~rng ~n ~kind =
+  let least = match which with `Chain | `Erdos -> 1 | `Montage -> 2 | _ -> 0 in
+  if n < least then begin
+    Printf.eprintf "-n %d: workload %s needs -n >= %d\n" n
+      (workload_name which) least;
+    exit 2
+  end;
   match which with
   | `Layered ->
     Moldable_workloads.Random_dag.layered ~rng ~n_layers:(max 2 (n / 8))
@@ -242,7 +265,7 @@ let read_input ~kind ~seed ~workload ~n ~load ~swf =
     {
       dag = make_workload workload ~rng ~n ~kind;
       releases = None;
-      name = fst (List.find (fun (_, w) -> w = workload) workloads);
+      name = workload_name workload;
     }
 
 (* ---------------------------------------------------------------- table1 *)
@@ -702,13 +725,13 @@ let serve_cmd =
   in
   let idle_arg =
     Arg.(
-      value & opt float 300.
+      value & opt pos_float 300.
       & info [ "idle-timeout" ] ~docv:"SECONDS"
           ~doc:"Close a session after this long without a request.")
   in
   let max_line_arg =
     Arg.(
-      value & opt int (1 lsl 20)
+      value & opt pos_int (1 lsl 20)
       & info [ "max-line" ] ~docv:"BYTES"
           ~doc:"Longest accepted request line.")
   in

@@ -2,25 +2,19 @@ open Moldable_model
 open Moldable_graph
 open Moldable_sim
 
-(* Clairvoyant list scheduling on Algorithm 1's ready queue: [rank] is
-   indexed by task id, higher ranks launch first, ties by task id.
+(* Clairvoyant list scheduling on Algorithm 1's ready queue: the allotment
+   is given per task id, higher ranks launch first, ties by task id.
    Float.compare keeps the order total on NaN ranks, and a task sits in the
-   queue at most once, so distinct items never tie. *)
-let run_ranked ~name ~rank ~allocator ~p dag =
-  let priority =
-    {
-      Priority.name = "ranked";
-      compare =
-        (fun a b ->
-          let i = a.Priority.task.Task.id and j = b.Priority.task.Task.id in
-          match Float.compare rank.(j) rank.(i) with
-          | 0 -> Int.compare i j
-          | c -> c);
-    }
-  in
-  Sim_core.run ~p
-    { (Online_scheduler.policy ~priority ~allocator ~p ()) with Sim_core.name }
-    dag
+   queue at most once, so distinct tasks never tie. *)
+let run_ranked ~name ~allocations ~rank ~p dag =
+  Sim_core.run ~p (Online_scheduler.ranked ~name ~allocations ~rank ~p) dag
+
+(* The allocator's choice for every task, from the analyses [Bounds]
+   already made for the rank. *)
+let allocations_of allocator (bounds : Bounds.t) =
+  Array.map
+    (fun a -> (allocator.Allocator.explain a).Allocator.final_alloc)
+    bounds.Bounds.analyzed
 
 (* The bottom-level rank needs the whole graph (clairvoyant), but the
    engine still only launches ready tasks, so the result is feasible. *)
@@ -29,7 +23,8 @@ let critical_path_list ?(allocator = Allocator.algorithm2_per_model) ~p dag =
   let weight i = bounds.Bounds.analyzed.(i).Task.t_min in
   run_ranked
     ~name:("offline-critical-path[" ^ allocator.Allocator.name ^ "]")
-    ~rank:(Paths.bottom_level ~weight dag) ~allocator ~p dag
+    ~allocations:(allocations_of allocator bounds)
+    ~rank:(Paths.bottom_level ~weight dag) ~p dag
 
 let named =
   [
@@ -50,10 +45,7 @@ let list_with ~allocations ~priority ~p dag =
       if q < 1 || q > p then
         invalid_arg "Offline.list_with: allocation out of [1, P]")
     allocations;
-  let name = "offline-list-with" in
-  run_ranked ~name ~rank:priority ~p dag
-    ~allocator:
-      (Allocator.make ~name (fun a -> allocations.(a.Task.task.Task.id)))
+  run_ranked ~name:"offline-list-with" ~allocations ~rank:priority ~p dag
 
 let randomized_search ?(restarts = 64) ~rng ~p dag =
   let open Moldable_util in
@@ -61,18 +53,16 @@ let randomized_search ?(restarts = 64) ~rng ~p dag =
   let bounds = Bounds.compute ~p dag in
   let weight i = bounds.Bounds.analyzed.(i).Task.t_min in
   let bl = Paths.bottom_level ~weight dag in
-  let alg2 i =
-    Allocator.algorithm2_per_model.Allocator.allocate ~p (Dag.task dag i)
-  in
+  let alg2 = allocations_of Allocator.algorithm2_per_model bounds in
   let p_max i = bounds.Bounds.analyzed.(i).Task.p_max in
   let candidate k =
     let allocations =
       Array.init n (fun i ->
-          if k = 0 then alg2 i
+          if k = 0 then alg2.(i)
           else if k = 1 then p_max i
           else
             match Rng.int rng 3 with
-            | 0 -> alg2 i
+            | 0 -> alg2.(i)
             | 1 -> p_max i
             | _ -> Rng.int_range rng 1 (p_max i))
     in

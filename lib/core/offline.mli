@@ -11,11 +11,12 @@
     offline analogue of HEFT specialized to moldable tasks — combined with
     any allocator.
 
-    Every list scheduler here runs {!Online_scheduler.policy} with a
-    clairvoyant rank as its priority: ready tasks wait in Algorithm 1's
-    {!Moldable_util.Prefix_min} queue, ordered by decreasing rank with
-    ties by task id, and each launch takes the first one that fits the
-    free processors — O(log P + log n) per insert and per launch. *)
+    Every list scheduler here runs {!Online_scheduler.ranked}: its
+    allotment is fixed before the run, and ready tasks wait in Algorithm
+    1's {!Moldable_util.Ranked_queue}, ordered by decreasing rank with
+    ties by task id; each launch takes the first one that fits the free
+    processors — O(log P + log n) per insert and per launch, and no task
+    analysis during the run. *)
 
 open Moldable_graph
 open Moldable_sim

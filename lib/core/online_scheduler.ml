@@ -1,20 +1,29 @@
 open Moldable_model
 open Moldable_sim
-module Prefix_min = Moldable_util.Prefix_min
+module Ranked_queue = Moldable_util.Ranked_queue
 
-(* The ready queue is a {!Moldable_util.Prefix_min}: per-allocation Pqueue
-   buckets under a segment tree whose nodes cache the priority-least item of
-   their subtree.  "First task in priority order that fits in [free]" is a
-   prefix-minimum query over allocations [1, free] — O(log P + log n) per
-   insert and per launch, and O(log P) for the frequent "nothing fits"
-   answer that ends every scheduling instant.  Every priority rule ends in
-   a seq tie-break, so the order is total and the extraction order matches
-   the seed's sorted-list scan exactly. *)
+(* The ready queue is a {!Moldable_util.Ranked_queue}: per-allocation heaps
+   of flat (key, tie, id) arrays under a segment tree caching, per node, the
+   allocation whose bucket holds the subtree's first entry.  "First task in
+   priority order that fits in [free]" is a prefix query over allocations
+   [1, free] — O(log P + log n) per insert and per launch, O(1) when the
+   queue's first task fits, and O(log P) for the "nothing fits" answer
+   that ends every scheduling instant.  Every rule ends in a distinct tie,
+   so the order is total and the extraction order matches the sorted-list
+   scan exactly. *)
+let launcher ~tracer ready =
+  let launch ~free =
+    match Ranked_queue.fit ready ~free with
+    | 0 -> None
+    | alloc -> Some (Ranked_queue.pop ready ~alloc, alloc)
+  in
+  if Tracer.enabled tracer then fun ~now:_ ~free ->
+    Tracer.timed tracer Ready_queue (fun () -> launch ~free)
+  else fun ~now:_ ~free -> launch ~free
+
 let policy ?(priority = Priority.fifo) ?(tracer = Tracer.null)
     ?(registry = Moldable_obs.Registry.null) ~allocator ~p () =
-  let ready : Priority.item Prefix_min.t =
-    Prefix_min.create ~k:p ~cmp:priority.Priority.compare
-  in
+  let ready = Ranked_queue.create ~k:p in
   let next_seq = ref 0 in
   let traced = Tracer.enabled tracer in
   (* Step-1 probe counts (candidate allotments scanned per allocation
@@ -86,27 +95,30 @@ let policy ?(priority = Priority.fifo) ?(tracer = Tracer.null)
            s);
       }
     in
+    let key = priority.Priority.key item and tie = priority.Priority.tie item in
     if traced then
       Tracer.timed tracer Ready_queue (fun () ->
-          Prefix_min.push ready ~key:alloc item)
-    else Prefix_min.push ready ~key:alloc item
-  in
-  let next_launch ~now:_ ~free =
-    match
-      if traced then
-        Tracer.timed tracer Ready_queue (fun () ->
-            Prefix_min.pop_prefix ready ~key:free)
-      else Prefix_min.pop_prefix ready ~key:free
-    with
-    | None -> None
-    | Some x -> Some (x.Priority.task.Task.id, x.Priority.alloc)
+          Ranked_queue.push ready ~alloc ~key ~tie ~id:task.Task.id)
+    else Ranked_queue.push ready ~alloc ~key ~tie ~id:task.Task.id
   in
   {
     Sim_core.name =
       Printf.sprintf "online[%s, %s]" allocator.Allocator.name
         priority.Priority.name;
     on_ready;
-    next_launch;
+    next_launch = launcher ~tracer ready;
+  }
+
+let ranked ~name ~allocations ~rank ~p =
+  let ready = Ranked_queue.create ~k:p in
+  {
+    Sim_core.name;
+    on_ready =
+      (fun ~now:_ task ->
+        let id = task.Task.id in
+        Ranked_queue.push ready ~alloc:allocations.(id) ~key:rank.(id) ~tie:id
+          ~id);
+    next_launch = launcher ~tracer:Tracer.null ready;
   }
 
 (* Algorithm 1 in one call.  The improved algorithm (arXiv:2304.14127) is

@@ -34,15 +34,30 @@ val policy :
     one Step-1 engine, {!Allocator.step1_counted}).  Attaching a registry
     never changes the schedule.
 
-    The waiting queue is a {!Moldable_util.Prefix_min} — per-allocation
-    heap buckets under a segment tree caching priority minima — so "first
-    task in priority order that fits in [free]" is a prefix-minimum query
-    over allocations [1, free]: O(log P + log n) per insert and launch,
-    O(log P) for the "nothing fits" probe.  Every rule carries a seq
-    tie-break, so the order is total and the launch sequence matches the
-    sorted-list formulation exactly.  Each reveal analyzes the task once
-    and asks the allocator's {!Allocator.explain} once; that one decision
-    gives the allocation, the tracer's provenance and the probe sample. *)
+    The waiting queue is a {!Moldable_util.Ranked_queue}: per-allocation
+    heaps of flat [(key, tie, id)] arrays under a segment tree caching,
+    per node, the allocation whose bucket holds the subtree's first
+    entry.  Each revealed task waits as its allocation, the rule's [key]
+    and [tie] (see {!Priority.t}), and its id, compared inline
+    with no closure and no item record, so "first task in priority order
+    that fits in [free]" is a prefix query over allocations [[1, free]]:
+    O(log P + log n) per insert and launch, O(1) when the queue's first
+    task fits, O(log P) for the "nothing fits" probe.  Every rule ties on
+    the arrival number, so the order is total and the launch sequence
+    matches the sorted-list formulation exactly.  Each reveal analyzes the
+    task once and asks the allocator's {!Allocator.explain} once; that one
+    decision gives the allocation, the tracer's provenance and the probe
+    sample. *)
+
+val ranked :
+  name:string -> allocations:int array -> rank:float array -> p:int ->
+  Sim_core.policy
+(** Clairvoyant list scheduling on the same ready queue, for allotments
+    fixed in advance: a revealed task [i] waits with allocation
+    [allocations.(i)], key [rank.(i)] and tie [i] (higher rank first, ties
+    by id, NaN ranks last), with no analysis and no allocator call.  Both
+    arrays are indexed by task id; every allocation must lie in [[1, p]]
+    ([Invalid_argument] from the reveal otherwise). *)
 
 val run :
   ?priority:Priority.t -> ?allocator:Allocator.t ->

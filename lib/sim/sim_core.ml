@@ -704,13 +704,24 @@ module Stepper = struct
       metrics = Metrics.make ~p:st.p ~counters:st.counters recording;
     }
 
+  (* Close the stepper and hand the arena back.  The arena outlives the run
+     (a domain's arena lives as long as the domain), so it drops its
+     references to the run's tasks and processor blocks: they then die
+     with the result instead of with the arena's next run. *)
+  let close st =
+    let a = st.arena in
+    st.closed <- true;
+    Array.fill a.Arena.tasks 0 st.init_hi dummy_task;
+    Array.fill a.Arena.run_procs 0 st.init_hi [||];
+    Growbuf.A.clear a.Arena.pl_procs;
+    Growbuf.A.clear a.Arena.fail_procs;
+    a.Arena.in_use <- false
+
   let drain st =
     if st.closed then
       invalid_arg "Sim_core.Stepper.drain: the stepper is closed";
     Fun.protect
-      ~finally:(fun () ->
-        st.closed <- true;
-        st.arena.Arena.in_use <- false)
+      ~finally:(fun () -> close st)
       (fun () ->
         start st;
         flush_if_pending st;
@@ -729,11 +740,7 @@ module Stepper = struct
         else event_loop ();
         finalize st)
 
-  let abandon st =
-    if not st.closed then begin
-      st.closed <- true;
-      st.arena.Arena.in_use <- false
-    end
+  let abandon st = if not st.closed then close st
 
   (* ------------------------------------------------------- introspection *)
 
@@ -773,8 +780,13 @@ let run ?release_times ?(seed = 0) ?(max_attempts = max_int)
     dag =
   let n = Dag.n dag in
   validate_inputs ?release_times ~max_attempts ~n ();
+  (* A busy domain arena (a run nested in a policy callback) makes
+     [Stepper.create] fall back to a private one. *)
+  let arena =
+    match arena with Some a -> a | None -> Arena.for_current_domain ()
+  in
   let st =
-    Stepper.create ~seed ~max_attempts ~failures ~tracer ~registry ?arena
+    Stepper.create ~seed ~max_attempts ~failures ~tracer ~registry ~arena
       ~lean ~capacity:n ~p policy
   in
   match

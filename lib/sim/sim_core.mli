@@ -106,6 +106,9 @@ val events_from : result -> int -> (float * event) list
     all sized to the (p, n) high-water mark of the runs that used the
     arena.  Passing the same arena to successive {!run}s makes the steady
     state of a sweep allocation-free outside the result values themselves.
+    Once a run is drained or abandoned, its arena holds no reference to
+    the run's tasks or processor blocks, so a long-lived arena never keeps
+    a finished run alive.
 
     An arena is single-run at a time: if a run is asked to use an arena
     that is already in use (reentrancy through a policy callback, or
@@ -118,8 +121,9 @@ module Arena : sig
 
   val for_current_domain : unit -> t
   (** The calling domain's own arena (one per domain, created on first
-      use via domain-local storage) — the natural choice inside
-      {!Moldable_util.Pool} workers, which are long-lived. *)
+      use via domain-local storage): what {!run} uses when given no
+      arena, and the natural choice inside {!Moldable_util.Pool} workers,
+      which are long-lived. *)
 end
 
 (** {1 Incremental stepper}
@@ -254,7 +258,9 @@ val run :
     delays the reveal of each task to the maximum of its release time and
     the completion of its last predecessor.  [seed] (default 0) seeds the
     failure RNG.  [arena] supplies reusable per-run storage (see {!Arena});
-    by default every run allocates fresh storage.  A full run records its
+    by default a run reuses {!Arena.for_current_domain}, so successive
+    batch runs on one domain allocate their per-run arrays once, and a run
+    nested in another run's policy callback gets a private arena.  A full run records its
     event trace, the processor blocks of failed attempts and one
     ready-depth sample per scheduling instant into the arena, and the
     result owns flat copies of them (see {!Recording}); the list views are

@@ -1,10 +1,9 @@
 (* Internal layout: the segment tree caches, per node, the *bucket key*
    (1..k) holding the least element of that subtree, with 0 meaning the
    subtree is empty.  Caching int keys instead of ['a option] items keeps
-   every push/pop allocation-free (no [Some] per cached minimum, no
-   [(node, item)] pair during the prefix decomposition) — this structure is
-   the online scheduler's ready queue, hit twice per launched task.  The
-   cached key is dereferenced through the bucket's live top, which is
+   the tree allocation-free (no [Some] per cached minimum, no
+   [(node, item)] pair during the prefix decomposition); {!Ranked_queue}
+   uses the same layout with unboxed buckets.  The cached key is dereferenced through the bucket's live top, which is
    exactly the item the old design cached: ancestors are refreshed on every
    push/pop of a bucket, so a cached key always points at a non-empty
    bucket whose top is its subtree's minimum. *)

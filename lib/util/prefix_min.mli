@@ -5,9 +5,12 @@
     size): a segment tree whose leaves are per-key {!Pqueue} buckets and
     whose internal nodes cache the minimum of their subtree.
 
-    Built for the online scheduler's ready queue, where the key is a task's
-    processor allocation and the query key is the free processor count —
-    "first task in priority order that fits" — but fully generic.
+    The generic form of the online scheduler's ready queue, where the key is
+    a task's processor allocation and the query key is the free processor
+    count — "first task in priority order that fits".  The scheduler itself
+    runs on {!Ranked_queue}, the unboxed specialization to [(key, tie, id)]
+    entries; this closure-compared form is its differential reference in
+    the tests.
 
     [cmp] must be a {e total} order: distinct elements never compare equal.
     (The scheduler's priority rules all carry a sequence-number tie-break.)

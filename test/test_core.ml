@@ -337,6 +337,96 @@ let prop_priority_total_order =
           && ((not (cmp a b <= 0 && cmp b c <= 0)) || cmp a c <= 0))
         Priority.all)
 
+(* The ready queue against the generic Prefix_min under each rule's
+   comparator: one random script of pushes (allocations 0..k+1, the outer
+   two rejected by both), pops and peeks (free counts -1..k+2), with heavy
+   key ties and NaN, signed-zero and infinite keys, replayed for the five
+   rules and Offline's ranked order (key rank.(id), tie id). *)
+let prop_ranked_queue_matches_prefix_min =
+  let keys = [| 1.; 2.; 2.; 0.5; nan; infinity; neg_infinity; 0.; -0. |] in
+  let pick rng = keys.(Rng.int rng (Array.length keys)) in
+  let raises f =
+    match f () with () -> false | exception Invalid_argument _ -> true
+  in
+  QCheck.Test.make
+    ~name:"ranked queue = Prefix_min under Priority.compare (5 rules + \
+           ranked order, NaN/inf keys, ties)"
+    ~count:300
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let k = Rng.int_range rng 1 12 in
+      let m = Rng.int_range rng 0 300 in
+      let rank = Array.init m (fun _ -> pick rng) in
+      let script =
+        Array.init m (fun j ->
+            match Rng.int rng 10 with
+            | 0 | 1 | 2 | 3 | 4 ->
+              let w = float_of_int (Rng.int_range rng 1 3) in
+              `Push
+                {
+                  Priority.task = Task.make ~id:j (roofline ~w ~ptilde:2);
+                  alloc = Rng.int_range rng 0 (k + 1);
+                  t_min = pick rng;
+                  seq = j;
+                }
+            | 5 | 6 | 7 -> `Pop (Rng.int_range rng (-1) (k + 2))
+            | _ -> `Peek (Rng.int_range rng (-1) (k + 2)))
+      in
+      let ranked =
+        Priority.make ~name:"ranked"
+          ~key:(fun i -> rank.(i.Priority.task.Task.id))
+          ~tie:(fun i -> i.Priority.task.Task.id)
+      in
+      List.for_all
+        (fun (rule : Priority.t) ->
+          let pm = Prefix_min.create ~k ~cmp:rule.Priority.compare in
+          let rq = Ranked_queue.create ~k in
+          let first free =
+            match Ranked_queue.fit rq ~free with
+            | 0 -> None
+            | alloc -> Some alloc
+          in
+          let of_item = Option.map (fun (i : Priority.item) ->
+              (i.Priority.task.Task.id, i.Priority.alloc)) in
+          let step j op =
+            (match op with
+            | `Push (item : Priority.item) ->
+              let alloc = item.Priority.alloc in
+              let push_rq () =
+                Ranked_queue.push rq ~alloc ~key:(rule.Priority.key item)
+                  ~tie:(rule.Priority.tie item) ~id:j
+              in
+              if alloc < 1 || alloc > k then
+                raises (fun () -> Prefix_min.push pm ~key:alloc item)
+                && raises push_rq
+              else begin
+                Prefix_min.push pm ~key:alloc item;
+                push_rq ();
+                true
+              end
+            | `Pop free ->
+              of_item (Prefix_min.pop_prefix pm ~key:free)
+              = Option.map
+                  (fun alloc -> (Ranked_queue.pop rq ~alloc, alloc))
+                  (first free)
+            | `Peek free ->
+              of_item (Prefix_min.peek_prefix pm ~key:free)
+              = Option.map
+                  (fun alloc -> (Ranked_queue.top rq ~alloc, alloc))
+                  (first free))
+            && Prefix_min.length pm = Ranked_queue.length rq
+          in
+          let ok = ref true and j = ref 0 in
+          while !ok && !j < m do
+            ok := step !j script.(!j);
+            incr j
+          done;
+          !ok
+          || QCheck.Test.fail_reportf "%s: k=%d, step %d differs"
+               rule.Priority.name k (!j - 1))
+        (ranked :: Priority.all))
+
 (* ------------------------------------------------------ Online scheduler *)
 
 let simple_dag tasks edges = Dag.create ~tasks ~edges
@@ -489,6 +579,7 @@ let () =
           Alcotest.test_case "stable tiebreak" `Quick
             test_priority_tiebreak_stable;
           qt prop_priority_total_order;
+          qt prop_ranked_queue_matches_prefix_min;
         ] );
       ( "online_scheduler",
         [

@@ -1027,6 +1027,90 @@ let test_full_recording_allocation_budget () =
   Alcotest.(check bool) "every view equals a fresh run's" true
     (same_result full (snd (measured ~lean:false)))
 
+(* A batch Algorithm 1 run on a warm domain arena.  Per task, the minor
+   heap takes the analysis, the allocator's decision, the priority item,
+   the launch and the processor block (98 words here); the major heap
+   takes the promoted processor blocks and the result's copies (46 words).
+   A fresh arena per run costs 98 major words per task, and the boxed
+   Prefix_min ready queue cost 113 minor words, so each budget fails on
+   the regression it pins. *)
+let test_batch_run_words_per_task () =
+  let n = 20_000 and p = 64 in
+  let rng = Rng.create 5 in
+  let dag =
+    Moldable_workloads.Random_dag.independent ~rng ~n
+      ~kind:Speedup.Kind_amdahl ()
+  in
+  let run () =
+    Online_scheduler.run ~allocator:Allocator.algorithm2_per_model ~p dag
+  in
+  ignore (run () : Sim_core.result);
+  (* Empty the minor heap on both sides, so that the major count includes
+     everything the run promotes, the result included. *)
+  Gc.minor ();
+  let s0 = Gc.quick_stat () in
+  let w0 = Gc.minor_words () in
+  let r = run () in
+  let w1 = Gc.minor_words () in
+  Gc.minor ();
+  let s1 = Gc.quick_stat () in
+  let per_task x = x /. float_of_int n in
+  let minor = per_task (w1 -. w0) in
+  let major = per_task (s1.Gc.major_words -. s0.Gc.major_words) in
+  Alcotest.(check int) "every task placed" n (Schedule.n r.Sim_core.schedule);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per task (budget 105)" minor)
+    true (minor <= 105.);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f major words per task (budget 60)" major)
+    true (major <= 60.)
+
+(* A run without [~arena] takes its domain's arena, which is busy while
+   the outer run's policy callback runs: the nested run must fall back to a
+   private arena and return the standalone schedule, and the outer run
+   must not notice. *)
+let test_nested_run_falls_back () =
+  let rng = Rng.create 17 in
+  let outer_dag = random_dag rng and inner_dag = random_dag rng in
+  let p = 12 in
+  let standalone dag =
+    Sim_core.run ~p (fresh_policy ~priority:Priority.fifo ~p ()) dag
+  in
+  let nested = ref None in
+  let base = fresh_policy ~priority:Priority.fifo ~p () in
+  let policy =
+    {
+      base with
+      Sim_core.on_ready =
+        (fun ~now task ->
+          if !nested = None then nested := Some (standalone inner_dag);
+          base.Sim_core.on_ready ~now task);
+    }
+  in
+  let outer = Sim_core.run ~p policy outer_dag in
+  Alcotest.(check bool) "nested run = standalone run" true
+    (same_result (Option.get !nested) (standalone inner_dag));
+  Alcotest.(check bool) "outer run = standalone run" true
+    (same_result outer (standalone outer_dag))
+
+(* The domain's arena outlives every run on it, so it must not keep a
+   finished run alive: once the result is dropped, the processor blocks
+   of its schedule are garbage. *)
+let test_domain_arena_drops_finished_run () =
+  let rng = Rng.create 23 in
+  let dag =
+    Moldable_workloads.Random_dag.independent ~rng ~n:50
+      ~kind:Speedup.Kind_amdahl ()
+  in
+  let p = 16 in
+  let blocks = Weak.create 1 in
+  (let r = Sim_core.run ~p (fresh_policy ~priority:Priority.fifo ~p ()) dag in
+   Weak.set blocks 0
+     (Some (Schedule.placement r.Sim_core.schedule 0).Schedule.procs));
+  Gc.full_major ();
+  Alcotest.(check bool) "the result's processor block was collected" false
+    (Weak.check blocks 0)
+
 let test_domain_arena_run_one_unchanged () =
   (* Experiment.run_one now runs lean on the domain's arena; its numbers
      must match a plain full run. *)
@@ -1058,6 +1142,12 @@ let () =
             test_result_does_not_alias_arena;
           Alcotest.test_case "full recording allocation budget" `Quick
             test_full_recording_allocation_budget;
+          Alcotest.test_case "batch run words per task" `Quick
+            test_batch_run_words_per_task;
+          Alcotest.test_case "nested run falls back to a private arena"
+            `Quick test_nested_run_falls_back;
+          Alcotest.test_case "domain arena drops a finished run" `Quick
+            test_domain_arena_drops_finished_run;
           Alcotest.test_case "run_one on domain arena" `Quick
             test_domain_arena_run_one_unchanged;
         ] );

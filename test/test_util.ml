@@ -294,6 +294,73 @@ let prop_prefix_min_matches_model =
           end)
         ops)
 
+
+(* ---------------------------------------------------------- Ranked_queue *)
+
+let test_ranked_queue_basic () =
+  let t = Ranked_queue.create ~k:8 in
+  Alcotest.(check int) "empty fit" 0 (Ranked_queue.fit t ~free:8);
+  Ranked_queue.push t ~alloc:3 ~key:1. ~tie:0 ~id:30;
+  Ranked_queue.push t ~alloc:5 ~key:2. ~tie:1 ~id:50;
+  Ranked_queue.push t ~alloc:1 ~key:1. ~tie:2 ~id:10;
+  Ranked_queue.push t ~alloc:2 ~key:Float.nan ~tie:3 ~id:20;
+  Alcotest.(check int) "length" 4 (Ranked_queue.length t);
+  (* Higher key first, then lower tie; NaN last. *)
+  Alcotest.(check int) "whole queue" 5 (Ranked_queue.fit t ~free:100);
+  Alcotest.(check int) "prefix [1,4]" 3 (Ranked_queue.fit t ~free:4);
+  Alcotest.(check int) "nothing below 1" 0 (Ranked_queue.fit t ~free:0);
+  Alcotest.(check int) "pop" 30 (Ranked_queue.pop t ~alloc:3);
+  Alcotest.(check int) "then the later tie" 1 (Ranked_queue.fit t ~free:4);
+  Alcotest.(check int) "top" 10 (Ranked_queue.top t ~alloc:1);
+  Alcotest.(check int) "pop" 10 (Ranked_queue.pop t ~alloc:1);
+  Alcotest.(check int) "NaN key" 2 (Ranked_queue.fit t ~free:4);
+  Alcotest.check_raises "alloc out of range"
+    (Invalid_argument "Ranked_queue.push: allocation 9 outside [1, 8]")
+    (fun () -> Ranked_queue.push t ~alloc:9 ~key:0. ~tie:0 ~id:0);
+  Alcotest.check_raises "empty bucket"
+    (Invalid_argument "Ranked_queue.pop: bucket 4 is empty") (fun () ->
+      ignore (Ranked_queue.pop t ~alloc:4 : int))
+
+(* After a warm-up that grows every bucket to its high-water mark, pushes
+   and pops allocate nothing: in buckets that stay sorted runs (keys equal,
+   ties in arrival order) and in buckets that turn into heaps (keys out of
+   order) alike, with launches at every free count.  The entries are built
+   up front, so their boxed keys are not counted. *)
+let test_ranked_queue_allocates_nothing () =
+  let k = 8 and n = 4096 in
+  let entries =
+    Array.init n (fun i ->
+        let alloc = 1 + (i mod k) in
+        let key = if alloc <= k / 2 then 0. else float_of_int (i * 7 mod 13) in
+        (key, i, alloc))
+  in
+  let q = Ranked_queue.create ~k in
+  let cycle () =
+    for i = 0 to n - 1 do
+      let key, tie, alloc = entries.(i) in
+      Ranked_queue.push q ~alloc ~key ~tie ~id:tie;
+      (* Interleave launches so sorted runs start away from slot 0. *)
+      if i mod 5 = 0 then begin
+        let a = Ranked_queue.fit q ~free:(1 + (i mod k)) in
+        if a > 0 then ignore (Ranked_queue.pop q ~alloc:a : int)
+      end
+    done;
+    let j = ref 0 in
+    while not (Ranked_queue.is_empty q) do
+      let a = Ranked_queue.fit q ~free:(1 + (!j mod k)) in
+      if a > 0 then ignore (Ranked_queue.pop q ~alloc:a : int);
+      incr j
+    done
+  in
+  cycle ();
+  cycle ();
+  let w0 = Gc.minor_words () in
+  cycle ();
+  let w1 = Gc.minor_words () in
+  let w2 = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "minor words over a warm cycle" 0.
+    (w1 -. w0 -. (w2 -. w1))
+
 (* -------------------------------------------------------------- Numerics *)
 
 let test_golden_quadratic () =
@@ -1048,6 +1115,12 @@ let () =
           Alcotest.test_case "rejects bad keys" `Quick
             test_prefix_min_rejects_bad_keys;
           qt prop_prefix_min_matches_model;
+        ] );
+      ( "ranked_queue",
+        [
+          Alcotest.test_case "basic queries" `Quick test_ranked_queue_basic;
+          Alcotest.test_case "push and pop allocate nothing" `Quick
+            test_ranked_queue_allocates_nothing;
         ] );
       ( "numerics",
         [
