@@ -1116,7 +1116,7 @@ let () =
             test_prefix_min_rejects_bad_keys;
           qt prop_prefix_min_matches_model;
         ] );
-      ( "ranked_queue",
+      ( "rank_queue",
         [
           Alcotest.test_case "basic queries" `Quick test_ranked_queue_basic;
           Alcotest.test_case "push and pop allocate nothing" `Quick
