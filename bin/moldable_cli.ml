@@ -172,24 +172,17 @@ let workload_arg =
 
 let size_arg =
   Arg.(
-    value & opt int 40
+    value
+    & opt (int_in ~lo:0 ~hi:max_int) 40
     & info [ "n"; "size" ] ~docv:"N"
         ~doc:
-          "Workload size (task count target / tiles / width); at least 1 \
-           for chain and erdos, 2 for montage, 0 otherwise.")
+          "Workload size (task count target / tiles / width), >= 0; a size \
+           the workload's generator cannot build (such as chain with 0 or \
+           montage with 1) is a usage error.")
 
 let workload_name w = fst (List.find (fun (_, w') -> w' = w) workloads)
 
-(* A size the generator cannot build is a usage error (exit 2): chain and
-   erdos need a task, montage a width of two; the other families derive
-   their shape parameters with a floor and build any size >= 0. *)
-let make_workload which ~rng ~n ~kind =
-  let least = match which with `Chain | `Erdos -> 1 | `Montage -> 2 | _ -> 0 in
-  if n < least then begin
-    Printf.eprintf "-n %d: workload %s needs -n >= %d\n" n
-      (workload_name which) least;
-    exit 2
-  end;
+let generate which ~rng ~n ~kind =
   match which with
   | `Layered ->
     Moldable_workloads.Random_dag.layered ~rng ~n_layers:(max 2 (n / 8))
@@ -214,6 +207,15 @@ let make_workload which ~rng ~n ~kind =
   | `Ligo ->
     Moldable_workloads.Scientific.ligo ~rng ~blocks:(max 1 (n / 12))
       ~per_block:10 ~kind ()
+
+(* A size the generator rejects is a usage error (exit 2); the generator
+   owns its minimum. *)
+let make_workload which ~rng ~n ~kind =
+  match generate which ~rng ~n ~kind with
+  | dag -> dag
+  | exception Invalid_argument msg ->
+    Printf.eprintf "-n %d: workload %s: %s\n" n (workload_name which) msg;
+    exit 2
 
 let load_arg =
   Arg.(

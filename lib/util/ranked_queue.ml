@@ -1,42 +1,20 @@
-(* One bucket per allocation, each in three parallel flat arrays, and a
-   segment tree whose nodes cache the allocation (1..k) whose bucket holds
+(* One binary heap per allocation, each in three parallel flat arrays, and
+   a segment tree whose nodes cache the allocation (1..k) whose heap holds
    the first entry of the subtree, 0 for an empty subtree.  The tree only
-   depends on the bucket tops, which [top_key]/[top_tie] mirror in flat
+   depends on the heap roots, which [top_key]/[top_tie] mirror in flat
    arrays so that a node update reads two cells per child instead of
-   chasing the bucket record.
-
-   A bucket is a binary heap, except while its entries arrive in order:
-   under fifo every entry ties later than the last, and under widest/
-   narrowest-first the key is a function of the allocation, so a bucket
-   then only ever appends.  Such a bucket stays a sorted run [head, size)
-   — append at the end, pop at [head], no sifting — and turns into a heap
-   on the first out-of-order push.  A sorted run starting at 0 already is
-   a valid heap, so the switch moves nothing but the run's offset. *)
-
-type bucket = {
-  mutable keys : float array; (* flat float array: unboxed storage *)
-  mutable ties : int array;
-  mutable ids : int array;
-  mutable head : int; (* first live slot; 0 once the bucket is a heap *)
-  mutable size : int; (* one past the last live slot *)
-  mutable sorted : bool; (* [head, size) is in order; else a heap *)
-}
-
-let fresh_bucket () =
-  { keys = [||]; ties = [||]; ids = [||]; head = 0; size = 0; sorted = true }
-
-(* The shared placeholder of every bucket no entry has reached yet, so an
-   empty queue costs one word per allocation: [push] swaps in a bucket of
-   its own before writing, and nothing else writes to a bucket. *)
-let unused = fresh_bucket ()
+   chasing each heap's arrays. *)
 
 type t = {
   k : int;
   base : int; (* smallest power of two >= k *)
   tree : int array; (* 1-indexed; the leaf of [alloc] is base + alloc - 1 *)
-  top_key : float array; (* index 1..k; valid while the bucket is non-empty *)
+  keys : float array array; (* index 1..k; each a flat, unboxed float array *)
+  ties : int array array;
+  ids : int array array;
+  sizes : int array; (* live entries of each heap *)
+  top_key : float array; (* index 1..k; valid while the heap is non-empty *)
   top_tie : int array;
-  buckets : bucket array; (* index 1..k; slot 0 stays [unused] *)
   mutable length : int;
 }
 
@@ -50,9 +28,13 @@ let create ~k =
     k;
     base = !base;
     tree = Array.make (2 * !base) 0;
+    (* Empty heaps share [[||]] until their first push grows them. *)
+    keys = Array.make (k + 1) [||];
+    ties = Array.make (k + 1) [||];
+    ids = Array.make (k + 1) [||];
+    sizes = Array.make (k + 1) 0;
     top_key = Array.make (k + 1) 0.;
     top_tie = Array.make (k + 1) 0;
-    buckets = Array.make (k + 1) unused;
     length = 0;
   }
 
@@ -64,7 +46,7 @@ let[@inline] before (k1 : float) (t1 : int) (k2 : float) (t2 : int) =
   let c = Float.compare k1 k2 in
   c > 0 || (c = 0 && t1 < t2)
 
-(* The allocation of the two whose bucket top comes first; [a] (the lower
+(* The allocation of the two whose heap root comes first; [a] (the lower
    allocations, in every caller) wins ties. *)
 let[@inline] first t a b =
   if a = 0 then b
@@ -72,13 +54,12 @@ let[@inline] first t a b =
   else if before t.top_key.(b) t.top_tie.(b) t.top_key.(a) t.top_tie.(a) then b
   else a
 
-(* Refresh the leaf of [alloc] from its bucket, then every ancestor. *)
+(* Refresh the leaf of [alloc] from its heap's root, then every ancestor. *)
 let update t alloc =
-  let b = t.buckets.(alloc) in
   let leaf = t.base + alloc - 1 in
-  if b.size > b.head then begin
-    t.top_key.(alloc) <- b.keys.(b.head);
-    t.top_tie.(alloc) <- b.ties.(b.head);
+  if t.sizes.(alloc) > 0 then begin
+    t.top_key.(alloc) <- t.keys.(alloc).(0);
+    t.top_tie.(alloc) <- t.ties.(alloc).(0);
     t.tree.(leaf) <- alloc
   end
   else t.tree.(leaf) <- 0;
@@ -89,104 +70,49 @@ let update t alloc =
     node := n lsr 1
   done
 
-(* Move the live slots [head, size) to start at 0, into arrays of [cap]
-   slots (the same arrays when they are large enough). *)
-let rebase b cap =
-  let len = b.size - b.head in
-  if cap > Array.length b.ids then begin
-    let keys = Array.make cap 0.
-    and ties = Array.make cap 0
-    and ids = Array.make cap 0 in
-    Array.blit b.keys b.head keys 0 len;
-    Array.blit b.ties b.head ties 0 len;
-    Array.blit b.ids b.head ids 0 len;
-    b.keys <- keys;
-    b.ties <- ties;
-    b.ids <- ids
-  end
-  else if b.head > 0 then begin
-    Array.blit b.keys b.head b.keys 0 len;
-    Array.blit b.ties b.head b.ties 0 len;
-    Array.blit b.ids b.head b.ids 0 len
-  end;
-  b.head <- 0;
-  b.size <- len
-
-(* Room for one more slot at [size]: slide a sorted run down when at most
-   half the arrays are live, else double them. *)
-let make_room b =
-  let cap = Array.length b.ids in
-  if b.size = cap then
-    rebase b
-      (if b.head > 0 && 2 * (b.size - b.head) <= cap then cap
-       else max 16 (2 * cap))
-
-let bucket t ~alloc what =
+let check t ~alloc what =
   if alloc < 1 || alloc > t.k then
     invalid_arg
       (Printf.sprintf "Ranked_queue.%s: allocation %d outside [1, %d]" what
-         alloc t.k);
-  t.buckets.(alloc)
+         alloc t.k)
 
-(* Sift a hole up the heap from [size], drop the entry into it and return
-   its slot. *)
-let heap_push b ~key ~tie ~id =
-  let i = ref b.size in
+(* Double the arrays of a full heap (16 slots for its first entry). *)
+let grow t alloc size =
+  let cap = max 16 (2 * size) in
+  let keys = Array.make cap 0. and ties = Array.make cap 0 in
+  let ids = Array.make cap 0 in
+  Array.blit t.keys.(alloc) 0 keys 0 size;
+  Array.blit t.ties.(alloc) 0 ties 0 size;
+  Array.blit t.ids.(alloc) 0 ids 0 size;
+  t.keys.(alloc) <- keys;
+  t.ties.(alloc) <- ties;
+  t.ids.(alloc) <- ids
+
+let push t ~alloc ~key ~tie ~id =
+  check t ~alloc "push";
+  let size = t.sizes.(alloc) in
+  if size = Array.length t.ids.(alloc) then grow t alloc size;
+  let keys = t.keys.(alloc) and ties = t.ties.(alloc) and ids = t.ids.(alloc) in
+  (* Sift a hole up from [size], then drop the entry into it. *)
+  let i = ref size in
   let moving = ref true in
   while !moving && !i > 0 do
     let parent = (!i - 1) / 2 in
-    if before key tie b.keys.(parent) b.ties.(parent) then begin
-      b.keys.(!i) <- b.keys.(parent);
-      b.ties.(!i) <- b.ties.(parent);
-      b.ids.(!i) <- b.ids.(parent);
+    if before key tie keys.(parent) ties.(parent) then begin
+      keys.(!i) <- keys.(parent);
+      ties.(!i) <- ties.(parent);
+      ids.(!i) <- ids.(parent);
       i := parent
     end
     else moving := false
   done;
-  b.keys.(!i) <- key;
-  b.ties.(!i) <- tie;
-  b.ids.(!i) <- id;
-  b.size <- b.size + 1;
-  !i
-
-let push t ~alloc ~key ~tie ~id =
-  let b = bucket t ~alloc "push" in
-  let b =
-    if b != unused then b
-    else begin
-      let b = fresh_bucket () in
-      t.buckets.(alloc) <- b;
-      b
-    end
-  in
-  if b.size = b.head then begin
-    b.head <- 0;
-    b.size <- 0;
-    b.sorted <- true
-  end;
-  make_room b;
-  let last = b.size - 1 in
-  let slot =
-    if b.sorted && (last < b.head
-                    || not (before key tie b.keys.(last) b.ties.(last)))
-    then begin
-      b.keys.(b.size) <- key;
-      b.ties.(b.size) <- tie;
-      b.ids.(b.size) <- id;
-      b.size <- b.size + 1;
-      b.size - 1
-    end
-    else begin
-      if b.sorted then begin
-        rebase b (Array.length b.ids);
-        b.sorted <- false
-      end;
-      heap_push b ~key ~tie ~id
-    end
-  in
+  keys.(!i) <- key;
+  ties.(!i) <- tie;
+  ids.(!i) <- id;
+  t.sizes.(alloc) <- size + 1;
   t.length <- t.length + 1;
-  (* The tree reads bucket tops only: a push below the top changes none. *)
-  if slot = b.head then update t alloc
+  (* The tree reads heap roots only: a push below the root changes none. *)
+  if !i = 0 then update t alloc
 
 (* Prefix [1, free]: climbing from the leaf of [free], every left sibling
    on the path covers allocations entirely below it, so the prefix's first
@@ -210,22 +136,24 @@ let fit t ~free =
   end
 
 let nonempty t ~alloc what =
-  let b = bucket t ~alloc what in
-  if b.size = b.head then
+  check t ~alloc what;
+  if t.sizes.(alloc) = 0 then
     invalid_arg
-      (Printf.sprintf "Ranked_queue.%s: bucket %d is empty" what alloc);
-  b
+      (Printf.sprintf "Ranked_queue.%s: bucket %d is empty" what alloc)
 
 let top t ~alloc =
-  let b = nonempty t ~alloc "top" in
-  b.ids.(b.head)
+  nonempty t ~alloc "top";
+  t.ids.(alloc).(0)
 
-(* Move the last heap entry into the root's hole and sift it down. *)
-let heap_pop b =
-  let size = b.size - 1 in
-  b.size <- size;
+let pop t ~alloc =
+  nonempty t ~alloc "pop";
+  let keys = t.keys.(alloc) and ties = t.ties.(alloc) and ids = t.ids.(alloc) in
+  let id = ids.(0) in
+  let size = t.sizes.(alloc) - 1 in
+  t.sizes.(alloc) <- size;
+  (* Move the last entry into the root's hole and sift it down. *)
   if size > 0 then begin
-    let key = b.keys.(size) and tie = b.ties.(size) and lid = b.ids.(size) in
+    let key = keys.(size) and tie = ties.(size) and last = ids.(size) in
     let i = ref 0 in
     let moving = ref true in
     while !moving do
@@ -234,28 +162,22 @@ let heap_pop b =
       else begin
         let r = l + 1 in
         let c =
-          if r < size && before b.keys.(r) b.ties.(r) b.keys.(l) b.ties.(l)
-          then r
+          if r < size && before keys.(r) ties.(r) keys.(l) ties.(l) then r
           else l
         in
-        if before b.keys.(c) b.ties.(c) key tie then begin
-          b.keys.(!i) <- b.keys.(c);
-          b.ties.(!i) <- b.ties.(c);
-          b.ids.(!i) <- b.ids.(c);
+        if before keys.(c) ties.(c) key tie then begin
+          keys.(!i) <- keys.(c);
+          ties.(!i) <- ties.(c);
+          ids.(!i) <- ids.(c);
           i := c
         end
         else moving := false
       end
     done;
-    b.keys.(!i) <- key;
-    b.ties.(!i) <- tie;
-    b.ids.(!i) <- lid
-  end
-
-let pop t ~alloc =
-  let b = nonempty t ~alloc "pop" in
-  let id = b.ids.(b.head) in
-  if b.sorted then b.head <- b.head + 1 else heap_pop b;
+    keys.(!i) <- key;
+    ties.(!i) <- tie;
+    ids.(!i) <- last
+  end;
   t.length <- t.length - 1;
   update t alloc;
   id

@@ -322,10 +322,10 @@ let test_ranked_queue_basic () =
       ignore (Ranked_queue.pop t ~alloc:4 : int))
 
 (* After a warm-up that grows every bucket to its high-water mark, pushes
-   and pops allocate nothing: in buckets that stay sorted runs (keys equal,
-   ties in arrival order) and in buckets that turn into heaps (keys out of
-   order) alike, with launches at every free count.  The entries are built
-   up front, so their boxed keys are not counted. *)
+   and pops allocate nothing: in buckets whose entries arrive in order
+   (keys equal, ties in arrival order) and in buckets whose keys arrive out
+   of order alike, with launches at every free count.  The entries are
+   built up front, so their boxed keys are not counted. *)
 let test_ranked_queue_allocates_nothing () =
   let k = 8 and n = 4096 in
   let entries =
@@ -339,7 +339,7 @@ let test_ranked_queue_allocates_nothing () =
     for i = 0 to n - 1 do
       let key, tie, alloc = entries.(i) in
       Ranked_queue.push q ~alloc ~key ~tie ~id:tie;
-      (* Interleave launches so sorted runs start away from slot 0. *)
+      (* Interleave launches so buckets shrink while they fill. *)
       if i mod 5 = 0 then begin
         let a = Ranked_queue.fit q ~free:(1 + (i mod k)) in
         if a > 0 then ignore (Ranked_queue.pop q ~alloc:a : int)
