@@ -1088,10 +1088,9 @@ let scalability () =
 
 (* --------------------------------------------- Scalability of the hot path *)
 
-let scalability_hot_path pool () =
-  (* The timed runs stay on a single domain — racing them across workers
-     would corrupt the per-row wall clocks; the pool only accelerates the
-     feasibility validation of the large schedules. *)
+let scalability_hot_path () =
+  (* The timed runs stay on a single domain: racing them across workers
+     would corrupt the per-row wall clocks. *)
   let tab =
     Texttab.create
       ~headers:
@@ -1108,7 +1107,7 @@ let scalability_hot_path pool () =
                ~p ())
             dag)
     in
-    if n <= 10_000 then Validate.check_exn ~pool ~dag heap.Sim_core.schedule;
+    if n <= 10_000 then Validate.check_exn ~dag heap.Sim_core.schedule;
     let reference =
       if with_reference then begin
         let r, t_ref =
@@ -2209,7 +2208,7 @@ let sections pool =
       title =
         "Scalability — wall-clock time to build, bound and schedule growing \
          layered DAGs with Algorithm 1 (single core)" };
-    { name = "scalability_hot_path"; run = scalability_hot_path pool;
+    { name = "scalability_hot_path"; run = scalability_hot_path;
       title =
         "Scalability (hot path) — heap-backed ready queue, one analysis per \
          reveal, vs the seed's sorted-list reference policy, on DAGs up to \

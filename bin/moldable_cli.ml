@@ -83,10 +83,10 @@ let jobs_arg =
     value & opt pos_int 1
     & info [ "j"; "jobs" ] ~docv:"JOBS"
         ~doc:
-          "Worker domains for the parallel parts (policy sweeps fan out per \
-           (policy, instance) cell, large schedules validate in parallel). \
-           Results are bit-identical at any job count; 1 (the default) is \
-           fully sequential.")
+          "Worker domains for policy sweeps, which fan out per (policy, \
+           instance) cell.  Results are bit-identical at any job count; 1 \
+           (the default) is fully sequential.  $(b,simulate) and \
+           $(b,trace) run on one domain and ignore it.")
 
 (* Exit-code contract: usage errors exit 2 (cmdliner's, see the bottom of
    this file), runtime failures 125 through [fail], failed checks 1. *)
@@ -368,11 +368,10 @@ let theorem9_cmd =
 (* -------------------------------------------------------------- simulate *)
 
 let simulate_cmd =
-  let run kind p seed workload n gantt svg load save swf metrics_out algo jobs
+  let run kind p seed workload n gantt svg load save swf metrics_out algo _jobs
       telemetry =
     let registry = registry_of_telemetry telemetry in
     let gc_before = Moldable_obs.Gc_sample.read () in
-    Pool.with_pool ~jobs ~registry @@ fun pool ->
     let { dag; releases; _ } = read_input ~kind ~seed ~workload ~n ~load ~swf in
     Option.iter
       (fun path ->
@@ -386,14 +385,14 @@ let simulate_cmd =
            ())
         dag
     in
-    Validate.check_exn ~pool ~dag result.Sim_core.schedule;
+    Validate.check_exn ~dag result.Sim_core.schedule;
     let bounds = Bounds.compute ~p dag in
     let makespan = Schedule.makespan result.Sim_core.schedule in
     Printf.printf "%s\n" (Format.asprintf "%a" Dag.pp_stats dag);
     Printf.printf "%s\n" (Format.asprintf "%a" Bounds.pp bounds);
     Printf.printf "makespan %.4f  ratio-vs-LB %.4f  avg-utilization %.1f%%\n"
       makespan
-      (makespan /. bounds.Bounds.lower_bound)
+      (Ratio_report.ratio ~makespan ~lower_bound:bounds.Bounds.lower_bound)
       (100. *. Schedule.average_utilization result.Sim_core.schedule);
     Printf.printf "%s\n"
       (Format.asprintf "%a" Metrics.pp result.Sim_core.metrics);
@@ -451,8 +450,7 @@ let simulate_cmd =
 (* ----------------------------------------------------------------- trace *)
 
 let trace_cmd =
-  let run kind p seed workload n load chrome gantt explain algo jobs =
-    Pool.with_pool ~jobs @@ fun pool ->
+  let run kind p seed workload n load chrome gantt explain algo _jobs =
     let { dag; name; _ } =
       read_input ~kind ~seed ~workload ~n ~load ~swf:None
     in
@@ -462,7 +460,7 @@ let trace_cmd =
       Online_scheduler.run ~allocator:(allocator_of algo) ~tracer
         ~p dag
     in
-    Validate.check_exn ~pool ~dag result.Sim_core.schedule;
+    Validate.check_exn ~dag result.Sim_core.schedule;
     let makespan = Schedule.makespan result.Sim_core.schedule in
     Printf.printf "%s\n" (Format.asprintf "%a" Dag.pp_stats dag);
     Printf.printf "%s\n"

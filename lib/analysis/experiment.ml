@@ -44,34 +44,45 @@ let default_policies =
        (fun (label, make) -> { label; make = (fun ~p -> make ~p) })
        Baselines.named
 
-let run_one ?(validate = true) ~p spec dag =
-  (* Sweep cells need only the makespan, so the simulation runs lean on the
-     calling domain's arena: pool workers are long-lived, so a sweep's
-     steady state allocates no per-run simulator storage.  The schedule —
-     and hence every reported number — is identical to a full run. *)
+(* One sweep cell: [spec]'s schedule of [dag], checked, and its ratio to
+   the instance's Lemma 2 bound.  Sweep cells need only the makespan, so
+   the simulation runs lean on the calling domain's arena: pool workers are
+   long-lived, so a sweep's steady state allocates no per-run simulator
+   storage.  The schedule — and hence every reported number — is identical
+   to a full run. *)
+let cell ~validate ~p ~lower_bound spec dag =
   let result =
     Sim_core.run ~arena:(Sim_core.Arena.for_current_domain ()) ~lean:true ~p
       (spec.make ~p) dag
   in
   if validate then Validate.check_exn ~dag result.Sim_core.schedule;
-  let lb = (Bounds.compute ~p dag).Bounds.lower_bound in
   let makespan = Schedule.makespan result.Sim_core.schedule in
-  (makespan, makespan /. lb)
+  (makespan, Ratio_report.ratio ~makespan ~lower_bound)
+
+let lower_bound ~p dag = (Bounds.compute ~p dag).Bounds.lower_bound
+
+let run_one ?(validate = true) ~p spec dag =
+  cell ~validate ~p ~lower_bound:(lower_bound ~p dag) spec dag
 
 let evaluate ?(validate = true) ?(pool = Pool.sequential)
     ?(registry = Moldable_obs.Registry.null) ~p ~workload ~policies dags =
-  (* Fan out one cell per (policy, instance) pair.  Each cell is a pure
-     function of its (pre-built) DAG and policy spec — no shared mutable
-     state, no RNG draw after dispatch — so the result array is identical
-     at any job count; [Pool.parallel_map] puts cell [i]'s result at
-     index [i].  Cells are heavyweight and heterogeneous, hence chunk 1. *)
+  (* The Lemma 2 bound depends only on the instance and P, so it is
+     computed once per instance, not once per cell.  Then one cell per
+     (policy, instance) pair.  Each cell is a pure function of its
+     (pre-built) DAG, bound and policy spec — no shared mutable state, no
+     RNG draw after dispatch — so the result array is identical at any job
+     count; [Pool.parallel_map] puts element [i]'s result at index [i].
+     Bounds and cells are heavyweight and heterogeneous, hence chunk 1. *)
   let dag_arr = Array.of_list dags in
   let n_dags = Array.length dag_arr in
+  let lower_bounds = Pool.parallel_map ~chunk:1 pool (lower_bound ~p) dag_arr in
   let spec_arr = Array.of_list policies in
   let cells =
-    Array.init
-      (Array.length spec_arr * n_dags)
-      (fun c -> (spec_arr.(c / n_dags), dag_arr.(c mod n_dags)))
+    Array.init (Array.length spec_arr * n_dags) (fun c ->
+        (spec_arr.(c / n_dags), c mod n_dags))
+  in
+  let run_cell (spec, j) =
+    cell ~validate ~p ~lower_bound:lower_bounds.(j) spec dag_arr.(j)
   in
   (* Telemetry wraps each cell from the outside (cell count + wall-clock
      latency histogram); the cell computation itself stays a pure function
@@ -79,8 +90,7 @@ let evaluate ?(validate = true) ?(pool = Pool.sequential)
      registry and at any job count. *)
   let eval_cell =
     let module R = Moldable_obs.Registry in
-    if not (R.enabled registry) then fun (spec, dag) ->
-      run_one ~validate ~p spec dag
+    if not (R.enabled registry) then run_cell
     else begin
       let n_cells =
         R.counter registry ~name:"moldable_sweep_cells"
@@ -90,9 +100,9 @@ let evaluate ?(validate = true) ?(pool = Pool.sequential)
         R.histogram registry ~name:"moldable_sweep_cell_seconds"
           ~help:"Wall-clock seconds per sweep cell"
       in
-      fun (spec, dag) ->
+      fun c ->
         let t0 = Clock.now () in
-        let r = run_one ~validate ~p spec dag in
+        let r = run_cell c in
         R.incr n_cells;
         R.observe cell_h (Clock.now () -. t0);
         r

@@ -1,7 +1,7 @@
 (** Batch experiment harness: run a set of scheduling policies over a set of
     task graphs, validate every produced schedule, and report the
     distribution of the normalized makespan [T / LB] where [LB] is the
-    Lemma 2 lower bound on the optimal makespan.  Because [LB <= T_opt],
+    Lemma 2 lower bound on the optimal makespan ([1.] on an empty graph).  Because [LB <= T_opt],
     the reported ratios over-estimate the true [T / T_opt]; the proven
     competitive ratios bound them too. *)
 
@@ -15,7 +15,7 @@ type outcome = {
   workload : string;
   policy : string;
   p : int;
-  ratios : float list;       (** One per instance, [T / LB]. *)
+  ratios : float list;       (** One per instance, {!Ratio_report.ratio}. *)
   makespans : float list;
   summary : Stats.summary;   (** Of [ratios]. *)
 }
@@ -38,20 +38,26 @@ val evaluate :
   ?validate:bool -> ?pool:Pool.t -> ?registry:Moldable_obs.Registry.t ->
   p:int -> workload:string ->
   policies:policy_spec list -> Dag.t list -> outcome list
-(** Runs every policy over every graph.  With [validate] (default true)
-    every schedule is checked by {!Moldable_sim.Validate} and a failure
-    raises.  [pool] (default {!Moldable_util.Pool.sequential}) fans the
-    (policy, instance) cells out over its domains; every cell is a pure
-    function of its inputs, so the outcomes are bit-for-bit identical at
-    any job count.
+(** Runs every policy over every graph.  The Lemma 2 bound
+    ({!Moldable_graph.Bounds.compute}) depends only on the graph and [p],
+    so it is computed once per graph and shared by that graph's cells.
+    With [validate] (default true) every schedule is checked by
+    {!Moldable_sim.Validate} and a failure raises.  [pool] (default
+    {!Moldable_util.Pool.sequential}) fans the bounds (one per graph) and
+    then the (policy, instance) cells out over its domains; every cell is a
+    pure function of its inputs, so the outcomes are bit-for-bit identical
+    at any job count and to {!run_one} on each cell.
 
     [registry] (default {!Moldable_obs.Registry.null}) counts evaluated
     cells ([moldable_sweep_cells]) and records a per-cell wall-clock
-    latency histogram ([moldable_sweep_cell_seconds]); the telemetry wraps
-    each cell from the outside, so outcomes are unchanged. *)
+    latency histogram ([moldable_sweep_cell_seconds]: the simulation, the
+    validation and the ratio, not the bound); the telemetry wraps each
+    cell from the outside, so outcomes are unchanged. *)
 
 val run_one : ?validate:bool -> p:int -> policy_spec -> Dag.t -> float * float
-(** [(makespan, ratio)] for one instance. *)
+(** [(makespan, ratio)] for one instance: the cell {!evaluate} runs, after
+    computing the instance's own bound.  The ratio is
+    {!Ratio_report.ratio}, so an empty graph reads [1.]. *)
 
 val equal_outcome : outcome -> outcome -> bool
 (** Exact (bit-for-bit, [Float.equal]) equality of two outcomes — the

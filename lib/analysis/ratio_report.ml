@@ -25,6 +25,9 @@ let table1_upper_bound = published Moldable_theory.Model_bounds.paper_upper
 let improved_upper_bound =
   published Moldable_theory.Improved_bounds.paper_upper
 
+let ratio ~makespan ~lower_bound =
+  if lower_bound > 0. then makespan /. lower_bound else 1.
+
 let kind_of_dag dag =
   let n = Dag.n dag in
   if n = 0 then Speedup.Kind_arbitrary
@@ -42,7 +45,7 @@ let of_run ?model ?proven_bound ~workload ~p ~makespan dag =
   let model = match model with Some k -> k | None -> kind_of_dag dag in
   let area_bound = b.Bounds.a_min_total /. float_of_int p in
   let lower_bound = b.Bounds.lower_bound in
-  let ratio = if lower_bound > 0. then makespan /. lower_bound else 1. in
+  let ratio = ratio ~makespan ~lower_bound in
   let proven_bound =
     match proven_bound with
     | Some b -> b

@@ -40,6 +40,11 @@ val improved_upper_bound : Speedup.kind -> float
     communication 3.39, Amdahl 4.55, general 4.63; [infinity] for
     power-law and arbitrary speedups. *)
 
+val ratio : makespan:float -> lower_bound:float -> float
+(** [makespan /. lower_bound], or [1.] when the bound is not positive (an
+    empty instance, whose makespan is 0).  The one ratio of a run to its
+    Lemma 2 bound, shared by {!of_run}, {!Experiment} and the CLI. *)
+
 val kind_of_dag : Dag.t -> Speedup.kind
 (** The common speedup family of the graph's tasks; [Kind_arbitrary] when
     the graph mixes families or is empty. *)

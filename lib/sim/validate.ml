@@ -9,72 +9,95 @@ let add errors fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt
    placement is a single successful attempt, so [check] passes each
    placement and [check_attempts] every attempt, failed ones included. *)
 
-(* Durations: independent per execution, so chunked over the pool; the
-   option array keeps error messages in index order regardless of which
-   domain produced them. *)
-let check_durations errors ~pool ~dag ~label execs =
-  Moldable_util.Pool.parallel_map pool
-    (fun k ->
-      let { Schedule.task_id; start; finish; nprocs; _ } = execs.(k) in
-      let expected = Task.time (Dag.task dag task_id) nprocs in
-      if Fcmp.approx ~eps:1e-6 expected (finish -. start) then None
-      else
-        Some
-          (Printf.sprintf
-             "%s on %d procs should run %.9g time units but runs %.9g"
-             (label k) nprocs expected (finish -. start)))
-    (Array.init (Array.length execs) Fun.id)
-  |> Array.iter (Option.iter (fun e -> errors := e :: !errors))
+(* Durations, in execution order. *)
+let check_durations errors ~dag ~label execs =
+  for k = 0 to Array.length execs - 1 do
+    let { Schedule.task_id; start; finish; nprocs; _ } = execs.(k) in
+    let expected = Task.time (Dag.task dag task_id) nprocs in
+    if not (Fcmp.approx ~eps:1e-6 expected (finish -. start)) then
+      add errors "%s on %d procs should run %.9g time units but runs %.9g"
+        (label k) nprocs expected (finish -. start)
+  done
 
-(* Precedence against successful completions: [finish i] is NaN when task
+(* Precedence against successful completions: [finish.(i)] is NaN when task
    [i] never succeeded.  Every float comparison with NaN is false, so that
    case is flagged explicitly or the whole downstream subgraph would be
-   silently accepted. *)
-let check_precedence errors ~dag ~label ~finish ~iter_execs execs =
-  List.iter
-    (fun (i, j) ->
-      let fi = finish i in
-      iter_execs j (fun k ->
-          let start = execs.(k).Schedule.start in
-          if Float.is_nan fi then
-            add errors
-              "edge (%d,%d) violated: %s ran although predecessor %d never \
-               succeeded"
-              i j (label k) i
-          else if Fcmp.lt ~eps:1e-6 start fi then
-            add errors
-              "edge (%d,%d) violated: %s starts at %.9g before %d finishes \
-               at %.9g"
-              i j (label k) start i fi))
-    (Dag.edges dag)
+   silently accepted.  [runs.(j)] lists task [j]'s executions.  Walking
+   each task's ascending successor list in id order visits the edges in
+   lexicographic order. *)
+let rec check_runs errors ~label ~finish execs i j = function
+  | [] -> ()
+  | k :: ks ->
+    let fi = finish.(i) and start = execs.(k).Schedule.start in
+    if Float.is_nan fi then
+      add errors
+        "edge (%d,%d) violated: %s ran although predecessor %d never \
+         succeeded"
+        i j (label k) i
+    else if Fcmp.lt ~eps:1e-6 start fi then
+      add errors
+        "edge (%d,%d) violated: %s starts at %.9g before %d finishes at %.9g"
+        i j (label k) start i fi;
+    check_runs errors ~label ~finish execs i j ks
 
-(* Processor disjointness: sweep; at equal times releases come first so
-   back-to-back reuse of a processor is legal. *)
+let rec check_successors errors ~label ~finish ~runs execs i = function
+  | [] -> ()
+  | j :: js ->
+    check_runs errors ~label ~finish execs i j runs.(j);
+    check_successors errors ~label ~finish ~runs execs i js
+
+let check_precedence errors ~dag ~label ~finish ~runs execs =
+  for i = 0 to Dag.n dag - 1 do
+    check_successors errors ~label ~finish ~runs execs i (Dag.successors dag i)
+  done
+
+(* Processor disjointness: a sweep over the executions' events.  Event [2k]
+   is execution [k]'s finish and event [2k + 1] its start.  They are sorted
+   by time under [Float.compare] (NaN first, [-0.] equal to [0.]), then
+   finishes before starts, so that back-to-back reuse of a processor is
+   legal, then by execution index, descending.  The order is total, so
+   the sort has one result.  O(m log m + sum of nprocs) time and
+   O(m + p) memory for m executions. *)
 let check_overlaps errors ~p ~label execs =
-  let events = ref [] in
+  let m = Array.length execs in
+  let times = Float.Array.create (2 * m) in
   Array.iteri
-    (fun k (pl : Schedule.placement) ->
-      events := (pl.start, 1, k) :: (pl.finish, 0, k) :: !events)
+    (fun k (x : Schedule.placement) ->
+      Float.Array.set times (2 * k) x.finish;
+      Float.Array.set times ((2 * k) + 1) x.start)
     execs;
+  let events = Array.init (2 * m) Fun.id in
+  Array.stable_sort
+    (fun a b ->
+      match Float.compare (Float.Array.get times a) (Float.Array.get times b) with
+      | 0 ->
+        if a land 1 = b land 1 then Int.compare b a
+        else (a land 1) - (b land 1)
+      | c -> c)
+    events;
   let occupied = Array.make p (-1) in
-  List.sort
-    (fun (ta, ka, _) (tb, kb, _) ->
-      match Float.compare ta tb with 0 -> Int.compare ka kb | c -> c)
-    !events
-  |> List.iter (fun (_, phase, k) ->
-         Array.iter
-           (fun proc ->
-             if phase = 0 then (
-               if occupied.(proc) = k then occupied.(proc) <- -1)
-             else if occupied.(proc) >= 0 then
-               add errors "processor %d used by %s and %s simultaneously" proc
-                 (label occupied.(proc)) (label k)
-             else occupied.(proc) <- k)
-           execs.(k).Schedule.procs)
+  for e = 0 to (2 * m) - 1 do
+    let ev = events.(e) in
+    let k = ev lsr 1 in
+    let procs = execs.(k).Schedule.procs in
+    if ev land 1 = 0 then
+      for q = 0 to Array.length procs - 1 do
+        if occupied.(procs.(q)) = k then occupied.(procs.(q)) <- -1
+      done
+    else
+      for q = 0 to Array.length procs - 1 do
+        let proc = procs.(q) in
+        let owner = occupied.(proc) in
+        if owner >= 0 then
+          add errors "processor %d used by %s and %s simultaneously" proc
+            (label owner) (label k)
+        else occupied.(proc) <- k
+      done
+  done
 
 let verdict errors = match !errors with [] -> Ok () | es -> Error (List.rev es)
 
-let check ?(pool = Moldable_util.Pool.sequential) ~dag sched =
+let check ~dag sched =
   let errors = ref [] in
   let n = Dag.n dag in
   if Schedule.n sched <> n then
@@ -83,10 +106,11 @@ let check ?(pool = Moldable_util.Pool.sequential) ~dag sched =
   let m = min n (Schedule.n sched) in
   let execs = Array.init m (Schedule.placement sched) in
   let label = Printf.sprintf "task %d" in
-  check_durations errors ~pool ~dag ~label execs;
-  check_precedence errors ~dag ~label execs
-    ~finish:(fun i -> if i < m then execs.(i).finish else nan)
-    ~iter_execs:(fun j f -> if j < m then f j);
+  let finish = Array.make n nan in
+  Array.iteri (fun k (x : Schedule.placement) -> finish.(k) <- x.finish) execs;
+  check_durations errors ~dag ~label execs;
+  check_precedence errors ~dag ~label ~finish execs
+    ~runs:(Array.init n (fun j -> if j < m then [ j ] else []));
   check_overlaps errors ~p:(Schedule.p sched) ~label execs;
   verdict errors
 
@@ -135,9 +159,8 @@ let check_attempts ~dag ~p attempts =
         else if idx = last then finish.(i) <- a.finish)
       ks
   done;
-  check_durations errors ~pool:Moldable_util.Pool.sequential ~dag ~label execs;
-  check_precedence errors ~dag ~label execs ~finish:(Array.get finish)
-    ~iter_execs:(fun j f -> List.iter f per_task.(j));
+  check_durations errors ~dag ~label execs;
+  check_precedence errors ~dag ~label ~finish ~runs:per_task execs;
   check_overlaps errors ~p ~label execs;
   verdict errors
 
@@ -145,8 +168,7 @@ let fail_on what = function
   | Ok () -> ()
   | Error es -> failwith (what ^ ":\n  " ^ String.concat "\n  " es)
 
-let check_exn ?pool ~dag sched =
-  fail_on "invalid schedule" (check ?pool ~dag sched)
+let check_exn ~dag sched = fail_on "invalid schedule" (check ~dag sched)
 
 let check_attempts_exn ~dag ~p attempts =
   fail_on "invalid attempts" (check_attempts ~dag ~p attempts)
