@@ -83,10 +83,9 @@ let jobs_arg =
     value & opt pos_int 1
     & info [ "j"; "jobs" ] ~docv:"JOBS"
         ~doc:
-          "Worker domains for policy sweeps, which fan out per (policy, \
+          "Worker domains for the sweep, which fans out per (policy, \
            instance) cell.  Results are bit-identical at any job count; 1 \
-           (the default) is fully sequential.  $(b,simulate) and \
-           $(b,trace) run on one domain and ignore it.")
+           (the default) is fully sequential.")
 
 (* Exit-code contract: usage errors exit 2 (cmdliner's, see the bottom of
    this file), runtime failures 125 through [fail], failed checks 1. *)
@@ -368,7 +367,7 @@ let theorem9_cmd =
 (* -------------------------------------------------------------- simulate *)
 
 let simulate_cmd =
-  let run kind p seed workload n gantt svg load save swf metrics_out algo _jobs
+  let run kind p seed workload n gantt svg load save swf metrics_out algo
       telemetry =
     let registry = registry_of_telemetry telemetry in
     let gc_before = Moldable_obs.Gc_sample.read () in
@@ -445,12 +444,12 @@ let simulate_cmd =
     Term.(
       const run $ kind_arg $ p_arg 64 $ seed_arg $ workload_arg $ size_arg
       $ gantt_arg $ svg_arg $ load_arg $ save_arg $ swf_arg $ metrics_arg
-      $ algorithm_arg $ jobs_arg $ telemetry_arg)
+      $ algorithm_arg $ telemetry_arg)
 
 (* ----------------------------------------------------------------- trace *)
 
 let trace_cmd =
-  let run kind p seed workload n load chrome gantt explain algo _jobs =
+  let run kind p seed workload n load chrome gantt explain algo =
     let { dag; name; _ } =
       read_input ~kind ~seed ~workload ~n ~load ~swf:None
     in
@@ -540,8 +539,7 @@ let trace_cmd =
           self-profile.")
     Term.(
       const run $ kind_arg $ p_arg 64 $ seed_arg $ workload_arg $ size_arg
-      $ load_arg $ chrome_arg $ gantt_arg $ explain_arg $ algorithm_arg
-      $ jobs_arg)
+      $ load_arg $ chrome_arg $ gantt_arg $ explain_arg $ algorithm_arg)
 
 (* ---------------------------------------------------------------- verify *)
 

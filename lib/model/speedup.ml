@@ -25,29 +25,42 @@ let kind_name = function
   | Kind_power -> "power"
   | Kind_arbitrary -> "arbitrary"
 
+(* The range checks come first, so a finite value keeps the message it
+   always had.  A value past them that is infinite or NaN (a wire number
+   such as [1e400] reads as infinity) is rejected after them: it gives no
+   finite execution time, and a simulation cannot schedule it. *)
 let validate = function
   | Roofline { w; ptilde } ->
     if w <= 0. then Error "roofline: w must be > 0"
     else if ptilde < 1 then Error "roofline: ptilde must be >= 1"
+    else if not (Float.is_finite w) then Error "roofline: w must be finite"
     else Ok ()
   | Communication { w; c } ->
     if w <= 0. then Error "communication: w must be > 0"
     else if c <= 0. then Error "communication: c must be > 0"
+    else if not (Float.is_finite w) then Error "communication: w must be finite"
+    else if not (Float.is_finite c) then Error "communication: c must be finite"
     else Ok ()
   | Amdahl { w; d } ->
     if w <= 0. then Error "amdahl: w must be > 0"
     else if d <= 0. then Error "amdahl: d must be > 0"
+    else if not (Float.is_finite w) then Error "amdahl: w must be finite"
+    else if not (Float.is_finite d) then Error "amdahl: d must be finite"
     else Ok ()
   | General { w; ptilde; d; c } ->
     if w <= 0. then Error "general: w must be > 0"
     else if ptilde < 1 then Error "general: ptilde must be >= 1"
     else if d < 0. then Error "general: d must be >= 0"
     else if c < 0. then Error "general: c must be >= 0"
+    else if not (Float.is_finite w) then Error "general: w must be finite"
+    else if not (Float.is_finite d) then Error "general: d must be finite"
+    else if not (Float.is_finite c) then Error "general: c must be finite"
     else Ok ()
   | Power { w; alpha } ->
     if w <= 0. then Error "power: w must be > 0"
-    else if alpha <= 0. || alpha > 1. then
+    else if not (alpha > 0. && alpha <= 1.) then
       Error "power: alpha must be in (0, 1]"
+    else if not (Float.is_finite w) then Error "power: w must be finite"
     else Ok ()
   | Arbitrary { time; _ } ->
     if time 1 <= 0. then Error "arbitrary: t(1) must be > 0" else Ok ()

@@ -45,7 +45,9 @@ val kind : t -> kind
 val kind_name : kind -> string
 
 val validate : t -> (unit, string) result
-(** Checks the parameter constraints documented on each constructor. *)
+(** Checks the parameter constraints documented on each constructor, and
+    that every float parameter is finite (NaN and infinities are rejected
+    after the range checks, with a ["... must be finite"] message). *)
 
 val time : t -> int -> float
 (** [time m p] is [t(p)]; [p >= 1] required. *)

@@ -85,8 +85,37 @@ val max_p : int
 (** Largest platform size an [open] accepts, [2^20]: a session allocates
     O(p) state when it opens, so a larger [p] is a [bad_request]. *)
 
+type scratch
+(** The typed field table a request is read into: one slot per field name
+    a request can carry.  It is reused from one request to the next, so
+    it belongs to one session (one caller at a time). *)
+
+val scratch : unit -> scratch
+
+val decode :
+  scratch -> ?max_bytes:int -> string -> (request, error_code * string) result
+(** [decode t ~max_bytes line] reads one request line in one pass, without
+    building a {!Moldable_obs.Json.t} tree: field values go straight into
+    [t] (numbers unboxed, keys matched where they lie in the line), and
+    the request is built from [t] once the line has been read to its end.
+
+    Its result is the one [Json.of_string ~max_bytes line] followed by
+    {!request_of_json} gives, on every input: [Parse_error] with the
+    parser's message and byte offset when the line is not one JSON
+    document (or is longer than [max_bytes]); [Bad_request] with
+    {!request_of_json}'s message when it is a document but not a valid
+    request.  So the first binding of a duplicated key wins, and a key the
+    request does not use is still checked in full (string escapes,
+    numbers, nesting depth) before it is skipped. *)
+
 val request_of_json : Moldable_obs.Json.t -> (request, string) result
+(** The request a parsed document holds.  It fills the same field table as
+    {!decode} (first binding of a key wins), so both share every check and
+    every message. *)
+
 val speedup_of_json : Moldable_obs.Json.t -> (Speedup.t, string) result
+(** The [model] field and its parameters, as a [submit] carries them,
+    checked with {!Moldable_model.Speedup.validate}. *)
 
 val placement_of_json :
   Moldable_obs.Json.t -> (Schedule.placement, string) result

@@ -169,6 +169,7 @@ type session = {
   h : handles;
   registry : Registry.t;
   input : Linebuf.t;
+  fields : Protocol.scratch;  (** The request being decoded. *)
   out : Buffer.t;  (** Responses rendered but not yet written. *)
   mutable phase : phase;
   mutable subscribed : bool;
@@ -251,7 +252,7 @@ let subscription_fields sess =
 
 let exn_message = function
   | Sim_core.Policy_error m -> m
-  | Failure m -> m
+  | Failure m | Invalid_argument m -> m
   | e -> Printexc.to_string e
 
 let handle_open sess (o : Protocol.open_spec) =
@@ -340,7 +341,10 @@ let handle_advance sess until =
            ]
           @ subscription_fields sess),
         `Continue )
-    | exception ((Sim_core.Policy_error _ | Failure _) as e) ->
+    | exception e ->
+      (* Whatever the stepper raises (a policy error, or an event time
+         that overflowed on extreme task parameters), the run is lost
+         but the session is not. *)
       abandon_phase sess;
       (Protocol.(error Internal) (exn_message e), `Continue))
 
@@ -360,7 +364,7 @@ let handle_drain sess =
            ]
           @ subscription_fields sess),
         `Continue )
-    | exception ((Sim_core.Policy_error _ | Failure _) as e) ->
+    | exception e ->
       (* [drain] closed the stepper and released the arena already. *)
       sess.phase <- Idle;
       (Protocol.(error Internal) (exn_message e), `Continue))
@@ -468,19 +472,16 @@ let handle_line sess line =
     send sess (Protocol.(error Limit) "session request budget exhausted");
     finish sess
   end;
-  match Json.of_string ~max_bytes:sess.limits.max_line_bytes line with
-  | Error e ->
+  match
+    Protocol.decode sess.fields ~max_bytes:sess.limits.max_line_bytes line
+  with
+  | Error (code, e) ->
     Registry.incr sess.h.protocol_errors;
-    send sess (Protocol.(error Parse_error) e)
-  | Ok j -> (
-    match Protocol.request_of_json j with
-    | Error e ->
-      Registry.incr sess.h.protocol_errors;
-      send sess (Protocol.(error Bad_request) e)
-    | Ok req -> (
-      let resp, action = handle_request sess req in
-      send sess resp;
-      match action with `End -> finish sess | `Continue -> ()))
+    send sess (Protocol.error code e)
+  | Ok req -> (
+    let resp, action = handle_request sess req in
+    send sess resp;
+    match action with `End -> finish sess | `Continue -> ())
 
 (* Serve every complete line read so far, then write all their responses
    at once. *)
@@ -516,6 +517,7 @@ let run_session ~limits ~stop ~h ~registry fd =
       h;
       registry;
       input = Linebuf.create 65536;
+      fields = Protocol.scratch ();
       out = Buffer.create 4096;
       phase = Idle;
       subscribed = false;

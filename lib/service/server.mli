@@ -22,14 +22,22 @@
     [stop] flag is seen between two lines of a batch.  Responses go out in
     request order and are byte-identical to rendering each one separately.
 
+    Each request line is read in one pass by {!Protocol.decode}, into a
+    field table the session keeps from one line to the next: no JSON tree
+    is built, and a line is accepted or rejected exactly as the hardened
+    {!Moldable_obs.Json.of_string} followed by {!Protocol.request_of_json}
+    would accept or reject it.
+
     Robustness against untrusted peers: request lines are bounded
-    ([max_line_bytes], parsed with the hardened
-    {!Moldable_obs.Json.of_string}), per-session request and task counts are
-    bounded, idle connections time out, and a peer that stops reading its
+    ([max_line_bytes]), per-session request and task counts are bounded,
+    idle connections time out, and a peer that stops reading its
     responses is evicted once a flush stays blocked longer than
     [write_timeout] (bounded write buffering — the slow-consumer policy).
     A malformed line gets a [parse_error] response and the session
-    continues at the next newline.
+    continues at the next newline.  A run whose stepper raises on
+    [advance] or [drain] (a policy error, or an event time that overflows
+    on extreme but finite task parameters) is abandoned with an
+    [internal] response; the session carries on.
 
     Shutdown is cooperative: set the [stop] flag (the CLI does so from its
     SIGTERM handler) and {!serve} stops accepting, lets every in-flight

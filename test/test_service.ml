@@ -525,6 +525,402 @@ let test_protocol_error_codes () =
       Protocol.Conflict; Protocol.Draining; Protocol.Internal;
     ]
 
+(* ------------------------------------------------ one-pass decoder pin *)
+
+module Ref = Moldable_oracle.Protocol_reference
+
+(* Requests compare structurally and by their rendering, which tells
+   [-0.] from [0.]. *)
+let same_request a b =
+  a = b
+  &&
+  match (Protocol.request_to_json a, Protocol.request_to_json b) with
+  | Ok ja, Ok jb -> Json.to_string_compact ja = Json.to_string_compact jb
+  | _ -> false
+
+let same_decode a b =
+  match (a, b) with
+  | Ok ra, Ok rb -> same_request ra rb
+  | Error (ca, ma), Error (cb, mb) -> ca = cb && String.equal ma mb
+  | _ -> false
+
+let show_decode = function
+  | Ok r -> (
+    match Protocol.request_to_json r with
+    | Ok j -> "Ok " ^ Json.to_string_compact j
+    | Error e -> "Ok <" ^ e ^ ">")
+  | Error (c, m) -> Printf.sprintf "Error (%s, %S)" (Protocol.error_code_name c) m
+
+let request_keys =
+  [ "op"; "p"; "algorithm"; "priority"; "seed"; "max_attempts"; "failures";
+    "model"; "w"; "ptilde"; "d"; "c"; "alpha"; "deps"; "release"; "label";
+    "until"; "since"; "on"; "q"; "k" ]
+
+let op_names =
+  [ "ping"; "open"; "submit"; "advance"; "status"; "events"; "subscribe";
+    "drain"; "schedule"; "makespan"; "metrics"; "close" ]
+
+(* Number literals at the edges the decoder must agree on: the 63-bit
+   range, negative zero, integral floats, overflow to infinity. *)
+let edge_numbers =
+  [ "0"; "-0"; "1"; "1.0"; "-1"; "2"; "16"; "0.5"; "1.5"; "0.25"; "1e400";
+    "-1e400"; "1e308"; "4611686018427387904"; "-4611686018427387904";
+    "4611686018427387903"; "-4611686018427387905"; "1048576"; "1048577";
+    "123456789012345"; "1234567890123456"; "1e-3"; "7E1"; "2.5e+1"; "0.1" ]
+
+let gen_number =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, oneofl edge_numbers);
+        (1, map (Printf.sprintf "%d") (int_range (-5) 50));
+        (1, map (Printf.sprintf "%.17g") (float_range (-10.) 1000.));
+      ])
+
+let gen_string_literal =
+  QCheck.Gen.(
+    map
+      (fun s -> "\"" ^ s ^ "\"")
+      (frequency
+         [
+           (4, oneofl op_names);
+           ( 3,
+             oneofl
+               [ "roofline"; "communication"; "comm"; "amdahl"; "general";
+                 "power"; "warp"; "original"; "improved"; "fifo";
+                 "longest-first"; "never"; "bernoulli"; "at_most"; "t1"; "";
+                 "stage\\n3"; "\\u0041b"; "\\ud83d\\ude00" ] );
+           (1, oneofl [ "s\\u0070"; "\\u00e9"; "\\ud800"; "\\x"; "a\\u00zz" ]);
+         ]))
+
+(* A key, sometimes with its first byte written as a \u escape: ["\u006fp"]
+   is the key [op]. *)
+let gen_key =
+  QCheck.Gen.(
+    let* k =
+      frequency
+        [ (6, oneofl request_keys); (1, oneofl [ "x"; "opp"; "o"; ""; "OP" ]) ]
+    in
+    let* escape = frequency [ (5, return false); (1, return true) ] in
+    return
+      (if escape && k <> "" then
+         Printf.sprintf "\"\\u%04x%s\"" (Char.code k.[0])
+           (String.sub k 1 (String.length k - 1))
+       else "\"" ^ k ^ "\""))
+
+(* [n] nested arrays around a number: past the default depth bound once
+   the enclosing object's levels are counted. *)
+let nested n = String.make n '[' ^ "1" ^ String.make n ']'
+
+let gen_value =
+  QCheck.Gen.(
+    sized_size (int_bound 3)
+    @@ fix (fun self n ->
+           let leaf =
+             [
+               (4, gen_number);
+               (3, gen_string_literal);
+               (1, oneofl [ "true"; "false"; "null" ]);
+               (1, oneofl [ "tru"; "nul"; "01"; "1."; "-"; "+1" ]);
+             ]
+           in
+           if n = 0 then frequency leaf
+           else
+             frequency
+               (leaf
+               @ [
+                   ( 2,
+                     map
+                       (fun xs -> "[" ^ String.concat "," xs ^ "]")
+                       (list_size (int_bound 4)
+                          (frequency [ (3, gen_number); (1, self (n - 1)) ])) );
+                   ( 1,
+                     map
+                       (fun kvs ->
+                         "{"
+                         ^ String.concat ","
+                             (List.map (fun (k, v) -> k ^ ":" ^ v) kvs)
+                         ^ "}")
+                       (list_size (int_bound 3) (pair gen_key (self (n - 1)))) );
+                   (1, map nested (oneofl [ 2; 509; 510; 511; 512 ]));
+                 ])))
+
+(* Valid requests of every op, as the client would send them. *)
+let gen_valid_request =
+  QCheck.Gen.(
+    let pos = float_range 0.01 100. in
+    let speedup =
+      oneof
+        [
+          map2 (fun w ptilde -> Speedup.Roofline { w; ptilde }) pos (int_range 1 64);
+          map2 (fun w c -> Speedup.Communication { w; c }) pos pos;
+          map2 (fun w d -> Speedup.Amdahl { w; d }) pos pos;
+          map4
+            (fun w ptilde d c -> Speedup.General { w; ptilde; d; c })
+            pos (int_range 1 64) pos pos;
+          map2 (fun w alpha -> Speedup.Power { w; alpha }) pos (float_range 0.1 1.);
+        ]
+    in
+    oneof
+      [
+        oneofl
+          Protocol.
+            [ Ping; Status; Drain; Schedule; Makespan; Metrics; Close;
+              Advance infinity ];
+        map (fun x -> Protocol.Advance x) pos;
+        map (fun k -> Protocol.Events k) (int_range 0 100);
+        map (fun b -> Protocol.Subscribe b) bool;
+        (let* o_p = int_range 1 4096 in
+         let* o_algorithm = oneofl [ `Original; `Improved ] in
+         let* o_priority = oneofl [ "fifo"; "longest-first"; "widest-first" ] in
+         let* o_seed = int_range 0 1000 in
+         let* o_max_attempts = opt (int_range 1 8) in
+         let* o_failures =
+           oneofl [ `Never; `Bernoulli 0.25; `At_most 3 ]
+         in
+         return
+           (Protocol.Open
+              { Protocol.o_p; o_algorithm; o_priority; o_seed; o_max_attempts;
+                o_failures }));
+        (let* s_speedup = speedup in
+         let* s_deps = list_size (int_bound 5) (int_range 0 1000) in
+         let* s_release = oneof [ return 0.; pos ] in
+         let* s_label = oneofl [ ""; "t7"; "stage3" ] in
+         return
+           (Protocol.Submit
+              { Protocol.s_label; s_speedup; s_deps = List.sort_uniq compare s_deps;
+                s_release }));
+      ])
+
+(* The members of a valid request, as (key, value) texts. *)
+let members_of req =
+  match Protocol.request_to_json req with
+  | Ok (Json.Obj fields) ->
+    List.map
+      (fun (k, v) -> ("\"" ^ k ^ "\"", Json.to_string_compact v))
+      fields
+  | _ -> assert false
+
+(* Member-level edits: a duplicate (before or after the original), a
+   wrong-typed value, an unknown or escaped key, a dropped member. *)
+let gen_edit members =
+  QCheck.Gen.(
+    if members = [] then map2 (fun k v -> [ (k, v) ]) gen_key gen_value
+    else
+    let n = List.length members in
+    let* i = int_bound (n - 1) in
+    let nth = List.nth members i in
+    let insert_at j m = List.filteri (fun k _ -> k < j) members @ [ m ]
+                        @ List.filteri (fun k _ -> k >= j) members in
+    frequency
+      [
+        (2, map (fun v -> insert_at i (fst nth, v)) gen_value);
+        (2, map (fun v -> insert_at (i + 1) (fst nth, v)) gen_value);
+        ( 3,
+          map
+            (fun v -> List.mapi (fun k m -> if k = i then (fst m, v) else m) members)
+            gen_value );
+        (2, map2 (fun k v -> insert_at i (k, v)) gen_key gen_value);
+        (1, return (List.filteri (fun k _ -> k <> i) members));
+      ])
+
+let render_members ~spaced members =
+  let sep, colon = if spaced then (", ", ": ") else (",", ":") in
+  "{"
+  ^ String.concat sep (List.map (fun (k, v) -> k ^ colon ^ v) members)
+  ^ "}"
+
+let byte_fragments = [ "\""; "{"; "}"; "["; "]"; ","; ":"; "\\"; "\n"; "\000"; "x"; "1"; " " ]
+
+let rec mutate_bytes s k =
+  QCheck.Gen.(
+    if k = 0 || s = "" then return s
+    else
+      let* pos = int_bound (String.length s) in
+      let* s' =
+        frequency
+          [
+            (1, return (String.sub s 0 pos));
+            ( 3,
+              map
+                (fun f ->
+                  String.sub s 0 pos ^ f ^ String.sub s pos (String.length s - pos))
+                (oneofl byte_fragments) );
+            ( 2,
+              return
+                (if pos < String.length s then
+                   String.sub s 0 pos
+                   ^ String.sub s (pos + 1) (String.length s - pos - 1)
+                 else s) );
+          ]
+      in
+      mutate_bytes s' (k - 1))
+
+let gen_line =
+  QCheck.Gen.(
+    let* line =
+      frequency
+        [
+          ( 8,
+            let* req = gen_valid_request in
+            let* edits = int_bound 3 in
+            let rec edit members k =
+              if k = 0 then return members
+              else
+                let* members = gen_edit members in
+                edit members (k - 1)
+            in
+            let* members = edit (members_of req) edits in
+            let* spaced = bool in
+            return (render_members ~spaced members) );
+          (1, gen_value);
+          (1, oneofl [ ""; " "; "{}"; "{} x"; "[1,2]"; "\"op\""; "{\"op\":\"ping\"} "; "\t{\"op\" : \"ping\"}\n" ]);
+        ]
+    in
+    let* k = frequency [ (4, return 0); (1, int_range 1 3) ] in
+    let* line = mutate_bytes line k in
+    let* max_bytes =
+      frequency
+        [
+          (12, return None);
+          (1, return (Some (max 1 (String.length line - 1))));
+          (1, return (Some (String.length line)));
+          (1, return (Some 16));
+        ]
+    in
+    return (line, max_bytes))
+
+let prop_decode_matches_reference =
+  let scratch = Protocol.scratch () in
+  QCheck.Test.make
+    ~name:"decode = Json.of_string then request_of_json, as they were (code \
+           and message) on valid, edited and mutated lines"
+    ~count:20000
+    (QCheck.make
+       ~print:(fun (line, max_bytes) ->
+         Printf.sprintf "%S (max_bytes %s): decode %s, reference %s" line
+           (match max_bytes with None -> "-" | Some n -> string_of_int n)
+           (show_decode (Protocol.decode (Protocol.scratch ()) ?max_bytes line))
+           (show_decode (Ref.decode ?max_bytes line)))
+       gen_line)
+    (fun (line, max_bytes) ->
+      same_decode
+        (Protocol.decode scratch ?max_bytes line)
+        (Ref.decode ?max_bytes line))
+
+(* Trees a parser can never produce too: NaN, infinities, integral floats
+   past 2^62, lists and objects in any field. *)
+let gen_tree =
+  QCheck.Gen.(
+    let num =
+      oneofl
+        [ 0.; -0.; 1.; 2.; 0.5; -1.; 16.; 1e300; infinity; neg_infinity; nan;
+          0x1p62; -0x1p62; 0x1p62 -. 1024.; 1048577. ]
+    in
+    let str =
+      oneofl
+        ([ "roofline"; "comm"; "amdahl"; "general"; "power"; "improved";
+           "bernoulli"; "at_most"; "never"; "warp"; "" ]
+        @ op_names)
+    in
+    let scalar =
+      frequency
+        [
+          (4, map (fun x -> Json.Num x) num);
+          (3, map (fun s -> Json.Str s) str);
+          (1, map (fun b -> Json.Bool b) bool);
+          (1, return Json.Null);
+        ]
+    in
+    let key = oneofl ("x" :: request_keys) in
+    let value =
+      frequency
+        [
+          (6, scalar);
+          (1, map (fun xs -> Json.List xs) (list_size (int_bound 3) scalar));
+          ( 1,
+            map (fun kvs -> Json.Obj kvs) (list_size (int_bound 4) (pair key scalar)) );
+        ]
+    in
+    frequency
+      [
+        ( 9,
+          let* op = map (fun s -> Json.Str s) (oneofl op_names) in
+          let* rest = list_size (int_range 0 8) (pair key value) in
+          let* at = int_bound (List.length rest) in
+          return
+            (Json.Obj
+               (List.filteri (fun k _ -> k < at) rest
+               @ [ ("op", op) ]
+               @ List.filteri (fun k _ -> k >= at) rest)) );
+        (1, value);
+      ])
+
+let prop_tree_decoding_matches_reference =
+  QCheck.Test.make
+    ~name:"request_of_json and speedup_of_json over the field table = the \
+           tree lookups they replaced, duplicate keys included"
+    ~count:20000
+    (QCheck.make ~print:Json.to_string_compact gen_tree)
+    (fun j ->
+      let same a b =
+        match (a, b) with
+        | Ok ra, Ok rb -> same_request ra rb
+        | Error ma, Error mb -> String.equal ma mb
+        | _ -> false
+      in
+      same (Protocol.request_of_json j) (Ref.request_of_json j)
+      && (match (Protocol.speedup_of_json j, Ref.speedup_of_json j) with
+        | Ok a, Ok b -> a = b
+        | Error a, Error b -> String.equal a b
+        | _ -> false))
+
+(* The server decodes every line with one scratch per session: a submit
+   line shaped like the benchmark's (a layered-DAG task with its deps and
+   release time) costs a bounded number of minor words. *)
+let test_decode_allocation () =
+  let rng = Rng.create 3 in
+  let lines =
+    Array.init 64 (fun i ->
+        let kind =
+          [| Speedup.Kind_roofline; Speedup.Kind_communication;
+             Speedup.Kind_amdahl; Speedup.Kind_general |].(i mod 4)
+        in
+        let deps = List.sort_uniq compare (List.init 3 (fun k -> (i * 7) + k)) in
+        match
+          Protocol.request_to_json
+            (Protocol.Submit
+               {
+                 Protocol.s_label = Printf.sprintf "t%d" (1000 + i);
+                 s_speedup = Params.random rng kind;
+                 s_deps = deps;
+                 s_release = 0.0123456789 *. float_of_int (i + 1);
+               })
+        with
+        | Ok j -> Json.to_string_compact j
+        | Error e -> Alcotest.fail e)
+  in
+  let scratch = Protocol.scratch () in
+  let decode_all () =
+    Array.iter
+      (fun line ->
+        match Protocol.decode scratch ~max_bytes:(1 lsl 20) line with
+        | Ok (Protocol.Submit _) -> ()
+        | r -> Alcotest.fail (show_decode r))
+      lines
+  in
+  decode_all ();
+  let reps = 100 in
+  let before = Gc.minor_words () in
+  for _ = 1 to reps do
+    decode_all ()
+  done;
+  let words =
+    (Gc.minor_words () -. before) /. float_of_int (reps * Array.length lines)
+  in
+  if words > 100. then
+    Alcotest.failf "%.1f minor words per submit line (at most 100)" words
+
 (* ------------------------------------------------- end-to-end (daemon) *)
 
 let contains hay needle =
@@ -624,10 +1020,9 @@ let test_end_to_end_protocol_errors () =
   | Ok _ -> ()
   | Error e -> Alcotest.fail e
 
-let test_end_to_end_parse_error_recovery () =
-  (* Drive the socket by hand: the newline framing recovers after a line
-     of garbage, answering parse_error without dropping the session. *)
-  with_daemon @@ fun path ->
+(* A connection driven by hand: [send] writes raw request text and
+   [response] reads the next response line. *)
+let with_raw_connection path f =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
   @@ fun () ->
@@ -655,6 +1050,13 @@ let test_end_to_end_parse_error_recovery () =
     | Ok j -> j
     | Error e -> Alcotest.fail e
   in
+  f ~send ~response
+
+let test_end_to_end_parse_error_recovery () =
+  (* The newline framing recovers after a line of garbage, answering
+     parse_error without dropping the session. *)
+  with_daemon @@ fun path ->
+  with_raw_connection path @@ fun ~send ~response ->
   send "{oops, not json\n";
   let resp = response () in
   (match Json.member "error" resp with
@@ -665,6 +1067,38 @@ let test_end_to_end_parse_error_recovery () =
   match Json.member "ok" resp with
   | Some (Json.Bool true) -> ()
   | _ -> Alcotest.fail (Json.to_string_compact resp)
+
+(* A submit whose parameters overflow: [1e400] reads as infinity and is a
+   bad_request; finite extremes are admitted, and the advance whose event
+   time overflows answers internal and abandons the run, but the session
+   (and, at shutdown, [serve]) carry on. *)
+let test_end_to_end_hostile_submit () =
+  with_daemon ~sessions:1 @@ fun path ->
+  with_raw_connection path @@ fun ~send ~response ->
+  let expect code line =
+    send (line ^ "\n");
+    let resp = response () in
+    let got =
+      match (Json.member "ok" resp, Json.member "error" resp) with
+      | Some (Json.Bool true), _ -> "ok"
+      | _, Some (Json.Str c) -> c
+      | _ -> Json.to_string_compact resp
+    in
+    Alcotest.(check string) line code got;
+    resp
+  in
+  let expect_ code line = ignore (expect code line : Json.t) in
+  expect_ "ok" {|{"op":"open","p":4}|};
+  expect_ "bad_request" {|{"op":"submit","model":"amdahl","w":1e400,"d":0.5}|};
+  expect_ "ok" {|{"op":"advance"}|};
+  expect_ "ok" {|{"op":"drain"}|};
+  expect_ "ok" {|{"op":"open","p":64}|};
+  expect_ "ok" {|{"op":"submit","model":"amdahl","w":1e308,"d":1e308}|};
+  expect_ "internal" {|{"op":"advance"}|};
+  expect_ "ok" {|{"op":"ping"}|};
+  let status = expect "ok" {|{"op":"status"}|} in
+  Alcotest.(check bool) "the run was abandoned" true
+    (Json.member "phase" status = Some (Json.Str "idle"))
 
 let test_end_to_end_incremental_session () =
   (* Drive the protocol by hand: open, submit a chain while advancing,
@@ -1002,6 +1436,13 @@ let () =
           Alcotest.test_case "error codes round-trip" `Quick
             test_protocol_error_codes;
         ] );
+      ( "decoder",
+        [
+          qt prop_decode_matches_reference;
+          qt prop_tree_decoding_matches_reference;
+          Alcotest.test_case "submit line minor words" `Quick
+            test_decode_allocation;
+        ] );
       ( "end to end",
         [
           Alcotest.test_case "replay bit-identical over unix socket" `Quick
@@ -1014,6 +1455,8 @@ let () =
             test_end_to_end_incremental_session;
           Alcotest.test_case "concurrent sessions" `Quick
             test_end_to_end_concurrent_sessions;
+          Alcotest.test_case "hostile submit keeps the session" `Quick
+            test_end_to_end_hostile_submit;
         ] );
       ( "pipelining",
         [
