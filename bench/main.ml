@@ -706,11 +706,12 @@ let failures_section pool () =
   in
   let p = 64 in
   let base =
-    (Sim_core.run ~seed:1 ~p
-       (Online_scheduler.policy ~allocator:Allocator.algorithm2_per_model ~p
-          ())
-       dag)
-      .Sim_core.makespan
+    Schedule.makespan
+      (Sim_core.run ~seed:1 ~p
+         (Online_scheduler.policy ~allocator:Allocator.algorithm2_per_model ~p
+            ())
+         dag)
+        .Sim_core.schedule
   in
   let qs = [ 0.0; 0.1; 0.2; 0.3; 0.5 ] in
   (* Every q-cell owns its failure stream through the explicit per-run seed,
@@ -734,12 +735,13 @@ let failures_section pool () =
                    ~allocator:Allocator.algorithm2_per_model ~p ())
                 dag
             in
-            (match Validate.check_attempts ~dag ~p (Sim_core.attempts r) with
+            let m = r.Sim_core.metrics in
+            (match Validate.check_attempts ~dag ~p (Metrics.attempts m) with
             | Ok () -> ()
             | Error es -> failwith (String.concat "; " es));
-            ( r.Sim_core.n_attempts,
-              r.Sim_core.n_failures,
-              r.Sim_core.makespan ))
+            ( m.Metrics.counters.Metrics.launches,
+              m.Metrics.counters.Metrics.retries,
+              Schedule.makespan r.Sim_core.schedule ))
           qs)
   in
   let tab =
@@ -971,7 +973,7 @@ let tracing_section pool () =
       (Schedule.makespan untraced.Sim_core.schedule));
   Printf.printf "traced run: %d decisions, %d spans, %d instants\n"
     (Moldable_sim.Tracer.n_decisions tracer)
-    traced.Sim_core.n_attempts
+    traced.Sim_core.metrics.Metrics.counters.Metrics.launches
     (List.length (Moldable_sim.Tracer.instants tracer));
   (* The capped decisions are the interesting provenance: print one. *)
   (match
@@ -1219,16 +1221,28 @@ let alloc_lean_section () =
   let rng = Rng.create 424_243 in
   (* Narrow moldable tasks (roofline, ptilde <= 4): processor blocks stay
      small, so the irreducible per-task cost both paths share — the procs
-     arrays the schedule retains, the allocator's probes — is a small
-     fraction of the reference loop's boxed-event/cons-list overhead, which
-     is exactly what this section isolates. *)
+     arrays the schedule retains, the ready queue — is a small fraction of
+     the reference loop's boxed-event/cons-list overhead, which is exactly
+     what this section isolates. *)
   let dag =
     Moldable_workloads.Random_dag.independent
       ~spec:{ Moldable_workloads.Params.default with ptilde_max = 4 }
       ~rng ~n ~kind:Speedup.Kind_roofline ()
   in
+  (* The gate measures the simulation loop, not the policy: Algorithm 2's
+     allocation of every task is computed once, here, and every mode runs
+     the same clairvoyant [ranked] policy over it (equal ranks, so FIFO by
+     id, the order Algorithm 1 launches this all-at-time-0 workload in). *)
+  let allocations =
+    Array.map
+      (fun task ->
+        Online_scheduler.allocation_of
+          ~allocator:Allocator.algorithm2_per_model ~p task)
+      (Dag.tasks dag)
+  in
+  let rank = Array.make n 0. in
   let fresh_policy () =
-    Online_scheduler.policy ~allocator:Allocator.algorithm2_per_model ~p ()
+    Online_scheduler.ranked ~name:"alloc-lean" ~allocations ~rank ~p
   in
   (* Single-domain section: [Gc.minor_words] reads this domain's allocation
      counter, so the word count is exact, not sampled.  Each mode runs
@@ -1329,8 +1343,9 @@ let alloc_lean_section () =
          ("schema", Json.Str "moldable/alloc_lean_check/v1");
          ("workload", Json.Str "wide independent roofline (ptilde <= 4)");
          ("tasks", Json.int n); ("p", Json.int p);
-         ("makespan", Json.Num r_lean.Sim_core.makespan);
-         ("n_attempts", Json.int r_lean.Sim_core.n_attempts);
+         ("makespan", Json.Num (Schedule.makespan r_lean.Sim_core.schedule));
+         ( "n_attempts",
+           Json.int r_lean.Sim_core.metrics.Metrics.counters.Metrics.launches );
          ("modes_agree", Json.Bool true);
        ]);
   let words_ratio = w_ref /. Float.max 1. w_lean in
@@ -1515,7 +1530,7 @@ let service_section () =
   let local = Online_scheduler.run ~p dag in
   if not (Float.equal (Schedule.makespan local.Sim_core.schedule) server_mk)
   then failwith "service: drained makespan diverged from the local run";
-  (* --- server-side truth: decision latency histogram, protocol errors *)
+  (* --- server-side truth: admission latency histogram, protocol errors *)
   let snap = R.snapshot registry in
   let find name =
     List.find_opt (fun m -> m.R.ms_name = name) snap
@@ -1531,8 +1546,9 @@ let service_section () =
     | _ -> Float.nan
   in
   (* Probe for BENCH_scaling.json: pipelined submission throughput,
-     client round-trip and server-side decision-latency percentiles,
-     protocol error count. *)
+     client round-trip and server-side admission-latency percentiles
+     (the [decision_*] fields, named after the histogram), protocol error
+     count. *)
   record "service"
     (Json.Obj
        [

@@ -473,7 +473,7 @@ let trace_cmd =
     Printf.printf
       "trace: %d decision records, %d execution spans, %d instants\n"
       (Moldable_sim.Tracer.n_decisions tracer)
-      result.Sim_core.n_attempts
+      result.Sim_core.metrics.Metrics.counters.Metrics.launches
       (List.length (Moldable_sim.Tracer.instants tracer));
     Printf.printf "self-profile:\n%s"
       (Format.asprintf "%a" Moldable_sim.Tracer.pp_profile tracer);

@@ -36,11 +36,12 @@ let () =
   (* Every task gets exactly one decision record and at least one
      execution attempt. *)
   assert (Tracer.n_decisions tracer = Dag.n dag);
-  assert (traced.Sim_core.n_attempts = Dag.n dag);
+  let spans = traced.Sim_core.metrics.Metrics.counters.Metrics.launches in
+  assert (spans = Dag.n dag);
   Printf.printf
     "traced = untraced (makespan %.4f); %d decisions, %d spans, %d instants\n\n"
     (Schedule.makespan traced.Sim_core.schedule)
-    (Tracer.n_decisions tracer) traced.Sim_core.n_attempts
+    (Tracer.n_decisions tracer) spans
     (List.length (Tracer.instants tracer));
 
   (* Provenance of a single allocation: Algorithm 2's two steps. *)
@@ -62,12 +63,12 @@ let () =
      Chrome export. *)
   Printf.printf "\nfirst three execution spans:\n";
   List.iteri
-    (fun i (a : Sim_core.attempt) ->
+    (fun i (a : Metrics.attempt) ->
       if i < 3 then
         Printf.printf "  task %2d attempt %d: [%7.3f, %7.3f] on %d procs\n"
-          a.Sim_core.task_id a.Sim_core.attempt a.Sim_core.start
-          a.Sim_core.finish a.Sim_core.nprocs)
-    (Sim_core.attempts traced);
+          a.Metrics.task_id a.Metrics.attempt a.Metrics.start
+          a.Metrics.finish a.Metrics.nprocs)
+    (Metrics.attempts traced.Sim_core.metrics);
 
   (* Chrome trace-event export: open in https://ui.perfetto.dev *)
   let json = Moldable_viz.Chrome_trace.of_run tracer traced.Sim_core.metrics in

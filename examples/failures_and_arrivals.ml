@@ -68,10 +68,12 @@ let () =
              ~p ())
           wf
       in
-      Validate.check_attempts_exn ~dag:wf ~p (Sim_core.attempts r);
+      let m = r.Sim_core.metrics in
+      Validate.check_attempts_exn ~dag:wf ~p (Metrics.attempts m);
       Printf.printf
         "  q=%.1f: %3d attempts (%2d failed), makespan %8.2f\n" q
-        r.Sim_core.n_attempts r.Sim_core.n_failures r.Sim_core.makespan)
+        m.Metrics.counters.Metrics.launches m.Metrics.counters.Metrics.retries
+        (Schedule.makespan r.Sim_core.schedule))
     [ 0.0; 0.1; 0.3; 0.5 ];
   print_newline ();
   Printf.printf

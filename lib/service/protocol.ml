@@ -97,11 +97,11 @@ let event_to_json t ev =
       :: extra)
   in
   match ev with
-  | Sim_core.Ready i -> base "ready" i []
-  | Sim_core.Start (i, a) ->
+  | Metrics.Ready i -> base "ready" i []
+  | Metrics.Start (i, a) ->
     base "start" i [ ("nprocs", Json.Num (float_of_int a)) ]
-  | Sim_core.Finish i -> base "finish" i []
-  | Sim_core.Failed (i, attempt) ->
+  | Metrics.Finish i -> base "finish" i []
+  | Metrics.Failed (i, attempt) ->
     base "failed" i [ ("attempt", Json.Num (float_of_int attempt)) ]
 
 let placement_to_json (pl : Schedule.placement) =

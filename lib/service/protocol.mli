@@ -76,7 +76,7 @@ val request_to_json : request -> (Moldable_obs.Json.t, string) result
 (** [Error] only for a [Submit] of an [Arbitrary] speedup. *)
 
 val speedup_to_json : Speedup.t -> (Moldable_obs.Json.t, string) result
-val event_to_json : float -> Sim_core.event -> Moldable_obs.Json.t
+val event_to_json : float -> Metrics.event -> Moldable_obs.Json.t
 val placement_to_json : Schedule.placement -> Moldable_obs.Json.t
 
 (** {1 Parsing} *)

@@ -151,8 +151,9 @@ let make_handles reg =
     latency =
       Registry.histogram reg
         ~name:"moldable_service_decision_latency_seconds"
-        ~help:"Wall-clock seconds to serve one submit request (admission \
-               including the allocator's decision).";
+        ~help:"Wall-clock seconds to admit one submitted task (Task.make \
+               and Stepper.admit_task; the allocator decides later, when \
+               advance reveals the task).";
   }
 
 (* --------------------------------------------------------------- sessions *)
@@ -160,7 +161,7 @@ let make_handles reg =
 (* Internal control flow for ending a session; never escapes [run_session]. *)
 exception Session_end
 
-type phase = Idle | Running of Sim_core.Stepper.t | Drained of Sim_core.result
+type phase = Idle | Running of Sim_core.Stepper.t | Drained of Metrics.t
 
 type session = {
   fd : Unix.file_descr;
@@ -244,9 +245,9 @@ let subscription_fields sess =
       let evs = Sim_core.Stepper.events_from st sess.ev_cursor in
       sess.ev_cursor <- Sim_core.Stepper.n_events st;
       [ ("events", events_json evs); ("next", num sess.ev_cursor) ]
-    | Drained r ->
-      let evs = Sim_core.events_from r sess.ev_cursor in
-      sess.ev_cursor <- Sim_core.n_events r;
+    | Drained m ->
+      let evs = Metrics.events_from m sess.ev_cursor in
+      sess.ev_cursor <- Metrics.n_events m;
       [ ("events", events_json evs); ("next", num sess.ev_cursor) ]
     | Idle -> []
 
@@ -354,13 +355,13 @@ let handle_drain sess =
     (Protocol.(error Conflict) "no open run to drain", `Continue)
   | Running st -> (
     match Sim_core.Stepper.drain st with
-    | r ->
-      sess.phase <- Drained r;
+    | { Sim_core.metrics = m; _ } ->
+      sess.phase <- Drained m;
       ( Protocol.ok
           ([
-             ("makespan", Json.Num r.Sim_core.makespan);
-             ("n_attempts", num r.Sim_core.n_attempts);
-             ("n_failures", num r.Sim_core.n_failures);
+             ("makespan", Json.Num (Schedule.makespan m.Metrics.schedule));
+             ("n_attempts", num m.Metrics.counters.Metrics.launches);
+             ("n_failures", num m.Metrics.counters.Metrics.retries);
            ]
           @ subscription_fields sess),
         `Continue )
@@ -389,13 +390,13 @@ let handle_status sess =
           | Some t -> Json.Num t );
         ("n_events", num (Sim_core.Stepper.n_events st));
       ]
-    | Drained r ->
+    | Drained m ->
       [
         ("phase", Json.Str "drained");
-        ("makespan", Json.Num r.Sim_core.makespan);
-        ("n_tasks", num (Schedule.n r.Sim_core.schedule));
-        ("n_attempts", num r.Sim_core.n_attempts);
-        ("n_failures", num r.Sim_core.n_failures);
+        ("makespan", Json.Num (Schedule.makespan m.Metrics.schedule));
+        ("n_tasks", num (Schedule.n m.Metrics.schedule));
+        ("n_attempts", num m.Metrics.counters.Metrics.launches);
+        ("n_failures", num m.Metrics.counters.Metrics.retries);
       ]
   in
   (Protocol.ok fields, `Continue)
@@ -411,24 +412,24 @@ let handle_events sess since =
           ("events", events_json evs);
         ],
       `Continue )
-  | Drained r ->
+  | Drained m ->
     ( Protocol.ok
         [
-          ("next", num (max since (Sim_core.n_events r)));
-          ("events", events_json (Sim_core.events_from r since));
+          ("next", num (max since (Metrics.n_events m)));
+          ("events", events_json (Metrics.events_from m since));
         ],
       `Continue )
 
 let handle_schedule sess =
   match sess.phase with
-  | Drained r ->
+  | Drained m ->
     ( Protocol.ok
         [
-          ("makespan", Json.Num r.Sim_core.makespan);
+          ("makespan", Json.Num (Schedule.makespan m.Metrics.schedule));
           ( "placements",
             Json.List
               (List.map Protocol.placement_to_json
-                 (Schedule.placements r.Sim_core.schedule)) );
+                 (Schedule.placements m.Metrics.schedule)) );
         ],
       `Continue )
   | Idle | Running _ ->
@@ -454,8 +455,10 @@ let handle_request sess req =
   | Protocol.Schedule -> handle_schedule sess
   | Protocol.Makespan -> (
     match sess.phase with
-    | Drained r ->
-      (Protocol.ok [ ("makespan", Json.Num r.Sim_core.makespan) ], `Continue)
+    | Drained m ->
+      ( Protocol.ok
+          [ ("makespan", Json.Num (Schedule.makespan m.Metrics.schedule)) ],
+        `Continue )
     | Idle | Running _ ->
       (Protocol.(error Conflict) "no drained run to read back", `Continue))
   | Protocol.Metrics ->

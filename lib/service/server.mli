@@ -65,8 +65,9 @@ type config = {
           [..._requests_total], [..._protocol_errors_total],
           [..._evictions_total] and the
           [moldable_service_decision_latency_seconds] histogram (wall-clock
-          seconds per [submit] request), and serves the whole registry
-          through the [metrics] op. *)
+          seconds to admit each submitted task; the allocator's decision
+          runs later, in [advance]), and serves the whole registry through
+          the [metrics] op. *)
 }
 
 val default_config : ?registry:Moldable_obs.Registry.t -> unit -> config

@@ -1,3 +1,32 @@
+type event =
+  | Ready of int
+  | Start of int * int
+  | Finish of int
+  | Failed of int * int
+
+type attempt = {
+  task_id : int;
+  attempt : int;
+  start : float;
+  finish : float;
+  nprocs : int;
+  procs : int array;
+  failed : bool;
+}
+
+let kind_ready = 0
+let kind_start = 1
+let kind_finish = 2
+let kind_failed = 3
+
+let decode code arg =
+  let tid = code lsr 2 in
+  match code land 3 with
+  | 0 -> Ready tid
+  | 1 -> Start (tid, arg)
+  | 2 -> Finish tid
+  | _ -> Failed (tid, arg)
+
 type counters = {
   mutable events : int;
   mutable batches : int;
@@ -8,6 +37,84 @@ type counters = {
 
 let make_counters () =
   { events = 0; batches = 0; launches = 0; retries = 0; stall_checks = 0 }
+
+type t = {
+  schedule : Schedule.t;
+  counters : counters;
+  lean : bool;
+  times : float array;
+  codes : int array;
+  args : int array;
+  failed_procs : int array array;
+  depth_times : float array;
+  depths : int array;
+}
+
+let make ~schedule ~counters ~times ~codes ~args ~failed_procs ~depth_times
+    ~depths =
+  { schedule; counters; lean = false; times; codes; args; failed_procs;
+    depth_times; depths }
+
+let lean ~schedule ~counters =
+  { schedule; counters; lean = true; times = [||]; codes = [||]; args = [||];
+    failed_procs = [||]; depth_times = [||]; depths = [||] }
+
+(* ------------------------------------------------------------------ views *)
+
+(* Tasks the views cover: the schedule's, 0 for a lean run. *)
+let n_tasks t = if t.lean then 0 else Schedule.n t.schedule
+let n_events t = Array.length t.times
+
+let events_from t k0 =
+  let lst = ref [] in
+  for k = n_events t - 1 downto max 0 k0 do
+    lst := (t.times.(k), decode t.codes.(k) t.args.(k)) :: !lst
+  done;
+  !lst
+
+let trace t = events_from t 0
+
+(* Replays the trace: a [Start] opens its task's attempt, the next
+   [Finish]/[Failed] of the task closes it at that event's instant.  A
+   success runs on the task's placement, the k-th failure on the k-th
+   recorded failed block. *)
+let attempts t =
+  let n = n_tasks t in
+  let start = Array.make n 0. and attempt_no = Array.make n 0 in
+  let n_failed = ref 0 and acc = ref [] in
+  for k = 0 to n_events t - 1 do
+    let code = t.codes.(k) in
+    let tid = code lsr 2 in
+    let kind = code land 3 in
+    if kind = kind_start then begin
+      start.(tid) <- t.times.(k);
+      attempt_no.(tid) <- attempt_no.(tid) + 1
+    end
+    else if kind <> kind_ready then begin
+      let failed = kind = kind_failed in
+      let procs =
+        if failed then begin
+          let b = t.failed_procs.(!n_failed) in
+          incr n_failed;
+          b
+        end
+        else (Schedule.placement t.schedule tid).Schedule.procs
+      in
+      acc :=
+        { task_id = tid; attempt = attempt_no.(tid); start = start.(tid);
+          finish = t.times.(k); nprocs = Array.length procs; procs; failed }
+        :: !acc
+    end
+  done;
+  List.sort
+    (fun (x : attempt) (y : attempt) ->
+      match Float.compare x.start y.start with
+      | 0 -> (
+        match Int.compare x.task_id y.task_id with
+        | 0 -> Int.compare x.attempt y.attempt
+        | c -> c)
+      | c -> c)
+    !acc
 
 type segment = { t0 : float; t1 : float; busy : int }
 
@@ -21,27 +128,22 @@ type task_stat = {
   attempts : int;
 }
 
-type t = { p : int; counters : counters; recording : Recording.t }
-
-let make ~p ~counters recording = { p; counters; recording }
-
 (* Folds [f] over the maximal busy segments, in time order.  The trace is
    chronological, so its attempt endpoints ([Start]: +nprocs, [Finish] and
    [Failed]: -nprocs of the task's running attempt) arrive already sorted;
    simultaneous endpoints collapse into one breakpoint. *)
 let fold_segments t f init =
-  let r = t.recording in
-  let nprocs = Array.make (Recording.n_tasks r) 0 in
+  let nprocs = Array.make (n_tasks t) 0 in
   let acc = ref init and busy = ref 0 and cursor = ref infinity in
-  for k = 0 to Recording.n_events r - 1 do
-    let code = r.Recording.codes.(k) in
+  for k = 0 to n_events t - 1 do
+    let code = t.codes.(k) in
     let kind = code land 3 in
-    if kind <> Recording.kind_ready then begin
-      let tid = code lsr 2 and time = r.Recording.times.(k) in
+    if kind <> kind_ready then begin
+      let tid = code lsr 2 and time = t.times.(k) in
       if time > !cursor then
         acc := f !acc { t0 = !cursor; t1 = time; busy = !busy };
-      if kind = Recording.kind_start then begin
-        nprocs.(tid) <- r.Recording.args.(k);
+      if kind = kind_start then begin
+        nprocs.(tid) <- t.args.(k);
         busy := !busy + nprocs.(tid)
       end
       else busy := !busy - nprocs.(tid);
@@ -53,26 +155,23 @@ let fold_segments t f init =
 let utilization t = List.rev (fold_segments t (fun acc s -> s :: acc) [])
 
 let queue_depth t =
-  let r = t.recording in
-  List.init (Array.length r.Recording.depths) (fun k ->
-      (r.Recording.depth_times.(k), r.Recording.depths.(k)))
+  List.init (Array.length t.depths) (fun k -> (t.depth_times.(k), t.depths.(k)))
 
 (* First reveal, first start, attempt count and summed attempt durations
    per task, replayed from the trace in the order the run recorded them. *)
 let tasks t =
-  let r = t.recording in
-  let n = Recording.n_tasks r in
+  let n = n_tasks t in
   let ready = Array.make n nan and start = Array.make n nan in
   let run_start = Array.make n 0. and service = Array.make n 0. in
   let attempts = Array.make n 0 in
-  for k = 0 to Recording.n_events r - 1 do
-    let code = r.Recording.codes.(k) in
+  for k = 0 to n_events t - 1 do
+    let code = t.codes.(k) in
     let kind = code land 3 in
-    let tid = code lsr 2 and now = r.Recording.times.(k) in
-    if kind = Recording.kind_ready then begin
+    let tid = code lsr 2 and now = t.times.(k) in
+    if kind = kind_ready then begin
       if Float.is_nan ready.(tid) then ready.(tid) <- now
     end
-    else if kind = Recording.kind_start then begin
+    else if kind = kind_start then begin
       if Float.is_nan start.(tid) then start.(tid) <- now;
       run_start.(tid) <- now;
       attempts.(tid) <- attempts.(tid) + 1
@@ -84,7 +183,7 @@ let tasks t =
         task_id = i;
         ready = ready.(i);
         start = start.(i);
-        finish = (Schedule.placement r.Recording.schedule i).Schedule.finish;
+        finish = (Schedule.placement t.schedule i).Schedule.finish;
         wait = start.(i) -. ready.(i);
         service = service.(i);
         attempts = attempts.(i);
@@ -100,9 +199,9 @@ let span t = fold_segments t (fun acc s -> Float.max acc s.t1) 0.
 let average_utilization t =
   let horizon = span t in
   if (not (Float.is_finite horizon)) || horizon <= 0. then 0.
-  else busy_area t /. (float_of_int t.p *. horizon)
+  else busy_area t /. (float_of_int (Schedule.p t.schedule) *. horizon)
 
-let max_queue_depth t = Array.fold_left max 0 t.recording.Recording.depths
+let max_queue_depth t = Array.fold_left max 0 t.depths
 
 (* Wait statistics skip non-finite samples (a wait is NaN when a task never
    started, e.g. in a partially-built report) and return 0 on an empty run,
@@ -137,7 +236,7 @@ let to_json t =
             ("launches", J.int c.launches); ("retries", J.int c.retries);
             ("stall_checks", J.int c.stall_checks);
           ] );
-      ("p", J.int t.p);
+      ("p", J.int (Schedule.p t.schedule));
       ("busy_area", J.Num (busy_area t));
       ("average_utilization", J.Num (average_utilization t));
       ( "utilization",

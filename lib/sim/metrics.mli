@@ -1,20 +1,61 @@
-(** Run observability for the simulation core.
+(** The one record of a finished {!Sim_core} run.
 
-    Every {!Sim_core} run produces a [Metrics.t] alongside its schedule:
-    per-run counters plus three views of the run's {!Recording} — the
-    busy-processor timeline, the ready-queue depth at every scheduling
-    instant, and per-task wait/service statistics.  The run itself only
-    bumps the counters and records one depth sample per event batch; the
-    views replay the recorded trace when called.  Everything exports to
-    JSON or CSV for offline analysis next to the [paper_artifacts/]
-    outputs.
+    A [Metrics.t] holds the run's schedule, its counters and, for a full
+    run, its recording: the event trace and the ready-queue depth samples
+    as flat arrays.  {!Sim_core} records them into the arena's
+    {!Moldable_util.Growbuf}s and copies them here at drain, so a record
+    never aliases arena storage and later runs on the same arena cannot
+    change it.  The run itself only bumps the counters and appends to the
+    buffers; every view below (the trace, the attempts, the busy timeline,
+    the queue depth and the per-task statistics) is built from the arrays
+    each time it is called, so consumers that want lists pay for them
+    where they use them.  Everything exports to JSON or CSV for offline
+    analysis next to the [paper_artifacts/] outputs.
+
+    The trace is the single source of every per-attempt and per-task view:
+    an attempt is the span from a [Start] to the next [Finish]/[Failed] of
+    its task, whose processor block is the task's schedule placement (a
+    success) or the recorded block of the failure.
 
     Invariants (asserted by the test suite):
     - the integral of the utilization timeline equals the total busy area
       (sum over attempts of [nprocs * duration]);
     - [launches = n + retries] — every task succeeds exactly once, every
-      failed attempt is relaunched;
+      failed attempt is relaunched — and [launches] is the number of
+      attempts;
     - per-task waits are non-negative. *)
+
+type event =
+  | Ready of int        (** Task revealed (or re-revealed after a failure). *)
+  | Start of int * int  (** Task id, allocation. *)
+  | Finish of int       (** Successful completion. *)
+  | Failed of int * int (** Task id, 1-based attempt that failed. *)
+
+type attempt = {
+  task_id : int;
+  attempt : int;      (** 1-based attempt number. *)
+  start : float;
+  finish : float;     (** The batch instant at which the attempt ended. *)
+  nprocs : int;
+  procs : int array;
+  failed : bool;
+}
+
+(** {1 Packed events}
+
+    An event is stored as a [code] (kind in the low 2 bits, task id above
+    them) and an [arg] (the allocation of a [Start], the attempt of a
+    [Failed], 0 otherwise). *)
+
+val kind_ready : int
+val kind_start : int
+val kind_finish : int
+val kind_failed : int
+
+val decode : int -> int -> event
+(** [decode code arg] is the event a packed pair stands for. *)
+
+(** {1 The record} *)
 
 type counters = {
   mutable events : int;        (** Simulation events dequeued. *)
@@ -26,6 +67,52 @@ type counters = {
 
 val make_counters : unit -> counters
 (** Fresh all-zero counters (mutated in place by the simulation core). *)
+
+type t = private {
+  schedule : Schedule.t;
+  counters : counters;
+  lean : bool;  (** A lean run: only schedule and counters, arrays empty. *)
+  times : float array;  (** Event instants, chronological. *)
+  codes : int array;
+  args : int array;
+  failed_procs : int array array;
+      (** Processor block of every failed attempt, in trace order. *)
+  depth_times : float array;  (** Scheduling instants of the depth samples. *)
+  depths : int array;  (** Ready-set size after each instant. *)
+}
+
+val make :
+  schedule:Schedule.t ->
+  counters:counters ->
+  times:float array ->
+  codes:int array ->
+  args:int array ->
+  failed_procs:int array array ->
+  depth_times:float array ->
+  depths:int array ->
+  t
+(** The record of a full run; takes ownership of the arrays. *)
+
+val lean : schedule:Schedule.t -> counters:counters -> t
+(** The record of a lean run: no events, no samples. *)
+
+(** {1 Views}
+
+    Built from the arrays on every call: O(events) each, with no cache.  A
+    lean run's views are empty. *)
+
+val n_events : t -> int
+
+val events_from : t -> int -> (float * event) list
+(** [events_from t k] is the chronological trace suffix from event index
+    [k] (all of it for [k <= 0]); O(events returned).  The drained-run
+    form of {!Sim_core.Stepper.events_from}. *)
+
+val trace : t -> (float * event) list
+(** The whole chronological trace. *)
+
+val attempts : t -> attempt list
+(** Every attempt, sorted by start, then task id, then attempt. *)
 
 type segment = { t0 : float; t1 : float; busy : int }
 (** Maximal interval during which exactly [busy] processors were executing
@@ -40,20 +127,6 @@ type task_stat = {
   service : float;  (** Total execution time across all attempts. *)
   attempts : int;   (** Attempts executed (1 when nothing failed). *)
 }
-
-type t = {
-  p : int;
-  counters : counters;
-  recording : Recording.t;
-      (** The run's recording, which the views below replay. *)
-}
-
-val make : p:int -> counters:counters -> Recording.t -> t
-
-(** {1 Views}
-
-    Built from the recording's arrays on every call: O(events) each, with
-    no cache.  A lean run's views are empty. *)
 
 val utilization : t -> segment list
 (** Chronological busy timeline. *)

@@ -33,30 +33,7 @@ let at_most ~k =
     fails = (fun _ ~task_id:_ ~attempt -> attempt <= k);
   }
 
-type event = Recording.event =
-  | Ready of int
-  | Start of int * int
-  | Finish of int
-  | Failed of int * int
-
-type attempt = Recording.attempt = {
-  task_id : int;
-  attempt : int;
-  start : float;
-  finish : float;
-  nprocs : int;
-  procs : int array;
-  failed : bool;
-}
-
-type result = {
-  schedule : Schedule.t;
-  recording : Recording.t;
-  makespan : float;
-  n_attempts : int;
-  n_failures : int;
-  metrics : Metrics.t;
-}
+type result = { schedule : Schedule.t; metrics : Metrics.t }
 
 (* Task states, as int codes so the arena's state array is a plain
    [int array] reusable across runs. *)
@@ -108,8 +85,8 @@ module Arena = struct
     pl_floats : Growbuf.F.t;
     pl_procs : int array Growbuf.A.t;
     (* Full-mode recording buffers, copied into the result's
-       [Recording.t] at drain: the event trace (packed as
-       [Recording.decode] reads it), the processor block of every failed
+       [Metrics.t] at drain: the event trace (packed as [Metrics.decode]
+       reads it), the processor block of every failed
        attempt, and one ready-depth sample per scheduling instant. *)
     tr_times : Growbuf.F.t;
     tr_a : Growbuf.I.t; (* event kind (2 bits) lor (task id lsl 2) *)
@@ -433,7 +410,7 @@ module Stepper = struct
     let a = st.arena in
     a.Arena.state.(i) <- st_available;
     st.ready_count <- st.ready_count + 1;
-    if not st.lean then record_ev st now Recording.kind_ready i 0;
+    if not st.lean then record_ev st now Metrics.kind_ready i 0;
     if st.traced then
       Tracer.record_instant st.tracer ~time:now ~kind:Tracer.Ready ~subject:i;
     st.policy.on_ready ~now a.Arena.tasks.(i)
@@ -489,7 +466,7 @@ module Stepper = struct
         st.n_running <- st.n_running + 1;
         a.Arena.attempt_no.(tid) <- a.Arena.attempt_no.(tid) + 1;
         st.counters.Metrics.launches <- st.counters.Metrics.launches + 1;
-        if not st.lean then record_ev st now Recording.kind_start tid nprocs;
+        if not st.lean then record_ev st now Metrics.kind_start tid nprocs;
         a.Arena.run_start.(tid) <- now;
         a.Arena.run_procs.(tid) <- procs;
         Event_queue.add st.events ~time:(now +. duration) (enc_complete tid);
@@ -556,7 +533,7 @@ module Stepper = struct
              instant its outcome became known); the schedule keeps the
              exact stamp. *)
           if not st.lean then begin
-            record_ev st now Recording.kind_failed tid attempt;
+            record_ev st now Metrics.kind_failed tid attempt;
             Growbuf.A.push a.Arena.fail_procs procs
           end;
           outcomes.(k) <- 1
@@ -565,7 +542,7 @@ module Stepper = struct
           Platform.release st.platform procs;
           state.(tid) <- st_done;
           st.completed <- st.completed + 1;
-          if not st.lean then record_ev st now Recording.kind_finish tid 0;
+          if not st.lean then record_ev st now Metrics.kind_finish tid 0;
           Growbuf.I.push a.Arena.pl_ints tid;
           Growbuf.F.push a.Arena.pl_floats start;
           Growbuf.F.push a.Arena.pl_floats stamp;
@@ -662,10 +639,10 @@ module Stepper = struct
         }
     done;
     let schedule = Schedule.finalize builder in
-    let recording =
-      if st.lean then Recording.lean schedule
+    let metrics =
+      if st.lean then Metrics.lean ~schedule ~counters:st.counters
       else
-        Recording.make ~schedule
+        Metrics.make ~schedule ~counters:st.counters
           ~times:(Growbuf.F.to_array a.Arena.tr_times)
           ~codes:(Growbuf.I.to_array a.Arena.tr_a)
           ~args:(Growbuf.I.to_array a.Arena.tr_b)
@@ -695,14 +672,7 @@ module Stepper = struct
          st.counters.Metrics.stall_checks;
        c "moldable_sim_runs" "Completed simulation runs" 1
      end);
-    {
-      schedule;
-      recording;
-      makespan = st.ms.(0);
-      n_attempts = st.counters.Metrics.launches;
-      n_failures = st.counters.Metrics.retries;
-      metrics = Metrics.make ~p:st.p ~counters:st.counters recording;
-    }
+    { schedule; metrics }
 
   (* Close the stepper and hand the arena back.  The arena outlives the run
      (a domain's arena lives as long as the domain), so it drops its
@@ -762,17 +732,12 @@ module Stepper = struct
     for k = Growbuf.F.length a.Arena.tr_times - 1 downto max 0 k0 do
       lst :=
         ( Growbuf.F.get a.Arena.tr_times k,
-          Recording.decode (Growbuf.I.get a.Arena.tr_a k)
+          Metrics.decode (Growbuf.I.get a.Arena.tr_a k)
             (Growbuf.I.get a.Arena.tr_b k) )
         :: !lst
     done;
     !lst
 end
-
-let trace r = Recording.trace r.recording
-let attempts r = Recording.attempts r.recording
-let n_events r = Recording.n_events r.recording
-let events_from r k = Recording.events_from r.recording k
 
 let run ?release_times ?(seed = 0) ?(max_attempts = max_int)
     ?(failures = never) ?(tracer = Tracer.null)

@@ -3,7 +3,7 @@
     One event loop drives every discrete-event simulation in this
     repository: graph reveal on precedence satisfaction, deferred reveals on
     release times, batched simultaneous completions (ulp-tolerant, see
-    {!Event_queue.pop_simultaneous}), greedy launch rounds against the
+    {!Event_queue.pop_batch}), greedy launch rounds against the
     policy, and per-attempt fault injection with retry accounting.
     Failure-free runs are the [never] failure model.
 
@@ -54,52 +54,15 @@ val at_most : k:int -> failure_model
 (** Deterministic: the first [k] attempts of every task fail, the next
     succeeds — handy for exact makespan assertions in tests. *)
 
-type event = Recording.event =
-  | Ready of int        (** Task revealed (or re-revealed after a failure). *)
-  | Start of int * int  (** Task id, allocation. *)
-  | Finish of int       (** Successful completion. *)
-  | Failed of int * int (** Task id, 1-based attempt that failed. *)
-
-type attempt = Recording.attempt = {
-  task_id : int;
-  attempt : int;      (** 1-based attempt number. *)
-  start : float;
-  finish : float;     (** The batch instant at which the attempt ended. *)
-  nprocs : int;
-  procs : int array;
-  failed : bool;
-}
-
 type result = {
   schedule : Schedule.t;
-      (** One placement per task: its successful attempt. *)
-  recording : Recording.t;
-      (** The run's trace and depth samples as flat arrays the result owns
-          (never the arena's); read it through the views below and
-          {!Metrics}. *)
-  makespan : float;
-  n_attempts : int;
-  n_failures : int;
-  metrics : Metrics.t;  (** Its views replay the same [recording]. *)
+      (** One placement per task: its successful attempt.  The makespan
+          is [Schedule.makespan schedule]. *)
+  metrics : Metrics.t;
+      (** The run's one record: the same schedule, the counters
+          ([launches] attempts of which [retries] failed) and the
+          recording its views replay. *)
 }
-
-(** {1 Result views}
-
-    Built from the result's {!Recording} on every call; empty for a lean
-    run. *)
-
-val trace : result -> (float * event) list
-(** Chronological. *)
-
-val attempts : result -> attempt list
-(** Chronological (by start, then task id and attempt). *)
-
-val n_events : result -> int
-
-val events_from : result -> int -> (float * event) list
-(** [events_from r k] is the trace suffix from event index [k], in
-    O(events returned) — the drained-session form of
-    {!Stepper.events_from}. *)
 
 (** Reusable per-run storage: the event heap, per-task bookkeeping arrays,
     recording buffers and the platform (with its recycled segment pool),
@@ -233,7 +196,7 @@ module Stepper : sig
   val n_events : t -> int
   (** Trace events recorded so far (0 in lean mode). *)
 
-  val events_from : t -> int -> (float * event) list
+  val events_from : t -> int -> (float * Metrics.event) list
   (** [events_from t k] is the chronological trace suffix starting at
       event index [k]: the incremental window a subscriber polls with
       [k = n_events] from the previous call.  Always empty in lean mode. *)
@@ -260,14 +223,14 @@ val run :
     failure RNG.  [arena] supplies reusable per-run storage (see {!Arena});
     by default a run reuses {!Arena.for_current_domain}, so successive
     batch runs on one domain allocate their per-run arrays once, and a run
-    nested in another run's policy callback gets a private arena.  A full run records its
-    event trace, the processor blocks of failed attempts and one
-    ready-depth sample per scheduling instant into the arena, and the
-    result owns flat copies of them (see {!Recording}); the list views are
+    nested in another run's policy callback gets a private arena.  A full
+    run records its event trace, the processor blocks of failed attempts
+    and one ready-depth sample per scheduling instant into the arena, and
+    the result's {!Metrics.t} owns flat copies of them; the list views are
     built only when called.  [lean:true] (default [false]) records nothing
-    beyond the schedule and the run counters: every view of the result is
-    empty, while [schedule], [makespan], [n_attempts] and [n_failures] are
-    exactly those of the full run.  A live [tracer] turns [lean] off.
+    beyond the schedule and the run counters: every {!Metrics} view of the
+    result is empty, while the schedule and the counters are exactly those
+    of the full run.  A live [tracer] turns [lean] off.
     [max_attempts] (default unlimited) bounds the attempts
     per task; the bound is checked {e before} any processor is acquired or
     event queued, and the error names the task, its attempt count and the
@@ -276,8 +239,8 @@ val run :
     [tracer] (default {!Tracer.null}, i.e. off) records instant markers for
     reveals/deferred releases/stalls and self-profile timers
     ([event-loop], [launch-round]).  Its execution spans are the result's
-    {!attempts}, so a run with a live tracer always records in full, even
-    under [lean:true].  Tracing never affects the schedule, and a
+    {!Metrics.attempts}, so a run with a live tracer always records in
+    full, even under [lean:true].  Tracing never affects the schedule, and a
     [Tracer.null] run performs no tracing work beyond one branch per
     hook.
 

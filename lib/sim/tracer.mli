@@ -20,7 +20,7 @@
       regressions are visible without an external profiler.
 
     Execution spans are not recorded here: they are the run's attempts,
-    {!Sim_core.attempts}, replayed from its recording.  A run with a live
+    {!Metrics.attempts}, replayed from its recording.  A run with a live
     tracer therefore always records in full ([?lean] is ignored).
     {!Moldable_viz.Chrome_trace} renders the attempts with these instants
     as a Chrome trace-event JSON for [chrome://tracing] / Perfetto.

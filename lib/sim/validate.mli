@@ -29,9 +29,9 @@ val check_exn : dag:Dag.t -> Schedule.t -> unit
 (** @raise Failure with the concatenated violations. *)
 
 val check_attempts :
-  dag:Dag.t -> p:int -> Sim_core.attempt list -> (unit, string list) result
-(** The same checks over every attempt of a failure-prone run (the
-    [attempts] of a full-mode {!Sim_core.result}): a placement is a single
+  dag:Dag.t -> p:int -> Metrics.attempt list -> (unit, string list) result
+(** The same checks over every attempt of a failure-prone run
+    ({!Metrics.attempts} of a full run): a placement is a single
     successful attempt, so on a run without failures this agrees with
     {!check}.  Additionally, each task's attempts are numbered
     1, 2, ..., every attempt but the last failed and the last succeeded,
@@ -39,7 +39,7 @@ val check_attempts :
     {e successful} completion of predecessors; a predecessor that never
     succeeded is itself a violation for every downstream attempt. *)
 
-val check_attempts_exn : dag:Dag.t -> p:int -> Sim_core.attempt list -> unit
+val check_attempts_exn : dag:Dag.t -> p:int -> Metrics.attempt list -> unit
 (** @raise Failure with the concatenated violations. *)
 
 val respects_allocation_bound : dag:Dag.t -> Schedule.t -> bool

@@ -29,7 +29,7 @@ let procs_range procs =
 
 let of_run ?label ?registry tracer (metrics : Metrics.t) =
   let label = match label with Some f -> f | None -> Printf.sprintf "t%d" in
-  let attempts = Recording.attempts metrics.Metrics.recording in
+  let attempts = Metrics.attempts metrics in
   let buf = Buffer.create 8192 in
   let first = ref true in
   (* One compact event object per line, so the file diffs line by line. *)
@@ -55,8 +55,8 @@ let of_run ?label ?registry tracer (metrics : Metrics.t) =
      lowest processor id, which two simultaneous attempts can never share. *)
   let lanes =
     List.fold_left
-      (fun acc (a : Recording.attempt) ->
-        let lane = a.Recording.procs.(0) in
+      (fun acc (a : Metrics.attempt) ->
+        let lane = a.Metrics.procs.(0) in
         if List.mem lane acc then acc else lane :: acc)
       [] attempts
     |> List.sort Int.compare
@@ -69,26 +69,26 @@ let of_run ?label ?registry tracer (metrics : Metrics.t) =
         [ ("sort_index", J.int lane) ])
     lanes;
   List.iter
-    (fun (a : Recording.attempt) ->
+    (fun (a : Metrics.attempt) ->
       event
         [
           ( "name",
             J.Str
-              (Printf.sprintf "%s#%d" (label a.Recording.task_id)
-                 a.Recording.attempt) );
+              (Printf.sprintf "%s#%d" (label a.Metrics.task_id)
+                 a.Metrics.attempt) );
           ("cat", J.Str "attempt"); ("ph", J.Str "X"); ("pid", J.int 0);
-          ("tid", J.int a.Recording.procs.(0));
-          ("ts", us a.Recording.start);
-          ("dur", us (a.Recording.finish -. a.Recording.start));
+          ("tid", J.int a.Metrics.procs.(0));
+          ("ts", us a.Metrics.start);
+          ("dur", us (a.Metrics.finish -. a.Metrics.start));
           ( "args",
             J.Obj
               [
-                ("task", J.int a.Recording.task_id);
-                ("attempt", J.int a.Recording.attempt);
-                ("nprocs", J.int a.Recording.nprocs);
-                ("procs", J.Str (procs_range a.Recording.procs));
+                ("task", J.int a.Metrics.task_id);
+                ("attempt", J.int a.Metrics.attempt);
+                ("nprocs", J.int a.Metrics.nprocs);
+                ("procs", J.Str (procs_range a.Metrics.procs));
                 ( "outcome",
-                  J.Str (if a.Recording.failed then "failed" else "completed")
+                  J.Str (if a.Metrics.failed then "failed" else "completed")
                 );
               ] );
         ])
@@ -112,15 +112,16 @@ let of_run ?label ?registry tracer (metrics : Metrics.t) =
   (* Counter tracks: free processors from the busy timeline, and the
      ready-queue depth sampled at every scheduling instant. *)
   let utilization = Metrics.utilization metrics in
+  let p = Schedule.p metrics.Metrics.schedule in
   List.iter
     (fun (s : Metrics.segment) ->
       counter "free processors" (us s.Metrics.t0)
-        [ ("free", J.int (metrics.Metrics.p - s.Metrics.busy)) ])
+        [ ("free", J.int (p - s.Metrics.busy)) ])
     utilization;
   (match List.rev utilization with
   | last :: _ ->
     counter "free processors" (us last.Metrics.t1)
-      [ ("free", J.int metrics.Metrics.p) ]
+      [ ("free", J.int p) ]
   | [] -> ());
   List.iter
     (fun (time, depth) ->

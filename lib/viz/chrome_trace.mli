@@ -25,7 +25,7 @@ val of_run :
   Metrics.t ->
   string
 (** [of_run tracer metrics] renders the run's attempts (replayed from
-    [metrics]' recording, see {!Moldable_sim.Recording.attempts}), the
+    [metrics]' recording, see {!Moldable_sim.Metrics.attempts}), the
     tracer's instants and the metrics' counter timelines.  [label] names
     tasks in span names (default ["t<id>"]).
 

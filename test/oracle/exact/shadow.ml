@@ -96,7 +96,8 @@ let check ?mu ?improved ?(eps = Moldable_util.Fcmp.default_eps) ?(tol = 1e-12)
   let tol_r = Rat.of_float tol in
   let batch_r = Rat.of_float Event_queue.batch_eps in
   let n = Dag.n dag in
-  let attempts = Sim_core.attempts r in
+  let attempts = Metrics.attempts r.Sim_core.metrics in
+  let makespan = Schedule.makespan r.Sim_core.schedule in
   let checks = ref 0 in
   let divs = ref [] in
   let flag site ~float_value ~exact_value ~error ~explained detail =
@@ -113,8 +114,9 @@ let check ?mu ?improved ?(eps = Moldable_util.Fcmp.default_eps) ?(tol = 1e-12)
       Hashtbl.replace time_memo (tid, q) t;
       t
   in
-  let exact_finish (a : Sim_core.attempt) =
-    Rat.add (Rat.of_float a.Sim_core.start) (etime a.Sim_core.task_id a.Sim_core.nprocs)
+  let exact_finish (a : Metrics.attempt) =
+    Rat.add (Rat.of_float a.Metrics.start)
+      (etime a.Metrics.task_id a.Metrics.nprocs)
   in
   (* Relative slack of |a - b| against [allow * max 1 (max |a| |b|)]; a
      positive excess means the allowance is violated. *)
@@ -137,15 +139,15 @@ let check ?mu ?improved ?(eps = Moldable_util.Fcmp.default_eps) ?(tol = 1e-12)
       trace_order (i + 1) rest
     | _ -> ()
   in
-  trace_order 0 (Sim_core.trace r);
+  trace_order 0 (Metrics.trace r.Sim_core.metrics);
 
   (* --- processor sets ------------------------------------------------- *)
   List.iter
-    (fun (a : Sim_core.attempt) ->
+    (fun (a : Metrics.attempt) ->
       incr checks;
-      let procs = a.Sim_core.procs in
+      let procs = a.Metrics.procs in
       let bad = ref None in
-      if Array.length procs <> a.Sim_core.nprocs then
+      if Array.length procs <> a.Metrics.nprocs then
         bad := Some "length differs from nprocs";
       Array.iteri
         (fun i q ->
@@ -157,8 +159,8 @@ let check ?mu ?improved ?(eps = Moldable_util.Fcmp.default_eps) ?(tol = 1e-12)
       | None -> ()
       | Some msg ->
         flag
-          (Proc_set { task_id = a.Sim_core.task_id; attempt = a.Sim_core.attempt })
-          ~float_value:(float_of_int a.Sim_core.nprocs)
+          (Proc_set { task_id = a.Metrics.task_id; attempt = a.Metrics.attempt })
+          ~float_value:(float_of_int a.Metrics.nprocs)
           ~exact_value:(string_of_int (Array.length procs))
           ~error:infinity ~explained:false msg)
     attempts;
@@ -183,14 +185,14 @@ let check ?mu ?improved ?(eps = Moldable_util.Fcmp.default_eps) ?(tol = 1e-12)
   (* --- batch instants (attempts carry the batch's latest stamp) ------- *)
   let batch_allow = Rat.add batch_r tol_r in
   List.iter
-    (fun (a : Sim_core.attempt) ->
+    (fun (a : Metrics.attempt) ->
       incr checks;
       let ex = exact_finish a in
-      let fl = Rat.of_float a.Sim_core.finish in
+      let fl = Rat.of_float a.Metrics.finish in
       if not (within ~allow:batch_allow fl ex) then
         flag
-          (Batch_merge { task_id = a.Sim_core.task_id; attempt = a.Sim_core.attempt })
-          ~float_value:a.Sim_core.finish ~exact_value:(Rat.to_string ex)
+          (Batch_merge { task_id = a.Metrics.task_id; attempt = a.Metrics.attempt })
+          ~float_value:a.Metrics.finish ~exact_value:(Rat.to_string ex)
           ~error:(rel_excess ~allow:batch_allow fl ex)
           ~explained:false
           "batch instant strayed beyond the batching tolerance from the \
@@ -200,8 +202,8 @@ let check ?mu ?improved ?(eps = Moldable_util.Fcmp.default_eps) ?(tol = 1e-12)
   (* --- precedence ------------------------------------------------------ *)
   let attempts_of = Array.make n [] in
   List.iter
-    (fun (a : Sim_core.attempt) ->
-      attempts_of.(a.Sim_core.task_id) <- a :: attempts_of.(a.Sim_core.task_id))
+    (fun (a : Metrics.attempt) ->
+      attempts_of.(a.Metrics.task_id) <- a :: attempts_of.(a.Metrics.task_id))
     attempts;
   List.iter
     (fun (i, j) ->
@@ -210,35 +212,36 @@ let check ?mu ?improved ?(eps = Moldable_util.Fcmp.default_eps) ?(tol = 1e-12)
         Rat.add (Rat.of_float pl.Schedule.start) (etime i pl.Schedule.nprocs)
       in
       List.iter
-        (fun (a : Sim_core.attempt) ->
+        (fun (a : Metrics.attempt) ->
           incr checks;
-          let start = Rat.of_float a.Sim_core.start in
+          let start = Rat.of_float a.Metrics.start in
           (* start >= pred_done - allowance * scale *)
           let scale = Rat.max Rat.one (Rat.abs pred_done) in
           let lo = Rat.sub pred_done (Rat.mul batch_allow scale) in
           if Rat.compare start lo < 0 then
             flag
               (Precedence { pred = i; succ = j })
-              ~float_value:a.Sim_core.start
+              ~float_value:a.Metrics.start
               ~exact_value:(Rat.to_string pred_done)
               ~error:(Rat.to_float (Rat.div (Rat.sub pred_done start) scale))
               ~explained:false
               (Printf.sprintf "attempt %d of task %d started before the \
                                exact completion of predecessor %d"
-                 a.Sim_core.attempt j i))
+                 a.Metrics.attempt j i))
         attempts_of.(j))
     (Dag.edges dag);
 
   (* --- per-processor occupancy ---------------------------------------- *)
   let per_proc = Array.make p [] in
   List.iter
-    (fun (a : Sim_core.attempt) ->
-      let s = Rat.of_float a.Sim_core.start in
+    (fun (a : Metrics.attempt) ->
+      let s = Rat.of_float a.Metrics.start in
       let e = exact_finish a in
       Array.iter
         (fun q ->
-          if q >= 0 && q < p then per_proc.(q) <- (s, e, a.Sim_core.task_id) :: per_proc.(q))
-        a.Sim_core.procs)
+          if q >= 0 && q < p then
+            per_proc.(q) <- (s, e, a.Metrics.task_id) :: per_proc.(q))
+        a.Metrics.procs)
     attempts;
   Array.iteri
     (fun q ivs ->
@@ -326,9 +329,9 @@ let check ?mu ?improved ?(eps = Moldable_util.Fcmp.default_eps) ?(tol = 1e-12)
          (fun acc a -> Rat.max acc (exact_finish a))
          Rat.zero attempts
      in
-     let fl = Rat.of_float r.Sim_core.makespan in
+     let fl = Rat.of_float makespan in
      if not (within ~allow:batch_allow fl ex_makespan) then
-       flag Makespan ~float_value:r.Sim_core.makespan
+       flag Makespan ~float_value:makespan
          ~exact_value:(Rat.to_string ex_makespan)
          ~error:(rel_excess ~allow:batch_allow fl ex_makespan)
          ~explained:false "makespan vs exact latest completion"
@@ -363,9 +366,9 @@ let check ?mu ?improved ?(eps = Moldable_util.Fcmp.default_eps) ?(tol = 1e-12)
          "ratio denominator positivity disagrees between float and exact"
      else if lb_pos_f then begin
        incr checks;
-       let ratio_f = r.Sim_core.makespan /. fb.Bounds.lower_bound in
+       let ratio_f = makespan /. fb.Bounds.lower_bound in
        let ratio_e =
-         Rat.div (Rat.of_float r.Sim_core.makespan) eb.Exact_alg2.lower_bound
+         Rat.div (Rat.of_float makespan) eb.Exact_alg2.lower_bound
        in
        let ratio_allow = Rat.add batch_allow lb_allow in
        if not (within ~allow:ratio_allow (Rat.of_float ratio_f) ratio_e) then

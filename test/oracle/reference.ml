@@ -13,6 +13,7 @@ open Moldable_graph
 open Moldable_sim
 open Moldable_core
 open Sim_core
+open Metrics
 
 (* [Sim_core.run]'s argument checks, with its messages. *)
 let validate_inputs ?release_times ~max_attempts ~n () =
@@ -95,12 +96,12 @@ let of_sim (r : Sim_core.result) =
   let m = r.Sim_core.metrics in
   {
     schedule = r.Sim_core.schedule;
-    trace = Sim_core.trace r;
-    attempts = Sim_core.attempts r;
-    makespan = r.Sim_core.makespan;
-    n_attempts = r.Sim_core.n_attempts;
-    n_failures = r.Sim_core.n_failures;
-    p = m.Metrics.p;
+    trace = Metrics.trace m;
+    attempts = Metrics.attempts m;
+    makespan = Schedule.makespan r.Sim_core.schedule;
+    n_attempts = m.Metrics.counters.Metrics.launches;
+    n_failures = m.Metrics.counters.Metrics.retries;
+    p = Schedule.p m.Metrics.schedule;
     counters = m.Metrics.counters;
     utilization = Metrics.utilization m;
     queue_depth = Metrics.queue_depth m;
@@ -298,7 +299,7 @@ let run ?release_times ?(seed = 0) ?(max_attempts = max_int)
   else event_loop ();
   let attempts =
     List.sort
-      (fun x y ->
+      (fun (x : attempt) (y : attempt) ->
         match Float.compare x.start y.start with
         | 0 -> (
           match Int.compare x.task_id y.task_id with
@@ -309,7 +310,8 @@ let run ?release_times ?(seed = 0) ?(max_attempts = max_int)
   in
   let schedule = Schedule.finalize builder in
   let makespan =
-    List.fold_left (fun acc at -> Float.max acc at.finish) 0. attempts
+    List.fold_left (fun acc (at : attempt) -> Float.max acc at.finish) 0.
+      attempts
   in
   let tasks =
     Array.init n (fun i ->

@@ -104,7 +104,7 @@ let check_attempts ~dag ~p attempts =
   let atts = Array.of_list attempts in
   let execs =
     Array.map
-      (fun (a : Sim_core.attempt) ->
+      (fun (a : Metrics.attempt) ->
         { Schedule.task_id = a.task_id; start = a.start; finish = a.finish;
           nprocs = a.nprocs; procs = a.procs })
       atts
@@ -116,7 +116,7 @@ let check_attempts ~dag ~p attempts =
      last failed and the last one succeeded. *)
   let per_task = Array.make n [] in
   Array.iteri
-    (fun k (a : Sim_core.attempt) ->
+    (fun k (a : Metrics.attempt) ->
       per_task.(a.task_id) <- k :: per_task.(a.task_id))
     atts;
   let finish = Array.make n nan in

@@ -408,19 +408,19 @@ let prop_shadow_clean_with_failures =
         QCheck.Test.fail_report
           (Format.asprintf "seed %d (P=%d):@.%a" seed p Shadow.pp report))
 
-(* [r] with its recording rebuilt from edited event instants and failed
-   processor blocks (the recording is private to its constructor). *)
+(* [r] with its metrics rebuilt from edited event instants and failed
+   processor blocks (the record is private to its constructor). *)
 let with_recording ?(times = Fun.id) ?(failed_procs = Fun.id)
     (r : Moldable_sim.Sim_core.result) =
-  let module R = Moldable_sim.Recording in
-  let rc = r.Moldable_sim.Sim_core.recording in
-  let recording =
-    R.make ~schedule:rc.R.schedule ~times:(times rc.R.times)
-      ~codes:rc.R.codes ~args:rc.R.args
-      ~failed_procs:(failed_procs rc.R.failed_procs)
-      ~depth_times:rc.R.depth_times ~depths:rc.R.depths
+  let module M = Moldable_sim.Metrics in
+  let m = r.Moldable_sim.Sim_core.metrics in
+  let metrics =
+    M.make ~schedule:m.M.schedule ~counters:m.M.counters
+      ~times:(times m.M.times) ~codes:m.M.codes ~args:m.M.args
+      ~failed_procs:(failed_procs m.M.failed_procs)
+      ~depth_times:m.M.depth_times ~depths:m.M.depths
   in
-  { r with Moldable_sim.Sim_core.recording }
+  { r with Moldable_sim.Sim_core.metrics }
 
 let test_shadow_flags_corrupt_stamp () =
   (* The oracle must actually fire: corrupt one finish stamp well past every

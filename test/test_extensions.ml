@@ -125,13 +125,14 @@ let test_failures_never_matches_plain_run () =
   let resilient =
     Sim_core.run ~failures:Sim_core.never ~p (fifo_fixed ~p 1) dag
   in
-  Validate.check_attempts_exn ~dag ~p (Sim_core.attempts resilient);
+  let m = resilient.Sim_core.metrics in
+  Validate.check_attempts_exn ~dag ~p (Metrics.attempts m);
   check_float 1e-9 "same makespan"
     (Schedule.makespan plain.Sim_core.schedule)
-    resilient.Sim_core.makespan;
+    (Schedule.makespan resilient.Sim_core.schedule);
   Alcotest.(check int) "one attempt per task" 4
-    resilient.Sim_core.n_attempts;
-  Alcotest.(check int) "no failures" 0 resilient.Sim_core.n_failures
+    m.Metrics.counters.Metrics.launches;
+  Alcotest.(check int) "no failures" 0 m.Metrics.counters.Metrics.retries
 
 let test_failures_at_most_k_exact_makespan () =
   (* One task of duration 2, failing exactly twice: 3 attempts, makespan 6. *)
@@ -141,10 +142,11 @@ let test_failures_at_most_k_exact_makespan () =
       ~failures:(Sim_core.at_most ~k:2)
       ~p:1 (fifo_fixed ~p:1 1) dag
   in
-  Validate.check_attempts_exn ~dag ~p:1 (Sim_core.attempts r);
-  Alcotest.(check int) "attempts" 3 r.Sim_core.n_attempts;
-  Alcotest.(check int) "failures" 2 r.Sim_core.n_failures;
-  check_float 1e-9 "makespan" 6. r.Sim_core.makespan
+  let m = r.Sim_core.metrics in
+  Validate.check_attempts_exn ~dag ~p:1 (Metrics.attempts m);
+  Alcotest.(check int) "attempts" 3 m.Metrics.counters.Metrics.launches;
+  Alcotest.(check int) "failures" 2 m.Metrics.counters.Metrics.retries;
+  check_float 1e-9 "makespan" 6. (Schedule.makespan r.Sim_core.schedule)
 
 let test_failures_block_successors () =
   (* 0 -> 1; task 0 fails once: task 1 must start only after the successful
@@ -157,13 +159,13 @@ let test_failures_block_successors () =
     }
   in
   let r = Sim_core.run ~failures ~p:2 (fifo_fixed ~p:2 1) dag in
-  Validate.check_attempts_exn ~dag ~p:2 (Sim_core.attempts r);
+  Validate.check_attempts_exn ~dag ~p:2 (Metrics.attempts r.Sim_core.metrics);
   let t1_start =
     List.find
-      (fun (a : Sim_core.attempt) -> a.Sim_core.task_id = 1)
-      (Sim_core.attempts r)
+      (fun (a : Metrics.attempt) -> a.Metrics.task_id = 1)
+      (Metrics.attempts r.Sim_core.metrics)
   in
-  check_float 1e-9 "successor delayed" 4. t1_start.Sim_core.start
+  check_float 1e-9 "successor delayed" 4. t1_start.Metrics.start
 
 let test_failures_max_attempts_guard () =
   let dag = Dag.create ~tasks:(unit_tasks 1 1.) ~edges:[] in
@@ -189,10 +191,12 @@ let test_failures_bernoulli_reproducible () =
       ~p:4 (fifo_fixed ~p:4 1) dag
   in
   let a = run () and b = run () in
-  Alcotest.(check int) "same attempts" a.Sim_core.n_attempts
-    b.Sim_core.n_attempts;
-  check_float 1e-9 "same makespan" a.Sim_core.makespan
-    b.Sim_core.makespan
+  let launches (r : Sim_core.result) =
+    r.Sim_core.metrics.Metrics.counters.Metrics.launches
+  in
+  Alcotest.(check int) "same attempts" (launches a) (launches b);
+  check_float 1e-9 "same makespan" (Schedule.makespan a.Sim_core.schedule)
+    (Schedule.makespan b.Sim_core.schedule)
 
 let test_failures_rate_slows_schedule () =
   let rng = Rng.create 3 in
@@ -202,12 +206,13 @@ let test_failures_rate_slows_schedule () =
   in
   let p = 16 in
   let mk q =
-    (Sim_core.run ~seed:11
-       ~failures:(Sim_core.bernoulli ~q)
-       ~p
-       (Online_scheduler.policy ~allocator:Allocator.algorithm2_per_model ~p ())
-       dag)
-      .Sim_core.makespan
+    Schedule.makespan
+      (Sim_core.run ~seed:11
+         ~failures:(Sim_core.bernoulli ~q)
+         ~p
+         (Online_scheduler.policy ~allocator:Allocator.algorithm2_per_model ~p ())
+         dag)
+        .Sim_core.schedule
   in
   let m0 = mk 0.0 and m3 = mk 0.3 and m6 = mk 0.6 in
   Alcotest.(check bool) "monotone in failure rate" true (m0 < m3 && m3 < m6)
@@ -230,7 +235,8 @@ let prop_failure_runs_validate =
              ~p ())
           dag
       in
-      Result.is_ok (Validate.check_attempts ~dag ~p (Sim_core.attempts r)))
+      Result.is_ok
+        (Validate.check_attempts ~dag ~p (Metrics.attempts r.Sim_core.metrics)))
 
 (* --------------------------------------------------------------- Malleable *)
 
@@ -551,7 +557,7 @@ let test_metrics_simple () =
   let dag = Dag.create ~tasks:(unit_tasks 2 1.) ~edges:[] in
   let r = Sim_core.run ~p:1 (fifo_fixed ~p:1 1) dag in
   let m = r.Sim_core.metrics in
-  check_float 1e-9 "makespan" 2. r.Sim_core.makespan;
+  check_float 1e-9 "makespan" 2. (Schedule.makespan r.Sim_core.schedule);
   check_float 1e-9 "task 0 wait" 0. (Metrics.tasks m).(0).Metrics.wait;
   check_float 1e-9 "task 1 wait" 1. (Metrics.tasks m).(1).Metrics.wait;
   check_float 1e-9 "mean wait" 0.5 (Metrics.mean_wait m);

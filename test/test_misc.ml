@@ -103,7 +103,7 @@ let test_engine_makespan_helper () =
       ~allocator:Moldable_core.Allocator.sequential ~p:1 ()
   in
   Alcotest.(check (float 1e-9)) "helper" 2.
-    (Sim_core.run ~lean:true ~p:1 policy dag).Sim_core.makespan
+    (Schedule.makespan (Sim_core.run ~lean:true ~p:1 policy dag).Sim_core.schedule)
 
 let test_svg_color_deterministic () =
   Alcotest.(check bool) "same string each call" true

@@ -212,10 +212,10 @@ let prop_null_registry_equivalent =
       let live = run ~registry:(R.create ()) () in
       same_schedule default.Sim_core.schedule null.Sim_core.schedule
       && same_schedule default.Sim_core.schedule live.Sim_core.schedule
-      && Float.equal default.Sim_core.makespan null.Sim_core.makespan
-      && Float.equal default.Sim_core.makespan live.Sim_core.makespan
-      && Sim_core.attempts default = Sim_core.attempts null
-      && Sim_core.attempts default = Sim_core.attempts live)
+      && Metrics.attempts default.Sim_core.metrics
+         = Metrics.attempts null.Sim_core.metrics
+      && Metrics.attempts default.Sim_core.metrics
+         = Metrics.attempts live.Sim_core.metrics)
 
 let test_null_registry_records_nothing () =
   Alcotest.(check bool) "disabled" false (R.enabled R.null);
@@ -242,7 +242,7 @@ let test_sim_counters_published () =
     | None -> Alcotest.fail (name ^ " missing")
   in
   Alcotest.(check (float 0.)) "launches = attempts"
-    (float_of_int result.Sim_core.n_attempts)
+    (float_of_int result.Sim_core.metrics.Metrics.counters.Metrics.launches)
     (v "moldable_sim_launches");
   Alcotest.(check (float 0.)) "one run" 1. (v "moldable_sim_runs");
   Alcotest.(check bool) "events counted" true (v "moldable_sim_events" > 0.)

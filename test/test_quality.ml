@@ -73,7 +73,7 @@ let test_engine_trace_deterministic () =
     Moldable_workloads.Random_dag.erdos_renyi ~rng ~n:25 ~edge_prob:0.15
       ~kind:Speedup.Kind_general ()
   in
-  let run () = Sim_core.trace (Online_scheduler.run ~p:16 dag) in
+  let run () = Metrics.trace (Online_scheduler.run ~p:16 dag).Sim_core.metrics in
   Alcotest.(check bool) "same trace" true (run () = run ())
 
 (* --------------------------------------- Feldmann et al. (1998) equivalence *)
@@ -144,12 +144,12 @@ let test_failure_competitiveness_degrades_gracefully () =
           (Online_scheduler.policy ~allocator:(Allocator.algorithm2 ~mu) ~p ())
           dag
       in
-      Validate.check_attempts_exn ~dag ~p (Sim_core.attempts r);
+      Validate.check_attempts_exn ~dag ~p (Metrics.attempts r.Sim_core.metrics);
       let bound = float_of_int (k + 1) *. 4.74 *. lb in
       Alcotest.(check bool)
         (Printf.sprintf "k=%d within (k+1) * bound" k)
         true
-        (r.Sim_core.makespan <= bound +. 1e-9))
+        ((Schedule.makespan r.Sim_core.schedule) <= bound +. 1e-9))
     [ 0; 1; 2; 3 ]
 
 (* ------------------------------------------------------- Power-law model *)

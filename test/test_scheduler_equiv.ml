@@ -12,13 +12,15 @@ open Moldable_sim
 open Moldable_core
 open Moldable_util
 
-let event_pp ppf (t, (e : Sim_core.event)) =
+let event_pp ppf (t, (e : Metrics.event)) =
   match e with
-  | Sim_core.Ready i -> Format.fprintf ppf "%.17g:ready %d" t i
-  | Sim_core.Start (i, q) -> Format.fprintf ppf "%.17g:start %d on %d" t i q
-  | Sim_core.Finish i -> Format.fprintf ppf "%.17g:finish %d" t i
-  | Sim_core.Failed (i, k) ->
+  | Metrics.Ready i -> Format.fprintf ppf "%.17g:ready %d" t i
+  | Metrics.Start (i, q) -> Format.fprintf ppf "%.17g:start %d on %d" t i q
+  | Metrics.Finish i -> Format.fprintf ppf "%.17g:finish %d" t i
+  | Metrics.Failed (i, k) ->
     Format.fprintf ppf "%.17g:failed %d attempt %d" t i k
+
+let trace (r : Sim_core.result) = Metrics.trace r.Sim_core.metrics
 
 let trace_equal a b =
   List.length a = List.length b
@@ -101,12 +103,12 @@ let policies_agree ~dag ~p ~failures:(failures_name, failures) ~seed ~priority
   let list_ =
     run (Moldable_oracle.Reference.policy ~priority ~allocator ~p ())
   in
-  if trace_equal (Sim_core.trace heap) (Sim_core.trace list_) then true
+  if trace_equal (trace heap) (trace list_) then true
   else
     QCheck.Test.fail_report
       (Printf.sprintf "trace mismatch [%s, %s, %s, P=%d]\n%s"
          priority.Priority.name allocator.Allocator.name failures_name p
-         (show_traces (Sim_core.trace heap) (Sim_core.trace list_)))
+         (show_traces (trace heap) (trace list_)))
 
 let prop_trace_equivalence =
   QCheck.Test.make ~name:"heap queue reproduces sorted-list traces (all rules)"
@@ -169,7 +171,7 @@ let same_run (a : Sim_core.result) (b : Sim_core.result) =
   && List.for_all
        (fun i -> Schedule.placement sa i = Schedule.placement sb i)
        (List.init (Schedule.n sa) Fun.id)
-  && trace_equal (Sim_core.trace a) (Sim_core.trace b)
+  && trace_equal (trace a) (trace b)
 
 let prop_list_schedulers_match_reference =
   QCheck.Test.make
@@ -270,7 +272,7 @@ let test_cache_saves_model_evaluations () =
     true
     (cached_calls < reference_calls);
   Alcotest.(check bool) "same trace" true
-    (trace_equal (Sim_core.trace cached) (Sim_core.trace reference))
+    (trace_equal (trace cached) (trace reference))
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in

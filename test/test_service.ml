@@ -63,7 +63,7 @@ let admission_caps ~dag (reference : Sim_core.result) =
            match acc with
            | t' :: _ when Float.equal t' t -> acc
            | _ -> t :: acc)
-         [] (Sim_core.trace reference))
+         [] (Metrics.trace reference.Sim_core.metrics))
   in
   (* The time-0 source flush is step 0 whether or not it recorded events. *)
   let offset =
@@ -80,9 +80,9 @@ let admission_caps ~dag (reference : Sim_core.result) =
   List.iter
     (fun (t, ev) ->
       match ev with
-      | Sim_core.Finish i -> finish_step.(i) <- step_of_time t
-      | Sim_core.Ready _ | Sim_core.Start _ | Sim_core.Failed _ -> ())
-    (Sim_core.trace reference);
+      | Metrics.Finish i -> finish_step.(i) <- step_of_time t
+      | Metrics.Ready _ | Metrics.Start _ | Metrics.Failed _ -> ())
+    (Metrics.trace reference.Sim_core.metrics);
   (* A task must be admitted strictly before the batch that completes its
      last dependency (so the normal unlock path reveals it); sources must
      be in place before the time-0 flush. *)
@@ -380,7 +380,7 @@ let test_stepper_events_windows_concatenate () =
   let r = Sim_core.Stepper.drain st in
   let streamed = List.concat (List.rev !windows) in
   Alcotest.(check bool) "windows concatenate to the full trace" true
-    (streamed = (Sim_core.trace r))
+    (streamed = (Metrics.trace r.Sim_core.metrics))
 
 (* ------------------------------------------------------------- protocol *)
 
@@ -1176,7 +1176,7 @@ let test_end_to_end_incremental_session () =
   (* A drained session serves any window of its trace: [events since k] is
      the local run's trace from event [k] on, and [next] is the trace
      length (or [k] past the end). *)
-  let trace = Sim_core.trace local in
+  let trace = Metrics.trace local.Sim_core.metrics in
   let n_events = List.length trace in
   List.iter
     (fun since ->

@@ -109,8 +109,8 @@ let test_engine_batches_ulp_completions () =
   let r = Sim_core.run ~p:2 policy dag in
   let finishes =
     List.filter_map
-      (function t, Sim_core.Finish _ -> Some t | _ -> None)
-      (Sim_core.trace r)
+      (function t, Metrics.Finish _ -> Some t | _ -> None)
+      (Metrics.trace r.Sim_core.metrics)
   in
   (match finishes with
   | ta :: tb :: _ ->
@@ -426,7 +426,8 @@ let random_attempts rng dag =
   let p = Rng.int_range rng 1 5 in
   if Rng.int rng 4 = 0 then
     let q = Rng.float rng 0.6 in
-    (p, Sim_core.attempts (engine_run ~failures:(Sim_core.bernoulli ~q) ~p dag))
+    let r = engine_run ~failures:(Sim_core.bernoulli ~q) ~p dag in
+    (p, Metrics.attempts r.Sim_core.metrics)
   else begin
     let times = Array.append tie_times [| neg_infinity |] in
     let atts = ref [] in
@@ -449,7 +450,7 @@ let random_attempts rng dag =
         let attempt = if Rng.int rng 6 = 0 then Rng.int_range rng 0 3 else a in
         let failed = (a < count) <> (Rng.int rng 6 = 0) in
         atts :=
-          { Sim_core.task_id; attempt; start; finish; nprocs; procs; failed }
+          { Metrics.task_id; attempt; start; finish; nprocs; procs; failed }
           :: !atts
       done
     done;
@@ -547,10 +548,10 @@ let test_engine_waits_when_full () =
 let test_engine_trace_structure () =
   let dag = dag_of [ Task.make ~id:0 (roofline ~w:1. ~ptilde:1) ] [] in
   let r = Sim_core.run ~p:1 (fifo_policy ~p:1 1) dag in
-  match Sim_core.trace r with
-  | [ (t0, Sim_core.Ready 0);
-      (t1, Sim_core.Start (0, 1));
-      (t2, Sim_core.Finish 0) ] ->
+  match Metrics.trace r.Sim_core.metrics with
+  | [ (t0, Metrics.Ready 0);
+      (t1, Metrics.Start (0, 1));
+      (t2, Metrics.Finish 0) ] ->
     check_float "ready at 0" 0. t0;
     check_float "start at 0" 0. t1;
     check_float "finish at 1" 1. t2
@@ -565,8 +566,8 @@ let test_engine_reveals_only_when_ready () =
   let r = Sim_core.run ~p:2 (fifo_policy ~p:2 1) dag in
   let ready_1 =
     List.find_map
-      (function t, Sim_core.Ready 1 -> Some t | _ -> None)
-      (Sim_core.trace r)
+      (function t, Metrics.Ready 1 -> Some t | _ -> None)
+      (Metrics.trace r.Sim_core.metrics)
   in
   Alcotest.(check (option (float 1e-9))) "revealed at t=1" (Some 1.) ready_1
 

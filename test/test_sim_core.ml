@@ -94,7 +94,7 @@ module Seed_engine = struct
     in
     let reveal now i =
       state.(i) <- Available;
-      record now (Sim_core.Ready i);
+      record now (Metrics.Ready i);
       policy.Sim_core.on_ready ~now (Dag.task dag i)
     in
     let reveal_or_defer now i =
@@ -120,7 +120,7 @@ module Seed_engine = struct
             let procs = Platform.acquire platform nprocs in
             let duration = Task.time (Dag.task dag tid) nprocs in
             state.(tid) <- Running;
-            record now (Sim_core.Start (tid, nprocs));
+            record now (Metrics.Start (tid, nprocs));
             Schedule.add builder
               {
                 Schedule.task_id = tid;
@@ -151,7 +151,7 @@ module Seed_engine = struct
                 Platform.release platform procs;
                 state.(tid) <- Done;
                 incr completed;
-                record now (Sim_core.Finish tid);
+                record now (Metrics.Finish tid);
                 Some tid
               | Reveal _ -> None)
             batch
@@ -246,7 +246,7 @@ module Seed_failure_engine = struct
             in
             attempts :=
               {
-                Sim_core.task_id = tid;
+                Metrics.task_id = tid;
                 attempt;
                 start;
                 finish = now;
@@ -274,12 +274,12 @@ module Seed_failure_engine = struct
     done;
     let attempts =
       List.sort
-        (fun (a : Sim_core.attempt) (b : Sim_core.attempt) ->
-          match compare a.Sim_core.start b.Sim_core.start with
+        (fun (a : Metrics.attempt) (b : Metrics.attempt) ->
+          match compare a.Metrics.start b.Metrics.start with
           | 0 ->
             compare
-              (a.Sim_core.task_id, a.Sim_core.attempt)
-              (b.Sim_core.task_id, b.Sim_core.attempt)
+              (a.Metrics.task_id, a.Metrics.attempt)
+              (b.Metrics.task_id, b.Metrics.attempt)
           | c -> c)
         !attempts
     in
@@ -339,7 +339,7 @@ let prop_core_trace_equivalent_to_seed_engine =
           let actual =
             Sim_core.run ?release_times ~p (fresh_policy ~priority ~p ()) dag
           in
-          Sim_core.trace actual = expected_trace
+          Metrics.trace actual.Sim_core.metrics = expected_trace
           && same_schedule actual.Sim_core.schedule expected_sched)
         Priority.all)
 
@@ -373,7 +373,7 @@ let prop_core_attempt_equivalent_to_seed_failure_engine =
               (fresh_policy ~priority ~p ())
               dag
           in
-          Sim_core.attempts actual = expected)
+          Metrics.attempts actual.Sim_core.metrics = expected)
         Priority.all)
 
 (* ------------------------------------- failure runs regained the extras *)
@@ -389,26 +389,26 @@ let test_failure_run_returns_schedule_and_trace () =
       (fresh_policy ~priority:Priority.fifo ~p ())
       dag
   in
-  Validate.check_attempts_exn ~dag ~p (Sim_core.attempts r);
+  Validate.check_attempts_exn ~dag ~p (Metrics.attempts r.Sim_core.metrics);
   (* The schedule holds exactly the successful attempt of every task. *)
   Alcotest.(check int) "one placement per task" (Dag.n dag)
     (Schedule.n r.Sim_core.schedule);
   List.iter
-    (fun (a : Sim_core.attempt) ->
-      if not a.Sim_core.failed then
+    (fun (a : Metrics.attempt) ->
+      if not a.Metrics.failed then
         check_float "schedule start = successful attempt start"
-          a.Sim_core.start
-          (Schedule.placement r.Sim_core.schedule a.Sim_core.task_id)
+          a.Metrics.start
+          (Schedule.placement r.Sim_core.schedule a.Metrics.task_id)
             .Schedule.start)
-    (Sim_core.attempts r);
+    (Metrics.attempts r.Sim_core.metrics);
   (* The trace records a Failed event per failed attempt and a Finish per
      task. *)
-  let count f = List.length (List.filter f (Sim_core.trace r)) in
+  let count f = List.length (List.filter f (Metrics.trace r.Sim_core.metrics)) in
   Alcotest.(check int) "Failed events"
-    r.Sim_core.n_failures
-    (count (function _, Sim_core.Failed _ -> true | _ -> false));
+    r.Sim_core.metrics.Metrics.counters.Metrics.retries
+    (count (function _, Metrics.Failed _ -> true | _ -> false));
   Alcotest.(check int) "Finish events" (Dag.n dag)
-    (count (function _, Sim_core.Finish _ -> true | _ -> false))
+    (count (function _, Metrics.Finish _ -> true | _ -> false))
 
 let test_failure_run_accepts_release_times () =
   let n = 4 in
@@ -425,7 +425,7 @@ let test_failure_run_accepts_release_times () =
       (fresh_policy ~priority:Priority.fifo ~p ())
       dag
   in
-  Validate.check_attempts_exn ~dag ~p (Sim_core.attempts r);
+  Validate.check_attempts_exn ~dag ~p (Metrics.attempts r.Sim_core.metrics);
   for i = 0 to n - 1 do
     Alcotest.(check bool)
       (Printf.sprintf "task %d starts at/after release" i)
@@ -456,9 +456,11 @@ let test_metrics_launches_accounting () =
   Alcotest.(check int) "launches = n + retries"
     (Dag.n dag + m.Metrics.counters.Metrics.retries)
     m.Metrics.counters.Metrics.launches;
-  Alcotest.(check int) "launches = attempts" r.Sim_core.n_attempts
+  let attempts = Metrics.attempts m in
+  Alcotest.(check int) "launches = attempts" (List.length attempts)
     m.Metrics.counters.Metrics.launches;
-  Alcotest.(check int) "retries = failures" r.Sim_core.n_failures
+  Alcotest.(check int) "retries = failed attempts"
+    (List.length (List.filter (fun (a : Metrics.attempt) -> a.failed) attempts))
     m.Metrics.counters.Metrics.retries
 
 let test_metrics_utilization_integral () =
@@ -466,11 +468,11 @@ let test_metrics_utilization_integral () =
   let m = r.Sim_core.metrics in
   let area_of_attempts =
     List.fold_left
-      (fun acc (a : Sim_core.attempt) ->
+      (fun acc (a : Metrics.attempt) ->
         acc
-        +. (float_of_int a.Sim_core.nprocs
-           *. (a.Sim_core.finish -. a.Sim_core.start)))
-      0. (Sim_core.attempts r)
+        +. (float_of_int a.Metrics.nprocs
+           *. (a.Metrics.finish -. a.Metrics.start)))
+      0. (Metrics.attempts r.Sim_core.metrics)
   in
   Alcotest.(check bool) "utilization integral = total attempt area" true
     (Fcmp.approx ~eps:1e-6 (Metrics.busy_area m) area_of_attempts);
@@ -582,7 +584,7 @@ let test_validate_flags_never_succeeded_predecessor () =
   let p = 2 in
   let attempt ~task_id ~attempt ~start ~procs ~failed =
     {
-      Sim_core.task_id;
+      Metrics.task_id;
       attempt;
       start;
       finish = start +. 1.;
@@ -622,7 +624,7 @@ let test_check_attempts_flags_malformed_runs () =
   let dag = Dag.create ~tasks ~edges:[ (0, 1) ] in
   let p = 2 in
   let at task_id attempt start ?(procs = [| 0 |]) failed =
-    { Sim_core.task_id; attempt; start; finish = start +. 1.;
+    { Metrics.task_id; attempt; start; finish = start +. 1.;
       nprocs = Array.length procs; procs; failed }
   in
   let clean = [ at 0 1 0. true; at 0 2 1. false; at 1 1 2. false ] in
@@ -680,7 +682,9 @@ let prop_check_attempts_agrees_with_check =
         ( count (Validate.check ~dag sched),
           count (Validate.check_attempts ~dag ~p attempts) )
       in
-      let clean_s, clean_a = verdicts r.Sim_core.schedule (Sim_core.attempts r) in
+      let clean_s, clean_a =
+        verdicts r.Sim_core.schedule (Metrics.attempts r.Sim_core.metrics)
+      in
       (* Corrupt one task's start stamp in both views: either within the
          validators' tolerance or anywhere before its finish. *)
       let k = Rng.int rng (Dag.n dag) in
@@ -697,9 +701,9 @@ let prop_check_attempts_agrees_with_check =
         (Schedule.placements r.Sim_core.schedule);
       let attempts =
         List.map
-          (fun (a : Sim_core.attempt) ->
-            if a.Sim_core.task_id = k then { a with Sim_core.start } else a)
-          (Sim_core.attempts r)
+          (fun (a : Metrics.attempt) ->
+            if a.Metrics.task_id = k then { a with Metrics.start } else a)
+          (Metrics.attempts r.Sim_core.metrics)
       in
       let bad_s, bad_a = verdicts (Schedule.finalize builder) attempts in
       clean_s = 0 && clean_a = 0 && bad_s = bad_a && (tiny || bad_s > 0))
@@ -868,6 +872,33 @@ let gen_scenario rng =
   in
   (dag, p, release_times, failures)
 
+(* Release times and a failure model in every run, on tasks whose times
+   are small integers and releases on the same integer grid (some one
+   relative 1e-13 late, inside the batching tolerance): batches then merge
+   completions, failed attempts and release-time reveals.  That is where
+   the reference's own makespan (its latest attempt end, a batch instant)
+   and the one [Reference.of_sim] derives from the schedule could part. *)
+let gen_merged_scenario rng =
+  let dag =
+    Dag.map_tasks
+      (fun t ->
+        Task.make ~id:t.Task.id
+          (Speedup.Roofline
+             { w = float_of_int (2 * Rng.int_range rng 1 3);
+               ptilde = Rng.int_range rng 1 2 }))
+      (random_dag rng)
+  in
+  let release_times =
+    Array.init (Dag.n dag) (fun _ ->
+        let k = float_of_int (Rng.int_range rng 0 6) in
+        if Rng.bool rng then k *. (1. +. 1e-13) else k)
+  in
+  let failures =
+    if Rng.bool rng then Sim_core.bernoulli ~q:(Rng.float rng 0.6)
+    else Sim_core.at_most ~k:(Rng.int_range rng 1 2)
+  in
+  (dag, Rng.int_range rng 2 8, Some release_times, failures)
+
 let allocators = [ Allocator.algorithm2_per_model; Improved_alloc.per_model ]
 
 let prop_arena_core_matches_reference =
@@ -878,24 +909,27 @@ let prop_arena_core_matches_reference =
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
       let rng = Rng.create seed in
-      let dag, p, release_times, failures = gen_scenario rng in
+      let scenario = gen_scenario rng in
       List.for_all
-        (fun priority ->
+        (fun (dag, p, release_times, failures) ->
           List.for_all
-            (fun allocator ->
-              let reference =
-                Reference.run ?release_times ~seed ~failures ~p
-                  (Online_scheduler.policy ~priority ~allocator ~p ())
-                  dag
-              in
-              let actual =
-                Sim_core.run ?release_times ~seed ~failures ~p
-                  (Online_scheduler.policy ~priority ~allocator ~p ())
-                  dag
-              in
-              same_views (Reference.of_sim actual) reference)
-            allocators)
-        Priority.all)
+            (fun priority ->
+              List.for_all
+                (fun allocator ->
+                  let reference =
+                    Reference.run ?release_times ~seed ~failures ~p
+                      (Online_scheduler.policy ~priority ~allocator ~p ())
+                      dag
+                  in
+                  let actual =
+                    Sim_core.run ?release_times ~seed ~failures ~p
+                      (Online_scheduler.policy ~priority ~allocator ~p ())
+                      dag
+                  in
+                  same_views (Reference.of_sim actual) reference)
+                allocators)
+            Priority.all)
+        [ scenario; gen_merged_scenario rng ])
 
 let prop_lean_mode_matches_full =
   QCheck.Test.make
@@ -918,13 +952,10 @@ let prop_lean_mode_matches_full =
               dag
           in
           same_schedule lean.Sim_core.schedule full.Sim_core.schedule
-          && Float.equal lean.Sim_core.makespan full.Sim_core.makespan
-          && lean.Sim_core.n_attempts = full.Sim_core.n_attempts
-          && lean.Sim_core.n_failures = full.Sim_core.n_failures
-          && Sim_core.trace lean = []
-          && Sim_core.attempts lean = []
           && lean.Sim_core.metrics.Metrics.counters
-             = full.Sim_core.metrics.Metrics.counters)
+             = full.Sim_core.metrics.Metrics.counters
+          && Metrics.trace lean.Sim_core.metrics = []
+          && Metrics.attempts lean.Sim_core.metrics = [])
         Priority.all)
 
 let prop_arena_reuse_changes_nothing =
@@ -997,7 +1028,7 @@ let test_result_does_not_alias_arena () =
    Sim_core.Stepper.abandon st);
   ignore (run ~arena ~p:p_a (dag_of 40) : Sim_core.result);
   Alcotest.(check bool) "A recorded failed attempts" true
-    (a.Sim_core.n_failures > 0);
+    (a.Sim_core.metrics.Metrics.counters.Metrics.retries > 0);
   Alcotest.(check bool) "every view of A equals a fresh run's" true
     (same_result a (run ~p:p_a dag_a))
 

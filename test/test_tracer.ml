@@ -50,13 +50,13 @@ let prop_spans_disjoint_per_processor =
       let _, p, _, result = traced_run ~seed ~model_idx in
       let per_proc = Array.make p [] in
       List.iter
-        (fun (a : Sim_core.attempt) ->
+        (fun (a : Metrics.attempt) ->
           Array.iter
             (fun proc ->
               per_proc.(proc) <-
-                (a.Sim_core.start, a.Sim_core.finish) :: per_proc.(proc))
-            a.Sim_core.procs)
-        (Sim_core.attempts result);
+                (a.Metrics.start, a.Metrics.finish) :: per_proc.(proc))
+            a.Metrics.procs)
+        (Metrics.attempts result.Sim_core.metrics);
       Array.for_all
         (fun intervals ->
           let sorted = List.sort compare intervals in
@@ -78,17 +78,17 @@ let prop_spans_within_platform =
     (fun (seed, model_idx) ->
       let _, p, _, result = traced_run ~seed ~model_idx in
       List.for_all
-        (fun (a : Sim_core.attempt) ->
-          let procs = a.Sim_core.procs in
-          a.Sim_core.nprocs = Array.length procs
-          && a.Sim_core.nprocs >= 1
-          && a.Sim_core.nprocs <= p
-          && a.Sim_core.start <= a.Sim_core.finish
+        (fun (a : Metrics.attempt) ->
+          let procs = a.Metrics.procs in
+          a.Metrics.nprocs = Array.length procs
+          && a.Metrics.nprocs >= 1
+          && a.Metrics.nprocs <= p
+          && a.Metrics.start <= a.Metrics.finish
           && Array.for_all (fun q -> q >= 0 && q < p) procs
           && Array.for_all
                (fun i -> procs.(i) < procs.(i + 1))
                (Array.init (Array.length procs - 1) Fun.id))
-        (Sim_core.attempts result))
+        (Metrics.attempts result.Sim_core.metrics))
 
 (* --------------------------------------------- exactly one decision / task *)
 
@@ -105,12 +105,12 @@ let prop_one_decision_per_task =
            (fun i -> Tracer.decision_for tracer i <> None)
            (List.init n Fun.id)
       (* Spans cover every attempt, successful or not. *)
-      && List.length (Sim_core.attempts result) = result.Sim_core.n_attempts
-      && List.length
-           (List.filter
-              (fun (a : Sim_core.attempt) -> a.Sim_core.failed)
-              (Sim_core.attempts result))
-         = result.Sim_core.n_failures)
+      && (let m = result.Sim_core.metrics in
+          let attempts = Metrics.attempts m in
+          List.length attempts = m.Metrics.counters.Metrics.launches
+          && List.length
+               (List.filter (fun (a : Metrics.attempt) -> a.failed) attempts)
+             = m.Metrics.counters.Metrics.retries))
 
 (* ------------------------------------ Tracer.null is observation-equivalent *)
 
@@ -141,9 +141,10 @@ let prop_null_tracer_equivalent =
       let null = run Tracer.null in
       let traced = run (Tracer.create ()) in
       same_schedule null.Sim_core.schedule traced.Sim_core.schedule
-      && Sim_core.trace null = (Sim_core.trace traced)
-      && Sim_core.attempts null = (Sim_core.attempts traced)
-      && Float.equal null.Sim_core.makespan traced.Sim_core.makespan
+      && Metrics.trace null.Sim_core.metrics
+         = Metrics.trace traced.Sim_core.metrics
+      && Metrics.attempts null.Sim_core.metrics
+         = Metrics.attempts traced.Sim_core.metrics
       && (Metrics.queue_depth null.Sim_core.metrics)
          = (Metrics.queue_depth traced.Sim_core.metrics))
 
@@ -376,9 +377,10 @@ let test_traced_lean_records_in_full () =
   in
   let lean = run ~lean:true and full = run ~lean:false in
   Alcotest.(check bool) "attempts recorded" true
-    (Sim_core.attempts full <> []);
+    (Metrics.attempts full.Sim_core.metrics <> []);
   Alcotest.(check bool) "same attempts" true
-    (Sim_core.attempts lean = Sim_core.attempts full)
+    (Metrics.attempts lean.Sim_core.metrics
+     = Metrics.attempts full.Sim_core.metrics)
 
 let test_chrome_escapes_labels () =
   let hostile = "quo\"te\\back\nline\001" in
