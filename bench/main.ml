@@ -216,7 +216,7 @@ let table1_measured pool () =
   let makespans, _, _ =
     compare_seq_par ~name:"adversarial_families"
       ~cells:(List.length instances)
-      ~equal:(fun a b -> List.for_all2 Float.equal a b)
+      ~equal:(fun a b -> compare a b = 0)
       pool
       (fun pool ->
         Pool.map_list ~chunk:1 pool
@@ -267,26 +267,18 @@ let convergence_plots pool () =
   in
   let ratios, _, _ =
     compare_seq_par ~name:"convergence_plots" ~cells:(List.length specs)
-      ~equal:(fun a b -> List.for_all2 Float.equal a b)
+      ~equal:(fun a b -> compare a b = 0)
       pool
       (fun pool ->
         Pool.map_list ~chunk:1 pool
-          (fun (_, inst) ->
-            Schedule.makespan (Instances.run_online inst).Sim_core.schedule
-            /. inst.Instances.alternative_makespan)
+          (fun (_, inst) -> Instances.measured_ratio inst)
           specs)
   in
   let points = List.map2 (fun (x, _) r -> (x, r)) specs ratios in
-  let rec take n = function
-    | [] -> []
-    | x :: tl -> if n = 0 then [] else x :: take (n - 1) tl
-  in
-  let rec drop n xs =
-    if n = 0 then xs else match xs with [] -> [] | _ :: tl -> drop (n - 1) tl
-  in
-  let comm_points = take 7 points in
-  let amdahl_points = take 7 (drop 7 points) in
-  let general_points = drop 14 points in
+  let slice lo hi = List.filteri (fun i _ -> lo <= i && i < hi) points in
+  let comm_points = slice 0 7 in
+  let amdahl_points = slice 7 14 in
+  let general_points = slice 14 21 in
   let limit name inst = (inst.Instances.limit_ratio, name) in
   print_string
     (Moldable_viz.Ascii_plot.render ~x_log:true ~xlabel:"P" ~ylabel:"T / T_offline"
@@ -625,7 +617,7 @@ let mu_sensitivity pool () =
   let measured, _, _ =
     compare_seq_par ~name:"mu_sensitivity"
       ~cells:(List.length batches * List.length mus * 10)
-      ~equal:(fun a b -> List.for_all2 (List.for_all2 Float.equal) a b)
+      ~equal:(fun a b -> compare a b = 0)
       pool
       (fun pool ->
         List.map
@@ -718,11 +710,7 @@ let failures_section pool () =
      so the sweep fans out without reordering any random draw. *)
   let rows, _, _ =
     compare_seq_par ~name:"failure_sweep" ~cells:(List.length qs)
-      ~equal:(fun a b ->
-        List.for_all2
-          (fun (aa, af, am) (ba, bf, bm) ->
-            aa = ba && af = bf && Float.equal am bm)
-          a b)
+      ~equal:(fun a b -> compare a b = 0)
       pool
       (fun pool ->
         Pool.map_list ~chunk:1 pool
@@ -1011,17 +999,7 @@ let tracing_section pool () =
   in
   let entries, _, _ =
     compare_seq_par ~name:"ratio_report" ~cells:(List.length ratio_specs)
-      ~equal:(fun a b ->
-        List.for_all2
-          (fun (x : Ratio_report.entry) (y : Ratio_report.entry) ->
-            String.equal x.Ratio_report.workload y.Ratio_report.workload
-            && Float.equal x.Ratio_report.makespan y.Ratio_report.makespan
-            && Float.equal x.Ratio_report.lower_bound
-                 y.Ratio_report.lower_bound
-            && Float.equal x.Ratio_report.ratio y.Ratio_report.ratio
-            && Bool.equal x.Ratio_report.within_bound
-                 y.Ratio_report.within_bound)
-          a b)
+      ~equal:(fun a b -> compare a b = 0)
       pool
       (fun pool ->
         Pool.map_list ~chunk:1 pool

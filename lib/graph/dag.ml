@@ -62,7 +62,6 @@ let tasks t = Array.copy t.tasks
 let successors t i = t.succ.(i)
 let predecessors t i = t.pred.(i)
 let in_degree t i = List.length t.pred.(i)
-let out_degree t i = List.length t.succ.(i)
 
 let filter_ids f t =
   let acc = ref [] in
@@ -95,16 +94,6 @@ let map_tasks f t =
       t.tasks
   in
   { t with tasks = tasks' }
-
-let union a b =
-  let na = n a in
-  let shift (t : Task.t) = { t with Task.id = t.Task.id + na } in
-  let tasks =
-    Array.to_list a.tasks @ List.map shift (Array.to_list b.tasks)
-  in
-  let edges_a = edges a in
-  let edges_b = List.map (fun (i, j) -> (i + na, j + na)) (edges b) in
-  create ~tasks ~edges:(edges_a @ edges_b)
 
 let pp_stats ppf t =
   Format.fprintf ppf "dag: %d tasks, %d edges, %d sources, %d sinks" (n t)

@@ -23,7 +23,6 @@ val tasks : t -> Task.t array
 val successors : t -> int -> int list
 val predecessors : t -> int -> int list
 val in_degree : t -> int -> int
-val out_degree : t -> int -> int
 
 val sources : t -> int list
 (** Tasks without predecessors, in id order. *)
@@ -39,9 +38,6 @@ val n_edges : t -> int
 val map_tasks : (Task.t -> Task.t) -> t -> t
 (** Rebuilds the graph with transformed tasks (ids must be preserved).
     @raise Invalid_argument if a task id is changed. *)
-
-val union : t -> t -> t
-(** Disjoint union; the second graph's ids are shifted by [n first]. *)
 
 val pp_stats : Format.formatter -> t -> unit
 (** One line: node count, edge count, sources, sinks. *)

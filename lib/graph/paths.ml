@@ -13,23 +13,6 @@ let bottom_level ~weight g =
     rev;
   bl
 
-let top_level ~weight g =
-  let n = Dag.n g in
-  let tl = Array.make n 0. in
-  List.iter
-    (fun i ->
-      List.iter
-        (fun j ->
-          let cand = tl.(i) +. weight i in
-          if cand > tl.(j) then tl.(j) <- cand)
-        (Dag.successors g i))
-    (Topo.order g);
-  tl
-
-let longest_path_value ~weight g =
-  if Dag.n g = 0 then 0.
-  else Array.fold_left Float.max 0. (bottom_level ~weight g)
-
 let longest_path ~weight g =
   if Dag.n g = 0 then ([], 0.)
   else begin

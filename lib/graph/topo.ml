@@ -1,20 +1,25 @@
 let order g =
   let n = Dag.n g in
   let indeg = Array.init n (Dag.in_degree g) in
-  let ready = Moldable_util.Pqueue.create ~cmp:Int.compare in
+  (* The ready set keyed by id: ids are distinct, so the heap's FIFO
+     tie-break never decides and the smallest ready id comes out first. *)
+  let ready = Moldable_util.Float_heap.create () in
+  let push i = Moldable_util.Float_heap.push ready ~key:(float_of_int i) i in
   for i = 0 to n - 1 do
-    if indeg.(i) = 0 then Moldable_util.Pqueue.push ready i
+    if indeg.(i) = 0 then push i
   done;
   let rec loop acc =
-    match Moldable_util.Pqueue.pop ready with
-    | None -> List.rev acc
-    | Some i ->
+    if Moldable_util.Float_heap.is_empty ready then List.rev acc
+    else begin
+      let i = Moldable_util.Float_heap.min_payload ready in
+      Moldable_util.Float_heap.drop_min ready;
       List.iter
         (fun j ->
           indeg.(j) <- indeg.(j) - 1;
-          if indeg.(j) = 0 then Moldable_util.Pqueue.push ready j)
+          if indeg.(j) = 0 then push j)
         (Dag.successors g i);
       loop (i :: acc)
+    end
   in
   loop []
 
@@ -42,25 +47,3 @@ let layers g =
   end
 
 let height g = if Dag.n g = 0 then 0 else 1 + Array.fold_left max 0 (depth g)
-
-let reachable step g i =
-  let n = Dag.n g in
-  let seen = Array.make n false in
-  let rec visit j =
-    List.iter
-      (fun k ->
-        if not seen.(k) then begin
-          seen.(k) <- true;
-          visit k
-        end)
-      (step g j)
-  in
-  visit i;
-  let acc = ref [] in
-  for j = n - 1 downto 0 do
-    if seen.(j) then acc := j :: !acc
-  done;
-  !acc
-
-let descendants g i = reachable Dag.successors g i
-let ancestors g i = reachable Dag.predecessors g i

@@ -14,9 +14,3 @@ val layers : Dag.t -> int list list
 val height : Dag.t -> int
 (** Number of tasks on the longest path of the graph ([D] in Theorem 9);
     [0] for the empty graph. *)
-
-val descendants : Dag.t -> int -> int list
-(** All tasks reachable from the given one (excluded), sorted. *)
-
-val ancestors : Dag.t -> int -> int list
-(** All tasks from which the given one is reachable (excluded), sorted. *)

@@ -14,11 +14,6 @@ let of_dag ~alloc ~p dag =
           (Printf.sprintf "Rigid.of_dag: allocation %d out of [1, %d]" procs p);
       { id; procs; time = Task.time (Dag.task dag id) procs })
 
-let max_time jobs = List.fold_left (fun acc j -> Float.max acc j.time) 0. jobs
-
-let total_area jobs =
-  List.fold_left (fun acc j -> acc +. (float_of_int j.procs *. j.time)) 0. jobs
-
 (* Equal ranks make the queue FIFO by task id, which is the reveal order:
    Sim_core reveals an edgeless, release-free task set at time 0 in id
    order.  Duplicate job ids: the last one wins. *)

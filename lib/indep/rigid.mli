@@ -41,6 +41,3 @@ val shelf_pack : p:int -> jobs:job list -> Schedule.t
 (** Next-Fit-Decreasing-Height shelves: jobs sorted by decreasing time; each
     shelf opens with the tallest remaining job and accepts jobs while the
     processor sum fits in [P].  At most [2 A/P + t_max] tall overall. *)
-
-val max_time : job list -> float
-val total_area : job list -> float

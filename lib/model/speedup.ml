@@ -79,8 +79,6 @@ let time m p =
 
 let area m p = float_of_int p *. time m p
 let speedup m p = time m 1 /. time m p
-let efficiency m p = speedup m p /. float_of_int p
-
 let canonical_general = function
   | Roofline { w; ptilde } -> Some (General { w; ptilde; d = 0.; c = 0. })
   | Communication { w; c } -> Some (General { w; ptilde = max_int; d = 0.; c })

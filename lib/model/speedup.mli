@@ -58,9 +58,6 @@ val area : t -> int -> float
 val speedup : t -> int -> float
 (** [speedup m p = time m 1 /. time m p]. *)
 
-val efficiency : t -> int -> float
-(** [efficiency m p = speedup m p /. p]. *)
-
 val canonical_general : t -> t option
 (** Re-expresses a named special case as the [General] form when possible
     ([Arbitrary] yields [None]); used to cross-check the closed forms. *)

@@ -51,9 +51,6 @@ let closed_form_p_max ~p (m : Speedup.t) =
   | Speedup.Power _ -> p (* strictly decreasing execution time *)
   | Speedup.Arbitrary _ -> -1
 
-let p_max_scan ~p t =
-  Moldable_util.Numerics.integer_argmin ~f:(fun q -> time t q) ~lo:1 ~hi:p
-
 (* Lemma 1's monotonic property, checked by evaluating the model. *)
 let monotonic_scan t p_max =
   let ok = ref true in

@@ -49,10 +49,6 @@ val analyze : p:int -> t -> analyzed
     evaluated exactly once per allocation in [1 .. p] (a single fused pass
     computes [p_max], [t_min], [a_min] and monotonicity together). *)
 
-val p_max_scan : p:int -> t -> int
-(** Exhaustive-scan argmin of [t(.)] over [1 .. p] (smallest tie): used to
-    cross-check the closed-form [p_max] of {!analyze} in tests. *)
-
 val alpha : analyzed -> int -> float
 (** [alpha a q = area q /. a_min] — the area ratio of Algorithm 2. *)
 

@@ -43,19 +43,6 @@ let diff ~before ~after =
     top_heap_words = after.top_heap_words;
   }
 
-let to_json t =
-  Json.Obj
-    [
-      ("minor_words", Json.Num t.minor_words);
-      ("promoted_words", Json.Num t.promoted_words);
-      ("major_words", Json.Num t.major_words);
-      ("minor_collections", Json.Num (float_of_int t.minor_collections));
-      ("major_collections", Json.Num (float_of_int t.major_collections));
-      ("compactions", Json.Num (float_of_int t.compactions));
-      ("heap_words", Json.Num (float_of_int t.heap_words));
-      ("top_heap_words", Json.Num (float_of_int t.top_heap_words));
-    ]
-
 (* Surface a sample as registry gauges (idempotent registration, so this
    can be called repeatedly to refresh the values). *)
 let observe registry t =

@@ -25,5 +25,4 @@ type t = {
 
 val read : unit -> t
 val diff : before:t -> after:t -> t
-val to_json : t -> Json.t
 val observe : Registry.t -> t -> unit

@@ -51,15 +51,6 @@ let error_code_name = function
   | Draining -> "draining"
   | Internal -> "internal"
 
-let error_code_of_name = function
-  | "parse_error" -> Some Parse_error
-  | "bad_request" -> Some Bad_request
-  | "limit" -> Some Limit
-  | "conflict" -> Some Conflict
-  | "draining" -> Some Draining
-  | "internal" -> Some Internal
-  | _ -> None
-
 (* ---------------------------------------------------------------- building *)
 
 let ok fields = Json.Obj (("ok", Json.Bool true) :: fields)

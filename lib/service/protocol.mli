@@ -63,7 +63,6 @@ type error_code =
   | Internal  (** Simulation failure (policy error, attempt limit). *)
 
 val error_code_name : error_code -> string
-val error_code_of_name : string -> error_code option
 
 (** {1 Building} *)
 

@@ -176,9 +176,3 @@ let validate ~dag ~p result =
           first_start.(j) i result.completion.(i))
     (Dag.edges dag);
   match !errors with [] -> Ok () | es -> Error (List.rev es)
-
-let validate_exn ~dag ~p result =
-  match validate ~dag ~p result with
-  | Ok () -> ()
-  | Error es ->
-    failwith ("invalid malleable schedule:\n  " ^ String.concat "\n  " es)

@@ -40,5 +40,3 @@ val validate : dag:Dag.t -> p:int -> result -> (unit, string list) Stdlib.result
 (** Checks: phase capacity ([sum of allocations <= P], allocations in
     [\[1, P\]]); per-task progress [sum dt/t(q) = 1]; no task runs before
     its predecessors complete; completion times consistent with phases. *)
-
-val validate_exn : dag:Dag.t -> p:int -> result -> unit

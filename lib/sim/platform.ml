@@ -24,7 +24,6 @@ let create p =
 
 let p t = t.size
 let free_count t = t.n_free
-let busy_count t = t.size - t.n_free
 
 let acquire t n =
   if n < 1 then invalid_arg "Platform.acquire: need a positive allocation";
@@ -80,8 +79,3 @@ let reset t =
   Array.fill t.free 0 t.size true;
   t.n_free <- t.size;
   t.scan_hint <- 0
-
-let is_free t i =
-  if i < 0 || i >= t.size then
-    invalid_arg (Printf.sprintf "Platform.is_free: bad processor id %d" i);
-  t.free.(i)

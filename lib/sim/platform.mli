@@ -18,7 +18,6 @@ val create : int -> t
 
 val p : t -> int
 val free_count : t -> int
-val busy_count : t -> int
 
 val acquire : t -> int -> int array
 (** [acquire t n] marks [n] processors busy and returns their ids (ascending).
@@ -39,5 +38,3 @@ val recycle : t -> int array -> unit
 val reset : t -> unit
 (** Marks every processor free (forgetting any outstanding acquisitions)
     and keeps the segment pool — arena reuse between runs. *)
-
-val is_free : t -> int -> bool

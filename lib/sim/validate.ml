@@ -172,12 +172,3 @@ let check_exn ~dag sched = fail_on "invalid schedule" (check ~dag sched)
 
 let check_attempts_exn ~dag ~p attempts =
   fail_on "invalid attempts" (check_attempts ~dag ~p attempts)
-
-let respects_allocation_bound ~dag sched =
-  let ok = ref true in
-  for i = 0 to Dag.n dag - 1 do
-    let a = Task.analyze ~p:(Schedule.p sched) (Dag.task dag i) in
-    let pl = Schedule.placement sched i in
-    if pl.Schedule.nprocs > a.Task.p_max then ok := false
-  done;
-  !ok

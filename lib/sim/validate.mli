@@ -41,7 +41,3 @@ val check_attempts :
 
 val check_attempts_exn : dag:Dag.t -> p:int -> Metrics.attempt list -> unit
 (** @raise Failure with the concatenated violations. *)
-
-val respects_allocation_bound : dag:Dag.t -> Schedule.t -> bool
-(** True when every allocation is at most the task's [p_max] (Equation (5)) —
-    a property of reasonable algorithms (Section 3.2), not of feasibility. *)

@@ -22,8 +22,6 @@ let exec_time p =
   if p < 1 then invalid_arg "Arbitrary_lb.exec_time: p must be >= 1";
   1. /. (log2 (float_of_int p) +. 1.)
 
-let offline_makespan = 1.
-
 let adversary_gap_sum ~ell =
   let k = 1 lsl ell in
   let acc = ref 0. in

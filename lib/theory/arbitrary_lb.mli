@@ -24,9 +24,6 @@ val params : ell:int -> params
 val exec_time : int -> float
 (** [t(p) = 1 / (lg p + 1)], the common execution-time function. *)
 
-val offline_makespan : float
-(** Exactly [1.] by construction. *)
-
 val adversary_gap_sum : ell:int -> float
 (** [sum_{i=1..K} 1/(l+i)] — the exact Lemma 10 lower bound on any online
     makespan. *)

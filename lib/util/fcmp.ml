@@ -8,11 +8,6 @@ let approx ?(eps = default_eps) a b =
 let leq ?(eps = default_eps) a b = a <= b || approx ~eps a b
 let geq ?(eps = default_eps) a b = a >= b || approx ~eps a b
 let lt ?(eps = default_eps) a b = a < b && not (approx ~eps a b)
-let gt ?(eps = default_eps) a b = a > b && not (approx ~eps a b)
-let is_zero ?(eps = default_eps) x = approx ~eps x 0.
 
 let clamp ~lo ~hi x =
   if x < lo then lo else if x > hi then hi else x
-
-let compare_approx ?(eps = default_eps) a b =
-  if approx ~eps a b then 0 else Float.compare a b

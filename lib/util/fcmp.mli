@@ -20,14 +20,5 @@ val geq : ?eps:float -> float -> float -> bool
 val lt : ?eps:float -> float -> float -> bool
 (** Strictly less, beyond tolerance. *)
 
-val gt : ?eps:float -> float -> float -> bool
-(** Strictly greater, beyond tolerance. *)
-
-val is_zero : ?eps:float -> float -> bool
-(** [is_zero x] is [approx x 0.]. *)
-
 val clamp : lo:float -> hi:float -> float -> float
 (** [clamp ~lo ~hi x] restricts [x] to the interval [\[lo, hi\]]. *)
-
-val compare_approx : ?eps:float -> float -> float -> int
-(** Three-way comparison that treats approximately-equal values as equal. *)

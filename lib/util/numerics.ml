@@ -109,13 +109,6 @@ let integer_argmin_unimodal ~f ~lo ~hi =
   done;
   integer_argmin ~f ~lo:!a ~hi:!b
 
-let harmonic n =
-  let acc = ref 0. in
-  for i = 1 to n do
-    acc := !acc +. (1. /. float_of_int i)
-  done;
-  !acc
-
 (* Exact integer log2, replacing [int_of_float (log x /. log 2.)] call
    sites: the float quotient lands at 2.999999... for exact powers of two
    and truncation then under-counts by one. *)

@@ -45,9 +45,6 @@ val integer_argmin_unimodal : f:(int -> float) -> lo:int -> hi:int -> int
     non-decreasing) over [\[lo, hi\]]; ties break toward the smallest
     argument within the final bracket. O(log(hi-lo)) evaluations. *)
 
-val harmonic : int -> float
-(** [harmonic n] is [sum_{i=1}^{n} 1/i]; [0.] for [n <= 0]. *)
-
 val ilog2 : int -> int
 (** Exact [floor (log2 n)] for [n >= 1], by bit shifting — no float
     round-trip, so exact powers of two are never under-counted.

@@ -65,15 +65,6 @@ let log_uniform t lo hi =
   if lo <= 0. || hi < lo then invalid_arg "Rng.log_uniform: bad range";
   if lo = hi then lo else exp (float_range t (log lo) (log hi))
 
-let shuffle t arr =
-  let n = Array.length arr in
-  for i = n - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done
-
 let choose t arr =
   if Array.length arr = 0 then invalid_arg "Rng.choose: empty array";
   arr.(int t (Array.length arr))

@@ -54,8 +54,5 @@ val log_uniform : t -> float -> float -> float
 (** [log_uniform t lo hi] draws log-uniformly from [\[lo, hi\]]; used for work
     and overhead parameters spanning orders of magnitude. *)
 
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
-
 val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)

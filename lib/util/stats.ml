@@ -83,7 +83,3 @@ let summarize xs =
       median = interpolate_sorted arr 0.5;
       p95 = interpolate_sorted arr 0.95;
     }
-
-let pp_summary ppf s =
-  Format.fprintf ppf "mean=%.4f sd=%.4f min=%.4f med=%.4f p95=%.4f max=%.4f (n=%d)"
-    s.mean s.stddev s.min s.median s.p95 s.max s.n

@@ -28,6 +28,3 @@ val quantile : float -> float list -> float
 
 val median : float list -> float
 (** [quantile 0.5]. *)
-
-val pp_summary : Format.formatter -> summary -> unit
-(** Renders ["mean=… sd=… min=… med=… p95=… max=… (n=…)"]. *)

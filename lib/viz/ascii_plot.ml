@@ -4,8 +4,11 @@ type series = {
   points : (float * float) list;
 }
 
-let render ?(width = 64) ?(height = 16) ?(x_log = false)
-    ?(hlines = []) ~xlabel ~ylabel series =
+(* Canvas size in characters. *)
+let width = 64
+let height = 16
+
+let render ?(x_log = false) ?(hlines = []) ~xlabel ~ylabel series =
   let all_points = List.concat_map (fun s -> s.points) series in
   if all_points = [] then "(no data)\n"
   else begin

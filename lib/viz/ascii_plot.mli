@@ -9,10 +9,10 @@ type series = {
 }
 
 val render :
-  ?width:int -> ?height:int -> ?x_log:bool -> ?hlines:(float * string) list ->
+  ?x_log:bool -> ?hlines:(float * string) list ->
   xlabel:string -> ylabel:string -> series list -> string
-(** A [width] x [height] character canvas (defaults 64 x 16) with axis
-    ranges fitted to the data (and to [hlines]).  [x_log] plots the x axis
-    logarithmically (useful for P sweeps).  [hlines] draws labelled
-    horizontal reference lines (e.g. a theorem's limit ratio) with ['-'].
-    Overlapping points keep the glyph of the later series. *)
+(** A 64 x 16 character canvas with axis ranges fitted to the data (and
+    to [hlines]).  [x_log] plots the x axis logarithmically (useful for P
+    sweeps).  [hlines] draws labelled horizontal reference lines (e.g. a
+    theorem's limit ratio) with ['-'].  Overlapping points keep the glyph
+    of the later series. *)

@@ -27,7 +27,7 @@ let procs_range procs =
   emit !lo !prev;
   Buffer.contents buf
 
-let of_run ?label ?registry tracer (metrics : Metrics.t) =
+let of_run ?label tracer (metrics : Metrics.t) =
   let label = match label with Some f -> f | None -> Printf.sprintf "t%d" in
   let attempts = Metrics.attempts metrics in
   let buf = Buffer.create 8192 in
@@ -127,23 +127,5 @@ let of_run ?label ?registry tracer (metrics : Metrics.t) =
     (fun (time, depth) ->
       counter "ready queue" (us time) [ ("depth", J.int depth) ])
     (Metrics.queue_depth metrics);
-  (* Registry gauges (domains busy, GC heap words, ...) become additional
-     counter tracks when a snapshot is supplied.  A snapshot is a
-     point-in-time merge, so each gauge renders as a single sample at the
-     end of the run; the registry-absent output is byte-identical to the
-     pre-registry format (pinned by the golden test). *)
-  (match registry with
-  | None -> ()
-  | Some snap ->
-    List.iter
-      (fun (ms : Moldable_obs.Registry.metric_snap) ->
-        match ms.Moldable_obs.Registry.ms_value with
-        | Moldable_obs.Registry.Gauge_v v ->
-          counter ms.Moldable_obs.Registry.ms_name
-            (us (Metrics.span metrics))
-            [ ("value", J.Num v) ]
-        | Moldable_obs.Registry.Counter_v _
-        | Moldable_obs.Registry.Hist_v _ -> ())
-      snap);
   Buffer.add_string buf "\n]}\n";
   Buffer.contents buf

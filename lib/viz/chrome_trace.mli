@@ -20,16 +20,10 @@ open Moldable_sim
 
 val of_run :
   ?label:(int -> string) ->
-  ?registry:Moldable_obs.Registry.snapshot ->
   Tracer.t ->
   Metrics.t ->
   string
 (** [of_run tracer metrics] renders the run's attempts (replayed from
     [metrics]' recording, see {!Moldable_sim.Metrics.attempts}), the
     tracer's instants and the metrics' counter timelines.  [label] names
-    tasks in span names (default ["t<id>"]).
-
-    [registry], when given, renders every gauge of the snapshot (e.g.
-    [moldable_pool_domains_busy], [moldable_gc_heap_words]) as an extra
-    counter track with a single sample at the end of the run; without it
-    the output is byte-identical to the pre-registry format. *)
+    tasks in span names (default ["t<id>"]). *)

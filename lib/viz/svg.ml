@@ -6,7 +6,11 @@ let color task_id =
   let h = float_of_int (task_id * 137) -. (360. *. Float.of_int (task_id * 137 / 360)) in
   Printf.sprintf "hsl(%.0f, 65%%, 60%%)" h
 
-let of_schedule ?(width = 800) ?(height = 400) ?label sched =
+(* Canvas size in pixels. *)
+let width = 800
+let height = 400
+
+let of_schedule ?label sched =
   let label = match label with Some f -> f | None -> Printf.sprintf "t%d" in
   let p = Schedule.p sched in
   let ms = Schedule.makespan sched in

@@ -4,8 +4,7 @@
 
 open Moldable_sim
 
-val of_schedule :
-  ?width:int -> ?height:int -> ?label:(int -> string) -> Schedule.t -> string
-(** A standalone [<svg>] document: x = time, y = processors, one rectangle
+val of_schedule : ?label:(int -> string) -> Schedule.t -> string
+(** A standalone 800 x 400 [<svg>] document: x = time, y = processors, one rectangle
     per placement with a deterministic per-task fill colour and a tooltip
     ([<title>]) carrying the task label and its window. *)

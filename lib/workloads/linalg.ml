@@ -9,27 +9,28 @@ type 'k builder = {
   rng : Rng.t;
   spec : Params.spec option;
   kind : Speedup.kind;
-  base_work : float;
   table : ('k, int) Hashtbl.t;
   mutable rev_tasks : Task.t list;
   mutable edges : (int * int) list;
   mutable next : int;
 }
 
-let builder ?spec ~rng ~kind ~base_work () =
+let builder ?spec ~rng ~kind () =
   {
     rng;
     spec;
     kind;
-    base_work;
     table = Hashtbl.create 64;
     rev_tasks = [];
     edges = [];
     next = 0;
   }
 
+(* The work of a [b^3]-flop kernel. *)
+let base_work = 100.
+
 let add_task b key ~label ~weight =
-  let w = Float.max 1e-9 (weight *. b.base_work) in
+  let w = Float.max 1e-9 (weight *. base_work) in
   let speedup = Params.with_work ?spec:b.spec b.rng b.kind ~w in
   let id = b.next in
   b.next <- id + 1;
@@ -47,10 +48,10 @@ let finish b = Dag.create ~tasks:(List.rev b.rev_tasks) ~edges:b.edges
 type chol = Potrf of int | Trsm of int * int | Syrk of int * int
           | Gemm of int * int * int
 
-let cholesky ?spec ?(base_work = 100.) ~rng ~tiles ~kind () =
+let cholesky ?spec ~rng ~tiles ~kind () =
   if tiles < 1 then invalid_arg "Linalg.cholesky: need tiles >= 1";
   let t = tiles in
-  let b = builder ?spec ~rng ~kind ~base_work () in
+  let b = builder ?spec ~rng ~kind () in
   for k = 0 to t - 1 do
     add_task b (Potrf k) ~label:(Printf.sprintf "potrf(%d)" k) ~weight:(1. /. 3.);
     for i = k + 1 to t - 1 do
@@ -84,10 +85,10 @@ let cholesky ?spec ?(base_work = 100.) ~rng ~tiles ~kind () =
 type lu_key = Getrf of int | Trsm_row of int * int | Trsm_col of int * int
             | Update of int * int * int
 
-let lu ?spec ?(base_work = 100.) ~rng ~tiles ~kind () =
+let lu ?spec ~rng ~tiles ~kind () =
   if tiles < 1 then invalid_arg "Linalg.lu: need tiles >= 1";
   let t = tiles in
-  let b = builder ?spec ~rng ~kind ~base_work () in
+  let b = builder ?spec ~rng ~kind () in
   for k = 0 to t - 1 do
     add_task b (Getrf k) ~label:(Printf.sprintf "getrf(%d)" k) ~weight:(2. /. 3.);
     for j = k + 1 to t - 1 do

@@ -8,18 +8,20 @@ type builder = {
   rng : Rng.t;
   spec : Params.spec option;
   kind : Speedup.kind;
-  base_work : float;
   mutable rev_tasks : Task.t list;
   mutable edges : (int * int) list;
   mutable next : int;
 }
 
-let builder ?spec ~rng ~kind ~base_work () =
-  { rng; spec; kind; base_work; rev_tasks = []; edges = []; next = 0 }
+let builder ?spec ~rng ~kind () =
+  { rng; spec; kind; rev_tasks = []; edges = []; next = 0 }
+
+(* The work of a stage of scale 1. *)
+let base_work = 100.
 
 let add b ~label ~scale =
   let jitter = Rng.float_range b.rng 0.75 1.25 in
-  let w = Float.max 1e-9 (scale *. jitter *. b.base_work) in
+  let w = Float.max 1e-9 (scale *. jitter *. base_work) in
   let speedup = Params.with_work ?spec:b.spec b.rng b.kind ~w in
   let id = b.next in
   b.next <- id + 1;
@@ -29,9 +31,9 @@ let add b ~label ~scale =
 let edge b i j = b.edges <- (i, j) :: b.edges
 let finish b = Dag.create ~tasks:(List.rev b.rev_tasks) ~edges:b.edges
 
-let montage ?spec ?(base_work = 100.) ~rng ~width ~kind () =
+let montage ?spec ~rng ~width ~kind () =
   if width < 2 then invalid_arg "Scientific.montage: need width >= 2";
-  let b = builder ?spec ~rng ~kind ~base_work () in
+  let b = builder ?spec ~rng ~kind () in
   let project =
     Array.init width (fun i -> add b ~label:(Printf.sprintf "mProject%d" i) ~scale:1.0)
   in
@@ -62,10 +64,10 @@ let montage ?spec ?(base_work = 100.) ~rng ~width ~kind () =
   edge b madd shrink;
   finish b
 
-let epigenomics ?spec ?(base_work = 100.) ~rng ~lanes ~fanout ~kind () =
+let epigenomics ?spec ~rng ~lanes ~fanout ~kind () =
   if lanes < 1 || fanout < 1 then
     invalid_arg "Scientific.epigenomics: need lanes, fanout >= 1";
-  let b = builder ?spec ~rng ~kind ~base_work () in
+  let b = builder ?spec ~rng ~kind () in
   let merges =
     List.init lanes (fun lane ->
         let split =
@@ -107,10 +109,10 @@ let epigenomics ?spec ?(base_work = 100.) ~rng ~lanes ~fanout ~kind () =
   edge b index pileup;
   finish b
 
-let cybershake ?spec ?(base_work = 100.) ~rng ~sites ~variations ~kind () =
+let cybershake ?spec ~rng ~sites ~variations ~kind () =
   if sites < 1 || variations < 1 then
     invalid_arg "Scientific.cybershake: need sites, variations >= 1";
-  let b = builder ?spec ~rng ~kind ~base_work () in
+  let b = builder ?spec ~rng ~kind () in
   (* Two strain-Green-tensor generators dominate the work. *)
   let sgt_x = add b ~label:"genSGT_x" ~scale:10.0 in
   let sgt_y = add b ~label:"genSGT_y" ~scale:10.0 in
@@ -131,10 +133,10 @@ let cybershake ?spec ?(base_work = 100.) ~rng ~sites ~variations ~kind () =
   done;
   finish b
 
-let ligo ?spec ?(base_work = 100.) ~rng ~blocks ~per_block ~kind () =
+let ligo ?spec ~rng ~blocks ~per_block ~kind () =
   if blocks < 1 || per_block < 1 then
     invalid_arg "Scientific.ligo: need blocks, per_block >= 1";
-  let b = builder ?spec ~rng ~kind ~base_work () in
+  let b = builder ?spec ~rng ~kind () in
   let thincas =
     List.init blocks (fun blk ->
         let tmplt = add b ~label:(Printf.sprintf "tmpltBank%d" blk) ~scale:0.5 in

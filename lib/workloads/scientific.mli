@@ -11,21 +11,21 @@ open Moldable_model
 open Moldable_graph
 
 val montage :
-  ?spec:Params.spec -> ?base_work:float -> rng:Rng.t -> width:int ->
+  ?spec:Params.spec -> rng:Rng.t -> width:int ->
   kind:Speedup.kind -> unit -> Dag.t
 (** Montage-like mosaic workflow: [width] projections -> pairwise overlap
     fits -> concat -> background model -> [width] background corrections ->
     image table -> co-addition -> shrink.  Requires [width >= 2]. *)
 
 val epigenomics :
-  ?spec:Params.spec -> ?base_work:float -> rng:Rng.t -> lanes:int ->
+  ?spec:Params.spec -> rng:Rng.t -> lanes:int ->
   fanout:int -> kind:Speedup.kind -> unit -> Dag.t
 (** Epigenomics-like pipeline: per lane, a split fans out to [fanout]
     filter -> convert -> map chains merged per lane, then a global merge,
     index and peak-calling tail.  Requires [lanes >= 1], [fanout >= 1]. *)
 
 val cybershake :
-  ?spec:Params.spec -> ?base_work:float -> rng:Rng.t -> sites:int ->
+  ?spec:Params.spec -> rng:Rng.t -> sites:int ->
   variations:int -> kind:Speedup.kind -> unit -> Dag.t
 (** CyberShake-like seismic-hazard workflow: two heavy SGT generators feed,
     for each of [sites] sites, [variations] seismogram-synthesis tasks each
@@ -33,7 +33,7 @@ val cybershake :
     Requires [sites >= 1], [variations >= 1]. *)
 
 val ligo :
-  ?spec:Params.spec -> ?base_work:float -> rng:Rng.t -> blocks:int ->
+  ?spec:Params.spec -> rng:Rng.t -> blocks:int ->
   per_block:int -> kind:Speedup.kind -> unit -> Dag.t
 (** LIGO-inspiral-like workflow: [blocks] repetitions of (template bank ->
     [per_block] matched-filter inspiral tasks -> thinca coincidence), then

@@ -27,53 +27,3 @@ let fork_join ?spec ~rng ~stages ~width ~kind () =
     done
   done;
   Dag.create ~tasks ~edges:!edges
-
-let tree_sizes ~depth ~branching =
-  (* Number of nodes in a complete tree with `depth` levels. *)
-  let rec go level acc width =
-    if level = depth then acc else go (level + 1) (acc + width) (width * branching)
-  in
-  go 0 0 1
-
-let out_tree ?spec ~rng ~depth ~branching ~kind () =
-  if depth < 1 || branching < 1 then
-    invalid_arg "Structured.out_tree: need depth, branching >= 1";
-  let n = tree_sizes ~depth ~branching in
-  let tasks = make_tasks ?spec rng kind n in
-  (* Node i's children are i*b + 1 .. i*b + b (heap layout), valid for
-     branching b and complete levels. *)
-  let edges = ref [] in
-  for i = 0 to n - 1 do
-    for j = 1 to branching do
-      let child = (i * branching) + j in
-      if child < n then edges := (i, child) :: !edges
-    done
-  done;
-  Dag.create ~tasks ~edges:!edges
-
-let in_tree ?spec ~rng ~depth ~branching ~kind () =
-  if depth < 1 || branching < 1 then
-    invalid_arg "Structured.in_tree: need depth, branching >= 1";
-  let n = tree_sizes ~depth ~branching in
-  let tasks = make_tasks ?spec rng kind n in
-  (* Reverse the out-tree edges and flip ids so leaves come first (sources
-     must be executable before their parents are revealed). *)
-  let flip i = n - 1 - i in
-  let edges = ref [] in
-  for i = 0 to n - 1 do
-    for j = 1 to branching do
-      let child = (i * branching) + j in
-      if child < n then edges := (flip child, flip i) :: !edges
-    done
-  done;
-  Dag.create ~tasks ~edges:!edges
-
-let diamond ?spec ~rng ~width ~kind () =
-  if width < 1 then invalid_arg "Structured.diamond: need width >= 1";
-  let n = width + 2 in
-  let tasks = make_tasks ?spec rng kind n in
-  let edges = ref [] in
-  for j = 1 to width do
-    edges := (0, j) :: (j, n - 1) :: !edges
-  done;
-  Dag.create ~tasks ~edges:!edges

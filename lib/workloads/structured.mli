@@ -1,6 +1,5 @@
-(** Deterministic-structure graphs (speedups still drawn at random): the
-    special task-graph shapes the paper's conclusion names (fork-join
-    graphs, trees) plus chains and diamonds. *)
+(** Deterministic-structure graphs (speedups still drawn at random): chains
+    and the fork-join graphs the paper's conclusion names. *)
 
 open Moldable_util
 open Moldable_model
@@ -16,18 +15,3 @@ val fork_join :
   kind:Speedup.kind -> unit -> Dag.t
 (** [stages] repetitions of fork -> [width] parallel tasks -> join; the join
     of one stage is the fork of the next. *)
-
-val out_tree :
-  ?spec:Params.spec -> rng:Rng.t -> depth:int -> branching:int ->
-  kind:Speedup.kind -> unit -> Dag.t
-(** Complete rooted tree, edges pointing away from the root. *)
-
-val in_tree :
-  ?spec:Params.spec -> rng:Rng.t -> depth:int -> branching:int ->
-  kind:Speedup.kind -> unit -> Dag.t
-(** Complete tree with edges pointing toward the root (a reduction). *)
-
-val diamond :
-  ?spec:Params.spec -> rng:Rng.t -> width:int -> kind:Speedup.kind ->
-  unit -> Dag.t
-(** Source -> [width] parallel tasks -> sink. *)

@@ -64,18 +64,6 @@ let parse_file path =
   | text -> parse text
   | exception Sys_error msg -> Error msg
 
-let to_swf_string jobs =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "; SWF written by moldable\n";
-  Buffer.add_string buf "; fields: id submit wait run procs (rest = -1)\n";
-  List.iter
-    (fun j ->
-      Buffer.add_string buf
-        (Printf.sprintf "%d %.2f -1 %.2f %d -1 -1 %d %.2f -1 1 -1 -1 -1 -1 -1 -1 -1\n"
-           j.id j.submit j.run_time j.procs j.procs j.run_time))
-    jobs;
-  Buffer.contents buf
-
 let synthetic ~rng ~n ~mean_interarrival ~max_procs =
   if n < 1 then invalid_arg "Swf.synthetic: need n >= 1";
   if max_procs < 1 then invalid_arg "Swf.synthetic: need max_procs >= 1";

@@ -46,9 +46,6 @@ val parse : string -> (load, string) result
 
 val parse_file : string -> (load, string) result
 
-val to_swf_string : job list -> string
-(** Writes a minimal valid SWF document (unknown fields as [-1]). *)
-
 val synthetic : rng:Rng.t -> n:int -> mean_interarrival:float -> max_procs:int -> job list
 (** A plausible synthetic trace: Poisson arrivals, log-uniform runtimes
     (30 s – 8 h), power-of-two-leaning processor counts in

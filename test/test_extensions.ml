@@ -240,6 +240,11 @@ let prop_failure_runs_validate =
 
 (* --------------------------------------------------------------- Malleable *)
 
+let malleable_valid ~dag ~p r =
+  match Malleable_engine.validate ~dag ~p r with
+  | Ok () -> ()
+  | Error es -> Alcotest.failf "invalid: %s" (String.concat "; " es)
+
 let test_malleable_single_task () =
   (* One task alone gets its p_max throughout: duration = t_min. *)
   let dag =
@@ -248,7 +253,7 @@ let test_malleable_single_task () =
       ~edges:[]
   in
   let r = Malleable_engine.equal_share ~p:10 dag in
-  Malleable_engine.validate_exn ~dag ~p:10 r;
+  malleable_valid ~dag ~p:10 r;
   check_float 1e-9 "t_min" 2. r.Malleable_engine.makespan
 
 let test_malleable_constant_allocation_matches_moldable () =
@@ -259,7 +264,7 @@ let test_malleable_constant_allocation_matches_moldable () =
   in
   let dag = Dag.create ~tasks ~edges:[] in
   let r = Malleable_engine.equal_share ~p:4 dag in
-  Malleable_engine.validate_exn ~dag ~p:4 r;
+  malleable_valid ~dag ~p:4 r;
   check_float 1e-9 "t(2) = 4" 4. r.Malleable_engine.makespan
 
 let test_malleable_reallocates_after_completion () =
@@ -275,7 +280,7 @@ let test_malleable_reallocates_after_completion () =
   in
   let dag = Dag.create ~tasks ~edges:[] in
   let r = Malleable_engine.equal_share ~p:4 dag in
-  Malleable_engine.validate_exn ~dag ~p:4 r;
+  malleable_valid ~dag ~p:4 r;
   check_float 1e-9 "makespan 3" 3. r.Malleable_engine.makespan;
   Alcotest.(check int) "two phases" 2 (List.length r.Malleable_engine.phases)
 
@@ -313,10 +318,7 @@ let test_malleable_validates_on_random_dags () =
         ~edge_prob:0.3 ~kind ()
     in
     let p = Rng.int_range rng 2 32 in
-    let r = Malleable_engine.equal_share ~p dag in
-    match Malleable_engine.validate ~dag ~p r with
-    | Ok () -> ()
-    | Error es -> Alcotest.failf "invalid: %s" (String.concat "; " es)
+    malleable_valid ~dag ~p (Malleable_engine.equal_share ~p dag)
   done
 
 let test_malleable_respects_lower_bound () =

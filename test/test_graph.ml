@@ -60,22 +60,12 @@ let test_sources_sinks () =
 let test_degrees () =
   let g = simple_dag [ (0, 2); (1, 2); (2, 3) ] 4 in
   Alcotest.(check int) "in 2" 2 (Dag.in_degree g 2);
-  Alcotest.(check int) "out 2" 1 (Dag.out_degree g 2);
   Alcotest.(check int) "in 0" 0 (Dag.in_degree g 0)
 
 let test_empty_graph () =
   let g = Dag.create ~tasks:[] ~edges:[] in
   Alcotest.(check int) "n = 0" 0 (Dag.n g);
   Alcotest.(check (list int)) "no sources" [] (Dag.sources g)
-
-let test_union () =
-  let g1 = simple_dag [ (0, 1) ] 2 in
-  let g2 = simple_dag [ (0, 1); (0, 2) ] 3 in
-  let u = Dag.union g1 g2 in
-  Alcotest.(check int) "n" 5 (Dag.n u);
-  Alcotest.(check (list (pair int int))) "edges shifted"
-    [ (0, 1); (2, 3); (2, 4) ]
-    (Dag.edges u)
 
 let test_map_tasks_preserves_ids () =
   let g = simple_dag [ (0, 1) ] 2 in
@@ -110,6 +100,52 @@ let test_topo_deterministic () =
   let g = simple_dag [ (0, 3); (1, 3); (2, 3) ] 4 in
   Alcotest.(check (list int)) "smallest-id-first" [ 0; 1; 2; 3 ] (Topo.order g)
 
+(* Kahn's algorithm with the smallest ready id first yields the
+   lexicographically smallest topological order: at every position, the
+   smallest id not yet placed whose predecessors are all placed.  The
+   generators number tasks in a topological order already, so the ids are
+   relabelled by a random permutation first. *)
+let prop_order_lex_smallest =
+  QCheck.Test.make ~name:"order is the lex-smallest topological order"
+    ~count:200
+    QCheck.(pair (int_range 0 10_000) bool)
+    (fun (seed, layered) ->
+      let rng = Rng.create seed in
+      let kind = Speedup.Kind_roofline in
+      let g =
+        if layered then
+          Moldable_workloads.Random_dag.layered ~rng ~n_layers:5 ~width:6
+            ~edge_prob:0.3 ~kind ()
+        else
+          Moldable_workloads.Random_dag.erdos_renyi ~rng
+            ~n:(Rng.int_range rng 1 30) ~edge_prob:0.15 ~kind ()
+      in
+      let n = Dag.n g in
+      let perm = Array.init n Fun.id in
+      for i = n - 1 downto 1 do
+        let j = Rng.int rng (i + 1) in
+        let t = perm.(i) in
+        perm.(i) <- perm.(j);
+        perm.(j) <- t
+      done;
+      let g =
+        simple_dag (List.map (fun (a, b) -> (perm.(a), perm.(b))) (Dag.edges g)) n
+      in
+      let placed = Array.make n false in
+      let ok =
+        List.for_all
+          (fun v ->
+            let ready i =
+              (not placed.(i))
+              && List.for_all (fun j -> placed.(j)) (Dag.predecessors g i)
+            in
+            let smallest = List.find ready (List.init n Fun.id) in
+            placed.(v) <- true;
+            v = smallest)
+          (Topo.order g)
+      in
+      ok && Array.for_all Fun.id placed)
+
 let test_depth () =
   let g = simple_dag [ (0, 1); (1, 2); (0, 2) ] 3 in
   Alcotest.(check (array int)) "depths" [| 0; 1; 2 |] (Topo.depth g)
@@ -125,12 +161,6 @@ let test_height () =
   Alcotest.(check int) "antichain height" 1 (Topo.height (simple_dag [] 3));
   Alcotest.(check int) "empty height" 0
     (Topo.height (Dag.create ~tasks:[] ~edges:[]))
-
-let test_descendants_ancestors () =
-  let g = simple_dag [ (0, 1); (1, 2); (1, 3); (4, 3) ] 5 in
-  Alcotest.(check (list int)) "descendants 0" [ 1; 2; 3 ] (Topo.descendants g 0);
-  Alcotest.(check (list int)) "ancestors 3" [ 0; 1; 4 ] (Topo.ancestors g 3);
-  Alcotest.(check (list int)) "descendants sink" [] (Topo.descendants g 2)
 
 (* ----------------------------------------------------------------- Paths *)
 
@@ -150,15 +180,14 @@ let test_longest_path_picks_heavier () =
 
 let test_longest_path_empty () =
   let g = Dag.create ~tasks:[] ~edges:[] in
-  check_float "empty value" 0. (Paths.longest_path_value ~weight:(fun _ -> 1.) g)
+  let path, len = Paths.longest_path ~weight:(fun _ -> 1.) g in
+  Alcotest.(check (list int)) "empty path" [] path;
+  check_float "empty value" 0. len
 
-let test_bottom_top_levels () =
+let test_bottom_levels () =
   let g = simple_dag [ (0, 1); (1, 2) ] 3 in
-  let w _ = 2. in
   Alcotest.(check (array (float 1e-9))) "bottom" [| 6.; 4.; 2. |]
-    (Paths.bottom_level ~weight:w g);
-  Alcotest.(check (array (float 1e-9))) "top" [| 0.; 2.; 4. |]
-    (Paths.top_level ~weight:w g)
+    (Paths.bottom_level ~weight:(fun _ -> 2.) g)
 
 (* ---------------------------------------------------------------- Bounds *)
 
@@ -246,18 +275,16 @@ let () =
           Alcotest.test_case "sources/sinks" `Quick test_sources_sinks;
           Alcotest.test_case "degrees" `Quick test_degrees;
           Alcotest.test_case "empty graph" `Quick test_empty_graph;
-          Alcotest.test_case "union" `Quick test_union;
           Alcotest.test_case "map_tasks" `Quick test_map_tasks_preserves_ids;
         ] );
       ( "topo",
         [
           Alcotest.test_case "order valid" `Quick test_topo_order_valid;
           Alcotest.test_case "order deterministic" `Quick test_topo_deterministic;
+          qt prop_order_lex_smallest;
           Alcotest.test_case "depth" `Quick test_depth;
           Alcotest.test_case "layers" `Quick test_layers;
           Alcotest.test_case "height" `Quick test_height;
-          Alcotest.test_case "descendants/ancestors" `Quick
-            test_descendants_ancestors;
         ] );
       ( "paths",
         [
@@ -265,7 +292,7 @@ let () =
           Alcotest.test_case "picks heavier branch" `Quick
             test_longest_path_picks_heavier;
           Alcotest.test_case "empty graph" `Quick test_longest_path_empty;
-          Alcotest.test_case "bottom/top levels" `Quick test_bottom_top_levels;
+          Alcotest.test_case "bottom levels" `Quick test_bottom_levels;
         ] );
       ( "dag_io",
         [

@@ -10,6 +10,14 @@ open Moldable_indep
 
 let check_float eps = Alcotest.(check (float eps))
 
+let max_time jobs =
+  List.fold_left (fun acc j -> Float.max acc j.Rigid.time) 0. jobs
+
+let total_area jobs =
+  List.fold_left
+    (fun acc j -> acc +. (float_of_int j.Rigid.procs *. j.Rigid.time))
+    0. jobs
+
 let indep_dag models =
   Dag.create ~tasks:(List.mapi (fun id m -> Task.make ~id m) models) ~edges:[]
 
@@ -36,8 +44,8 @@ let test_of_dag () =
     Alcotest.(check int) "job 1 procs" 2 b.Rigid.procs;
     check_float 1e-9 "job 1 time" 4. b.Rigid.time
   | _ -> Alcotest.fail "expected 2 jobs");
-  check_float 1e-9 "max time" 8. (Rigid.max_time jobs);
-  check_float 1e-9 "area" 16. (Rigid.total_area jobs)
+  check_float 1e-9 "max time" 8. (max_time jobs);
+  check_float 1e-9 "area" 16. (total_area jobs)
 
 let test_of_dag_rejects_edges () =
   let dag =
@@ -109,7 +117,7 @@ let test_shelf_height_bound () =
     in
     let sched = Rigid.shelf_pack ~p ~jobs in
     let bound =
-      (2. *. Rigid.total_area jobs /. float_of_int p) +. Rigid.max_time jobs
+      (2. *. total_area jobs /. float_of_int p) +. max_time jobs
     in
     if not (Fcmp.leq (Schedule.makespan sched) bound) then
       Alcotest.failf "NFDH bound violated: %.3f > %.3f"
@@ -135,8 +143,8 @@ let test_rigid_list_garey_graham_bound () =
       List.fold_left (fun acc j -> max acc j.Rigid.procs) 1 jobs
     in
     let bound =
-      Rigid.max_time jobs
-      +. (Rigid.total_area jobs /. float_of_int (p - w_max + 1))
+      max_time jobs
+      +. (total_area jobs /. float_of_int (p - w_max + 1))
     in
     if not (Fcmp.leq ~eps:1e-6 (Schedule.makespan result.Sim_core.schedule) bound)
     then

@@ -25,21 +25,15 @@ let test_leq_tolerant () =
   Alcotest.(check bool) "slightly above still leq" true
     (Fcmp.leq (1. +. 1e-12) 1.)
 
-let test_lt_gt () =
+let test_lt () =
   Alcotest.(check bool) "lt strict" true (Fcmp.lt 1. 2.);
   Alcotest.(check bool) "lt of approx-equal is false" false
-    (Fcmp.lt 1. (1. +. 1e-13));
-  Alcotest.(check bool) "gt strict" true (Fcmp.gt 2. 1.)
+    (Fcmp.lt 1. (1. +. 1e-13))
 
 let test_clamp () =
   check_float "below" 0. (Fcmp.clamp ~lo:0. ~hi:1. (-5.));
   check_float "above" 1. (Fcmp.clamp ~lo:0. ~hi:1. 7.);
   check_float "inside" 0.5 (Fcmp.clamp ~lo:0. ~hi:1. 0.5)
-
-let test_compare_approx () =
-  Alcotest.(check int) "equal" 0 (Fcmp.compare_approx 1. (1. +. 1e-13));
-  Alcotest.(check int) "less" (-1) (Fcmp.compare_approx 1. 2.);
-  Alcotest.(check int) "greater" 1 (Fcmp.compare_approx 2. 1.)
 
 (* ------------------------------------------------------------------- Rng *)
 
@@ -111,16 +105,6 @@ let test_rng_mean_uniform () =
   done;
   let mean = !acc /. float_of_int n in
   Alcotest.(check bool) "mean near 0.5" true (abs_float (mean -. 0.5) < 0.02)
-
-let test_rng_shuffle_permutation () =
-  let rng = Rng.create 29 in
-  let arr = Array.init 50 (fun i -> i) in
-  Rng.shuffle rng arr;
-  let sorted = Array.copy arr in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "is a permutation"
-    (Array.init 50 (fun i -> i))
-    sorted
 
 let test_rng_invalid_args () =
   let rng = Rng.create 1 in
@@ -493,11 +477,6 @@ let test_integer_argmin_unimodal () =
   Alcotest.(check int) "unimodal matches exhaustive"
     (Numerics.integer_argmin ~f ~lo:1 ~hi:1000)
     (Numerics.integer_argmin_unimodal ~f ~lo:1 ~hi:1000)
-
-let test_harmonic () =
-  check_float "H_1" 1. (Numerics.harmonic 1);
-  check_float "H_4" (1. +. 0.5 +. (1. /. 3.) +. 0.25) (Numerics.harmonic 4);
-  check_float "H_0" 0. (Numerics.harmonic 0)
 
 let prop_golden_finds_vertex =
   QCheck.Test.make ~name:"golden section finds quadratic vertex" ~count:100
@@ -1067,9 +1046,8 @@ let () =
           Alcotest.test_case "approx relative" `Quick test_approx_relative;
           Alcotest.test_case "leq strict" `Quick test_leq_strict;
           Alcotest.test_case "leq tolerant" `Quick test_leq_tolerant;
-          Alcotest.test_case "lt/gt" `Quick test_lt_gt;
+          Alcotest.test_case "lt" `Quick test_lt;
           Alcotest.test_case "clamp" `Quick test_clamp;
-          Alcotest.test_case "compare_approx" `Quick test_compare_approx;
           Alcotest.test_case "Float.compare NaN total order" `Quick
             test_float_compare_nan_total_order;
         ] );
@@ -1085,7 +1063,6 @@ let () =
           Alcotest.test_case "log_uniform bounds" `Quick test_rng_log_uniform_bounds;
           Alcotest.test_case "bernoulli p=0" `Quick test_rng_bernoulli_extremes;
           Alcotest.test_case "uniform mean" `Quick test_rng_mean_uniform;
-          Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "invalid args" `Quick test_rng_invalid_args;
           Alcotest.test_case "split_n matches split" `Quick
             test_rng_split_n_matches_split;
@@ -1141,7 +1118,6 @@ let () =
           Alcotest.test_case "integer argmin" `Quick test_integer_argmin;
           Alcotest.test_case "integer argmin ties" `Quick test_integer_argmin_ties;
           Alcotest.test_case "argmin unimodal" `Quick test_integer_argmin_unimodal;
-          Alcotest.test_case "harmonic" `Quick test_harmonic;
           qt prop_golden_finds_vertex;
         ] );
       ( "stats",
