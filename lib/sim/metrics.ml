@@ -45,19 +45,20 @@ type t = {
   times : float array;
   codes : int array;
   args : int array;
-  failed_procs : int array array;
+  blocks : int array;
+  failed : int array;
   depth_times : float array;
   depths : int array;
 }
 
-let make ~schedule ~counters ~times ~codes ~args ~failed_procs ~depth_times
-    ~depths =
-  { schedule; counters; lean = false; times; codes; args; failed_procs;
+let make ~schedule ~counters ~times ~codes ~args ~blocks ~failed
+    ~depth_times ~depths =
+  { schedule; counters; lean = false; times; codes; args; blocks; failed;
     depth_times; depths }
 
 let lean ~schedule ~counters =
   { schedule; counters; lean = true; times = [||]; codes = [||]; args = [||];
-    failed_procs = [||]; depth_times = [||]; depths = [||] }
+    blocks = [||]; failed = [||]; depth_times = [||]; depths = [||] }
 
 (* ------------------------------------------------------------------ views *)
 
@@ -74,13 +75,14 @@ let events_from t k0 =
 
 let trace t = events_from t 0
 
-(* Replays the trace: a [Start] opens its task's attempt, the next
-   [Finish]/[Failed] of the task closes it at that event's instant.  A
-   success runs on the task's placement, the k-th failure on the k-th
-   recorded failed block. *)
+(* Replays the trace: a [Start] opens its task's attempt with its
+   allocation, the next [Finish]/[Failed] of the task closes it at that
+   event's instant.  A success runs on the task's placement, the k-th
+   failure on the k-th recorded failed block. *)
 let attempts t =
   let n = n_tasks t in
   let start = Array.make n 0. and attempt_no = Array.make n 0 in
+  let nprocs = Array.make n 0 in
   let n_failed = ref 0 and acc = ref [] in
   for k = 0 to n_events t - 1 do
     let code = t.codes.(k) in
@@ -88,21 +90,23 @@ let attempts t =
     let kind = code land 3 in
     if kind = kind_start then begin
       start.(tid) <- t.times.(k);
-      attempt_no.(tid) <- attempt_no.(tid) + 1
+      attempt_no.(tid) <- attempt_no.(tid) + 1;
+      nprocs.(tid) <- t.args.(k)
     end
     else if kind <> kind_ready then begin
       let failed = kind = kind_failed in
       let procs =
         if failed then begin
-          let b = t.failed_procs.(!n_failed) in
+          let j = 2 * !n_failed in
           incr n_failed;
-          b
+          Platform.ids_of_pairs t.blocks ~off:t.failed.(j)
+            ~len:t.failed.(j + 1)
         end
-        else (Schedule.placement t.schedule tid).Schedule.procs
+        else Schedule.procs t.schedule tid
       in
       acc :=
         { task_id = tid; attempt = attempt_no.(tid); start = start.(tid);
-          finish = t.times.(k); nprocs = Array.length procs; procs; failed }
+          finish = t.times.(k); nprocs = nprocs.(tid); procs; failed }
         :: !acc
     end
   done;

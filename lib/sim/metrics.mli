@@ -36,8 +36,8 @@ type attempt = {
   attempt : int;      (** 1-based attempt number. *)
   start : float;
   finish : float;     (** The batch instant at which the attempt ended. *)
-  nprocs : int;
-  procs : int array;
+  nprocs : int;       (** The allocation its [Start] recorded. *)
+  procs : int array;  (** Its block's ids, expanded on every view. *)
   failed : bool;
 }
 
@@ -75,8 +75,12 @@ type t = private {
   times : float array;  (** Event instants, chronological. *)
   codes : int array;
   args : int array;
-  failed_procs : int array array;
-      (** Processor block of every failed attempt, in trace order. *)
+  blocks : int array;
+      (** Processor blocks as [(word index, mask)] pairs (the {!Platform}
+          layout); a run shares its schedule's [pairs]. *)
+  failed : int array;
+      (** Offset in [blocks] and pair count of every failed attempt's
+          block, two ints per attempt, in trace order. *)
   depth_times : float array;  (** Scheduling instants of the depth samples. *)
   depths : int array;  (** Ready-set size after each instant. *)
 }
@@ -87,7 +91,8 @@ val make :
   times:float array ->
   codes:int array ->
   args:int array ->
-  failed_procs:int array array ->
+  blocks:int array ->
+  failed:int array ->
   depth_times:float array ->
   depths:int array ->
   t

@@ -50,7 +50,7 @@ let dummy_task = Task.make ~label:"-" ~id:0 (Speedup.Roofline { w = 1.; ptilde =
 
 (* All per-run storage in one reusable bundle: the event heap, the per-task
    bookkeeping arrays, the incremental task/edge store of the stepper, the
-   recording buffers and the platform (with its recycled-segment pool).
+   processor blocks, the recording buffers and the platform.
    [ensure] grows everything to the (p, n) high-water mark; nothing
    shrinks, so a pool domain that sweeps many cells allocates the arrays
    once and reuses them for every run. *)
@@ -62,8 +62,14 @@ module Arena = struct
     mutable state : int array;
     mutable indeg : int array;
     mutable attempt_no : int array;
-    mutable run_start : float array; (* start stamp of the running attempt *)
-    mutable run_procs : int array array; (* procs of the running attempt *)
+    (* The latest attempt of each task: its start stamp, its finish stamp
+       once it succeeded, its allocation and its processor block, [run_len]
+       pairs of [blocks] from index [run_off]. *)
+    mutable run_start : float array;
+    mutable run_finish : float array;
+    mutable run_n : int array;
+    mutable run_off : int array;
+    mutable run_len : int array;
     mutable outcomes : int array; (* per-batch classification buffer *)
     (* Incremental task/graph store: tasks and release times land here as
        they are admitted, and precedence edges form per-predecessor
@@ -79,19 +85,17 @@ module Arena = struct
     edge_to : Growbuf.I.t;
     edge_next : Growbuf.I.t;
     pending : Growbuf.I.t; (* admitted dependency-free, not yet revealed *)
-    (* Successful placements (stride 1 int, stride 2 float, 1 procs array
-       per success); turned into the [Schedule.t] once, at drain. *)
-    pl_ints : Growbuf.I.t;
-    pl_floats : Growbuf.F.t;
-    pl_procs : int array Growbuf.A.t;
+    (* The processor block of every attempt, as [Platform] pairs appended
+       at launch; copied into the [Schedule.t] at drain. *)
+    blocks : Growbuf.I.t;
     (* Full-mode recording buffers, copied into the result's
        [Metrics.t] at drain: the event trace (packed as [Metrics.decode]
-       reads it), the processor block of every failed
+       reads it), the block (offset, pair count) of every failed
        attempt, and one ready-depth sample per scheduling instant. *)
     tr_times : Growbuf.F.t;
     tr_a : Growbuf.I.t; (* event kind (2 bits) lor (task id lsl 2) *)
     tr_b : Growbuf.I.t; (* second arg, 0 when absent *)
-    fail_procs : int array Growbuf.A.t;
+    failed : Growbuf.I.t;
     qd_times : Growbuf.F.t;
     qd_depths : Growbuf.I.t;
     mutable in_use : bool;
@@ -109,7 +113,10 @@ module Arena = struct
       indeg = [||];
       attempt_no = [||];
       run_start = [||];
-      run_procs = [||];
+      run_finish = [||];
+      run_n = [||];
+      run_off = [||];
+      run_len = [||];
       outcomes = [||];
       tasks = [||];
       rel = [||];
@@ -118,13 +125,11 @@ module Arena = struct
       edge_to = Growbuf.I.create ();
       edge_next = Growbuf.I.create ();
       pending = Growbuf.I.create ();
-      pl_ints = Growbuf.I.create ();
-      pl_floats = Growbuf.F.create ();
-      pl_procs = Growbuf.A.create ~dummy:[||] ();
+      blocks = Growbuf.I.create ();
       tr_times = Growbuf.F.create ();
       tr_a = Growbuf.I.create ();
       tr_b = Growbuf.I.create ();
-      fail_procs = Growbuf.A.create ~dummy:[||] ();
+      failed = Growbuf.I.create ();
       qd_times = Growbuf.F.create ();
       qd_depths = Growbuf.I.create ();
       in_use = false;
@@ -137,7 +142,10 @@ module Arena = struct
       t.indeg <- Array.make cap 0;
       t.attempt_no <- Array.make cap 0;
       t.run_start <- Array.make cap 0.;
-      t.run_procs <- Array.make cap [||];
+      t.run_finish <- Array.make cap 0.;
+      t.run_n <- Array.make cap 0;
+      t.run_off <- Array.make cap 0;
+      t.run_len <- Array.make cap 0;
       t.tasks <- Array.make cap dummy_task;
       t.rel <- Array.make cap 0.;
       t.succ_first <- Array.make cap (-1);
@@ -163,7 +171,10 @@ module Arena = struct
       t.indeg <- gi 0 t.indeg;
       t.attempt_no <- gi 0 t.attempt_no;
       t.run_start <- gi 0. t.run_start;
-      t.run_procs <- gi [||] t.run_procs;
+      t.run_finish <- gi 0. t.run_finish;
+      t.run_n <- gi 0 t.run_n;
+      t.run_off <- gi 0 t.run_off;
+      t.run_len <- gi 0 t.run_len;
       t.tasks <- gi dummy_task t.tasks;
       t.rel <- gi 0. t.rel;
       t.succ_first <- gi (-1) t.succ_first;
@@ -268,13 +279,11 @@ module Stepper = struct
     Growbuf.I.clear a.Arena.edge_to;
     Growbuf.I.clear a.Arena.edge_next;
     Growbuf.I.clear a.Arena.pending;
-    Growbuf.I.clear a.Arena.pl_ints;
-    Growbuf.F.clear a.Arena.pl_floats;
-    Growbuf.A.clear a.Arena.pl_procs;
+    Growbuf.I.clear a.Arena.blocks;
     Growbuf.F.clear a.Arena.tr_times;
     Growbuf.I.clear a.Arena.tr_a;
     Growbuf.I.clear a.Arena.tr_b;
-    Growbuf.A.clear a.Arena.fail_procs;
+    Growbuf.I.clear a.Arena.failed;
     Growbuf.F.clear a.Arena.qd_times;
     Growbuf.I.clear a.Arena.qd_depths;
     {
@@ -459,7 +468,9 @@ module Stepper = struct
                "Sim_core.run: task %d reached the attempt limit (%d \
                 attempts, all failed) under failure model %s"
                tid st.max_attempts st.failures.model_name);
-        let procs = Platform.acquire st.platform nprocs in
+        let blocks = a.Arena.blocks in
+        let off = Growbuf.I.length blocks in
+        Platform.acquire_pairs st.platform nprocs blocks;
         let duration = Task.time a.Arena.tasks.(tid) nprocs in
         a.Arena.state.(tid) <- st_running;
         st.ready_count <- st.ready_count - 1;
@@ -468,7 +479,9 @@ module Stepper = struct
         st.counters.Metrics.launches <- st.counters.Metrics.launches + 1;
         if not st.lean then record_ev st now Metrics.kind_start tid nprocs;
         a.Arena.run_start.(tid) <- now;
-        a.Arena.run_procs.(tid) <- procs;
+        a.Arena.run_n.(tid) <- nprocs;
+        a.Arena.run_off.(tid) <- off;
+        a.Arena.run_len.(tid) <- (Growbuf.I.length blocks - off) lsr 1;
         Event_queue.add st.events ~time:(now +. duration) (enc_complete tid);
         launch_round_untimed st now
 
@@ -505,8 +518,8 @@ module Stepper = struct
     let outcomes = Arena.outcomes_for a blen in
     let attempt_no = a.Arena.attempt_no
     and state = a.Arena.state
-    and run_start = a.Arena.run_start
-    and run_procs = a.Arena.run_procs in
+    and run_off = a.Arena.run_off
+    and run_len = a.Arena.run_len in
     (* Phase 1 — completions: release the processors of every attempt in
        the batch and classify it (consuming the failure RNG in batch
        order), so the policy later sees the full free count of this
@@ -517,36 +530,29 @@ module Stepper = struct
         let tid = payload lsr 1 in
         let stamp = Event_queue.batch_stamp events k in
         let attempt = attempt_no.(tid) in
-        let start = run_start.(tid) in
-        let procs = run_procs.(tid) in
+        let off = run_off.(tid) and len = run_len.(tid) in
         let failed = st.failures.fails st.rng ~task_id:tid ~attempt in
         st.n_running <- st.n_running - 1;
         if now > st.ms.(0) then st.ms.(0) <- now;
+        Platform.release_pairs st.platform (Growbuf.I.data a.Arena.blocks)
+          ~off ~len;
         if failed then begin
-          (* A failed attempt's block can return to the platform's
-             segment pool only when nothing retains it: a full run records
-             it. *)
-          if st.lean then Platform.recycle st.platform procs
-          else Platform.release st.platform procs;
           st.counters.Metrics.retries <- st.counters.Metrics.retries + 1;
           (* The trace records the batch instant as the attempt's end (the
              instant its outcome became known); the schedule keeps the
              exact stamp. *)
           if not st.lean then begin
             record_ev st now Metrics.kind_failed tid attempt;
-            Growbuf.A.push a.Arena.fail_procs procs
+            Growbuf.I.push a.Arena.failed off;
+            Growbuf.I.push a.Arena.failed len
           end;
           outcomes.(k) <- 1
         end
         else begin
-          Platform.release st.platform procs;
           state.(tid) <- st_done;
           st.completed <- st.completed + 1;
           if not st.lean then record_ev st now Metrics.kind_finish tid 0;
-          Growbuf.I.push a.Arena.pl_ints tid;
-          Growbuf.F.push a.Arena.pl_floats start;
-          Growbuf.F.push a.Arena.pl_floats stamp;
-          Growbuf.A.push a.Arena.pl_procs procs;
+          a.Arena.run_finish.(tid) <- stamp;
           outcomes.(k) <- 0
         end
       end
@@ -625,20 +631,16 @@ module Stepper = struct
      storage, so later runs on the arena leave it untouched. *)
   let finalize st =
     let a = st.arena in
-    let builder = Schedule.builder ~p:st.p ~n:st.n in
-    let m = Growbuf.A.length a.Arena.pl_procs in
-    for k = 0 to m - 1 do
-      let procs = Growbuf.A.get a.Arena.pl_procs k in
-      Schedule.add builder
-        {
-          Schedule.task_id = Growbuf.I.get a.Arena.pl_ints k;
-          start = Growbuf.F.get a.Arena.pl_floats (2 * k);
-          finish = Growbuf.F.get a.Arena.pl_floats ((2 * k) + 1);
-          nprocs = Array.length procs;
-          procs;
-        }
-    done;
-    let schedule = Schedule.finalize builder in
+    let n = st.n in
+    let schedule =
+      Schedule.of_blocks ~p:st.p
+        ~starts:(Array.sub a.Arena.run_start 0 n)
+        ~finishes:(Array.sub a.Arena.run_finish 0 n)
+        ~counts:(Array.sub a.Arena.run_n 0 n)
+        ~offsets:(Array.sub a.Arena.run_off 0 n)
+        ~lengths:(Array.sub a.Arena.run_len 0 n)
+        ~pairs:(Growbuf.I.to_array a.Arena.blocks)
+    in
     let metrics =
       if st.lean then Metrics.lean ~schedule ~counters:st.counters
       else
@@ -646,7 +648,8 @@ module Stepper = struct
           ~times:(Growbuf.F.to_array a.Arena.tr_times)
           ~codes:(Growbuf.I.to_array a.Arena.tr_a)
           ~args:(Growbuf.I.to_array a.Arena.tr_b)
-          ~failed_procs:(Growbuf.A.to_array a.Arena.fail_procs)
+          ~blocks:schedule.Schedule.pairs
+          ~failed:(Growbuf.I.to_array a.Arena.failed)
           ~depth_times:(Growbuf.F.to_array a.Arena.qd_times)
           ~depths:(Growbuf.I.to_array a.Arena.qd_depths)
     in
@@ -676,15 +679,12 @@ module Stepper = struct
 
   (* Close the stepper and hand the arena back.  The arena outlives the run
      (a domain's arena lives as long as the domain), so it drops its
-     references to the run's tasks and processor blocks: they then die
-     with the result instead of with the arena's next run. *)
+     references to the run's tasks: they then die with the result instead
+     of with the arena's next run. *)
   let close st =
     let a = st.arena in
     st.closed <- true;
     Array.fill a.Arena.tasks 0 st.init_hi dummy_task;
-    Array.fill a.Arena.run_procs 0 st.init_hi [||];
-    Growbuf.A.clear a.Arena.pl_procs;
-    Growbuf.A.clear a.Arena.fail_procs;
     a.Arena.in_use <- false
 
   let drain st =

@@ -65,12 +65,12 @@ type result = {
 }
 
 (** Reusable per-run storage: the event heap, per-task bookkeeping arrays,
-    recording buffers and the platform (with its recycled segment pool),
+    the processor-block buffer, the recording buffers and the platform,
     all sized to the (p, n) high-water mark of the runs that used the
     arena.  Passing the same arena to successive {!run}s makes the steady
     state of a sweep allocation-free outside the result values themselves.
     Once a run is drained or abandoned, its arena holds no reference to
-    the run's tasks or processor blocks, so a long-lived arena never keeps
+    the run's tasks, so a long-lived arena never keeps
     a finished run alive.
 
     An arena is single-run at a time: if a run is asked to use an arena
@@ -223,10 +223,12 @@ val run :
     failure RNG.  [arena] supplies reusable per-run storage (see {!Arena});
     by default a run reuses {!Arena.for_current_domain}, so successive
     batch runs on one domain allocate their per-run arrays once, and a run
-    nested in another run's policy callback gets a private arena.  A full
-    run records its event trace, the processor blocks of failed attempts
-    and one ready-depth sample per scheduling instant into the arena, and
-    the result's {!Metrics.t} owns flat copies of them; the list views are
+    nested in another run's policy callback gets a private arena.  Every
+    attempt's processor block goes into the arena as {!Platform} word
+    masks, and the result's {!Schedule.t} owns a flat copy of them.  A full
+    run also records its event trace, the block of each failed attempt and
+    one ready-depth sample per scheduling instant into the arena, and the
+    result's {!Metrics.t} owns flat copies of them; the list views are
     built only when called.  [lean:true] (default [false]) records nothing
     beyond the schedule and the run counters: every {!Metrics} view of the
     result is empty, while the schedule and the counters are exactly those

@@ -4,19 +4,29 @@ module Fcmp = Moldable_util.Fcmp
 
 let add errors fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt
 
-(* The three feasibility checks run over executions: [execs.(k)] is one run
-   of a task on its processors and [label k] names it in messages.  A
-   placement is a single successful attempt, so [check] passes each
-   placement and [check_attempts] every attempt, failed ones included. *)
+(* The three feasibility checks run over executions, held as flat
+   arrays: execution [k] runs task [task.(k)] from [start.(k)] to
+   [finish.(k)] on [nprocs.(k)] processors, and [label k] names it in
+   messages.  A placement is a single successful attempt, so [check]
+   passes each placement and [check_attempts] every attempt, failed ones
+   included. *)
+type execs = {
+  m : int;
+  task : int array;
+  start : float array;
+  finish : float array;
+  nprocs : int array;
+}
 
 (* Durations, in execution order. *)
-let check_durations errors ~dag ~label execs =
-  for k = 0 to Array.length execs - 1 do
-    let { Schedule.task_id; start; finish; nprocs; _ } = execs.(k) in
-    let expected = Task.time (Dag.task dag task_id) nprocs in
-    if not (Fcmp.approx ~eps:1e-6 expected (finish -. start)) then
+let check_durations errors ~dag ~label x =
+  for k = 0 to x.m - 1 do
+    let nprocs = x.nprocs.(k) in
+    let expected = Task.time (Dag.task dag x.task.(k)) nprocs in
+    let actual = x.finish.(k) -. x.start.(k) in
+    if not (Fcmp.approx ~eps:1e-6 expected actual) then
       add errors "%s on %d procs should run %.9g time units but runs %.9g"
-        (label k) nprocs expected (finish -. start)
+        (label k) nprocs expected actual
   done
 
 (* Precedence against successful completions: [finish.(i)] is NaN when task
@@ -25,10 +35,10 @@ let check_durations errors ~dag ~label execs =
    silently accepted.  [runs.(j)] lists task [j]'s executions.  Walking
    each task's ascending successor list in id order visits the edges in
    lexicographic order. *)
-let rec check_runs errors ~label ~finish execs i j = function
+let rec check_runs errors ~label ~finish x i j = function
   | [] -> ()
   | k :: ks ->
-    let fi = finish.(i) and start = execs.(k).Schedule.start in
+    let fi = finish.(i) and start = x.start.(k) in
     if Float.is_nan fi then
       add errors
         "edge (%d,%d) violated: %s ran although predecessor %d never \
@@ -38,34 +48,60 @@ let rec check_runs errors ~label ~finish execs i j = function
       add errors
         "edge (%d,%d) violated: %s starts at %.9g before %d finishes at %.9g"
         i j (label k) start i fi;
-    check_runs errors ~label ~finish execs i j ks
+    check_runs errors ~label ~finish x i j ks
 
-let rec check_successors errors ~label ~finish ~runs execs i = function
+let rec check_successors errors ~label ~finish ~runs x i = function
   | [] -> ()
   | j :: js ->
-    check_runs errors ~label ~finish execs i j runs.(j);
-    check_successors errors ~label ~finish ~runs execs i js
+    check_runs errors ~label ~finish x i j runs.(j);
+    check_successors errors ~label ~finish ~runs x i js
 
-let check_precedence errors ~dag ~label ~finish ~runs execs =
+let check_precedence errors ~dag ~label ~finish ~runs x =
   for i = 0 to Dag.n dag - 1 do
-    check_successors errors ~label ~finish ~runs execs i (Dag.successors dag i)
+    check_successors errors ~label ~finish ~runs x i (Dag.successors dag i)
   done
+
+(* Whether no processor runs two of the schedule's first [m] placements at
+   once, decided by replaying the sweep's events on a platform, a word at
+   a time: a start claims its block, which fails if a processor of it is
+   busy, and a finish releases the block if its placement has started.  Up
+   to the first conflict this is the per-processor sweep below, with a
+   busy processor for each one it owns. *)
+let disjoint (s : Schedule.t) events m =
+  let platform = Platform.create s.p in
+  let started = Bytes.make m '\000' in
+  let ok = ref true and e = ref 0 in
+  while !ok && !e < 2 * m do
+    let ev = events.(!e) in
+    let k = ev lsr 1 in
+    let off = s.offsets.(k) and len = s.lengths.(k) in
+    if ev land 1 = 1 then begin
+      Bytes.set started k '\001';
+      ok := Platform.claim_pairs platform s.pairs ~off ~len
+    end
+    else if Bytes.get started k <> '\000' then
+      Platform.release_pairs platform s.pairs ~off ~len;
+    incr e
+  done;
+  !ok
 
 (* Processor disjointness: a sweep over the executions' events.  Event [2k]
    is execution [k]'s finish and event [2k + 1] its start.  They are sorted
    by time under [Float.compare] (NaN first, [-0.] equal to [0.]), then
    finishes before starts, so that back-to-back reuse of a processor is
    legal, then by execution index, descending.  The order is total, so
-   the sort has one result.  O(m log m + sum of nprocs) time and
-   O(m + p) memory for m executions. *)
-let check_overlaps errors ~p ~label execs =
-  let m = Array.length execs in
+   the sort has one result.  Over a [schedule]'s blocks, the word-mask
+   sweep decides, in O(m log m + the blocks' words) time and O(m + P / 62)
+   memory, and only when it finds a conflict does the per-processor sweep
+   over [procs k] rerun the events to name every conflict.  Attempts,
+   which hold their ids, go straight to the per-processor sweep. *)
+let check_overlaps errors ~p ~label ~procs ?schedule x =
+  let m = x.m in
   let times = Float.Array.create (2 * m) in
-  Array.iteri
-    (fun k (x : Schedule.placement) ->
-      Float.Array.set times (2 * k) x.finish;
-      Float.Array.set times ((2 * k) + 1) x.start)
-    execs;
+  for k = 0 to m - 1 do
+    Float.Array.set times (2 * k) x.finish.(k);
+    Float.Array.set times ((2 * k) + 1) x.start.(k)
+  done;
   let events = Array.init (2 * m) Fun.id in
   Array.stable_sort
     (fun a b ->
@@ -75,25 +111,28 @@ let check_overlaps errors ~p ~label execs =
         else (a land 1) - (b land 1)
       | c -> c)
     events;
-  let occupied = Array.make p (-1) in
-  for e = 0 to (2 * m) - 1 do
-    let ev = events.(e) in
-    let k = ev lsr 1 in
-    let procs = execs.(k).Schedule.procs in
-    if ev land 1 = 0 then
-      for q = 0 to Array.length procs - 1 do
-        if occupied.(procs.(q)) = k then occupied.(procs.(q)) <- -1
-      done
-    else
-      for q = 0 to Array.length procs - 1 do
-        let proc = procs.(q) in
-        let owner = occupied.(proc) in
-        if owner >= 0 then
-          add errors "processor %d used by %s and %s simultaneously" proc
-            (label owner) (label k)
-        else occupied.(proc) <- k
-      done
-  done
+  match schedule with
+  | Some s when disjoint s events m -> ()
+  | Some _ | None ->
+    let occupied = Array.make p (-1) in
+    for e = 0 to (2 * m) - 1 do
+      let ev = events.(e) in
+      let k = ev lsr 1 in
+      let procs = procs k in
+      if ev land 1 = 0 then
+        for q = 0 to Array.length procs - 1 do
+          if occupied.(procs.(q)) = k then occupied.(procs.(q)) <- -1
+        done
+      else
+        for q = 0 to Array.length procs - 1 do
+          let proc = procs.(q) in
+          let owner = occupied.(proc) in
+          if owner >= 0 then
+            add errors "processor %d used by %s and %s simultaneously" proc
+              (label owner) (label k)
+          else occupied.(proc) <- k
+        done
+    done
 
 let verdict errors = match !errors with [] -> Ok () | es -> Error (List.rev es)
 
@@ -104,26 +143,38 @@ let check ~dag sched =
     add errors "schedule has %d tasks but the graph has %d" (Schedule.n sched)
       n;
   let m = min n (Schedule.n sched) in
-  let execs = Array.init m (Schedule.placement sched) in
+  let x =
+    {
+      m;
+      task = Array.init m Fun.id;
+      start = sched.Schedule.starts;
+      finish = sched.Schedule.finishes;
+      nprocs = sched.Schedule.counts;
+    }
+  in
   let label = Printf.sprintf "task %d" in
   let finish = Array.make n nan in
-  Array.iteri (fun k (x : Schedule.placement) -> finish.(k) <- x.finish) execs;
-  check_durations errors ~dag ~label execs;
-  check_precedence errors ~dag ~label ~finish execs
+  Array.blit sched.Schedule.finishes 0 finish 0 m;
+  check_durations errors ~dag ~label x;
+  check_precedence errors ~dag ~label ~finish x
     ~runs:(Array.init n (fun j -> if j < m then [ j ] else []));
-  check_overlaps errors ~p:(Schedule.p sched) ~label execs;
+  check_overlaps errors ~p:(Schedule.p sched) ~label x
+    ~procs:(Schedule.procs sched) ~schedule:sched;
   verdict errors
 
 let check_attempts ~dag ~p attempts =
   let errors = ref [] in
   let n = Dag.n dag in
   let atts = Array.of_list attempts in
-  let execs =
-    Array.map
-      (fun (a : Metrics.attempt) ->
-        { Schedule.task_id = a.task_id; start = a.start; finish = a.finish;
-          nprocs = a.nprocs; procs = a.procs })
-      atts
+  let field f = Array.map f atts in
+  let x =
+    {
+      m = Array.length atts;
+      task = field (fun (a : Metrics.attempt) -> a.task_id);
+      start = field (fun (a : Metrics.attempt) -> a.start);
+      finish = field (fun (a : Metrics.attempt) -> a.finish);
+      nprocs = field (fun (a : Metrics.attempt) -> a.nprocs);
+    }
   in
   let label k =
     Printf.sprintf "task %d attempt %d" atts.(k).task_id atts.(k).attempt
@@ -159,9 +210,10 @@ let check_attempts ~dag ~p attempts =
         else if idx = last then finish.(i) <- a.finish)
       ks
   done;
-  check_durations errors ~dag ~label execs;
-  check_precedence errors ~dag ~label ~finish ~runs:per_task execs;
-  check_overlaps errors ~p ~label execs;
+  check_durations errors ~dag ~label x;
+  check_precedence errors ~dag ~label ~finish ~runs:per_task x;
+  check_overlaps errors ~p ~label x
+    ~procs:(fun k -> atts.(k).procs);
   verdict errors
 
 let fail_on what = function

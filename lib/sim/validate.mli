@@ -15,10 +15,16 @@
 
     Violations are reported in a fixed order: durations by execution (a
     placement, or an attempt in list order), then precedence by edge in
-    lexicographic order, then overlaps in the order of a time sweep.  A check of [m] executions on [P] processors
-    over a graph of [n] tasks takes O(n + e + m log m + sum of the
-    executions' [nprocs]) time, for [e] edges, and O(n + m + P) memory.
-*)
+    lexicographic order, then overlaps in the order of a time sweep.
+
+    {!check} sweeps a schedule's processor blocks a word of 62 processors
+    at a time, and falls back to a sweep one processor at a time only to
+    name the conflicts it found: a check of [m] placements on [P]
+    processors over a graph of [n] tasks without a conflict takes
+    O(n + e + m log m + the blocks' words) time, for [e] edges, and
+    O(n + m + P / 62) memory; with one, O(sum of the placements' [nprocs])
+    more time and O(P) more memory.  {!check_attempts} sweeps the
+    attempts' ids one processor at a time. *)
 
 open Moldable_graph
 

@@ -1,7 +1,7 @@
 (** Growable typed buffers: append-only arrays that double in place.
 
-    The simulation core records its event trace, failed processor blocks
-    and queue-depth samples into these instead of cons lists — a push is an
+    The simulation core records its event trace, processor blocks and
+    queue-depth samples into these instead of cons lists — a push is an
     array store (amortized; no per-element boxing for the float and int
     variants), and the buffers are [clear]ed and reused across runs by the
     arena.  At the end of a run, [to_array] copies each pushed prefix into
@@ -36,27 +36,12 @@ module I : sig
   val to_array : t -> int array
   (** A fresh array of the pushed elements; the buffer keeps its storage. *)
 
+  val data : t -> int array
+  (** The storage itself, not a copy: its first [length t] elements are
+      the pushed ones.  A later push may move them to a new array. *)
+
   val set : t -> int -> int -> unit
   (** Overwrite an already-pushed slot (index [< length]); the simulation
       core uses this to patch the [next] links of its intrusive
       successor-edge lists. *)
-end
-
-module A : sig
-  (** Boxed element buffer (one pointer slot per element, no cons cells).
-      [create ~dummy] needs a sentinel to fill unused capacity. *)
-
-  type 'a t
-
-  val create : ?capacity:int -> dummy:'a -> unit -> 'a t
-  val clear : 'a t -> unit
-  (** Resets the length and overwrites the used prefix with the dummy, so
-      a cleared buffer does not retain the previous run's elements. *)
-
-  val length : 'a t -> int
-  val push : 'a t -> 'a -> unit
-  val get : 'a t -> int -> 'a
-
-  val to_array : 'a t -> 'a array
-  (** A fresh array of the pushed elements; the buffer keeps its storage. *)
 end

@@ -1,11 +1,12 @@
 (* Differential oracles for the production scheduler, linked only by the
    tests and the bench: the pre-arena event loop ([run]), which records
-   every view of a run as eager lists, and the seed's
-   sorted-list Algorithm 1 policy ([policy]).  Both are kept verbatim so
-   the qcheck properties and the [alloc_lean] / [scalability_hot_path]
-   bench gates pin [Sim_core.run] and [Online_scheduler.policy] against
-   them.  The clairvoyant and rigid list schedulers' old sorted-list
-   queues close the file. *)
+   every view of a run as eager lists and takes its processors from the
+   old processor-per-flag [Platform_reference], and the seed's sorted-list
+   Algorithm 1 policy ([policy]).  Both are kept verbatim so the qcheck
+   properties and the [alloc_lean] / [scalability_hot_path] bench gates
+   pin [Sim_core.run] and [Online_scheduler.policy] against them.  The
+   clairvoyant and rigid list schedulers' old sorted-list queues close the
+   file. *)
 
 open Moldable_util
 open Moldable_model
@@ -143,7 +144,7 @@ let run ?release_times ?(seed = 0) ?(max_attempts = max_int)
     match release_times with None -> 0. | Some r -> r.(i)
   in
   let rng = Rng.create seed in
-  let platform = Platform.create p in
+  let platform = Platform_reference.create p in
   let builder = Schedule.builder ~p ~n in
   let events = Ref_queue.create () in
   let state = Array.make n Unrevealed in
@@ -185,7 +186,7 @@ let run ?release_times ?(seed = 0) ?(max_attempts = max_int)
   in
   let launch_round_untimed now =
     let rec loop () =
-      let free = Platform.free_count platform in
+      let free = Platform_reference.free_count platform in
       if free > 0 then
         match policy.next_launch ~now ~free with
         | None ->
@@ -209,7 +210,7 @@ let run ?release_times ?(seed = 0) ?(max_attempts = max_int)
                  "Sim_core.run: task %d reached the attempt limit (%d \
                   attempts, all failed) under failure model %s"
                  tid max_attempts failures.model_name);
-          let procs = Platform.acquire platform nprocs in
+          let procs = Platform_reference.acquire platform nprocs in
           let duration = Task.time (Dag.task dag tid) nprocs in
           state.(tid) <- Running;
           decr ready_count;
@@ -250,7 +251,7 @@ let run ?release_times ?(seed = 0) ?(max_attempts = max_int)
           List.map
             (function
               | RComplete { tid; attempt; start; finish; procs } ->
-                Platform.release platform procs;
+                Platform_reference.release platform procs;
                 let failed = failures.fails rng ~task_id:tid ~attempt in
                 attempts :=
                   { task_id = tid; attempt; start; finish = now;

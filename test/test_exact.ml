@@ -409,16 +409,18 @@ let prop_shadow_clean_with_failures =
           (Format.asprintf "seed %d (P=%d):@.%a" seed p Shadow.pp report))
 
 (* [r] with its metrics rebuilt from edited event instants and failed
-   processor blocks (the record is private to its constructor). *)
-let with_recording ?(times = Fun.id) ?(failed_procs = Fun.id)
+   processor blocks (the record is private to its constructor).  [blocks]
+   edits the block array and the (offset, pair count) of every failed
+   attempt together. *)
+let with_recording ?(times = Fun.id) ?(blocks = Fun.id)
     (r : Moldable_sim.Sim_core.result) =
   let module M = Moldable_sim.Metrics in
   let m = r.Moldable_sim.Sim_core.metrics in
+  let blocks, failed = blocks (m.M.blocks, m.M.failed) in
   let metrics =
     M.make ~schedule:m.M.schedule ~counters:m.M.counters
-      ~times:(times m.M.times) ~codes:m.M.codes ~args:m.M.args
-      ~failed_procs:(failed_procs m.M.failed_procs)
-      ~depth_times:m.M.depth_times ~depths:m.M.depths
+      ~times:(times m.M.times) ~codes:m.M.codes ~args:m.M.args ~blocks
+      ~failed ~depth_times:m.M.depth_times ~depths:m.M.depths
   in
   { r with Moldable_sim.Sim_core.metrics }
 
@@ -466,9 +468,13 @@ let test_shadow_report_json () =
     && String.sub json 0 10 = "{\"checks\":");
   Alcotest.(check bool) "no divergences on trivial run" true (Shadow.ok report);
   (* A corrupted processor set is flagged with an infinite relative excess;
-     the report must still be strict JSON, with that excess as null. *)
+     the report must still be strict JSON, with that excess as null.  Every
+     failed attempt gets the block of processors 1, 3 and 5: three of them
+     on a 4-processor platform, one out of range. *)
   let corrupt =
-    with_recording result ~failed_procs:(Array.map (fun _ -> [| 3; 1 |]))
+    with_recording result
+      ~blocks:(fun (_, failed) ->
+        ([| 0; 0b101010 |], Array.mapi (fun j _ -> j land 1) failed))
   in
   let report = Shadow.check ~mu ~dag ~p:4 corrupt in
   Alcotest.(check bool) "corrupted processor set is flagged" false

@@ -191,6 +191,102 @@ let prop_platform_random_ops =
       if Platform.free_count pf <> p - in_use then ok := false;
       !ok)
 
+(* Platform sizes on both sides of every 62- and 63-bit word boundary. *)
+let word_sizes = [| 1; 2; 61; 62; 63; 64; 124; 125; 126; 256; 1000 |]
+
+(* A random acquire/release script run on [Platform] and on the
+   processor-per-flag reference it replaced.  Acquisitions go through the
+   pair path or the [int array] path at random, and now and then ask for
+   too many or no processors; releases return a held block (by its pairs
+   when it has them), a block already returned, or an out-of-range id.
+   Each step must give the same ids in the same order, the same free count
+   and the same [Invalid_argument] message; the script ends at the first
+   error, after which the two need not agree. *)
+let prop_platform_matches_reference =
+  QCheck.Test.make ~name:"platform = bool-array reference on random scripts"
+    ~count:300
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let module R = Moldable_oracle.Platform_reference in
+      let rng = Rng.create seed in
+      let p = Rng.choose rng word_sizes in
+      let pf = Platform.create p and rf = R.create p in
+      let buf = Growbuf.I.create () in
+      let outcome f =
+        match f () with v -> Ok v | exception Invalid_argument m -> Error m
+      in
+      (* Held and returned blocks: their ids, and their pairs in [buf] as
+         (offset, pair count) when acquired by pairs. *)
+      let held = ref [] and returned = ref [] in
+      let ok = ref true and go = ref true and steps = ref 0 in
+      let agree got want =
+        if got <> want then ok := false;
+        if Result.is_error want then go := false
+      in
+      while !ok && !go && !steps < 200 do
+        incr steps;
+        let free = R.free_count rf in
+        (match Rng.int rng 5 with
+        | 0 | 1 ->
+          let n =
+            match Rng.int rng 12 with
+            | 0 -> free + 1 + Rng.int rng 3
+            | 1 -> - Rng.int rng 2
+            | _ -> if free = 0 then 1 else Rng.int_range rng 1 free
+          in
+          let by_pairs = Rng.bool rng in
+          let got =
+            outcome (fun () ->
+                if by_pairs then begin
+                  let off = Growbuf.I.length buf in
+                  Platform.acquire_pairs pf n buf;
+                  let len = (Growbuf.I.length buf - off) / 2 in
+                  ( Platform.ids_of_pairs (Growbuf.I.to_array buf) ~off ~len,
+                    Some (off, len) )
+                end
+                else (Platform.acquire pf n, None))
+          in
+          let want = outcome (fun () -> R.acquire rf n) in
+          agree (Result.map fst got) want;
+          (match got with Ok b when !ok -> held := b :: !held | _ -> ())
+        | 2 | 3 -> (
+          match !held with
+          | [] -> ()
+          | _ ->
+            let k = Rng.int rng (List.length !held) in
+            let ((ids, pairs) as b) = List.nth !held k in
+            held := List.filteri (fun j _ -> j <> k) !held;
+            returned := b :: !returned;
+            let got =
+              outcome (fun () ->
+                  match pairs with
+                  | Some (off, len) when Rng.bool rng ->
+                    Platform.release_pairs pf (Growbuf.I.data buf) ~off ~len
+                  | Some _ | None -> Platform.release pf ids)
+            in
+            agree got (outcome (fun () -> R.release rf ids)))
+        | _ -> (
+          match !returned with
+          | (ids, pairs) :: _ when Rng.bool rng ->
+            let got =
+              outcome (fun () ->
+                  match pairs with
+                  | Some (off, len) ->
+                    Platform.release_pairs pf (Growbuf.I.data buf) ~off ~len
+                  | None -> Platform.release pf ids)
+            in
+            agree got (outcome (fun () -> R.release rf ids))
+          | _ ->
+            let bad =
+              if Rng.bool rng then [| -1 |] else [| p + Rng.int rng 3 |]
+            in
+            agree
+              (outcome (fun () -> Platform.release pf bad))
+              (outcome (fun () -> R.release rf bad))));
+        if !go && Platform.free_count pf <> R.free_count rf then ok := false
+      done;
+      !ok)
+
 (* -------------------------------------------------------------- Schedule *)
 
 let placement ~task_id ~start ~finish ~procs =
@@ -389,54 +485,92 @@ let random_procs rng p =
   Array.sort Int.compare procs;
   procs
 
+(* The builder stores each block as word masks and [placement] expands it
+   again: at every word-boundary size, every placement must come back with
+   its own fields and the very ids it was given, whether they fill words,
+   straddle a boundary or sit alone at either end. *)
+let prop_schedule_round_trip =
+  QCheck.Test.make ~name:"placement round-trips builder blocks" ~count:100
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      Array.for_all
+        (fun p ->
+          let n = Rng.int_range rng 1 12 in
+          let given =
+            Array.init n (fun task_id ->
+                let procs =
+                  match Rng.int rng 4 with
+                  | 0 -> Array.init p Fun.id
+                  | 1 -> [| Rng.choose rng [| 0; p - 1 |] |]
+                  | _ -> random_procs rng p
+                in
+                let start = float_of_int (Rng.int rng 5) in
+                {
+                  Schedule.task_id;
+                  start;
+                  finish = start +. float_of_int (Rng.int rng 3);
+                  nprocs = Array.length procs;
+                  procs;
+                })
+          in
+          let b = Schedule.builder ~p ~n in
+          Array.iter (Schedule.add b) given;
+          let s = Schedule.finalize b in
+          Array.for_all (fun pl -> Schedule.placement s pl.Schedule.task_id = pl)
+            given)
+        word_sizes)
+
 let engine_run ?failures ~p dag =
   Sim_core.run ?failures ~seed:(Dag.n dag) ~p
     (Moldable_core.Online_scheduler.policy
        ~allocator:Moldable_core.Allocator.algorithm2_per_model ~p ())
     dag
 
-(* A quarter are the engine's (valid) schedules; the rest are random
-   placements with exact, wrong or arbitrary durations, and now and then
+(* Random placements of [dag]'s tasks on [p] processors, task [i] on
+   [procs i], with exact, wrong or arbitrary durations, and now and then
    one task more or fewer than the graph. *)
+let random_placements rng dag ~p ~procs =
+  let n =
+    match Rng.int rng 8 with
+    | 0 -> max 0 (Dag.n dag - 1)
+    | 1 -> Dag.n dag + 1
+    | _ -> Dag.n dag
+  in
+  let b = Schedule.builder ~p ~n in
+  for task_id = 0 to n - 1 do
+    let procs = procs task_id in
+    let nprocs = Array.length procs in
+    let exact =
+      if task_id < Dag.n dag then Task.time (Dag.task dag task_id) nprocs
+      else 1.
+    in
+    let start = Rng.choose rng tie_times in
+    let finish =
+      match Rng.int rng 4 with
+      | 0 -> Rng.choose rng tie_times
+      | 1 -> start +. exact +. 0.5
+      | _ -> start +. exact
+    in
+    let pl = { Schedule.task_id; start; finish; nprocs; procs } in
+    try Schedule.add b pl
+    with Invalid_argument _ ->
+      Schedule.add b { pl with start = 0.; finish = exact }
+  done;
+  Schedule.finalize b
+
+(* A quarter are the engine's (valid) schedules; the rest are random
+   placements. *)
 let random_schedule rng dag =
   let p = Rng.int_range rng 1 5 in
   if Rng.int rng 4 = 0 then (engine_run ~p dag).Sim_core.schedule
-  else begin
-    let n =
-      match Rng.int rng 8 with
-      | 0 -> max 0 (Dag.n dag - 1)
-      | 1 -> Dag.n dag + 1
-      | _ -> Dag.n dag
-    in
-    let b = Schedule.builder ~p ~n in
-    for task_id = 0 to n - 1 do
-      let procs = random_procs rng p in
-      let nprocs = Array.length procs in
-      let exact =
-        if task_id < Dag.n dag then Task.time (Dag.task dag task_id) nprocs
-        else 1.
-      in
-      let start = Rng.choose rng tie_times in
-      let finish =
-        match Rng.int rng 4 with
-        | 0 -> Rng.choose rng tie_times
-        | 1 -> start +. exact +. 0.5
-        | _ -> start +. exact
-      in
-      let pl = { Schedule.task_id; start; finish; nprocs; procs } in
-      try Schedule.add b pl
-      with Invalid_argument _ ->
-        Schedule.add b { pl with start = 0.; finish = exact }
-    done;
-    Schedule.finalize b
-  end
+  else random_placements rng dag ~p ~procs:(fun _ -> random_procs rng p)
 
 (* A quarter are the attempts of an engine run under random failures; the
-   rest give each task 0 to 3 attempts, with now and then a wrong number,
-   a wrong allocation, a wrong duration or a wrong failure flag, in a
-   shuffled order. *)
-let random_attempts rng dag =
-  let p = Rng.int_range rng 1 5 in
+   rest give each task 0 to 3 attempts, task [i]'s on [procs i], with now
+   and then a wrong number, a wrong allocation, a wrong duration or a
+   wrong failure flag, in a shuffled order. *)
+let random_attempts_on rng dag ~p ~procs =
   if Rng.int rng 4 = 0 then
     let q = Rng.float rng 0.6 in
     let r = engine_run ~failures:(Sim_core.bernoulli ~q) ~p dag in
@@ -447,7 +581,7 @@ let random_attempts rng dag =
     for task_id = 0 to Dag.n dag - 1 do
       let count = Rng.int rng 4 in
       for a = 1 to count do
-        let procs = random_procs rng p in
+        let procs = procs task_id in
         let nprocs =
           if Rng.int rng 8 = 0 then Rng.int_range rng 1 (p + 1)
           else Array.length procs
@@ -471,6 +605,52 @@ let random_attempts rng dag =
     shuffle rng atts;
     (p, Array.to_list atts)
   end
+
+let random_attempts rng dag =
+  let p = Rng.int_range rng 1 5 in
+  random_attempts_on rng dag ~p ~procs:(fun _ -> random_procs rng p)
+
+(* Blocks that span several 62-processor words, on up to 300 processors.
+   Half the draws give each of the first [n] blocks a processor set of its
+   own (a slice of a shuffled [0, p)), so that nothing overlaps and the
+   word-mask sweep decides alone; the other half draw every block
+   independently, as a run of consecutive ids across a 62- or 63-bit word
+   boundary or as a random subset, so that blocks collide. *)
+let wide_procs rng ~p ~n =
+  if Rng.bool rng then begin
+    let ids = Array.init p Fun.id in
+    shuffle rng ids;
+    let per = max 1 (p / max 1 n) and drawn = ref 0 in
+    fun _ ->
+      let lo = !drawn * per mod p in
+      incr drawn;
+      let b = Array.sub ids lo (min per (p - lo)) in
+      Array.sort Int.compare b;
+      b
+  end
+  else fun _ ->
+    if Rng.bool rng then begin
+      let w = Rng.choose rng [| 62; 63 |] in
+      let edge = w * Rng.int rng ((p / w) + 1) in
+      let lo = max 0 (edge - Rng.int rng 70) in
+      let hi = min (p - 1) (max lo (edge + Rng.int rng 70)) in
+      Array.init (hi - lo + 1) (fun q -> lo + q)
+    end
+    else random_procs rng p
+
+(* Room for [n] disjoint blocks. *)
+let wide_p rng ~n = Rng.int_range rng (max 1 n) 300
+
+let random_wide_schedule rng dag =
+  let n = Dag.n dag + 1 in
+  let p = wide_p rng ~n in
+  if Rng.int rng 4 = 0 then (engine_run ~p dag).Sim_core.schedule
+  else random_placements rng dag ~p ~procs:(wide_procs rng ~p ~n)
+
+let random_wide_attempts rng dag =
+  let n = 3 * Dag.n dag in
+  let p = wide_p rng ~n in
+  random_attempts_on rng dag ~p ~procs:(wide_procs rng ~p ~n)
 
 let verdict f =
   match f () with
@@ -497,6 +677,29 @@ let prop_validate_attempts_matches_reference =
       let rng = Rng.create seed in
       let dag = random_graph rng in
       let p, attempts = random_attempts rng dag in
+      verdict (fun () -> Validate.check_attempts ~dag ~p attempts)
+      = verdict (fun () ->
+            Moldable_oracle.Validate_reference.check_attempts ~dag ~p attempts))
+
+let prop_validate_wide_matches_reference =
+  QCheck.Test.make ~name:"check = reference check across processor words"
+    ~count:300
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let dag = random_graph rng in
+      let sched = random_wide_schedule rng dag in
+      verdict (fun () -> Validate.check ~dag sched)
+      = verdict (fun () -> Moldable_oracle.Validate_reference.check ~dag sched))
+
+let prop_validate_wide_attempts_matches_reference =
+  QCheck.Test.make
+    ~name:"check_attempts = reference across processor words" ~count:300
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let dag = random_graph rng in
+      let p, attempts = random_wide_attempts rng dag in
       verdict (fun () -> Validate.check_attempts ~dag ~p attempts)
       = verdict (fun () ->
             Moldable_oracle.Validate_reference.check_attempts ~dag ~p attempts))
@@ -692,6 +895,7 @@ let () =
           Alcotest.test_case "over-acquire" `Quick test_platform_over_acquire;
           Alcotest.test_case "double release" `Quick test_platform_double_release;
           Alcotest.test_case "create invalid" `Quick test_platform_create_invalid;
+          qt prop_platform_matches_reference;
           qt prop_platform_random_ops;
         ] );
       ( "schedule",
@@ -707,6 +911,7 @@ let () =
             test_schedule_finalize_missing;
           Alcotest.test_case "utilization steps" `Quick test_utilization_steps;
           Alcotest.test_case "placements sorted" `Quick test_placements_sorted;
+          qt prop_schedule_round_trip;
         ] );
       ( "validate",
         [
@@ -724,6 +929,8 @@ let () =
             test_validate_words_per_task;
           qt prop_validate_check_matches_reference;
           qt prop_validate_attempts_matches_reference;
+          qt prop_validate_wide_matches_reference;
+          qt prop_validate_wide_attempts_matches_reference;
         ] );
       ( "engine",
         [

@@ -1019,21 +1019,6 @@ let test_growbuf_float_int () =
        false
      with Invalid_argument _ -> true)
 
-let test_growbuf_poly () =
-  let a = Growbuf.A.create ~capacity:1 ~dummy:[||] () in
-  for k = 0 to 19 do
-    Growbuf.A.push a (Array.make 1 k)
-  done;
-  Alcotest.(check int) "A length" 20 (Growbuf.A.length a);
-  Alcotest.(check int) "A get" 13 (Growbuf.A.get a 13).(0);
-  Growbuf.A.clear a;
-  Alcotest.(check int) "A cleared" 0 (Growbuf.A.length a);
-  Alcotest.(check bool) "A get after clear raises" true
-    (try
-       ignore (Growbuf.A.get a 0);
-       false
-     with Invalid_argument _ -> true)
-
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "util"
@@ -1185,6 +1170,5 @@ let () =
       ( "growbuf",
         [
           Alcotest.test_case "float/int buffers" `Quick test_growbuf_float_int;
-          Alcotest.test_case "boxed buffer" `Quick test_growbuf_poly;
         ] );
     ]
