@@ -1297,15 +1297,13 @@ let alloc_lean_section () =
   (* The three paths must agree placement-by-placement; the qcheck
      differential suite pins this across rules/allocators/failure models,
      and this assert extends the pin to the 10^5-task scale. *)
-  let same_placements a b =
-    Schedule.n a = Schedule.n b
-    && List.for_all
-         (fun i ->
-           let pa = Schedule.placement a i and pb = Schedule.placement b i in
-           Float.equal pa.Schedule.start pb.Schedule.start
-           && Float.equal pa.Schedule.finish pb.Schedule.finish
-           && pa.Schedule.nprocs = pb.Schedule.nprocs)
-         (List.init (Schedule.n a) (fun i -> i))
+  let same_floats x y =
+    Array.length x = Array.length y && Array.for_all2 Float.equal x y
+  in
+  let same_placements (a : Schedule.t) (b : Schedule.t) =
+    same_floats a.starts b.starts
+    && same_floats a.finishes b.finishes
+    && a.counts = b.counts
   in
   if
     not
@@ -1653,19 +1651,35 @@ let parallel_sweep pool () =
     List.length policies
     * List.fold_left (fun a (_, dags) -> a + List.length dags) 0 campaign
   in
+  let sweep pool =
+    List.concat_map
+      (fun (workload, dags) ->
+        Experiment.evaluate ~pool ~p:64 ~workload ~policies dags)
+      campaign
+  in
   let outcomes, seq_s, par_s =
     compare_seq_par ~name:"parallel_sweep" ~cells
       ~equal:(List.for_all2 Experiment.equal_outcome)
-      pool
-      (fun pool ->
-        List.concat_map
-          (fun (workload, dags) ->
-            Experiment.evaluate ~pool ~p:64 ~workload ~policies dags)
-          campaign)
+      pool sweep
   in
   print_string (Report.table outcomes);
   write_json "parallel_sweep_results.json" (outcomes_json ~cells outcomes);
-  let speedup = seq_s /. Float.max 1e-9 par_s in
+  (* One run of this short campaign is a noisy sample (the ratio spread
+     1.6-3.4x over six runs on a 2-vCPU container), so the gate compares
+     medians of three rounds: the checked run above, then two more that
+     alternate which side goes first. *)
+  let speedup =
+    if Pool.jobs pool < 2 then seq_s /. Float.max 1e-9 par_s
+    else begin
+      let secs pool = snd (time (fun () -> ignore (sweep pool))) in
+      let par2 = secs pool in
+      let seq2 = secs Pool.sequential in
+      let seq3 = secs Pool.sequential in
+      let par3 = secs pool in
+      Stats.median [ seq_s; seq2; seq3 ]
+      /. Float.max 1e-9 (Stats.median [ par_s; par2; par3 ])
+    end
+  in
   gate
     (if Pool.jobs pool < 2 then
        Ok "skipped (sequential run; pass --jobs 2 or more)."
@@ -1678,7 +1692,8 @@ let parallel_sweep pool () =
        Ok
          (Printf.sprintf
             "parallel sweep is %.2fx faster at jobs=%d than the sequential \
-             run on the same campaign (criterion: >= 1.5x)."
+             run on the same campaign (median of 3 rounds; criterion: >= \
+             1.5x)."
             speedup (Pool.jobs pool))
      else Error (Printf.sprintf "parallel speedup %.2fx < 1.5x" speedup))
 

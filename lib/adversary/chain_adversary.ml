@@ -117,23 +117,22 @@ let list_scheduling ~alloc ~ell =
   start_round ();
   let finished = ref 0 in
   while !finished < n_chains do
-    match Event_queue.pop_simultaneous running with
-    | None -> failwith "Chain_adversary.list_scheduling: stalled"
-    | Some (t, completions) ->
-      now := t;
-      List.iter
-        (fun done_before ->
-          decr n_running;
-          let done_now = done_before + 1 in
-          if quota.(done_now) > 0 then begin
-            (* The adversary declares this chain to belong to group
-               [done_now] and terminates it. *)
-            quota.(done_now) <- quota.(done_now) - 1;
-            if quota.(done_now) = 0 then breakpoints.(done_now - 1) <- t;
-            incr finished
-          end
-          else Queue.add done_now waiting)
-        completions;
-      start_round ()
+    let completions = Event_queue.pop_batch running in
+    if completions = 0 then failwith "Chain_adversary.list_scheduling: stalled";
+    let t = Event_queue.batch_time running in
+    now := t;
+    for i = 0 to completions - 1 do
+      decr n_running;
+      let done_now = Event_queue.batch_payload running i + 1 in
+      if quota.(done_now) > 0 then begin
+        (* The adversary declares this chain to belong to group
+           [done_now] and terminates it. *)
+        quota.(done_now) <- quota.(done_now) - 1;
+        if quota.(done_now) = 0 then breakpoints.(done_now - 1) <- t;
+        incr finished
+      end
+      else Queue.add done_now waiting
+    done;
+    start_round ()
   done;
   { breakpoints; makespan = !now }

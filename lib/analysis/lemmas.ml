@@ -58,39 +58,6 @@ let verify ~mu ~dag sched =
     all_hold = lemma3.holds && lemma4.holds && lemma5.holds;
   }
 
-let no_wait_below_high_utilization ~mu (result : Sim_core.result) =
-  let sched = result.Sim_core.schedule in
-  let tasks = Metrics.tasks result.Sim_core.metrics in
-  let n = Schedule.n sched in
-  (* A lean run records no per-task ready times; without them the check
-     would pass vacuously. *)
-  if Array.length tasks <> n then
-    invalid_arg
-      "Lemmas.no_wait_below_high_utilization: lean result (no ready times)";
-  let p = Schedule.p sched in
-  (* Guarded ceil, matching Intervals.classify's utilization bands. *)
-  let hi = Moldable_util.Numerics.iceil_guarded ((1. -. mu) *. float_of_int p) in
-  (* Waiting windows: first reveal -> start per task. *)
-  let ready i = tasks.(i).Metrics.ready in
-  let windows = ref [] in
-  for i = 0 to n - 1 do
-    let start = (Schedule.placement sched i).Schedule.start in
-    if start -. ready i > 1e-9 then windows := (ready i, start) :: !windows
-  done;
-  let low_steps =
-    List.filter
-      (fun (_, _, busy) -> busy < hi)
-      (Schedule.utilization_steps sched)
-  in
-  List.for_all
-    (fun (w0, w1) ->
-      List.for_all
-        (fun (s0, s1, _) ->
-          (* Open-interval overlap beyond tolerance is a violation. *)
-          Float.min w1 s1 -. Float.max w0 s0 <= 1e-9)
-        low_steps)
-    !windows
-
 let pp_ineq ppf i =
   Format.fprintf ppf "%s: %.6g <= %.6g %s" i.label i.lhs i.rhs
     (if i.holds then "OK" else "VIOLATED")

@@ -34,15 +34,4 @@ val verify : mu:float -> dag:Dag.t -> Schedule.t -> report
     [mu]; the inequalities may fail for other schedulers (that is the
     point of the ablation benches). *)
 
-val no_wait_below_high_utilization : mu:float -> Sim_core.result -> bool
-(** The structural fact behind Lemma 4: whenever the utilization is below
-    [ceil((1-mu) P)], at least [ceil(mu P)] processors are free, so every
-    available task (allocated at most [ceil(mu P)] by Algorithm 2) starts
-    immediately — the waiting queue is empty throughout [T1] and [T2].
-    Checked on the actual run: no task's waiting window (from its first
-    reveal, [(Metrics.tasks metrics).(i).ready], to its start) may overlap an
-    interval of low utilization.
-    @raise Invalid_argument on a lean result, which records no ready
-    times. *)
-
 val pp : Format.formatter -> report -> unit

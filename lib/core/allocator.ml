@@ -181,6 +181,3 @@ let no_cap ~mu =
 let min_time = make ~name:"min-time" (fun a -> a.Task.p_max)
 let sequential = make ~name:"sequential" (fun _ -> 1)
 let all_p = make ~name:"all-p" (fun a -> a.Task.p)
-
-let fixed q =
-  make ~name:(Printf.sprintf "fixed(%d)" q) (fun a -> max 1 (min q a.Task.p))

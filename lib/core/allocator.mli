@@ -97,6 +97,3 @@ val sequential : t
 
 val all_p : t
 (** Always all [P] processors (forces purely sequential task execution). *)
-
-val fixed : int -> t
-(** Constant allocation, clamped to [\[1, P\]]. *)

@@ -32,5 +32,3 @@ let named =
     ("all-P serial", fun ~p -> all_p_list ~p);
     ("ECT greedy", fun ~p -> ect ~p);
   ]
-
-let run make ~p dag = Sim_core.run ~p (make ~p) dag

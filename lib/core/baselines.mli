@@ -8,7 +8,6 @@
     [min (p_max, free)] processors, the allocation that minimizes its own
     completion time right now. *)
 
-open Moldable_graph
 open Moldable_sim
 
 val min_time_list : p:int -> Sim_core.policy
@@ -25,5 +24,3 @@ val ect : p:int -> Sim_core.policy
 
 val named : (string * (p:int -> Sim_core.policy)) list
 (** All baselines with their display names, for sweep experiments. *)
-
-val run : (p:int -> Sim_core.policy) -> p:int -> Dag.t -> Sim_core.result

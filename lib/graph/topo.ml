@@ -33,17 +33,4 @@ let depth g =
     (order g);
   d
 
-let layers g =
-  let d = depth g in
-  let n = Dag.n g in
-  if n = 0 then []
-  else begin
-    let maxd = Array.fold_left max 0 d in
-    let buckets = Array.make (maxd + 1) [] in
-    for i = n - 1 downto 0 do
-      buckets.(d.(i)) <- i :: buckets.(d.(i))
-    done;
-    Array.to_list buckets
-  end
-
 let height g = if Dag.n g = 0 then 0 else 1 + Array.fold_left max 0 (depth g)

@@ -8,9 +8,6 @@ val depth : Dag.t -> int array
 (** [depth g] maps each task to the number of tasks on the longest chain of
     predecessors ending at it ([0] for sources). *)
 
-val layers : Dag.t -> int list list
-(** Tasks grouped by {!depth}, shallowest first; each layer sorted by id. *)
-
 val height : Dag.t -> int
 (** Number of tasks on the longest path of the graph ([D] in Theorem 9);
     [0] for the empty graph. *)

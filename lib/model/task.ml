@@ -107,5 +107,3 @@ let monotonic a =
     let ok = monotonic_scan a.task a.p_max in
     a.mono <- (if ok then Mono_yes else Mono_no);
     ok
-
-let pp ppf t = Format.fprintf ppf "%s#%d:%a" t.label t.id Speedup.pp t.speedup

@@ -59,5 +59,3 @@ val monotonic : analyzed -> bool
 (** True when on [1 .. p_max] the time is non-increasing and the area is
     non-decreasing (the monotonic property of Lemma 1).  Memoized on the
     [analyzed] value: repeated queries cost O(1). *)
-
-val pp : Format.formatter -> t -> unit

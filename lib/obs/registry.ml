@@ -354,20 +354,21 @@ let merge_metric m =
       in
       Gauge_v (set_v +. List.fold_left (fun acc s -> acc +. s.acc) 0. live)
     | Histogram ->
-      let buckets = Array.make Hist.nbuckets 0 in
+      let hists = List.filter_map (fun s -> s.hs) live in
+      let buckets =
+        List.fold_left
+          (fun acc (hs : hist_shard) -> Hist.merge acc hs.buckets)
+          (Array.make Hist.nbuckets 0) hists
+      in
       let count = ref 0 and sum = ref 0. in
       let mn = ref Float.infinity and mx = ref Float.neg_infinity in
       List.iter
-        (fun s ->
-          match s.hs with
-          | None -> ()
-          | Some hs ->
-            Array.iteri (fun i n -> buckets.(i) <- buckets.(i) + n) hs.buckets;
-            count := !count + hs.h_count;
-            sum := !sum +. hs.h_sum;
-            if hs.h_min < !mn then mn := hs.h_min;
-            if hs.h_max > !mx then mx := hs.h_max)
-        live;
+        (fun hs ->
+          count := !count + hs.h_count;
+          sum := !sum +. hs.h_sum;
+          if hs.h_min < !mn then mn := hs.h_min;
+          if hs.h_max > !mx then mx := hs.h_max)
+        hists;
       let empty = !count = 0 in
       let hmin = if empty then Float.nan else !mn
       and hmax = if empty then Float.nan else !mx in

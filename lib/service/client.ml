@@ -110,8 +110,6 @@ let rpc c req =
         Error (Printf.sprintf "%s: %s" (get "error") (get "message"))
       | _ -> Error "response carries no \"ok\" field"))
 
-let ping c = Result.map (fun _ -> ()) (rpc c Protocol.Ping)
-
 let fetch_metrics c =
   match rpc c Protocol.Metrics with
   | Error _ as e -> e

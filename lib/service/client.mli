@@ -27,8 +27,6 @@ val rpc : t -> Protocol.request -> (Moldable_obs.Json.t, string) result
 (** {!request} of the encoded request; a [{"ok": false}] response is
     mapped to [Error "CODE: message"]. *)
 
-val ping : t -> (unit, string) result
-
 val fetch_metrics : t -> (string, string) result
 (** The server registry in OpenMetrics text exposition. *)
 

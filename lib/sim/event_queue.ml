@@ -21,9 +21,6 @@ let clear t =
   Float_heap.clear t.heap;
   t.batch_len <- 0
 
-let is_empty t = Float_heap.is_empty t.heap
-let length t = Float_heap.length t.heap
-
 let add t ~time payload =
   if not (Float.is_finite time) then
     invalid_arg "Event_queue.add: time must be finite";
@@ -31,8 +28,6 @@ let add t ~time payload =
 
 let next_time t =
   if Float_heap.is_empty t.heap then None else Some (Float_heap.min_key t.heap)
-
-let pop t = Float_heap.pop t.heap
 
 (* Completions that are simultaneous in exact arithmetic reach the queue
    through different float paths (each is a [start +. duration] sum), so
@@ -99,12 +94,3 @@ let batch_payload t i =
   if i < 0 || i >= t.batch_len then
     invalid_arg "Event_queue.batch_payload: index out of range";
   t.batch_loads.(i)
-
-let pop_simultaneous t =
-  match pop_batch t with
-  | 0 -> None
-  | n ->
-    let rec build i acc =
-      if i < 0 then acc else build (i - 1) (t.batch_loads.(i) :: acc)
-    in
-    Some (t.batch_stamps.(n - 1), build (n - 1) [])

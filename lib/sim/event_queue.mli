@@ -17,47 +17,36 @@ val clear : t -> unit
 (** Empties the queue (keeping its arrays) and resets the tie-break
     sequence, so a cleared queue re-fills without allocating. *)
 
-val is_empty : t -> bool
-val length : t -> int
-
 val add : t -> time:float -> int -> unit
 (** Requires a finite, non-NaN [time]. *)
 
 val next_time : t -> float option
 (** Time stamp of the earliest event, if any. *)
 
-val pop : t -> (float * int) option
-
 val batch_eps : float
-(** The relative tolerance {!pop_simultaneous} batches under ([1e-12]).
+(** The relative tolerance {!pop_batch} batches under ([1e-12]).
     Exposed so differential checkers can replay the batching decision with
     the exact same constant. *)
 
-val pop_simultaneous : t -> (float * int list) option
-(** Pops {e every} event whose time stamp equals the earliest one up to a
-    relative epsilon of [1e-12] (keyed off the earliest stamp, so the batch
-    cannot drift), in [(time, insertion)] order — the engine treats
-    simultaneous completions as one scheduling instant, as Algorithm 1
-    does.  The tolerance absorbs last-ulp disagreement between finish times
-    computed along different float paths.  The returned time is the
-    {e latest} stamp of the batch, so acting "at" the returned instant never
-    precedes any stamp inside it (a task started then cannot overlap a
-    completion recorded one ulp later). *)
+(** {2 Batches}
 
-(** {2 Zero-allocation batch interface}
-
-    The hot loop's alternative to {!pop_simultaneous}: the batch lands in
-    a reusable internal buffer instead of a fresh list.  The buffer is
-    valid until the next [pop_batch]/[pop]/[pop_simultaneous] call. *)
+    The engine treats simultaneous completions as one scheduling instant,
+    as Algorithm 1 does, so the queue pops a batch at a time into a
+    reusable internal buffer: no list and no pair is allocated.  The
+    buffer is valid until the next [pop_batch] call. *)
 
 val pop_batch : t -> int
-(** Pops the next simultaneous batch (same semantics and tolerance as
-    {!pop_simultaneous}) into the internal buffer and returns its length —
-    [0] when the queue is empty. *)
+(** Pops {e every} event whose time stamp equals the earliest one up to a
+    relative epsilon of {!batch_eps} (keyed off the earliest stamp, so the
+    batch cannot drift), in [(time, insertion)] order, into the internal
+    buffer and returns its length — [0] when the queue is empty.  The
+    tolerance absorbs last-ulp disagreement between finish times computed
+    along different float paths. *)
 
 val batch_time : t -> float
-(** The latest stamp of the last popped batch (the instant the caller acts
-    at). *)
+(** The latest stamp of the last popped batch: the instant the caller acts
+    at, which never precedes any stamp inside the batch (a task started
+    then cannot overlap a completion recorded one ulp later). *)
 
 val batch_stamp : t -> int -> float
 (** The [i]-th batched event's own time stamp (events keep their exact

@@ -137,42 +137,3 @@ let equal_share ~p dag =
       finished
   done;
   { phases = List.rev !phases; makespan = !now; completion }
-
-let validate ~dag ~p result =
-  let errors = ref [] in
-  let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
-  let n = Dag.n dag in
-  let progress = Array.make n 0. in
-  let first_start = Array.make n infinity in
-  let prev_end = ref 0. in
-  List.iter
-    (fun ph ->
-      if not (Moldable_util.Fcmp.approx ph.t0 !prev_end) then
-        err "phase starting at %g is not contiguous with %g" ph.t0 !prev_end;
-      prev_end := ph.t1;
-      let used = List.fold_left (fun acc (_, q) -> acc + q) 0 ph.allocs in
-      if used > p then err "phase [%g, %g] uses %d > P procs" ph.t0 ph.t1 used;
-      List.iter
-        (fun (i, q) ->
-          if q < 1 || q > p then err "task %d allocated %d procs" i q;
-          if i < 0 || i >= n then err "unknown task %d" i
-          else begin
-            progress.(i) <-
-              progress.(i) +. ((ph.t1 -. ph.t0) /. Task.time (Dag.task dag i) q);
-            if ph.t0 < first_start.(i) then first_start.(i) <- ph.t0
-          end)
-        ph.allocs)
-    result.phases;
-  for i = 0 to n - 1 do
-    if not (Moldable_util.Fcmp.approx ~eps:1e-6 progress.(i) 1.) then
-      err "task %d accumulated progress %.9f (expected 1)" i progress.(i)
-  done;
-  List.iter
-    (fun (i, j) ->
-      if
-        Moldable_util.Fcmp.lt ~eps:1e-6 first_start.(j) result.completion.(i)
-      then
-        err "task %d starts at %g before predecessor %d completes at %g" j
-          first_start.(j) i result.completion.(i))
-    (Dag.edges dag);
-  match !errors with [] -> Ok () | es -> Error (List.rev es)

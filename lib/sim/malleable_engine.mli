@@ -35,8 +35,3 @@ type result = {
 val equal_share : p:int -> Dag.t -> result
 (** Water-filling malleable schedule (online reveal rules identical to
     {!Sim_core.run}). *)
-
-val validate : dag:Dag.t -> p:int -> result -> (unit, string list) Stdlib.result
-(** Checks: phase capacity ([sum of allocations <= P], allocations in
-    [\[1, P\]]); per-task progress [sum dt/t(q) = 1]; no task runs before
-    its predecessors complete; completion times consistent with phases. *)

@@ -27,6 +27,13 @@ let decode code arg =
   | 2 -> Finish tid
   | _ -> Failed (tid, arg)
 
+let decode_events ~len ~time ~code ~arg k0 =
+  let lst = ref [] in
+  for k = len - 1 downto max 0 k0 do
+    lst := (time k, decode (code k) (arg k)) :: !lst
+  done;
+  !lst
+
 type counters = {
   mutable events : int;
   mutable batches : int;
@@ -67,13 +74,8 @@ let n_tasks t = if t.lean then 0 else Schedule.n t.schedule
 let n_events t = Array.length t.times
 
 let events_from t k0 =
-  let lst = ref [] in
-  for k = n_events t - 1 downto max 0 k0 do
-    lst := (t.times.(k), decode t.codes.(k) t.args.(k)) :: !lst
-  done;
-  !lst
-
-let trace t = events_from t 0
+  decode_events ~len:(n_events t) ~time:(Array.get t.times)
+    ~code:(Array.get t.codes) ~arg:(Array.get t.args) k0
 
 (* Replays the trace: a [Start] opens its task's attempt with its
    allocation, the next [Finish]/[Failed] of the task closes it at that
@@ -187,7 +189,7 @@ let tasks t =
         task_id = i;
         ready = ready.(i);
         start = start.(i);
-        finish = (Schedule.placement t.schedule i).Schedule.finish;
+        finish = t.schedule.Schedule.finishes.(i);
         wait = start.(i) -. ready.(i);
         service = service.(i);
         attempts = attempts.(i);

@@ -52,8 +52,13 @@ val kind_start : int
 val kind_finish : int
 val kind_failed : int
 
-val decode : int -> int -> event
-(** [decode code arg] is the event a packed pair stands for. *)
+val decode_events :
+  len:int -> time:(int -> float) -> code:(int -> int) -> arg:(int -> int) ->
+  int -> (float * event) list
+(** [decode_events ~len ~time ~code ~arg k] is the chronological list of
+    the packed events [k .. len - 1] (all of them for [k <= 0]), event [i]
+    being at instant [time i] with the pair [(code i, arg i)]: the one
+    decoder behind {!events_from} and {!Sim_core.Stepper.events_from}. *)
 
 (** {1 The record} *)
 
@@ -112,9 +117,6 @@ val events_from : t -> int -> (float * event) list
 (** [events_from t k] is the chronological trace suffix from event index
     [k] (all of it for [k <= 0]); O(events returned).  The drained-run
     form of {!Sim_core.Stepper.events_from}. *)
-
-val trace : t -> (float * event) list
-(** The whole chronological trace. *)
 
 val attempts : t -> attempt list
 (** Every attempt, sorted by start, then task id, then attempt. *)

@@ -89,9 +89,10 @@ module Arena = struct
        at launch; copied into the [Schedule.t] at drain. *)
     blocks : Growbuf.I.t;
     (* Full-mode recording buffers, copied into the result's
-       [Metrics.t] at drain: the event trace (packed as [Metrics.decode]
-       reads it), the block (offset, pair count) of every failed
-       attempt, and one ready-depth sample per scheduling instant. *)
+       [Metrics.t] at drain: the event trace (packed as
+       [Metrics.decode_events] reads it), the block (offset, pair count) of
+       every failed attempt, and one ready-depth sample per scheduling
+       instant. *)
     tr_times : Growbuf.F.t;
     tr_a : Growbuf.I.t; (* event kind (2 bits) lor (task id lsl 2) *)
     tr_b : Growbuf.I.t; (* second arg, 0 when absent *)
@@ -198,8 +199,7 @@ end
    in a [Complete] record (attempt number, start stamp, processor block)
    lives in the arena's per-task arrays — a task has at most one
    outstanding attempt — and the exact finish stamp is the event's own heap
-   key ([Event_queue.batch_stamp]), which [pop_simultaneous]-style batching
-   preserves per event. *)
+   key, which a batch keeps per event ([Event_queue.batch_stamp]). *)
 let[@inline] enc_reveal i = i lsl 1
 let[@inline] enc_complete tid = (tid lsl 1) lor 1
 
@@ -728,15 +728,9 @@ module Stepper = struct
 
   let events_from st k0 =
     let a = st.arena in
-    let lst = ref [] in
-    for k = Growbuf.F.length a.Arena.tr_times - 1 downto max 0 k0 do
-      lst :=
-        ( Growbuf.F.get a.Arena.tr_times k,
-          Metrics.decode (Growbuf.I.get a.Arena.tr_a k)
-            (Growbuf.I.get a.Arena.tr_b k) )
-        :: !lst
-    done;
-    !lst
+    Metrics.decode_events ~len:(n_events st)
+      ~time:(Growbuf.F.get a.Arena.tr_times)
+      ~code:(Growbuf.I.get a.Arena.tr_a) ~arg:(Growbuf.I.get a.Arena.tr_b) k0
 end
 
 let run ?release_times ?(seed = 0) ?(max_attempts = max_int)

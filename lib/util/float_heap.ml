@@ -25,7 +25,6 @@ let clear t =
   t.size <- 0;
   t.next_seq <- 0
 
-let length t = t.size
 let is_empty t = t.size = 0
 
 (* Entry [i] precedes entry [j]: keys are finite, so [<] and [=] agree with
@@ -111,12 +110,4 @@ let drop_min t =
     t.seqs.(0) <- t.seqs.(t.size);
     t.loads.(0) <- t.loads.(t.size);
     sift_down t 0
-  end
-
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let key = t.keys.(0) and payload = t.loads.(0) in
-    drop_min t;
-    Some (key, payload)
   end

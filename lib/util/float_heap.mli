@@ -21,7 +21,6 @@ val clear : t -> unit
 (** Empties the heap and resets the insertion counter.  Keeps the arrays,
     so a cleared heap re-fills without allocating. *)
 
-val length : t -> int
 val is_empty : t -> bool
 
 val push : t -> key:float -> int -> unit
@@ -35,7 +34,3 @@ val min_payload : t -> int
 
 val drop_min : t -> unit
 (** Removes the minimum entry. @raise Invalid_argument on empty. *)
-
-val pop : t -> (float * int) option
-(** [(key, payload)] of the minimum entry, removed — allocates the pair;
-    the hot path uses {!min_key}/{!min_payload}/{!drop_min} instead. *)

@@ -51,42 +51,6 @@ let minimize ?(tol = 1e-12) ?(grid = 2_000) ~f ~lo ~hi () =
   let x1, f1 = golden_section_min ~tol ~f:f_safe ~lo:a ~hi:c () in
   if f1 <= f0 then (x1, f1) else (x0, f0)
 
-let bisect ?(tol = 1e-12) ~f ~lo ~hi () =
-  (* Sign-based: a signed zero (-0. included) counts as a root, NaN is
-     rejected loudly, and the stopping rule is symmetric in |a| and |b| so
-     the bracket shrinks at the same relative rate whichever endpoint is
-     larger. *)
-  let sgn name x =
-    if Float.is_nan x then
-      invalid_arg (Printf.sprintf "Numerics.bisect: f %s is NaN" name)
-    else if x > 0. then 1
-    else if x < 0. then -1
-    else 0
-  in
-  let sa = sgn "lo" (f lo) in
-  if sa = 0 then lo
-  else begin
-    let sb = sgn "hi" (f hi) in
-    if sb = 0 then hi
-    else if sa = sb then
-      invalid_arg "Numerics.bisect: no sign change on interval"
-    else begin
-      let rec loop a b =
-        if b -. a <= tol *. (Float.max (Float.abs a) (Float.abs b) +. 1.) then
-          0.5 *. (a +. b)
-        else begin
-          let m = 0.5 *. (a +. b) in
-          if m <= a || m >= b then 0.5 *. (a +. b)
-          else begin
-            let sm = sgn "mid" (f m) in
-            if sm = 0 then m else if sm = sa then loop m b else loop a m
-          end
-        end
-      in
-      loop lo hi
-    end
-  end
-
 let integer_argmin ~f ~lo ~hi =
   if lo > hi then invalid_arg "Numerics.integer_argmin: empty range";
   let best = ref lo and best_f = ref (f lo) in
@@ -126,11 +90,6 @@ let ilog2 n =
    its integer value, which plain floor/ceil then shifts by one whole unit.
    Nudging by [eps * max 1 |x|] before rounding keeps exact values exact;
    genuinely fractional inputs sit far beyond the guard. *)
-let ifloor_guarded ?(eps = Fcmp.default_eps) x =
-  if not (Float.is_finite x) then
-    invalid_arg "Numerics.ifloor_guarded: non-finite input";
-  int_of_float (floor (x +. (eps *. Float.max 1. (Float.abs x))))
-
 let iceil_guarded ?(eps = Fcmp.default_eps) x =
   if not (Float.is_finite x) then
     invalid_arg "Numerics.iceil_guarded: non-finite input";

@@ -1,7 +1,7 @@
-(** Scalar numerical routines used by the theory module: one-dimensional
-    minimization (golden-section refined from a grid scan) and bisection
-    root-finding. The competitive-ratio optimizations of Theorems 2–4 are
-    minimizations of smooth single-variable functions over an interval. *)
+(** Scalar numerical routines used by the theory module, chiefly
+    one-dimensional minimization (golden-section refined from a grid scan).
+    The competitive-ratio optimizations of Theorems 2–4 are minimizations
+    of smooth single-variable functions over an interval. *)
 
 val golden_section_min :
   ?tol:float -> f:(float -> float) -> lo:float -> hi:float -> unit ->
@@ -27,15 +27,6 @@ val minimize :
     can only improve on the best finite grid point.
     @raise Invalid_argument if no grid point has a finite value. *)
 
-val bisect :
-  ?tol:float -> f:(float -> float) -> lo:float -> hi:float -> unit -> float
-(** Root of [f] on [\[lo, hi\]]; requires a sign change.  Sign-based, so
-    signed zeros ([-0.] included) count as roots and denormal values keep
-    their sign; the stopping tolerance is relative and symmetric in [|a|]
-    and [|b|].
-    @raise Invalid_argument if [f lo] and [f hi] have the same sign, or if
-    [f] returns NaN at a probed point. *)
-
 val integer_argmin : f:(int -> float) -> lo:int -> hi:int -> int
 (** Exhaustive argmin of [f] over integers [\[lo, hi\]]; ties break to the
     smallest argument. Requires [lo <= hi]. *)
@@ -49,12 +40,6 @@ val ilog2 : int -> int
 (** Exact [floor (log2 n)] for [n >= 1], by bit shifting — no float
     round-trip, so exact powers of two are never under-counted.
     @raise Invalid_argument for [n < 1]. *)
-
-val ifloor_guarded : ?eps:float -> float -> int
-(** [floor] with a relative guard band (default {!Fcmp.default_eps}): an
-    input an ulp {e below} its mathematical integer value still floors to
-    that integer.  Genuinely fractional inputs are unaffected.
-    @raise Invalid_argument on non-finite input. *)
 
 val iceil_guarded : ?eps:float -> float -> int
 (** [ceil] with a relative guard band: an input an ulp {e above} its

@@ -39,7 +39,6 @@ let create ~k =
   }
 
 let length t = t.length
-let is_empty t = t.length = 0
 
 (* [(k1, t1)] comes strictly before [(k2, t2)]. *)
 let[@inline] before (k1 : float) (t1 : int) (k2 : float) (t2 : int) =
@@ -140,10 +139,6 @@ let nonempty t ~alloc what =
   if t.sizes.(alloc) = 0 then
     invalid_arg
       (Printf.sprintf "Ranked_queue.%s: bucket %d is empty" what alloc)
-
-let top t ~alloc =
-  nonempty t ~alloc "top";
-  t.ids.(alloc).(0)
 
 let pop t ~alloc =
   nonempty t ~alloc "pop";

@@ -32,14 +32,9 @@ val fit : t -> free:int -> int
     to [k]; [free < 1] returns [0].  O(1) when the first entry of the
     whole queue fits, O(log k) otherwise. *)
 
-val top : t -> alloc:int -> int
-(** The id of the first entry of bucket [alloc].
-    @raise Invalid_argument if that bucket is empty or out of range. *)
-
 val pop : t -> alloc:int -> int
 (** Remove the first entry of bucket [alloc] and return its id:
     [pop t ~alloc:(fit t ~free)] is a launch.  O(log k + log bucket).
     @raise Invalid_argument if that bucket is empty or out of range. *)
 
 val length : t -> int
-val is_empty : t -> bool

@@ -9,7 +9,6 @@ let mix64 z =
   Int64.(logxor z (shift_right_logical z 31))
 
 let create seed = { state = mix64 (Int64.of_int seed) }
-let copy t = { state = t.state }
 
 let int64 t =
   t.state <- Int64.add t.state golden_gamma;
@@ -53,7 +52,6 @@ let int_range t lo hi =
   if lo > hi then invalid_arg "Rng.int_range: empty range";
   lo + int t (hi - lo + 1)
 
-let bool t = Int64.logand (int64 t) 1L = 1L
 let bernoulli t p = float t 1.0 < p
 
 let exponential t mean =
@@ -64,7 +62,3 @@ let exponential t mean =
 let log_uniform t lo hi =
   if lo <= 0. || hi < lo then invalid_arg "Rng.log_uniform: bad range";
   if lo = hi then lo else exp (float_range t (log lo) (log hi))
-
-let choose t arr =
-  if Array.length arr = 0 then invalid_arg "Rng.choose: empty array";
-  arr.(int t (Array.length arr))

@@ -11,9 +11,6 @@ type t
 val create : int -> t
 (** [create seed] makes a fresh generator from an integer seed. *)
 
-val copy : t -> t
-(** Independent copy sharing the current state. *)
-
 val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is
     statistically independent from the remainder of [t]'s stream. *)
@@ -41,9 +38,6 @@ val float_range : t -> float -> float -> float
 val int_range : t -> int -> int -> int
 (** [int_range t lo hi] is uniform in [\[lo, hi\]] (inclusive). *)
 
-val bool : t -> bool
-(** Fair coin. *)
-
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is true with probability [p]. *)
 
@@ -53,6 +47,3 @@ val exponential : t -> float -> float
 val log_uniform : t -> float -> float -> float
 (** [log_uniform t lo hi] draws log-uniformly from [\[lo, hi\]]; used for work
     and overhead parameters spanning orders of magnitude. *)
-
-val choose : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)

@@ -139,7 +139,7 @@ let check ?mu ?improved ?(eps = Moldable_util.Fcmp.default_eps) ?(tol = 1e-12)
       trace_order (i + 1) rest
     | _ -> ()
   in
-  trace_order 0 (Metrics.trace r.Sim_core.metrics);
+  trace_order 0 (Metrics.events_from r.Sim_core.metrics 0);
 
   (* --- processor sets ------------------------------------------------- *)
   List.iter

@@ -4,7 +4,7 @@
     The replayer walks the event trace, attempts and schedule of a finished
     run and re-derives, exactly, each quantity the float engine compared:
     per-attempt completion stamps ([start + t(q)]), the batch instants of
-    {!Moldable_sim.Event_queue.pop_simultaneous}, trace chronology,
+    {!Moldable_sim.Event_queue.pop_batch}, trace chronology,
     precedence feasibility, per-processor occupancy, Algorithm 2's
     allocation decisions (when [mu] is supplied), and the Lemma 2 lower
     bound with its ratio denominator.  Divergences carry full provenance

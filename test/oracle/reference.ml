@@ -97,7 +97,7 @@ let of_sim (r : Sim_core.result) =
   let m = r.Sim_core.metrics in
   {
     schedule = r.Sim_core.schedule;
-    trace = Metrics.trace m;
+    trace = Metrics.events_from m 0;
     attempts = Metrics.attempts m;
     makespan = Schedule.makespan r.Sim_core.schedule;
     n_attempts = m.Metrics.counters.Metrics.launches;

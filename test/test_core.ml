@@ -147,7 +147,8 @@ let test_trivial_allocators () =
   Alcotest.(check int) "all_p" p (Allocator.all_p.Allocator.allocate ~p t);
   Alcotest.(check int) "min_time = p_max" 64
     (Allocator.min_time.Allocator.allocate ~p t);
-  Alcotest.(check int) "fixed clamped" p ((Allocator.fixed 1000).Allocator.allocate ~p t)
+  Alcotest.(check int) "fixed clamped" p
+    ((Fixtures.fixed_allocator 1000).Allocator.allocate ~p t)
 
 let test_arbitrary_allocator_scan () =
   (* W-shaped time: feasible minima exist at several points; the scan must
@@ -177,7 +178,7 @@ let prop_algorithm2_within_bounds =
     (fun seed ->
       let rng = Rng.create seed in
       let kind =
-        Rng.choose rng
+        Fixtures.choose rng
           [| Speedup.Kind_roofline; Speedup.Kind_communication;
              Speedup.Kind_amdahl; Speedup.Kind_general |]
       in
@@ -248,7 +249,7 @@ let prop_rules_match_reference =
         :: (Allocator.sequential, Old.sequential)
         :: (Allocator.all_p, Old.all_p)
         :: (let q = Rng.int_range rng 1 (2 * p) in
-            (Allocator.fixed q, Old.fixed q))
+            (Fixtures.fixed_allocator q, Old.fixed q))
         :: List.concat_map
              (fun mu ->
                [ (Allocator.algorithm2 ~mu, Old.algorithm2 ~mu);
@@ -411,10 +412,8 @@ let prop_ranked_queue_matches_prefix_min =
                   (fun alloc -> (Ranked_queue.pop rq ~alloc, alloc))
                   (first free)
             | `Peek free ->
-              of_item (Prefix_min.peek_prefix pm ~key:free)
-              = Option.map
-                  (fun alloc -> (Ranked_queue.top rq ~alloc, alloc))
-                  (first free))
+              Option.map snd (of_item (Prefix_min.peek_prefix pm ~key:free))
+              = first free)
             && Prefix_min.length pm = Ranked_queue.length rq
           in
           let ok = ref true and j = ref 0 in
@@ -490,21 +489,21 @@ let test_online_makespan_helper () =
 let test_all_p_serializes () =
   let tasks = List.init 3 (fun id -> Task.make ~id (amdahl ~w:4. ~d:1.)) in
   let dag = simple_dag tasks [] in
-  let r = Baselines.run (fun ~p -> Baselines.all_p_list ~p) ~p:4 dag in
+  let r = Sim_core.run ~p:4 (Baselines.all_p_list ~p:4) dag in
   Validate.check_exn ~dag r.Sim_core.schedule;
   check_float "3 * (4/4 + 1)" 6. (Schedule.makespan r.Sim_core.schedule)
 
 let test_sequential_baseline () =
   let tasks = List.init 4 (fun id -> Task.make ~id (roofline ~w:2. ~ptilde:8)) in
   let dag = simple_dag tasks [] in
-  let r = Baselines.run (fun ~p -> Baselines.sequential_list ~p) ~p:4 dag in
+  let r = Sim_core.run ~p:4 (Baselines.sequential_list ~p:4) dag in
   check_float "all parallel on 1 proc each" 2.
     (Schedule.makespan r.Sim_core.schedule)
 
 let test_ect_uses_free_processors () =
   (* One task, plenty of processors: ECT gives it min(p_max, free) = p_max. *)
   let dag = simple_dag [ Task.make ~id:0 (roofline ~w:8. ~ptilde:4) ] [] in
-  let r = Baselines.run (fun ~p -> Baselines.ect ~p) ~p:16 dag in
+  let r = Sim_core.run ~p:16 (Baselines.ect ~p:16) dag in
   let pl = Schedule.placement r.Sim_core.schedule 0 in
   Alcotest.(check int) "p_max procs" 4 pl.Schedule.nprocs
 
@@ -513,7 +512,7 @@ let test_ect_shrinks_to_fit () =
      actually ECT pops the head and allocates min(p_max, free) right away. *)
   let tasks = List.init 2 (fun id -> Task.make ~id (amdahl ~w:4. ~d:1.)) in
   let dag = simple_dag tasks [] in
-  let r = Baselines.run (fun ~p -> Baselines.ect ~p) ~p:4 dag in
+  let r = Sim_core.run ~p:4 (Baselines.ect ~p:4) dag in
   Validate.check_exn ~dag r.Sim_core.schedule;
   let p0 = (Schedule.placement r.Sim_core.schedule 0).Schedule.nprocs in
   let p1 = (Schedule.placement r.Sim_core.schedule 1).Schedule.nprocs in
@@ -533,7 +532,7 @@ let prop_all_policies_valid =
       let p = Rng.int_range rng 2 32 in
       List.for_all
         (fun (_, make) ->
-          let r = Baselines.run make ~p dag in
+          let r = Sim_core.run ~p (make ~p) dag in
           Result.is_ok (Validate.check ~dag r.Sim_core.schedule))
         Baselines.named)
 

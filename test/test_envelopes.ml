@@ -119,7 +119,7 @@ let prop_cap_preserves_alpha =
     (fun seed ->
       let rng = Rng.create seed in
       let kind =
-        Rng.choose rng
+        Fixtures.choose rng
           [| Speedup.Kind_roofline; Speedup.Kind_communication;
              Speedup.Kind_amdahl; Speedup.Kind_general |]
       in
@@ -141,7 +141,7 @@ let prop_final_beta_within_inv_mu =
     (fun seed ->
       let rng = Rng.create seed in
       let kind =
-        Rng.choose rng
+        Fixtures.choose rng
           [| Speedup.Kind_roofline; Speedup.Kind_communication;
              Speedup.Kind_amdahl; Speedup.Kind_general |]
       in
@@ -195,7 +195,7 @@ let prop_ratio_below_bound_any_mu =
     (fun seed ->
       let rng = Rng.create seed in
       let family =
-        Rng.choose rng
+        Fixtures.choose rng
           [| Moldable_theory.Model_bounds.Roofline;
              Moldable_theory.Model_bounds.Communication;
              Moldable_theory.Model_bounds.Amdahl;

@@ -546,7 +546,7 @@ let test_instances_floor_audit_communication () =
   (* Against the unrounded (1 - mu) the difference can only come from the
      one rounding of the subtraction; record that the audit found none
      either (pinning the current status — a regression here means the
-     expression needs Numerics.ifloor_guarded). *)
+     expression needs a guarded floor). *)
   Alcotest.(check (list int))
     "X(P) float floor matches exact (1-mu) on 8..4096" [] !flagged
 

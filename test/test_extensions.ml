@@ -14,7 +14,7 @@ let roofline ~w ~ptilde = Speedup.Roofline { w; ptilde }
 let unit_tasks n w = List.init n (fun id -> Task.make ~id (roofline ~w ~ptilde:1))
 
 let fifo_fixed ~p alloc =
-  Online_scheduler.policy ~allocator:(Allocator.fixed alloc) ~p ()
+  Online_scheduler.policy ~allocator:(Fixtures.fixed_allocator alloc) ~p ()
 
 (* ----------------------------------------------------------- Release times *)
 
@@ -240,10 +240,52 @@ let prop_failure_runs_validate =
 
 (* --------------------------------------------------------------- Malleable *)
 
+(* The violations of a malleable schedule: phase capacity ([sum of
+   allocations <= P], allocations in [[1, P]]), contiguous phases, per-task
+   progress [sum dt/t(q) = 1], and no task running before its predecessors
+   complete. *)
+let malleable_errors ~dag ~p (result : Malleable_engine.result) =
+  let open Malleable_engine in
+  let errors = ref [] in
+  let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
+  let n = Dag.n dag in
+  let progress = Array.make n 0. in
+  let first_start = Array.make n infinity in
+  let prev_end = ref 0. in
+  List.iter
+    (fun ph ->
+      if not (Fcmp.approx ph.t0 !prev_end) then
+        err "phase starting at %g is not contiguous with %g" ph.t0 !prev_end;
+      prev_end := ph.t1;
+      let used = List.fold_left (fun acc (_, q) -> acc + q) 0 ph.allocs in
+      if used > p then err "phase [%g, %g] uses %d > P procs" ph.t0 ph.t1 used;
+      List.iter
+        (fun (i, q) ->
+          if q < 1 || q > p then err "task %d allocated %d procs" i q;
+          if i < 0 || i >= n then err "unknown task %d" i
+          else begin
+            progress.(i) <-
+              progress.(i) +. ((ph.t1 -. ph.t0) /. Task.time (Dag.task dag i) q);
+            if ph.t0 < first_start.(i) then first_start.(i) <- ph.t0
+          end)
+        ph.allocs)
+    result.phases;
+  for i = 0 to n - 1 do
+    if not (Fcmp.approx ~eps:1e-6 progress.(i) 1.) then
+      err "task %d accumulated progress %.9f (expected 1)" i progress.(i)
+  done;
+  List.iter
+    (fun (i, j) ->
+      if Fcmp.lt ~eps:1e-6 first_start.(j) result.completion.(i) then
+        err "task %d starts at %g before predecessor %d completes at %g" j
+          first_start.(j) i result.completion.(i))
+    (Dag.edges dag);
+  List.rev !errors
+
 let malleable_valid ~dag ~p r =
-  match Malleable_engine.validate ~dag ~p r with
-  | Ok () -> ()
-  | Error es -> Alcotest.failf "invalid: %s" (String.concat "; " es)
+  match malleable_errors ~dag ~p r with
+  | [] -> ()
+  | es -> Alcotest.failf "invalid: %s" (String.concat "; " es)
 
 let test_malleable_single_task () =
   (* One task alone gets its p_max throughout: duration = t_min. *)
@@ -309,7 +351,7 @@ let test_malleable_validates_on_random_dags () =
   let rng = Rng.create 607 in
   for _ = 1 to 15 do
     let kind =
-      Rng.choose rng
+      Fixtures.choose rng
         [| Speedup.Kind_roofline; Speedup.Kind_communication;
            Speedup.Kind_amdahl; Speedup.Kind_general |]
     in

@@ -150,11 +150,6 @@ let test_depth () =
   let g = simple_dag [ (0, 1); (1, 2); (0, 2) ] 3 in
   Alcotest.(check (array int)) "depths" [| 0; 1; 2 |] (Topo.depth g)
 
-let test_layers () =
-  let g = simple_dag [ (0, 2); (1, 2); (2, 3) ] 4 in
-  Alcotest.(check (list (list int))) "layers" [ [ 0; 1 ]; [ 2 ]; [ 3 ] ]
-    (Topo.layers g)
-
 let test_height () =
   Alcotest.(check int) "chain height" 4
     (Topo.height (simple_dag [ (0, 1); (1, 2); (2, 3) ] 4));
@@ -283,7 +278,6 @@ let () =
           Alcotest.test_case "order deterministic" `Quick test_topo_deterministic;
           qt prop_order_lex_smallest;
           Alcotest.test_case "depth" `Quick test_depth;
-          Alcotest.test_case "layers" `Quick test_layers;
           Alcotest.test_case "height" `Quick test_height;
         ] );
       ( "paths",

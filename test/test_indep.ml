@@ -23,7 +23,7 @@ let indep_dag models =
 
 let random_indep rng n =
   let kind =
-    Rng.choose rng
+    Fixtures.choose rng
       [| Speedup.Kind_roofline; Speedup.Kind_communication;
          Speedup.Kind_amdahl; Speedup.Kind_general |]
   in
@@ -256,7 +256,7 @@ let test_canonical_is_argmin () =
   let rng = Rng.create 105 in
   for _ = 1 to 200 do
     let kind =
-      Rng.choose rng
+      Fixtures.choose rng
         [| Speedup.Kind_roofline; Speedup.Kind_communication;
            Speedup.Kind_amdahl; Speedup.Kind_general |]
     in

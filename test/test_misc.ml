@@ -25,11 +25,6 @@ let test_speedup_printers () =
       (Speedup.Arbitrary { name = "f"; time = (fun _ -> 1.) }, "arbitrary(f)");
     ]
 
-let test_task_pp () =
-  let t = Task.make ~label:"x" ~id:3 (Speedup.Amdahl { w = 1.; d = 1. }) in
-  Alcotest.(check bool) "label and id" true
-    (contains (Format.asprintf "%a" Task.pp t) "x#3")
-
 let test_dag_pp_stats () =
   let g =
     Dag.create
@@ -151,7 +146,6 @@ let () =
       ( "printers",
         [
           Alcotest.test_case "speedup printers" `Quick test_speedup_printers;
-          Alcotest.test_case "task pp" `Quick test_task_pp;
           Alcotest.test_case "dag stats" `Quick test_dag_pp_stats;
           Alcotest.test_case "bounds pp" `Quick test_bounds_pp;
           Alcotest.test_case "metrics pp" `Quick test_metrics_pp;

@@ -169,7 +169,7 @@ let test_register_kind_conflict () =
 
 let random_dag rng =
   let kind =
-    Rng.choose rng
+    Fixtures.choose rng
       [| Speedup.Kind_roofline; Speedup.Kind_communication;
          Speedup.Kind_amdahl; Speedup.Kind_general |]
   in

@@ -20,7 +20,7 @@ let event_pp ppf (t, (e : Metrics.event)) =
   | Metrics.Failed (i, k) ->
     Format.fprintf ppf "%.17g:failed %d attempt %d" t i k
 
-let trace (r : Sim_core.result) = Metrics.trace r.Sim_core.metrics
+let trace (r : Sim_core.result) = Metrics.events_from r.Sim_core.metrics 0
 
 let trace_equal a b =
   List.length a = List.length b
@@ -158,7 +158,7 @@ let prop_trace_equivalence_allocators =
         [
           Allocator.min_time;
           Allocator.sequential;
-          Allocator.fixed 3;
+          Fixtures.fixed_allocator 3;
           Allocator.no_cap ~mu:0.2;
         ])
 

@@ -26,7 +26,7 @@ module Client = Moldable_service.Client
 
 let random_dag rng =
   let kind =
-    Rng.choose rng
+    Fixtures.choose rng
       [| Speedup.Kind_roofline; Speedup.Kind_communication;
          Speedup.Kind_amdahl; Speedup.Kind_general |]
   in
@@ -63,7 +63,7 @@ let admission_caps ~dag (reference : Sim_core.result) =
            match acc with
            | t' :: _ when Float.equal t' t -> acc
            | _ -> t :: acc)
-         [] (Metrics.trace reference.Sim_core.metrics))
+         [] (Metrics.events_from reference.Sim_core.metrics 0))
   in
   (* The time-0 source flush is step 0 whether or not it recorded events. *)
   let offset =
@@ -82,7 +82,7 @@ let admission_caps ~dag (reference : Sim_core.result) =
       match ev with
       | Metrics.Finish i -> finish_step.(i) <- step_of_time t
       | Metrics.Ready _ | Metrics.Start _ | Metrics.Failed _ -> ())
-    (Metrics.trace reference.Sim_core.metrics);
+    (Metrics.events_from reference.Sim_core.metrics 0);
   (* A task must be admitted strictly before the batch that completes its
      last dependency (so the normal unlock path reveals it); sources must
      be in place before the time-0 flush. *)
@@ -139,7 +139,7 @@ let gen_scenario rng =
   let dag = random_dag rng in
   let p = Rng.int_range rng 2 32 in
   let release_times =
-    if Rng.bool rng then
+    if Fixtures.coin rng then
       Some (Array.init (Dag.n dag) (fun _ -> Rng.float rng 5.))
     else None
   in
@@ -380,7 +380,7 @@ let test_stepper_events_windows_concatenate () =
   let r = Sim_core.Stepper.drain st in
   let streamed = List.concat (List.rev !windows) in
   Alcotest.(check bool) "windows concatenate to the full trace" true
-    (streamed = (Metrics.trace r.Sim_core.metrics))
+    (streamed = (Metrics.events_from r.Sim_core.metrics 0))
 
 (* ------------------------------------------------------------- protocol *)
 
@@ -964,7 +964,9 @@ let test_end_to_end_replay () =
   in
   let c = connect_exn path in
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-  (match Client.ping c with Ok () -> () | Error e -> Alcotest.fail e);
+  (match Client.rpc c Protocol.Ping with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
   List.iter
     (fun (algorithm, priority) ->
       match
@@ -1175,7 +1177,7 @@ let test_end_to_end_incremental_session () =
   (* A drained session serves any window of its trace: [events since k] is
      the local run's trace from event [k] on, and [next] is the trace
      length (or [k] past the end). *)
-  let trace = Metrics.trace local.Sim_core.metrics in
+  let trace = Metrics.events_from local.Sim_core.metrics 0 in
   let n_events = List.length trace in
   List.iter
     (fun since ->
@@ -1394,7 +1396,9 @@ let test_non_reading_client_evicted () =
   (* The only session worker is free again. *)
   let c = connect_exn path in
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-  match Client.ping c with Ok () -> () | Error e -> Alcotest.fail e
+  match Client.rpc c Protocol.Ping with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in

@@ -11,13 +11,17 @@ let dag_of tasks edges = Dag.create ~tasks ~edges
 
 (* ----------------------------------------------------------- Event_queue *)
 
+(* The payloads of the next batch, in batch order. *)
+let pop_payloads q =
+  List.init (Event_queue.pop_batch q) (Event_queue.batch_payload q)
+
 let test_eq_time_order () =
   let q = Event_queue.create () in
   Event_queue.add q ~time:3. 30;
   Event_queue.add q ~time:1. 10;
   Event_queue.add q ~time:2. 20;
-  Alcotest.(check (option (pair (float 0.) int))) "first" (Some (1., 10))
-    (Event_queue.pop q);
+  Alcotest.(check (list int)) "first" [ 10 ] (pop_payloads q);
+  check_float "its instant" 1. (Event_queue.batch_time q);
   Alcotest.(check (option (float 0.))) "next time" (Some 2.)
     (Event_queue.next_time q)
 
@@ -26,21 +30,19 @@ let test_eq_stable_ties () =
   Event_queue.add q ~time:1. 1;
   Event_queue.add q ~time:1. 2;
   Event_queue.add q ~time:1. 3;
-  match Event_queue.pop_simultaneous q with
-  | Some (t, items) ->
-    check_float "time" 1. t;
-    Alcotest.(check (list int)) "insertion order" [ 1; 2; 3 ] items;
-    Alcotest.(check bool) "drained" true (Event_queue.is_empty q)
-  | None -> Alcotest.fail "expected events"
+  Alcotest.(check (list int)) "insertion order" [ 1; 2; 3 ] (pop_payloads q);
+  check_float "time" 1. (Event_queue.batch_time q);
+  Alcotest.(check (option (float 0.))) "drained" None (Event_queue.next_time q)
 
 let test_eq_simultaneous_partial () =
   let q = Event_queue.create () in
   Event_queue.add q ~time:1. 1;
   Event_queue.add q ~time:2. 2;
-  (match Event_queue.pop_simultaneous q with
-  | Some (_, items) -> Alcotest.(check int) "only t=1" 1 (List.length items)
-  | None -> Alcotest.fail "expected events");
-  Alcotest.(check int) "one left" 1 (Event_queue.length q)
+  Alcotest.(check (list int)) "only t=1" [ 1 ] (pop_payloads q);
+  Alcotest.(check (option (float 0.))) "one left" (Some 2.)
+    (Event_queue.next_time q);
+  Alcotest.(check (list int)) "then t=2" [ 2 ] (pop_payloads q);
+  Alcotest.(check int) "empty" 0 (Event_queue.pop_batch q)
 
 let test_eq_rejects_nonfinite () =
   let q = Event_queue.create () in
@@ -56,14 +58,15 @@ let test_eq_batches_ulp_apart () =
   let q = Event_queue.create () in
   Event_queue.add q ~time:t1 1;
   Event_queue.add q ~time:t2 2;
-  (match Event_queue.pop_simultaneous q with
-  | Some (t, items) ->
-    (* The instant is the batch's latest stamp, so callers acting "at" it
-       never precede a stamp inside the batch. *)
-    check_float "batch at the later stamp" t1 t;
-    Alcotest.(check int) "both events in one batch" 2 (List.length items)
-  | None -> Alcotest.fail "expected events");
-  Alcotest.(check bool) "drained" true (Event_queue.is_empty q)
+  Alcotest.(check (list int)) "both events in one batch, earliest first"
+    [ 2; 1 ] (pop_payloads q);
+  (* The instant is the batch's latest stamp, so callers acting "at" it
+     never precede a stamp inside the batch; each event keeps its own. *)
+  check_float "batch at the later stamp" t1 (Event_queue.batch_time q);
+  Alcotest.(check bool) "stamps kept exactly" true
+    (Float.equal (Event_queue.batch_stamp q 0) t2
+    && Float.equal (Event_queue.batch_stamp q 1) t1);
+  Alcotest.(check (option (float 0.))) "drained" None (Event_queue.next_time q)
 
 let test_eq_distinct_times_not_batched () =
   (* The tolerance is relative and tiny: genuinely distinct close times
@@ -71,9 +74,7 @@ let test_eq_distinct_times_not_batched () =
   let q = Event_queue.create () in
   Event_queue.add q ~time:1.0 1;
   Event_queue.add q ~time:(1.0 +. 1e-9) 2;
-  match Event_queue.pop_simultaneous q with
-  | Some (_, items) -> Alcotest.(check int) "only one" 1 (List.length items)
-  | None -> Alcotest.fail "expected events"
+  Alcotest.(check (list int)) "only one" [ 1 ] (pop_payloads q)
 
 let test_engine_batches_ulp_completions () =
   (* Two independent tasks whose durations are mathematically equal but
@@ -110,7 +111,7 @@ let test_engine_batches_ulp_completions () =
   let finishes =
     List.filter_map
       (function t, Metrics.Finish _ -> Some t | _ -> None)
-      (Metrics.trace r.Sim_core.metrics)
+      (Metrics.events_from r.Sim_core.metrics 0)
   in
   (match finishes with
   | ta :: tb :: _ ->
@@ -176,7 +177,7 @@ let prop_platform_random_ops =
       let held = ref [] in
       let ok = ref true in
       for _ = 1 to 200 do
-        if Rng.bool rng && Platform.free_count pf > 0 then begin
+        if Fixtures.coin rng && Platform.free_count pf > 0 then begin
           let n = Rng.int_range rng 1 (Platform.free_count pf) in
           held := Platform.acquire pf n :: !held
         end
@@ -209,7 +210,7 @@ let prop_platform_matches_reference =
     (fun seed ->
       let module R = Moldable_oracle.Platform_reference in
       let rng = Rng.create seed in
-      let p = Rng.choose rng word_sizes in
+      let p = Fixtures.choose rng word_sizes in
       let pf = Platform.create p and rf = R.create p in
       let buf = Growbuf.I.create () in
       let outcome f =
@@ -234,7 +235,7 @@ let prop_platform_matches_reference =
             | 1 -> - Rng.int rng 2
             | _ -> if free = 0 then 1 else Rng.int_range rng 1 free
           in
-          let by_pairs = Rng.bool rng in
+          let by_pairs = Fixtures.coin rng in
           let got =
             outcome (fun () ->
                 if by_pairs then begin
@@ -260,14 +261,14 @@ let prop_platform_matches_reference =
             let got =
               outcome (fun () ->
                   match pairs with
-                  | Some (off, len) when Rng.bool rng ->
+                  | Some (off, len) when Fixtures.coin rng ->
                     Platform.release_pairs pf (Growbuf.I.data buf) ~off ~len
                   | Some _ | None -> Platform.release pf ids)
             in
             agree got (outcome (fun () -> R.release rf ids)))
         | _ -> (
           match !returned with
-          | (ids, pairs) :: _ when Rng.bool rng ->
+          | (ids, pairs) :: _ when Fixtures.coin rng ->
             let got =
               outcome (fun () ->
                   match pairs with
@@ -278,7 +279,7 @@ let prop_platform_matches_reference =
             agree got (outcome (fun () -> R.release rf ids))
           | _ ->
             let bad =
-              if Rng.bool rng then [| -1 |] else [| p + Rng.int rng 3 |]
+              if Fixtures.coin rng then [| -1 |] else [| p + Rng.int rng 3 |]
             in
             agree
               (outcome (fun () -> Platform.release pf bad))
@@ -452,7 +453,7 @@ let random_graph rng =
   let n = Rng.int_range rng 0 10 in
   let tasks =
     List.init n (fun id ->
-        if Rng.bool rng then
+        if Fixtures.coin rng then
           Task.make ~id
             (roofline ~w:(float_of_int (Rng.int_range rng 1 3)) ~ptilde:1)
         else
@@ -502,7 +503,7 @@ let prop_schedule_round_trip =
                 let procs =
                   match Rng.int rng 4 with
                   | 0 -> Array.init p Fun.id
-                  | 1 -> [| Rng.choose rng [| 0; p - 1 |] |]
+                  | 1 -> [| Fixtures.choose rng [| 0; p - 1 |] |]
                   | _ -> random_procs rng p
                 in
                 let start = float_of_int (Rng.int rng 5) in
@@ -545,10 +546,10 @@ let random_placements rng dag ~p ~procs =
       if task_id < Dag.n dag then Task.time (Dag.task dag task_id) nprocs
       else 1.
     in
-    let start = Rng.choose rng tie_times in
+    let start = Fixtures.choose rng tie_times in
     let finish =
       match Rng.int rng 4 with
-      | 0 -> Rng.choose rng tie_times
+      | 0 -> Fixtures.choose rng tie_times
       | 1 -> start +. exact +. 0.5
       | _ -> start +. exact
     in
@@ -586,11 +587,11 @@ let random_attempts_on rng dag ~p ~procs =
           if Rng.int rng 8 = 0 then Rng.int_range rng 1 (p + 1)
           else Array.length procs
         in
-        let start = Rng.choose rng times in
+        let start = Fixtures.choose rng times in
         let exact = Task.time (Dag.task dag task_id) nprocs in
         let finish =
           match Rng.int rng 4 with
-          | 0 -> Rng.choose rng times
+          | 0 -> Fixtures.choose rng times
           | 1 -> start +. (2. *. exact)
           | _ -> start +. exact
         in
@@ -617,7 +618,7 @@ let random_attempts rng dag =
    independently, as a run of consecutive ids across a 62- or 63-bit word
    boundary or as a random subset, so that blocks collide. *)
 let wide_procs rng ~p ~n =
-  if Rng.bool rng then begin
+  if Fixtures.coin rng then begin
     let ids = Array.init p Fun.id in
     shuffle rng ids;
     let per = max 1 (p / max 1 n) and drawn = ref 0 in
@@ -629,8 +630,8 @@ let wide_procs rng ~p ~n =
       b
   end
   else fun _ ->
-    if Rng.bool rng then begin
-      let w = Rng.choose rng [| 62; 63 |] in
+    if Fixtures.coin rng then begin
+      let w = Fixtures.choose rng [| 62; 63 |] in
       let edge = w * Rng.int rng ((p / w) + 1) in
       let lo = max 0 (edge - Rng.int rng 70) in
       let hi = min (p - 1) (max lo (edge + Rng.int rng 70)) in
@@ -727,7 +728,7 @@ let test_validate_words_per_task () =
 
 let fifo_policy ~p alloc =
   Moldable_core.Online_scheduler.policy
-    ~allocator:(Moldable_core.Allocator.fixed alloc) ~p ()
+    ~allocator:(Fixtures.fixed_allocator alloc) ~p ()
 
 let test_engine_single_task () =
   let dag = dag_of [ Task.make ~id:0 (roofline ~w:6. ~ptilde:3) ] [] in
@@ -764,7 +765,7 @@ let test_engine_waits_when_full () =
 let test_engine_trace_structure () =
   let dag = dag_of [ Task.make ~id:0 (roofline ~w:1. ~ptilde:1) ] [] in
   let r = Sim_core.run ~p:1 (fifo_policy ~p:1 1) dag in
-  match Metrics.trace r.Sim_core.metrics with
+  match Metrics.events_from r.Sim_core.metrics 0 with
   | [ (t0, Metrics.Ready 0);
       (t1, Metrics.Start (0, 1));
       (t2, Metrics.Finish 0) ] ->
@@ -783,7 +784,7 @@ let test_engine_reveals_only_when_ready () =
   let ready_1 =
     List.find_map
       (function t, Metrics.Ready 1 -> Some t | _ -> None)
-      (Metrics.trace r.Sim_core.metrics)
+      (Metrics.events_from r.Sim_core.metrics 0)
   in
   Alcotest.(check (option (float 1e-9))) "revealed at t=1" (Some 1.) ready_1
 
@@ -853,7 +854,7 @@ let prop_engine_schedules_valid =
     (fun seed ->
       let rng = Rng.create seed in
       let kind =
-        Rng.choose rng
+        Fixtures.choose rng
           [| Speedup.Kind_roofline; Speedup.Kind_communication;
              Speedup.Kind_amdahl; Speedup.Kind_general |]
       in

@@ -290,7 +290,7 @@ end
 
 let random_dag rng =
   let kind =
-    Rng.choose rng
+    Fixtures.choose rng
       [| Speedup.Kind_roofline; Speedup.Kind_communication;
          Speedup.Kind_amdahl; Speedup.Kind_general |]
   in
@@ -325,7 +325,7 @@ let prop_core_trace_equivalent_to_seed_engine =
       let dag = random_dag rng in
       let p = Rng.int_range rng 2 32 in
       let release_times =
-        if Rng.bool rng then
+        if Fixtures.coin rng then
           Some (Array.init (Dag.n dag) (fun _ -> Rng.float rng 5.))
         else None
       in
@@ -339,7 +339,7 @@ let prop_core_trace_equivalent_to_seed_engine =
           let actual =
             Sim_core.run ?release_times ~p (fresh_policy ~priority ~p ()) dag
           in
-          Metrics.trace actual.Sim_core.metrics = expected_trace
+          Metrics.events_from actual.Sim_core.metrics 0 = expected_trace
           && same_schedule actual.Sim_core.schedule expected_sched)
         Priority.all)
 
@@ -403,7 +403,8 @@ let test_failure_run_returns_schedule_and_trace () =
     (Metrics.attempts r.Sim_core.metrics);
   (* The trace records a Failed event per failed attempt and a Finish per
      task. *)
-  let count f = List.length (List.filter f (Metrics.trace r.Sim_core.metrics)) in
+  let trace = Metrics.events_from r.Sim_core.metrics 0 in
+  let count f = List.length (List.filter f trace) in
   Alcotest.(check int) "Failed events"
     r.Sim_core.metrics.Metrics.counters.Metrics.retries
     (count (function _, Metrics.Failed _ -> true | _ -> false));
@@ -860,7 +861,7 @@ let gen_scenario rng =
   let dag = random_dag rng in
   let p = Rng.int_range rng 2 32 in
   let release_times =
-    if Rng.bool rng then
+    if Fixtures.coin rng then
       Some (Array.init (Dag.n dag) (fun _ -> Rng.float rng 5.))
     else None
   in
@@ -891,10 +892,10 @@ let gen_merged_scenario rng =
   let release_times =
     Array.init (Dag.n dag) (fun _ ->
         let k = float_of_int (Rng.int_range rng 0 6) in
-        if Rng.bool rng then k *. (1. +. 1e-13) else k)
+        if Fixtures.coin rng then k *. (1. +. 1e-13) else k)
   in
   let failures =
-    if Rng.bool rng then Sim_core.bernoulli ~q:(Rng.float rng 0.6)
+    if Fixtures.coin rng then Sim_core.bernoulli ~q:(Rng.float rng 0.6)
     else Sim_core.at_most ~k:(Rng.int_range rng 1 2)
   in
   (dag, Rng.int_range rng 2 8, Some release_times, failures)
@@ -954,7 +955,7 @@ let prop_lean_mode_matches_full =
           same_schedule lean.Sim_core.schedule full.Sim_core.schedule
           && lean.Sim_core.metrics.Metrics.counters
              = full.Sim_core.metrics.Metrics.counters
-          && Metrics.trace lean.Sim_core.metrics = []
+          && Metrics.events_from lean.Sim_core.metrics 0 = []
           && Metrics.attempts lean.Sim_core.metrics = [])
         Priority.all)
 
@@ -973,8 +974,8 @@ let prop_arena_reuse_changes_nothing =
       List.for_all
         (fun _ ->
           let dag, p, release_times, failures = gen_scenario rng in
-          let priority = Rng.choose rng (Array.of_list Priority.all) in
-          let lean = Rng.bool rng in
+          let priority = Fixtures.choose rng (Array.of_list Priority.all) in
+          let lean = Fixtures.coin rng in
           let fresh =
             Sim_core.run ~lean ?release_times ~seed ~failures ~p
               (fresh_policy ~priority ~p ())

