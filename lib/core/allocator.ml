@@ -10,52 +10,19 @@ type decision = {
   candidates_scanned : int;
 }
 
+(* Per family (indexed by [kind_index]): the Step-1 budget and the Step-2
+   cap fraction, [None] for no cap.  A trivial rule maps the platform size,
+   p_max and the task straight to the allocation. *)
+type rule =
+  | Two_step of (float * float option) array
+  | Trivial of (p:int -> p_max:int -> Task.t -> int)
+
 type t = {
   name : string;
   allocate : p:int -> Task.t -> int;
   explain : Task.analyzed -> decision;
+  rule : rule;
 }
-
-(* [explain] is the rule; [allocate ~p] analyzes the task and keeps the
-   final allocation of the same decision. *)
-let of_explain ~name explain =
-  {
-    name;
-    allocate = (fun ~p task -> (explain (Task.analyze ~p task)).final_alloc);
-    explain;
-  }
-
-(* Trivial rules have no Step-1 search and no cap: the provenance is just
-   the final allocation. *)
-let make ~name rule =
-  of_explain ~name (fun (a : Task.analyzed) ->
-      let q = rule a in
-      {
-        p_star = q;
-        beta_budget = Float.nan;
-        step1_bound = Float.nan;
-        cap = a.Task.p;
-        cap_applied = false;
-        final_alloc = q;
-        candidates_scanned = 0;
-      })
-
-(* Smallest q in [1, p_max] with t(q) <= bound, assuming t non-increasing
-   there (Lemma 1).  Invariant of the bisection:
-   not (feasible lo) && feasible hi. *)
-let rec bisect task bound lo hi =
-  if hi - lo <= 1 then hi
-  else begin
-    let mid = (lo + hi) / 2 in
-    if Moldable_util.Fcmp.leq (Task.time task mid) bound then
-      bisect task bound lo mid
-    else bisect task bound mid hi
-  end
-
-let smallest_feasible (a : Task.analyzed) bound =
-  let task = a.Task.task in
-  if Moldable_util.Fcmp.leq (Task.time task 1) bound then 1
-  else bisect task bound 1 a.Task.p_max
 
 (* Exhaustive Step 1 for arbitrary speedups: minimize area among feasible
    allocations, ties to the smallest allocation. *)
@@ -87,7 +54,9 @@ let exhaustive (a : Task.analyzed) =
 
 let search (a : Task.analyzed) bound =
   if exhaustive a then scan_feasible_linear a bound
-  else smallest_feasible a bound
+  else
+    Speedup.smallest_within a.Task.task.Task.speedup ~p_max:a.Task.p_max
+      bound
 
 (* The candidates Step 1 probed to find [q]: all p_max for the scan, and
    for the bisection a replay of its path, since a probe at [mid] found
@@ -133,35 +102,102 @@ let kinds =
       Kind_power; Kind_arbitrary;
     |]
 
+let cap_of cap_mu ~p =
+  match cap_mu with Some mu -> Mu.cap ~mu ~p | None -> p
+
 (* Never inlined, so the bound is boxed once and that one box is shared by
    the search and the decision record; an inlined product is re-boxed at
    each use, several minor words per decision. *)
 let[@inline never] budget_bound budget (a : Task.analyzed) =
   budget *. a.Task.t_min
 
-(* Step 1 within [budget * t_min], then Step 2's ceil(mu P) cap.  [step] is
-   tabulated per family here, so a decision reads one array cell. *)
-let two_step ~name step =
-  let steps = Array.map step kinds in
-  of_explain ~name (fun (a : Task.analyzed) ->
-      let beta_budget, cap_mu =
-        steps.(kind_index (Speedup.kind a.Task.task.Task.speedup))
-      in
-      let step1_bound = budget_bound beta_budget a in
-      let p_star = search a step1_bound in
-      let cap =
-        match cap_mu with Some mu -> Mu.cap ~mu ~p:a.Task.p | None -> a.Task.p
-      in
-      let final_alloc = min p_star cap in
-      {
-        p_star;
-        beta_budget;
-        step1_bound;
-        cap;
-        cap_applied = final_alloc < p_star;
-        final_alloc;
-        candidates_scanned = probes a p_star;
-      })
+(* The rule with its provenance.  A two-step rule runs Step 1 within
+   [budget * t_min], then Step 2's ceil(mu P) cap, with the knobs of the
+   task's family read from one array cell; a trivial rule has no budget,
+   no cap and no scan count. *)
+let explain_rule rule (a : Task.analyzed) =
+  match rule with
+  | Trivial f ->
+    let q = f ~p:a.Task.p ~p_max:a.Task.p_max a.Task.task in
+    {
+      p_star = q;
+      beta_budget = Float.nan;
+      step1_bound = Float.nan;
+      cap = a.Task.p;
+      cap_applied = false;
+      final_alloc = q;
+      candidates_scanned = 0;
+    }
+  | Two_step steps ->
+    let beta_budget, cap_mu =
+      steps.(kind_index (Speedup.kind a.Task.task.Task.speedup))
+    in
+    let step1_bound = budget_bound beta_budget a in
+    let p_star = search a step1_bound in
+    let cap = cap_of cap_mu ~p:a.Task.p in
+    let final_alloc = Int.min p_star cap in
+    {
+      p_star;
+      beta_budget;
+      step1_bound;
+      cap;
+      cap_applied = final_alloc < p_star;
+      final_alloc;
+      candidates_scanned = probes a p_star;
+    }
+
+(* [allocate ~p] analyzes the task and keeps the final allocation of the
+   same decision. *)
+let of_rule ~name rule =
+  let explain = explain_rule rule in
+  {
+    name;
+    allocate = (fun ~p task -> (explain (Task.analyze ~p task)).final_alloc);
+    explain;
+    rule;
+  }
+
+let make ~name f = of_rule ~name (Trivial f)
+
+(* [step] is tabulated per family here, so a decision reads one array
+   cell. *)
+let two_step ~name step = of_rule ~name (Two_step (Array.map step kinds))
+
+(* ---------------------------------------------------------------- kernel *)
+
+type kernel = { rule : rule; p : int; caps : int array }
+
+let kernel (t : t) ~p =
+  if p < 1 then invalid_arg "Allocator.kernel: p must be >= 1";
+  let caps =
+    match t.rule with
+    | Two_step steps -> Array.map (fun (_, cap_mu) -> cap_of cap_mu ~p) steps
+    | Trivial _ -> [||]
+  in
+  { rule = t.rule; p; caps }
+
+(* [explain_rule]'s decision without its record: the same p_max and t_min
+   as [Task.analyze], the same Step-1 search within the same bound, the
+   same cap (computed once per kernel) and the same [Int.min].  Only an
+   [Arbitrary] model, whose search depends on Lemma 1's property as the
+   analysis memoizes it, goes through the analysis and the record. *)
+let decide k task t_min =
+  let p = k.p and m = task.Task.speedup in
+  match Speedup.kind m with
+  | Speedup.Kind_arbitrary ->
+    let a = Task.analyze ~p task in
+    t_min.(0) <- a.Task.t_min;
+    (explain_rule k.rule a).final_alloc
+  | kind -> (
+    let p_max = Speedup.closed_p_max ~p m in
+    let tm = Speedup.time m p_max in
+    t_min.(0) <- tm;
+    match k.rule with
+    | Trivial f -> f ~p ~p_max task
+    | Two_step steps ->
+      let i = kind_index kind in
+      let budget, _ = steps.(i) in
+      Int.min (Speedup.smallest_within m ~p_max (budget *. tm)) k.caps.(i))
 
 let algorithm2 ~mu =
   (* delta(mu) is evaluated at construction, so an invalid mu is rejected
@@ -178,6 +214,6 @@ let no_cap ~mu =
   let d = Mu.delta mu in
   two_step ~name:(Printf.sprintf "no-cap(mu=%.4f)" mu) (fun _ -> (d, None))
 
-let min_time = make ~name:"min-time" (fun a -> a.Task.p_max)
-let sequential = make ~name:"sequential" (fun _ -> 1)
-let all_p = make ~name:"all-p" (fun a -> a.Task.p)
+let min_time = make ~name:"min-time" (fun ~p:_ ~p_max _ -> p_max)
+let sequential = make ~name:"sequential" (fun ~p:_ ~p_max:_ _ -> 1)
+let all_p = make ~name:"all-p" (fun ~p ~p_max:_ _ -> p)

@@ -41,6 +41,10 @@ type decision = {
     why the rule picked [final_alloc] (recorded per task by
     {!Moldable_sim.Tracer} when a run is traced). *)
 
+type rule
+(** How a rule decides: a two-step rule's per-family budget and cap, or a
+    trivial rule's allocation function. *)
+
 type t = {
   name : string;
   allocate : p:int -> Task.t -> int;
@@ -48,12 +52,16 @@ type t = {
           [final_alloc] of its {!explain} decision. *)
   explain : Task.analyzed -> decision;
       (** The rule: one decision per analyzed task, with full provenance.
-          The online scheduler calls it once per revealed task. *)
+          The online scheduler calls it once per revealed task when a
+          tracer or a registry is attached. *)
+  rule : rule;
+      (** What {!explain} and {!decide} both evaluate. *)
 }
 
-val make : name:string -> (Task.analyzed -> int) -> t
-(** A trivial rule from its final allocation: no budget, no cap, no scan
-    count in the provenance. *)
+val make : name:string -> (p:int -> p_max:int -> Task.t -> int) -> t
+(** A trivial rule from its final allocation, given the platform size and
+    the task's [p_max]: no budget, no cap, no scan count in the
+    provenance. *)
 
 val two_step :
   name:string -> (Speedup.kind -> float * float option) -> t
@@ -64,6 +72,21 @@ val two_step :
     [None]).  {!algorithm2} has [budget = delta(mu)]; the improved
     allocator of {!Improved_alloc} has a decoupled budget [rho].  [step]
     is evaluated once per family, at construction. *)
+
+type kernel
+(** A rule specialised to one platform size, its Step-2 caps computed
+    once. *)
+
+val kernel : t -> p:int -> kernel
+(** Requires [p >= 1]. *)
+
+val decide : kernel -> Task.t -> float array -> int
+(** [decide (kernel t ~p) task t_min] is
+    [(t.explain (Task.analyze ~p task)).final_alloc], and stores the
+    analysis' [t_min] in [t_min.(0)].  It evaluates the same p_max, Step-1
+    search and cap as {!explain}, but on every model except [Arbitrary] it
+    builds no analysis, no decision and no boxed float.  The online
+    scheduler's reveal runs it when nothing records the provenance. *)
 
 val initial : mu:float -> p:int -> Task.t -> int
 (** Step 1 of Algorithm 2 only. *)

@@ -16,10 +16,9 @@ let ect ~p =
     if Queue.is_empty queue || free < 1 then None
     else begin
       let task = Queue.pop queue in
-      let a = Task.analyze ~p task in
       (* On monotonic tasks t(.) is non-increasing up to p_max, so the
          completion time now is minimized by the largest usable count. *)
-      let alloc = min a.Task.p_max free in
+      let alloc = Int.min (Task.p_max ~p task) free in
       Some (task.Task.id, alloc)
     end
   in

@@ -47,4 +47,4 @@ let cap ~mu ~p =
      shaves a relative epsilon before rounding so exact multiples stay
      exact.  Non-integral products are unaffected: they sit at least 1/P
      above the next integer for rational mu, far beyond the epsilon. *)
-  max 1 (Moldable_util.Numerics.iceil_guarded (mu *. float_of_int p))
+  Int.max 1 (Moldable_util.Numerics.iceil_guarded (mu *. float_of_int p))

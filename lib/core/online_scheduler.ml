@@ -64,42 +64,56 @@ let policy ?(priority = Priority.fifo) ?(tracer = Tracer.null)
         candidates_scanned = d.Allocator.candidates_scanned;
       }
   in
-  (* One allocator decision per reveal feeds the allocation, the tracer's
-     provenance record and the probe histogram alike. *)
-  let on_ready ~now:_ task =
-    let a =
+  (* A waiting task's key, from its allocation and the t_min in
+     [t_min.(0)] (a one-cell array, so that the decision hands it over
+     with no pair and no box): a built-in discipline's directly, a
+     [Priority.make] discipline's from an item. *)
+  let t_min = Array.make 1 0. in
+  let enqueue task alloc =
+    let t_min = t_min.(0) in
+    let seq = !next_seq in
+    incr next_seq;
+    let id = task.Task.id in
+    match priority.Priority.rank with
+    | Some rank ->
+      Ranked_queue.push ready ~alloc
+        ~key:(Priority.rank_key rank task ~alloc ~t_min)
+        ~tie:seq ~id
+    | None ->
+      let item = { Priority.task; alloc; t_min; seq } in
+      Ranked_queue.push ready ~alloc ~key:(priority.Priority.key item)
+        ~tie:(priority.Priority.tie item) ~id
+  in
+  (* One allocator decision per reveal.  When something records its
+     provenance, the decision is [explain]'s record, which also feeds the
+     tracer and the probe histogram; otherwise [Allocator.decide] runs the
+     same Step 1 and Step 2 without building the analysis or the record. *)
+  let kernel = Allocator.kernel allocator ~p in
+  let on_ready =
+    if traced || Option.is_some probes then fun ~now:_ task ->
+      let a =
+        if traced then
+          Tracer.timed tracer Analyze (fun () -> Task.analyze ~p task)
+        else Task.analyze ~p task
+      in
+      let d =
+        if traced then
+          Tracer.timed tracer Allocator (fun () ->
+              allocator.Allocator.explain a)
+        else allocator.Allocator.explain a
+      in
+      if traced then record_decision task a d;
+      (match probes with
+      | Some h ->
+        Moldable_obs.Registry.observe h
+          (float_of_int d.Allocator.candidates_scanned)
+      | None -> ());
+      let alloc = d.Allocator.final_alloc in
+      t_min.(0) <- a.Task.t_min;
       if traced then
-        Tracer.timed tracer Analyze (fun () -> Task.analyze ~p task)
-      else Task.analyze ~p task
-    in
-    let d =
-      if traced then
-        Tracer.timed tracer Allocator (fun () -> allocator.Allocator.explain a)
-      else allocator.Allocator.explain a
-    in
-    if traced then record_decision task a d;
-    (match probes with
-    | Some h ->
-      Moldable_obs.Registry.observe h
-        (float_of_int d.Allocator.candidates_scanned)
-    | None -> ());
-    let alloc = d.Allocator.final_alloc in
-    let item =
-      {
-        Priority.task;
-        alloc;
-        t_min = a.Task.t_min;
-        seq =
-          (let s = !next_seq in
-           incr next_seq;
-           s);
-      }
-    in
-    let key = priority.Priority.key item and tie = priority.Priority.tie item in
-    if traced then
-      Tracer.timed tracer Ready_queue (fun () ->
-          Ranked_queue.push ready ~alloc ~key ~tie ~id:task.Task.id)
-    else Ranked_queue.push ready ~alloc ~key ~tie ~id:task.Task.id
+        Tracer.timed tracer Ready_queue (fun () -> enqueue task alloc)
+      else enqueue task alloc
+    else fun ~now:_ task -> enqueue task (Allocator.decide kernel task t_min)
   in
   {
     Sim_core.name =

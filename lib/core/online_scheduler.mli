@@ -44,10 +44,13 @@ val policy :
     O(log P + log n) per insert and launch, O(1) when the queue's first
     task fits, O(log P) for the "nothing fits" probe.  Every rule ties on
     the arrival number, so the order is total and the launch sequence
-    matches the sorted-list formulation exactly.  Each reveal analyzes the
-    task once and asks the allocator's {!Allocator.explain} once; that one
-    decision gives the allocation, the tracer's provenance and the probe
-    sample. *)
+    matches the sorted-list formulation exactly.  Each reveal makes one
+    allocation decision.  With a tracer or a registry attached, it is
+    {!Allocator.explain}'s record on the task's analysis, which gives the
+    allocation, the tracer's provenance and the probe sample; otherwise
+    {!Allocator.decide} evaluates the same rule without building the
+    analysis, the record or a {!Priority.item} (a {!Priority.make}
+    discipline still gets its item). *)
 
 val ranked :
   name:string -> allocations:int array -> rank:float array -> p:int ->

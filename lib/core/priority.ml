@@ -2,11 +2,22 @@ open Moldable_model
 
 type item = { task : Task.t; alloc : int; t_min : float; seq : int }
 
+type rank = By_arrival | By_t_min | By_area | By_alloc | By_neg_alloc
+
+let rank_key rank task ~alloc ~t_min =
+  match rank with
+  | By_arrival -> 0.
+  | By_t_min -> t_min
+  | By_area -> Task.area task alloc
+  | By_alloc -> float_of_int alloc
+  | By_neg_alloc -> -.float_of_int alloc
+
 type t = {
   name : string;
   key : item -> float;
   tie : item -> int;
   compare : item -> item -> int;
+  rank : rank option;
 }
 
 (* Keys go through Float.compare, never polymorphic compare: the latter
@@ -24,24 +35,27 @@ let make ~name ~key ~tie =
         match Float.compare (key b) (key a) with
         | 0 -> Int.compare (tie a) (tie b)
         | c -> c);
+    rank = None;
   }
 
 let seq i = i.seq
-let fifo = make ~name:"fifo" ~key:(fun _ -> 0.) ~tie:seq
-let longest_first = make ~name:"longest-first" ~key:(fun i -> i.t_min) ~tie:seq
 
-let largest_area_first =
-  make ~name:"largest-area-first"
-    ~key:(fun i -> Task.area i.task i.alloc)
-    ~tie:seq
+(* Each discipline below keys by [rank_key] and ties on the arrival
+   number. *)
+let of_rank ~name rank =
+  {
+    (make ~name
+       ~key:(fun i -> rank_key rank i.task ~alloc:i.alloc ~t_min:i.t_min)
+       ~tie:seq)
+    with
+    rank = Some rank;
+  }
 
-let widest_first =
-  make ~name:"widest-first" ~key:(fun i -> float_of_int i.alloc) ~tie:seq
-
-let narrowest_first =
-  make ~name:"narrowest-first"
-    ~key:(fun i -> -.float_of_int i.alloc)
-    ~tie:seq
+let fifo = of_rank ~name:"fifo" By_arrival
+let longest_first = of_rank ~name:"longest-first" By_t_min
+let largest_area_first = of_rank ~name:"largest-area-first" By_area
+let widest_first = of_rank ~name:"widest-first" By_alloc
+let narrowest_first = of_rank ~name:"narrowest-first" By_neg_alloc
 
 let all = [ fifo; longest_first; largest_area_first; widest_first;
             narrowest_first ]

@@ -17,6 +17,19 @@ type item = {
   seq : int;       (** Arrival number, for stable tie-breaking. *)
 }
 
+type rank =
+  | By_arrival    (** Key [0.]. *)
+  | By_t_min      (** Key [t_min]. *)
+  | By_area       (** Key [alloc * t(alloc)]. *)
+  | By_alloc      (** Key [float alloc]. *)
+  | By_neg_alloc  (** Key [-. float alloc]. *)
+(** The key of each discipline below, over the item's fields. *)
+
+val rank_key : rank -> Task.t -> alloc:int -> t_min:float -> float
+(** The key [rank] gives a task waiting with allocation [alloc] and
+    minimum time [t_min]; the disciplines below tie on the arrival
+    number. *)
+
 type t = {
   name : string;
   key : item -> float;
@@ -29,6 +42,10 @@ type t = {
   compare : item -> item -> int;
       (** The order [key]/[tie] define, as a comparator (smaller compares
           first): for the sorted-list oracle and generic queues. *)
+  rank : rank option;
+      (** [Some r] when [key] is [rank_key r] and [tie] the arrival number,
+          so that a queue can key a task without building its item; [None]
+          for a discipline from {!make}. *)
 }
 (** A queue discipline.  The ready queue ({!Moldable_util.Ranked_queue})
     stores each waiting task as its allocation, [key item], [tie item] and

@@ -33,4 +33,5 @@ let depth g =
     (order g);
   d
 
-let height g = if Dag.n g = 0 then 0 else 1 + Array.fold_left max 0 (depth g)
+let height g =
+  if Dag.n g = 0 then 0 else 1 + Array.fold_left Int.max 0 (depth g)

@@ -6,31 +6,31 @@ open Moldable_core
 let canonical_objective ~p task q =
   Float.max (Task.time task q) (Task.area task q /. float_of_int p)
 
-let canonical_allotment_analyzed (a : Task.analyzed) =
-  let task = a.Task.task and p = a.Task.p in
+let canonical_rule ~p ~p_max task =
   match Speedup.kind task.Task.speedup with
   | Speedup.Kind_arbitrary ->
     (* When the sampled model is monotonic (Lemma 1 sense), max(t, a/P) is
        unimodal and a ternary search suffices; otherwise scan. *)
     let argmin =
-      if Task.monotonic a then Moldable_util.Numerics.integer_argmin_unimodal
+      if Task.monotonic (Task.analyze ~p task) then
+        Moldable_util.Numerics.integer_argmin_unimodal
       else Moldable_util.Numerics.integer_argmin
     in
-    argmin ~f:(canonical_objective ~p task) ~lo:1 ~hi:a.Task.p_max
+    argmin ~f:(canonical_objective ~p task) ~lo:1 ~hi:p_max
   | Speedup.Kind_roofline | Speedup.Kind_communication | Speedup.Kind_amdahl
   | Speedup.Kind_general | Speedup.Kind_power ->
     (* t is non-increasing and a/P non-decreasing on [1, p_max] (Lemma 1),
        so max(t, a/P) is unimodal: find the crossing. *)
-    if a.Task.p_max = 1 then 1
+    if p_max = 1 then 1
     else begin
       let crosses q =
         Task.area task q /. float_of_int p >= Task.time task q
       in
       if crosses 1 then 1
-      else if not (crosses a.Task.p_max) then a.Task.p_max
+      else if not (crosses p_max) then p_max
       else begin
         (* Invariant: not (crosses lo) && crosses hi. *)
-        let lo = ref 1 and hi = ref a.Task.p_max in
+        let lo = ref 1 and hi = ref p_max in
         while !hi - !lo > 1 do
           let mid = (!lo + !hi) / 2 in
           if crosses mid then hi := mid else lo := mid
@@ -44,10 +44,9 @@ let canonical_allotment_analyzed (a : Task.analyzed) =
     end
 
 let canonical_allotment ~p task =
-  canonical_allotment_analyzed (Task.analyze ~p task)
+  canonical_rule ~p ~p_max:(Task.p_max ~p task) task
 
-let allocator =
-  Allocator.make ~name:"canonical(max(t, a/P))" canonical_allotment_analyzed
+let allocator = Allocator.make ~name:"canonical(max(t, a/P))" canonical_rule
 
 let policy ~p = Online_scheduler.policy ~allocator ~p ()
 

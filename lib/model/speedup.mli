@@ -50,7 +50,37 @@ val validate : t -> (unit, string) result
     after the range checks, with a ["... must be finite"] message). *)
 
 val time : t -> int -> float
-(** [time m p] is [t(p)]; [p >= 1] required. *)
+(** [time m p] is [t(p)]; [p >= 1] required.  The four closed-form models
+    evaluate one definition of Equation (1),
+    [w / min(p, ptilde) + d + c (p - 1)]: a named case passes
+    [ptilde = max_int], [d = 0.] or [c = 0.] for the parameters it lacks,
+    which changes no bit of its own formula's value. *)
+
+val store_closed : t -> float array -> int -> int
+(** [store_closed m dst off] writes Equation (1)'s [w], [d] and [c] of a
+    closed-form model to [dst.(off)], [dst.(off + 1)] and [dst.(off + 2)]
+    and returns its [ptilde] ([max_int] when unbounded).  [Power] and
+    [Arbitrary] have no closed form: they return [0] and write
+    nothing. *)
+
+val flat_time : float array -> int -> ptilde:int -> int -> float
+(** [flat_time wdc off ~ptilde p] is Equation (1) at [p >= 1] of the [w],
+    [d] and [c] that {!store_closed} wrote at [off] and the [ptilde] it
+    returned: [time m p] bit for bit, through the same definition. *)
+
+val closed_p_max : p:int -> t -> int
+(** Equation (5): [min(P, ptilde, pbar)], where [pbar] is the integer
+    around [sqrt(w/c)] with the smaller execution time (ties within
+    {!Moldable_util.Fcmp.leq}'s tolerance go to the smaller one); [P] for
+    [Power], whose time strictly decreases; [-1] for [Arbitrary], which
+    has no closed form.  Allocates nothing. *)
+
+val smallest_within : t -> p_max:int -> float -> int
+(** [smallest_within m ~p_max bound] is the smallest [q] in [\[1, p_max\]]
+    with [time m q <= bound] up to {!Moldable_util.Fcmp.leq}'s tolerance,
+    found by bisection, assuming the time does not increase on that range
+    (Lemma 1) and [time m p_max] is within [bound]: the Step-1 search of
+    Algorithm 2.  Allocates nothing on the closed-form models. *)
 
 val area : t -> int -> float
 (** [area m p = p * time m p] — processor-time product (Section 3.1). *)

@@ -21,36 +21,6 @@ type analyzed = {
   mutable mono : mono_memo;
 }
 
-(* pbar of Equation (5): the integer neighbour of s = sqrt(w/c) with the
-   smaller execution time; meaningful only when c > 0.  The continuous
-   optimum is clamped to [1, P] before integer conversion: [int_of_float]
-   is unspecified outside the [int] range, and extreme parameters (huge [w],
-   tiny [c]) push [s] past it — callers take [min p] anyway, so clamping
-   loses nothing.  The lo/hi tie-break is tolerant so that a difference
-   within rounding noise resolves to the smaller allocation. *)
-let pbar_of ~w ~c ~p m =
-  let s =
-    Moldable_util.Fcmp.clamp ~lo:1. ~hi:(float_of_int p) (sqrt (w /. c))
-  in
-  let lo = max 1 (int_of_float (floor s)) in
-  let hi = max lo (int_of_float (ceil s)) in
-  if Moldable_util.Fcmp.leq (Speedup.time m lo) (Speedup.time m hi) then lo
-  else hi
-
-(* -1 when the model has no closed form (Arbitrary): an int sentinel
-   instead of an option so the per-task analysis allocates nothing on the
-   closed-form path. *)
-let closed_form_p_max ~p (m : Speedup.t) =
-  match m with
-  | Speedup.Roofline { ptilde; _ } -> min p ptilde
-  | Speedup.Communication { w; c } -> min p (pbar_of ~w ~c ~p m)
-  | Speedup.Amdahl _ -> p
-  | Speedup.General { w; ptilde; c; _ } ->
-    if c > 0. then min p (min ptilde (pbar_of ~w ~c ~p m))
-    else min p ptilde
-  | Speedup.Power _ -> p (* strictly decreasing execution time *)
-  | Speedup.Arbitrary _ -> -1
-
 (* Lemma 1's monotonic property, checked by evaluating the model. *)
 let monotonic_scan t p_max =
   let ok = ref true in
@@ -64,7 +34,7 @@ let monotonic_scan t p_max =
 
 let analyze ~p t =
   if p < 1 then invalid_arg "Task.analyze: platform size must be >= 1";
-  match closed_form_p_max ~p t.speedup with
+  match Speedup.closed_p_max ~p t.speedup with
   | p_max when p_max >= 1 ->
     let t_min = time t p_max in
     let a_min = area t 1 in
@@ -96,6 +66,14 @@ let analyze ~p t =
       if !ok then Mono_yes else Mono_no
     in
     { task = t; p; p_max; t_min; a_min; mono }
+
+(* Equation (5) alone: the closed forms allocate nothing, and only an
+   [Arbitrary] model pays for the full analysis. *)
+let p_max ~p t =
+  if p < 1 then invalid_arg "Task.p_max: platform size must be >= 1";
+  match Speedup.closed_p_max ~p t.speedup with
+  | q when q >= 1 -> q
+  | _ -> (analyze ~p t).p_max
 
 let alpha a q = area a.task q /. a.a_min
 let beta a q = time a.task q /. a.t_min

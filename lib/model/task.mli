@@ -49,6 +49,11 @@ val analyze : p:int -> t -> analyzed
     evaluated exactly once per allocation in [1 .. p] (a single fused pass
     computes [p_max], [t_min], [a_min] and monotonicity together). *)
 
+val p_max : p:int -> t -> int
+(** [p_max ~p t = (analyze ~p t).p_max], without building the analysis
+    when the model has a closed form (every model but [Arbitrary]).
+    Requires [p >= 1]. *)
+
 val alpha : analyzed -> int -> float
 (** [alpha a q = area q /. a_min] — the area ratio of Algorithm 2. *)
 

@@ -264,7 +264,7 @@ let parse_string cur =
     String.sub src start (stop - start)
   end
   else begin
-    let buf = Buffer.create (max 16 (2 * (stop - start))) in
+    let buf = Buffer.create (Int.max 16 (2 * (stop - start))) in
     Buffer.add_substring buf src start (stop - start);
     cur.pos <- stop;
     string_tail cur buf;

@@ -408,14 +408,14 @@ let handle_events sess since =
     let evs = Sim_core.Stepper.events_from st since in
     ( Protocol.ok
         [
-          ("next", num (max since (Sim_core.Stepper.n_events st)));
+          ("next", num (Int.max since (Sim_core.Stepper.n_events st)));
           ("events", events_json evs);
         ],
       `Continue )
   | Drained m ->
     ( Protocol.ok
         [
-          ("next", num (max since (Metrics.n_events m)));
+          ("next", num (Int.max since (Metrics.n_events m)));
           ("events", events_json (Metrics.events_from m since));
         ],
       `Continue )

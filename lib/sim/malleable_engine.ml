@@ -23,14 +23,14 @@ let water_fill ~p tasks_with_caps =
     let continue = ref true in
     while !continue && !active <> [] && !remaining > 0 do
       let m = List.length !active in
-      let share = max 1 (!remaining / m) in
+      let share = Int.max 1 (!remaining / m) in
       let next_active = ref [] in
       let gave = ref false in
       List.iter
         (fun (id, cap) ->
           let current = Option.value ~default:0 (Hashtbl.find_opt alloc id) in
-          let want = min cap (current + share) in
-          let give = min (want - current) !remaining in
+          let want = Int.min cap (current + share) in
+          let give = Int.min (want - current) !remaining in
           if give > 0 then begin
             Hashtbl.replace alloc id (current + give);
             remaining := !remaining - give;

@@ -29,7 +29,7 @@ let decode code arg =
 
 let decode_events ~len ~time ~code ~arg k0 =
   let lst = ref [] in
-  for k = len - 1 downto max 0 k0 do
+  for k = len - 1 downto Int.max 0 k0 do
     lst := (time k, decode (code k) (arg k)) :: !lst
   done;
   !lst
@@ -195,44 +195,46 @@ let tasks t =
         attempts = attempts.(i);
       })
 
-let busy_area t =
-  fold_segments t
-    (fun acc s -> acc +. (float_of_int s.busy *. (s.t1 -. s.t0)))
-    0.
+(* Busy area and span, folded together in time order. *)
+let add_segment (area, span) s =
+  (area +. (float_of_int s.busy *. (s.t1 -. s.t0)), Float.max span s.t1)
 
-let span t = fold_segments t (fun acc s -> Float.max acc s.t1) 0.
+let utilization_of t (area, horizon) =
+  if (not (Float.is_finite horizon)) || horizon <= 0. then 0.
+  else area /. (float_of_int (Schedule.p t.schedule) *. horizon)
 
 let average_utilization t =
-  let horizon = span t in
-  if (not (Float.is_finite horizon)) || horizon <= 0. then 0.
-  else busy_area t /. (float_of_int (Schedule.p t.schedule) *. horizon)
-
-let max_queue_depth t = Array.fold_left max 0 t.depths
+  utilization_of t (fold_segments t add_segment (0., 0.))
+let max_queue_depth t = Array.fold_left Int.max 0 t.depths
 
 (* Wait statistics skip non-finite samples (a wait is NaN when a task never
    started, e.g. in a partially-built report) and return 0 on an empty run,
-   so downstream aggregation and JSON export never see NaN. *)
-let mean_wait t =
-  let n = ref 0 and sum = ref 0. in
+   so downstream aggregation and JSON export never see NaN.  Mean and max
+   come from one pass over one [tasks] replay. *)
+let wait_stats stats =
+  let n = ref 0 and sum = ref 0. and max = ref 0. in
   Array.iter
     (fun ts ->
       if Float.is_finite ts.wait then begin
         incr n;
-        sum := !sum +. ts.wait
+        sum := !sum +. ts.wait;
+        max := Float.max !max ts.wait
       end)
-    (tasks t);
-  if !n = 0 then 0. else !sum /. float_of_int !n
+    stats;
+  ((if !n = 0 then 0. else !sum /. float_of_int !n), !max)
 
-let max_wait t =
-  Array.fold_left
-    (fun acc ts -> if Float.is_finite ts.wait then Float.max acc ts.wait else acc)
-    0. (tasks t)
+let mean_wait t = fst (wait_stats (tasks t))
+let max_wait t = snd (wait_stats (tasks t))
 
 (* ------------------------------------------------------------------ export *)
 
+(* One pass over the trace for the segments (busy area and span fold over
+   their list, in the same order) and one for the tasks. *)
 let to_json t =
   let module J = Moldable_obs.Json in
   let c = t.counters in
+  let segments = utilization t in
+  let area_span = List.fold_left add_segment (0., 0.) segments in
   J.Obj
     [
       ( "counters",
@@ -243,8 +245,8 @@ let to_json t =
             ("stall_checks", J.int c.stall_checks);
           ] );
       ("p", J.int (Schedule.p t.schedule));
-      ("busy_area", J.Num (busy_area t));
-      ("average_utilization", J.Num (average_utilization t));
+      ("busy_area", J.Num (fst area_span));
+      ("average_utilization", J.Num (utilization_of t area_span));
       ( "utilization",
         J.List
           (List.map
@@ -252,7 +254,7 @@ let to_json t =
                J.Obj
                  [ ("t0", J.Num s.t0); ("t1", J.Num s.t1);
                    ("busy", J.int s.busy) ])
-             (utilization t)) );
+             segments) );
       ( "queue_depth",
         J.List
           (List.map
@@ -309,10 +311,11 @@ let tasks_csv t =
   Buffer.contents buf
 
 let pp ppf t =
+  let mean_wait, max_wait = wait_stats (tasks t) in
   Format.fprintf ppf
     "events=%d batches=%d launches=%d retries=%d stall_checks=%d util=%.1f%% \
      max_queue=%d mean_wait=%.4f max_wait=%.4f"
     t.counters.events t.counters.batches t.counters.launches t.counters.retries
     t.counters.stall_checks
     (100. *. average_utilization t)
-    (max_queue_depth t) (mean_wait t) (max_wait t)
+    (max_queue_depth t) mean_wait max_wait

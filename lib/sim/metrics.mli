@@ -144,14 +144,10 @@ val queue_depth : t -> (float * int) list
 val tasks : t -> task_stat array
 (** Indexed by task id. *)
 
-val busy_area : t -> float
-(** Integral of the utilization timeline ([sum busy * (t1 - t0)]). *)
-
-val span : t -> float
-(** Latest endpoint of the timeline (the instrumented makespan). *)
-
 val average_utilization : t -> float
-(** [busy_area / (p * span)], 0 for an empty run. *)
+(** [area / (p * span)], 0 for an empty run: [area] is the integral of the
+    utilization timeline ([sum busy * (t1 - t0)]) and [span] its latest
+    endpoint (the instrumented makespan). *)
 
 val max_queue_depth : t -> int
 

@@ -79,6 +79,13 @@ module Arena = struct
        ascending in successor id — the same iteration order as
        [Dag.successors]. *)
     mutable tasks : Task.t array;
+    (* Equation (1)'s parameters of every admitted task, copied from its
+       model so that a launch computes the attempt's duration from two
+       flat arrays instead of chasing the task and model records:
+       [wdc.(3i)], [wdc.(3i + 1)], [wdc.(3i + 2)] hold w, d, c, and
+       [ptilde.(i)] holds ptilde, 0 for a model with no closed form. *)
+    mutable wdc : float array;
+    mutable ptilde : int array;
     mutable rel : float array; (* release times, 0 when unconstrained *)
     mutable succ_first : int array;
     mutable succ_last : int array;
@@ -120,6 +127,8 @@ module Arena = struct
       run_len = [||];
       outcomes = [||];
       tasks = [||];
+      wdc = [||];
+      ptilde = [||];
       rel = [||];
       succ_first = [||];
       succ_last = [||];
@@ -138,7 +147,7 @@ module Arena = struct
 
   let ensure t ~p ~n =
     if n > t.cap then begin
-      let cap = max n (2 * t.cap) in
+      let cap = Int.max n (2 * t.cap) in
       t.state <- Array.make cap st_unrevealed;
       t.indeg <- Array.make cap 0;
       t.attempt_no <- Array.make cap 0;
@@ -148,6 +157,8 @@ module Arena = struct
       t.run_off <- Array.make cap 0;
       t.run_len <- Array.make cap 0;
       t.tasks <- Array.make cap dummy_task;
+      t.wdc <- Array.make (3 * cap) 0.;
+      t.ptilde <- Array.make cap 0;
       t.rel <- Array.make cap 0.;
       t.succ_first <- Array.make cap (-1);
       t.succ_last <- Array.make cap (-1);
@@ -162,7 +173,7 @@ module Arena = struct
      so far are untouched). *)
   let grow t ~n =
     if n > t.cap then begin
-      let cap = max (max n 16) (2 * t.cap) in
+      let cap = Int.max (Int.max n 16) (2 * t.cap) in
       let gi dummy a =
         let b = Array.make cap dummy in
         Array.blit a 0 b 0 t.cap;
@@ -177,6 +188,10 @@ module Arena = struct
       t.run_off <- gi 0 t.run_off;
       t.run_len <- gi 0 t.run_len;
       t.tasks <- gi dummy_task t.tasks;
+      (let wdc = Array.make (3 * cap) 0. in
+       Array.blit t.wdc 0 wdc 0 (3 * t.cap);
+       t.wdc <- wdc);
+      t.ptilde <- gi 0 t.ptilde;
       t.rel <- gi 0. t.rel;
       t.succ_first <- gi (-1) t.succ_first;
       t.succ_last <- gi (-1) t.succ_last;
@@ -185,7 +200,7 @@ module Arena = struct
 
   let outcomes_for t len =
     if Array.length t.outcomes < len then
-      t.outcomes <- Array.make (max len (2 * Array.length t.outcomes)) 0;
+      t.outcomes <- Array.make (Int.max len (2 * Array.length t.outcomes)) 0;
     t.outcomes
 
   (* One arena per pool domain: workers are long-lived, so a parallel sweep
@@ -392,6 +407,8 @@ module Stepper = struct
     init_through st hi;
     let a = st.arena in
     a.Arena.tasks.(i) <- task;
+    a.Arena.ptilde.(i) <-
+      Speedup.store_closed task.Task.speedup a.Arena.wdc (3 * i);
     a.Arena.rel.(i) <- rel;
     let indeg = register_deps a i 0 deps in
     a.Arena.indeg.(i) <- indeg;
@@ -471,7 +488,12 @@ module Stepper = struct
         let blocks = a.Arena.blocks in
         let off = Growbuf.I.length blocks in
         Platform.acquire_pairs st.platform nprocs blocks;
-        let duration = Task.time a.Arena.tasks.(tid) nprocs in
+        let duration =
+          let ptilde = a.Arena.ptilde.(tid) in
+          if ptilde > 0 then
+            Speedup.flat_time a.Arena.wdc (3 * tid) ~ptilde nprocs
+          else Task.time a.Arena.tasks.(tid) nprocs
+        in
         a.Arena.state.(tid) <- st_running;
         st.ready_count <- st.ready_count - 1;
         st.n_running <- st.n_running + 1;

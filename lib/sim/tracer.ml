@@ -144,5 +144,5 @@ let pp_profile ppf t =
          Format.fprintf ppf
            "%-24s %10.6f s  (%d calls, mean %.3g us, max %.3g us)@." name
            h.sum h.count
-           (1e6 *. h.sum /. float_of_int (max 1 h.count))
+           (1e6 *. h.sum /. float_of_int (Int.max 1 h.count))
            (1e6 *. h.hmax))

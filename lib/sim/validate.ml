@@ -142,7 +142,7 @@ let check ~dag sched =
   if Schedule.n sched <> n then
     add errors "schedule has %d tasks but the graph has %d" (Schedule.n sched)
       n;
-  let m = min n (Schedule.n sched) in
+  let m = Int.min n (Schedule.n sched) in
   let x =
     {
       m;

@@ -9,5 +9,3 @@ let leq ?(eps = default_eps) a b = a <= b || approx ~eps a b
 let geq ?(eps = default_eps) a b = a >= b || approx ~eps a b
 let lt ?(eps = default_eps) a b = a < b && not (approx ~eps a b)
 
-let clamp ~lo ~hi x =
-  if x < lo then lo else if x > hi then hi else x

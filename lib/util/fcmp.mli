@@ -2,7 +2,9 @@
 
     Scheduling simulations accumulate floating-point error when summing task
     durations; every comparison of times, areas or ratios in this code base
-    goes through this module so that the tolerance is defined in one place. *)
+    goes through this module so that the tolerance is defined in one place.
+    The one copy is the model library's [Speedup], whose allocation kernels
+    inline [leq] at {!default_eps} (pinned to this module by a test). *)
 
 val default_eps : float
 (** Default absolute/relative tolerance, [1e-9]. *)
@@ -20,5 +22,3 @@ val geq : ?eps:float -> float -> float -> bool
 val lt : ?eps:float -> float -> float -> bool
 (** Strictly less, beyond tolerance. *)
 
-val clamp : lo:float -> hi:float -> float -> float
-(** [clamp ~lo ~hi x] restricts [x] to the interval [\[lo, hi\]]. *)

@@ -12,7 +12,7 @@ type t = {
 }
 
 let create ?(capacity = 64) () =
-  let capacity = max 1 capacity in
+  let capacity = Int.max 1 capacity in
   {
     keys = Array.make capacity 0.;
     seqs = Array.make capacity 0;
@@ -71,7 +71,7 @@ let rec sift_up t i =
 let rec sift_down t i =
   let first = (4 * i) + 1 in
   if first < t.size then begin
-    let last = min (first + 3) (t.size - 1) in
+    let last = Int.min (first + 3) (t.size - 1) in
     let smallest = ref i in
     for c = first to last do
       if before t c !smallest then smallest := c

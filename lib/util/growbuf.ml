@@ -2,7 +2,7 @@ module F = struct
   type t = { mutable data : float array; mutable len : int }
 
   let create ?(capacity = 64) () =
-    { data = Array.make (max 1 capacity) 0.; len = 0 }
+    { data = Array.make (Int.max 1 capacity) 0.; len = 0 }
 
   let clear t = t.len <- 0
   let length t = t.len
@@ -28,7 +28,7 @@ module I = struct
   type t = { mutable data : int array; mutable len : int }
 
   let create ?(capacity = 64) () =
-    { data = Array.make (max 1 capacity) 0; len = 0 }
+    { data = Array.make (Int.max 1 capacity) 0; len = 0 }
 
   let clear t = t.len <- 0
   let length t = t.len

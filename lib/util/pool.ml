@@ -53,7 +53,9 @@ let exec_chunks t job =
          elsewhere; its results are discarded by the re-raise anyway. *)
       (if Option.is_none job.failed then begin
          let run () =
-           try job.body (c * job.chunk) (min job.total ((c + 1) * job.chunk))
+           try
+             job.body (c * job.chunk)
+               (Int.min job.total ((c + 1) * job.chunk))
            with e ->
              let bt = Printexc.get_raw_backtrace () in
              Mutex.lock t.mutex;
@@ -64,7 +66,7 @@ let exec_chunks t job =
          | None -> run ()
          | Some o ->
            let module R = Moldable_obs.Registry in
-           R.set o.o_depth (float_of_int (max 0 (job.n_chunks - c - 1)));
+           R.set o.o_depth (float_of_int (Int.max 0 (job.n_chunks - c - 1)));
            R.add o.o_busy 1.;
            let t0 = Clock.now () in
            run ();
@@ -160,7 +162,7 @@ let run_parallel t ?chunk ~total body =
     | Some c ->
       if c < 1 then invalid_arg "Pool: chunk must be >= 1";
       c
-    | None -> max 1 (total / (t.jobs * 8))
+    | None -> Int.max 1 (total / (t.jobs * 8))
   in
   let job =
     {

@@ -66,7 +66,7 @@ let push t ~key x =
    traversal's order; [cmp] is total, so order only breaks unreachable
    ties). *)
 let best_key t ~key =
-  let key = min key t.k in
+  let key = Int.min key t.k in
   if key < 1 then 0
   else begin
     let consider best cand =

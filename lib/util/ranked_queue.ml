@@ -77,7 +77,7 @@ let check t ~alloc what =
 
 (* Double the arrays of a full heap (16 slots for its first entry). *)
 let grow t alloc size =
-  let cap = max 16 (2 * size) in
+  let cap = Int.max 16 (2 * size) in
   let keys = Array.make cap 0. and ties = Array.make cap 0 in
   let ids = Array.make cap 0 in
   Array.blit t.keys.(alloc) 0 keys 0 size;

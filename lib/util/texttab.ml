@@ -45,7 +45,7 @@ let render t =
   let widths = Array.of_list (List.map String.length t.headers) in
   let update cells =
     List.iteri
-      (fun i c -> widths.(i) <- max widths.(i) (String.length c))
+      (fun i c -> widths.(i) <- Int.max widths.(i) (String.length c))
       cells
   in
   List.iter (function Cells c -> update c | Sep -> ()) rows;

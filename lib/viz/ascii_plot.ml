@@ -70,7 +70,7 @@ let render ?(x_log = false) ?(hlines = []) ~xlabel ~ylabel series =
     Buffer.add_char buf '\n';
     Buffer.add_string buf
       (Printf.sprintf "%9s %.8g%s%.8g  (%s%s)\n" "" xmin
-         (String.make (max 1 (width - 16)) ' ')
+         (String.make (Int.max 1 (width - 16)) ' ')
          xmax xlabel
          (if x_log then ", log scale" else ""));
     Buffer.add_string buf (Printf.sprintf "y: %s;" ylabel);

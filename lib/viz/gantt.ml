@@ -11,7 +11,7 @@ let render ?(width = 100) ?(max_rows = 40) ?(legend = true) ?label sched =
   let label = match label with Some f -> f | None -> Printf.sprintf "t%d" in
   if ms <= 0. then "(empty schedule)\n"
   else begin
-    let stride = max 1 ((p + max_rows - 1) / max_rows) in
+    let stride = Int.max 1 ((p + max_rows - 1) / max_rows) in
     let rows = (p + stride - 1) / stride in
     let grid = Array.make_matrix rows width '.' in
     let bin_of t =
@@ -22,7 +22,7 @@ let render ?(width = 100) ?(max_rows = 40) ?(legend = true) ?label sched =
       (fun (pl : Schedule.placement) ->
         let b0 = bin_of pl.Schedule.start in
         (* End bin exclusive, but show at least one bin per placement. *)
-        let b1 = max (b0 + 1) (bin_of pl.Schedule.finish) in
+        let b1 = Int.max (b0 + 1) (bin_of pl.Schedule.finish) in
         Array.iter
           (fun proc ->
             if proc mod stride = 0 then begin

@@ -28,7 +28,7 @@ let default =
 
 let random_ptilde spec rng =
   let x = Rng.log_uniform rng 1. (float_of_int spec.ptilde_max) in
-  max 1 (int_of_float (Float.round x))
+  Int.max 1 (int_of_float (Float.round x))
 
 let with_work ?(spec = default) rng kind ~w =
   match kind with

@@ -77,7 +77,7 @@ let synthetic ~rng ~n ~mean_interarrival ~max_procs =
              for exact powers of two, and truncation then drops the widest
              power from the distribution. *)
           let max_log = Numerics.ilog2 max_procs in
-          min max_procs (1 lsl Rng.int_range rng 0 max_log)
+          Int.min max_procs (1 lsl Rng.int_range rng 0 max_log)
         end
         else Rng.int_range rng 1 max_procs
       in

@@ -20,4 +20,4 @@ let copy_rng (rng : Rng.t) : Rng.t =
 let fixed_allocator q =
   Moldable_core.Allocator.make
     ~name:(Printf.sprintf "fixed(%d)" q)
-    (fun a -> max 1 (min q a.Moldable_model.Task.p))
+    (fun ~p ~p_max:_ _ -> Int.max 1 (Int.min q p))

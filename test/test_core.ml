@@ -536,6 +536,75 @@ let prop_all_policies_valid =
           Result.is_ok (Validate.check ~dag r.Sim_core.schedule))
         Baselines.named)
 
+(* With no tracer and no registry, a reveal decides through
+   [Allocator.decide] and keys a built-in rule's task without an item.  Fed
+   the same tasks, the policy must hand them out with [explain]'s final
+   allocation, in the order the rule's [compare] gives the items built
+   from [explain]'s decision and [Task.analyze]'s t_min. *)
+let prop_untraced_reveal_matches_explain =
+  QCheck.Test.make
+    ~name:"untraced reveal allocates and orders as explain, every rule"
+    ~count:60
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let p = Rng.int_range rng 1 512 in
+      let n = Rng.int_range rng 1 40 in
+      let tasks = Array.init n (fun id -> Task.make ~id (random_model rng)) in
+      let mu = Rng.float_range rng 0.05 Mu.mu_max in
+      let rho = Rng.float_range rng 1. 3. in
+      let allocators =
+        [
+          Allocator.algorithm2 ~mu; Allocator.algorithm2_per_model;
+          Allocator.no_cap ~mu; Improved_alloc.allocator ~mu ~rho;
+          Improved_alloc.per_model; Allocator.min_time; Allocator.sequential;
+          Allocator.all_p;
+        ]
+      in
+      let pairs =
+        List.concat_map
+          (fun a -> List.map (fun r -> (a, r)) Priority.all)
+          allocators
+      in
+      List.for_all
+        (fun ((allocator : Allocator.t), (rule : Priority.t)) ->
+          let items =
+            Array.map
+              (fun t ->
+                let a = Task.analyze ~p t in
+                {
+                  Priority.task = t;
+                  alloc = (allocator.Allocator.explain a).Allocator.final_alloc;
+                  t_min = a.Task.t_min;
+                  seq = t.Task.id;
+                })
+              tasks
+          in
+          let expected =
+            List.map
+              (fun (i : Priority.item) ->
+                (i.Priority.task.Task.id, i.Priority.alloc))
+              (List.stable_sort rule.Priority.compare (Array.to_list items))
+          in
+          let pol = Online_scheduler.policy ~priority:rule ~allocator ~p () in
+          Array.iter (fun t -> pol.Sim_core.on_ready ~now:0. t) tasks;
+          let rec drain acc =
+            match pol.Sim_core.next_launch ~now:0. ~free:p with
+            | None -> List.rev acc
+            | Some launch -> drain (launch :: acc)
+          in
+          let cell = Array.make 1 nan in
+          let kernel = Allocator.kernel allocator ~p in
+          (drain [] = expected
+          && Array.for_all
+               (fun (i : Priority.item) ->
+                 Allocator.decide kernel i.Priority.task cell = i.Priority.alloc
+                 && Float.equal cell.(0) i.Priority.t_min)
+               items)
+          || QCheck.Test.fail_reportf "%s under %s differs (P=%d)"
+               allocator.Allocator.name rule.Priority.name p)
+        pairs)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "core"
@@ -588,6 +657,7 @@ let () =
           Alcotest.test_case "priority changes order" `Quick
             test_online_priority_changes_order;
           Alcotest.test_case "makespan helper" `Quick test_online_makespan_helper;
+          qt prop_untraced_reveal_matches_explain;
         ] );
       ( "baselines",
         [

@@ -310,6 +310,128 @@ let prop_beta_nonincreasing =
       done;
       !ok)
 
+(* ------------------------------------------------- allocation kernels *)
+
+(* A model of every family with [ptilde] below, at or above [p], [c = 0]
+   in the general model, and extreme [w]/[c] ratios. *)
+let kernel_model rng ~p =
+  let pick a = a.(Rng.int rng (Array.length a)) in
+  let w () =
+    if Rng.int rng 8 = 0 then pick [| 1e-300; 1e300 |]
+    else Rng.log_uniform rng 1e-3 1e6
+  in
+  let c () =
+    if Rng.int rng 8 = 0 then pick [| 1e-300; 1e300 |]
+    else Rng.log_uniform rng 1e-6 1e3
+  in
+  let ptilde () =
+    match Rng.int rng 4 with
+    | 0 -> Int.max 1 (p - 1 - Rng.int rng p)
+    | 1 -> p
+    | 2 -> p + 1 + Rng.int rng 64
+    | _ -> max_int
+  in
+  match Rng.int rng 6 with
+  | 0 -> roofline ~w:(w ()) ~ptilde:(ptilde ())
+  | 1 -> comm ~w:(w ()) ~c:(c ())
+  | 2 -> amdahl ~w:(w ()) ~d:(Rng.log_uniform rng 1e-3 1e3)
+  | 3 ->
+    general ~w:(w ()) ~ptilde:(ptilde ())
+      ~d:(if Rng.int rng 2 = 0 then 0. else Rng.log_uniform rng 1e-3 1e3)
+      ~c:(if Rng.int rng 3 = 0 then 0. else c ())
+  | 4 -> Speedup.Power { w = w (); alpha = Rng.float_range rng 0.1 1. }
+  | _ ->
+    let w = w () in
+    Speedup.Arbitrary { name = "rand"; time = (fun q -> w /. float_of_int q) }
+
+(* The engine launches closed-form tasks from the parameters
+   [store_closed] copies into its flat arrays, through [flat_time]. *)
+let prop_flat_time_equals_time =
+  QCheck.Test.make
+    ~name:"flat parameters time every closed form as Task.time, bit for bit"
+    ~count:500
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let p = Rng.int_range rng 1 300 in
+      let m = kernel_model rng ~p in
+      let t = task m in
+      let off = Rng.int rng 4 in
+      let dst = Array.make (off + 3) (-1.) in
+      let ptilde = Speedup.store_closed m dst off in
+      match m with
+      | Speedup.Power _ | Speedup.Arbitrary _ ->
+        (* No closed form: the engine falls back to [Task.time]. *)
+        ptilde = 0 && Array.for_all (Float.equal (-1.)) dst
+      | Speedup.Roofline _ | Speedup.Communication _ | Speedup.Amdahl _
+      | Speedup.General _ ->
+        ptilde > 0
+        &&
+        let ok = ref true in
+        for q = 1 to p do
+          if
+            not
+              (Float.equal (Speedup.flat_time dst off ~ptilde q)
+                 (Task.time t q))
+          then ok := false
+        done;
+        !ok || QCheck.Test.fail_reportf "%s differs" (Speedup.to_string m))
+
+(* Equation (5) and the Step-1 bisection compare times with a tolerance of
+   their own, which must decide as [Fcmp.leq] does: against the definitions
+   written with [Fcmp], at bounds within a few tolerances of a probed
+   time. *)
+let pbar_fcmp ~w ~c ~p m =
+  let s = Float.min (float_of_int p) (Float.max 1. (sqrt (w /. c))) in
+  let lo = Int.max 1 (int_of_float (floor s)) in
+  let hi = Int.max lo (int_of_float (ceil s)) in
+  if Fcmp.leq (Speedup.time m lo) (Speedup.time m hi) then lo else hi
+
+let p_max_fcmp ~p m =
+  match m with
+  | Speedup.Roofline { ptilde; _ } -> Int.min p ptilde
+  | Speedup.Communication { w; c } -> Int.min p (pbar_fcmp ~w ~c ~p m)
+  | Speedup.General { w; ptilde; c; _ } when c > 0. ->
+    Int.min p (Int.min ptilde (pbar_fcmp ~w ~c ~p m))
+  | Speedup.General { ptilde; _ } -> Int.min p ptilde
+  | Speedup.Amdahl _ | Speedup.Power _ -> p
+  | Speedup.Arbitrary _ -> -1
+
+let smallest_fcmp m ~p_max bound =
+  let feasible q = Fcmp.leq (Speedup.time m q) bound in
+  if feasible 1 then 1
+  else begin
+    let lo = ref 1 and hi = ref p_max in
+    while !hi - !lo > 1 do
+      let mid = (!lo + !hi) / 2 in
+      if feasible mid then hi := mid else lo := mid
+    done;
+    !hi
+  end
+
+let prop_kernels_decide_as_fcmp =
+  QCheck.Test.make
+    ~name:"p_max and the Step-1 bisection decide as Fcmp.leq" ~count:1000
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let p = Rng.int_range rng 1 2048 in
+      let m = kernel_model rng ~p in
+      let p_max = Speedup.closed_p_max ~p m in
+      p_max = p_max_fcmp ~p m
+      && (p_max < 1
+         ||
+         let q = Rng.int_range rng 1 p_max in
+         let eps =
+           Fcmp.default_eps *. float_of_int (Rng.int_range rng (-3) 3)
+         in
+         let bound =
+           (Speedup.time m q *. (1. +. eps))
+           +. if Rng.int rng 2 = 0 then 0. else eps
+         in
+         let bound = Float.max bound (Speedup.time m p_max) in
+         Speedup.smallest_within m ~p_max bound = smallest_fcmp m ~p_max bound))
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "model"
@@ -361,4 +483,6 @@ let () =
           qt prop_alpha_nondecreasing;
           qt prop_beta_nonincreasing;
         ] );
+      ( "kernels",
+        [ qt prop_flat_time_equals_time; qt prop_kernels_decide_as_fcmp ] );
     ]

@@ -30,11 +30,6 @@ let test_lt () =
   Alcotest.(check bool) "lt of approx-equal is false" false
     (Fcmp.lt 1. (1. +. 1e-13))
 
-let test_clamp () =
-  check_float "below" 0. (Fcmp.clamp ~lo:0. ~hi:1. (-5.));
-  check_float "above" 1. (Fcmp.clamp ~lo:0. ~hi:1. 7.);
-  check_float "inside" 0.5 (Fcmp.clamp ~lo:0. ~hi:1. 0.5)
-
 (* ------------------------------------------------------------------- Rng *)
 
 let test_rng_deterministic () =
@@ -1083,7 +1078,6 @@ let () =
           Alcotest.test_case "leq strict" `Quick test_leq_strict;
           Alcotest.test_case "leq tolerant" `Quick test_leq_tolerant;
           Alcotest.test_case "lt" `Quick test_lt;
-          Alcotest.test_case "clamp" `Quick test_clamp;
           Alcotest.test_case "Float.compare NaN total order" `Quick
             test_float_compare_nan_total_order;
         ] );
