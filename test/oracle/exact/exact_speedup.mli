@@ -27,13 +27,13 @@ val pbar : ?eps:Rat.t -> w:Rat.t -> c:Rat.t -> p:int -> Speedup.t -> int
 (** Exact Equation (5): the integer neighbour of [sqrt (w/c)] (clamped to
     [\[1, p\]]) with the smaller execution time, tie-broken toward the
     smaller allocation under the tolerant [leq] at [eps] (default: the image
-    of {!Moldable_util.Fcmp.default_eps}) — the spec {!Task.pbar_of}
-    implements in floats. *)
+    of {!Moldable_util.Fcmp.default_eps}) — the spec
+    {!Moldable_model.Speedup.closed_p_max} implements in floats. *)
 
 val p_max : ?eps:Rat.t -> p:int -> Speedup.t -> int
-(** Exact minimal-time allocation, mirroring {!Task.closed_form_p_max} for
-    the closed forms and the fused strict-[<] scan of {!Task.analyze} for
-    arbitrary speedups. *)
+(** Exact minimal-time allocation, mirroring
+    {!Moldable_model.Speedup.closed_p_max} for the closed forms and the
+    fused strict-[<] scan of {!Task.analyze} for arbitrary speedups. *)
 
 val default_eps : Rat.t
 (** Exact image of {!Moldable_util.Fcmp.default_eps}. *)
