@@ -109,24 +109,12 @@ let store_closed m dst off =
 let flat_time wdc off ~ptilde p =
   closed_time ~w:wdc.(off) ~ptilde ~d:wdc.(off + 1) ~c:wdc.(off + 2) p
 
-(* The allocation kernels below compare times many times per call.  A
-   float that crosses a module boundary is boxed (dune's default profile
-   compiles every module opaquely, with no cross-module inlining), so they
-   evaluate the time and the tolerant comparison here, where both inline:
-   [leq] is [Fcmp.leq] at its default tolerance, the same formula as
-   [Fcmp.approx]. *)
-let[@inline] leq a b =
-  a <= b
-  || Float.abs (a -. b)
-     <= Moldable_util.Fcmp.default_eps
-        *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
-
-(* [leq (time m q) bound], boxing no float on a formula model. *)
+(* [Fcmp.leq (time m q) bound], boxing no float on a formula model. *)
 let[@inline] within m q bound =
   match m with
-  | Arbitrary { time; _ } -> leq (time q) bound
+  | Arbitrary { time; _ } -> Moldable_util.Fcmp.leq (time q) bound
   | Roofline _ | Communication _ | Amdahl _ | General _ | Power _ ->
-    leq (formula_time m q) bound
+    Moldable_util.Fcmp.leq (formula_time m q) bound
 
 (* pbar of Equation (5): the integer neighbour of s = sqrt(w/c) with the
    smaller execution time; meaningful only when c > 0.  The continuous
@@ -140,7 +128,10 @@ let pbar ~w ~ptilde ~d ~c ~p =
   let s = if s < 1. then 1. else if s > fp then fp else s in
   let lo = Int.max 1 (int_of_float (floor s)) in
   let hi = Int.max lo (int_of_float (ceil s)) in
-  if leq (closed_time ~w ~ptilde ~d ~c lo) (closed_time ~w ~ptilde ~d ~c hi)
+  if
+    Moldable_util.Fcmp.leq
+      (closed_time ~w ~ptilde ~d ~c lo)
+      (closed_time ~w ~ptilde ~d ~c hi)
   then lo
   else hi
 

@@ -29,6 +29,9 @@ let add t ~time payload =
 let next_time t =
   if Float_heap.is_empty t.heap then None else Some (Float_heap.min_key t.heap)
 
+let due t ~until =
+  (not (Float_heap.is_empty t.heap)) && Float_heap.min_key t.heap <= until
+
 (* Completions that are simultaneous in exact arithmetic reach the queue
    through different float paths (each is a [start +. duration] sum), so
    they can disagree in the last ulp.  Batching by exact equality then

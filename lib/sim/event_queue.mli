@@ -23,6 +23,10 @@ val add : t -> time:float -> int -> unit
 val next_time : t -> float option
 (** Time stamp of the earliest event, if any. *)
 
+val due : t -> until:float -> bool
+(** [due t ~until] is true when the earliest event's time stamp is at most
+    [until]: [next_time]'s test, with no option and no boxed stamp. *)
+
 val batch_eps : float
 (** The relative tolerance {!pop_batch} batches under ([1e-12]).
     Exposed so differential checkers can replay the batching decision with

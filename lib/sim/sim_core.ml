@@ -209,6 +209,12 @@ module Arena = struct
   let for_current_domain () = Domain.DLS.get dls_key
 end
 
+(* The instant a batch or a flush acts at is passed, as a float argument,
+   to every reveal, to the launch round and to the policy's callbacks.  A
+   float let-bound unboxed is boxed again at each such call, so the loop
+   boxes it once and hands the same box to all of them. *)
+let[@inline] boxed_once (now : float) = Sys.opaque_identity now
+
 (* Event payload encoding for the int-keyed queue: the low bit tags the
    kind, the rest is the task id.  The side data a completion used to carry
    in a [Complete] record (attempt number, start stamp, processor block)
@@ -532,7 +538,7 @@ module Stepper = struct
      loop.  Precondition: [Event_queue.pop_batch] just returned [blen > 0]. *)
   let process_batch st blen =
     let events = st.events in
-    let now = Event_queue.batch_time events in
+    let now = boxed_once (Event_queue.batch_time events) in
     st.now_cell.(0) <- now;
     let a = st.arena in
     st.counters.Metrics.batches <- st.counters.Metrics.batches + 1;
@@ -603,7 +609,7 @@ module Stepper = struct
   let flush_pending_and_launch st =
     let a = st.arena in
     let len = Growbuf.I.length a.Arena.pending in
-    let now = st.now_cell.(0) in
+    let now = boxed_once st.now_cell.(0) in
     let i = ref st.pending_lo in
     st.pending_lo <- len;
     while !i < len do
@@ -635,15 +641,14 @@ module Stepper = struct
     flush_if_pending st;
     let batches = ref 0 in
     let rec loop () =
-      match Event_queue.next_time st.events with
-      | Some t when t <= until ->
+      if Event_queue.due st.events ~until then begin
         let blen = Event_queue.pop_batch st.events in
         if blen > 0 then begin
           process_batch st blen;
           incr batches;
           loop ()
         end
-      | Some _ | None -> ()
+      end
     in
     loop ();
     if until > st.now_cell.(0) then st.now_cell.(0) <- until;

@@ -3,8 +3,8 @@
     Scheduling simulations accumulate floating-point error when summing task
     durations; every comparison of times, areas or ratios in this code base
     goes through this module so that the tolerance is defined in one place.
-    The one copy is the model library's [Speedup], whose allocation kernels
-    inline [leq] at {!default_eps} (pinned to this module by a test). *)
+    Every function inlines into its caller, so a comparison boxes no
+    float. *)
 
 val default_eps : float
 (** Default absolute/relative tolerance, [1e-9]. *)

@@ -377,10 +377,9 @@ let prop_flat_time_equals_time =
         done;
         !ok || QCheck.Test.fail_reportf "%s differs" (Speedup.to_string m))
 
-(* Equation (5) and the Step-1 bisection compare times with a tolerance of
-   their own, which must decide as [Fcmp.leq] does: against the definitions
-   written with [Fcmp], at bounds within a few tolerances of a probed
-   time. *)
+(* Equation (5) and the Step-1 bisection must decide as [Fcmp.leq] does:
+   against the definitions written with [Fcmp] on [Speedup.time], at bounds
+   within a few tolerances of a probed time. *)
 let pbar_fcmp ~w ~c ~p m =
   let s = Float.min (float_of_int p) (Float.max 1. (sqrt (w /. c))) in
   let lo = Int.max 1 (int_of_float (floor s)) in

@@ -1066,17 +1066,20 @@ let test_full_recording_allocation_budget () =
     (same_result full (snd (measured ~lean:false)))
 
 (* A batch Algorithm 1 run on a warm domain arena.  Per task, the minor
-   heap takes the launch's [Some (id, alloc)] (5 words) and floats boxed
-   where they cross a module boundary: the reveal's t_min, Step-1 bound
-   and key (7), the launch's duration and finish stamp (4), and the stamps
-   the event heap hands back as the completion is popped and batched (12;
-   28 words in all here).  The major heap takes the result's
-   copies of the per-task arrays, the processor blocks and the recording
-   (27 words).  Building the analysis, the decision and the priority item
-   at each reveal cost 64 minor words per task, an [int array] of ids per
-   processor block 98 minor and 46 major words, a fresh arena per run 98
-   major words, and the boxed Prefix_min ready queue 113 minor words, so
-   each budget fails on the regression it pins. *)
+   heap takes the launch's [Some (id, alloc)] (5 words), the batch instant
+   that the policy's callbacks take boxed (2 words, boxed once per batch,
+   about one batch per task here) and the ready queue's per-allocation
+   heaps as they grow (1 word): 8.2 words in all.  The reveal's Step 1,
+   the launch's duration and the event heap's stamps box nothing, because
+   the build inlines across modules; a build that compiles modules
+   opaquely (dune's dev profile) boxes them and reads 38 words.  The major
+   heap takes the result's copies of the per-task arrays, the processor
+   blocks and the recording (27 words).  Building the analysis, the
+   decision and the priority item at each reveal cost 64 minor words per
+   task, an [int array] of ids per processor block 98 minor and 46 major
+   words, a fresh arena per run 98 major words, and the boxed Prefix_min
+   ready queue 113 minor words, so each budget fails on the regression it
+   pins. *)
 let test_batch_run_words_per_task () =
   let n = 20_000 and p = 64 in
   let rng = Rng.create 5 in
@@ -1102,8 +1105,8 @@ let test_batch_run_words_per_task () =
   let major = per_task (s1.Gc.major_words -. s0.Gc.major_words) in
   Alcotest.(check int) "every task placed" n (Schedule.n r.Sim_core.schedule);
   Alcotest.(check bool)
-    (Printf.sprintf "%.1f minor words per task (budget 31)" minor)
-    true (minor <= 31.);
+    (Printf.sprintf "%.1f minor words per task (budget 9)" minor)
+    true (minor <= 9.);
   Alcotest.(check bool)
     (Printf.sprintf "%.1f major words per task (budget 30)" major)
     true (major <= 30.)
