@@ -966,7 +966,7 @@ let tracing_section pool () =
   (* The capped decisions are the interesting provenance: print one. *)
   (match
      List.find_opt
-       (fun (d : Moldable_sim.Tracer.decision) -> d.Moldable_sim.Tracer.cap_applied)
+       (fun (d : Task.decision) -> d.cap_applied)
        (Moldable_sim.Tracer.decisions tracer)
    with
   | Some d ->
@@ -1234,8 +1234,7 @@ let alloc_lean_section () =
   let allocations =
     Array.map
       (fun task ->
-        Online_scheduler.allocation_of
-          ~allocator:Allocator.algorithm2_per_model ~p task)
+        Allocator.allocate Allocator.algorithm2_per_model ~p task)
       (Dag.tasks dag)
   in
   let rank = Array.make n 0. in
@@ -2019,7 +2018,7 @@ let micro_benchmarks () =
       Test.make ~name:"allocator: Algorithm 2, P=1024"
         (Staged.stage (fun () ->
              ignore
-               ((Allocator.algorithm2 ~mu:0.2113).Allocator.allocate ~p:1024
+               (Allocator.allocate (Allocator.algorithm2 ~mu:0.2113) ~p:1024
                   task_probe)));
       Test.make ~name:"bounds: A_min/C_min on Cholesky-10 (220 tasks)"
         (Staged.stage (fun () -> ignore (Bounds.compute ~p:256 chol)));

@@ -53,7 +53,7 @@ let () =
      Step 2 of Algorithm 2 bites. *)
   let capped =
     List.filter
-      (fun (d : Tracer.decision) -> d.Tracer.cap_applied)
+      (fun (d : Task.decision) -> d.cap_applied)
       (Tracer.decisions tracer)
   in
   Printf.printf "\n%d of %d allocations were capped at ceil(mu P)\n"

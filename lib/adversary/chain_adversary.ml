@@ -85,8 +85,7 @@ let algorithm2_alloc ~mu ~p =
     Moldable_model.Task.make ~id:0
       (Moldable_model.Speedup.Arbitrary { name = "1/(lg p + 1)"; time = exec })
   in
-  (Moldable_core.Allocator.algorithm2 ~mu).Moldable_core.Allocator.allocate ~p
-    task
+  Moldable_core.Allocator.(allocate (algorithm2 ~mu) ~p task)
 
 let list_scheduling ~alloc ~ell =
   let params = Arbitrary_lb.params ~ell in

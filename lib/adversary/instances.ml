@@ -34,7 +34,7 @@ let roofline ~p =
   let b = Schedule.builder ~p ~n:1 in
   place b ~task_id:0 ~start:0. ~finish:1. ~procs:(iota p);
   let alternative = Schedule.finalize b in
-  let alloc = (Allocator.algorithm2 ~mu).Allocator.allocate ~p task in
+  let alloc = Allocator.allocate (Allocator.algorithm2 ~mu) ~p task in
   {
     name = "roofline (Thm 5)";
     dag;
@@ -47,7 +47,7 @@ let roofline ~p =
   }
 
 (* Allocations Algorithm 2 would choose, for building predictions. *)
-let alloc_of ~mu ~p task = (Allocator.algorithm2 ~mu).Allocator.allocate ~p task
+let alloc_of ~mu ~p task = Allocator.allocate (Allocator.algorithm2 ~mu) ~p task
 
 (* The layered online makespan the proofs predict when a layer of X B-tasks
    cannot run alongside the A-task: Y rounds of (all B in parallel, then A),

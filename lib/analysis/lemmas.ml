@@ -23,9 +23,10 @@ let verify ~mu ~dag sched =
   let p = Schedule.p sched in
   let bounds = Bounds.compute ~p dag in
   let alpha_max = ref 1. and beta_max = ref 1. in
+  let algorithm2 = Allocator.algorithm2 ~mu in
   Array.iter
     (fun (a : Task.analyzed) ->
-      let q = Allocator.initial ~mu ~p a.Task.task in
+      let q = (Allocator.explain algorithm2 a).p_star in
       alpha_max := Float.max !alpha_max (Task.alpha a q);
       beta_max := Float.max !beta_max (Task.beta a q))
     bounds.Bounds.analyzed;

@@ -1,15 +1,5 @@
 open Moldable_model
 
-type decision = {
-  p_star : int;
-  beta_budget : float;
-  step1_bound : float;
-  cap : int;
-  cap_applied : bool;
-  final_alloc : int;
-  candidates_scanned : int;
-}
-
 (* Per family (indexed by [kind_index]): the Step-1 budget and the Step-2
    cap fraction, [None] for no cap.  A trivial rule maps the platform size,
    p_max and the task straight to the allocation. *)
@@ -17,12 +7,7 @@ type rule =
   | Two_step of (float * float option) array
   | Trivial of (p:int -> p_max:int -> Task.t -> int)
 
-type t = {
-  name : string;
-  allocate : p:int -> Task.t -> int;
-  explain : Task.analyzed -> decision;
-  rule : rule;
-}
+type t = { name : string; rule : rule }
 
 (* Exhaustive Step 1 for arbitrary speedups: minimize area among feasible
    allocations, ties to the smallest allocation. *)
@@ -83,10 +68,6 @@ let step1_counted (a : Task.analyzed) ~bound =
   let q = search a bound in
   (q, probes a q)
 
-let initial ~mu ~p task =
-  let a = Task.analyze ~p task in
-  search a (Mu.delta mu *. a.Task.t_min)
-
 let kind_index = function
   | Speedup.Kind_roofline -> 0
   | Speedup.Kind_communication -> 1
@@ -115,11 +96,12 @@ let[@inline never] budget_bound budget (a : Task.analyzed) =
    [budget * t_min], then Step 2's ceil(mu P) cap, with the knobs of the
    task's family read from one array cell; a trivial rule has no budget,
    no cap and no scan count. *)
-let explain_rule rule (a : Task.analyzed) =
+let explain_rule rule (a : Task.analyzed) : Task.decision =
   match rule with
   | Trivial f ->
     let q = f ~p:a.Task.p ~p_max:a.Task.p_max a.Task.task in
     {
+      analysis = a;
       p_star = q;
       beta_budget = Float.nan;
       step1_bound = Float.nan;
@@ -137,6 +119,7 @@ let explain_rule rule (a : Task.analyzed) =
     let cap = cap_of cap_mu ~p:a.Task.p in
     let final_alloc = Int.min p_star cap in
     {
+      analysis = a;
       p_star;
       beta_budget;
       step1_bound;
@@ -146,22 +129,13 @@ let explain_rule rule (a : Task.analyzed) =
       candidates_scanned = probes a p_star;
     }
 
-(* [allocate ~p] analyzes the task and keeps the final allocation of the
-   same decision. *)
-let of_rule ~name rule =
-  let explain = explain_rule rule in
-  {
-    name;
-    allocate = (fun ~p task -> (explain (Task.analyze ~p task)).final_alloc);
-    explain;
-    rule;
-  }
-
-let make ~name f = of_rule ~name (Trivial f)
+let explain t a = explain_rule t.rule a
+let allocate t ~p task = (explain t (Task.analyze ~p task)).final_alloc
+let make ~name f = { name; rule = Trivial f }
 
 (* [step] is tabulated per family here, so a decision reads one array
    cell. *)
-let two_step ~name step = of_rule ~name (Two_step (Array.map step kinds))
+let two_step ~name step = { name; rule = Two_step (Array.map step kinds) }
 
 (* ---------------------------------------------------------------- kernel *)
 

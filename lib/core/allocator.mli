@@ -19,44 +19,22 @@
 
 open Moldable_model
 
-type decision = {
-  p_star : int;          (** Step-1 initial allocation. *)
-  beta_budget : float;   (** [delta(mu)], the bound on [beta] Step 1 enforces;
-                             [nan] for rules with no feasibility budget. *)
-  step1_bound : float;   (** The absolute feasibility threshold
-                             [delta(mu) * t_min] Step 1 compares execution
-                             times against — the exact decision input the
-                             shadow oracle re-derives; [nan] for rules with
-                             no feasibility budget. *)
-  cap : int;             (** Step-2 ceiling [ceil(mu P)]; [P] when the rule
-                             has no cap. *)
-  cap_applied : bool;    (** Whether the cap reduced [p_star]. *)
-  final_alloc : int;     (** The allocation the rule returns. *)
-  candidates_scanned : int;
-      (** Feasibility candidates Step 1 probed (binary-search probes for
-          monotonic models, [p_max] for the exhaustive scan, 0 for trivial
-          rules). *)
-}
-(** Provenance of one allocation decision — everything needed to reconstruct
-    why the rule picked [final_alloc] (recorded per task by
-    {!Moldable_sim.Tracer} when a run is traced). *)
-
 type rule
 (** How a rule decides: a two-step rule's per-family budget and cap, or a
     trivial rule's allocation function. *)
 
-type t = {
-  name : string;
-  allocate : p:int -> Task.t -> int;
-      (** Final allocation, in [\[1, P\]]: analyzes the task and keeps
-          [final_alloc] of its {!explain} decision. *)
-  explain : Task.analyzed -> decision;
-      (** The rule: one decision per analyzed task, with full provenance.
-          The online scheduler calls it once per revealed task when a
-          tracer or a registry is attached. *)
-  rule : rule;
-      (** What {!explain} and {!decide} both evaluate. *)
-}
+type t = { name : string; rule : rule }
+(** A named rule.  {!explain}, {!allocate} and {!decide} all evaluate
+    [rule]. *)
+
+val explain : t -> Task.analyzed -> Task.decision
+(** The rule: one decision per analyzed task, with full provenance.  The
+    online scheduler calls it once per revealed task when a tracer or a
+    registry is attached. *)
+
+val allocate : t -> p:int -> Task.t -> int
+(** Final allocation, in [\[1, P\]]: analyzes the task and keeps
+    [final_alloc] of its {!explain} decision. *)
 
 val make : name:string -> (p:int -> p_max:int -> Task.t -> int) -> t
 (** A trivial rule from its final allocation, given the platform size and
@@ -82,14 +60,11 @@ val kernel : t -> p:int -> kernel
 
 val decide : kernel -> Task.t -> float array -> int
 (** [decide (kernel t ~p) task t_min] is
-    [(t.explain (Task.analyze ~p task)).final_alloc], and stores the
+    [(explain t (Task.analyze ~p task)).final_alloc], and stores the
     analysis' [t_min] in [t_min.(0)].  It evaluates the same p_max, Step-1
     search and cap as {!explain}, but on every model except [Arbitrary] it
     builds no analysis, no decision and no boxed float.  The online
     scheduler's reveal runs it when nothing records the provenance. *)
-
-val initial : mu:float -> p:int -> Task.t -> int
-(** Step 1 of Algorithm 2 only. *)
 
 val step1_counted : Task.analyzed -> bound:float -> int * int
 (** The Step-1 search against an explicit absolute execution-time bound —
@@ -97,7 +72,7 @@ val step1_counted : Task.analyzed -> bound:float -> int * int
     minimum-area feasible allocation for non-monotonic [Arbitrary] models
     (exhaustive scan) — and the number of feasibility candidates probed
     (binary-search probes, or [p_max] for the scan), the provenance
-    recorded in {!decision}. *)
+    recorded in {!Task.decision}. *)
 
 val algorithm2 : mu:float -> t
 (** The paper's allocator with a fixed [mu]. *)

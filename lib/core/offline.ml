@@ -13,7 +13,7 @@ let run_ranked ~name ~allocations ~rank ~p dag =
    already made for the rank. *)
 let allocations_of allocator (bounds : Bounds.t) =
   Array.map
-    (fun a -> (allocator.Allocator.explain a).Allocator.final_alloc)
+    (fun a -> (Allocator.explain allocator a).final_alloc)
     bounds.Bounds.analyzed
 
 (* The bottom-level rank needs the whole graph (clairvoyant), but the

@@ -38,32 +38,6 @@ let policy ?(priority = Priority.fifo) ?(tracer = Tracer.null)
            ~help:
              "Step-1 candidate allotments probed per allocation decision")
   in
-  (* Decision provenance: one record per task (re-reveals after failed
-     attempts are deduplicated by the tracer), carrying the Step-1/Step-2
-     quantities of Algorithm 2 plus the alpha/beta ratios at p_star and at
-     the final allocation. *)
-  let record_decision task (a : Task.analyzed) (d : Allocator.decision) =
-    Tracer.record_decision tracer
-      {
-        Tracer.task_id = task.Task.id;
-        label = task.Task.label;
-        model = Speedup.kind_name (Speedup.kind task.Task.speedup);
-        p = a.Task.p;
-        p_max = a.Task.p_max;
-        t_min = a.Task.t_min;
-        a_min = a.Task.a_min;
-        p_star = d.Allocator.p_star;
-        alpha = Task.alpha a d.Allocator.p_star;
-        beta = Task.beta a d.Allocator.p_star;
-        beta_budget = d.Allocator.beta_budget;
-        cap = d.Allocator.cap;
-        cap_applied = d.Allocator.cap_applied;
-        final_alloc = d.Allocator.final_alloc;
-        alpha_final = Task.alpha a d.Allocator.final_alloc;
-        beta_final = Task.beta a d.Allocator.final_alloc;
-        candidates_scanned = d.Allocator.candidates_scanned;
-      }
-  in
   (* A waiting task's key, from its allocation and the t_min in
      [t_min.(0)] (a one-cell array, so that the decision hands it over
      with no pair and no box): a built-in discipline's directly, a
@@ -99,16 +73,15 @@ let policy ?(priority = Priority.fifo) ?(tracer = Tracer.null)
       let d =
         if traced then
           Tracer.timed tracer Allocator (fun () ->
-              allocator.Allocator.explain a)
-        else allocator.Allocator.explain a
+              Allocator.explain allocator a)
+        else Allocator.explain allocator a
       in
-      if traced then record_decision task a d;
+      if traced then Tracer.record_decision tracer d;
       (match probes with
       | Some h ->
-        Moldable_obs.Registry.observe h
-          (float_of_int d.Allocator.candidates_scanned)
+        Moldable_obs.Registry.observe h (float_of_int d.candidates_scanned)
       | None -> ());
-      let alloc = d.Allocator.final_alloc in
+      let alloc = d.final_alloc in
       t_min.(0) <- a.Task.t_min;
       if traced then
         Tracer.timed tracer Ready_queue (fun () -> enqueue task alloc)
@@ -147,6 +120,3 @@ let run ?priority ?(allocator = Allocator.algorithm2_per_model) ?release_times
 
 let makespan ?priority ?allocator ~p dag =
   Schedule.makespan (run ?priority ?allocator ~p dag).Sim_core.schedule
-
-let allocation_of ?(allocator = Allocator.algorithm2_per_model) ~p task =
-  allocator.Allocator.allocate ~p task

@@ -9,7 +9,6 @@
     The policy produced here is driven by {!Moldable_sim.Sim_core.run}; it
     never inspects the task graph, only the tasks revealed to it. *)
 
-open Moldable_model
 open Moldable_graph
 open Moldable_sim
 
@@ -20,9 +19,9 @@ val policy :
 (** Fresh, stateful policy for one run.  Default priority is {!Priority.fifo}
     (the paper's algorithm).
 
-    [tracer] (default {!Tracer.null}) records one decision-provenance record
-    per task when it is revealed — the allocator's {!Allocator.decision}
-    joined with the task's analysis and its [alpha]/[beta] ratios — and
+    [tracer] (default {!Tracer.null}) keeps one decision-provenance record
+    per task when it is revealed — the {!Moldable_model.Task.decision}
+    that {!Allocator.explain} returned on the task's analysis — and
     charges the policy's hot-path phases ([analyze], [allocator],
     [ready-queue]) to the tracer's self-profile clock.  Tracing never
     changes the schedule.
@@ -77,7 +76,3 @@ val run :
 
 val makespan :
   ?priority:Priority.t -> ?allocator:Allocator.t -> p:int -> Dag.t -> float
-
-val allocation_of : ?allocator:Allocator.t -> p:int -> Task.t -> int
-(** The (deterministic) final allocation the scheduler would choose — used by
-    the analysis library to reconstruct initial/final allocations. *)

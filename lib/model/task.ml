@@ -85,3 +85,14 @@ let monotonic a =
     let ok = monotonic_scan a.task a.p_max in
     a.mono <- (if ok then Mono_yes else Mono_no);
     ok
+
+type decision = {
+  analysis : analyzed;
+  p_star : int;
+  beta_budget : float;
+  step1_bound : float;
+  cap : int;
+  cap_applied : bool;
+  final_alloc : int;
+  candidates_scanned : int;
+}

@@ -64,3 +64,31 @@ val monotonic : analyzed -> bool
 (** True when on [1 .. p_max] the time is non-increasing and the area is
     non-decreasing (the monotonic property of Lemma 1).  Memoized on the
     [analyzed] value: repeated queries cost O(1). *)
+
+(** {1 Allocation decisions} *)
+
+type decision = {
+  analysis : analyzed;   (** The analysis the rule decided on. *)
+  p_star : int;          (** Step-1 initial allocation. *)
+  beta_budget : float;   (** [delta(mu)] (or the improved rule's [rho]), the
+                             bound on [beta] Step 1 enforces; [nan] for rules
+                             with no feasibility budget. *)
+  step1_bound : float;   (** The absolute feasibility threshold
+                             [beta_budget * t_min] Step 1 compares execution
+                             times against — the exact decision input the
+                             shadow oracle re-derives; [nan] for rules with
+                             no feasibility budget. *)
+  cap : int;             (** Step-2 ceiling [ceil(mu P)]; [P] when the rule
+                             has no cap. *)
+  cap_applied : bool;    (** Whether the cap reduced [p_star]. *)
+  final_alloc : int;     (** The allocation the rule returns. *)
+  candidates_scanned : int;
+      (** Feasibility candidates Step 1 probed (binary-search probes for
+          monotonic models, [p_max] for the exhaustive scan, 0 for trivial
+          rules). *)
+}
+(** Provenance of one allocation decision of Algorithm 2: everything needed
+    to reconstruct why the rule picked [final_alloc].  The [alpha]/[beta]
+    ratios at [p_star] and at [final_alloc] follow from [analysis] through
+    {!alpha} and {!beta}.  Made by [Moldable_core.Allocator.explain] and
+    kept per task by [Moldable_sim.Tracer] when a run is traced. *)

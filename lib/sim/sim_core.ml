@@ -145,30 +145,7 @@ module Arena = struct
       in_use = false;
     }
 
-  let ensure t ~p ~n =
-    if n > t.cap then begin
-      let cap = Int.max n (2 * t.cap) in
-      t.state <- Array.make cap st_unrevealed;
-      t.indeg <- Array.make cap 0;
-      t.attempt_no <- Array.make cap 0;
-      t.run_start <- Array.make cap 0.;
-      t.run_finish <- Array.make cap 0.;
-      t.run_n <- Array.make cap 0;
-      t.run_off <- Array.make cap 0;
-      t.run_len <- Array.make cap 0;
-      t.tasks <- Array.make cap dummy_task;
-      t.wdc <- Array.make (3 * cap) 0.;
-      t.ptilde <- Array.make cap 0;
-      t.rel <- Array.make cap 0.;
-      t.succ_first <- Array.make cap (-1);
-      t.succ_last <- Array.make cap (-1);
-      t.cap <- cap
-    end;
-    (match t.platform with
-    | Some pl when Platform.p pl = p -> Platform.reset pl
-    | Some _ | None -> t.platform <- Some (Platform.create p))
-
-  (* Content-preserving growth, for admissions past the capacity of a
+  (* Content-preserving growth, also for admissions past the capacity of a
      stepper that is already running (the platform and everything recorded
      so far are untouched). *)
   let grow t ~n =
@@ -197,6 +174,15 @@ module Arena = struct
       t.succ_last <- gi (-1) t.succ_last;
       t.cap <- cap
     end
+
+  (* A run's own platform, reset; the per-task arrays grow through [grow],
+     and their stale slots are harmless: [Stepper.init_through] initializes
+     every slot before use, and admission and launch write the rest. *)
+  let ensure t ~p ~n =
+    grow t ~n;
+    match t.platform with
+    | Some pl when Platform.p pl = p -> Platform.reset pl
+    | Some _ | None -> t.platform <- Some (Platform.create p)
 
   let outcomes_for t len =
     if Array.length t.outcomes < len then

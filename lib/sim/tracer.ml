@@ -1,25 +1,6 @@
 open Moldable_util
+open Moldable_model
 module Registry = Moldable_obs.Registry
-
-type decision = {
-  task_id : int;
-  label : string;
-  model : string;
-  p : int;
-  p_max : int;
-  t_min : float;
-  a_min : float;
-  p_star : int;
-  alpha : float;
-  beta : float;
-  beta_budget : float;
-  cap : int;
-  cap_applied : bool;
-  final_alloc : int;
-  alpha_final : float;
-  beta_final : float;
-  candidates_scanned : int;
-}
 
 type instant_kind = Ready | Deferred | Stall
 
@@ -51,7 +32,7 @@ let register_timers registry =
 
 type t = {
   enabled : bool;
-  decisions : (int, decision) Hashtbl.t;
+  decisions : (int, Task.decision) Hashtbl.t;
   mutable instants : instant list;
   registry : Registry.t;
   timers : Registry.histogram array;
@@ -92,32 +73,38 @@ let timed t phase f =
 
 let profile t = Registry.snapshot t.registry
 
-let record_decision t (d : decision) =
-  if t.enabled && not (Hashtbl.mem t.decisions d.task_id) then
-    Hashtbl.add t.decisions d.task_id d
+let record_decision t (d : Task.decision) =
+  let id = d.analysis.task.id in
+  if t.enabled && not (Hashtbl.mem t.decisions id) then
+    Hashtbl.add t.decisions id d
 
 let record_instant t ~time ~kind ~subject =
   if t.enabled then t.instants <- { time; kind; subject } :: t.instants
 
 let decisions t =
-  Hashtbl.fold (fun _ d acc -> d :: acc) t.decisions []
-  |> List.sort (fun (a : decision) (b : decision) ->
-         Int.compare a.task_id b.task_id)
+  Hashtbl.fold (fun id d acc -> (id, d) :: acc) t.decisions []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.map snd
 
 let decision_for t task_id = Hashtbl.find_opt t.decisions task_id
 
 let instants t = List.rev t.instants
 let n_decisions t = Hashtbl.length t.decisions
 
-let pp_decision ppf (d : decision) =
-  Format.fprintf ppf "task %d %S  model=%s  P=%d@." d.task_id d.label d.model
-    d.p;
-  Format.fprintf ppf "  analysis: p_max=%d  t_min=%.6g  a_min=%.6g@." d.p_max
-    d.t_min d.a_min;
+(* Everything but the rule's own outputs is derived from the analysis the
+   rule decided on. *)
+let pp_decision ppf (d : Task.decision) =
+  let a = d.analysis in
+  let task = a.task in
+  Format.fprintf ppf "task %d %S  model=%s  P=%d@." task.id task.label
+    (Speedup.kind_name (Speedup.kind task.speedup))
+    a.p;
+  Format.fprintf ppf "  analysis: p_max=%d  t_min=%.6g  a_min=%.6g@." a.p_max
+    a.t_min a.a_min;
   Format.fprintf ppf
     "  step 1:   p*=%d  alpha(p*)=%.4f  beta(p*)=%.4f  beta budget \
      delta(mu)=%s  candidates scanned=%d@."
-    d.p_star d.alpha d.beta
+    d.p_star (Task.alpha a d.p_star) (Task.beta a d.p_star)
     (if Float.is_nan d.beta_budget then "-"
      else Printf.sprintf "%.4f" d.beta_budget)
     d.candidates_scanned;
@@ -125,7 +112,7 @@ let pp_decision ppf (d : decision) =
     (if d.cap_applied then "applied" else "not applied");
   Format.fprintf ppf
     "  final:    %d processors  alpha=%.4f  beta=%.4f@." d.final_alloc
-    d.alpha_final d.beta_final
+    (Task.alpha a d.final_alloc) (Task.beta a d.final_alloc)
 
 let pp_profile ppf t =
   (* The snapshot lists the histograms in registration order, which is

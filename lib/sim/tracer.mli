@@ -4,13 +4,15 @@
     policy decided, when the scheduler waited, and where the wall-clock
     time went.  It holds three families:
 
-    - {e decision provenance} — one {!decision} per task, emitted by the
-      scheduling policy when the allocator fixes the task's allocation:
-      the Step-1 initial allocation [p_star] with its [alpha]/[beta]
-      ratios, the [beta] budget [delta(mu)], the Step-2 cap [ceil(mu P)]
-      and whether it bit, the final allocation, and how many feasibility
-      candidates Step 1 probed.  Re-reveals after failed attempts do not
-      duplicate the record: provenance is per task, not per attempt.
+    - {e decision provenance} — one {!Moldable_model.Task.decision} per
+      task, the record the allocator's [explain] returned when the
+      scheduling policy fixed the task's allocation: the analysis it was
+      decided on, the Step-1 initial allocation [p_star], the [beta]
+      budget [delta(mu)], the Step-2 cap [ceil(mu P)] and whether it bit,
+      the final allocation, and how many feasibility candidates Step 1
+      probed.  The [alpha]/[beta] ratios are derived from the analysis
+      when printed.  Re-reveals after failed attempts do not duplicate the
+      record: provenance is per task, not per attempt.
     - {e scheduler instants} — {!instant} markers for reveals, deferred
       releases and stalls.
     - {e self-profile} — one {!Moldable_obs.Registry} histogram per
@@ -30,31 +32,6 @@
     hot-path callers guard with [if Tracer.enabled t then ...] so a
     [Tracer.null] run performs no tracing work beyond one branch per
     hook. *)
-
-type decision = {
-  task_id : int;
-  label : string;
-  model : string;        (** Speedup family ({!Moldable_model.Speedup.kind_name}). *)
-  p : int;               (** Platform size the decision was taken for. *)
-  p_max : int;           (** Equation (5) maximum useful allocation. *)
-  t_min : float;         (** Minimum execution time [t(p_max)]. *)
-  a_min : float;         (** Minimum area. *)
-  p_star : int;          (** Step-1 initial allocation. *)
-  alpha : float;         (** [alpha(p_star) = a(p_star) / a_min]. *)
-  beta : float;          (** [beta(p_star) = t(p_star) / t_min]. *)
-  beta_budget : float;   (** [delta(mu)] bound on [beta]; [nan] when the
-                             rule carries no feasibility budget. *)
-  cap : int;             (** Step-2 ceiling ([ceil(mu P)]; [p] when the rule
-                             has no cap). *)
-  cap_applied : bool;    (** Whether the cap reduced [p_star]. *)
-  final_alloc : int;     (** The allocation actually scheduled. *)
-  alpha_final : float;   (** [alpha] at {!field-final_alloc}. *)
-  beta_final : float;    (** [beta] at {!field-final_alloc}. *)
-  candidates_scanned : int;
-      (** Feasibility probes Step 1 evaluated (binary-search probes for
-          monotonic models, [p_max] for the exhaustive Arbitrary scan; 0 for
-          trivial rules). *)
-}
 
 type instant_kind =
   | Ready     (** Task entered the ready queue (reveal or re-reveal). *)
@@ -95,25 +72,29 @@ val profile : t -> Moldable_obs.Registry.snapshot
 
 (** {1 Recording (no-ops on {!null})} *)
 
-val record_decision : t -> decision -> unit
-(** Keeps the {e first} decision per task id; later records (re-reveals
-    after failures) are ignored. *)
+val record_decision : t -> Moldable_model.Task.decision -> unit
+(** Keeps the {e first} decision per task id (the id of the analyzed
+    task); later records (re-reveals after failures) are ignored. *)
 
 val record_instant : t -> time:float -> kind:instant_kind -> subject:int -> unit
 
 (** {1 Querying} *)
 
-val decisions : t -> decision list
+val decisions : t -> Moldable_model.Task.decision list
 (** Sorted by task id. *)
 
-val decision_for : t -> int -> decision option
+val decision_for : t -> int -> Moldable_model.Task.decision option
 val instants : t -> instant list
 (** Chronological (recording order). *)
 
 val n_decisions : t -> int
 
-val pp_decision : Format.formatter -> decision -> unit
-(** Multi-line provenance dump of one decision (the [--explain] output). *)
+val pp_decision : Format.formatter -> Moldable_model.Task.decision -> unit
+(** Multi-line provenance dump of one decision (the [--explain] output):
+    the task's label, model, platform size, [p_max], [t_min] and [a_min],
+    and the [alpha]/[beta] ratios at [p_star] and at the final allocation,
+    all derived from the decision's analysis, beside the rule's own
+    outputs. *)
 
 val pp_profile : Format.formatter -> t -> unit
 (** The self-profile section: one line per charged phase (name, total

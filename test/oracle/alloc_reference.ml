@@ -8,7 +8,7 @@
 open Moldable_model
 open Moldable_core
 
-type decision = Allocator.decision = {
+type decision = {
   p_star : int;
   beta_budget : float;
   step1_bound : float;

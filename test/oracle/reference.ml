@@ -381,7 +381,7 @@ let policy ?(priority = Priority.fifo) ~allocator ~p () =
   in
   let on_ready ~now:_ task =
     let a = Task.analyze ~p task in
-    let alloc = allocator.Allocator.allocate ~p task in
+    let alloc = Allocator.allocate allocator ~p task in
     insert
       {
         Priority.task;
@@ -439,7 +439,7 @@ let critical_path_policy ~allocator ~p dag =
     queue := go !queue
   in
   let on_ready ~now:_ (task : Task.t) =
-    insert (task.Task.id, allocator.Allocator.allocate ~p task)
+    insert (task.Task.id, Allocator.allocate allocator ~p task)
   in
   let next_launch ~now:_ ~free =
     let rec extract acc = function

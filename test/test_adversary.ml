@@ -152,7 +152,7 @@ let alloc_of inst id =
   let allocator =
     Moldable_core.Allocator.algorithm2 ~mu:inst.Instances.mu
   in
-  allocator.Moldable_core.Allocator.allocate ~p:inst.Instances.p
+  Moldable_core.Allocator.allocate allocator ~p:inst.Instances.p
     (Dag.task inst.Instances.dag id)
 
 let roles_of inst =

@@ -68,6 +68,10 @@ let test_cap_matches_exact_rational () =
 
 (* ------------------------------------------------------------- Allocator *)
 
+(* Step 1 of Algorithm 2 alone: the initial allocation of its decision. *)
+let p_star ~mu ~p t =
+  (Allocator.explain (Allocator.algorithm2 ~mu) (Task.analyze ~p t)).Task.p_star
+
 let test_initial_respects_beta () =
   let rng = Rng.create 3 in
   for _ = 1 to 200 do
@@ -81,7 +85,7 @@ let test_initial_respects_beta () =
     let p = Rng.int_range rng 1 256 in
     let mu = Rng.float_range rng 0.05 Mu.mu_max in
     let t = task m in
-    let q = Allocator.initial ~mu ~p t in
+    let q = p_star ~mu ~p t in
     let a = Task.analyze ~p t in
     let beta = Task.beta a q in
     if not (Fcmp.leq ~eps:1e-6 beta (Mu.delta mu)) then
@@ -105,7 +109,7 @@ let test_initial_minimizes_alpha () =
     let t = task m in
     let a = Task.analyze ~p t in
     let bound = Mu.delta mu *. a.Task.t_min in
-    let q = Allocator.initial ~mu ~p t in
+    let q = p_star ~mu ~p t in
     for q' = 1 to a.Task.p_max do
       if Fcmp.leq (Task.time t q') bound && Fcmp.lt (Task.area t q') (Task.area t q)
       then
@@ -121,7 +125,7 @@ let test_algorithm2_cap () =
   let p = 100 in
   let mu = Mu.default Speedup.Kind_roofline in
   let t = task (roofline ~w:100. ~ptilde:100) in
-  let q = (Allocator.algorithm2 ~mu).Allocator.allocate ~p t in
+  let q = Allocator.allocate (Allocator.algorithm2 ~mu) ~p t in
   Alcotest.(check int) "capped at ceil(mu P)" (Mu.cap ~mu ~p) q
 
 let test_algorithm2_small_tasks_uncapped () =
@@ -129,26 +133,26 @@ let test_algorithm2_small_tasks_uncapped () =
   let p = 100 in
   let mu = 0.3 in
   let t = task (roofline ~w:5. ~ptilde:2) in
-  let q = (Allocator.algorithm2 ~mu).Allocator.allocate ~p t in
+  let q = Allocator.allocate (Allocator.algorithm2 ~mu) ~p t in
   Alcotest.(check int) "keeps 2" 2 q
 
 let test_no_cap_ablation () =
   let p = 100 in
   let mu = Mu.default Speedup.Kind_roofline in
   let t = task (roofline ~w:100. ~ptilde:100) in
-  let capped = (Allocator.algorithm2 ~mu).Allocator.allocate ~p t in
-  let uncapped = (Allocator.no_cap ~mu).Allocator.allocate ~p t in
+  let capped = Allocator.allocate (Allocator.algorithm2 ~mu) ~p t in
+  let uncapped = Allocator.allocate (Allocator.no_cap ~mu) ~p t in
   Alcotest.(check bool) "no_cap exceeds cap" true (uncapped > capped)
 
 let test_trivial_allocators () =
   let p = 64 in
   let t = task (amdahl ~w:100. ~d:1.) in
-  Alcotest.(check int) "sequential" 1 (Allocator.sequential.Allocator.allocate ~p t);
-  Alcotest.(check int) "all_p" p (Allocator.all_p.Allocator.allocate ~p t);
+  Alcotest.(check int) "sequential" 1 (Allocator.allocate Allocator.sequential ~p t);
+  Alcotest.(check int) "all_p" p (Allocator.allocate Allocator.all_p ~p t);
   Alcotest.(check int) "min_time = p_max" 64
-    (Allocator.min_time.Allocator.allocate ~p t);
+    (Allocator.allocate Allocator.min_time ~p t);
   Alcotest.(check int) "fixed clamped" p
-    ((Fixtures.fixed_allocator 1000).Allocator.allocate ~p t)
+    (Allocator.allocate (Fixtures.fixed_allocator 1000) ~p t)
 
 let test_arbitrary_allocator_scan () =
   (* W-shaped time: feasible minima exist at several points; the scan must
@@ -156,7 +160,7 @@ let test_arbitrary_allocator_scan () =
   let time p = [| 10.; 4.; 6.; 3.; 9. |].(min (p - 1) 4) in
   let t = task (Speedup.Arbitrary { name = "w-shape"; time }) in
   (* p_max = 4 (t = 3 minimum), a_min over 1..4: areas 10, 8, 18, 12 -> 8. *)
-  let q = Allocator.initial ~mu:0.2 ~p:5 t in
+  let q = p_star ~mu:0.2 ~p:5 t in
   (* delta(0.2) = 3.75, bound = 3.75 * 3 = 11.25: feasible p: t(p) <= 11.25
      -> {1(10),2(4),3(6),4(3)}; smallest area feasible = p=2 (area 8). *)
   Alcotest.(check int) "scan picks min-area feasible" 2 q
@@ -165,8 +169,8 @@ let test_per_model_allocator_uses_model_mu () =
   let p = 1000 in
   let t_roof = task (roofline ~w:1000. ~ptilde:1000) in
   let t_amd = Task.make ~id:1 (amdahl ~w:1000. ~d:0.5) in
-  let q_roof = Allocator.algorithm2_per_model.Allocator.allocate ~p t_roof in
-  let q_amd = Allocator.algorithm2_per_model.Allocator.allocate ~p t_amd in
+  let q_roof = Allocator.allocate Allocator.algorithm2_per_model ~p t_roof in
+  let q_amd = Allocator.allocate Allocator.algorithm2_per_model ~p t_amd in
   Alcotest.(check int) "roofline cap" (Mu.cap ~mu:(Mu.default Speedup.Kind_roofline) ~p) q_roof;
   Alcotest.(check bool) "amdahl allocation bounded by its cap" true
     (q_amd <= Mu.cap ~mu:(Mu.default Speedup.Kind_amdahl) ~p)
@@ -186,7 +190,7 @@ let prop_algorithm2_within_bounds =
       let p = Rng.int_range rng 1 512 in
       let mu = Rng.float_range rng 0.05 Mu.mu_max in
       let t = task m in
-      let q = (Allocator.algorithm2 ~mu).Allocator.allocate ~p t in
+      let q = Allocator.allocate (Allocator.algorithm2 ~mu) ~p t in
       let a = Task.analyze ~p t in
       q >= 1 && q <= Mu.cap ~mu ~p && q <= a.Task.p_max)
 
@@ -215,15 +219,16 @@ let random_model rng =
     in
     Speedup.Arbitrary { name = "rand"; time }
 
-let same_decision (d : Allocator.decision) (e : Allocator.decision) =
+let same_decision (d : Task.decision)
+    (e : Moldable_oracle.Alloc_reference.decision) =
   let bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
-  d.Allocator.p_star = e.Allocator.p_star
-  && bits d.Allocator.beta_budget e.Allocator.beta_budget
-  && bits d.Allocator.step1_bound e.Allocator.step1_bound
-  && d.Allocator.cap = e.Allocator.cap
-  && d.Allocator.cap_applied = e.Allocator.cap_applied
-  && d.Allocator.final_alloc = e.Allocator.final_alloc
-  && d.Allocator.candidates_scanned = e.Allocator.candidates_scanned
+  d.p_star = e.p_star
+  && bits d.beta_budget e.beta_budget
+  && bits d.step1_bound e.step1_bound
+  && d.cap = e.cap
+  && d.cap_applied = e.cap_applied
+  && d.final_alloc = e.final_alloc
+  && d.candidates_scanned = e.candidates_scanned
 
 let prop_rules_match_reference =
   QCheck.Test.make
@@ -264,9 +269,9 @@ let prop_rules_match_reference =
         (fun ((rule : Allocator.t), (old : Old.t)) ->
           let final = old.Old.allocate_analyzed a in
           (rule.Allocator.name = old.Old.name
-          && same_decision (rule.Allocator.explain a) (old.Old.explain a)
-          && rule.Allocator.allocate ~p t = old.Old.allocate ~p t
-          && rule.Allocator.allocate ~p t = final)
+          && same_decision (Allocator.explain rule a) (old.Old.explain a)
+          && Allocator.allocate rule ~p t = old.Old.allocate ~p t
+          && Allocator.allocate rule ~p t = final)
           || QCheck.Test.fail_reportf "%s differs from its reference (P=%d)"
                rule.Allocator.name p)
         pairs)
@@ -574,7 +579,7 @@ let prop_untraced_reveal_matches_explain =
                 let a = Task.analyze ~p t in
                 {
                   Priority.task = t;
-                  alloc = (allocator.Allocator.explain a).Allocator.final_alloc;
+                  alloc = (Allocator.explain allocator a).Task.final_alloc;
                   t_min = a.Task.t_min;
                   seq = t.Task.id;
                 })

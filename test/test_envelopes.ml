@@ -14,7 +14,7 @@ let task m = Task.make ~id:0 m
 let achieved ~mu ~p m =
   let t = task m in
   let a = Task.analyze ~p t in
-  let q = Allocator.initial ~mu ~p t in
+  let q = (Allocator.explain (Allocator.algorithm2 ~mu) a).Task.p_star in
   (Task.alpha a q, Task.beta a q)
 
 let check_envelope ~name ~mu ~alpha_bound ~beta_bound ~p m =
@@ -128,8 +128,8 @@ let prop_cap_preserves_alpha =
       let p = Rng.int_range rng 1 512 in
       let t = task m in
       let a = Task.analyze ~p t in
-      let q0 = Allocator.initial ~mu ~p t in
-      let q1 = (Allocator.algorithm2 ~mu).Allocator.allocate ~p t in
+      let q0 = (Allocator.explain (Allocator.algorithm2 ~mu) a).Task.p_star in
+      let q1 = Allocator.allocate (Allocator.algorithm2 ~mu) ~p t in
       Fcmp.leq (Task.alpha a q1) (Task.alpha a q0))
 
 (* The beta of the FINAL allocation can exceed delta (when the cap bites)
@@ -150,7 +150,7 @@ let prop_final_beta_within_inv_mu =
       let p = Rng.int_range rng 1 512 in
       let t = task m in
       let a = Task.analyze ~p t in
-      let q = (Allocator.algorithm2 ~mu).Allocator.allocate ~p t in
+      let q = Allocator.allocate (Allocator.algorithm2 ~mu) ~p t in
       Fcmp.leq ~eps:1e-6 (Task.beta a q) (1. /. mu))
 
 (* Adversarial instances stay exact for arbitrary platform sizes. *)

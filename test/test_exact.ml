@@ -258,11 +258,11 @@ let prop_decisions_match_float_allocator =
       let task = Task.make ~id:0 m in
       let p = Rng.int_range rng 1 512 in
       let mu = List.nth mus (Rng.int rng 4) in
-      let fd = (Allocator.algorithm2 ~mu).Allocator.explain (Task.analyze ~p task) in
+      let fd = Allocator.explain (Allocator.algorithm2 ~mu) (Task.analyze ~p task) in
       let mu_r = Rat.of_float mu in
       let ea = Exact_alg2.analyze ~p task in
       let ed = Exact_alg2.decide ~mu:mu_r ea in
-      if ed.Exact_alg2.final_alloc = fd.Allocator.final_alloc then true
+      if ed.Exact_alg2.final_alloc = fd.Task.final_alloc then true
       else begin
         (* Boundary envelope: perturb eps by the rounding band and accept
            the float answer if it falls inside. *)
@@ -277,14 +277,14 @@ let prop_decisions_match_float_allocator =
         in
         let lo = min d_lo.Exact_alg2.final_alloc d_hi.Exact_alg2.final_alloc in
         let hi = max d_lo.Exact_alg2.final_alloc d_hi.Exact_alg2.final_alloc in
-        if fd.Allocator.final_alloc >= lo && fd.Allocator.final_alloc <= hi then
+        if fd.Task.final_alloc >= lo && fd.Task.final_alloc <= hi then
           true
         else
           QCheck.Test.fail_report
             (Printf.sprintf
                "seed %d: float alloc %d vs exact %d (envelope [%d,%d]) for %s \
                 at P=%d mu=%.6f"
-               seed fd.Allocator.final_alloc ed.Exact_alg2.final_alloc lo hi
+               seed fd.Task.final_alloc ed.Exact_alg2.final_alloc lo hi
                (Speedup.to_string m) p mu)
       end)
 
@@ -560,7 +560,7 @@ let test_instances_floor_audit_amdahl () =
         let p = k * k in
         let fk = float_of_int k in
         let task_b = Task.make ~id:0 (make_b fk) in
-        let p_b = (Allocator.algorithm2 ~mu).Allocator.allocate ~p task_b in
+        let p_b = Allocator.allocate (Allocator.algorithm2 ~mu) ~p task_b in
         let float_x =
           int_of_float (floor (fk *. fk *. (1. -. mu) /. float_of_int p_b)) + 1
         in

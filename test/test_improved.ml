@@ -208,15 +208,16 @@ let test_tracer_provenance () =
     | None -> Alcotest.failf "no decision record for task %d" i
     | Some d ->
       Alcotest.(check (float 1e-12))
-        "budget is rho" pr.Improved_alloc.rho d.Tracer.beta_budget;
+        "budget is rho" pr.Improved_alloc.rho d.Task.beta_budget;
       Alcotest.(check int) "cap is ceil(mu P)"
         (Mu.cap ~mu:pr.Improved_alloc.mu ~p)
-        d.Tracer.cap;
+        d.Task.cap;
       Alcotest.(check bool) "beta within budget" true
-        (d.Tracer.beta <= pr.Improved_alloc.rho +. 1e-9
-        || d.Tracer.p_star = d.Tracer.p_max);
+        (Task.beta d.Task.analysis d.Task.p_star
+         <= pr.Improved_alloc.rho +. 1e-9
+        || d.Task.p_star = d.Task.analysis.Task.p_max);
       Alcotest.(check bool) "cap_applied consistent" true
-        (d.Tracer.cap_applied = (d.Tracer.final_alloc < d.Tracer.p_star))
+        (d.Task.cap_applied = (d.Task.final_alloc < d.Task.p_star))
   done
 
 let test_explain_agrees_with_allocation () =
@@ -228,10 +229,10 @@ let test_explain_agrees_with_allocation () =
     let p = Rng.int_range rng 2 256 in
     let a = Task.analyze ~p task in
     let alloc = Improved_alloc.per_model in
-    let d = alloc.Allocator.explain a in
+    let d = Allocator.explain alloc a in
     Alcotest.(check int) "explain = allocate"
-      (alloc.Allocator.allocate ~p task)
-      d.Allocator.final_alloc
+      (Allocator.allocate alloc ~p task)
+      d.Task.final_alloc
   done
 
 (* -------------------------------------------- exact shadow, 500 cells *)

@@ -92,7 +92,7 @@ let test_algorithm2_matches_feldmann_on_roofline () =
     let ptilde = Rng.int_range rng 1 (2 * p) in
     let w = Rng.log_uniform rng 0.1 1000. in
     let task = Task.make ~id:0 (Speedup.Roofline { w; ptilde }) in
-    let ours = (Allocator.algorithm2 ~mu).Allocator.allocate ~p task in
+    let ours = Allocator.allocate (Allocator.algorithm2 ~mu) ~p task in
     let feldmann = min (min ptilde p) (Mu.cap ~mu ~p) in
     Alcotest.(check int) "same allocation" feldmann ours
   done

@@ -169,13 +169,13 @@ let prop_explain_agrees_with_allocate =
           List.for_all
             (fun i ->
               let task = Dag.task dag i in
-              let d = alloc.Allocator.explain (Task.analyze ~p task) in
-              let final = alloc.Allocator.allocate ~p task in
-              d.Allocator.final_alloc = final
-              && d.Allocator.cap_applied
-                 = (d.Allocator.final_alloc < d.Allocator.p_star)
-              && d.Allocator.final_alloc >= 1
-              && d.Allocator.final_alloc <= p)
+              let d = Allocator.explain alloc (Task.analyze ~p task) in
+              let final = Allocator.allocate alloc ~p task in
+              d.Task.final_alloc = final
+              && d.Task.cap_applied
+                 = (d.Task.final_alloc < d.Task.p_star)
+              && d.Task.final_alloc >= 1
+              && d.Task.final_alloc <= p)
             (List.init (Dag.n dag) Fun.id))
         rules)
 
@@ -186,24 +186,24 @@ let test_explain_cap_fields () =
   let mu = 0.2113 in
   let task = Task.make ~id:0 (Speedup.Amdahl { w = 1000.; d = 0.001 }) in
   let a = Task.analyze ~p task in
-  let d = (Allocator.algorithm2 ~mu).Allocator.explain a in
-  Alcotest.(check int) "cap = ceil(mu P)" 22 d.Allocator.cap;
-  Alcotest.(check bool) "cap applied" true d.Allocator.cap_applied;
-  Alcotest.(check int) "final = cap" 22 d.Allocator.final_alloc;
-  Alcotest.(check bool) "p_star above cap" true (d.Allocator.p_star > 22);
+  let d = Allocator.explain (Allocator.algorithm2 ~mu) a in
+  Alcotest.(check int) "cap = ceil(mu P)" 22 d.Task.cap;
+  Alcotest.(check bool) "cap applied" true d.Task.cap_applied;
+  Alcotest.(check int) "final = cap" 22 d.Task.final_alloc;
+  Alcotest.(check bool) "p_star above cap" true (d.Task.p_star > 22);
   Alcotest.(check bool)
     "budget is delta(mu)" true
-    (Float.is_finite d.Allocator.beta_budget && d.Allocator.beta_budget > 1.);
+    (Float.is_finite d.Task.beta_budget && d.Task.beta_budget > 1.);
   Alcotest.(check bool)
     "step 1 probed candidates" true
-    (d.Allocator.candidates_scanned > 0);
+    (d.Task.candidates_scanned > 0);
   (* Trivial rules carry degenerate provenance. *)
-  let d_min = Allocator.min_time.Allocator.explain a in
+  let d_min = Allocator.explain Allocator.min_time a in
   Alcotest.(check bool)
     "min_time has no budget" true
-    (Float.is_nan d_min.Allocator.beta_budget);
+    (Float.is_nan d_min.Task.beta_budget);
   Alcotest.(check int) "min_time scans nothing" 0
-    d_min.Allocator.candidates_scanned
+    d_min.Task.candidates_scanned
 
 (* -------------------------------------------------- Tracer recording basics *)
 
@@ -219,20 +219,49 @@ let test_null_tracer_records_nothing () =
 
 let test_decision_dedup_keeps_first () =
   let t = Tracer.create () in
+  let analysis =
+    Task.analyze ~p:8
+      (Task.make ~label:"x" ~id:3 (Speedup.Amdahl { w = 8.; d = 1. }))
+  in
   let d final =
     {
-      Tracer.task_id = 3; label = "x"; model = "amdahl"; p = 8; p_max = 8;
-      t_min = 1.; a_min = 1.; p_star = 4; alpha = 1.; beta = 1.;
-      beta_budget = 2.; cap = 4; cap_applied = false; final_alloc = final;
-      alpha_final = 1.; beta_final = 1.; candidates_scanned = 3;
+      Task.analysis; p_star = 4; beta_budget = 2.; step1_bound = 2.; cap = 4;
+      cap_applied = false; final_alloc = final; candidates_scanned = 3;
     }
   in
   Tracer.record_decision t (d 4);
   Tracer.record_decision t (d 7);
   Alcotest.(check int) "one record" 1 (Tracer.n_decisions t);
   match Tracer.decision_for t 3 with
-  | Some d -> Alcotest.(check int) "first kept" 4 d.Tracer.final_alloc
+  | Some d -> Alcotest.(check int) "first kept" 4 d.Task.final_alloc
   | None -> Alcotest.fail "decision lost"
+
+(* The --explain block of the capped Amdahl decision of
+   [test_explain_cap_fields] and of a trivial rule's decision on the same
+   analysis, whose NaN budget prints as "-".  Every ratio in it is derived
+   from the decision's analysis. *)
+let test_pp_decision_golden () =
+  let task = Task.make ~id:0 (Speedup.Amdahl { w = 1000.; d = 0.001 }) in
+  let a = Task.analyze ~p:100 task in
+  let block rule =
+    Format.asprintf "%a" Tracer.pp_decision (Allocator.explain rule a)
+  in
+  Alcotest.(check string) "capped amdahl"
+    "task 0 \"t0\"  model=amdahl  P=100\n\
+    \  analysis: p_max=100  t_min=10.001  a_min=1000\n\
+    \  step 1:   p*=29  alpha(p*)=1.0000  beta(p*)=3.4480  beta budget \
+     delta(mu)=3.4647  candidates scanned=7\n\
+    \  step 2:   cap=22 -> applied\n\
+    \  final:    22 processors  alpha=1.0000  beta=4.5451\n"
+    (block (Allocator.algorithm2 ~mu:0.2113));
+  Alcotest.(check string) "trivial rule"
+    "task 0 \"t0\"  model=amdahl  P=100\n\
+    \  analysis: p_max=100  t_min=10.001  a_min=1000\n\
+    \  step 1:   p*=100  alpha(p*)=1.0001  beta(p*)=1.0000  beta budget \
+     delta(mu)=-  candidates scanned=0\n\
+    \  step 2:   cap=100 -> not applied\n\
+    \  final:    100 processors  alpha=1.0001  beta=1.0000\n"
+    (block Allocator.min_time)
 
 (* ----------------------------------------------- Chrome trace golden export *)
 
@@ -602,6 +631,8 @@ let () =
             test_null_tracer_records_nothing;
           Alcotest.test_case "decision dedup" `Quick
             test_decision_dedup_keeps_first;
+          Alcotest.test_case "pp_decision golden" `Quick
+            test_pp_decision_golden;
         ] );
       ( "chrome export",
         [
