@@ -32,7 +32,7 @@ let scan_feasible_linear (a : Task.analyzed) bound =
    scan remains the fallback for genuinely non-monotonic models. *)
 let exhaustive (a : Task.analyzed) =
   match Speedup.kind a.Task.task.Task.speedup with
-  | Speedup.Kind_arbitrary -> not (Task.monotonic a)
+  | Speedup.Kind_arbitrary -> not a.Task.monotonic
   | Speedup.Kind_roofline | Speedup.Kind_communication | Speedup.Kind_amdahl
   | Speedup.Kind_general | Speedup.Kind_power ->
     false

@@ -40,23 +40,15 @@ let policy ?(priority = Priority.fifo) ?(tracer = Tracer.null)
   in
   (* A waiting task's key, from its allocation and the t_min in
      [t_min.(0)] (a one-cell array, so that the decision hands it over
-     with no pair and no box): a built-in discipline's directly, a
-     [Priority.make] discipline's from an item. *)
+     with no pair and no box). *)
   let t_min = Array.make 1 0. in
+  let rank = priority.Priority.rank in
   let enqueue task alloc =
-    let t_min = t_min.(0) in
     let seq = !next_seq in
     incr next_seq;
-    let id = task.Task.id in
-    match priority.Priority.rank with
-    | Some rank ->
-      Ranked_queue.push ready ~alloc
-        ~key:(Priority.rank_key rank task ~alloc ~t_min)
-        ~tie:seq ~id
-    | None ->
-      let item = { Priority.task; alloc; t_min; seq } in
-      Ranked_queue.push ready ~alloc ~key:(priority.Priority.key item)
-        ~tie:(priority.Priority.tie item) ~id
+    Ranked_queue.push ready ~alloc
+      ~key:(Priority.rank_key rank task ~alloc ~t_min:t_min.(0))
+      ~tie:seq ~id:task.Task.id
   in
   (* One allocator decision per reveal.  When something records its
      provenance, the decision is [explain]'s record, which also feeds the

@@ -36,8 +36,8 @@ val policy :
     The waiting queue is a {!Moldable_util.Ranked_queue}: per-allocation
     heaps of flat [(key, tie, id)] arrays under a segment tree caching,
     per node, the allocation whose bucket holds the subtree's first
-    entry.  Each revealed task waits as its allocation, the rule's [key]
-    and [tie] (see {!Priority.t}), and its id, compared inline
+    entry.  Each revealed task waits as its allocation, the rule's
+    {!Priority.rank_key}, its arrival number and its id, compared inline
     with no closure and no item record, so "first task in priority order
     that fits in [free]" is a prefix query over allocations [[1, free]]:
     O(log P + log n) per insert and launch, O(1) when the queue's first
@@ -48,8 +48,7 @@ val policy :
     {!Allocator.explain}'s record on the task's analysis, which gives the
     allocation, the tracer's provenance and the probe sample; otherwise
     {!Allocator.decide} evaluates the same rule without building the
-    analysis, the record or a {!Priority.item} (a {!Priority.make}
-    discipline still gets its item). *)
+    analysis, the record or a {!Priority.item}. *)
 
 val ranked :
   name:string -> allocations:int array -> rank:float array -> p:int ->

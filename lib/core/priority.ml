@@ -12,43 +12,24 @@ let rank_key rank task ~alloc ~t_min =
   | By_alloc -> float_of_int alloc
   | By_neg_alloc -> -.float_of_int alloc
 
-type t = {
-  name : string;
-  key : item -> float;
-  tie : item -> int;
-  compare : item -> item -> int;
-  rank : rank option;
-}
+type t = { name : string; rank : rank; compare : item -> item -> int }
 
-(* Keys go through Float.compare, never polymorphic compare: the latter
-   treats NaN inconsistently across comparison contexts, which breaks
-   antisymmetry and with it the heap invariant of the ready queue.
-   Float.compare totally orders NaN (below every other float, equal to
-   itself), so the priority order stays total even on a poisoned key. *)
-let make ~name ~key ~tie =
+(* Higher key first, then lower arrival number.  Keys go through
+   Float.compare, never polymorphic compare: the latter treats NaN
+   inconsistently across comparison contexts, which breaks antisymmetry and
+   with it the heap invariant of a queue.  Float.compare totally orders NaN
+   (below every other float, equal to itself), so the priority order stays
+   total even on a poisoned key. *)
+let of_rank ~name rank =
+  let key i = rank_key rank i.task ~alloc:i.alloc ~t_min:i.t_min in
   {
     name;
-    key;
-    tie;
+    rank;
     compare =
       (fun a b ->
         match Float.compare (key b) (key a) with
-        | 0 -> Int.compare (tie a) (tie b)
+        | 0 -> Int.compare a.seq b.seq
         | c -> c);
-    rank = None;
-  }
-
-let seq i = i.seq
-
-(* Each discipline below keys by [rank_key] and ties on the arrival
-   number. *)
-let of_rank ~name rank =
-  {
-    (make ~name
-       ~key:(fun i -> rank_key rank i.task ~alloc:i.alloc ~t_min:i.t_min)
-       ~tie:seq)
-    with
-    rank = Some rank;
   }
 
 let fifo = of_rank ~name:"fifo" By_arrival

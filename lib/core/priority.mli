@@ -32,34 +32,22 @@ val rank_key : rank -> Task.t -> alloc:int -> t_min:float -> float
 
 type t = {
   name : string;
-  key : item -> float;
-      (** Rank of a waiting task: a {e higher} key launches first. *)
-  tie : item -> int;
-      (** Tie-break among equal keys: a {e lower} tie launches first.  Two
-          items waiting at once never share a tie (every rule here uses the
-          arrival number, Offline's ranked order the task id), so the
-          order is total. *)
+  rank : rank;
+      (** The key a waiting task launches by: a {e higher} [rank_key]
+          launches first, and equal keys launch in arrival order. *)
   compare : item -> item -> int;
-      (** The order [key]/[tie] define, as a comparator (smaller compares
-          first): for the sorted-list oracle and generic queues. *)
-  rank : rank option;
-      (** [Some r] when [key] is [rank_key r] and [tie] the arrival number,
-          so that a queue can key a task without building its item; [None]
-          for a discipline from {!make}. *)
+      (** The same order as a comparator (smaller compares first), for the
+          sorted-list oracle and generic queues. *)
 }
 (** A queue discipline.  The ready queue ({!Moldable_util.Ranked_queue})
-    stores each waiting task as its allocation, [key item], [tie item] and
-    id, and compares those inline.
+    stores each waiting task as its allocation, its [rank_key], its arrival
+    number and its id, and compares those inline.  Two tasks waiting at
+    once never share an arrival number, so the order is total.
 
     Keys are ordered by [Float.compare], which is total on NaN: NaN sorts
     below every other float, [-.infinity] included, so a task whose key is
     NaN launches after every task with a number key, and NaN keys tie with
-    each other (the tie then decides). *)
-
-val make :
-  name:string -> key:(item -> float) -> tie:(item -> int) -> t
-(** The discipline "higher [key] first, then lower [tie]", with [compare]
-    derived from the two. *)
+    each other (the arrival number then decides). *)
 
 val fifo : t
 (** Arrival order — the paper's Algorithm 1: key [0.], tie the arrival

@@ -12,7 +12,7 @@ let canonical_rule ~p ~p_max task =
     (* When the sampled model is monotonic (Lemma 1 sense), max(t, a/P) is
        unimodal and a ternary search suffices; otherwise scan. *)
     let argmin =
-      if Task.monotonic (Task.analyze ~p task) then
+      if (Task.analyze ~p task).Task.monotonic then
         Moldable_util.Numerics.integer_argmin_unimodal
       else Moldable_util.Numerics.integer_argmin
     in

@@ -10,27 +10,14 @@ let make ?label ~id speedup =
 let time t p = Speedup.time t.speedup p
 let area t p = Speedup.area t.speedup p
 
-type mono_memo = Mono_unknown | Mono_yes | Mono_no
-
 type analyzed = {
   task : t;
   p : int;
   p_max : int;
   t_min : float;
   a_min : float;
-  mutable mono : mono_memo;
+  monotonic : bool;
 }
-
-(* Lemma 1's monotonic property, checked by evaluating the model. *)
-let monotonic_scan t p_max =
-  let ok = ref true in
-  for q = 1 to p_max - 1 do
-    let tq = time t q and tq1 = time t (q + 1) in
-    let aq = area t q and aq1 = area t (q + 1) in
-    if not (Moldable_util.Fcmp.geq tq tq1) then ok := false;
-    if not (Moldable_util.Fcmp.leq aq aq1) then ok := false
-  done;
-  !ok
 
 let analyze ~p t =
   if p < 1 then invalid_arg "Task.analyze: platform size must be >= 1";
@@ -38,7 +25,8 @@ let analyze ~p t =
   | p_max when p_max >= 1 ->
     let t_min = time t p_max in
     let a_min = area t 1 in
-    { task = t; p; p_max; t_min; a_min; mono = Mono_unknown }
+    (* Lemma 1: every closed-form model is monotonic on [1 .. p_max]. *)
+    { task = t; p; p_max; t_min; a_min; monotonic = true }
   | _ ->
     (* Arbitrary speedups: the closed forms do not apply, so everything comes
        from one fused pass that evaluates the (caller-supplied, potentially
@@ -57,15 +45,14 @@ let analyze ~p t =
       if a_of q < a_of !best_a then best_a := q
     done;
     let a_min = a_of !best_a in
-    let mono =
-      let ok = ref true in
-      for q = 1 to p_max - 1 do
-        if not (Moldable_util.Fcmp.geq times.(q - 1) times.(q)) then ok := false;
-        if not (Moldable_util.Fcmp.leq (a_of q) (a_of (q + 1))) then ok := false
-      done;
-      if !ok then Mono_yes else Mono_no
-    in
-    { task = t; p; p_max; t_min; a_min; mono }
+    let monotonic = ref true in
+    for q = 1 to p_max - 1 do
+      if not (Moldable_util.Fcmp.geq times.(q - 1) times.(q)) then
+        monotonic := false;
+      if not (Moldable_util.Fcmp.leq (a_of q) (a_of (q + 1))) then
+        monotonic := false
+    done;
+    { task = t; p; p_max; t_min; a_min; monotonic = !monotonic }
 
 (* Equation (5) alone: the closed forms allocate nothing, and only an
    [Arbitrary] model pays for the full analysis. *)
@@ -77,14 +64,6 @@ let p_max ~p t =
 
 let alpha a q = area a.task q /. a.a_min
 let beta a q = time a.task q /. a.t_min
-let monotonic a =
-  match a.mono with
-  | Mono_yes -> true
-  | Mono_no -> false
-  | Mono_unknown ->
-    let ok = monotonic_scan a.task a.p_max in
-    a.mono <- (if ok then Mono_yes else Mono_no);
-    ok
 
 type decision = {
   analysis : analyzed;

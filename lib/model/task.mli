@@ -28,20 +28,17 @@ val area : t -> int -> float
 
 (** {1 Per-platform analysis} *)
 
-(** Memo cell for Lemma 1's monotonic property: the constant constructors
-    keep {!analyze} allocation-free on the closed-form path (a lazy thunk
-    here used to cost ~10 minor words per analyzed task on the scheduler's
-    hot path).  Query via {!monotonic}, which fills the cell on demand. *)
-type mono_memo = Mono_unknown | Mono_yes | Mono_no
-
 type analyzed = private {
   task : t;
   p : int;       (** Platform size [P] used for the analysis. *)
   p_max : int;   (** Equation (5). *)
   t_min : float; (** [time task p_max]. *)
   a_min : float; (** Minimum area over allocations [1 .. p_max]. *)
-  mutable mono : mono_memo;
-      (** Lemma 1's monotonic property, memoized; query via {!monotonic}. *)
+  monotonic : bool;
+      (** On [1 .. p_max] the time is non-increasing and the area is
+          non-decreasing (the monotonic property of Lemma 1), up to
+          {!Moldable_util.Fcmp}'s tolerance: [true] for every closed-form
+          model by Lemma 1, scanned for [Arbitrary] ones. *)
 }
 
 val analyze : p:int -> t -> analyzed
@@ -59,11 +56,6 @@ val alpha : analyzed -> int -> float
 
 val beta : analyzed -> int -> float
 (** [beta a q = time q /. t_min] — the execution-time ratio of Algorithm 2. *)
-
-val monotonic : analyzed -> bool
-(** True when on [1 .. p_max] the time is non-increasing and the area is
-    non-decreasing (the monotonic property of Lemma 1).  Memoized on the
-    [analyzed] value: repeated queries cost O(1). *)
 
 (** {1 Allocation decisions} *)
 

@@ -384,10 +384,8 @@ let handle_status sess =
         ("running", num (Sim_core.Stepper.running st));
         ("free", num (Sim_core.Stepper.free_procs st));
         ("makespan_so_far", Json.Num (Sim_core.Stepper.makespan_so_far st));
-        ( "next_event",
-          match Sim_core.Stepper.next_event_time st with
-          | None -> Json.Null
-          | Some t -> Json.Num t );
+        (* [infinity] when nothing is queued, which renders as [null]. *)
+        ("next_event", Json.Num (Sim_core.Stepper.next_event_time st));
         ("n_events", num (Sim_core.Stepper.n_events st));
       ]
     | Drained m ->

@@ -27,10 +27,7 @@ let add t ~time payload =
   Float_heap.push t.heap ~key:time payload
 
 let next_time t =
-  if Float_heap.is_empty t.heap then None else Some (Float_heap.min_key t.heap)
-
-let due t ~until =
-  (not (Float_heap.is_empty t.heap)) && Float_heap.min_key t.heap <= until
+  if Float_heap.is_empty t.heap then infinity else Float_heap.min_key t.heap
 
 (* Completions that are simultaneous in exact arithmetic reach the queue
    through different float paths (each is a [start +. duration] sum), so

@@ -20,12 +20,9 @@ val clear : t -> unit
 val add : t -> time:float -> int -> unit
 (** Requires a finite, non-NaN [time]. *)
 
-val next_time : t -> float option
-(** Time stamp of the earliest event, if any. *)
-
-val due : t -> until:float -> bool
-(** [due t ~until] is true when the earliest event's time stamp is at most
-    [until]: [next_time]'s test, with no option and no boxed stamp. *)
+val next_time : t -> float
+(** Time stamp of the earliest event, [infinity] when the queue is empty
+    (every queued stamp is finite). *)
 
 val batch_eps : float
 (** The relative tolerance {!pop_batch} batches under ([1e-12]).

@@ -210,20 +210,6 @@ let[@inline] boxed_once (now : float) = Sys.opaque_identity now
 let[@inline] enc_reveal i = i lsl 1
 let[@inline] enc_complete tid = (tid lsl 1) lor 1
 
-let validate_inputs ?release_times ~max_attempts ~n () =
-  (match release_times with
-  | None -> ()
-  | Some r ->
-    if Array.length r <> n then
-      invalid_arg "Sim_core.run: release_times length must equal task count";
-    Array.iter
-      (fun t ->
-        if not (Float.is_finite t) || t < 0. then
-          invalid_arg "Sim_core.run: release times must be finite and >= 0")
-      r);
-  if max_attempts < 1 then
-    invalid_arg "Sim_core.run: max_attempts must be >= 1"
-
 (* ---------------------------------------------------------------- stepper *)
 
 (* The re-entrant form of the event loop: all run state lives in a record
@@ -618,6 +604,20 @@ module Stepper = struct
     if st.pending_lo < Growbuf.I.length st.arena.Arena.pending then
       flush_pending_and_launch st
 
+  (* The one event loop: process every batch stamped [<= until] and return
+     [count] plus the number processed.  An empty queue reads [infinity],
+     which [pop_batch] answers with an empty batch. *)
+  let rec process st until count =
+    if Event_queue.next_time st.events <= until then begin
+      let blen = Event_queue.pop_batch st.events in
+      if blen > 0 then begin
+        process_batch st blen;
+        process st until (count + 1)
+      end
+      else count
+    end
+    else count
+
   let advance st ~until =
     if st.closed then
       invalid_arg "Sim_core.Stepper.advance: the stepper is closed";
@@ -625,20 +625,9 @@ module Stepper = struct
       invalid_arg "Sim_core.Stepper.advance: until must not be NaN";
     start st;
     flush_if_pending st;
-    let batches = ref 0 in
-    let rec loop () =
-      if Event_queue.due st.events ~until then begin
-        let blen = Event_queue.pop_batch st.events in
-        if blen > 0 then begin
-          process_batch st blen;
-          incr batches;
-          loop ()
-        end
-      end
-    in
-    loop ();
+    let batches = process st until 0 in
     if until > st.now_cell.(0) then st.now_cell.(0) <- until;
-    !batches
+    batches
 
   (* The result owns copies of the recording buffers, never the arena's
      storage, so later runs on the arena leave it untouched. *)
@@ -708,19 +697,18 @@ module Stepper = struct
       (fun () ->
         start st;
         flush_if_pending st;
-        let n = st.n in
-        let event_loop () =
-          while st.completed < n do
-            let blen = Event_queue.pop_batch st.events in
-            if blen = 0 then
-              fail st
-                "stalled: %d of %d tasks completed but nothing is running"
-                st.completed n
-            else process_batch st blen
-          done
+        (* The queue empties exactly when every admitted task has
+           completed (a deferred reveal precedes its task's completion, and
+           a failed attempt is re-revealed at once), unless a task waits on
+           one that was never admitted. *)
+        let (_ : int) =
+          if st.traced then
+            Tracer.timed st.tracer Event_loop (fun () -> process st infinity 0)
+          else process st infinity 0
         in
-        if st.traced then Tracer.timed st.tracer Event_loop event_loop
-        else event_loop ();
+        if st.completed < st.n then
+          fail st "stalled: %d of %d tasks completed but nothing is running"
+            st.completed st.n;
         finalize st)
 
   let abandon st = if not st.closed then close st
@@ -751,7 +739,10 @@ let run ?release_times ?(seed = 0) ?(max_attempts = max_int)
     ?(registry = Moldable_obs.Registry.null) ?arena ?(lean = false) ~p policy
     dag =
   let n = Dag.n dag in
-  validate_inputs ?release_times ~max_attempts ~n ();
+  (match release_times with
+  | Some r when Array.length r <> n ->
+    invalid_arg "Sim_core.run: release_times length must equal task count"
+  | Some _ | None -> ());
   (* A busy domain arena (a run nested in a policy callback) makes
      [Stepper.create] fall back to a private one. *)
   let arena =

@@ -141,7 +141,8 @@ module Stepper : sig
 
   val advance : t -> until:float -> int
   (** Process every scheduling instant with an event stamp [<= until] and
-      return how many were processed; afterwards {!now} is at least
+      return how many were processed (the one event loop {!drain} also
+      runs, with [until = infinity]); afterwards {!now} is at least
       [until] (a batch's ulp-tolerant instant may exceed its earliest
       stamp, and so [until], by the batching epsilon).  The first call
       (or {!drain}) performs the time-0 source flush.  [until] may be
@@ -151,7 +152,8 @@ module Stepper : sig
       @raise Invalid_argument on a closed stepper or NaN [until]. *)
 
   val drain : t -> result
-  (** Run to completion of every admitted task and build the {!result}
+  (** Process every queued instant, which completes every admitted task
+      unless one waits on a task never admitted, and build the {!result}
       (identical to what {!run} returns for the same admissions).  The
       stepper is closed afterwards — even on failure — and the arena is
       released.
@@ -189,9 +191,9 @@ module Stepper : sig
   val makespan_so_far : t -> float
   (** Latest completion instant processed so far (0 before the first). *)
 
-  val next_event_time : t -> float option
+  val next_event_time : t -> float
   (** Stamp of the earliest queued event — the next instant [advance]
-      would process ([None] when nothing is queued). *)
+      would process ([infinity] when nothing is queued). *)
 
   val n_events : t -> int
   (** Trace events recorded so far (0 in lean mode). *)
@@ -255,5 +257,7 @@ val run :
     schedule.
 
     @raise Policy_error on policy misbehaviour.
-    @raise Invalid_argument on ill-formed release times or [max_attempts].
+    @raise Invalid_argument on ill-formed release times or [max_attempts]
+    (each release time is checked as its task is admitted, and a rejected
+    run gives its arena back).
     @raise Failure when a task would exceed [max_attempts]. *)

@@ -113,14 +113,14 @@ let scan_feasible_linear_counted (a : Task.analyzed) bound =
    forms (smallest feasible = smallest area among feasible); the linear scan
    remains the fallback for genuinely non-monotonic models. *)
 let scan_feasible_counted (a : Task.analyzed) bound =
-  if Task.monotonic a then smallest_feasible_counted a bound
+  if a.Task.monotonic then smallest_feasible_counted a bound
   else scan_feasible_linear_counted a bound
 
 (* Uncounted arbitrary-model Step 1; the non-monotonic linear scan keeps
    its counted form (it is the rare path and its probe count is its
    length). *)
 let scan_feasible (a : Task.analyzed) bound =
-  if Task.monotonic a then smallest_feasible a bound
+  if a.Task.monotonic then smallest_feasible a bound
   else fst (scan_feasible_linear_counted a bound)
 
 (* Step 1 against an explicit absolute time bound: the shared engine under

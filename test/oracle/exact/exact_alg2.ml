@@ -48,7 +48,8 @@ let cap_paper ~mu p =
   if p < 1 then invalid_arg "Exact_alg2.cap_paper: p must be >= 1";
   max 1 (Rat.ceil_int (Rat.mul mu (Rat.of_int p)))
 
-(* Exact mirror of Task.monotonic_scan's tolerant verdicts. *)
+(* Exact mirror of the tolerant Lemma 1 scan behind [Task.analyze]'s
+   [monotonic] flag. *)
 let monotonic ~eps (a : analyzed) =
   let m = a.task.Task.speedup in
   let ok = ref true in

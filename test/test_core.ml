@@ -379,14 +379,32 @@ let prop_ranked_queue_matches_prefix_min =
             | 5 | 6 | 7 -> `Pop (Rng.int_range rng (-1) (k + 2))
             | _ -> `Peek (Rng.int_range rng (-1) (k + 2)))
       in
+      (* Each rule as the ready queue sees it (a key, a tie) beside the
+         comparator Prefix_min orders by: a discipline's [rank_key] and
+         arrival number against its [compare], and the ranked order's
+         rank.(id) and id against the comparator they define. *)
+      let of_priority (rule : Priority.t) =
+        ( rule.Priority.name,
+          (fun (i : Priority.item) ->
+            Priority.rank_key rule.Priority.rank i.Priority.task
+              ~alloc:i.Priority.alloc ~t_min:i.Priority.t_min),
+          (fun (i : Priority.item) -> i.Priority.seq),
+          rule.Priority.compare )
+      in
       let ranked =
-        Priority.make ~name:"ranked"
-          ~key:(fun i -> rank.(i.Priority.task.Task.id))
-          ~tie:(fun i -> i.Priority.task.Task.id)
+        let key (i : Priority.item) = rank.(i.Priority.task.Task.id)
+        and tie (i : Priority.item) = i.Priority.task.Task.id in
+        ( "ranked",
+          key,
+          tie,
+          fun a b ->
+            match Float.compare (key b) (key a) with
+            | 0 -> Int.compare (tie a) (tie b)
+            | c -> c )
       in
       List.for_all
-        (fun (rule : Priority.t) ->
-          let pm = Prefix_min.create ~k ~cmp:rule.Priority.compare in
+        (fun (name, key, tie, cmp) ->
+          let pm = Prefix_min.create ~k ~cmp in
           let rq = Ranked_queue.create ~k in
           let first free =
             match Ranked_queue.fit rq ~free with
@@ -400,8 +418,8 @@ let prop_ranked_queue_matches_prefix_min =
             | `Push (item : Priority.item) ->
               let alloc = item.Priority.alloc in
               let push_rq () =
-                Ranked_queue.push rq ~alloc ~key:(rule.Priority.key item)
-                  ~tie:(rule.Priority.tie item) ~id:j
+                Ranked_queue.push rq ~alloc ~key:(key item) ~tie:(tie item)
+                  ~id:j
               in
               if alloc < 1 || alloc > k then
                 raises (fun () -> Prefix_min.push pm ~key:alloc item)
@@ -427,9 +445,9 @@ let prop_ranked_queue_matches_prefix_min =
             incr j
           done;
           !ok
-          || QCheck.Test.fail_reportf "%s: k=%d, step %d differs"
-               rule.Priority.name k (!j - 1))
-        (ranked :: Priority.all))
+          || QCheck.Test.fail_reportf "%s: k=%d, step %d differs" name k
+               (!j - 1))
+        (ranked :: List.map of_priority Priority.all))
 
 (* ------------------------------------------------------ Online scheduler *)
 

@@ -123,13 +123,13 @@ let run_stepper ~admit_step ?release_times ?seed ?max_attempts ?failures ~p
   ignore (Sim_core.Stepper.advance st ~until:0. : int);
   let step = ref 1 in
   let rec pump () =
-    match Sim_core.Stepper.next_event_time st with
-    | None -> ()
-    | Some t ->
+    let t = Sim_core.Stepper.next_event_time st in
+    if t < infinity then begin
       admit_bucket !step;
       ignore (Sim_core.Stepper.advance st ~until:t : int);
       incr step;
       pump ()
+    end
   in
   pump ();
   Alcotest.(check int) "every task admitted" n !next;
@@ -348,6 +348,22 @@ let test_stepper_unadmitted_forward_dep_stalls () =
   Alcotest.(check bool) "closed after failed drain" true
     (Sim_core.Stepper.closed st)
 
+(* The stall after progress: task 0 runs to completion, then the queue is
+   empty while task 1 still waits on task 2, which is never admitted. *)
+let test_stepper_stall_after_progress () =
+  let p = 4 in
+  let st = Sim_core.Stepper.create ~p (fifo_policy ~p ()) in
+  ignore (Sim_core.Stepper.admit_task st (small_task 0) : int);
+  ignore (Sim_core.Stepper.admit_task st ~deps:[ 2 ] (small_task 1) : int);
+  let suffix = "stalled: 1 of 2 tasks completed but nothing is running" in
+  (match Sim_core.Stepper.drain st with
+  | _ -> Alcotest.fail "draining with task 1 unrevealable must stall"
+  | exception Sim_core.Policy_error msg ->
+    Alcotest.(check bool) (Printf.sprintf "%S ends in %S" msg suffix) true
+      (String.ends_with ~suffix msg));
+  Alcotest.(check bool) "closed after the stall" true
+    (Sim_core.Stepper.closed st)
+
 let test_stepper_events_windows_concatenate () =
   let p = 8 in
   let rng = Rng.create 42 in
@@ -369,12 +385,12 @@ let test_stepper_events_windows_concatenate () =
   ignore (Sim_core.Stepper.advance st ~until:0. : int);
   snap ();
   let rec pump () =
-    match Sim_core.Stepper.next_event_time st with
-    | None -> ()
-    | Some t ->
+    let t = Sim_core.Stepper.next_event_time st in
+    if t < infinity then begin
       ignore (Sim_core.Stepper.advance st ~until:t : int);
       snap ();
       pump ()
+    end
   in
   pump ();
   let r = Sim_core.Stepper.drain st in
@@ -1424,6 +1440,8 @@ let () =
             test_stepper_rejects_bad_deps;
           Alcotest.test_case "unadmitted forward dep stalls" `Quick
             test_stepper_unadmitted_forward_dep_stalls;
+          Alcotest.test_case "stall after a completed task" `Quick
+            test_stepper_stall_after_progress;
           Alcotest.test_case "event windows concatenate" `Quick
             test_stepper_events_windows_concatenate;
         ] );

@@ -1157,6 +1157,41 @@ let test_domain_arena_drops_finished_run () =
   Alcotest.(check bool) "the result's processor block was collected" false
     (Weak.check blocks 0)
 
+(* Admission checks each release time, and [run] abandons its stepper when
+   one is rejected, which hands the domain arena back: the next run on it
+   returns a fresh run's schedule, and allocates on the major heap only the
+   result's copies (a run that had to fall back to a private arena would
+   also pay for the arena: 74 major words per task here). *)
+let test_bad_release_frees_domain_arena () =
+  let n = 2_000 and p = 16 in
+  let rng = Rng.create 31 in
+  let dag =
+    Moldable_workloads.Random_dag.independent ~rng ~n
+      ~kind:Speedup.Kind_amdahl ()
+  in
+  let run ?release_times ?arena () =
+    Sim_core.run ?release_times ?arena ~p
+      (fresh_policy ~priority:Priority.fifo ~p ())
+      dag
+  in
+  ignore (run () : Sim_core.result);
+  let bad = Array.make n 0. in
+  bad.(n - 1) <- Float.nan;
+  (match run ~release_times:bad () with
+  | _ -> Alcotest.fail "a NaN release time must be rejected"
+  | exception Invalid_argument _ -> ());
+  Gc.minor ();
+  let s0 = Gc.quick_stat () in
+  let r = run () in
+  Gc.minor ();
+  let s1 = Gc.quick_stat () in
+  let major = (s1.Gc.major_words -. s0.Gc.major_words) /. float_of_int n in
+  Alcotest.(check bool) "the next run equals a fresh run" true
+    (same_result r (run ~arena:(Sim_core.Arena.create ()) ()));
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f major words per task (budget 30)" major)
+    true (major <= 30.)
+
 let test_domain_arena_run_one_unchanged () =
   (* Experiment.run_one now runs lean on the domain's arena; its numbers
      must match a plain full run. *)
@@ -1250,6 +1285,8 @@ let () =
             `Quick test_nested_run_falls_back;
           Alcotest.test_case "domain arena drops a finished run" `Quick
             test_domain_arena_drops_finished_run;
+          Alcotest.test_case "bad release time frees the domain arena"
+            `Quick test_bad_release_frees_domain_arena;
           Alcotest.test_case "run_one on domain arena" `Quick
             test_domain_arena_run_one_unchanged;
         ] );
